@@ -38,7 +38,7 @@ func runDurableDemo(w io.Writer, dir, debugAddr string) error {
 	if err != nil {
 		return err
 	}
-	db, err := oodb.Open(schema, oodb.Fine, oodb.Durable(dir))
+	db, err := oodb.OpenWith(schema, oodb.Fine, oodb.Options{Dir: dir})
 	if err != nil {
 		return err
 	}

@@ -69,12 +69,12 @@ type EngineScenario struct {
 	// the rest a writing one. Zero keeps the profile weights.
 	ReadRatio int
 
-	// SnapshotReads routes statically read-only transactions (read-only
+	// SnapshotViews routes statically read-only transactions (read-only
 	// sends and scans of read-only methods, per the schema's TAVs)
 	// through the engine's lock-free snapshot path instead of the lock
 	// table. The golden differential suite proves the two paths
 	// equivalent; this knob measures what that equivalence buys.
-	SnapshotReads bool
+	SnapshotViews bool
 
 	// Durable runs the scenario on a write-ahead-logged engine rooted
 	// at Dir, with the given group-commit window and sync policy — the
@@ -397,7 +397,7 @@ func (w *engineWorker) runOp(db *engine.DB, objects []storage.OID,
 	case opScan:
 		*scans++
 		scanArgs := sendArgs(w.prof, w.rng, w.prof.scanMethod)
-		if w.sc.SnapshotReads && w.prof.scanReadOnly {
+		if w.sc.SnapshotViews && w.prof.scanReadOnly {
 			// Lock-free snapshot scan: never blocks (or is blocked by) the
 			// writing workers — the tentpole's payoff case.
 			return db.RunReadOnly(func(tx *txn.Txn) error {
@@ -439,7 +439,7 @@ func (w *engineWorker) runOp(db *engine.DB, objects []storage.OID,
 			args = op.args(w.rng)
 		}
 		oid := w.pickObject(objects)
-		if w.sc.SnapshotReads && op.readOnly {
+		if w.sc.SnapshotViews && op.readOnly {
 			return db.RunReadOnly(func(tx *txn.Txn) error {
 				_, err := db.Send(tx, oid, op.method, args...)
 				return err
@@ -751,7 +751,7 @@ func DefaultEngineScenario(schema EngineSchemaName, wl EngineWorkload,
 		// path by default: it is the production configuration the golden
 		// differential proves equivalent, and the trajectory tracks its
 		// payoff PR over PR (scan-mix no longer stalls writers).
-		SnapshotReads: true,
+		SnapshotViews: true,
 	}
 }
 

@@ -71,7 +71,7 @@ func TestEngineScenarioDurationRun(t *testing.T) {
 }
 
 // The ReadRatio knob with snapshot routing: at 100% read sends every
-// send transaction is read-only, so with SnapshotReads on, the send
+// send transaction is read-only, so with SnapshotViews on, the send
 // share of the workload issues zero lock-table requests.
 func TestEngineScenarioSnapshotRouting(t *testing.T) {
 	base := DefaultEngineScenario(EngineBanking, EngineSendHeavy, DistUniform, 2)
@@ -80,7 +80,7 @@ func TestEngineScenarioSnapshotRouting(t *testing.T) {
 	base.ReadRatio = 100
 
 	locked := base
-	locked.SnapshotReads = false
+	locked.SnapshotViews = false
 	lockRes, err := RunEngineScenario(locked)
 	if err != nil {
 		t.Fatal(err)

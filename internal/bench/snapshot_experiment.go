@@ -18,11 +18,11 @@ func init() {
 		ID:    "snapshotreads",
 		Title: "Snapshot reads: contention × read-ratio, locking vs lock-free read path",
 		Paper: "section 4.3: access vectors statically classify method sets as read-only; routed onto a multiversion read path, those transactions acquire zero locks and never stall (or are stalled by) writers",
-		Run:   runSnapshotReads,
+		Run:   runSnapshotViews,
 	})
 }
 
-func runSnapshotReads(w io.Writer) error {
+func runSnapshotViews(w io.Writer) error {
 	t := NewTable("workload", "read%", "workers", "read path", "txns", "lock reqs", "txn/s", "p50", "p95", "p99")
 	for _, wl := range []EngineWorkload{EngineScanMix, EngineReadMostly} {
 		for _, ratio := range []int{50, 95} {
@@ -30,7 +30,7 @@ func runSnapshotReads(w io.Writer) error {
 				for _, snap := range []bool{false, true} {
 					sc := DefaultEngineScenario(EngineBanking, wl, DistZipf, workers)
 					sc.ReadRatio = ratio
-					sc.SnapshotReads = snap
+					sc.SnapshotViews = snap
 					res, err := RunEngineScenario(applyDurations(sc))
 					if err != nil {
 						return err

@@ -52,19 +52,6 @@ type Strategy interface {
 	// never acquire lock-manager locks from their NestedSend or
 	// FieldAccess hooks — those run while the latch is held.
 	ConcurrentWriters() bool
-	// SnapshotReads reports whether statically read-only transactions
-	// may bypass this protocol entirely and run on the multiversion
-	// snapshot path (engine.DB.RunReadOnly): zero lock-manager
-	// requests, reading the newest committed version at or below the
-	// transaction's begin epoch. Sound for slot values under every
-	// protocol here — writers publish versions at commit independently
-	// of how they lock — so all built-in strategies answer true; the
-	// capability exists so an experiment can pin the locking read
-	// path. Deletions are weaker than the slot guarantee: they are not
-	// versioned, so a delete committed after a snapshot began removes
-	// the instance from that snapshot's view immediately (see
-	// DB.RunReadOnly).
-	SnapshotReads() bool
 	TopSend(a Acquirer, rt *Runtime, oid uint64, cls *schema.Class, mid schema.MethodID) error
 	NestedSend(a Acquirer, rt *Runtime, oid uint64, cls *schema.Class, mid schema.MethodID) error
 	FieldAccess(a Acquirer, rt *Runtime, oid uint64, cls *schema.Class, f *schema.Field, write bool) error
@@ -88,14 +75,11 @@ type liveAcquirer struct {
 
 // Acquire implements Acquirer.
 func (l liveAcquirer) Acquire(res lock.ResourceID, mode lock.Mode) error {
-	if l.trace != nil || l.done != nil {
-		waited, err := l.locks.AcquireWaitDone(l.txn, res, mode, l.done)
-		if l.trace != nil && waited > 0 {
-			l.trace.Add(obs.EvLockWait, waited, res.OID)
-		}
-		return err
+	waited, err := l.locks.AcquireWaitDone(l.txn, res, mode, l.done)
+	if l.trace != nil && waited > 0 {
+		l.trace.Add(obs.EvLockWait, waited, res.OID)
 	}
-	return l.locks.Acquire(l.txn, res, mode)
+	return err
 }
 
 // Recorder collects the lock set a strategy would take, deduplicated,

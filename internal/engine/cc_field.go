@@ -31,9 +31,6 @@ func (FieldCC) Name() string { return "field" }
 // locks mid-frame, so holding one would deadlock).
 func (FieldCC) ConcurrentWriters() bool { return false }
 
-// SnapshotReads implements Strategy.
-func (FieldCC) SnapshotReads() bool { return true }
-
 // TopSend implements Strategy: an intention lock on the class so that
 // extent scans still serialize against individual accesses.
 func (FieldCC) TopSend(a Acquirer, rt *Runtime, oid uint64, cls *schema.Class, mid schema.MethodID) error {

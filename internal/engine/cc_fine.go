@@ -35,9 +35,6 @@ func (FineCC) Name() string { return "fine" }
 // which is what makes holding the latch across a frame deadlock-free.
 func (FineCC) ConcurrentWriters() bool { return true }
 
-// SnapshotReads implements Strategy.
-func (FineCC) SnapshotReads() bool { return true }
-
 // TopSend implements Strategy.
 func (FineCC) TopSend(a Acquirer, rt *Runtime, oid uint64, cls *schema.Class, mid schema.MethodID) error {
 	crt := rt.class(cls)

@@ -37,9 +37,6 @@ func (RelCC) Name() string { return "relational" }
 // 1NF decomposition, so two writers of one slot never coexist.
 func (RelCC) ConcurrentWriters() bool { return false }
 
-// SnapshotReads implements Strategy.
-func (RelCC) SnapshotReads() bool { return true }
-
 // relPlan returns the precomputed per-relation lock plan of a method
 // execution on proper instances of cls.
 func relPlan(rt *Runtime, cls *schema.Class, mid schema.MethodID) ([]relLock, error) {

@@ -30,9 +30,6 @@ func (RWCC) Name() string { return "rw" }
 // needed.
 func (RWCC) ConcurrentWriters() bool { return false }
 
-// SnapshotReads implements Strategy.
-func (RWCC) SnapshotReads() bool { return true }
-
 // davWriter classifies the method by its direct access vector, from the
 // Runtime's dense table.
 func davWriter(rt *Runtime, cls *schema.Class, mid schema.MethodID) (bool, error) {
@@ -157,9 +154,6 @@ func (RWAnnounceCC) Name() string { return "rw-announce" }
 // ConcurrentWriters: announced modes are at most as permissive as rw —
 // writers stay exclusive.
 func (RWAnnounceCC) ConcurrentWriters() bool { return false }
-
-// SnapshotReads implements Strategy.
-func (RWAnnounceCC) SnapshotReads() bool { return true }
 
 // TopSend implements Strategy.
 func (RWAnnounceCC) TopSend(a Acquirer, rt *Runtime, oid uint64, cls *schema.Class, mid schema.MethodID) error {

@@ -29,9 +29,6 @@ func (RWImplicitCC) Name() string { return "rw-implicit" }
 // inheritance graph), so writers never coexist.
 func (RWImplicitCC) ConcurrentWriters() bool { return false }
 
-// SnapshotReads implements Strategy.
-func (RWImplicitCC) SnapshotReads() bool { return true }
-
 // intentUpward takes the intention mode on cls and every ancestor,
 // using the Runtime's precomputed linearization resources.
 func intentUpward(a Acquirer, rt *Runtime, cls *schema.Class, writer bool) error {

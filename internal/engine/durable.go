@@ -1,10 +1,11 @@
 package engine
 
 import (
-	"context"
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/lock"
+	"repro/internal/storage"
 	"repro/internal/txn"
 	"repro/internal/wal"
 )
@@ -57,15 +58,41 @@ type Options struct {
 	SlowTxnThreshold time.Duration
 }
 
-// OpenWithOptions builds a database like Open and, when o.Durable is
-// set, recovers the durable state under o.Dir and wires the redo log
-// through the transaction manager.
+// OpenWithOptions builds a database around a compiled schema with fresh
+// store, lock and transaction managers, precomputing the run-time
+// tables. The dispatch tables run the full program pipeline (lower →
+// inline → fuse) unless o.Unfused: superinstruction fusion always,
+// nested-send inlining only when the strategy's ConcurrentWriters
+// capability says nested self-sends are lock-free (see
+// schema.InlineSends). When o.Durable is set it recovers the durable
+// state under o.Dir and wires the redo log through the transaction
+// manager.
 func OpenWithOptions(c *core.Compiled, o Options) (*DB, error) {
-	db := openDB(c, o.Strategy, o.NoMetrics)
-	if o.Unfused {
-		db.rt = newRuntimeModes(c, false, false)
-		db.useFused = false
+	fused := !o.Unfused
+	db := &DB{
+		Compiled:     c,
+		Store:        storage.NewStore(c.Schema),
+		Txns:         txn.NewManager(lock.NewManager()),
+		CC:           o.Strategy,
+		rt:           newRuntimeModes(c, fused && o.Strategy.ConcurrentWriters(), fused),
+		MaxSteps:     1_000_000,
+		MaxDepth:     256,
+		useFused:     fused,
+		latchWriters: o.Strategy.ConcurrentWriters(),
 	}
+	db.Txns.LatchWrites = db.latchWriters
+	// Wire the store into the transaction manager: commits allocate a
+	// commit epoch and publish per-instance versions, which is what the
+	// snapshot read path consumes.
+	db.Txns.SetStore(db.Store)
+	// The flight recorder is always attached (it is one atomic load per
+	// Begin while disarmed); the metrics registry is the default but can
+	// be stripped.
+	db.Txns.SetFlight(&db.flight)
+	if !o.NoMetrics {
+		db.metrics = newDBMetrics(db)
+	}
+	db.ecPool.New = func() any { return &execCtx{} }
 	if o.SlowTxnThreshold > 0 {
 		db.flight.SetThreshold(o.SlowTxnThreshold)
 	}
@@ -93,23 +120,6 @@ func OpenWithOptions(c *core.Compiled, o Options) (*DB, error) {
 // Recovery reports what the durable open replayed (zero value when the
 // database is volatile).
 func (db *DB) Recovery() wal.RecoveryInfo { return db.recovery }
-
-// RunWithRetryPipelined executes fn transactionally like RunWithRetry
-// but commits pipelined: it returns as soon as the commit record is
-// sequenced in the log, with a durability future that resolves when the
-// record is hardened. The session can start its next transaction while
-// the group commit's fsync is in flight.
-func (db *DB) RunWithRetryPipelined(fn func(*txn.Txn) error) (txn.Future, error) {
-	return db.Txns.RunWithRetryPipelined(fn)
-}
-
-// RunWithRetryPipelinedCtx is RunWithRetryPipelined honoring ctx before
-// each attempt, during lock waits and across the retry backoff. The
-// returned future is not bound to ctx; bound the wait with
-// Future.WaitDone(ctx.Done()) if needed.
-func (db *DB) RunWithRetryPipelinedCtx(ctx context.Context, fn func(*txn.Txn) error) (txn.Future, error) {
-	return db.Txns.RunWithRetryPipelinedCtx(ctx, fn)
-}
 
 // Failed reports the redo log's latched fail-stop error: nil while the
 // database is volatile or healthy, otherwise the original I/O failure

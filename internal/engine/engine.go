@@ -89,45 +89,10 @@ type DB struct {
 	instancesCreated atomic.Int64
 }
 
-// Open builds a database around a compiled schema with fresh store, lock
-// and transaction managers, precomputing the run-time tables. The
-// dispatch tables run the full program pipeline (lower → inline → fuse):
-// superinstruction fusion always, nested-send inlining only when the
-// strategy's ConcurrentWriters capability says nested self-sends are
-// lock-free (see schema.InlineSends).
+// Open is shorthand for OpenWithOptions(c, Options{Strategy: strategy}):
+// a volatile database, which cannot fail to open.
 func Open(c *core.Compiled, strategy Strategy) *DB {
-	return openDB(c, strategy, false)
-}
-
-// openDB is Open with the metrics switch: noMetrics strips the
-// observability registry (Options.NoMetrics — overhead experiments),
-// leaving only the pre-existing raw atomic counters.
-func openDB(c *core.Compiled, strategy Strategy, noMetrics bool) *DB {
-	lm := lock.NewManager()
-	db := &DB{
-		Compiled: c,
-		Store:    storage.NewStore(c.Schema),
-		Txns:     txn.NewManager(lm),
-		CC:       strategy,
-		rt:       newRuntimeModes(c, strategy.ConcurrentWriters(), true),
-		MaxSteps: 1_000_000,
-		MaxDepth: 256,
-		useFused: true,
-	}
-	db.latchWriters = strategy.ConcurrentWriters()
-	db.Txns.LatchWrites = db.latchWriters
-	// Wire the store into the transaction manager: commits allocate a
-	// commit epoch and publish per-instance versions, which is what the
-	// snapshot read path consumes.
-	db.Txns.SetStore(db.Store)
-	// The flight recorder is always attached (it is one atomic load per
-	// Begin while disarmed); the metrics registry is the default but can
-	// be stripped.
-	db.Txns.SetFlight(&db.flight)
-	if !noMetrics {
-		db.metrics = newDBMetrics(db)
-	}
-	db.ecPool.New = func() any { return &execCtx{} }
+	db, _ := OpenWithOptions(c, Options{Strategy: strategy})
 	return db
 }
 
@@ -142,42 +107,51 @@ func (db *DB) Begin() *txn.Txn { return db.Txns.Begin() }
 
 // RunWithRetry executes fn transactionally, retrying deadlock victims.
 func (db *DB) RunWithRetry(fn func(*txn.Txn) error) error {
-	return db.Txns.RunWithRetry(fn)
+	return db.RunWithRetryCtx(context.Background(), fn)
 }
 
 // RunWithRetryCtx is RunWithRetry honoring ctx at every blocking point:
 // lock waits, the retry backoff, and the commit's durability wait (see
-// txn.Manager.RunWithRetryCtx for the unacked-commit caveat).
+// txn.Manager.RunWithRetry for the unacked-commit caveat).
 func (db *DB) RunWithRetryCtx(ctx context.Context, fn func(*txn.Txn) error) error {
-	return db.Txns.RunWithRetryCtx(ctx, fn)
+	return db.Txns.RunWithRetry(ctx, fn)
 }
 
-// RunReadOnly executes fn as a snapshot transaction when the strategy
-// allows it: zero lock-manager requests, no blocking, no deadlock (so
-// no retry loop), reading the newest committed slot values at or below
-// the transaction's begin epoch. Deletions are not versioned: an
-// instance deleted by a transaction committing after this one began
+// RunWithRetryPipelined executes fn transactionally like RunWithRetry
+// but commits pipelined: it returns as soon as the commit record is
+// sequenced in the log, with a durability future that resolves when the
+// record is hardened. The session can start its next transaction while
+// the group commit's fsync is in flight.
+func (db *DB) RunWithRetryPipelined(fn func(*txn.Txn) error) (txn.Future, error) {
+	return db.RunWithRetryPipelinedCtx(context.Background(), fn)
+}
+
+// RunWithRetryPipelinedCtx is RunWithRetryPipelined honoring ctx before
+// each attempt, during lock waits and across the retry backoff. The
+// returned future is not bound to ctx; bound the wait with
+// Future.WaitDone(ctx.Done()) if needed.
+func (db *DB) RunWithRetryPipelinedCtx(ctx context.Context, fn func(*txn.Txn) error) (txn.Future, error) {
+	return db.Txns.RunWithRetryPipelined(ctx, fn)
+}
+
+// RunReadOnly executes fn as a snapshot transaction: zero lock-manager
+// requests, no blocking, no deadlock (so no retry loop), reading the
+// newest committed slot values at or below the transaction's begin
+// epoch. Sound under every strategy — writers publish versions at
+// commit independently of how they lock. Deletions are not versioned:
+// an instance deleted by a transaction committing after this one began
 // disappears from its view (lookups fail, scans skip it) instead of
 // staying visible at the begin epoch. Only methods whose transitive
 // access vectors are write-free may be sent (others fail with
-// txn.ErrSnapshotWrite). When the strategy pins the locking read path
-// (SnapshotReads false), fn runs under RunWithRetry instead — same
-// results, read locks taken.
+// txn.ErrSnapshotWrite).
 func (db *DB) RunReadOnly(fn func(*txn.Txn) error) error {
-	if !db.CC.SnapshotReads() {
-		return db.RunWithRetry(fn)
-	}
-	return db.Txns.RunReadOnly(fn)
+	return db.RunReadOnlyCtx(context.Background(), fn)
 }
 
-// RunReadOnlyCtx is RunReadOnly honoring ctx: on the snapshot path the
-// only cancellation points are before begin (snapshot reads never
-// block); on the locking fallback ctx bounds lock waits too.
+// RunReadOnlyCtx is RunReadOnly honoring ctx. Snapshot reads never
+// block, so the only cancellation point is the check before begin.
 func (db *DB) RunReadOnlyCtx(ctx context.Context, fn func(*txn.Txn) error) error {
-	if !db.CC.SnapshotReads() {
-		return db.RunWithRetryCtx(ctx, fn)
-	}
-	return db.Txns.RunReadOnlyCtx(ctx, fn)
+	return db.Txns.RunReadOnly(ctx, fn)
 }
 
 // SnapshotSafe reports whether a method is statically read-only per its
@@ -207,13 +181,8 @@ type Snap struct {
 
 // BeginSnapshot opens a snapshot read session at the current stable
 // epoch. The caller must Close it — the session pins versions at its
-// epoch against reclamation while open. Panics if the strategy pins the
-// locking read path; callers gate on CC.SnapshotReads (RunReadOnly
-// handles the fallback automatically).
+// epoch against reclamation while open.
 func (db *DB) BeginSnapshot() *Snap {
-	if !db.CC.SnapshotReads() {
-		panic("engine: BeginSnapshot under a strategy that pins the locking read path")
-	}
 	s := &Snap{db: db, tx: db.Txns.BeginSnapshot()}
 	db.activeECs.Add(1)
 	s.ec.db = db

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"sync"
 	"testing"
 	"time"
@@ -106,48 +107,62 @@ func TestFlightRecorderCapturesLockWait(t *testing.T) {
 
 // TestFlightRecorderCapturesCommitAndFsync runs a durable transaction
 // under a tiny threshold and checks the trace carries the commit epoch
-// and the group-commit fsync wait.
+// and the group-commit fsync wait — for an uncancellable caller (which
+// waits holding its locks) and for a cancellable one (which waits after
+// releasing them) alike.
 func TestFlightRecorderCapturesCommitAndFsync(t *testing.T) {
-	c, err := core.CompileSource(paperex.Figure1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	db, err := OpenWithOptions(c, Options{
-		Strategy:         FineCC{},
-		Durable:          true,
-		Dir:              t.TempDir(),
-		SlowTxnThreshold: time.Nanosecond,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer db.Close()
-	oid := seedOne(t, db)
-	if err := db.RunWithRetry(func(tx *txn.Txn) error {
-		_, err := db.Send(tx, oid, "m1", storage.IntV(1))
-		return err
-	}); err != nil {
-		t.Fatal(err)
-	}
+	cancelable, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	for _, tc := range []struct {
+		name string
+		ctx  context.Context
+	}{
+		{"background", context.Background()},
+		{"cancelable", cancelable},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c, err := core.CompileSource(paperex.Figure1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			db, err := OpenWithOptions(c, Options{
+				Strategy:         FineCC{},
+				Durable:          true,
+				Dir:              t.TempDir(),
+				SlowTxnThreshold: time.Nanosecond,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer db.Close()
+			oid := seedOne(t, db)
+			if err := db.RunWithRetryCtx(tc.ctx, func(tx *txn.Txn) error {
+				_, err := db.Send(tx, oid, "m1", storage.IntV(1))
+				return err
+			}); err != nil {
+				t.Fatal(err)
+			}
 
-	slow := db.SlowTxns()
-	if len(slow) == 0 {
-		t.Fatal("no transactions captured")
-	}
-	// Newest first: slow[0] is the m1 update (seedOne came before it).
-	ks := eventKinds(slow[0])
-	commits := ks[obs.EvCommit]
-	if len(commits) != 1 {
-		t.Fatalf("commit events = %v", slow[0].Events)
-	}
-	if commits[0].Arg == 0 {
-		t.Error("commit event carries epoch 0")
-	}
-	if len(ks[obs.EvFsyncWait]) != 1 {
-		t.Errorf("fsync-wait events = %v", slow[0].Events)
-	}
-	if len(ks[obs.EvAbort]) != 0 {
-		t.Errorf("committed txn has abort events: %v", slow[0].Events)
+			slow := db.SlowTxns()
+			if len(slow) == 0 {
+				t.Fatal("no transactions captured")
+			}
+			// Newest first: slow[0] is the m1 update (seedOne came before it).
+			ks := eventKinds(slow[0])
+			commits := ks[obs.EvCommit]
+			if len(commits) != 1 {
+				t.Fatalf("commit events = %v", slow[0].Events)
+			}
+			if commits[0].Arg == 0 {
+				t.Error("commit event carries epoch 0")
+			}
+			if len(ks[obs.EvFsyncWait]) != 1 {
+				t.Errorf("fsync-wait events = %v", slow[0].Events)
+			}
+			if len(ks[obs.EvAbort]) != 0 {
+				t.Errorf("committed txn has abort events: %v", slow[0].Events)
+			}
+		})
 	}
 }
 

@@ -375,35 +375,6 @@ func TestSnapshotFrozenAtBeginEpoch(t *testing.T) {
 	}
 }
 
-// pinnedReadStrategy pins the locking read path: RunReadOnly must fall
-// back to RunWithRetry instead of handing out snapshot transactions.
-type pinnedReadStrategy struct{ FineCC }
-
-func (pinnedReadStrategy) SnapshotReads() bool { return false }
-
-func TestSnapshotCapabilityFallback(t *testing.T) {
-	c, err := core.CompileSource(snapLedgerSchema)
-	if err != nil {
-		t.Fatal(err)
-	}
-	db := Open(c, pinnedReadStrategy{})
-	oids := seedSnapLedger(t, db)
-	before := db.Locks().Snapshot()
-	err = db.RunReadOnly(func(tx *txn.Txn) error {
-		if tx.IsSnapshot() {
-			t.Error("fallback must not hand out a snapshot transaction")
-		}
-		_, err := db.Send(tx, oids[0], "worth")
-		return err
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if after := db.Locks().Snapshot(); after.Requests == before.Requests {
-		t.Error("fallback read took no locks — it bypassed the pinned strategy")
-	}
-}
-
 // pairSchema holds a two-field invariant (a+b constant under shift) for
 // the consistency tortures.
 const pairSchema = `

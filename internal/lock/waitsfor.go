@@ -103,9 +103,12 @@ func (m *Manager) blockersOf(txn TxnID, info waitInfo) []TxnID {
 	// removed) since the DFS read it, the wait has dissolved and reporting
 	// edges from the queue scan below would fabricate blockers — and with
 	// them phantom deadlocks. Only a waiter still in the queue has edges.
+	// Waiters are pooled, so pointer identity alone is not enough: a
+	// granted waiter may already be back in this queue on behalf of
+	// another transaction.
 	ahead := -1
 	for i, q := range e.queue {
-		if q == info.w {
+		if q == info.w && q.txn == txn {
 			ahead = i
 			break
 		}

@@ -1,0 +1,320 @@
+package txn
+
+import (
+	"context"
+	"errors"
+	"os"
+	"sync/atomic"
+	"testing"
+	"time"
+
+	"repro/internal/lock"
+	"repro/internal/storage"
+	"repro/internal/wal"
+)
+
+// gateFS is a slow disk: once armed, every file Sync parks until the
+// gate opens, announcing itself on parked first.
+type gateFS struct {
+	wal.FS
+	armed  atomic.Bool
+	parked chan struct{} // cap 1: a token while some Sync is parked
+	gate   chan struct{} // closed to let the parked fsyncs through
+}
+
+func newGateFS() *gateFS {
+	return &gateFS{
+		FS:     wal.NewFaultFS(nil, wal.FaultPlan{FailAt: -1}), // pass-through over the real disk
+		parked: make(chan struct{}, 1),
+		gate:   make(chan struct{}),
+	}
+}
+
+func (g *gateFS) OpenFile(name string, flag int, perm os.FileMode) (wal.File, error) {
+	f, err := g.FS.OpenFile(name, flag, perm)
+	if err != nil {
+		return nil, err
+	}
+	return &gateFile{File: f, g: g}, nil
+}
+
+type gateFile struct {
+	wal.File
+	g *gateFS
+}
+
+func (f *gateFile) Sync() error {
+	if f.g.armed.Load() {
+		select {
+		case f.g.parked <- struct{}{}:
+		default:
+		}
+		<-f.g.gate
+	}
+	return f.File.Sync()
+}
+
+// cancelWhen cancels once cond holds (the conditions here are counters
+// the code under test bumps right before it parks). The returned wait
+// joins the watcher so it cannot outlive its test.
+func cancelWhen(t *testing.T, cancel context.CancelFunc, what string, cond func() bool) (wait func()) {
+	stopped := make(chan struct{})
+	go func() {
+		defer close(stopped)
+		defer cancel()
+		deadline := time.Now().Add(10 * time.Second)
+		for !cond() {
+			if time.Now().After(deadline) {
+				t.Errorf("timed out waiting for %s", what)
+				return
+			}
+			time.Sleep(50 * time.Microsecond)
+		}
+	}()
+	return func() { <-stopped }
+}
+
+// runFn is RunWithRetry or RunWithRetryPipelined with the Future dropped.
+type runFn func(*Manager, context.Context, func(*Txn) error) error
+
+// TestRunCancellation drives every cancellation point of the one retry
+// loop, blocking and pipelined: before the first attempt, while queued
+// on a lock, and during the retry backoff.
+func TestRunCancellation(t *testing.T) {
+	cases := []struct {
+		name string
+		body func(t *testing.T, run runFn)
+	}{
+		{"before first attempt", func(t *testing.T, run runFn) {
+			m, _, _ := setup(t)
+			ctx, cancel := context.WithCancel(context.Background())
+			cancel()
+			err := run(m, ctx, func(*Txn) error {
+				t.Error("fn ran under a canceled context")
+				return nil
+			})
+			if !errors.Is(err, context.Canceled) {
+				t.Errorf("err = %v, want context.Canceled", err)
+			}
+			if got := m.Snapshot().Begun; got != 0 {
+				t.Errorf("begun %d transactions, want 0", got)
+			}
+		}},
+		{"queued on a lock", func(t *testing.T, run runFn) {
+			m, st, s := setup(t)
+			in, err := st.NewInstance(s.Class("c1"), storage.IntV(10))
+			if err != nil {
+				t.Fatal(err)
+			}
+			res := lock.InstanceRes(uint64(in.OID))
+			blocker := m.Begin()
+			if err := m.Locks().Acquire(blocker.ID, res, lock.X); err != nil {
+				t.Fatal(err)
+			}
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancelWhen(t, cancel, "the attempt to queue", func() bool { return m.Locks().Snapshot().Blocks == 1 })()
+			calls := 0
+			err = run(m, ctx, func(tx *Txn) error {
+				calls++
+				tx.LogUndo(in, 0, in.Set(0, storage.IntV(99)))
+				// What the engine's acquirer does for every lock.
+				_, err := m.Locks().AcquireWaitDone(tx.ID, res, lock.X, tx.Done())
+				return err
+			})
+			if !errors.Is(err, context.Canceled) {
+				t.Errorf("err = %v, want it to wrap context.Canceled", err)
+			}
+			if calls != 1 {
+				t.Errorf("fn ran %d times, want 1 (a cancellation is not retried)", calls)
+			}
+			if got := in.Get(0).I; got != 10 {
+				t.Errorf("slot = %d after the canceled attempt, want 10 (rolled back)", got)
+			}
+			if s := m.Snapshot(); s.Aborted != 1 || s.Retries != 0 {
+				t.Errorf("aborted %d retries %d, want 1 and 0", s.Aborted, s.Retries)
+			}
+			// The waiter was withdrawn: once the blocker lets go, the
+			// next requester is granted at once instead of queueing
+			// behind a ghost.
+			if err := blocker.Commit(); err != nil {
+				t.Fatal(err)
+			}
+			m.Locks().WaitTimeout = 5 * time.Second
+			next := m.Begin()
+			if err := m.Locks().Acquire(next.ID, res, lock.X); err != nil {
+				t.Errorf("acquire after withdrawal: %v", err)
+			}
+			next.Abort()
+		}},
+		{"during backoff", func(t *testing.T, run runFn) {
+			m, _, _ := setup(t)
+			m.RetryBackoff = time.Hour
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancelWhen(t, cancel, "the first retry", func() bool { return m.Snapshot().Retries == 1 })()
+			calls := 0
+			err := run(m, ctx, func(tx *Txn) error {
+				calls++
+				return &lock.DeadlockError{Txn: tx.ID}
+			})
+			if !errors.Is(err, context.Canceled) {
+				t.Errorf("err = %v, want context.Canceled", err)
+			}
+			if calls != 1 {
+				t.Errorf("fn ran %d times, want 1", calls)
+			}
+		}},
+	}
+	modes := []struct {
+		name string
+		run  runFn
+	}{
+		{"blocking", func(m *Manager, ctx context.Context, fn func(*Txn) error) error {
+			return m.RunWithRetry(ctx, fn)
+		}},
+		{"pipelined", func(m *Manager, ctx context.Context, fn func(*Txn) error) error {
+			_, err := m.RunWithRetryPipelined(ctx, fn)
+			return err
+		}},
+	}
+	for _, tc := range cases {
+		for _, mode := range modes {
+			t.Run(tc.name+"/"+mode.name, func(t *testing.T) { tc.body(t, mode.run) })
+		}
+	}
+}
+
+// A cancellation that strikes during the durability wait cannot undo
+// the commit: the record is sequenced, so the effects stay visible, the
+// locks are already released, the error says so, a Sync barrier hardens
+// the record, and recovery replays it.
+func TestRunCancelDuringDurabilityWait(t *testing.T) {
+	m, st, s := setup(t)
+	m.SetStore(st)
+	dir := t.TempDir()
+	fs := newGateFS()
+	w, _, err := wal.Open(dir, st, wal.Options{FS: fs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.SetWAL(w)
+	fs.armed.Store(true)
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	go func() {
+		<-fs.parked
+		cancel()
+	}()
+	var oid storage.OID
+	var id lock.TxnID
+	err = m.RunWithRetry(ctx, func(tx *Txn) error {
+		in, err := st.NewInstance(s.Class("c1"), storage.IntV(42))
+		if err != nil {
+			return err
+		}
+		oid, id = in.OID, tx.ID
+		tx.LogCreate(st, in)
+		return m.Locks().Acquire(tx.ID, lock.InstanceRes(uint64(oid)), lock.X)
+	})
+	if !errors.Is(err, ErrUnackedCommit) || !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want ErrUnackedCommit wrapping context.Canceled", err)
+	}
+	if _, ok := st.Get(oid); !ok {
+		t.Error("the commit's effects are not visible")
+	}
+	if s := m.Snapshot(); s.Committed != 1 || s.Aborted != 0 {
+		t.Errorf("committed %d aborted %d, want 1 and 0", s.Committed, s.Aborted)
+	}
+	if held := m.Locks().LocksHeld(id); held != 0 {
+		t.Errorf("the unacked commit still holds %d locks", held)
+	}
+
+	close(fs.gate)
+	if err := w.Sync(); err != nil {
+		t.Fatalf("Sync after the unacked commit: %v", err)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	st2 := storage.NewStore(s)
+	w2, info, err := wal.Open(dir, st2, wal.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w2.Close()
+	if in, ok := st2.Get(oid); !ok || in.Get(0).I != 42 {
+		t.Errorf("recovery did not replay the unacked commit (records applied: %d)", info.Records)
+	}
+}
+
+// An uncancellable blocking commit is the other side of the rule: it
+// waits for the disk holding its locks.
+func TestRunBlockingCommitHoldsLocksAcrossFsync(t *testing.T) {
+	m, st, s := setup(t)
+	dir := t.TempDir()
+	fs := newGateFS()
+	w, _, err := wal.Open(dir, st, wal.Options{FS: fs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	m.SetWAL(w)
+	fs.armed.Store(true)
+
+	var id lock.TxnID
+	done := make(chan error, 1)
+	go func() {
+		done <- m.RunWithRetry(context.Background(), func(tx *Txn) error {
+			in, err := st.NewInstance(s.Class("c1"), storage.IntV(1))
+			if err != nil {
+				return err
+			}
+			id = tx.ID
+			tx.LogCreate(st, in)
+			return m.Locks().Acquire(tx.ID, lock.InstanceRes(uint64(in.OID)), lock.X)
+		})
+	}()
+	<-fs.parked
+	if held := m.Locks().LocksHeld(id); held != 1 {
+		t.Errorf("holds %d locks while the fsync is parked, want 1", held)
+	}
+	close(fs.gate)
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	if held := m.Locks().LocksHeld(id); held != 0 {
+		t.Errorf("holds %d locks after commit", held)
+	}
+}
+
+// RunReadOnly: a failed fn is an abort, not a commit, and a canceled
+// context begins nothing.
+func TestRunReadOnlyOutcomes(t *testing.T) {
+	m, st, _ := setup(t)
+	m.SetStore(st)
+	boom := errors.New("boom")
+	if err := m.RunReadOnly(context.Background(), func(*Txn) error { return boom }); !errors.Is(err, boom) {
+		t.Fatalf("err = %v", err)
+	}
+	if s := m.Snapshot(); s.Committed != 0 || s.Aborted != 1 {
+		t.Errorf("after a failed view: committed %d aborted %d, want 0 and 1", s.Committed, s.Aborted)
+	}
+	if err := m.RunReadOnly(context.Background(), func(*Txn) error { return nil }); err != nil {
+		t.Fatal(err)
+	}
+	if s := m.Snapshot(); s.Committed != 1 || s.Aborted != 1 {
+		t.Errorf("after a clean view: committed %d aborted %d, want 1 and 1", s.Committed, s.Aborted)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	err := m.RunReadOnly(ctx, func(*Txn) error {
+		t.Error("fn ran under a canceled context")
+		return nil
+	})
+	if !errors.Is(err, context.Canceled) {
+		t.Errorf("err = %v, want context.Canceled", err)
+	}
+	if got := m.Snapshot().Begun; got != 2 {
+		t.Errorf("begun %d, want 2", got)
+	}
+}

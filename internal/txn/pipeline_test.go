@@ -1,6 +1,7 @@
 package txn
 
 import (
+	"context"
 	"testing"
 	"time"
 
@@ -73,7 +74,7 @@ func TestRunWithRetryPipelinedReadOnlyResolved(t *testing.T) {
 	}
 	defer w.Close()
 	m.SetWAL(w)
-	fut, err := m.RunWithRetryPipelined(func(t *Txn) error { return nil })
+	fut, err := m.RunWithRetryPipelined(context.Background(), func(t *Txn) error { return nil })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +87,7 @@ func TestRunWithRetryPipelinedReadOnlyResolved(t *testing.T) {
 
 	// Volatile manager: same contract, zero-value future.
 	m2, _, _ := setup(t)
-	fut2, err := m2.RunWithRetryPipelined(func(t *Txn) error { return nil })
+	fut2, err := m2.RunWithRetryPipelined(context.Background(), func(t *Txn) error { return nil })
 	if err != nil {
 		t.Fatal(err)
 	}

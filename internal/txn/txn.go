@@ -120,7 +120,7 @@ type Txn struct {
 	created []storage.OID   // OIDs created by this txn (redo skips their slot writes)
 
 	// execSet is the reused buffer of instances whose execution latches
-	// logCommit holds across the after-image reads and the log submit.
+	// commit holds across the after-image reads and the log submit.
 	execSet []*storage.Instance
 
 	// pubSlots is the reused scratch for one instance's written-slot
@@ -145,23 +145,16 @@ type Txn struct {
 
 	// done, when non-nil, is the caller's cancellation channel
 	// (context.Done): the engine threads it into every blocking lock
-	// acquire. Nil — the default, and what context.Background() yields —
-	// is free: a nil channel never wins a select, so the uncancellable
-	// path costs nothing and allocates nothing.
+	// acquire, and commit bounds a blocking durability wait by it. Nil —
+	// the default, and what context.Background() yields — is free: a nil
+	// channel never wins a select, so the uncancellable path costs
+	// nothing and allocates nothing. Bound by the retry loop only.
 	done <-chan struct{}
 }
 
 // Done returns the transaction's cancellation channel (nil when the
 // caller did not bind one).
 func (t *Txn) Done() <-chan struct{} { return t.done }
-
-// BindDone sets the transaction's cancellation channel and returns the
-// previous one, so scoped binds (a facade SendCtx) can restore it.
-func (t *Txn) BindDone(done <-chan struct{}) (prev <-chan struct{}) {
-	prev = t.done
-	t.done = done
-	return prev
-}
 
 // State returns the lifecycle state.
 func (t *Txn) State() State { return t.state }
@@ -368,41 +361,13 @@ func (t *Txn) unlockExecSet() {
 	t.execSet = t.execSet[:0]
 }
 
-// logCommit projects the undo log forward into one redo record. The
-// transaction still holds every lock, so the after-images it reads are
-// its own final values — except slots under declared commutativity,
-// which the execution latches of lockExecSet pin for the duration.
-// Non-pipelined, it blocks on the group-commit ticket: locks release
-// only after the record is durable, so conflicting transactions always
-// appear in the log in conflict order. Pipelined, it returns a
-// durability future as soon as the record is sequenced on the writer's
-// queue — the queue order is the log order, so releasing locks at that
-// point still puts any conflicting later transaction after this one in
-// the log (strictness extends to the log order), while the fsync
-// proceeds in the background.
-// When the transaction has versioned effects, logCommit also publishes
-// its version records and retires its commit epoch through the store's
-// turnstile, both after the submit and before the ticket wait:
-// publication happens under the same latches as the after-image reads
-// (so the version image matches the record under escrow), and the
-// turnstile never waits on an fsync.
-//
-// Ordering is load-bearing: the latches are acquired BEFORE the epoch
-// is allocated. Retiring an epoch waits on every earlier epoch, so a
-// transaction that blocks on a latch while holding an epoch would
-// deadlock against a latch holder spinning on a later epoch — under
-// escrow, FineCC grants two committers of one instance concurrently,
-// making exactly that interleaving reachable. Latch-first means an
-// epoch holder never blocks on another transaction's latch: it builds
-// its record, sequences it, and retires, so the turnstile always
-// drains.
-func (t *Txn) logCommit(w *wal.Log, pipelined bool) (*wal.Future, error) {
-	if t.mgr.LatchWrites {
-		t.lockExecSet()
-	}
-	// unlockExecSet below is a no-op when lockExecSet did not run (the
-	// set stays empty).
-	epoch := t.allocEpoch()
+// submitRecord projects the undo log forward into one redo record and
+// sequences it on the log's queue, returning the record's durability
+// ticket (nil when the undo log holds nothing durable). The transaction
+// still holds every lock, so the after-images it reads are its own final
+// values — except slots under declared commutativity, which the
+// execution latches commit holds pin for the duration.
+func (t *Txn) submitRecord(w *wal.Log, epoch uint64) (*wal.Future, error) {
 	c := w.BeginCommit(uint64(t.ID), epoch)
 	// The created-OID check runs once per slot entry; beyond a handful
 	// of creates the linear scan is replaced by a set so a bulk-load
@@ -446,33 +411,107 @@ func (t *Txn) logCommit(w *wal.Log, pipelined bool) (*wal.Future, error) {
 		}
 	}
 	if c.Ops() == 0 {
-		t.finishEpoch(epoch, true)
-		t.unlockExecSet()
 		c.Discard()
 		return nil, nil
 	}
-	// Submit (sequence) under the latches, but wait for the fsync
-	// outside them — the ticket wait is the long part, and commuting
-	// writers only need to be excluded until the log order is fixed.
-	err := c.Submit()
-	t.finishEpoch(epoch, err == nil)
-	t.unlockExecSet()
-	if err != nil {
+	if err := c.Submit(); err != nil {
 		return nil, err
 	}
 	if t.traceOn {
 		t.trace.Add(obs.EvCommit, 0, epoch)
 	}
+	return c.Future(), nil
+}
+
+// commit is the one commit sequence: latch → allocate the epoch →
+// build and sequence the redo record (only when a log is attached and
+// the undo log has durable effects) → publish versions in epoch turn →
+// unlatch → release locks → finish the trace. What varies is only where
+// the durability wait sits relative to the lock release:
+//
+//   - hold (blocking, uncancellable): the wait comes BEFORE the release,
+//     so conflicting transactions appear in the log in conflict order
+//     only after this one is durable, and a failed ticket — the log went
+//     fail-stop under the record — rolls the transaction back in memory
+//     while it still excludes every reader of its writes.
+//   - pipelined: no wait; the Future is the caller's. Queue order is log
+//     order, so releasing at sequencing still puts any conflicting later
+//     transaction after this one in the log while the fsync proceeds in
+//     the background.
+//   - blocking but cancellable (a done channel is bound): release first,
+//     then wait bounded by done. Sequencing cannot be undone, so a wait
+//     that could be abandoned must not be one that could roll back; a
+//     cancellation returns wal.ErrWaitCanceled with the commit applied.
+//
+// Ordering is load-bearing: the latches are acquired BEFORE the epoch
+// is allocated. Retiring an epoch waits on every earlier epoch, so a
+// transaction that blocks on a latch while holding an epoch would
+// deadlock against a latch holder spinning on a later epoch — under
+// escrow, FineCC grants two committers of one instance concurrently,
+// making exactly that interleaving reachable. Latch-first means an
+// epoch holder never blocks on another transaction's latch: it builds
+// its record, sequences it, and retires, so the turnstile always
+// drains. Publication happens under the same latches as the after-image
+// reads (so the version image matches the record under escrow), and the
+// turnstile never waits on an fsync.
+func (t *Txn) commit(pipelined bool) (Future, error) {
+	if t.state != Active {
+		return Future{}, ErrNotActive
+	}
+	if t.snapshot {
+		t.endSnapshot(true)
+		return Future{}, nil
+	}
+	hold := !pipelined && t.done == nil
+	if t.mgr.LatchWrites {
+		t.lockExecSet()
+	}
+	// unlockExecSet below is a no-op when lockExecSet did not run (the
+	// set stays empty).
+	epoch := t.allocEpoch()
+	var fut Future
+	var err error
+	if w := t.mgr.wal; w != nil && len(t.undo) > 0 {
+		fut.w, err = t.submitRecord(w, epoch)
+	}
+	t.finishEpoch(epoch, err == nil)
+	t.unlockExecSet()
+	if err == nil && hold {
+		err = t.awaitTicket(fut)
+	}
+	if err != nil {
+		t.Abort()
+		return Future{}, fmt.Errorf("txn: commit log append: %w", err)
+	}
+	t.state = Committed
+	t.clearUndo()
+	t.mgr.locks.ReleaseAll(t.ID)
+	t.mgr.noteDone(true)
 	if pipelined {
-		return c.Future(), nil
+		t.finishTrace()
+		return fut, nil
 	}
-	if t.traceOn {
-		start := time.Now()
-		err := c.Wait()
-		t.trace.Add(obs.EvFsyncWait, time.Since(start), 0)
-		return nil, err
+	if !hold {
+		err = t.awaitTicket(fut)
 	}
-	return nil, c.Wait()
+	t.finishTrace()
+	return Future{}, err
+}
+
+// awaitTicket waits for a sequenced record's durability ticket, bounded
+// by the transaction's cancellation channel (nil: unbounded), and
+// records the wait in the trace. Resolved tickets return at once.
+func (t *Txn) awaitTicket(f Future) error {
+	if f.w == nil {
+		return nil
+	}
+	if !t.traceOn {
+		return f.WaitDone(t.done)
+	}
+	start := time.Now()
+	err := f.WaitDone(t.done)
+	t.trace.Add(obs.EvFsyncWait, time.Since(start), 0)
+	return err
 }
 
 // Commit makes the transaction's effects durable — when a redo log is
@@ -481,31 +520,8 @@ func (t *Txn) logCommit(w *wal.Log, pipelined bool) (*wal.Future, error) {
 // the undo log. If the log append fails the transaction rolls back and
 // the error is returned.
 func (t *Txn) Commit() error {
-	if t.state != Active {
-		return ErrNotActive
-	}
-	if t.snapshot {
-		t.endSnapshot()
-		return nil
-	}
-	if w := t.mgr.wal; w != nil && len(t.undo) > 0 {
-		if _, err := t.logCommit(w, false); err != nil {
-			t.rollback()
-			t.state = Aborted
-			t.mgr.locks.ReleaseAll(t.ID)
-			t.mgr.noteDone(false)
-			t.finishTrace()
-			return fmt.Errorf("txn: commit log append: %w", err)
-		}
-	} else {
-		t.publishVolatile()
-	}
-	t.state = Committed
-	t.clearUndo()
-	t.mgr.locks.ReleaseAll(t.ID)
-	t.mgr.noteDone(true)
-	t.finishTrace()
-	return nil
+	_, err := t.commit(false)
+	return err
 }
 
 // Future is the durability ticket of a pipelined commit. The zero value
@@ -521,17 +537,13 @@ type Future struct {
 // A non-nil error means the log went fail-stop under the transaction:
 // its in-memory effects are applied and visible but may not be on disk.
 // Call at most once.
-func (f Future) Wait() error {
-	if f.w == nil {
-		return nil
-	}
-	return f.w.Wait()
-}
+func (f Future) Wait() error { return f.WaitDone(nil) }
 
-// WaitDone is Wait bounded by a cancellation channel; like Wait, call
-// at most once. On cancellation it returns wal.ErrWaitCanceled — the
-// commit is sequenced and its effects visible, only the durability
-// confirmation was abandoned (a background drainer recycles the ticket).
+// WaitDone is Wait bounded by a cancellation channel (nil: unbounded);
+// like Wait, call at most once. On cancellation it returns
+// wal.ErrWaitCanceled — the commit is sequenced and its effects
+// visible, only the durability confirmation was abandoned (a background
+// drainer recycles the ticket).
 func (f Future) WaitDone(done <-chan struct{}) error {
 	if f.w == nil {
 		return nil
@@ -547,36 +559,7 @@ func (f Future) WaitDone(done <-chan struct{}) error {
 // session can run its next transaction while the batch's fsync is in
 // flight. A synchronous error (record too large, log fail-stop or
 // closed) rolls the transaction back exactly like Commit.
-func (t *Txn) CommitPipelined() (Future, error) {
-	if t.state != Active {
-		return Future{}, ErrNotActive
-	}
-	if t.snapshot {
-		t.endSnapshot()
-		return Future{}, nil
-	}
-	var fut Future
-	if w := t.mgr.wal; w != nil && len(t.undo) > 0 {
-		wf, err := t.logCommit(w, true)
-		if err != nil {
-			t.rollback()
-			t.state = Aborted
-			t.mgr.locks.ReleaseAll(t.ID)
-			t.mgr.noteDone(false)
-			t.finishTrace()
-			return Future{}, fmt.Errorf("txn: commit log append: %w", err)
-		}
-		fut.w = wf
-	} else {
-		t.publishVolatile()
-	}
-	t.state = Committed
-	t.clearUndo()
-	t.mgr.locks.ReleaseAll(t.ID)
-	t.mgr.noteDone(true)
-	t.finishTrace()
-	return fut, nil
-}
+func (t *Txn) CommitPipelined() (Future, error) { return t.commit(true) }
 
 // allocEpoch draws a commit epoch when the transaction has versioned
 // effects and a store is attached (0 otherwise — real epochs start at
@@ -599,24 +582,6 @@ func (t *Txn) allocEpoch() uint64 {
 		return 0
 	}
 	return st.AllocEpoch()
-}
-
-// publishVolatile publishes version records for a commit that writes no
-// redo record (volatile database, or an undo log with no durable
-// effects). Latch order matches logCommit — latches before the epoch —
-// so the turnstile can never invert against the latch queue, and a
-// commuting writer mid-frame can never be captured in the published
-// image.
-func (t *Txn) publishVolatile() {
-	if t.mgr.store == nil {
-		return
-	}
-	if t.mgr.LatchWrites {
-		t.lockExecSet()
-	}
-	epoch := t.allocEpoch()
-	t.finishEpoch(epoch, true)
-	t.unlockExecSet()
 }
 
 // finishEpoch waits for the epoch's turn in the store's turnstile,
@@ -752,9 +717,7 @@ func (t *Txn) Abort() {
 	if t.snapshot {
 		// A snapshot txn holds no locks and wrote nothing: just leave
 		// the reader registry. Counted as aborted — the caller bailed.
-		t.mgr.store.EndSnapshot(&t.snapNode)
-		t.mgr.noteDone(false)
-		t.finishTrace()
+		t.endSnapshot(false)
 		return
 	}
 	// Under declared commutativity a concurrent writer may have
@@ -774,7 +737,7 @@ func (t *Txn) Abort() {
 		t.mu.Unlock()
 	}
 	if fix {
-		// Latch before allocating, like logCommit — an epoch holder
+		// Latch before allocating, like commit — an epoch holder
 		// must never block on another transaction's latch or the
 		// turnstile deadlocks.
 		if t.mgr.LatchWrites {
@@ -794,12 +757,14 @@ func (t *Txn) Abort() {
 }
 
 // endSnapshot finishes a snapshot transaction: deregister from the
-// reclamation watermark and count the commit. No lock-table or log
+// reclamation watermark and count the outcome. No lock-table or log
 // interaction of any kind.
-func (t *Txn) endSnapshot() {
+func (t *Txn) endSnapshot(committed bool) {
 	t.mgr.store.EndSnapshot(&t.snapNode)
-	t.state = Committed
-	t.mgr.noteDone(true)
+	if committed {
+		t.state = Committed
+	}
+	t.mgr.noteDone(committed)
 	t.finishTrace()
 }
 
@@ -834,7 +799,7 @@ type Manager struct {
 	// RetryBackoff is the base backoff between deadlock retries
 	// (default 100µs, with ±50% jitter, doubling per attempt up to 64×).
 	RetryBackoff time.Duration
-	// LatchWrites makes logCommit hold the written instances' execution
+	// LatchWrites makes commit hold the written instances' execution
 	// latches across the after-image reads and the log submit. The
 	// engine sets it when the concurrency-control strategy can grant
 	// two writers of one instance simultaneously (declared escrow
@@ -933,15 +898,24 @@ func (m *Manager) BeginSnapshot() *Txn {
 // RunReadOnly executes fn inside a snapshot transaction — the
 // read-only fast path of RunWithRetry. There is no retry loop because
 // there is nothing to retry: a snapshot transaction takes no locks, so
-// it cannot deadlock, time out, or be chosen as a victim. fn must only
-// perform reads (the engine enforces this statically via the access
-// vectors; Writable is the runtime backstop). The *Txn is recycled
-// after the call returns and must not be retained.
-func (m *Manager) RunReadOnly(fn func(*Txn) error) error {
+// it cannot deadlock, time out, or be chosen as a victim — which also
+// leaves only two cancellation points, the check before begin and
+// whatever fn itself observes through Txn.Done. fn must only perform
+// reads (the engine enforces this statically via the access vectors;
+// Writable is the runtime backstop). A failed fn counts as an abort.
+// The *Txn is recycled after the call returns and must not be retained.
+func (m *Manager) RunReadOnly(ctx context.Context, fn func(*Txn) error) error {
+	done := ctx.Done()
+	if done != nil && ctx.Err() != nil {
+		return ctx.Err()
+	}
 	t := m.BeginSnapshot()
+	t.done = done
 	err := fn(t)
-	if t.state == Active {
-		t.endSnapshot()
+	if err != nil {
+		t.Abort()
+	} else if t.state == Active {
+		t.endSnapshot(true)
 	}
 	m.Release(t)
 	return err
@@ -996,66 +970,6 @@ func retryable(err error) bool {
 	return lock.IsDeadlock(err) || errors.Is(err, lock.ErrTimeout)
 }
 
-// RunWithRetry executes fn inside a fresh transaction, committing on
-// success. A deadlock abort or lock-wait timeout rolls back, backs off
-// with jitter, and retries with a new (younger) transaction — the
-// standard user-level reaction to a deadlock victim notice. Any other
-// error aborts and is returned. The *Txn passed to fn is recycled after
-// the call returns and must not be retained.
-func (m *Manager) RunWithRetry(fn func(*Txn) error) error {
-	_, err := m.runWithRetry(fn, false)
-	return err
-}
-
-// RunWithRetryPipelined is RunWithRetry in pipelined-commit mode: on
-// success it returns as soon as the commit record is sequenced, with a
-// Future that resolves when the record is hardened per the log's sync
-// policy. The caller decides how many futures to leave outstanding —
-// the ack-vs-harden window is what overlaps execution with the fsync.
-// On a volatile database (or for a read-only fn) the Future is already
-// resolved and the call degenerates to RunWithRetry.
-func (m *Manager) RunWithRetryPipelined(fn func(*Txn) error) (Future, error) {
-	return m.runWithRetry(fn, true)
-}
-
-func (m *Manager) runWithRetry(fn func(*Txn) error, pipelined bool) (Future, error) {
-	for attempt := 0; ; attempt++ {
-		t := m.Begin()
-		err := fn(t)
-		if err == nil {
-			var fut Future
-			if pipelined {
-				fut, err = t.CommitPipelined()
-			} else {
-				err = t.Commit()
-			}
-			m.Release(t)
-			if err == nil {
-				return fut, nil
-			}
-			return Future{}, err // log-append failure; commit already rolled back
-		}
-		if t.traceOn {
-			switch {
-			case lock.IsDeadlock(err):
-				t.abortReason = obs.AbortDeadlock
-			case errors.Is(err, lock.ErrTimeout):
-				t.abortReason = obs.AbortTimeout
-			}
-		}
-		t.Abort()
-		m.Release(t)
-		if !retryable(err) {
-			return Future{}, err
-		}
-		if attempt+1 >= m.MaxRetries {
-			return Future{}, fmt.Errorf("txn: giving up after %d contention retries: %w", attempt+1, err)
-		}
-		m.retries.Add(1)
-		m.backoff(attempt)
-	}
-}
-
 // ErrUnackedCommit reports a commit whose durability acknowledgment was
 // abandoned on cancellation: the transaction committed — its effects
 // are visible and its record is sequenced in the log, so it will harden
@@ -1064,77 +978,56 @@ func (m *Manager) runWithRetry(fn func(*Txn) error, pipelined bool) (Future, err
 // certain should follow up with a Sync barrier.
 var ErrUnackedCommit = errors.New("txn: commit sequenced but durability unconfirmed (wait canceled)")
 
-// RunWithRetryCtx is RunWithRetry honoring ctx at every blocking point:
-// before each attempt, during lock waits (the engine threads the
-// transaction's Done channel into every blocking acquire), across the
-// retry backoff, and at the fsync wait. A cancellation mid-attempt
-// aborts and rolls back the attempt; a cancellation during the
-// durability wait cannot un-sequence the record, so it returns
-// ErrUnackedCommit (wrapping ctx's error) with the commit applied. A
-// context that can never be canceled delegates to RunWithRetry and
-// costs nothing.
-func (m *Manager) RunWithRetryCtx(ctx context.Context, fn func(*Txn) error) error {
-	_, err := m.runWithRetryCtx(ctx, fn, false)
+// RunWithRetry executes fn inside a fresh transaction, committing on
+// success. A deadlock abort or lock-wait timeout rolls back, backs off
+// with jitter, and retries with a new (younger) transaction — the
+// standard user-level reaction to a deadlock victim notice. Any other
+// error aborts and is returned. The *Txn passed to fn is recycled after
+// the call returns and must not be retained.
+//
+// ctx is honored at every blocking point: before each attempt, during
+// lock waits (the engine threads the transaction's Done channel into
+// every blocking acquire), across the retry backoff, and at the fsync
+// wait. A cancellation mid-attempt aborts and rolls back the attempt; a
+// cancellation during the durability wait cannot un-sequence the
+// record, so it returns ErrUnackedCommit (wrapping ctx's error) with
+// the commit applied. A context that can never be canceled costs
+// nothing, and commits holding its locks across the fsync (see commit).
+func (m *Manager) RunWithRetry(ctx context.Context, fn func(*Txn) error) error {
+	_, err := m.run(ctx, fn, false)
 	return err
 }
 
-// RunWithRetryPipelinedCtx is RunWithRetryPipelined honoring ctx before
-// each attempt, during lock waits and across the retry backoff. The
-// returned Future is not bound to ctx — bound the wait yourself with
-// Future.WaitDone(ctx.Done()).
-func (m *Manager) RunWithRetryPipelinedCtx(ctx context.Context, fn func(*Txn) error) (Future, error) {
-	return m.runWithRetryCtx(ctx, fn, true)
+// RunWithRetryPipelined is RunWithRetry in pipelined-commit mode: on
+// success it returns as soon as the commit record is sequenced, with a
+// Future that resolves when the record is hardened per the log's sync
+// policy. The caller decides how many futures to leave outstanding —
+// the ack-vs-harden window is what overlaps execution with the fsync.
+// The Future is not bound to ctx — bound the wait yourself with
+// Future.WaitDone(ctx.Done()). On a volatile database (or for a
+// read-only fn) the Future is already resolved.
+func (m *Manager) RunWithRetryPipelined(ctx context.Context, fn func(*Txn) error) (Future, error) {
+	return m.run(ctx, fn, true)
 }
 
-// RunReadOnlyCtx is RunReadOnly with an upfront ctx check and the
-// cancellation channel bound to the snapshot transaction. Snapshot
-// transactions take no locks, so the only in-flight cancellation points
-// are the ones fn itself observes via Txn.Done.
-func (m *Manager) RunReadOnlyCtx(ctx context.Context, fn func(*Txn) error) error {
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	t := m.BeginSnapshot()
-	t.done = ctx.Done()
-	err := fn(t)
-	if t.state == Active {
-		t.endSnapshot()
-	}
-	m.Release(t)
-	return err
-}
-
-func (m *Manager) runWithRetryCtx(ctx context.Context, fn func(*Txn) error, pipelined bool) (Future, error) {
+// run is the one retry loop. A nil ctx.Done() is the free path: no
+// ctx.Err() poll, no timer, no allocation.
+func (m *Manager) run(ctx context.Context, fn func(*Txn) error, pipelined bool) (Future, error) {
 	done := ctx.Done()
-	if done == nil {
-		return m.runWithRetry(fn, pipelined)
-	}
 	for attempt := 0; ; attempt++ {
-		if err := ctx.Err(); err != nil {
-			return Future{}, err
+		if done != nil && ctx.Err() != nil {
+			return Future{}, ctx.Err()
 		}
 		t := m.Begin()
 		t.done = done
 		err := fn(t)
 		if err == nil {
-			// Commit pipelined even in blocking mode: sequencing cannot
-			// be undone by cancellation, so the cancellable part is the
-			// durability wait on the future, bounded below.
-			fut, err := t.CommitPipelined()
+			fut, err := t.commit(pipelined)
 			m.Release(t)
-			if err != nil {
-				return Future{}, err // log-append failure; already rolled back
+			if errors.Is(err, wal.ErrWaitCanceled) {
+				err = fmt.Errorf("%w: %w", ErrUnackedCommit, ctx.Err())
 			}
-			if pipelined {
-				return fut, nil
-			}
-			if err := fut.WaitDone(done); err != nil {
-				if errors.Is(err, wal.ErrWaitCanceled) {
-					return Future{}, fmt.Errorf("%w: %w", ErrUnackedCommit, ctx.Err())
-				}
-				return Future{}, err
-			}
-			return Future{}, nil
+			return fut, err // a log-append failure already rolled back
 		}
 		if t.traceOn {
 			switch {
@@ -1146,13 +1039,10 @@ func (m *Manager) runWithRetryCtx(ctx context.Context, fn func(*Txn) error, pipe
 		}
 		t.Abort()
 		m.Release(t)
-		if errors.Is(err, lock.ErrCanceled) {
+		if errors.Is(err, lock.ErrCanceled) && ctx.Err() != nil {
 			// A canceled lock wait surfaces as the context's own error so
 			// callers can test errors.Is(err, context.DeadlineExceeded).
-			if cerr := ctx.Err(); cerr != nil {
-				return Future{}, fmt.Errorf("txn: attempt canceled: %w (%v)", cerr, err)
-			}
-			return Future{}, err
+			return Future{}, fmt.Errorf("txn: attempt canceled: %w (%v)", ctx.Err(), err)
 		}
 		if !retryable(err) {
 			return Future{}, err
@@ -1161,30 +1051,31 @@ func (m *Manager) runWithRetryCtx(ctx context.Context, fn func(*Txn) error, pipe
 			return Future{}, fmt.Errorf("txn: giving up after %d contention retries: %w", attempt+1, err)
 		}
 		m.retries.Add(1)
-		if err := m.backoffCtx(ctx, attempt); err != nil {
-			return Future{}, err
-		}
+		m.backoff(done, attempt)
 	}
 }
 
-// backoffCtx is backoff interruptible by ctx.
-func (m *Manager) backoffCtx(ctx context.Context, attempt int) error {
+// backoff sleeps the jittered retry delay, returning early when done
+// fires (the loop's next iteration then reports the cancellation).
+func (m *Manager) backoff(done <-chan struct{}, attempt int) {
 	if m.RetryBackoff <= 0 {
-		return ctx.Err()
+		return
 	}
 	shift := attempt
 	if shift > 6 {
 		shift = 6
 	}
 	base := m.RetryBackoff << uint(shift)
-	jitter := time.Duration(m.nextRand() % uint64(base+1))
-	timer := time.NewTimer(base/2 + jitter)
+	d := base/2 + time.Duration(m.nextRand()%uint64(base+1))
+	if done == nil {
+		time.Sleep(d)
+		return
+	}
+	timer := time.NewTimer(d)
 	defer timer.Stop()
 	select {
 	case <-timer.C:
-		return nil
-	case <-ctx.Done():
-		return ctx.Err()
+	case <-done:
 	}
 }
 
@@ -1199,17 +1090,4 @@ func (m *Manager) nextRand() uint64 {
 	x *= 0x94D049BB133111EB
 	x ^= x >> 31
 	return x
-}
-
-func (m *Manager) backoff(attempt int) {
-	if m.RetryBackoff <= 0 {
-		return
-	}
-	shift := attempt
-	if shift > 6 {
-		shift = 6
-	}
-	base := m.RetryBackoff << uint(shift)
-	jitter := time.Duration(m.nextRand() % uint64(base+1))
-	time.Sleep(base/2 + jitter)
 }

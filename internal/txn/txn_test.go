@@ -1,6 +1,7 @@
 package txn
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"strings"
@@ -113,7 +114,7 @@ func TestIDsMonotonic(t *testing.T) {
 func TestRunWithRetrySuccess(t *testing.T) {
 	m, _, _ := setup(t)
 	calls := 0
-	err := m.RunWithRetry(func(tx *Txn) error {
+	err := m.RunWithRetry(context.Background(), func(tx *Txn) error {
 		calls++
 		return nil
 	})
@@ -129,7 +130,7 @@ func TestRunWithRetryPlainErrorNoRetry(t *testing.T) {
 	m, _, _ := setup(t)
 	boom := errors.New("boom")
 	calls := 0
-	err := m.RunWithRetry(func(tx *Txn) error {
+	err := m.RunWithRetry(context.Background(), func(tx *Txn) error {
 		calls++
 		return boom
 	})
@@ -145,7 +146,7 @@ func TestRunWithRetryRetriesDeadlock(t *testing.T) {
 	m, _, _ := setup(t)
 	m.RetryBackoff = 0
 	calls := 0
-	err := m.RunWithRetry(func(tx *Txn) error {
+	err := m.RunWithRetry(context.Background(), func(tx *Txn) error {
 		calls++
 		if calls < 3 {
 			return &lock.DeadlockError{Txn: tx.ID}
@@ -165,7 +166,7 @@ func TestRunWithRetryGivesUp(t *testing.T) {
 	m, _, _ := setup(t)
 	m.MaxRetries = 3
 	m.RetryBackoff = 0
-	err := m.RunWithRetry(func(tx *Txn) error {
+	err := m.RunWithRetry(context.Background(), func(tx *Txn) error {
 		return &lock.DeadlockError{Txn: tx.ID}
 	})
 	if err == nil || !strings.Contains(err.Error(), "giving up") {
@@ -209,7 +210,7 @@ func TestRetryResolvesRealDeadlock(t *testing.T) {
 			} else {
 				fn = transfer(b, a)
 			}
-			if err := m.RunWithRetry(fn); err != nil {
+			if err := m.RunWithRetry(context.Background(), fn); err != nil {
 				t.Errorf("worker %d: %v", i, err)
 			}
 		}(i)
@@ -270,7 +271,7 @@ func TestPooledTxnReuseIsClean(t *testing.T) {
 	in, _ := st.NewInstance(s.Class("c1"), storage.IntV(0))
 	for i := 0; i < 50; i++ {
 		commit := i%2 == 0
-		err := m.RunWithRetry(func(tx *Txn) error {
+		err := m.RunWithRetry(context.Background(), func(tx *Txn) error {
 			if tx.UndoDepth() != 0 {
 				t.Fatalf("iteration %d: recycled txn has %d undo entries", i, tx.UndoDepth())
 			}
@@ -319,7 +320,7 @@ func TestRunWithRetryRetriesTimeout(t *testing.T) {
 	m, _, _ := setup(t)
 	m.RetryBackoff = 0
 	calls := 0
-	err := m.RunWithRetry(func(tx *Txn) error {
+	err := m.RunWithRetry(context.Background(), func(tx *Txn) error {
 		calls++
 		if calls < 3 {
 			return fmt.Errorf("acquire c1#7: %w", lock.ErrTimeout)
@@ -339,7 +340,7 @@ func TestRunWithRetryTimeoutGivesUp(t *testing.T) {
 	m, _, _ := setup(t)
 	m.MaxRetries = 3
 	m.RetryBackoff = 0
-	err := m.RunWithRetry(func(tx *Txn) error {
+	err := m.RunWithRetry(context.Background(), func(tx *Txn) error {
 		return lock.ErrTimeout
 	})
 	if err == nil || !strings.Contains(err.Error(), "giving up") {
@@ -363,7 +364,7 @@ func TestRunWithRetryRealLockTimeout(t *testing.T) {
 		t.Fatal(err)
 	}
 	calls := 0
-	err := m.RunWithRetry(func(tx *Txn) error {
+	err := m.RunWithRetry(context.Background(), func(tx *Txn) error {
 		calls++
 		if calls == 2 {
 			if err := blocker.Commit(); err != nil {

@@ -13,7 +13,7 @@ import (
 )
 
 // The oodb-level durability suite exercises the public API end to end:
-// Open(..., Durable(dir)) → workload → Close → reopen recovers, plus
+// OpenWith(..., Options{Dir: dir}) → workload → Close → reopen recovers, plus
 // the fault-injection paths (kill after N bytes, torn final record,
 // double replay) the ISSUE requires.
 
@@ -182,7 +182,7 @@ func TestRecoveryGoldenBanking(t *testing.T) {
 		t.Fatal(err)
 	}
 	dir := t.TempDir()
-	durable, err := Open(schema, Fine, Durable(dir))
+	durable, err := OpenWith(schema, Fine, Options{Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,7 +198,7 @@ func TestRecoveryGoldenBanking(t *testing.T) {
 	if err := durable.Close(); err != nil {
 		t.Fatal(err)
 	}
-	recovered, err := Open(schema, Fine, Durable(dir))
+	recovered, err := OpenWith(schema, Fine, Options{Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -220,7 +220,7 @@ func TestRecoveryGoldenCAD(t *testing.T) {
 		t.Fatal(err)
 	}
 	dir := t.TempDir()
-	durable, err := Open(schema, Fine, Durable(dir), GroupCommitWindow(50*time.Microsecond))
+	durable, err := OpenWith(schema, Fine, Options{Dir: dir, GroupCommitWindow: 50 * time.Microsecond})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -270,7 +270,7 @@ func TestRecoveryGoldenCAD(t *testing.T) {
 	if err := durable.Close(); err != nil {
 		t.Fatal(err)
 	}
-	recovered, err := Open(schema, Fine, Durable(dir))
+	recovered, err := OpenWith(schema, Fine, Options{Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -310,7 +310,7 @@ end
 		t.Fatal(err)
 	}
 	srcDir := t.TempDir()
-	db, err := Open(schema, Fine, Durable(srcDir))
+	db, err := OpenWith(schema, Fine, Options{Dir: srcDir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -361,7 +361,7 @@ end
 		if err := os.WriteFile(filepath.Join(dir, segName), data[:cut], 0o644); err != nil {
 			t.Fatal(err)
 		}
-		crashed, err := Open(schema, Fine, Durable(dir))
+		crashed, err := OpenWith(schema, Fine, Options{Dir: dir})
 		if err != nil {
 			t.Fatalf("cut %d: %v", cut, err)
 		}
@@ -399,7 +399,7 @@ end
 			t.Fatal(err)
 		}
 		// Recover the same directory again: double replay is a no-op.
-		again, err := Open(schema, Fine, Durable(dir))
+		again, err := OpenWith(schema, Fine, Options{Dir: dir})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -424,7 +424,7 @@ func TestRecoveryConcurrentCommitsSurvive(t *testing.T) {
 		t.Fatal(err)
 	}
 	dir := t.TempDir()
-	db, err := Open(schema, Fine, Durable(dir), GroupCommitWindow(100*time.Microsecond))
+	db, err := OpenWith(schema, Fine, Options{Dir: dir, GroupCommitWindow: 100 * time.Microsecond})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -461,7 +461,7 @@ func TestRecoveryConcurrentCommitsSurvive(t *testing.T) {
 	if err := db.Close(); err != nil {
 		t.Fatal(err)
 	}
-	recovered, err := Open(schema, Fine, Durable(dir))
+	recovered, err := OpenWith(schema, Fine, Options{Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -488,7 +488,7 @@ func TestRecoveryUpdateAsyncGolden(t *testing.T) {
 		t.Fatal(err)
 	}
 	dir := t.TempDir()
-	durable, err := Open(schema, Fine, Durable(dir))
+	durable, err := OpenWith(schema, Fine, Options{Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -547,7 +547,7 @@ func TestRecoveryUpdateAsyncGolden(t *testing.T) {
 	if err := durable.Close(); err != nil {
 		t.Fatal(err)
 	}
-	recovered, err := Open(schema, Fine, Durable(dir))
+	recovered, err := OpenWith(schema, Fine, Options{Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -567,7 +567,7 @@ func TestRecoverySyncEveryPolicy(t *testing.T) {
 		t.Fatal(err)
 	}
 	dir := t.TempDir()
-	db, err := Open(schema, Fine, Durable(dir), SyncEvery(100*time.Millisecond))
+	db, err := OpenWith(schema, Fine, Options{Dir: dir, SyncEvery: 100 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -590,7 +590,7 @@ func TestRecoverySyncEveryPolicy(t *testing.T) {
 	if err := db.Close(); err != nil {
 		t.Fatal(err)
 	}
-	recovered, err := Open(schema, Fine, Durable(dir), SyncEvery(100*time.Millisecond))
+	recovered, err := OpenWith(schema, Fine, Options{Dir: dir, SyncEvery: 100 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -123,9 +123,8 @@ func TestOptionsSyncConflict(t *testing.T) {
 	}
 }
 
-// OpenWith maps the struct onto the same open options; a database
-// opened either way behaves identically for a basic roundtrip, and the
-// deprecated RelaxedSync still aliases SyncNever.
+// OpenWith takes the whole configuration as one struct; a directory
+// written under one Options value recovers under a literal one.
 func TestOptionsOpenWith(t *testing.T) {
 	schema, err := Compile("class c is instance variables are x : integer end")
 	if err != nil {
@@ -150,8 +149,8 @@ func TestOptionsOpenWith(t *testing.T) {
 	if err := db.Close(); err != nil {
 		t.Fatal(err)
 	}
-	// Reopen with the deprecated spelling: same directory recovers.
-	db2, err := Open(schema, Fine, Durable(o.Dir), RelaxedSync())
+	// Reopen with a struct literal: same directory recovers.
+	db2, err := OpenWith(schema, Fine, Options{Dir: o.Dir, SyncNever: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -181,7 +181,7 @@ func failStopGolden(t *testing.T, src string, workload func(*testing.T, *Databas
 	// Reference run: same workload, counting FS, no faults. Fixes the
 	// deterministic op sequence the fault index is chosen from.
 	ref := wal.NewFaultFS(nil, wal.FaultPlan{FailAt: -1})
-	refDB, err := Open(schema, Fine, Durable(t.TempDir()), withFS(ref))
+	refDB, err := OpenWith(schema, Fine, Options{Dir: t.TempDir(), fs: ref})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,7 +206,7 @@ func failStopGolden(t *testing.T, src string, workload func(*testing.T, *Databas
 	}
 
 	dir := t.TempDir()
-	db, err := Open(schema, Fine, Durable(dir), withFS(wal.NewFaultFS(nil, plan)))
+	db, err := OpenWith(schema, Fine, Options{Dir: dir, fs: wal.NewFaultFS(nil, plan)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,7 +238,7 @@ func failStopGolden(t *testing.T, src string, workload func(*testing.T, *Databas
 
 	// Reopen on a healthy disk: exactly the acknowledged prefix, and
 	// write service restored.
-	re, err := Open(schema, Fine, Durable(dir))
+	re, err := OpenWith(schema, Fine, Options{Dir: dir})
 	if err != nil {
 		t.Fatalf("reopen after fail-stop: %v", err)
 	}

@@ -18,7 +18,7 @@ import (
 func obsDB(t *testing.T) *Database {
 	t.Helper()
 	s := compileFig1(t)
-	db, err := Open(s, Fine, Durable(t.TempDir()))
+	db, err := OpenWith(s, Fine, Options{Dir: t.TempDir()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,7 +205,7 @@ func TestMetricsJSON(t *testing.T) {
 // TestSlowTxns exercises the recorder end to end through the facade.
 func TestSlowTxns(t *testing.T) {
 	s := compileFig1(t)
-	db, err := Open(s, Fine, SlowTxnThreshold(time.Nanosecond))
+	db, err := OpenWith(s, Fine, Options{SlowTxnThreshold: time.Nanosecond})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -249,7 +249,7 @@ func TestSlowTxns(t *testing.T) {
 // TestNoMetricsOption checks the stripped mode: nil registry, no-op
 // renderers, and a debug handler that serves rather than panics.
 func TestNoMetricsOption(t *testing.T) {
-	db, err := Open(compileFig1(t), Fine, NoMetrics())
+	db, err := OpenWith(compileFig1(t), Fine, Options{NoMetrics: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -232,131 +232,6 @@ type Database struct {
 	db *engine.DB
 }
 
-// OpenOption configures Open beyond the strategy choice.
-type OpenOption func(*openConfig)
-
-type openConfig struct {
-	durable           bool
-	dir               string
-	groupCommitWindow time.Duration
-	checkpointBytes   int64
-	sync              wal.SyncPolicy
-	fs                wal.FS
-	noMetrics         bool
-	slowTxnThreshold  time.Duration
-}
-
-// withFS stands a filesystem (typically a wal.FaultFS) under the redo
-// log. Test-only: the failure-injection suites use it to drive the
-// public API onto a hostile disk; it is deliberately unexported.
-func withFS(fsys wal.FS) OpenOption {
-	return func(c *openConfig) { c.fs = fsys }
-}
-
-// Durable makes the database persistent under dir: Open recovers any
-// existing checkpoint + redo-log tail (crash-safe, torn-tail tolerant),
-// and every later commit is fsynced — batched by group commit — before
-// its locks release. Close the database to flush cleanly; a crash at
-// any point loses nothing that was committed.
-func Durable(dir string) OpenOption {
-	return func(c *openConfig) {
-		c.durable = true
-		c.dir = dir
-	}
-}
-
-// GroupCommitWindow sets how long the log's writer goroutine waits for
-// more concurrent commits to share one fsync (default 0: batch only
-// what is already queued). Larger windows trade commit latency for
-// fewer fsyncs under load.
-func GroupCommitWindow(d time.Duration) OpenOption {
-	return func(c *openConfig) { c.groupCommitWindow = d }
-}
-
-// CheckpointEvery auto-compacts the log whenever the live segment
-// exceeds the given size (default: only Database.Checkpoint compacts).
-func CheckpointEvery(bytes int64) OpenOption {
-	return func(c *openConfig) { c.checkpointBytes = bytes }
-}
-
-// SyncEvery bounds the durability loss window instead of paying an
-// fsync per commit batch: commits are acknowledged after the buffered
-// OS write, and the log fsyncs at most every d — even when idle, any
-// unsynced commit is hardened within d of its write. An OS crash or
-// power loss can lose at most the last d of acknowledged commits; a
-// process crash loses nothing. The Redis "everysec" middle point
-// between full sync and RelaxedSync.
-func SyncEvery(d time.Duration) OpenOption {
-	return func(c *openConfig) { c.sync = wal.SyncEvery(d) }
-}
-
-// SyncNever acknowledges commits after the buffered OS write without
-// waiting for fsync (the log still fsyncs on checkpoint, Sync and
-// Close). A process crash loses nothing; an OS crash or power loss may
-// lose the most recent commits. The classic durability/throughput
-// trade-off knob; SyncEvery is the bounded-loss middle point between
-// this and the full-sync default.
-func SyncNever() OpenOption {
-	return func(c *openConfig) { c.sync = wal.SyncNever }
-}
-
-// RelaxedSync is the historical name of the sync-never policy.
-//
-// Deprecated: use SyncNever (or Options.SyncNever via OpenWith), whose
-// name matches the wal.SyncPolicy it selects; SyncEvery is the
-// bounded-loss middle point. RelaxedSync remains as an alias and will
-// not change behavior.
-func RelaxedSync() OpenOption { return SyncNever() }
-
-// NoMetrics strips the observability registry: Metrics returns nil and
-// the instrumented hot paths reduce to a nil check. The default keeps
-// metrics on — the overhead is a clock read and a few atomic adds per
-// send (measured in EXPERIMENTS.md).
-func NoMetrics() OpenOption {
-	return func(c *openConfig) { c.noMetrics = true }
-}
-
-// SlowTxnThreshold arms the transaction flight recorder from the start:
-// any transaction slower than d captures its typed event trace (begin,
-// lock waits, abort reason, commit epoch, fsync wait) for SlowTxns.
-// The recorder can also be armed or re-tuned later with
-// SetSlowTxnThreshold.
-func SlowTxnThreshold(d time.Duration) OpenOption {
-	return func(c *openConfig) { c.slowTxnThreshold = d }
-}
-
-// Open creates a database over a compiled schema with the chosen
-// concurrency-control strategy. With no options the database is
-// volatile; Durable(dir) adds the write-ahead log, checkpoints and
-// crash recovery:
-//
-//	db, err := oodb.Open(schema, oodb.Fine, oodb.Durable("/data/app"))
-func Open(s *Schema, strategy Strategy, opts ...OpenOption) (*Database, error) {
-	impl, err := strategy.impl()
-	if err != nil {
-		return nil, err
-	}
-	var cfg openConfig
-	for _, opt := range opts {
-		opt(&cfg)
-	}
-	db, err := engine.OpenWithOptions(s.compiled, engine.Options{
-		Strategy:          impl,
-		Durable:           cfg.durable,
-		Dir:               cfg.dir,
-		GroupCommitWindow: cfg.groupCommitWindow,
-		CheckpointBytes:   cfg.checkpointBytes,
-		Sync:              cfg.sync,
-		FS:                cfg.fs,
-		NoMetrics:         cfg.noMetrics,
-		SlowTxnThreshold:  cfg.slowTxnThreshold,
-	})
-	if err != nil {
-		return nil, err
-	}
-	return &Database{db: db}, nil
-}
-
 // Close flushes and closes the redo log (no-op for a volatile
 // database). In-flight commits complete durably first.
 func (d *Database) Close() error { return d.db.Close() }
@@ -431,9 +306,7 @@ func (d *Database) Begin() *Txn {
 // when Update returns (and fn may run more than once on deadlock), so
 // it must not be retained or used afterwards.
 func (d *Database) Update(fn func(*Txn) error) error {
-	return d.db.RunWithRetry(func(tx *txn.Txn) error {
-		return fn(&Txn{db: d, tx: tx})
-	})
+	return d.UpdateCtx(context.Background(), fn)
 }
 
 // UpdateCtx is Update honoring ctx at every blocking point: before each
@@ -443,41 +316,37 @@ func (d *Database) Update(fn func(*Txn) error) error {
 // error satisfying IsCanceled and wrapping ctx's own error, so
 // errors.Is(err, context.DeadlineExceeded) works too.
 //
-// One asymmetry is inherent: once the commit record is sequenced in the
-// log it cannot be unsequenced, so a cancellation that strikes during
-// the durability wait returns an IsUnackedCommit error — the
-// transaction IS committed and its effects visible; only the caller
-// stopped waiting for the disk's confirmation. A context that can never
-// be canceled (context.Background()) makes UpdateCtx exactly Update,
-// at zero added cost on the hot path.
+// Where the durability wait sits depends on whether it can be
+// abandoned. An uncancellable ctx (context.Background(), i.e. Update)
+// holds the locks across the fsync, so a log failure rolls the commit
+// back before anyone could read its writes, at zero added cost on the
+// hot path. A cancellable ctx releases the locks once the commit record
+// is sequenced and waits afterwards: a sequenced record cannot be
+// unsequenced, so a cancellation during that wait returns an
+// IsUnackedCommit error — the transaction IS committed and its effects
+// visible; only the caller stopped waiting for the disk's confirmation.
 func (d *Database) UpdateCtx(ctx context.Context, fn func(*Txn) error) error {
 	return d.db.RunWithRetryCtx(ctx, func(tx *txn.Txn) error {
 		return fn(&Txn{db: d, tx: tx})
 	})
 }
 
-// View runs fn in a read-only transaction. Under strategies with
-// snapshot-read support (all of the built-in ones) the transaction runs
-// on the lock-free multiversion read path: it takes no locks, never
-// blocks or aborts a writer, and observes the committed slot values as
-// of its begin epoch. Deletions are the one exception to snapshot
-// isolation: deletes are not versioned, so an instance deleted by a
-// transaction that commits after the View began disappears from the
-// View mid-flight (a lookup fails; a scan skips it) rather than
-// remaining visible at the begin epoch. Sends that could write — per
-// the method's transitive access vector, decided at compile time —
-// fail with an error matching IsSnapshotWrite, as do New and Delete.
+// View runs fn in a read-only transaction on the lock-free multiversion
+// read path: it takes no locks, never blocks or aborts a writer, and
+// observes the committed slot values as of its begin epoch. Deletions
+// are the one exception to snapshot isolation: deletes are not
+// versioned, so an instance deleted by a transaction that commits after
+// the View began disappears from the View mid-flight (a lookup fails; a
+// scan skips it) rather than remaining visible at the begin epoch.
+// Sends that could write — per the method's transitive access vector,
+// decided at compile time — fail with an error matching
+// IsSnapshotWrite, as do New and Delete.
 func (d *Database) View(fn func(*Txn) error) error {
-	return d.db.RunReadOnly(func(tx *txn.Txn) error {
-		return fn(&Txn{db: d, tx: tx})
-	})
+	return d.ViewCtx(context.Background(), fn)
 }
 
-// ViewCtx is View honoring ctx. On the snapshot path the transaction
-// never blocks, so the cancellation points are the check before begin
-// and whatever fn observes through SendCtx; under a strategy without
-// snapshot reads the locking fallback bounds its lock waits by ctx like
-// UpdateCtx.
+// ViewCtx is View honoring ctx. The transaction never blocks, so the
+// one cancellation point is the check before begin.
 func (d *Database) ViewCtx(ctx context.Context, fn func(*Txn) error) error {
 	return d.db.RunReadOnlyCtx(ctx, func(tx *txn.Txn) error {
 		return fn(&Txn{db: d, tx: tx})
@@ -520,10 +389,7 @@ func (f Future) WaitCtx(ctx context.Context) error {
 // relaxes is only *when the caller learns* the commit reached disk.
 // Close, Sync and Checkpoint all drain outstanding futures.
 func (d *Database) UpdateAsync(fn func(*Txn) error) (Future, error) {
-	fut, err := d.db.RunWithRetryPipelined(func(tx *txn.Txn) error {
-		return fn(&Txn{db: d, tx: tx})
-	})
-	return Future{f: fut}, err
+	return d.UpdateAsyncCtx(context.Background(), fn)
 }
 
 // UpdateAsyncCtx is UpdateAsync honoring ctx before each attempt,
@@ -584,24 +450,6 @@ func (t *Txn) Send(oid OID, method string, args ...any) (any, error) {
 		return nil, err
 	}
 	return fromValue(out), nil
-}
-
-// SendCtx is Send honoring ctx for the duration of this one send: a
-// cancellation withdraws any queued lock wait and fails the send with
-// an error satisfying IsCanceled. The binding is scoped — it restores
-// the transaction's previous cancellation channel on return — so a
-// server can run one long transaction while bounding each command
-// individually. Note the failed send poisons the transaction the same
-// way any other send error does: the caller should abort (or, under
-// Update/UpdateCtx, return the error).
-func (t *Txn) SendCtx(ctx context.Context, oid OID, method string, args ...any) (any, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	prev := t.tx.BindDone(ctx.Done())
-	out, err := t.Send(oid, method, args...)
-	t.tx.BindDone(prev)
-	return out, err
 }
 
 // ScanSend delivers a message to the instances of the domain rooted at
@@ -685,7 +533,7 @@ func (d *Database) ResetStats() {
 
 // Metrics returns the database's metrics registry — per-method latency
 // histograms, abort/deadlock counters, WAL and MVCC telemetry — or nil
-// when the database was opened with NoMetrics. The registry snapshots
+// when the database was opened with Options.NoMetrics. The registry snapshots
 // without stopping writers; render it with WriteMetrics/MetricsJSON or
 // mount it with DebugHandler.
 func (d *Database) Metrics() *obs.Registry { return d.db.Metrics() }
