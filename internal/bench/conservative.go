@@ -91,6 +91,7 @@ func RunConservativeWorkload(strategy engine.Strategy, rounds int) (Conservative
 						if err != nil {
 							return err
 						}
+						messageBoundary()
 					}
 					return nil
 				})

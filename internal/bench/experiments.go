@@ -3,6 +3,7 @@ package bench
 import (
 	"fmt"
 	"io"
+	"runtime"
 	"sync"
 	"time"
 
@@ -404,6 +405,14 @@ type PseudoRow struct {
 	Waited    time.Duration
 }
 
+// messageBoundary is where a session of an interleaving experiment
+// hands the processor over between two messages, as a client's round
+// trip would. The experiments that compare block counts across
+// protocols need their sessions to overlap, and a worker's whole run is
+// shorter than one scheduler time slice: without this the counts would
+// depend on GOMAXPROCS. (The engine itself no longer yields per send.)
+func messageBoundary() { runtime.Gosched() }
+
 // RunPseudoWorkload alternates m2 and m4 senders against one shared c2
 // instance: disjoint field sets, same instance. Each transaction sends
 // its method several times, so under strict 2PL the mode is held long
@@ -446,6 +455,7 @@ func RunPseudoWorkload(strategy engine.Strategy, workers, rounds int) (PseudoRow
 						if err != nil {
 							return err
 						}
+						messageBoundary()
 					}
 					return nil
 				})
@@ -734,6 +744,7 @@ func runThroughputHot(strategy engine.Strategy, workers, txnsPerWorker int) (Thr
 						if err != nil {
 							return err
 						}
+						messageBoundary()
 					}
 					return nil
 				})

@@ -294,6 +294,53 @@ func TestWarmTxnRoundtripZeroAllocs(t *testing.T) {
 	}
 }
 
+// Version records are the other thing a writing transaction takes:
+// while a snapshot reader is registered nothing on the written
+// instance's chain can be recycled, so each warm transaction's records
+// come from the store's arena (one block per 256 records) and the chain
+// grows. Once the reader ends, the next transaction prunes the whole
+// chain onto the instance's free list and warm transactions are back to
+// zero allocations.
+func TestWarmUpdateBesideSnapshotZeroAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops Puts randomly under -race; exact alloc accounting needs an uninstrumented build")
+	}
+	db := newFigure1DB(t, FineCC{})
+	oid, _ := seedC2(t, db, false)
+	in, _ := db.Store.Get(oid)
+	mid, _ := db.MethodID("m2") // writes f1 and f4: two records a transaction
+	args := []Value{storage.IntV(3)}
+	fn := func(tx *txn.Txn) error {
+		_, err := db.SendID(tx, oid, mid, args...)
+		return err
+	}
+	run := func() {
+		if err := db.RunWithRetry(fn); err != nil {
+			t.Fatal(err)
+		}
+	}
+	run()
+
+	const pinned = 600
+	reader := db.BeginSnapshot()
+	beside := testing.AllocsPerRun(pinned, run)
+	if got := in.VersionCount(); got < 2*pinned {
+		t.Errorf("chain holds %d records beside a pinned reader, want at least %d", got, 2*pinned)
+	}
+	if beside >= 0.1 {
+		t.Errorf("warm update beside a snapshot allocates %.2f objects/op, want arena blocks only (< 0.1)", beside)
+	}
+	reader.Close()
+
+	run() // prunes everything the reader pinned
+	if got := in.VersionCount(); got > 4 {
+		t.Errorf("chain holds %d records after the reader ended, want it collapsed", got)
+	}
+	if allocs := testing.AllocsPerRun(200, run); allocs != 0 {
+		t.Errorf("warm update after the reader ended allocates %.1f objects/op, want 0", allocs)
+	}
+}
+
 // Read-only roundtrips stay allocation-free too (no undo, no redo).
 func TestWarmTxnReadRoundtripZeroAllocs(t *testing.T) {
 	if raceEnabled {

@@ -81,9 +81,9 @@ func OpenWithOptions(c *core.Compiled, o Options) (*DB, error) {
 		latchWriters: o.Strategy.ConcurrentWriters(),
 	}
 	db.Txns.LatchWrites = db.latchWriters
-	// Wire the store into the transaction manager: commits allocate a
-	// commit epoch and publish per-instance versions, which is what the
-	// snapshot read path consumes.
+	// Wire the store into the transaction manager: writes link version
+	// records through it and commits stamp them with an epoch drawn from
+	// it, which is what the snapshot read path consumes.
 	db.Txns.SetStore(db.Store)
 	// The flight recorder is always attached (it is one atomic load per
 	// Begin while disarmed); the metrics registry is the default but can

@@ -3,7 +3,6 @@ package engine
 import (
 	"context"
 	"fmt"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -56,16 +55,6 @@ type DB struct {
 	// always present, disarmed until SetSlowTxnThreshold.
 	metrics *dbMetrics
 	flight  obs.FlightRecorder
-
-	// activeECs counts execution contexts currently checked out of the
-	// pool: > 1 means another session is mid-operation right now, and
-	// the message-boundary yield should fire on every send so the
-	// sessions interleave tightly (see execCtx.yieldMaybe). sendSeq
-	// numbers top-level sends DB-wide to pace the solo-session yield —
-	// it lives here, not on execCtx, because pooled contexts have no
-	// stable identity (sync.Pool may drop or duplicate them freely).
-	activeECs atomic.Int64
-	sendSeq   atomic.Uint64
 
 	recovery wal.RecoveryInfo
 
@@ -137,13 +126,13 @@ func (db *DB) RunWithRetryPipelinedCtx(ctx context.Context, fn func(*txn.Txn) er
 // RunReadOnly executes fn as a snapshot transaction: zero lock-manager
 // requests, no blocking, no deadlock (so no retry loop), reading the
 // newest committed slot values at or below the transaction's begin
-// epoch. Sound under every strategy — writers publish versions at
-// commit independently of how they lock. Deletions are not versioned:
-// an instance deleted by a transaction committing after this one began
-// disappears from its view (lookups fail, scans skip it) instead of
-// staying visible at the begin epoch. Only methods whose transitive
-// access vectors are write-free may be sent (others fail with
-// txn.ErrSnapshotWrite).
+// epoch. Sound under every strategy — writers link a version record
+// with every first write of a slot, independently of how they lock.
+// Deletions are not versioned: an instance deleted by a transaction
+// committing after this one began disappears from its view (lookups
+// fail, scans skip it) instead of staying visible at the begin epoch.
+// Only methods whose transitive access vectors are write-free may be
+// sent (others fail with txn.ErrSnapshotWrite).
 func (db *DB) RunReadOnly(fn func(*txn.Txn) error) error {
 	return db.RunReadOnlyCtx(context.Background(), fn)
 }
@@ -180,11 +169,10 @@ type Snap struct {
 }
 
 // BeginSnapshot opens a snapshot read session at the current stable
-// epoch. The caller must Close it — the session pins versions at its
-// epoch against reclamation while open.
+// epoch. The caller must Close it — the session pins every version
+// record above its epoch against reclamation while open.
 func (db *DB) BeginSnapshot() *Snap {
 	s := &Snap{db: db, tx: db.Txns.BeginSnapshot()}
-	db.activeECs.Add(1)
 	s.ec.db = db
 	s.ec.tx = s.tx
 	s.ec.snapshot = true
@@ -236,7 +224,6 @@ func (s *Snap) Close() {
 	}
 	s.tx.Commit() //nolint:errcheck // snapshot commit cannot fail
 	s.db.Txns.Release(s.tx)
-	s.db.activeECs.Add(-1)
 	s.tx = nil
 	s.ec = execCtx{}
 }
@@ -273,7 +260,6 @@ func (db *DB) ClassID(name string) (uint32, bool) {
 // getEC takes a pooled execution context bound to tx (nil in recording
 // mode, in which case acq must be set by the caller).
 func (db *DB) getEC(tx *txn.Txn) *execCtx {
-	db.activeECs.Add(1)
 	ec := db.ecPool.Get().(*execCtx)
 	ec.db = db
 	ec.tx = tx
@@ -307,7 +293,6 @@ func (db *DB) putEC(ec *execCtx) {
 	ec.snapEpoch = 0
 	ec.escrowMask = nil
 	db.ecPool.Put(ec)
-	db.activeECs.Add(-1)
 }
 
 // NewInstance creates an instance of the named class inside tx.
@@ -327,7 +312,6 @@ func (db *DB) NewInstance(tx *txn.Txn, class string, vals ...Value) (*storage.In
 func (db *DB) Send(tx *txn.Txn, oid storage.OID, method string, args ...Value) (Value, error) {
 	ec := db.getEC(tx)
 	defer db.putEC(ec)
-	ec.yieldMaybe() // message boundary: let concurrent sessions interleave
 	return ec.topSendName(oid, method, args)
 }
 
@@ -336,7 +320,6 @@ func (db *DB) Send(tx *txn.Txn, oid storage.OID, method string, args ...Value) (
 func (db *DB) SendID(tx *txn.Txn, oid storage.OID, mid schema.MethodID, args ...Value) (Value, error) {
 	ec := db.getEC(tx)
 	defer db.putEC(ec)
-	ec.yieldMaybe() // message boundary: let concurrent sessions interleave
 	return ec.topSend(oid, mid, args)
 }
 
@@ -463,8 +446,8 @@ type execCtx struct {
 	depth int
 
 	// snapshot routes execution to the multiversion read path: CC hooks
-	// are skipped, field reads resolve against the newest committed
-	// version at or below snapEpoch, and any mutation fails with
+	// are skipped, field reads resolve as of snapEpoch (live cell, later
+	// records rolled back), and any mutation fails with
 	// txn.ErrSnapshotWrite (through tx.Writable).
 	snapshot  bool
 	snapEpoch uint64
@@ -476,27 +459,6 @@ type execCtx struct {
 	// rather than a before/after image, because a commuting writer is
 	// not excluded by 2PL. nil everywhere else.
 	escrowMask []bool
-}
-
-// yieldSends is the solo-session yield period (power of two).
-const yieldSends = 32
-
-// yieldMaybe is the message-boundary scheduling point. When another
-// session is mid-operation (activeECs > 1, which includes sessions
-// parked on the lock manager) it yields on every send so concurrent
-// sessions interleave as tightly as they always have; a session running
-// alone pays the Gosched only every yieldSends-th send, which also
-// bootstraps fairness on GOMAXPROCS=1 — a queued-but-unstarted peer
-// gets the processor within yieldSends sends. One Gosched costs ~100ns
-// of scheduler bookkeeping, a quarter of a warm Send, and an
-// uncontended session has nothing to interleave with. Liveness between
-// solo yields is covered by the VM's tick yield (vm.go, every 64
-// instructions), blocking lock-manager waits, and the runtime's
-// asynchronous preemption.
-func (ec *execCtx) yieldMaybe() {
-	if ec.db.sendSeq.Add(1)%yieldSends == 0 || ec.db.activeECs.Load() > 1 {
-		runtime.Gosched()
-	}
 }
 
 // unlatch releases the held execution latch before an operation that
@@ -528,15 +490,17 @@ func (ec *execCtx) create(cls *schema.Class, vals []Value) (*storage.Instance, e
 	if err := ec.db.CC.Create(ec.acq, ec.db.rt, cls); err != nil {
 		return nil, err
 	}
-	in, err := ec.db.Store.NewInstance(cls, vals...)
+	in, marker, err := ec.db.Store.NewUncommitted(cls, vals...)
 	if err != nil {
 		return nil, err
 	}
 	ec.db.instancesCreated.Add(1)
 	if ec.tx != nil {
 		// An aborting creator removes its instance again; a committing
-		// one logs the creation with its full image.
-		ec.tx.LogCreate(ec.db.Store, in)
+		// one stamps the marker and logs the creation with its full
+		// image. (Recording mode commits nothing: its creations stay
+		// invisible to snapshots of the scratch database.)
+		ec.tx.LogCreate(ec.db.Store, in, marker)
 	}
 	return in, nil
 }
@@ -683,8 +647,9 @@ func (ec *execCtx) scanDomain(root *schema.Class, mid schema.MethodID, hier bool
 
 // scanDomainSnapshot is the lock-free domain scan: no Scan or
 // ScanInstance hooks, no class or instance locks, each visited instance
-// read at the snapshot's begin epoch. Instances created after the
-// snapshot began have no version at or below it and are skipped;
+// read at the snapshot's begin epoch. Instances whose creation had not
+// committed when the snapshot began still carry a creation marker the
+// snapshot rolls back, and are skipped;
 // instances deleted after it began have left the extent and are simply
 // missed — the documented staleness of the snapshot contract (there are
 // no tombstones).

@@ -117,7 +117,7 @@ func newDBMetrics(db *DB) *dbMetrics {
 	// population, slab occupancy.
 	st := db.Store
 	reg.CounterFunc("favcc_mvcc_versions_published_total",
-		"Version records published (commits plus seeding).", "", st.VersionsPublished)
+		"Version records linked: first writes of a slot by a transaction, plus creation markers.", "", st.VersionsPublished)
 	reg.CounterFunc("favcc_mvcc_versions_reclaimed_total",
 		"Version records recycled by watermark pruning.", "", st.VersionsReclaimed)
 	reg.GaugeFunc("favcc_mvcc_watermark_lag_epochs",

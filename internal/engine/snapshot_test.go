@@ -375,19 +375,107 @@ func TestSnapshotFrozenAtBeginEpoch(t *testing.T) {
 	}
 }
 
+// TestSnapshotEscrowNoDirtyRead: under FineCC's declared deposit/deposit
+// commutativity two uncommitted writers share one balance cell, so the
+// live cell can hold a delta nobody has committed. A snapshot reads
+// exactly the committed deposits — whether the open transaction later
+// aborts or commits after the snapshot began.
+func TestSnapshotEscrowNoDirtyRead(t *testing.T) {
+	ov := core.NewOverrides()
+	ov.Declare("account", "deposit", "deposit")
+	c, err := core.CompileSource(escrowAccountSrc, core.WithOverrides(ov))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, t1Commits := range []bool{false, true} {
+		db := Open(c, FineCC{})
+		const initial, d1, d2 = 100, 3, 5
+		var oid storage.OID
+		if err := db.RunWithRetry(func(tx *txn.Txn) error {
+			in, err := db.NewInstance(tx, "account", storage.IntV(initial))
+			oid = in.OID
+			return err
+		}); err != nil {
+			t.Fatal(err)
+		}
+		snapBalance := func(s *Snap) int64 {
+			t.Helper()
+			v, err := s.Send(oid, "getbalance")
+			if err != nil {
+				t.Fatal(err)
+			}
+			return v.I
+		}
+
+		t1 := db.Begin() // deposits and stays open
+		if _, err := db.Send(t1, oid, "deposit", storage.IntV(d1)); err != nil {
+			t.Fatal(err)
+		}
+		if err := db.RunWithRetry(func(tx *txn.Txn) error { // T2 deposits and commits
+			_, err := db.Send(tx, oid, "deposit", storage.IntV(d2))
+			return err
+		}); err != nil {
+			t.Fatal(err)
+		}
+		during := db.BeginSnapshot()
+		if got := snapBalance(during); got != initial+d2 {
+			t.Errorf("T1 open: snapshot reads %d, want %d (initial + T2 only)", got, initial+d2)
+		}
+		want := int64(initial + d2)
+		if t1Commits {
+			if err := t1.Commit(); err != nil {
+				t.Fatal(err)
+			}
+			want += d1
+		} else {
+			t1.Abort()
+		}
+		if got := snapBalance(during); got != initial+d2 {
+			t.Errorf("T1 finished (commit=%t): the earlier snapshot now reads %d, want %d", t1Commits, got, initial+d2)
+		}
+		during.Close()
+		after := db.BeginSnapshot()
+		if got := snapBalance(after); got != want {
+			t.Errorf("T1 finished (commit=%t): a later snapshot reads %d, want %d", t1Commits, got, want)
+		}
+		after.Close()
+	}
+}
+
 // pairSchema holds a two-field invariant (a+b constant under shift) for
-// the consistency tortures.
+// the consistency tortures. seta/setb write one field each (disjoint
+// under field locking), bump adds to c, which the escrow variant of the
+// torture declares self-commuting.
 const pairSchema = `
 class pair is
     instance variables are
         a : integer
         b : integer
+        c : integer
     method shift(n) is
         a := a + n
         b := b - n
     end
+    method seta(n) is
+        a := n
+    end
+    method setb(n) is
+        b := n
+    end
+    method bump(n) is
+        c := c + n
+    end
     method total is
         return a + b
+    end
+    method geta is
+        return a
+    end
+    method getb is
+        return b
+    end
+    method getc is
+        return c
     end
 end
 `
@@ -513,6 +601,129 @@ func TestTortureSnapshotConsistency(t *testing.T) {
 			}
 			if lockV != snapV || lockV.I != sum {
 				t.Errorf("final state: locking %v, snapshot %v, want %d", lockV, snapV, sum)
+			}
+		})
+	}
+
+	// Two protocols grant concurrent uncommitted writers of ONE instance:
+	// FieldCC to writers of disjoint fields, FineCC to declared-commuting
+	// writers of one field. Their records interleave on one chain and
+	// commit (or abort) in any order; a snapshot must read none of it
+	// early, nothing of an aborted writer ever, and the same value twice.
+	ov := core.NewOverrides()
+	ov.Declare("pair", "bump", "bump")
+	escrow, err := core.CompileSource(pairSchema, core.WithOverrides(ov))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name    string
+		c       *core.Compiled
+		s       Strategy
+		writers []string // one writer goroutine per method
+		reads   []string // what the readers watch
+	}{
+		{"FieldCC-disjoint-fields", c, FieldCC{}, []string{"seta", "setb"}, []string{"geta", "getb"}},
+		{"FineCC-escrow-aborts", escrow, FineCC{}, []string{"bump", "bump", "bump"}, []string{"getc"}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			db := Open(tc.c, tc.s)
+			var oid storage.OID
+			if err := db.RunWithRetry(func(tx *txn.Txn) error {
+				in, err := db.NewInstance(tx, "pair", storage.IntV(0), storage.IntV(0), storage.IntV(0))
+				oid = in.OID
+				return err
+			}); err != nil {
+				t.Fatal(err)
+			}
+			const readers, rounds, poison = 4, 300, -1 << 40
+			errAbort := errors.New("abort this attempt")
+			var wg, stop sync.WaitGroup
+			done := make(chan struct{})
+			for _, method := range tc.writers {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					mid, _ := db.MethodID(method)
+					for i := 1; i <= rounds; i++ {
+						// Every transaction writes poison first. A committing one
+						// writes again (it keeps one record): setters leave 1, 2,
+						// 3, …, bumpers a net +1. Every third round first runs one
+						// that aborts on the poison.
+						first, second := storage.IntV(poison), storage.IntV(int64(i))
+						if method == "bump" {
+							second = storage.IntV(1 - poison)
+						}
+						if i%3 == 0 {
+							err := db.RunWithRetry(func(tx *txn.Txn) error {
+								if _, err := db.SendID(tx, oid, mid, first); err != nil {
+									return err
+								}
+								return errAbort
+							})
+							if !errors.Is(err, errAbort) {
+								t.Error(err)
+								return
+							}
+						}
+						if err := db.RunWithRetry(func(tx *txn.Txn) error {
+							if _, err := db.SendID(tx, oid, mid, first); err != nil {
+								return err
+							}
+							_, err := db.SendID(tx, oid, mid, second)
+							return err
+						}); err != nil {
+							t.Error(err)
+							return
+						}
+					}
+				}()
+			}
+			for r := 0; r < readers; r++ {
+				stop.Add(1)
+				go func() {
+					defer stop.Done()
+					last := make([]int64, len(tc.reads))
+					for {
+						select {
+						case <-done:
+							return
+						default:
+						}
+						s := db.BeginSnapshot()
+						for pass := 0; pass < 2; pass++ { // the second pass must repeat the first
+							for i, method := range tc.reads {
+								v, err := s.Send(oid, method)
+								if err != nil {
+									t.Error(err)
+									s.Close()
+									return
+								}
+								if v.I < last[i] || (pass == 1 && v.I != last[i]) {
+									t.Errorf("snapshot at epoch %d: %s = %d after %d (pass %d)", s.Epoch(), method, v.I, last[i], pass)
+								}
+								last[i] = v.I
+							}
+						}
+						s.Close()
+						runtime.Gosched()
+					}
+				}()
+			}
+			wg.Wait()
+			close(done)
+			stop.Wait()
+
+			s := db.BeginSnapshot()
+			defer s.Close()
+			for _, method := range tc.reads {
+				want := int64(rounds)
+				if method == "getc" {
+					want = int64(rounds * len(tc.writers))
+				}
+				if v, err := s.Send(oid, method); err != nil || v.I != want {
+					t.Errorf("final %s = %v (err %v), want %d", method, v, err, want)
+				}
 			}
 		})
 	}

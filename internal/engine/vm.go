@@ -24,9 +24,8 @@ import (
 
 // yieldEvery makes the VM hand the processor over periodically, so
 // concurrent transactions interleave even on GOMAXPROCS=1 — the
-// fairness a real engine gets from I/O and buffer-pool waits. Every
-// top-level message boundary yields too (see DB.Send). Must be a power
-// of two: the VM masks instead of dividing.
+// fairness a real engine gets from I/O and buffer-pool waits. Must be a
+// power of two: the VM masks instead of dividing.
 const yieldEvery = 64
 
 // opSpelling renders operator opcodes for error messages.
@@ -79,21 +78,22 @@ func (ec *execCtx) invokeProg(in *storage.Instance, p *schema.Program, args []Va
 	return v, err
 }
 
-// logFieldUndo records the undo entry for one field store. Slots under
+// storeField performs one field store. Inside a transaction the store
+// and its undo/version record are one step (txn.Write). Slots under
 // declared (escrow) commutativity — the bound escrowMask, built from
-// the class's commute table — log the write as an integer delta:
+// the class's commute table — record the write as an integer delta:
 // another writer of the slot is not excluded by 2PL, so a before-image
 // would be stale by abort time, and the commit path logs the delta (not
 // an after-image) for the same reason. The delta is exact because the
 // enclosing writing frame holds the receiver's execution latch.
-// Everything else logs the before-image.
-func (ec *execCtx) logFieldUndo(self *storage.Instance, slot int, old, v Value) {
-	if m := ec.escrowMask; m != nil && slot < len(m) && m[slot] &&
-		old.Kind == storage.KInt && v.Kind == storage.KInt {
-		ec.tx.LogUndoDelta(self, slot, v.I-old.I)
+// Everything else records the before-image.
+func (ec *execCtx) storeField(self *storage.Instance, slot int, v Value) {
+	if ec.tx == nil {
+		self.Set(slot, v) // recording mode: nothing to undo
 		return
 	}
-	ec.tx.LogUndo(self, slot, old)
+	m := ec.escrowMask
+	ec.tx.Write(self, slot, v, m != nil && slot < len(m) && m[slot])
 }
 
 // exec is the dispatch loop of one activation. The frame lives at
@@ -196,11 +196,7 @@ func (ec *execCtx) exec(base int, self *storage.Instance, p *schema.Program, arg
 			if err := db.CC.FieldAccess(ec.acq, db.rt, uint64(self.OID), self.Class, fld, true); err != nil {
 				return Value{}, err
 			}
-			slot := self.Class.Slot(fld.ID)
-			old := self.Set(slot, v)
-			if ec.tx != nil {
-				ec.logFieldUndo(self, slot, old, v)
-			}
+			ec.storeField(self, self.Class.Slot(fld.ID), v)
 			db.fieldWrites.Add(1)
 
 		case schema.OpJump:
@@ -466,10 +462,7 @@ func (ec *execCtx) exec(base int, self *storage.Instance, p *schema.Program, arg
 			if err := db.CC.FieldAccess(ec.acq, db.rt, uint64(self.OID), self.Class, fld, true); err != nil {
 				return Value{}, err
 			}
-			old := self.Set(slot, v)
-			if ec.tx != nil {
-				ec.logFieldUndo(self, slot, old, v)
-			}
+			ec.storeField(self, slot, v)
 			db.fieldWrites.Add(1)
 
 		case schema.OpIncSlot:
@@ -598,11 +591,12 @@ func (ec *execCtx) exec(base int, self *storage.Instance, p *schema.Program, arg
 	}
 }
 
-// snapshotRead resolves one field read against the newest committed
-// version at or below the snapshot's begin epoch — no CC hook, no lock,
-// no seqlock retry loop; the version chain is immutable once published.
-// Invisible is unreachable for a receiver that passed the topSend
-// visibility gate, but a torn invariant must surface, not misread.
+// snapshotRead resolves one field read as of the snapshot's begin epoch
+// — no CC hook, no lock: the live cell with every later commit's (and
+// every uncommitted) record of the slot rolled back, inside one seqlock
+// section of the receiver. Invisible is unreachable for a receiver that
+// passed the topSend visibility gate, but a torn invariant must surface,
+// not misread.
 func (ec *execCtx) snapshotRead(self *storage.Instance, fld *schema.Field, p *schema.Program, pc int) (Value, error) {
 	v, ok := self.SnapshotGet(self.Class.Slot(fld.ID), ec.snapEpoch)
 	if !ok {

@@ -218,6 +218,31 @@ func TestReleaseWakesBatch(t *testing.T) {
 	mustGrant(t, <-d3)
 }
 
+// A release that admits a waiter hands it the processor: on one
+// processor the new holder has run by the time ReleaseAll returns,
+// instead of waiting for the releaser to block or be preempted.
+func TestReleaseHandsOffToWaiter(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	m := NewManager()
+	res := InstanceRes(1)
+	mustGrant(t, m.Acquire(1, res, X))
+	var ran atomic.Bool
+	done := make(chan error, 1)
+	go func() {
+		err := m.Acquire(2, res, X)
+		ran.Store(true)
+		done <- err
+	}()
+	for m.Snapshot().Blocks == 0 {
+		runtime.Gosched() // until txn 2 is queued
+	}
+	m.ReleaseAll(1)
+	if !ran.Load() {
+		t.Error("the admitted waiter had not run when ReleaseAll returned")
+	}
+	mustGrant(t, <-done)
+}
+
 func TestTimeout(t *testing.T) {
 	m := NewManager()
 	m.WaitTimeout = 30 * time.Millisecond

@@ -283,16 +283,19 @@ func (e *entry) removeWaiter(w *waiter) bool {
 // promote grants queued requests in FIFO order, stopping at the first
 // waiter that still conflicts — strict FIFO prevents starvation and
 // makes the waits-for edges exact. Granted waiters leave the waits-for
-// registry before their goroutine wakes. Requires sh.mu held.
-func (sh *shard) promote(m *Manager, e *entry) {
+// registry before their goroutine wakes. It reports whether anyone was
+// granted. Requires sh.mu held.
+func (sh *shard) promote(m *Manager, e *entry) (woke bool) {
 	for len(e.queue) > 0 {
 		w := e.queue[0]
 		if !e.compatibleWithOthers(w.txn, w.mode) {
-			return
+			break
 		}
 		e.queue = e.queue[1:]
 		sh.grant(e, w.txn, w.state, w.res, w.mode)
 		m.reg.remove(w.txn)
 		w.ready <- nil
+		woke = true
 	}
+	return woke
 }

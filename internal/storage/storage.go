@@ -16,6 +16,7 @@ package storage
 
 import (
 	"fmt"
+	"math"
 	"runtime"
 	"sort"
 	"sync"
@@ -107,7 +108,7 @@ func (v Value) String() string {
 // reachable for the GC.
 type aslot struct {
 	kind atomic.Uint32
-	num  atomic.Int64        // KInt: I · KBool: 0/1 · KRef: OID · KString: byte length
+	num  atomic.Int64         // KInt: I · KBool: 0/1 · KRef: OID · KString: byte length
 	sp   atomic.Pointer[byte] // KString: data pointer (nil when empty)
 }
 
@@ -146,6 +147,16 @@ func (sl *aslot) load() (k ValueKind, num int64, sp *byte) {
 		sp = sl.sp.Load()
 	}
 	return k, num, sp
+}
+
+// copyFrom makes sl a copy of src's cells, string pointer included (nil
+// for other kinds, so a recycled record pins no dead string). Callers
+// hold the writer latch of the instance both belong to.
+func (sl *aslot) copyFrom(src *aslot) {
+	k, num, sp := src.load()
+	sl.num.Store(num)
+	sl.sp.Store(sp)
+	sl.kind.Store(uint32(k))
 }
 
 // mkValue rejoins raw cells into a Value. Only call it on a triple that
@@ -197,12 +208,13 @@ type Instance struct {
 	// current by swap-removal. Guarded by the extent latch.
 	extentPos int
 
-	// verHead is the newest published committed version (see
-	// version.go). nil until the first commit publishes — which is
-	// also how snapshot readers skip uncommitted creations. verFree is
-	// the recycle list for pruned versions, guarded by mu.
-	verHead atomic.Pointer[version]
-	verFree *version
+	// verHead is the newest record of the version chain (see
+	// version.go): the before-images of writes some snapshot reader may
+	// still have to roll back. nil means the live cells are what every
+	// snapshot sees. verFree is the recycle list for pruned records.
+	// Both change only under mu with seq odd.
+	verHead atomic.Pointer[Version]
+	verFree *Version
 }
 
 // LockExec acquires the instance's execution latch. The engine holds it
@@ -392,16 +404,16 @@ type Store struct {
 	schema  *schema.Schema
 	extents []extent // by schema.Class.ID
 
-	// Multiversion read state (see version.go): commit-epoch counters
-	// and the active snapshot-reader registry that drives version
-	// reclamation.
+	// Multiversion read state (see version.go): commit-epoch counters,
+	// the active snapshot-reader registry that drives version
+	// reclamation, and the record arena.
 	epochNext   atomic.Uint64
 	epochStable atomic.Uint64
 	snapshots   snapReg
 	versions    verArena
 
-	// MVCC telemetry: lifetime version publications and reclamations
-	// (chain recycling), read by the engine's metrics registry.
+	// MVCC telemetry: lifetime records linked and records reclaimed by
+	// pruning, read by the engine's metrics registry.
 	versionsPublished atomic.Int64
 	versionsReclaimed atomic.Int64
 }
@@ -415,6 +427,7 @@ func NewStore(s *schema.Schema) *Store {
 	dir := make([]*page, 1)
 	dir[0] = new(page)
 	st.dir.Store(&dir)
+	st.snapshots.minBegin.Store(math.MaxUint64)
 	return st
 }
 
@@ -452,15 +465,27 @@ func (s *Store) grow(oid OID) *atomic.Pointer[Instance] {
 // from vals and zero-filling the rest. The value kinds must match the
 // field types.
 func (s *Store) NewInstance(cls *schema.Class, vals ...Value) (*Instance, error) {
+	in, _, err := s.newInstance(cls, vals, false)
+	return in, err
+}
+
+// NewUncommitted is NewInstance for a transaction's creation: the
+// instance enters the store already carrying a pending creation marker,
+// so no snapshot sees it until its creator stamps the marker at commit.
+func (s *Store) NewUncommitted(cls *schema.Class, vals ...Value) (*Instance, *Version, error) {
+	return s.newInstance(cls, vals, true)
+}
+
+func (s *Store) newInstance(cls *schema.Class, vals []Value, marked bool) (*Instance, *Version, error) {
 	if len(vals) > cls.NumSlots() {
-		return nil, fmt.Errorf("storage: class %s has %d fields, got %d values",
+		return nil, nil, fmt.Errorf("storage: class %s has %d fields, got %d values",
 			cls.Name, cls.NumSlots(), len(vals))
 	}
 	slots := make([]aslot, cls.NumSlots())
 	for i, f := range cls.Fields {
 		if i < len(vals) {
 			if err := checkKind(f, vals[i]); err != nil {
-				return nil, err
+				return nil, nil, err
 			}
 			slots[i].store(vals[i])
 		} else {
@@ -469,6 +494,16 @@ func (s *Store) NewInstance(cls *schema.Class, vals ...Value) (*Instance, error)
 	}
 	oid := OID(s.nextOID.Add(1))
 	in := &Instance{OID: oid, Class: cls, slots: slots}
+	var marker *Version
+	if marked {
+		// Linked before the directory publishes the instance: no reader
+		// can reach it yet, so no writer window is needed.
+		marker = s.versions.get()
+		marker.epoch.Store(pendingEpoch)
+		marker.slot.Store(slotCreate)
+		in.verHead.Store(marker)
+		s.versionsPublished.Add(1)
+	}
 	sl := s.slot(oid)
 	if sl == nil {
 		sl = s.grow(oid)
@@ -481,7 +516,7 @@ func (s *Store) NewInstance(cls *schema.Class, vals ...Value) (*Instance, error)
 	ext.invalidate()
 	ext.mu.Unlock()
 	s.count.Add(1)
-	return in, nil
+	return in, marker, nil
 }
 
 func checkKind(f *schema.Field, v Value) error {

@@ -1,53 +1,108 @@
 // Multiversion read support: the storage half of the snapshot read
-// path. Writers publish an immutable per-instance version record at
-// commit, stamped with a commit epoch drawn from a global counter, and
-// snapshot readers walk the per-instance chain for the newest version
-// at or below their begin epoch — no lock-table traffic at all. The
-// paper's transitive access vectors decide *which* transactions may
-// read this way (statically read-only method sets, see
-// engine.Runtime); this file only provides the mechanism:
+// path. The store is updated in place — the live cells always hold the
+// newest state — and the before-image a transaction captures for
+// rollback IS the version: on its first write of an (instance, slot) a
+// transaction links one small record onto the instance's chain, and a
+// snapshot reader reconstructs the value at its begin epoch by reading
+// the live cell and rolling back every chained record that committed
+// after it began. Nothing is copied at commit. The paper's transitive
+// access vectors decide *which* transactions may read this way
+// (statically read-only method sets, see engine.Runtime); this file
+// only provides the mechanism:
 //
+//   - A record (Version) is a slot number, the slot's old cell — or, for
+//     a slot written under declared commutativity, the writer's net
+//     integer delta — and a commit epoch that reads pending until the
+//     writer commits. It is pushed at the chain head inside the same
+//     in.mu + seq window as the store it describes, so a reader never
+//     sees the new cell without the record or the reverse. A creation
+//     links a marker record (slot −1): a reader that has to roll the
+//     marker back treats the instance as not yet existing. Abort
+//     restores the cell and unlinks the record in one window; commit
+//     only stamps the record's epoch.
 //   - Two counters: epochNext hands out commit epochs, epochStable is
-//     the highest epoch whose commit (and every earlier one) is fully
-//     published. Commits publish and retire in epoch order through a
-//     turnstile (AwaitEpochTurn … FinishEpoch), so a reader that
-//     begins at B = epochStable is guaranteed to find every version
-//     ≤ B already hanging off its instance, and every per-instance
-//     chain is strictly epoch-descending — the snapshot is a
-//     consistent prefix of the commit order over surviving instances.
+//     the highest epoch whose commit (and every earlier one) has stamped
+//     its records. Epochs retire in order (FinishEpoch), so a reader
+//     that begins at B = epochStable finds every record of a commit ≤ B
+//     stamped, and every other record reads pending or an epoch > B —
+//     the snapshot is a consistent prefix of the commit order over
+//     surviving instances. Stamping therefore needs no seq bump: the
+//     two values a racing reader can see mean the same thing to it.
 //     (Deletions are not versioned: an instance deleted after B
 //     disappears from a snapshot begun at B. See the contract notes on
 //     engine scanDomainSnapshot and oodb.View.)
-//   - Version records are immutable once published and linked newest
-//     first. A chain with no version ≤ B means the instance did not
-//     exist (was not yet committed) at B, which is how snapshot scans
-//     skip uncommitted creations without consulting any lock.
-//   - Reclamation is watermark-driven: the newest version at or below
-//     the minimum begin epoch of all active snapshot readers satisfies
-//     every current and future reader, so everything older is
-//     unlinked and recycled onto a per-instance free list. Both the
-//     watermark and a reader's begin epoch are taken under one
-//     registry mutex, which is what makes the no-reader-left-behind
-//     argument airtight: a pruner's watermark can never exceed the
-//     begin epoch of any reader registered before or after it.
+//   - The reader's whole reconstruction — live cell, chain head, every
+//     hop — sits inside one seqlock section of the instance. Linking,
+//     unlinking and pruning all happen with seq odd, so a reader that
+//     overlapped any of them retries (and after seqSpins retries takes
+//     the writer latch, so a hot writer cannot starve it); that is also
+//     what makes recycling a pruned record immediately safe. Chains are not epoch-sorted (a
+//     protocol may grant two uncommitted writers of one instance, who
+//     commit in either order), so the reader walks the whole chain. Per
+//     slot, non-commuting writers are serialized by 2PL, so push order
+//     is commit order and walking newest-to-oldest leaves the oldest
+//     rolled-back before-image as the value; deltas commute.
+//   - Reclamation is watermark-driven and done by the next writer of the
+//     instance, inside the window it already holds: a record whose epoch
+//     is ≤ the minimum begin epoch of all active readers (the stable
+//     epoch when there are none) is rolled back by no present or future
+//     reader, wherever in the chain it sits. The watermark is two atomic
+//     loads, stable epoch first, then the cached minimum begin epoch. A
+//     reader that becomes the only one announces that minimum BEFORE it
+//     fixes its begin epoch, so a pruner that missed the announcement
+//     loaded its stable epoch before the reader loaded its own: the
+//     reader began at or above the pruner's watermark.
+//   - An instance with an empty chain is visible, as it stands, to every
+//     snapshot: recovery, checkpoint load and Install link nothing.
 package storage
 
 import (
+	"math"
 	"runtime"
 	"sync"
 	"sync/atomic"
 )
 
-// version is one published committed image of an instance. vals is
-// immutable between publication and reclamation; next links to the
-// previous (older) version. The next pointer is atomic only so prune
-// unlinking is unambiguously race-free — by the watermark argument no
-// reader ever traverses past the version a prune cuts at.
-type version struct {
-	epoch uint64
-	vals  []Value
-	next  atomic.Pointer[version]
+const (
+	// pendingEpoch is the epoch of a record whose writer has not
+	// committed: above every begin epoch and every watermark.
+	pendingEpoch = math.MaxUint64
+	// slotCreate is the slot of a creation marker.
+	slotCreate = -1
+	// kindDelta tags a record whose old.num is the writer's net delta
+	// rather than a before-image (outside the ValueKind range).
+	kindDelta = math.MaxUint32
+)
+
+// Version is one undo/version record: the before-image (or delta) of one
+// slot as written by one transaction, linked on the instance's chain.
+// The writer's undo log points at it — it is the only copy, for rollback
+// and for readers alike. Every field is atomic for the reason aslot's
+// are: snapshot readers race with linking and recycling by design and
+// discard what they read when seq moved.
+type Version struct {
+	epoch atomic.Uint64
+	next  atomic.Pointer[Version]
+	slot  atomic.Int32
+	old   aslot
 }
+
+// Slot returns the slot the record covers.
+func (v *Version) Slot() int { return int(v.slot.Load()) }
+
+// Delta returns the writer's net integer contribution and true when the
+// record is in delta form, 0 and false for a before-image.
+func (v *Version) Delta() (int64, bool) {
+	if v.old.kind.Load() != kindDelta {
+		return 0, false
+	}
+	return v.old.num.Load(), true
+}
+
+// Stamp marks the record committed at epoch e. The caller retires e
+// (FinishEpoch) only after stamping all its records; until then no
+// reader's begin epoch reaches e.
+func (v *Version) Stamp(e uint64) { v.epoch.Store(e) }
 
 // SnapshotReader is one active snapshot transaction's registration in
 // the reclamation watermark. Embed it (zero value) and pass it to
@@ -62,86 +117,60 @@ type SnapshotReader struct {
 func (r *SnapshotReader) Epoch() uint64 { return r.epoch }
 
 // snapReg tracks active snapshot readers as an intrusive list so
-// registration is allocation-free. The mutex also covers the begin
-// epoch read in BeginSnapshot — see the watermark argument above.
+// registration is allocation-free. minBegin caches the minimum begin
+// epoch over the list (MaxUint64 when empty); it is written under mu
+// and read by pruners without it.
 type snapReg struct {
-	mu   sync.Mutex
-	head *SnapshotReader
+	mu       sync.Mutex
+	head     *SnapshotReader
+	minBegin atomic.Uint64
 }
 
-// Arena block sizes: version records and their vals backing are carved
-// out of shared blocks so the one-time first-publication cost of an
-// instance is ~2 heap allocations per block of instances, not per
-// instance. Steady state never touches the arena — recycled records
-// circulate on per-instance free lists.
-const (
-	arenaRecs = 256
-	arenaVals = 1024
-)
+// arenaRecs is the block size of the record arena.
+const arenaRecs = 256
 
-// verArena is the store-wide slab allocator behind first-time version
-// publication (commit of an instance's first overwrite, recovery
-// seeding). Blocks are never reclaimed: every record handed out lives
-// for the store's lifetime on some instance's chain or free list, and
-// record count is bounded by live instances × chain depth.
+// verArena is the store-wide slab allocator behind records linked while
+// an instance's free list is empty. Blocks are never reclaimed: every
+// record handed out lives for the store's lifetime on some instance's
+// chain or free list, and record count is bounded by live instances ×
+// chain depth.
 type verArena struct {
 	mu   sync.Mutex
-	recs []version
-	vals []Value
+	recs []Version
 }
 
-// get returns a fresh version record whose vals slice has capacity for
-// exactly slots values (len 0).
-func (a *verArena) get(slots int) *version {
+func (a *verArena) get() *Version {
 	a.mu.Lock()
 	if len(a.recs) == 0 {
-		a.recs = make([]version, arenaRecs)
+		a.recs = make([]Version, arenaRecs)
 	}
 	v := &a.recs[0]
 	a.recs = a.recs[1:]
-	if len(a.vals) < slots {
-		a.vals = make([]Value, max(arenaVals, slots))
-	}
-	v.vals = a.vals[0:0:slots]
-	a.vals = a.vals[slots:]
 	a.mu.Unlock()
 	return v
 }
 
 // AllocEpoch draws the next commit epoch. Every allocated epoch MUST be
-// retired with FinishEpoch (await the turn, publish, then finish), even
-// if the commit fails after allocation — later commits wait in epoch
-// order. Callers that block on other commits' resources (execution
-// latches, lock-manager queues) must acquire those resources BEFORE
-// allocating: a holder of epoch e must be able to reach FinishEpoch(e)
-// without waiting on the holder of any later epoch, or the turnstile
-// deadlocks.
+// retired with FinishEpoch, even if the commit fails after allocation —
+// later commits retire in epoch order. Callers that block on other
+// commits' resources (execution latches, lock-manager queues) must
+// acquire those resources BEFORE allocating: a holder of epoch e must be
+// able to reach FinishEpoch(e) without waiting on the holder of any
+// later epoch, or the turnstile deadlocks.
 func (s *Store) AllocEpoch() uint64 { return s.epochNext.Add(1) }
 
-// AwaitEpochTurn spins until every epoch earlier than e has retired.
-// Publishing after AwaitEpochTurn(e) and before FinishEpoch(e) keeps
-// per-instance version chains strictly epoch-descending: no commit with
-// a later epoch can have published yet, and every earlier one already
-// has. The Gosched keeps a preempted predecessor schedulable on
-// GOMAXPROCS=1.
-func (s *Store) AwaitEpochTurn(e uint64) {
-	for s.epochStable.Load() != e-1 {
-		runtime.Gosched()
-	}
-}
-
-// FinishEpoch marks epoch e fully published. Commits retire in epoch
-// order: the caller spins until every earlier epoch has retired (a
-// no-op after AwaitEpochTurn(e)). The critical section between
-// AwaitEpochTurn and FinishEpoch is a handful of pointer publishes, so
-// the wait is short.
+// FinishEpoch retires epoch e: every record of its commit is stamped.
+// Commits retire in epoch order, so the caller spins until every earlier
+// epoch has retired; a predecessor's section between AllocEpoch and here
+// is a log enqueue and a few stores. The Gosched keeps a preempted
+// predecessor schedulable on GOMAXPROCS=1.
 func (s *Store) FinishEpoch(e uint64) {
 	for !s.epochStable.CompareAndSwap(e-1, e) {
 		runtime.Gosched()
 	}
 }
 
-// StableEpoch returns the highest fully published commit epoch.
+// StableEpoch returns the highest retired commit epoch.
 func (s *Store) StableEpoch() uint64 { return s.epochStable.Load() }
 
 // SetRecoveredEpoch restores the epoch counters after recovery so the
@@ -153,12 +182,16 @@ func (s *Store) SetRecoveredEpoch(e uint64) {
 }
 
 // BeginSnapshot registers r as an active snapshot reader and returns
-// its begin epoch. The epoch is read under the registry mutex so a
-// concurrent pruner either saw r (watermark ≤ r's epoch) or computed
-// its watermark from a stable epoch no newer than r's.
+// its begin epoch. A reader joining others begins at or above their
+// cached minimum, which therefore already covers it; the first reader
+// announces a minimum and only then loads its begin epoch (see the
+// watermark argument in the file header).
 func (s *Store) BeginSnapshot(r *SnapshotReader) uint64 {
 	reg := &s.snapshots
 	reg.mu.Lock()
+	if reg.head == nil {
+		reg.minBegin.Store(s.epochStable.Load())
+	}
 	r.epoch = s.epochStable.Load()
 	r.prev = nil
 	r.next = reg.head
@@ -190,33 +223,47 @@ func (s *Store) EndSnapshot(r *SnapshotReader) {
 		r.next.prev = r.prev
 	}
 	r.prev, r.next = nil, nil
+	reg.minBegin.Store(reg.oldest())
 	reg.mu.Unlock()
 }
 
-// SnapshotWatermark returns the reclamation watermark: the minimum
-// begin epoch over all active snapshot readers, or the stable epoch
-// when none are active. Versions strictly older than the newest
-// version ≤ watermark are unreachable by every active and future
-// reader.
+// oldest returns the minimum begin epoch over the registered readers,
+// MaxUint64 when there are none. Requires reg.mu held.
+func (reg *snapReg) oldest() uint64 {
+	oldest := uint64(math.MaxUint64)
+	for r := reg.head; r != nil; r = r.next {
+		oldest = min(oldest, r.epoch)
+	}
+	return oldest
+}
+
+// watermark returns the reclamation watermark without taking the
+// registry mutex: no active or future reader rolls back a record whose
+// epoch is at or below it. The load order is load-bearing.
+func (s *Store) watermark() uint64 {
+	stable := s.epochStable.Load()
+	return min(stable, s.snapshots.minBegin.Load())
+}
+
+// SnapshotWatermark returns the minimum begin epoch over all active
+// snapshot readers, or the stable epoch when none are active, read
+// under the registry mutex — the exact figure, for the lag gauge.
+// Pruning uses watermark.
 func (s *Store) SnapshotWatermark() uint64 {
 	reg := &s.snapshots
 	reg.mu.Lock()
-	w := s.epochStable.Load()
-	for r := reg.head; r != nil; r = r.next {
-		if r.epoch < w {
-			w = r.epoch
-		}
-	}
+	w := min(s.epochStable.Load(), reg.oldest())
 	reg.mu.Unlock()
 	return w
 }
 
-// VersionsPublished returns the lifetime count of published version
-// records (commit publications plus recovery/creation seeding).
+// VersionsPublished returns the lifetime count of records linked onto
+// version chains (first writes of a slot by a transaction, and creation
+// markers).
 func (s *Store) VersionsPublished() int64 { return s.versionsPublished.Load() }
 
-// VersionsReclaimed returns the lifetime count of version records
-// recycled by watermark-driven pruning.
+// VersionsReclaimed returns the lifetime count of records recycled by
+// watermark-driven pruning.
 func (s *Store) VersionsReclaimed() int64 { return s.versionsReclaimed.Load() }
 
 // ActiveSnapshots returns the number of currently registered snapshot
@@ -232,171 +279,196 @@ func (s *Store) ActiveSnapshots() int {
 	return n
 }
 
-// PublishVersion publishes the committed image of commit epoch e as the
-// instance's newest version and prunes versions no reader at or above
-// watermark can reach, recycling them onto the instance's free list.
-//
-// written lists the slots the committing transaction wrote. When
-// non-nil and a previous version exists, unwritten slots are
-// copy-forwarded from that version rather than read from the live
-// cells — a protocol that admits concurrent same-instance writers
-// (FieldCC's disjoint-field locks, escrow under FineCC) may have
-// another transaction's uncommitted value sitting in a live slot, and
-// that value must never enter a published image. A nil written (or a
-// first publication with no prior version) captures the full live
-// image; those callers must exclude concurrent writers entirely
-// (creation, recovery seeding, the escrow abort-republish path under
-// the exec latches).
-//
-// Callers publish inside the epoch turnstile (after AwaitEpochTurn(e)),
-// which both keeps the chain strictly epoch-descending and guarantees
-// the previous head is exactly the committed image as of e-1 — the
-// correct copy-forward source. in.mu serializes the physical publish
-// against Set and prune.
-func (s *Store) PublishVersion(in *Instance, e, watermark uint64, written []int) {
+// Write is Set on behalf of a transaction: it stores v into slot i and,
+// in the same writer window, keeps the transaction's record for the
+// slot. rec is that record, nil on the transaction's first write of the
+// slot — Write then links a pending one, after recycling every record on
+// the chain the watermark has passed, and returns it; later writes pass
+// it back. escrow says the slot is written under declared commutativity,
+// where another uncommitted writer of the same slot is not excluded: an
+// integer write is then recorded as a delta the record accumulates (the
+// caller holds the execution latch, so v minus the live cell is exactly
+// its own contribution). A plain write landing on a delta record turns
+// it into the before-image of the pre-transaction value and moves it to
+// the chain head — it now postdates every concurrent delta, which the
+// non-commuting lock behind the plain write has waited out.
+func (s *Store) Write(in *Instance, i int, v Value, rec *Version, escrow bool) *Version {
 	in.mu.Lock()
+	sl := &in.slots[i]
+	in.seq.Add(1)
+	escrow = escrow && v.Kind == KInt && ValueKind(sl.kind.Load()) == KInt
+	switch {
+	case rec == nil:
+		rec = s.link(in, int32(i))
+		if escrow {
+			rec.old.num.Store(v.I - sl.num.Load())
+			rec.old.kind.Store(kindDelta)
+		} else {
+			rec.old.copyFrom(sl)
+		}
+	case rec.old.kind.Load() != kindDelta:
+		// The before-image already covers every later write.
+	case escrow:
+		rec.old.num.Add(v.I - sl.num.Load())
+	default:
+		pre := sl.num.Load() - rec.old.num.Load()
+		in.unlink(rec)
+		rec.old.store(IntV(pre))
+		rec.next.Store(in.verHead.Load())
+		in.verHead.Store(rec)
+	}
+	sl.store(v)
+	in.seq.Add(1)
+	in.mu.Unlock()
+	return rec
+}
+
+// Rollback undoes the write rec records — restores the before-image, or
+// subtracts the delta so a concurrent commuting writer's contribution
+// survives — and unlinks rec, in one writer window: a snapshot reader
+// sees the written cell with the record or the restored cell without.
+// rec must still be pending (a stamped record may already be recycled).
+func (in *Instance) Rollback(rec *Version) {
+	in.mu.Lock()
+	sl := &in.slots[rec.slot.Load()]
+	in.seq.Add(1)
+	if rec.old.kind.Load() == kindDelta {
+		sl.num.Add(-rec.old.num.Load())
+	} else {
+		sl.copyFrom(&rec.old)
+	}
+	in.unlink(rec)
+	in.recycle(rec)
+	in.seq.Add(1)
+	in.mu.Unlock()
+}
+
+// link prunes the chain against the watermark and pushes a pending
+// record for slot at its head. Requires in.mu held and seq odd.
+func (s *Store) link(in *Instance, slot int32) *Version {
+	if in.verHead.Load() != nil {
+		if n := in.prune(s.watermark()); n > 0 {
+			s.versionsReclaimed.Add(int64(n))
+		}
+	}
 	v := in.verFree
 	if v != nil {
 		in.verFree = v.next.Load()
-		v.next.Store(nil)
 	} else {
-		v = s.versions.get(len(in.slots))
+		v = s.versions.get()
 	}
-	v.epoch = e
-	head := in.verHead.Load()
-	vals := v.vals[:0]
-	if written != nil && head != nil && len(head.vals) == len(in.slots) {
-		vals = append(vals, head.vals...)
-		for _, i := range written {
-			k, num, sp := in.slots[i].load() // committed: caller wrote it
-			vals[i] = mkValue(k, num, sp)
-		}
-	} else {
-		for i := range in.slots {
-			k, num, sp := in.slots[i].load() // coherent: mu excludes writers
-			vals = append(vals, mkValue(k, num, sp))
-		}
-	}
-	v.vals = vals
-	v.next.Store(head)
+	v.epoch.Store(pendingEpoch)
+	v.slot.Store(slot)
+	v.next.Store(in.verHead.Load())
 	in.verHead.Store(v)
-	if n := in.pruneVersions(v, watermark); n > 0 {
-		s.versionsReclaimed.Add(int64(n))
-	}
 	s.versionsPublished.Add(1)
-	in.mu.Unlock()
+	return v
 }
 
-// pruneVersions unlinks every version older than the newest one at or
-// below the watermark and recycles it, returning how many versions were
-// reclaimed. Requires in.mu held.
-func (in *Instance) pruneVersions(head *version, watermark uint64) int {
-	keep := head
-	for keep.epoch > watermark {
-		n := keep.next.Load()
-		if n == nil {
-			return 0
+// prune recycles every record with epoch ≤ watermark, anywhere in the
+// chain, and returns how many. Requires in.mu held and seq odd.
+func (in *Instance) prune(watermark uint64) int {
+	n := 0
+	prev := &in.verHead
+	for v := prev.Load(); v != nil; v = prev.Load() {
+		if v.epoch.Load() > watermark {
+			prev = &v.next
+			continue
 		}
-		keep = n
+		prev.Store(v.next.Load())
+		in.recycle(v)
+		n++
 	}
-	// keep is the newest version ≤ watermark: everything older is
-	// unreachable (active readers all have begin epoch ≥ watermark and
-	// stop at keep or newer).
-	dead := keep.next.Load()
-	if dead == nil {
-		return 0
-	}
-	keep.next.Store(nil)
-	reclaimed := 0
-	for dead != nil {
-		n := dead.next.Load()
-		dead.next.Store(in.verFree)
-		in.verFree = dead
-		dead = n
-		reclaimed++
-	}
-	return reclaimed
+	return n
 }
 
-// seedVersion publishes the instance's current slots as a version
-// visible to every snapshot (epoch 0) if it has no versions yet —
-// recovery and direct-install seeding. Idempotent.
-func (s *Store) seedVersion(in *Instance) {
-	in.mu.Lock()
-	if in.verHead.Load() == nil {
-		v := s.versions.get(len(in.slots))
-		v.epoch = 0
-		for i := range in.slots {
-			k, num, sp := in.slots[i].load()
-			v.vals = append(v.vals, mkValue(k, num, sp))
+// unlink removes rec from the chain. Requires in.mu held and seq odd.
+func (in *Instance) unlink(rec *Version) {
+	prev := &in.verHead
+	for v := prev.Load(); v != nil; v = prev.Load() {
+		if v == rec {
+			prev.Store(rec.next.Load())
+			return
 		}
-		in.verHead.Store(v)
-		s.versionsPublished.Add(1)
+		prev = &v.next
 	}
-	in.mu.Unlock()
 }
 
-// versionAt returns the newest version with epoch ≤ b, or nil when the
-// instance has no committed state at b (not yet created, or created by
-// a commit after b). Lock-free: the chain is immutable behind the head
-// and the watermark protocol keeps every reachable version alive.
-func (in *Instance) versionAt(b uint64) *version {
-	for v := in.verHead.Load(); v != nil; v = v.next.Load() {
-		if v.epoch <= b {
-			return v
+// recycle puts an unlinked record on the instance's free list. Reuse
+// may be immediate: a reader still standing on the record fails its seq
+// re-check. Requires in.mu held.
+func (in *Instance) recycle(v *Version) {
+	v.next.Store(in.verFree)
+	in.verFree = v
+}
+
+// readAt reconstructs slot i (no slot when i < 0) as of begin epoch b:
+// the live cell with every record of the slot that b does not cover
+// rolled back, all inside one seqlock section. visible is false when a
+// creation marker is among the rolled-back records. The per-hop seq
+// check bounds the walk — an unchanged seq means an unchanged, finite
+// chain. A reader that writers keep overlapping for seqSpins attempts (a
+// long chain under a hot writer) takes the writer latch for the next
+// one: under it seq is even and cannot move, so that attempt succeeds.
+func (in *Instance) readAt(i int, b uint64) (k ValueKind, num int64, sp *byte, visible bool) {
+	for spins := 0; ; spins++ {
+		latched := spins >= seqSpins
+		if latched {
+			in.mu.Lock()
+		}
+		s1 := in.seq.Load()
+		if s1&1 == 0 {
+			if i >= 0 {
+				k, num, sp = in.slots[i].load()
+			}
+			visible = true
+			for v := in.verHead.Load(); v != nil && in.seq.Load() == s1; v = v.next.Load() {
+				if v.epoch.Load() <= b {
+					continue
+				}
+				switch s := int(v.slot.Load()); {
+				case s == slotCreate:
+					visible = false
+				case s == i && v.old.kind.Load() == kindDelta:
+					num -= v.old.num.Load()
+				case s == i:
+					k, num, sp = v.old.load()
+				}
+			}
+		}
+		ok := s1&1 == 0 && in.seq.Load() == s1
+		if latched {
+			in.mu.Unlock()
+		}
+		if ok {
+			return k, num, sp, visible
 		}
 	}
-	return nil
 }
 
 // SnapshotGet returns the value of slot i as of begin epoch b. ok is
 // false when the instance is not visible at b.
 func (in *Instance) SnapshotGet(i int, b uint64) (Value, bool) {
-	v := in.versionAt(b)
-	if v == nil {
+	k, num, sp, visible := in.readAt(i, b)
+	if !visible {
 		return Value{}, false
 	}
-	return v.vals[i], true
+	return mkValue(k, num, sp), true
 }
 
-// SnapshotVisible reports whether the instance has committed state at
-// begin epoch b.
+// SnapshotVisible reports whether the instance exists at begin epoch b:
+// false only while its creation has not committed at or below b.
 func (in *Instance) SnapshotVisible(b uint64) bool {
-	return in.versionAt(b) != nil
-}
-
-// SnapshotImage returns the full committed image as of begin epoch b
-// (nil, false when invisible). The returned slice is the version's
-// immutable backing array — do not modify, do not hold past the
-// enclosing snapshot transaction.
-func (in *Instance) SnapshotImage(b uint64) ([]Value, bool) {
-	v := in.versionAt(b)
-	if v == nil {
-		return nil, false
-	}
-	return v.vals, true
+	_, _, _, visible := in.readAt(-1, b)
+	return visible
 }
 
 // VersionCount returns the current length of the version chain
-// (diagnostics and reclamation tests).
+// (diagnostics and reclamation tests; not synchronized with writers).
 func (in *Instance) VersionCount() int {
 	n := 0
 	for v := in.verHead.Load(); v != nil; v = v.next.Load() {
 		n++
 	}
 	return n
-}
-
-// SeedVersions publishes an epoch-0 version for every instance that has
-// none. Recovery calls it after replay (and after SetRecoveredEpoch) so
-// the recovered state is visible to every snapshot; tests that build
-// stores by hand can use it the same way.
-func (s *Store) SeedVersions() {
-	for i := range s.extents {
-		for _, oid := range s.extents[i].snapshot() {
-			if in, ok := s.Get(oid); ok {
-				s.seedVersion(in)
-			}
-		}
-	}
 }

@@ -116,7 +116,7 @@ func TestRunCancellation(t *testing.T) {
 			calls := 0
 			err = run(m, ctx, func(tx *Txn) error {
 				calls++
-				tx.LogUndo(in, 0, in.Set(0, storage.IntV(99)))
+				tx.Write(in, 0, storage.IntV(99), false)
 				// What the engine's acquirer does for every lock.
 				_, err := m.Locks().AcquireWaitDone(tx.ID, res, lock.X, tx.Done())
 				return err
@@ -189,7 +189,6 @@ func TestRunCancellation(t *testing.T) {
 // the record, and recovery replays it.
 func TestRunCancelDuringDurabilityWait(t *testing.T) {
 	m, st, s := setup(t)
-	m.SetStore(st)
 	dir := t.TempDir()
 	fs := newGateFS()
 	w, _, err := wal.Open(dir, st, wal.Options{FS: fs})
@@ -208,12 +207,12 @@ func TestRunCancelDuringDurabilityWait(t *testing.T) {
 	var oid storage.OID
 	var id lock.TxnID
 	err = m.RunWithRetry(ctx, func(tx *Txn) error {
-		in, err := st.NewInstance(s.Class("c1"), storage.IntV(42))
+		in, marker, err := st.NewUncommitted(s.Class("c1"), storage.IntV(42))
 		if err != nil {
 			return err
 		}
 		oid, id = in.OID, tx.ID
-		tx.LogCreate(st, in)
+		tx.LogCreate(st, in, marker)
 		return m.Locks().Acquire(tx.ID, lock.InstanceRes(uint64(oid)), lock.X)
 	})
 	if !errors.Is(err, ErrUnackedCommit) || !errors.Is(err, context.Canceled) {
@@ -265,12 +264,12 @@ func TestRunBlockingCommitHoldsLocksAcrossFsync(t *testing.T) {
 	done := make(chan error, 1)
 	go func() {
 		done <- m.RunWithRetry(context.Background(), func(tx *Txn) error {
-			in, err := st.NewInstance(s.Class("c1"), storage.IntV(1))
+			in, marker, err := st.NewUncommitted(s.Class("c1"), storage.IntV(1))
 			if err != nil {
 				return err
 			}
 			id = tx.ID
-			tx.LogCreate(st, in)
+			tx.LogCreate(st, in, marker)
 			return m.Locks().Acquire(tx.ID, lock.InstanceRes(uint64(in.OID)), lock.X)
 		})
 	}()

@@ -27,11 +27,11 @@ func TestCommitPipelinedReleasesLocksBeforeHarden(t *testing.T) {
 
 	cls := s.Order[0]
 	tx := m.Begin()
-	in, err := st.NewInstance(cls)
+	in, marker, err := st.NewUncommitted(cls)
 	if err != nil {
 		t.Fatal(err)
 	}
-	tx.LogCreate(st, in)
+	tx.LogCreate(st, in, marker)
 	res := lock.InstanceRes(uint64(in.OID))
 	if err := m.Locks().Acquire(tx.ID, res, lock.X); err != nil {
 		t.Fatal(err)
@@ -115,11 +115,11 @@ func TestCommitPipelinedClosedLogRollsBack(t *testing.T) {
 	}
 	cls := s.Order[0]
 	tx := m.Begin()
-	in, err := st.NewInstance(cls)
+	in, marker, err := st.NewUncommitted(cls)
 	if err != nil {
 		t.Fatal(err)
 	}
-	tx.LogCreate(st, in)
+	tx.LogCreate(st, in, marker)
 	if _, err := tx.CommitPipelined(); err == nil {
 		t.Fatal("pipelined commit succeeded on a closed log")
 	}

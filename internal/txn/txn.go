@@ -7,22 +7,26 @@
 // parts of instances." The engine captures a before-image of exactly the
 // fields in the Write set of the executed method's transitive access
 // vector (once per transaction and instance slot); Abort plays the
-// images back in reverse order. When a redo log is attached, Commit
-// reads the same projected (instance, slot) pairs back as after-images
-// and appends one commit record — the lock plan, the undo log and the
-// redo record all derive from the same compile-time analysis. Slots
-// written under declared (escrow) commutativity are the one exception:
-// they are logged as integer deltas, not after-images, because a
-// concurrent escrow writer's uncommitted contribution may be sitting in
-// the live cell and must not become durable through someone else's
-// record. Abort never touches the log: undo is entirely in-memory, so
-// only committed transactions pay any I/O.
+// images back in reverse order. The captured image is also the version
+// snapshot readers roll back to (storage/version.go): the undo log
+// points at records linked on the instances' chains, and Commit stamps
+// them with its epoch instead of copying anything. When a redo log is
+// attached, Commit reads the same projected (instance, slot) pairs back
+// as after-images and appends one commit record — the lock plan, the
+// undo log and the redo record all derive from the same compile-time
+// analysis. Slots written under declared (escrow) commutativity are the
+// one exception: they are logged as integer deltas, not after-images,
+// because a concurrent escrow writer's uncommitted contribution may be
+// sitting in the live cell and must not become durable through someone
+// else's record. Abort never touches the log: undo is entirely
+// in-memory, so only committed transactions pay any I/O.
 package txn
 
 import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -80,24 +84,23 @@ var ErrSnapshotWrite = errors.New("txn: snapshot transaction is read-only")
 type entryKind uint8
 
 const (
-	entrySlot   entryKind = iota // slot before-image
-	entryDelta                   // slot integer delta (undo: subtract it)
-	entryCreate                  // instance created (undo: delete it)
+	entryWrite  entryKind = iota // slot write: rec is its before-image or delta
+	entryCreate                  // instance created (undo: delete it); rec is its marker
 	entryDelete                  // instance deleted (undo: restore it)
 	entryAction                  // opaque compensation, not durable
 )
 
 // undoEntry is one rollback step. Entries run in reverse chronological
 // order on Abort; on Commit the same entries, read forward, are the
-// TAV-projected redo record.
+// TAV-projected redo record. rec is the version record linked on the
+// instance's chain — the one copy of the before-image (or escrow delta),
+// read by rollback, by the redo projection and by snapshot readers.
 type undoEntry struct {
 	kind   entryKind
 	inst   *storage.Instance
-	store  *storage.Store // create/delete entries
-	slot   int
-	old    storage.Value
-	delta  int64  // entryDelta: net integer contribution of this txn
-	action func() // entryAction only
+	store  *storage.Store   // create/delete entries
+	rec    *storage.Version // write/create entries
+	action func()           // entryAction only
 }
 
 type undoKey struct {
@@ -123,13 +126,10 @@ type Txn struct {
 	// commit holds across the after-image reads and the log submit.
 	execSet []*storage.Instance
 
-	// pubSlots is the reused scratch for one instance's written-slot
-	// list during version publication.
-	pubSlots []int
-
 	// Snapshot-transaction state: a snapshot txn registers in the
-	// store's reader watermark at begin, reads versions ≤ snapEpoch,
-	// and never touches the lock table, the undo log, or the redo log.
+	// store's reader watermark at begin, reads every instance as of
+	// snapEpoch, and never touches the lock table, the undo log, or the
+	// redo log.
 	snapshot  bool
 	snapEpoch uint64
 	snapNode  storage.SnapshotReader
@@ -210,67 +210,43 @@ func (t *Txn) Writable() error {
 	return nil
 }
 
-// LogUndo captures the before-image of one slot, once per (instance,
-// slot) pair per transaction — later images would overwrite earlier
-// writes of the same transaction and must not be kept.
-func (t *Txn) LogUndo(in *storage.Instance, slot int, old storage.Value) {
+// Write stores v into one slot on the transaction's behalf. The first
+// write of an (instance, slot) pair links the transaction's one record
+// for it in the same store window — later images would overwrite earlier
+// writes of the same transaction and must not be kept — and every write
+// hands that record back to the store, which keeps it current (see
+// storage.Store.Write).
+//
+// escrow marks a slot written under declared commutativity: an integer
+// write is then recorded as the transaction's net delta, not a
+// before-image, and rollback subtracts it. Another writer of the slot is
+// not excluded by 2PL, so by abort time a pre-image may be stale and
+// restoring it would erase the concurrent writer's update; the net delta
+// is exactly final − pre-transaction however the writes interleaved.
+// The caller holds the instance's execution latch across its read of
+// the slot and this call.
+func (t *Txn) Write(in *storage.Instance, slot int, v storage.Value, escrow bool) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	k := undoKey{oid: in.OID, slot: slot}
 	if i, ok := t.undoSet[k]; ok {
-		if e := &t.undo[i]; e.kind == entryDelta {
-			// A full overwrite landed on a slot this transaction so far
-			// only touched with commuting deltas. The captured
-			// before-image includes our own accumulated delta — fold it
-			// back out so a single value entry restores the true
-			// pre-transaction value. (Sound because a non-commuting
-			// overwrite excludes concurrent escrow writers from here on.)
-			e.kind = entrySlot
-			e.old = old
-			if old.Kind == storage.KInt {
-				e.old.I = old.I - e.delta
-			}
-			e.delta = 0
-		}
+		t.mgr.store.Write(in, slot, v, t.undo[i].rec, escrow)
 		return
 	}
 	t.undoSet[k] = len(t.undo)
-	t.undo = append(t.undo, undoEntry{kind: entrySlot, inst: in, slot: slot, old: old})
+	rec := t.mgr.store.Write(in, slot, v, nil, escrow)
+	t.undo = append(t.undo, undoEntry{kind: entryWrite, inst: in, rec: rec})
 }
 
-// LogUndoDelta records an integer slot write as a delta instead of a
-// before-image: rollback subtracts the transaction's accumulated net
-// contribution rather than restoring a stale pre-image. This is the
-// sound undo form for declared-commuting (escrow) slots — under
-// commutativity another writer of the same slot is not excluded by
-// 2PL, so by abort time the pre-image may be stale and restoring it
-// would erase the concurrent writer's update. Repeated writes of one
-// slot accumulate into a single entry, so the net delta is exactly
-// final − pre-transaction and undo is exact regardless of how the
-// writes interleaved.
-func (t *Txn) LogUndoDelta(in *storage.Instance, slot int, delta int64) {
+// LogCreate records that this transaction created in, which entered the
+// store carrying marker (storage.Store.NewUncommitted): Abort removes it
+// from the store again, Commit stamps the marker and emits a create
+// record carrying the full image (so its individual slot writes are not
+// logged twice).
+func (t *Txn) LogCreate(st *storage.Store, in *storage.Instance, marker *storage.Version) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	k := undoKey{oid: in.OID, slot: slot}
-	if i, ok := t.undoSet[k]; ok {
-		if t.undo[i].kind == entryDelta {
-			t.undo[i].delta += delta
-		}
-		// A before-image entry already covers the slot: its restore
-		// subsumes every later write by this transaction.
-		return
-	}
-	t.undoSet[k] = len(t.undo)
-	t.undo = append(t.undo, undoEntry{kind: entryDelta, inst: in, slot: slot, delta: delta})
-}
-
-// LogCreate records that this transaction created in: Abort removes it
-// from the store again, Commit emits a create record carrying the full
-// image (so its individual slot writes are not logged twice).
-func (t *Txn) LogCreate(st *storage.Store, in *storage.Instance) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.undo = append(t.undo, undoEntry{kind: entryCreate, inst: in, store: st})
+	t.undo = append(t.undo, undoEntry{kind: entryCreate, inst: in, store: st, rec: marker})
 	t.created = append(t.created, in.OID)
 }
 
@@ -324,7 +300,7 @@ func (t *Txn) lockExecSet() {
 	es := t.execSet[:0]
 	for i := range t.undo {
 		e := &t.undo[i]
-		if e.kind != entrySlot && e.kind != entryDelta {
+		if e.kind != entryWrite {
 			continue
 		}
 		dup := false
@@ -382,7 +358,7 @@ func (t *Txn) submitRecord(w *wal.Log, epoch uint64) (*wal.Future, error) {
 	for i := range t.undo {
 		e := &t.undo[i]
 		switch e.kind {
-		case entrySlot, entryDelta:
+		case entryWrite:
 			if createdSet != nil {
 				if createdSet[e.inst.OID] {
 					continue // the create record carries the final image
@@ -390,7 +366,8 @@ func (t *Txn) submitRecord(w *wal.Log, epoch uint64) (*wal.Future, error) {
 			} else if t.createdHere(e.inst.OID) {
 				continue // the create record carries the final image
 			}
-			if e.kind == entryDelta {
+			slot := e.rec.Slot()
+			if delta, ok := e.rec.Delta(); ok {
 				// Commuting slot: log the transaction's net delta, not
 				// an after-image. The live value may include a
 				// concurrent escrow writer's uncommitted contribution,
@@ -398,9 +375,9 @@ func (t *Txn) submitRecord(w *wal.Log, epoch uint64) (*wal.Future, error) {
 				// after-image here would resurrect an aborted delta on
 				// replay. Delta replay applies exactly the committed
 				// contributions, in any order.
-				c.WriteDelta(uint64(e.inst.OID), e.slot, e.delta)
+				c.WriteDelta(uint64(e.inst.OID), slot, delta)
 			} else {
-				c.Write(uint64(e.inst.OID), e.slot, e.inst.Get(e.slot))
+				c.Write(uint64(e.inst.OID), slot, e.inst.Get(slot))
 			}
 		case entryCreate:
 			c.Create(e.inst.Class.ID, uint64(e.inst.OID), e.inst)
@@ -425,15 +402,21 @@ func (t *Txn) submitRecord(w *wal.Log, epoch uint64) (*wal.Future, error) {
 
 // commit is the one commit sequence: latch → allocate the epoch →
 // build and sequence the redo record (only when a log is attached and
-// the undo log has durable effects) → publish versions in epoch turn →
-// unlatch → release locks → finish the trace. What varies is only where
-// the durability wait sits relative to the lock release:
+// the undo log has durable effects) → stamp the version records and
+// retire the epoch → unlatch → release locks → finish the trace. What
+// varies is only where the durability wait sits relative to the lock
+// release:
 //
 //   - hold (blocking, uncancellable): the wait comes BEFORE the release,
 //     so conflicting transactions appear in the log in conflict order
 //     only after this one is durable, and a failed ticket — the log went
 //     fail-stop under the record — rolls the transaction back in memory
-//     while it still excludes every reader of its writes.
+//     while it still excludes every reader of its writes. Snapshot
+//     readers are excluded the same way: the records stay pending across
+//     the wait (a pending record is never pruned, so the rollback finds
+//     them) and are stamped with a second epoch once the ticket
+//     resolves. The first epoch, which the log record carries, retires
+//     empty before the wait.
 //   - pipelined: no wait; the Future is the caller's. Queue order is log
 //     order, so releasing at sequencing still puts any conflicting later
 //     transaction after this one in the log while the fsync proceeds in
@@ -450,10 +433,8 @@ func (t *Txn) submitRecord(w *wal.Log, epoch uint64) (*wal.Future, error) {
 // escrow, FineCC grants two committers of one instance concurrently,
 // making exactly that interleaving reachable. Latch-first means an
 // epoch holder never blocks on another transaction's latch: it builds
-// its record, sequences it, and retires, so the turnstile always
-// drains. Publication happens under the same latches as the after-image
-// reads (so the version image matches the record under escrow), and the
-// turnstile never waits on an fsync.
+// its record, sequences it, stamps and retires, so the turnstile always
+// drains, and it never waits on an fsync.
 func (t *Txn) commit(pipelined bool) (Future, error) {
 	if t.state != Active {
 		return Future{}, ErrNotActive
@@ -474,10 +455,13 @@ func (t *Txn) commit(pipelined bool) (Future, error) {
 	if w := t.mgr.wal; w != nil && len(t.undo) > 0 {
 		fut.w, err = t.submitRecord(w, epoch)
 	}
-	t.finishEpoch(epoch, err == nil)
+	limbo := hold && fut.w != nil // a ticket exists only when err == nil
+	t.finishEpoch(epoch, err == nil && !limbo)
 	t.unlockExecSet()
-	if err == nil && hold {
-		err = t.awaitTicket(fut)
+	if limbo {
+		if err = t.awaitTicket(fut); err == nil {
+			t.finishEpoch(t.allocEpoch(), true)
+		}
 	}
 	if err != nil {
 		t.Abort()
@@ -489,6 +473,14 @@ func (t *Txn) commit(pipelined bool) (Future, error) {
 	t.mgr.noteDone(true)
 	if pipelined {
 		t.finishTrace()
+		if fut.w != nil {
+			// The record was just handed to the log's writer goroutine and
+			// this session runs on. Where every processor is busy running
+			// sessions the writer gets one only when a session gives it
+			// up, so give it up here, once a commit, holding nothing —
+			// or batches close a scheduler time slice late.
+			runtime.Gosched()
+		}
 		return fut, nil
 	}
 	if !hold {
@@ -561,121 +553,52 @@ func (f Future) WaitDone(done <-chan struct{}) error {
 // closed) rolls the transaction back exactly like Commit.
 func (t *Txn) CommitPipelined() (Future, error) { return t.commit(true) }
 
-// allocEpoch draws a commit epoch when the transaction has versioned
-// effects and a store is attached (0 otherwise — real epochs start at
-// 1). Every non-zero epoch must be retired through finishEpoch.
+// allocEpoch draws a commit epoch when the transaction linked version
+// records (0 otherwise — real epochs start at 1). Every non-zero epoch
+// must be retired through finishEpoch.
 func (t *Txn) allocEpoch() uint64 {
-	st := t.mgr.store
-	if st == nil {
-		return 0
-	}
 	t.mu.Lock()
-	effects := false
+	defer t.mu.Unlock()
 	for i := range t.undo {
-		switch t.undo[i].kind {
-		case entrySlot, entryDelta, entryCreate:
-			effects = true
+		if t.undo[i].rec != nil {
+			return t.mgr.store.AllocEpoch()
 		}
 	}
-	t.mu.Unlock()
-	if !effects {
-		return 0
-	}
-	return st.AllocEpoch()
+	return 0
 }
 
-// finishEpoch waits for the epoch's turn in the store's turnstile,
-// publishes the transaction's version records (when the commit
-// succeeded), and retires the epoch. Publishing inside the turnstile
-// keeps every per-instance version chain strictly epoch-descending and
-// makes the previous chain head exactly the committed image as of
-// epoch-1 — the copy-forward source PublishVersion requires. No-op for
-// epoch 0.
-func (t *Txn) finishEpoch(epoch uint64, publish bool) {
+// finishEpoch stamps the transaction's version records with the epoch
+// (when stamp is set: the commit stands) and retires it in order. A
+// snapshot that begins at or above the epoch from here on reads the
+// transaction's writes. No-op for epoch 0.
+func (t *Txn) finishEpoch(epoch uint64, stamp bool) {
 	if epoch == 0 {
 		return
 	}
-	st := t.mgr.store
-	st.AwaitEpochTurn(epoch)
-	if publish {
-		t.publishTo(st, epoch)
+	if stamp {
+		t.mu.Lock()
+		for i := range t.undo {
+			if rec := t.undo[i].rec; rec != nil {
+				rec.Stamp(epoch)
+			}
+		}
+		t.mu.Unlock()
 	}
-	st.FinishEpoch(epoch)
+	t.mgr.store.FinishEpoch(epoch)
 }
 
-// publishTo publishes one version record per distinct instance this
-// transaction wrote or created, stamped with the commit epoch. Callers
-// still hold every lock (and, under escrow, the execution latches), so
-// the written slots' live cells hold the committed values. For an
-// instance this transaction did not create, only its own written slots
-// are taken from the live cells — every other slot copy-forwards from
-// the previous version, so a concurrent writer's uncommitted value
-// (FieldCC grants disjoint-field writers of one instance concurrently)
-// never enters the published image.
-func (t *Txn) publishTo(st *storage.Store, epoch uint64) {
-	w := st.SnapshotWatermark()
-	t.mu.Lock()
-	for i := range t.undo {
-		e := &t.undo[i]
-		switch e.kind {
-		case entrySlot, entryDelta, entryCreate:
-		default:
-			continue
-		}
-		// Publish on the entry's first appearance only: undoSet maps a
-		// slot to its first entry, and creates are unique per instance,
-		// so scanning for an earlier entry of the same instance
-		// deduplicates without allocating.
-		first := true
-		for j := 0; j < i; j++ {
-			p := &t.undo[j]
-			if p.inst == e.inst && (p.kind == entrySlot || p.kind == entryDelta || p.kind == entryCreate) {
-				first = false
-				break
-			}
-		}
-		if !first {
-			continue
-		}
-		// Gather this transaction's written slots on the instance
-		// (undoSet keeps one entry per slot, so no duplicates). A
-		// create publishes the full image: there is no previous version
-		// to copy-forward from and no concurrent writer to exclude.
-		created := e.kind == entryCreate
-		slots := t.pubSlots[:0]
-		for j := i; j < len(t.undo); j++ {
-			p := &t.undo[j]
-			if p.inst != e.inst {
-				continue
-			}
-			switch p.kind {
-			case entryCreate:
-				created = true
-			case entrySlot, entryDelta:
-				slots = append(slots, p.slot)
-			}
-		}
-		t.pubSlots = slots
-		if created {
-			st.PublishVersion(e.inst, epoch, w, nil)
-		} else {
-			st.PublishVersion(e.inst, epoch, w, slots)
-		}
-	}
-	t.mu.Unlock()
-}
-
-// undoAll plays the undo log backwards, leaving it in place.
-func (t *Txn) undoAll() {
+// rollback plays the undo log backwards and clears it. Each slot write
+// is restored and its record unlinked in one store window, so no
+// snapshot ever reads the undone value.
+func (t *Txn) rollback() {
 	t.mu.Lock()
 	for i := len(t.undo) - 1; i >= 0; i-- {
 		e := &t.undo[i]
 		switch e.kind {
-		case entrySlot:
-			e.inst.Set(e.slot, e.old)
-		case entryDelta:
-			e.inst.AddInt(e.slot, -e.delta)
+		case entryWrite:
+			e.inst.Rollback(e.rec)
 		case entryCreate:
+			// The marker stays pending on the dead instance.
 			e.store.Delete(e.inst.OID) //nolint:errcheck // already gone is fine
 		case entryDelete:
 			e.store.Restore(e.inst)
@@ -684,11 +607,6 @@ func (t *Txn) undoAll() {
 		}
 	}
 	t.mu.Unlock()
-}
-
-// rollback plays the undo log backwards and clears it.
-func (t *Txn) rollback() {
-	t.undoAll()
 	t.clearUndo()
 }
 
@@ -720,37 +638,14 @@ func (t *Txn) Abort() {
 		t.endSnapshot(false)
 		return
 	}
-	// Under declared commutativity a concurrent writer may have
-	// committed (and published) a version that includes this
-	// transaction's now-undone delta. Republish the corrected image
-	// after rollback so the version chain converges back to the
-	// committed state.
-	fix := false
-	if t.mgr.store != nil {
-		t.mu.Lock()
-		for i := range t.undo {
-			if t.undo[i].kind == entryDelta {
-				fix = true
-				break
-			}
-		}
-		t.mu.Unlock()
+	// Subtracting a delta is a read-modify-write of a cell that commuting
+	// writers' frames also read-modify-write, under the execution latch:
+	// roll back under the same latches.
+	if t.mgr.LatchWrites {
+		t.lockExecSet()
 	}
-	if fix {
-		// Latch before allocating, like commit — an epoch holder
-		// must never block on another transaction's latch or the
-		// turnstile deadlocks.
-		if t.mgr.LatchWrites {
-			t.lockExecSet()
-		}
-		epoch := t.mgr.store.AllocEpoch()
-		t.undoAll()
-		t.finishEpoch(epoch, true)
-		t.unlockExecSet()
-		t.clearUndo()
-	} else {
-		t.rollback()
-	}
+	t.rollback()
+	t.unlockExecSet()
 	t.mgr.locks.ReleaseAll(t.ID)
 	t.mgr.noteDone(false)
 	t.finishTrace()
@@ -784,7 +679,7 @@ type Stats struct {
 type Manager struct {
 	locks  *lock.Manager
 	wal    *wal.Log
-	store  *storage.Store // version publication target; nil disables multiversioning
+	store  *storage.Store // links version records and hands out commit epochs
 	flight *obs.FlightRecorder
 
 	next      atomic.Uint64
@@ -838,12 +733,11 @@ func (m *Manager) Locks() *lock.Manager { return m.locks }
 // its group-commit ticket. Attach before serving transactions.
 func (m *Manager) SetWAL(w *wal.Log) { m.wal = w }
 
-// SetStore attaches the object store for multiversion publication:
-// every later commit with effects publishes version records stamped
-// with a commit epoch, and BeginSnapshot hands out lock-free snapshot
-// transactions over them. Attach before serving transactions; without
-// it, commits publish nothing and snapshot transactions are
-// unavailable.
+// SetStore attaches the object store: Write links version records
+// through it, every commit with effects stamps them with an epoch drawn
+// from it, and BeginSnapshot hands out lock-free snapshot transactions
+// over them. Attach before serving transactions — writes and snapshot
+// transactions require it.
 func (m *Manager) SetStore(st *storage.Store) { m.store = st }
 
 // Store returns the attached object store (nil when none).
@@ -884,7 +778,7 @@ func (m *Manager) Begin() *Txn {
 
 // BeginSnapshot starts a snapshot transaction: it registers in the
 // store's reclamation watermark, freezes its begin epoch, and from then
-// on reads only published versions ≤ that epoch. It acquires no locks,
+// on reads every instance as of that epoch. It acquires no locks,
 // writes nothing, can never deadlock, and never blocks or aborts a
 // writer. Requires an attached store.
 func (m *Manager) BeginSnapshot() *Txn {

@@ -22,7 +22,17 @@ func setup(t *testing.T) (*Manager, *storage.Store, *schema.Schema) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return NewManager(lock.NewManager()), storage.NewStore(s), s
+	m, st := NewManager(lock.NewManager()), storage.NewStore(s)
+	m.SetStore(st)
+	return m, st, s
+}
+
+// add is what an escrow-slot store does in the engine: read, add and
+// write back under the instance's execution latch, recorded as a delta.
+func add(tx *Txn, in *storage.Instance, slot int, n int64) {
+	in.LockExec()
+	tx.Write(in, slot, storage.IntV(in.Get(slot).I+n), true)
+	in.UnlockExec()
 }
 
 func TestCommitReleasesLocks(t *testing.T) {
@@ -55,10 +65,10 @@ func TestAbortRollsBackInReverse(t *testing.T) {
 	}
 	tx := m.Begin()
 	// Two writes to the same slot: only the first before-image counts.
-	tx.LogUndo(in, 0, in.Set(0, storage.IntV(20)))
-	tx.LogUndo(in, 0, in.Set(0, storage.IntV(30)))
+	tx.Write(in, 0, storage.IntV(20), false)
+	tx.Write(in, 0, storage.IntV(30), false)
 	// And one write to another slot.
-	tx.LogUndo(in, 1, in.Set(1, storage.BoolV(true)))
+	tx.Write(in, 1, storage.BoolV(true), false)
 	if tx.UndoDepth() != 2 {
 		t.Errorf("undo depth = %d, want 2 (dedup per slot)", tx.UndoDepth())
 	}
@@ -75,7 +85,7 @@ func TestCommitKeepsWrites(t *testing.T) {
 	m, st, s := setup(t)
 	in, _ := st.NewInstance(s.Class("c1"), storage.IntV(1))
 	tx := m.Begin()
-	tx.LogUndo(in, 0, in.Set(0, storage.IntV(2)))
+	tx.Write(in, 0, storage.IntV(2), false)
 	if err := tx.Commit(); err != nil {
 		t.Fatal(err)
 	}
@@ -190,11 +200,11 @@ func TestRetryResolvesRealDeadlock(t *testing.T) {
 			if err := m.Locks().Acquire(tx.ID, lock.InstanceRes(uint64(first.OID)), lock.X); err != nil {
 				return err
 			}
-			tx.LogUndo(first, 0, first.Set(0, storage.IntV(first.Get(0).I+1)))
+			tx.Write(first, 0, storage.IntV(first.Get(0).I+1), false)
 			if err := m.Locks().Acquire(tx.ID, lock.InstanceRes(uint64(second.OID)), lock.X); err != nil {
 				return err
 			}
-			tx.LogUndo(second, 0, second.Set(0, storage.IntV(second.Get(0).I+1)))
+			tx.Write(second, 0, storage.IntV(second.Get(0).I+1), false)
 			return nil
 		}
 	}
@@ -240,12 +250,12 @@ func TestAbortTypedCreateDelete(t *testing.T) {
 	old, _ := st.NewInstance(c1, storage.IntV(7))
 
 	tx := m.Begin()
-	created, err := st.NewInstance(c1, storage.IntV(1))
+	created, marker, err := st.NewUncommitted(c1, storage.IntV(1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	tx.LogCreate(st, created)
-	tx.LogUndo(created, 0, created.Set(0, storage.IntV(2)))
+	tx.LogCreate(st, created, marker)
+	tx.Write(created, 0, storage.IntV(2), false)
 	deleted, err := st.Delete(old.OID)
 	if err != nil {
 		t.Fatal(err)
@@ -275,7 +285,7 @@ func TestPooledTxnReuseIsClean(t *testing.T) {
 			if tx.UndoDepth() != 0 {
 				t.Fatalf("iteration %d: recycled txn has %d undo entries", i, tx.UndoDepth())
 			}
-			tx.LogUndo(in, 0, in.Set(0, storage.IntV(int64(i+1))))
+			tx.Write(in, 0, storage.IntV(int64(i+1)), false)
 			if !commit {
 				return &lock.DeadlockError{Txn: tx.ID}
 			}
@@ -407,7 +417,7 @@ func TestWritableAfterLogFailStop(t *testing.T) {
 		t.Fatal(err)
 	}
 	tx := m.Begin()
-	tx.LogUndo(in, 0, in.Set(0, storage.IntV(2)))
+	tx.Write(in, 0, storage.IntV(2), false)
 	err = tx.Commit()
 	if err == nil {
 		t.Fatal("commit over a full disk succeeded")
@@ -431,14 +441,14 @@ func TestWritableAfterLogFailStop(t *testing.T) {
 }
 
 // TestDeltaUndoEscrowAbort is the escrow regression: many transactions
-// deposit into one balance concurrently via commuting AddInt writes
+// deposit into one balance concurrently via commuting delta writes
 // (no exclusive locks held across each other), one of them aborts, and
 // the final balance must be exactly the sum of the committed deposits.
 // Value-undo would be wrong here — restoring a before-image would wipe
 // out concurrent deposits that landed after it was captured.
 func TestDeltaUndoEscrowAbort(t *testing.T) {
 	m, st, s := setup(t)
-	m.SetStore(st)
+	m.LatchWrites = true // as the engine sets it under escrow
 	in, err := st.NewInstance(s.Class("c1"), storage.IntV(0), storage.BoolV(false))
 	if err != nil {
 		t.Fatal(err)
@@ -457,8 +467,7 @@ func TestDeltaUndoEscrowAbort(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < rounds; i++ {
 				tx := m.Begin()
-				in.AddInt(0, deposit)
-				tx.LogUndoDelta(in, 0, deposit)
+				add(tx, in, 0, deposit)
 				if err := tx.Commit(); err != nil {
 					t.Error(err)
 					return
@@ -473,10 +482,8 @@ func TestDeltaUndoEscrowAbort(t *testing.T) {
 		defer wg.Done()
 		for i := 0; i < rounds; i++ {
 			tx := m.Begin()
-			in.AddInt(0, abortAmt)
-			tx.LogUndoDelta(in, 0, abortAmt)
-			in.AddInt(0, abortAmt)
-			tx.LogUndoDelta(in, 0, abortAmt) // accumulates, not duplicates
+			add(tx, in, 0, abortAmt)
+			add(tx, in, 0, abortAmt) // accumulates, not duplicates
 			tx.Abort()
 		}
 	}()
@@ -493,15 +500,13 @@ func TestDeltaUndoEscrowAbort(t *testing.T) {
 // restores the image, which already covers everything after it.
 func TestDeltaUndoSubsumedByValueUndo(t *testing.T) {
 	m, st, s := setup(t)
-	m.SetStore(st)
 	in, err := st.NewInstance(s.Class("c1"), storage.IntV(10), storage.BoolV(false))
 	if err != nil {
 		t.Fatal(err)
 	}
 	tx := m.Begin()
-	tx.LogUndo(in, 0, in.Set(0, storage.IntV(50)))
-	in.AddInt(0, 7)
-	tx.LogUndoDelta(in, 0, 7)
+	tx.Write(in, 0, storage.IntV(50), false)
+	add(tx, in, 0, 7)
 	if tx.UndoDepth() != 1 {
 		t.Errorf("undo depth = %d, want 1 (delta subsumed by value entry)", tx.UndoDepth())
 	}
@@ -515,49 +520,48 @@ func TestDeltaUndoSubsumedByValueUndo(t *testing.T) {
 	// alone would double-undo — the delta entry must convert/skip
 	// correctly. Expected final: original value.
 	tx2 := m.Begin()
-	in.AddInt(0, 5)
-	tx2.LogUndoDelta(in, 0, 5) // balance 15
-	tx2.LogUndo(in, 0, in.Set(0, storage.IntV(99)))
+	add(tx2, in, 0, 5) // balance 15
+	tx2.Write(in, 0, storage.IntV(99), false)
 	tx2.Abort()
 	if got := in.Get(0).I; got != 10 {
 		t.Errorf("after delta-then-set abort = %d, want 10", got)
 	}
 }
 
-// TestPublishExcludesConcurrentUncommittedSlot: under field-granularity
+// TestSnapshotExcludesConcurrentUncommittedSlot: under field-granularity
 // locking two transactions may write disjoint slots of one instance
-// concurrently. The first committer's published version must carry only
-// its own slots forward — capturing the whole live image would embed
-// the second transaction's uncommitted value, and if that transaction
-// then aborts, plain value rollback never republishes, so snapshot
-// readers would be served the aborted value forever.
-func TestPublishExcludesConcurrentUncommittedSlot(t *testing.T) {
+// concurrently. A snapshot begun after the first commits reads that
+// transaction's slot and rolls the other's back — while the second is
+// in flight, and after it aborts.
+func TestSnapshotExcludesConcurrentUncommittedSlot(t *testing.T) {
 	m, st, s := setup(t)
-	m.SetStore(st)
 	in, err := st.NewInstance(s.Class("c1"), storage.IntV(1), storage.BoolV(false))
 	if err != nil {
 		t.Fatal(err)
 	}
-	st.SeedVersions()
 
 	// T2 writes slot 1 and is still in flight when T1 commits slot 0.
 	t2 := m.Begin()
-	t2.LogUndo(in, 1, in.Set(1, storage.BoolV(true)))
+	t2.Write(in, 1, storage.BoolV(true), false)
 
 	t1 := m.Begin()
-	t1.LogUndo(in, 0, in.Set(0, storage.IntV(42)))
+	t1.Write(in, 0, storage.IntV(42), false)
 	if err := t1.Commit(); err != nil {
 		t.Fatal(err)
 	}
+	check := func(when string) {
+		t.Helper()
+		b := st.StableEpoch()
+		if v, ok := in.SnapshotGet(0, b); !ok || v.I != 42 {
+			t.Fatalf("%s: committed slot 0 = %v ok=%t, want 42", when, v, ok)
+		}
+		if v, ok := in.SnapshotGet(1, b); !ok || v.B {
+			t.Fatalf("%s: slot 1 = %v ok=%t: a concurrent uncommitted write leaked into the snapshot", when, v, ok)
+		}
+	}
+	check("T2 in flight")
 	t2.Abort()
-
-	b := st.StableEpoch()
-	if v, ok := in.SnapshotGet(0, b); !ok || v.I != 42 {
-		t.Fatalf("committed slot 0 = %v ok=%t, want 42", v, ok)
-	}
-	if v, ok := in.SnapshotGet(1, b); !ok || v.B {
-		t.Fatalf("slot 1 = %v ok=%t: concurrent uncommitted (then aborted) write leaked into the published version", v, ok)
-	}
+	check("T2 aborted")
 	if got := in.Get(1); got != storage.BoolV(false) {
 		t.Errorf("live slot 1 after abort = %v, want false", got)
 	}
@@ -576,7 +580,6 @@ func TestPublishExcludesConcurrentUncommittedSlot(t *testing.T) {
 // not a deterministic regression trap.
 func TestEscrowCommitTurnstileNoDeadlock(t *testing.T) {
 	m, st, s := setup(t)
-	m.SetStore(st)
 	m.LatchWrites = true
 	l, _, err := wal.Open(t.TempDir(), st, wal.Options{})
 	if err != nil {
@@ -588,9 +591,8 @@ func TestEscrowCommitTurnstileNoDeadlock(t *testing.T) {
 	// Each worker also writes a private instance with a lower OID than
 	// the shared one, so sorted latch acquisition takes the private
 	// latch first and multi-latch commits are exercised. Every fourth
-	// round aborts instead of committing: the abort fix path holds the
-	// shared latch across its whole epoch window, the widest spot for
-	// a latch/epoch ordering inversion to land.
+	// round aborts instead of committing, rolling its deltas back under
+	// the same latches beside the committers.
 	const (
 		workers = 8
 		rounds  = 200
@@ -607,7 +609,6 @@ func TestEscrowCommitTurnstileNoDeadlock(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st.SeedVersions()
 
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -616,10 +617,8 @@ func TestEscrowCommitTurnstileNoDeadlock(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < rounds; i++ {
 				tx := m.Begin()
-				p.AddInt(0, 1)
-				tx.LogUndoDelta(p, 0, 1)
-				in.AddInt(0, 1)
-				tx.LogUndoDelta(in, 0, 1)
+				add(tx, p, 0, 1)
+				add(tx, in, 0, 1)
 				if i%4 == 3 {
 					tx.Abort()
 					continue

@@ -12,11 +12,15 @@ import (
 	"repro/internal/storage"
 )
 
-// Checkpointing is log compaction by replay. The live store cannot be
-// snapshotted directly: transactions write in place and roll back with
-// in-memory undo, so at any instant the store mixes committed and
-// uncommitted slot values. The log, however, contains only committed
-// effects — so a transactionally consistent checkpoint is obtained by
+// Checkpointing is log compaction by replay. Transactions write the
+// live store in place and roll back with in-memory undo, so at any
+// instant its cells mix committed and uncommitted slot values. (Since
+// the undo records became the version chains, storage/version.go, the
+// live store can be read consistently at an epoch — a snapshot reader
+// does exactly that — so a checkpoint could be taken from it directly;
+// this file still goes through the log, and changing that is its own
+// piece of work.) The log contains only committed effects — so a
+// transactionally consistent checkpoint is obtained by
 // sealing the current segment (one rotation message to the writer
 // goroutine; commits keep flowing into the next segment), replaying
 // previous checkpoint + sealed segments into a scratch store, and

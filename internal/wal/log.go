@@ -601,8 +601,8 @@ func (l *Log) maybeAutoCheckpoint() {
 }
 
 // BeginCommit starts encoding one transaction's commit record, stamped
-// with its multiversion commit epoch (0 when the committer publishes no
-// versions) — recovery rebuilds the epoch counter from the maximum over
+// with its multiversion commit epoch (0 when the committer linked no
+// version records) — recovery rebuilds the epoch counter from the maximum over
 // all records. The returned commit must finish with Commit or
 // CommitPipelined (which wait for / hand out the group-commit ticket)
 // or Discard.

@@ -74,8 +74,8 @@ const (
 )
 
 // Payload offsets of the fixed commit-record header. The epoch is the
-// transaction's multiversion commit epoch (0 when the committing
-// manager had no store attached): recovery takes the maximum over all
+// transaction's multiversion commit epoch (0 when the transaction
+// linked no version records): recovery takes the maximum over all
 // replayed records to re-seed the epoch counter, so post-recovery
 // commit epochs continue above everything the log ever stamped.
 const (

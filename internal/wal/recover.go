@@ -157,15 +157,14 @@ func Open(dir string, st *storage.Store, o Options) (*Log, RecoveryInfo, error) 
 	}
 	st.SortExtents()
 	// Restart the epoch clock past every commit recovery saw — from the
-	// checkpoint image or a replayed record — then seed an epoch-0
-	// version for each recovered instance so snapshot readers begun
-	// before the first post-recovery commit see the recovered state.
+	// checkpoint image or a replayed record. Replay linked no version
+	// records, so the recovered state is what every snapshot reads until
+	// the first post-recovery commit.
 	epoch := ckptEpoch
 	if r.maxEpoch > epoch {
 		epoch = r.maxEpoch
 	}
 	st.SetRecoveredEpoch(epoch)
-	st.SeedVersions()
 	info.Epoch = epoch
 
 	l := &Log{dir: dir, sch: sch, opts: o, fs: fsys}

@@ -269,3 +269,74 @@ func TestFailStopGoldenCADFsyncError(t *testing.T) {
 func TestFailStopGoldenCADENOSPC(t *testing.T) {
 	failStopGolden(t, cadSrc, cadFailStop, true)
 }
+
+// TestFailStopViewReadsAcknowledgedPrefix: a blocking commit whose
+// ticket fails is rolled back for snapshot readers too. The goldens
+// above dump the live cells, which the rollback always restored; a View
+// reads through the version chains, where the unacknowledged value used
+// to survive the fail-stop.
+func TestFailStopViewReadsAcknowledgedPrefix(t *testing.T) {
+	schema, err := Compile(bankingSrc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// deposits runs one account through a series of blocking deposit
+	// commits and returns the balance of the acknowledged ones, stopping
+	// at the first failure.
+	deposits := func(db *Database) (acct OID, acked int64, failed bool) {
+		acked = 1000
+		if err := db.Update(func(tx *Txn) error {
+			var err error
+			acct, err = tx.New("savings", int64(1), "owner", acked)
+			return err
+		}); err != nil {
+			t.Fatalf("setup commit: %v", err)
+		}
+		for op := int64(1); op <= 20; op++ {
+			err := db.Update(func(tx *Txn) error {
+				_, err := tx.Send(acct, "deposit", op)
+				return err
+			})
+			if err != nil {
+				if !IsReadOnly(err) {
+					t.Fatalf("deposit %d: failure not IsReadOnly: %v", op, err)
+				}
+				return acct, acked, true
+			}
+			acked += op
+		}
+		return acct, acked, false
+	}
+
+	ref := wal.NewFaultFS(nil, wal.FaultPlan{FailAt: -1})
+	refDB, err := OpenWith(schema, Fine, Options{Dir: t.TempDir(), fs: ref})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, failed := deposits(refDB); failed {
+		t.Fatal("reference run saw a failure")
+	}
+	if err := refDB.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	plan := wal.FaultPlan{Class: wal.FaultErr, FailAt: pickOp(t, ref.Trace(), wal.KindSync)}
+	db, err := OpenWith(schema, Fine, Options{Dir: t.TempDir(), fs: wal.NewFaultFS(nil, plan)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close() //nolint:errcheck // a latched log reports its failure here
+	acct, acked, failed := deposits(db)
+	if !failed {
+		t.Fatal("fault never fired")
+	}
+	if err := db.View(func(tx *Txn) error {
+		got, err := tx.Send(acct, "getbalance")
+		if err == nil && got != acked {
+			t.Errorf("View after fail-stop reads balance %v, want the acknowledged %d", got, acked)
+		}
+		return err
+	}); err != nil {
+		t.Fatalf("View after fail-stop: %v", err)
+	}
+}
