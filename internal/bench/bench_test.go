@@ -33,7 +33,7 @@ func TestScenario52(t *testing.T) {
 		// "Consequently, either T1∥T3, or T3∥T4 are allowed."
 		"relational": {"T1,T3", "T2", "T3,T4"},
 	}
-	for _, s := range AllScenarioStrategies() {
+	for _, s := range engine.Strategies() {
 		res, err := RunScenario(s, false)
 		if err != nil {
 			t.Fatalf("%s: %v", s.Name(), err)
@@ -201,7 +201,7 @@ func TestPseudoShape(t *testing.T) {
 }
 
 func TestThroughputRuns(t *testing.T) {
-	for _, s := range AllScenarioStrategies() {
+	for _, s := range engine.Strategies() {
 		for _, profile := range []ThroughputProfile{ProfileRandom, ProfileHotDisjoint} {
 			row, err := RunThroughputWorkload(s, profile, 4, 25)
 			if err != nil {
@@ -457,7 +457,7 @@ func BenchmarkCompileTAV(b *testing.B) {
 // m3) per strategy — the fine protocol pays two lock requests, the
 // baselines one control per message plus escalations.
 func BenchmarkSend(b *testing.B) {
-	for _, s := range AllScenarioStrategies() {
+	for _, s := range engine.Strategies() {
 		b.Run(s.Name(), func(b *testing.B) {
 			db := engine.Open(compileFig1(b), s)
 			var oid storage.OID
@@ -585,7 +585,7 @@ func BenchmarkThroughput(b *testing.B) {
 		}
 	}
 	for _, profile := range []ThroughputProfile{ProfileHotDisjoint, ProfileRandom} {
-		for _, s := range AllScenarioStrategies() {
+		for _, s := range engine.Strategies() {
 			for _, nworkers := range []int{1, 8} {
 				b.Run(fmt.Sprintf("%s/%s/w%d", profile, s.Name(), nworkers), func(b *testing.B) {
 					blocks := int64(0)

@@ -284,8 +284,8 @@ type engineWorker struct {
 	sc      EngineScenario
 	cumW    []int // cumulative send weights
 	totW    int
-	roOps   []int // indices of read-only sends (ReadRatio partition)
-	wrOps   []int // indices of writing sends
+	roOps   []int         // indices of read-only sends (ReadRatio partition)
+	wrOps   []int         // indices of writing sends
 	private []storage.OID // churn pool, owned by this worker
 	futures []txn.Future  // outstanding pipelined commits, oldest first
 }

@@ -204,7 +204,7 @@ func runScenario52(w io.Writer) error {
 			fmt.Fprintln(w, "\n  variant: m2 does not modify the key field")
 		}
 		t := NewTable("strategy", "maximal concurrent sets")
-		for _, s := range AllScenarioStrategies() {
+		for _, s := range engine.Strategies() {
 			res, err := RunScenario(s, variant)
 			if err != nil {
 				return err
@@ -240,14 +240,14 @@ func runOverhead(w io.Writer) error {
 		{"m4 → c2 instance", "c2", "m4", 2},
 	}
 	headers := []string{"send"}
-	for _, s := range AllScenarioStrategies() {
+	for _, s := range engine.Strategies() {
 		headers = append(headers, s.Name())
 	}
 	t := NewTable(headers...)
 
 	for _, snd := range sends {
 		row := []string{snd.label}
-		for _, strat := range AllScenarioStrategies() {
+		for _, strat := range engine.Strategies() {
 			c, err := compiledFigure1()
 			if err != nil {
 				return err
@@ -481,7 +481,7 @@ func RunPseudoWorkload(strategy engine.Strategy, workers, rounds int) (PseudoRow
 
 func runPseudo(w io.Writer) error {
 	t := NewTable("strategy", "committed", "blocks", "wall")
-	for _, s := range AllScenarioStrategies() {
+	for _, s := range engine.Strategies() {
 		row, err := RunPseudoWorkload(s, 2, 300)
 		if err != nil {
 			return err
@@ -781,7 +781,7 @@ func runThroughput(w io.Writer) error {
 	for _, profile := range []ThroughputProfile{ProfileHotDisjoint, ProfileRandom} {
 		fmt.Fprintf(w, "  profile: %s\n", profile)
 		t := NewTable("strategy", "workers", "committed", "blocks", "retries", "wall", "txn/s")
-		for _, s := range AllScenarioStrategies() {
+		for _, s := range engine.Strategies() {
 			for _, workers := range []int{1, 2, 4, 8} {
 				row, err := RunThroughputWorkload(s, profile, workers, 100)
 				if err != nil {

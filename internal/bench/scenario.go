@@ -216,16 +216,3 @@ func maximalCompatibleSets(conflict [scenarioTxns][scenarioTxns]bool) []string {
 	sort.Strings(out)
 	return out
 }
-
-// AllScenarioStrategies is the strategy list the scenario experiment and
-// the quantitative experiments sweep.
-func AllScenarioStrategies() []engine.Strategy {
-	return []engine.Strategy{
-		engine.FineCC{},
-		engine.RWCC{},
-		engine.RWImplicitCC{},
-		engine.RWAnnounceCC{},
-		engine.FieldCC{},
-		engine.RelCC{},
-	}
-}

@@ -30,7 +30,7 @@ func minAllocsPerRun(runs int, f func()) float64 {
 }
 
 // The hot-path allocation budget (ISSUE 2 acceptance): once locks are
-// warm, a fine-CC strategy dispatch and a whole DB.Send perform zero
+// warm, walking a fine-CC top-send plan and a whole DB.Send perform zero
 // heap allocations. testing.AllocsPerRun is exact, so any regression —
 // a mode boxed per call, a context or frame allocated per send, a
 // string materialised per resource — fails here, not in a profile.
@@ -41,24 +41,24 @@ func TestTopSendDispatchZeroAllocs(t *testing.T) {
 
 	tx := db.Begin()
 	defer tx.Commit()
-	cls := db.Compiled.Schema.Class("c2")
 	mid, ok := db.MethodID("m3")
 	if !ok {
 		t.Fatal("m3 not interned")
 	}
+	plan := db.Runtime().class(db.Compiled.Schema.Class("c2")).plans[mid].top
 	a := liveAcquirer{locks: db.Locks(), txn: tx.ID}
 
-	// Warm: first dispatch takes the instance and class locks.
-	if err := db.CC.TopSend(&a, db.Runtime(), uint64(oid), cls, mid); err != nil {
+	// Warm: the first walk takes the instance and class locks.
+	if err := plan.acquire(&a, uint64(oid)); err != nil {
 		t.Fatal(err)
 	}
 	allocs := testing.AllocsPerRun(200, func() {
-		if err := db.CC.TopSend(&a, db.Runtime(), uint64(oid), cls, mid); err != nil {
+		if err := plan.acquire(&a, uint64(oid)); err != nil {
 			t.Fatal(err)
 		}
 	})
 	if allocs != 0 {
-		t.Errorf("warm FineCC.TopSend dispatch allocates %.1f objects/op, want 0", allocs)
+		t.Errorf("warm FineCC top-send plan allocates %.1f objects/op, want 0", allocs)
 	}
 }
 

@@ -2,63 +2,35 @@
 // pluggable concurrency-control strategy. The interpreter implements the
 // calling mechanism of section 2.2 — late binding for self-directed
 // messages, prefixed (super) calls, messages to referenced instances —
-// and delegates every locking decision to a Strategy, so the paper's
+// and takes every lock from a strategy's lock plans, so the paper's
 // protocol (section 5.2) and the baselines it argues against (sections 3
 // and 6) run the same workloads on the same substrate.
+//
+// A strategy is data. At Open it compiles, against the access vectors
+// and modes of the compiled schema, to one lock plan per (class,
+// method, event), stored in the Runtime's tables; at run time one
+// executor walks the plan of the event at hand. "Which locks does event
+// E take?" is therefore a table lookup made once, at schema build — the
+// paper's advantage (2), run-time checking as cheap as a compatibility
+// check — and the read/write and relational baselines differ from the
+// paper's protocol only in the tables they build, which is advantage (5):
+// they are subsumed by the same mechanism.
 package engine
 
 import (
+	"fmt"
+
+	"repro/internal/core"
 	"repro/internal/lock"
 	"repro/internal/obs"
 	"repro/internal/schema"
 )
 
-// Acquirer abstracts lock acquisition so a strategy can either lock for
+// Acquirer abstracts lock acquisition so a plan can either lock for
 // real (live transaction) or record the lock set it would take (the
 // section 5.2 scenario analysis in internal/bench).
 type Acquirer interface {
 	Acquire(res lock.ResourceID, mode lock.Mode) error
-}
-
-// Strategy decides which locks each execution event takes. Methods are
-// identified by interned schema.MethodID and every per-class artefact
-// (access-mode index, lock resource, writer bit, relational plan) comes
-// from the Runtime's precomputed tables, so a strategy call performs no
-// string hashing and no allocation. Engine hooks:
-//
-//	TopSend      — a message arrives at an instance from outside
-//	               (a transaction boundary crossing, the paper's "top
-//	               message"), including messages sent to *other*
-//	               instances from inside a method;
-//	NestedSend   — a self-directed message during execution (plain or
-//	               prefixed);
-//	FieldAccess  — one field read or write at run time;
-//	Scan         — a class-extension or domain access (section 5.2
-//	               accesses (ii)–(iv)); root is the scanned domain's
-//	               root class (the Runtime caches its closure), hier
-//	               tells whether instances are locked implicitly;
-//	ScanInstance — one instance visited by a non-hierarchical scan;
-//	Create       — instance creation in a class;
-//	Delete       — instance deletion (conflicts with any access to the
-//	               instance under every protocol).
-type Strategy interface {
-	Name() string
-	// ConcurrentWriters reports whether the protocol can grant two
-	// transactions writing the same instance simultaneously. True only
-	// for the fine method-mode tables: declared (escrow-style)
-	// commutativity admits concurrent writers of one slot, so the
-	// engine must additionally serialize writing method activations on
-	// the instance's execution latch. Protocols that answer true must
-	// never acquire lock-manager locks from their NestedSend or
-	// FieldAccess hooks — those run while the latch is held.
-	ConcurrentWriters() bool
-	TopSend(a Acquirer, rt *Runtime, oid uint64, cls *schema.Class, mid schema.MethodID) error
-	NestedSend(a Acquirer, rt *Runtime, oid uint64, cls *schema.Class, mid schema.MethodID) error
-	FieldAccess(a Acquirer, rt *Runtime, oid uint64, cls *schema.Class, f *schema.Field, write bool) error
-	Scan(a Acquirer, rt *Runtime, root *schema.Class, mid schema.MethodID, hier bool) error
-	ScanInstance(a Acquirer, rt *Runtime, oid uint64, cls *schema.Class, mid schema.MethodID) error
-	Create(a Acquirer, rt *Runtime, cls *schema.Class) error
-	Delete(a Acquirer, rt *Runtime, oid uint64, cls *schema.Class) error
 }
 
 // liveAcquirer locks through the lock manager on behalf of one txn.
@@ -126,4 +98,175 @@ func (r *Recorder) Conflicts(other *Recorder) bool {
 		}
 	}
 	return false
+}
+
+// Strategy is a locking protocol: a name and the plan builders Open
+// compiles it with. The six implementations are empty struct types.
+type Strategy interface {
+	Name() string
+	protocol() protocol
+}
+
+// Strategies lists every protocol: the paper's, then the baselines.
+func Strategies() []Strategy {
+	return []Strategy{FineCC{}, RWCC{}, RWImplicitCC{}, RWAnnounceCC{}, FieldCC{}, RelCC{}}
+}
+
+// lockStep is one request of a lock plan.
+type lockStep struct {
+	res  lock.ResourceID
+	mode lock.Mode // boxed once, at build: walking a plan allocates nothing
+}
+
+// lockPlan is the ordered lock requests of one event, duplicates
+// included: a re-entrant request still costs a lock-manager call, and
+// the baselines' per-message overhead is exactly that cost.
+type lockPlan []lockStep
+
+// acquire is the executor: it issues the plan's requests in order on
+// behalf of receiver oid. Instance, tuple and field resources are
+// templates the receiver's OID completes; class and relation resources
+// are taken as built.
+func (p lockPlan) acquire(a Acquirer, oid uint64) error {
+	for _, st := range p {
+		res := st.res
+		if res.Kind != lock.KindClass && res.Kind != lock.KindRelation {
+			res.OID = oid
+		}
+		if err := a.Acquire(res, st.mode); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// receiver is the plans' instance-granule template.
+var receiver = lock.InstanceRes(0)
+
+// methodPlans is every plan of one method of one class.
+type methodPlans struct {
+	top          lockPlan // a message arriving from outside: the paper's "top message", remote sends included
+	nested       lockPlan // a self-directed message (plain or prefixed) during execution
+	scanInstance lockPlan // one instance visited by an intentional scan
+	// The whole domain rooted at the class, locked intentionally
+	// (instances then lock one by one) or hierarchically (they do not).
+	scanIntent, scanHier lockPlan
+}
+
+// protocol is a strategy written as plan builders, one per event.
+// compilePlans calls each once per (class, method) of METHODS(C) — the
+// create and delete builders once per class — and stores the results in
+// the classRT tables the executor walks.
+type protocol struct {
+	// concurrentWriters: the protocol can grant two transactions
+	// writing one instance at once. True only for the fine method-mode
+	// tables, where declared (escrow-style) commutativity admits
+	// concurrent writers of one slot, so writing activations must also
+	// serialize on the instance's execution latch. Such a protocol's
+	// nested plans must be empty — they run while the latch is held —
+	// which is also what licenses inlining self-sends.
+	concurrentWriters bool
+	// fieldLocks: every field access takes its own (instance, field)
+	// lock at run time — the field-locking comparator, and only it.
+	fieldLocks bool
+
+	top, nested, scanInstance func(m site) lockPlan
+	scan                      func(root site, hier bool) lockPlan
+	create, delete            func(cls *schema.Class) lockPlan
+}
+
+// site is one method of one class as the plan builders see it: the
+// compile-time artefacts the paper's analysis produced for it.
+type site struct {
+	c    *core.Compiled
+	cls  *schema.Class
+	name string
+}
+
+// dav and tav classify the method as a writer by its direct and by its
+// transitive access vector.
+func (m site) dav() bool {
+	v, _ := m.c.DAV(m.cls, m.name)
+	return v.HasWrite()
+}
+
+func (m site) tav() bool {
+	v, _ := m.c.TAV(m.cls, m.name)
+	return v.HasWrite()
+}
+
+// methodMode and classMode are the paper's instance and class modes of
+// the method (section 5.2).
+func (m site) methodMode() lock.Mode {
+	t := m.c.Class(m.cls.Name).Table
+	return lock.MethodMode{Table: t, Idx: t.ModeIndex(m.name)}
+}
+
+func (m site) classMode(hier bool) lock.Mode {
+	t := m.c.Class(m.cls.Name).Table
+	return lock.ClassMode{Table: t, Idx: t.ModeIndex(m.name), Hier: hier}
+}
+
+// none is the plan of an event a protocol does not control.
+func none(site) lockPlan { return nil }
+
+// overDomain folds a per-class scan builder over the domain rooted at
+// the scanned class, in Domain order: the explicit locking every
+// protocol but the implicit one performs.
+func overDomain(f func(m site, hier bool) lockPlan) func(site, bool) lockPlan {
+	return func(root site, hier bool) lockPlan {
+		var p lockPlan
+		for _, cls := range root.cls.Domain() {
+			p = append(p, f(site{root.c, cls, root.name}, hier)...)
+		}
+		return p
+	}
+}
+
+// rwInstanceMode and rwIntentMode are the read/write baselines' modes
+// on a granule and on its container, for a reader or a writer.
+func rwInstanceMode(writer bool) lock.RWMode {
+	if writer {
+		return lock.X
+	}
+	return lock.S
+}
+
+func rwIntentMode(writer bool) lock.RWMode {
+	if writer {
+		return lock.IX
+	}
+	return lock.IS
+}
+
+// compilePlans builds protocol p into the runtime's class tables.
+func (rt *Runtime) compilePlans(p protocol) {
+	c := rt.Compiled
+	s := c.Schema
+	for _, cls := range s.Order {
+		crt := rt.class(cls)
+		crt.plans = make([]methodPlans, s.NumMethodNames())
+		for _, name := range cls.MethodList {
+			mid, _ := s.MethodID(name)
+			// Every method of METHODS(C) has an access mode: the class
+			// table's method list is METHODS(C) and core.Compile interns
+			// every name of it. Only a hand-built Compiled can miss one,
+			// and it fails here, at Open, not at its first send. Events
+			// naming a method outside METHODS(C) are rejected before any
+			// plan is looked up (no program, or no ResolveID).
+			if c.Class(cls.Name).Table.ModeIndexID(mid) < 0 {
+				panic(fmt.Errorf("engine: no access mode for %s.%s", cls.Name, name))
+			}
+			m := site{c, cls, name}
+			crt.plans[mid] = methodPlans{
+				top:          p.top(m),
+				nested:       p.nested(m),
+				scanInstance: p.scanInstance(m),
+				scanIntent:   p.scan(m, false),
+				scanHier:     p.scan(m, true),
+			}
+		}
+		crt.create = p.create(cls)
+		crt.delete = p.delete(cls)
+	}
 }

@@ -1,6 +1,9 @@
 package engine
 
 import (
+	"sort"
+
+	"repro/internal/core"
 	"repro/internal/lock"
 	"repro/internal/schema"
 )
@@ -24,112 +27,108 @@ import (
 //     mode and the associated tuple of r2 in write mode too";
 //   - whole-extent accesses lock the relations themselves (S or X), which
 //     is how T2 "locks both relations in write mode" (m1 writes the key
-//     of every instance) while T4 locks only r2.
+//     of every instance) while T4 locks only r2;
+//   - the relational engine locks a whole statement's access set up
+//     front, so nested sends lock nothing.
 //
-// The per-(class, method) relation plan — modes, key-write cascade,
-// deterministic acquisition order — is precomputed in the Runtime.
+// Tuple writes lock exclusively per relation of the 1NF decomposition,
+// so two writers of one slot never coexist.
 type RelCC struct{}
 
 // Name implements Strategy.
 func (RelCC) Name() string { return "relational" }
 
-// ConcurrentWriters: tuple writes lock exclusively per relation of the
-// 1NF decomposition, so two writers of one slot never coexist.
-func (RelCC) ConcurrentWriters() bool { return false }
-
-// relPlan returns the precomputed per-relation lock plan of a method
-// execution on proper instances of cls.
-func relPlan(rt *Runtime, cls *schema.Class, mid schema.MethodID) ([]relLock, error) {
-	crt := rt.class(cls)
-	if crt.table.ModeIndexID(mid) < 0 {
-		return nil, rt.errNoMode(cls, mid)
-	}
-	return crt.relPlans[mid], nil
-}
-
-// TopSend implements Strategy.
-func (RelCC) TopSend(a Acquirer, rt *Runtime, oid uint64, cls *schema.Class, mid schema.MethodID) error {
-	plan, err := relPlan(rt, cls, mid)
-	if err != nil {
-		return err
-	}
-	for _, pl := range plan {
-		if err := a.Acquire(pl.rel, rwIntentMode(pl.write)); err != nil {
-			return err
-		}
-		if err := a.Acquire(lock.TupleRes(pl.class, oid), rwInstanceMode(pl.write)); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// NestedSend implements Strategy: the relational engine locked the whole
-// statement's access set up front.
-func (RelCC) NestedSend(Acquirer, *Runtime, uint64, *schema.Class, schema.MethodID) error {
-	return nil
-}
-
-// FieldAccess implements Strategy.
-func (RelCC) FieldAccess(Acquirer, *Runtime, uint64, *schema.Class, *schema.Field, bool) error {
-	return nil
-}
-
-// Scan implements Strategy.
-func (RelCC) Scan(a Acquirer, rt *Runtime, root *schema.Class, mid schema.MethodID, hier bool) error {
-	for _, cls := range rt.class(root).domain {
-		plan, err := relPlan(rt, cls, mid)
-		if err != nil {
-			return err
-		}
-		for _, pl := range plan {
-			mode := rwIntentMode(pl.write)
-			if hier {
-				mode = rwInstanceMode(pl.write)
+func (RelCC) protocol() protocol {
+	return protocol{
+		top: func(m site) lockPlan {
+			return m.perRelation(func(r relLock) lockPlan {
+				return lockPlan{{lock.RelationRes(r.class), rwIntentMode(r.write)}, {lock.TupleRes(r.class, 0), rwInstanceMode(r.write)}}
+			})
+		},
+		nested: none,
+		scanInstance: func(m site) lockPlan {
+			return m.perRelation(func(r relLock) lockPlan {
+				return lockPlan{{lock.TupleRes(r.class, 0), rwInstanceMode(r.write)}}
+			})
+		},
+		scan: overDomain(func(m site, hier bool) lockPlan {
+			return m.perRelation(func(r relLock) lockPlan {
+				if hier {
+					return lockPlan{{lock.RelationRes(r.class), rwInstanceMode(r.write)}}
+				}
+				return lockPlan{{lock.RelationRes(r.class), rwIntentMode(r.write)}}
+			})
+		}),
+		// Insert into, or delete the instance's tuple from, every relation
+		// of the class's linearization.
+		create: func(cls *schema.Class) lockPlan {
+			var p lockPlan
+			for _, anc := range cls.Lin {
+				p = append(p, lockStep{lock.RelationRes(anc.ID), lock.IX})
 			}
-			if err := a.Acquire(pl.rel, mode); err != nil {
-				return err
+			return p
+		},
+		delete: func(cls *schema.Class) lockPlan {
+			var p lockPlan
+			for _, anc := range cls.Lin {
+				p = append(p, lockStep{lock.RelationRes(anc.ID), lock.IX}, lockStep{lock.TupleRes(anc.ID, 0), lock.X})
+			}
+			return p
+		},
+	}
+}
+
+// relLock is one relation a method execution touches in the 1NF
+// decomposition: the relation's class ID and whether the method's
+// transitive effect writes it.
+type relLock struct {
+	class uint32
+	write bool
+}
+
+// perRelation concatenates steps over the relations the method touches
+// on proper instances of the site's class, in buildRelPlan order.
+func (m site) perRelation(steps func(r relLock) lockPlan) lockPlan {
+	tav, _ := m.c.TAV(m.cls, m.name)
+	var p lockPlan
+	for _, r := range buildRelPlan(m.c, m.cls, tav) {
+		p = append(p, steps(r)...)
+	}
+	return p
+}
+
+// buildRelPlan computes the relation-level lock plan of one method on
+// proper instances of one class under the 1NF decomposition: the
+// per-relation modes implied by the TAV, with the key-write cascade
+// (writing the root key write-locks the associated tuples of every
+// subclass relation) folded in, sorted by class name for deterministic
+// acquisition order.
+func buildRelPlan(c *core.Compiled, cls *schema.Class, tav core.Vector) []relLock {
+	s := c.Schema
+	rels := make(map[uint32]bool)
+	tav.Each(func(f schema.FieldID, m core.Mode) {
+		owner := s.Field(f).Owner.ID
+		if m == core.Write {
+			rels[owner] = true
+		} else if _, seen := rels[owner]; !seen {
+			rels[owner] = false
+		}
+	})
+	root := cls.Lin[len(cls.Lin)-1]
+	keyWrite := len(root.OwnFields) > 0 && tav.Get(root.OwnFields[0].ID) == core.Write
+	if keyWrite {
+		for _, sub := range root.Domain() {
+			if sub != root {
+				rels[sub.ID] = true
 			}
 		}
 	}
-	return nil
-}
-
-// ScanInstance implements Strategy.
-func (RelCC) ScanInstance(a Acquirer, rt *Runtime, oid uint64, cls *schema.Class, mid schema.MethodID) error {
-	plan, err := relPlan(rt, cls, mid)
-	if err != nil {
-		return err
+	out := make([]relLock, 0, len(rels))
+	for id, write := range rels {
+		out = append(out, relLock{class: id, write: write})
 	}
-	for _, pl := range plan {
-		if err := a.Acquire(lock.TupleRes(pl.class, oid), rwInstanceMode(pl.write)); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// Create implements Strategy: insert into the relations of the class's
-// linearization.
-func (RelCC) Create(a Acquirer, rt *Runtime, cls *schema.Class) error {
-	for _, anc := range cls.Lin {
-		if err := a.Acquire(lock.RelationRes(anc.ID), lock.IX); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// Delete implements Strategy: delete the instance's tuple from every
-// relation of its linearization.
-func (RelCC) Delete(a Acquirer, rt *Runtime, oid uint64, cls *schema.Class) error {
-	for _, anc := range cls.Lin {
-		if err := a.Acquire(lock.RelationRes(anc.ID), lock.IX); err != nil {
-			return err
-		}
-		if err := a.Acquire(lock.TupleRes(anc.ID, oid), lock.X); err != nil {
-			return err
-		}
-	}
-	return nil
+	sort.Slice(out, func(i, j int) bool {
+		return s.ClassByID(out[i].class).Name < s.ClassByID(out[j].class).Name
+	})
+	return out
 }

@@ -20,124 +20,46 @@ import (
 //	      deadlock pattern;
 //	(iii) pseudo-conflicts: m2 and m4 are both writers, so they conflict
 //	      although they touch disjoint fields.
+//
+// The write mode is exclusive at the instance granule, so two writers
+// never coexist and no execution latch is needed.
 type RWCC struct{}
 
 // Name implements Strategy.
 func (RWCC) Name() string { return "rw" }
 
-// ConcurrentWriters: the write mode is exclusive at the instance
-// granule, so two writers never coexist and no execution latch is
-// needed.
-func (RWCC) ConcurrentWriters() bool { return false }
-
-// davWriter classifies the method by its direct access vector, from the
-// Runtime's dense table.
-func davWriter(rt *Runtime, cls *schema.Class, mid schema.MethodID) (bool, error) {
-	crt := rt.class(cls)
-	if crt.table.ModeIndexID(mid) < 0 {
-		return false, rt.errNoMode(cls, mid)
+func (RWCC) protocol() protocol {
+	return protocol{
+		top: func(m site) lockPlan { return rwPlan(m.cls, m.dav(), true) },
+		// "If each message wants control, then invoking m1 … leads to
+		// controlling concurrency thrice" (section 3). The nested control
+		// touches the instance only; the class intention escalates too
+		// when the nested method writes.
+		nested:       func(m site) lockPlan { return rwPlan(m.cls, m.dav(), m.dav()) },
+		scanInstance: func(m site) lockPlan { return rwPlan(m.cls, m.dav(), false) },
+		// A whole-extent access knows the full effect: the transitive
+		// classification, S/X on each class of the domain when
+		// hierarchical, IS/IX when instances lock one by one.
+		scan: overDomain(func(m site, hier bool) lockPlan {
+			mode := rwIntentMode(m.tav())
+			if hier {
+				mode = rwInstanceMode(m.tav())
+			}
+			return lockPlan{{lock.ClassRes(m.cls.ID), mode}}
+		}),
+		create: func(cls *schema.Class) lockPlan { return lockPlan{{lock.ClassRes(cls.ID), lock.IX}} },
+		delete: func(cls *schema.Class) lockPlan { return rwPlan(cls, true, true) },
 	}
-	return crt.davWrite[mid], nil
 }
 
-// tavWriter classifies by the transitive access vector — the "announce
-// the more exclusive access mode" remedy cited from System R.
-func tavWriter(rt *Runtime, cls *schema.Class, mid schema.MethodID) (bool, error) {
-	crt := rt.class(cls)
-	if crt.table.ModeIndexID(mid) < 0 {
-		return false, rt.errNoMode(cls, mid)
+// rwPlan locks the receiver S or X and, withClass, its proper class IS
+// or IX.
+func rwPlan(cls *schema.Class, writer, withClass bool) lockPlan {
+	p := lockPlan{{receiver, rwInstanceMode(writer)}}
+	if withClass {
+		p = append(p, lockStep{lock.ClassRes(cls.ID), rwIntentMode(writer)})
 	}
-	return crt.tavWrite[mid], nil
-}
-
-func rwInstanceMode(writer bool) lock.RWMode {
-	if writer {
-		return lock.X
-	}
-	return lock.S
-}
-
-func rwIntentMode(writer bool) lock.RWMode {
-	if writer {
-		return lock.IX
-	}
-	return lock.IS
-}
-
-func rwSend(a Acquirer, rt *Runtime, oid uint64, cls *schema.Class, writer bool, withClass bool) error {
-	if err := a.Acquire(lock.InstanceRes(oid), rwInstanceMode(writer)); err != nil {
-		return err
-	}
-	if !withClass {
-		return nil
-	}
-	return a.Acquire(rt.class(cls).classRes, rwIntentMode(writer))
-}
-
-// TopSend implements Strategy.
-func (RWCC) TopSend(a Acquirer, rt *Runtime, oid uint64, cls *schema.Class, mid schema.MethodID) error {
-	w, err := davWriter(rt, cls, mid)
-	if err != nil {
-		return err
-	}
-	return rwSend(a, rt, oid, cls, w, true)
-}
-
-// NestedSend implements Strategy: "if each message wants control, then
-// invoking m1 … leads to controlling concurrency thrice" (section 3).
-func (RWCC) NestedSend(a Acquirer, rt *Runtime, oid uint64, cls *schema.Class, mid schema.MethodID) error {
-	w, err := davWriter(rt, cls, mid)
-	if err != nil {
-		return err
-	}
-	// The nested control touches the instance only; the class intention
-	// lock is escalated too when the nested method writes.
-	return rwSend(a, rt, oid, cls, w, w)
-}
-
-// FieldAccess implements Strategy: granularity stops at the instance.
-func (RWCC) FieldAccess(Acquirer, *Runtime, uint64, *schema.Class, *schema.Field, bool) error {
-	return nil
-}
-
-// Scan implements Strategy.
-func (RWCC) Scan(a Acquirer, rt *Runtime, root *schema.Class, mid schema.MethodID, hier bool) error {
-	for _, cls := range rt.class(root).domain {
-		w, err := tavWriter(rt, cls, mid) // whole-extent access: the full effect is known
-		if err != nil {
-			return err
-		}
-		mode := rwIntentMode(w)
-		if hier {
-			mode = rwInstanceMode(w)
-		}
-		if err := a.Acquire(rt.class(cls).classRes, mode); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// ScanInstance implements Strategy.
-func (RWCC) ScanInstance(a Acquirer, rt *Runtime, oid uint64, cls *schema.Class, mid schema.MethodID) error {
-	w, err := davWriter(rt, cls, mid)
-	if err != nil {
-		return err
-	}
-	return a.Acquire(lock.InstanceRes(oid), rwInstanceMode(w))
-}
-
-// Create implements Strategy.
-func (RWCC) Create(a Acquirer, rt *Runtime, cls *schema.Class) error {
-	return a.Acquire(rt.class(cls).classRes, lock.IX)
-}
-
-// Delete implements Strategy.
-func (RWCC) Delete(a Acquirer, rt *Runtime, oid uint64, cls *schema.Class) error {
-	if err := a.Acquire(lock.InstanceRes(oid), lock.X); err != nil {
-		return err
-	}
-	return a.Acquire(rt.class(cls).classRes, lock.IX)
+	return p
 }
 
 // RWAnnounceCC is RWCC with the System R remedy applied: the top-level
@@ -145,60 +67,17 @@ func (RWCC) Delete(a Acquirer, rt *Runtime, oid uint64, cls *schema.Class) error
 // transitive classification), so nested messages find their mode already
 // held and never escalate. System R measured that announcing avoids up
 // to 76 % of deadlocks; the overhead problem (one control per message)
-// remains.
+// remains — nested sends still request, re-entrantly. Announced modes
+// are at most as permissive as rw's: writers stay exclusive.
 type RWAnnounceCC struct{}
 
 // Name implements Strategy.
 func (RWAnnounceCC) Name() string { return "rw-announce" }
 
-// ConcurrentWriters: announced modes are at most as permissive as rw —
-// writers stay exclusive.
-func (RWAnnounceCC) ConcurrentWriters() bool { return false }
-
-// TopSend implements Strategy.
-func (RWAnnounceCC) TopSend(a Acquirer, rt *Runtime, oid uint64, cls *schema.Class, mid schema.MethodID) error {
-	w, err := tavWriter(rt, cls, mid)
-	if err != nil {
-		return err
-	}
-	return rwSend(a, rt, oid, cls, w, true)
-}
-
-// NestedSend implements Strategy: still one control per message, but the
-// mode was announced, so the acquisition is re-entrant.
-func (RWAnnounceCC) NestedSend(a Acquirer, rt *Runtime, oid uint64, cls *schema.Class, mid schema.MethodID) error {
-	w, err := davWriter(rt, cls, mid)
-	if err != nil {
-		return err
-	}
-	return rwSend(a, rt, oid, cls, w, false)
-}
-
-// FieldAccess implements Strategy.
-func (RWAnnounceCC) FieldAccess(Acquirer, *Runtime, uint64, *schema.Class, *schema.Field, bool) error {
-	return nil
-}
-
-// Scan implements Strategy.
-func (RWAnnounceCC) Scan(a Acquirer, rt *Runtime, root *schema.Class, mid schema.MethodID, hier bool) error {
-	return RWCC{}.Scan(a, rt, root, mid, hier)
-}
-
-// ScanInstance implements Strategy.
-func (RWAnnounceCC) ScanInstance(a Acquirer, rt *Runtime, oid uint64, cls *schema.Class, mid schema.MethodID) error {
-	w, err := tavWriter(rt, cls, mid)
-	if err != nil {
-		return err
-	}
-	return a.Acquire(lock.InstanceRes(oid), rwInstanceMode(w))
-}
-
-// Create implements Strategy.
-func (RWAnnounceCC) Create(a Acquirer, rt *Runtime, cls *schema.Class) error {
-	return RWCC{}.Create(a, rt, cls)
-}
-
-// Delete implements Strategy.
-func (RWAnnounceCC) Delete(a Acquirer, rt *Runtime, oid uint64, cls *schema.Class) error {
-	return RWCC{}.Delete(a, rt, oid, cls)
+func (RWAnnounceCC) protocol() protocol {
+	p := RWCC{}.protocol()
+	p.top = func(m site) lockPlan { return rwPlan(m.cls, m.tav(), true) }
+	p.nested = func(m site) lockPlan { return rwPlan(m.cls, m.dav(), false) }
+	p.scanInstance = func(m site) lockPlan { return rwPlan(m.cls, m.tav(), false) }
+	return p
 }

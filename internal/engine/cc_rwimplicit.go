@@ -19,115 +19,56 @@ import (
 // arbitrarily" [12]).
 //
 // Mechanically it is RWCC with two changes: intention locks propagate to
-// ancestors, and hierarchical scans lock only the domain root.
+// ancestors, and hierarchical scans lock only the domain root. Write
+// locks stay exclusive (implicitly along the inheritance graph), so
+// writers never coexist.
 type RWImplicitCC struct{}
 
 // Name implements Strategy.
 func (RWImplicitCC) Name() string { return "rw-implicit" }
 
-// ConcurrentWriters: write locks are exclusive (implicitly along the
-// inheritance graph), so writers never coexist.
-func (RWImplicitCC) ConcurrentWriters() bool { return false }
-
-// intentUpward takes the intention mode on cls and every ancestor,
-// using the Runtime's precomputed linearization resources.
-func intentUpward(a Acquirer, rt *Runtime, cls *schema.Class, writer bool) error {
-	mode := rwIntentMode(writer)
-	for _, res := range rt.class(cls).linRes {
-		if err := a.Acquire(res, mode); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// TopSend implements Strategy.
-func (RWImplicitCC) TopSend(a Acquirer, rt *Runtime, oid uint64, cls *schema.Class, mid schema.MethodID) error {
-	w, err := davWriter(rt, cls, mid)
-	if err != nil {
-		return err
-	}
-	if err := a.Acquire(lock.InstanceRes(oid), rwInstanceMode(w)); err != nil {
-		return err
-	}
-	return intentUpward(a, rt, cls, w)
-}
-
-// NestedSend implements Strategy: per-message control with escalation,
-// as in RWCC, intention locks escalating up the chain.
-func (RWImplicitCC) NestedSend(a Acquirer, rt *Runtime, oid uint64, cls *schema.Class, mid schema.MethodID) error {
-	w, err := davWriter(rt, cls, mid)
-	if err != nil {
-		return err
-	}
-	if err := a.Acquire(lock.InstanceRes(oid), rwInstanceMode(w)); err != nil {
-		return err
-	}
-	if !w {
-		return nil
-	}
-	return intentUpward(a, rt, cls, w)
-}
-
-// FieldAccess implements Strategy.
-func (RWImplicitCC) FieldAccess(Acquirer, *Runtime, uint64, *schema.Class, *schema.Field, bool) error {
-	return nil
-}
-
-// Scan implements Strategy: the implicit trick — a hierarchical access
-// locks the domain root only (S or X), covering every subclass; an
-// intentional access announces IS/IX on the root's ancestors and leaves
-// instances to ScanInstance.
-func (RWImplicitCC) Scan(a Acquirer, rt *Runtime, root *schema.Class, mid schema.MethodID, hier bool) error {
-	w, err := tavWriter(rt, root, mid)
-	if err != nil {
-		return err
-	}
-	if hier {
-		crt := rt.class(root)
-		if err := a.Acquire(crt.classRes, rwInstanceMode(w)); err != nil {
-			return err
-		}
-		// Ancestors of the root still see the intention.
-		mode := rwIntentMode(w)
-		for _, res := range crt.linRes[1:] {
-			if err := a.Acquire(res, mode); err != nil {
-				return err
+func (RWImplicitCC) protocol() protocol {
+	return protocol{
+		top: func(m site) lockPlan { return implicitPlan(m.cls, m.dav(), true) },
+		// Per-message control with escalation, as in RWCC, intention
+		// locks escalating up the chain.
+		nested: func(m site) lockPlan { return implicitPlan(m.cls, m.dav(), m.dav()) },
+		// Individual locks announce intentions on the instance's whole
+		// ancestor chain, which is what makes the implicit coverage of
+		// the scan sound.
+		scanInstance: func(m site) lockPlan { return implicitPlan(m.cls, m.dav(), true) },
+		// The implicit trick: a hierarchical access locks the domain root
+		// only (S or X), covering every subclass, and its ancestors still
+		// see the intention; an intentional access announces IS/IX on the
+		// root and its ancestors and leaves instances to scanInstance.
+		scan: func(root site, hier bool) lockPlan {
+			w := root.tav()
+			if hier {
+				p := lockPlan{{lock.ClassRes(root.cls.ID), rwInstanceMode(w)}}
+				return append(p, alongLin(root.cls.Lin[1:], rwIntentMode(w))...)
 			}
-		}
-		return nil
+			return alongLin(root.cls.Lin, rwIntentMode(w))
+		},
+		create: func(cls *schema.Class) lockPlan { return alongLin(cls.Lin, lock.IX) },
+		delete: func(cls *schema.Class) lockPlan { return implicitPlan(cls, true, true) },
 	}
-	return intentUpward(a, rt, root, w)
 }
 
-// ScanInstance implements Strategy: individual locks announce intentions
-// on the instance's whole ancestor chain, which is what makes the
-// implicit coverage of Scan sound.
-func (RWImplicitCC) ScanInstance(a Acquirer, rt *Runtime, oid uint64, cls *schema.Class, mid schema.MethodID) error {
-	w, err := davWriter(rt, cls, mid)
-	if err != nil {
-		return err
+// implicitPlan locks the receiver S or X and, upward, the intention on
+// its proper class and every ancestor.
+func implicitPlan(cls *schema.Class, writer, upward bool) lockPlan {
+	p := lockPlan{{receiver, rwInstanceMode(writer)}}
+	if upward {
+		p = append(p, alongLin(cls.Lin, rwIntentMode(writer))...)
 	}
-	if err := a.Acquire(lock.InstanceRes(oid), rwInstanceMode(w)); err != nil {
-		return err
-	}
-	return intentUpward(a, rt, cls, w)
+	return p
 }
 
-// Create implements Strategy.
-func (RWImplicitCC) Create(a Acquirer, rt *Runtime, cls *schema.Class) error {
-	for _, res := range rt.class(cls).linRes {
-		if err := a.Acquire(res, lock.IX); err != nil {
-			return err
-		}
+// alongLin takes mode on each class granule of a linearization segment.
+func alongLin(lin []*schema.Class, mode lock.RWMode) lockPlan {
+	p := make(lockPlan, len(lin))
+	for i, c := range lin {
+		p[i] = lockStep{lock.ClassRes(c.ID), mode}
 	}
-	return nil
-}
-
-// Delete implements Strategy.
-func (RWImplicitCC) Delete(a Acquirer, rt *Runtime, oid uint64, cls *schema.Class) error {
-	if err := a.Acquire(lock.InstanceRes(oid), lock.X); err != nil {
-		return err
-	}
-	return intentUpward(a, rt, cls, true)
+	return p
 }

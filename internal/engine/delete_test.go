@@ -10,7 +10,7 @@ import (
 )
 
 func TestDeleteRemovesFromExtent(t *testing.T) {
-	for _, s := range []Strategy{FineCC{}, RWCC{}, RWImplicitCC{}, RWAnnounceCC{}, FieldCC{}, RelCC{}} {
+	for _, s := range Strategies() {
 		t.Run(s.Name(), func(t *testing.T) {
 			db := newFigure1DB(t, s)
 			oid, _ := seedC2(t, db, false)
@@ -91,7 +91,7 @@ func TestCreateAbortRemoves(t *testing.T) {
 // Deletion excludes concurrent readers and writers of the instance under
 // every protocol.
 func TestDeleteConflictsWithAccess(t *testing.T) {
-	for _, s := range []Strategy{FineCC{}, RWCC{}, FieldCC{}, RelCC{}} {
+	for _, s := range Strategies() {
 		t.Run(s.Name(), func(t *testing.T) {
 			db := newFigure1DB(t, s)
 			oid, _ := seedC2(t, db, false)

@@ -60,25 +60,26 @@ type Options struct {
 
 // OpenWithOptions builds a database around a compiled schema with fresh
 // store, lock and transaction managers, precomputing the run-time
-// tables. The dispatch tables run the full program pipeline (lower →
-// inline → fuse) unless o.Unfused: superinstruction fusion always,
-// nested-send inlining only when the strategy's ConcurrentWriters
-// capability says nested self-sends are lock-free (see
+// tables and compiling the strategy to lock plans. The dispatch tables
+// run the full program pipeline (lower → inline → fuse) unless
+// o.Unfused: superinstruction fusion always, nested-send inlining only
+// when the protocol's nested sends are lock-free (see
 // schema.InlineSends). When o.Durable is set it recovers the durable
 // state under o.Dir and wires the redo log through the transaction
 // manager.
 func OpenWithOptions(c *core.Compiled, o Options) (*DB, error) {
 	fused := !o.Unfused
+	p := o.Strategy.protocol()
 	db := &DB{
 		Compiled:     c,
 		Store:        storage.NewStore(c.Schema),
 		Txns:         txn.NewManager(lock.NewManager()),
-		CC:           o.Strategy,
-		rt:           newRuntimeModes(c, fused && o.Strategy.ConcurrentWriters(), fused),
+		rt:           newRuntime(c, p, fused),
 		MaxSteps:     1_000_000,
 		MaxDepth:     256,
 		useFused:     fused,
-		latchWriters: o.Strategy.ConcurrentWriters(),
+		latchWriters: p.concurrentWriters,
+		fieldLocks:   p.fieldLocks,
 	}
 	db.Txns.LatchWrites = db.latchWriters
 	// Wire the store into the transaction manager: writes link version

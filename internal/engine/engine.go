@@ -33,12 +33,12 @@ type Stats struct {
 }
 
 // DB is an object database: a compiled schema, a store, a lock manager,
-// a transaction manager and one concurrency-control strategy.
+// a transaction manager and one concurrency-control strategy, compiled
+// into the Runtime's lock plans.
 type DB struct {
 	Compiled *core.Compiled
 	Store    *storage.Store
 	Txns     *txn.Manager
-	CC       Strategy
 
 	// MaxSteps bounds interpreter work per top-level send (default 1e6).
 	MaxSteps int
@@ -58,10 +58,12 @@ type DB struct {
 
 	recovery wal.RecoveryInfo
 
-	// latchWriters caches CC.ConcurrentWriters(): under protocols that
-	// grant commuting writers concurrently, field-storing activations
-	// hold the receiver's execution latch (see vm.go).
+	// The strategy's protocol-level properties (cc.go). latchWriters:
+	// the protocol grants commuting writers concurrently, so
+	// field-storing activations hold the receiver's execution latch (see
+	// vm.go). fieldLocks: every field access locks its own granule.
 	latchWriters bool
+	fieldLocks   bool
 
 	// useFused routes statically-bound super-send fallbacks through the
 	// fused twin of the target program (false only under
@@ -265,7 +267,7 @@ func (db *DB) getEC(tx *txn.Txn) *execCtx {
 	ec.tx = tx
 	if tx != nil {
 		if tx.IsSnapshot() {
-			// Snapshot mode: every CC hook is skipped, so no acquirer
+			// Snapshot mode: no lock plan is walked, so no acquirer
 			// is bound — the context reads committed versions at the
 			// transaction's frozen begin epoch.
 			ec.snapshot = true
@@ -335,7 +337,7 @@ func (db *DB) DeleteInstance(tx *txn.Txn, oid storage.OID) error {
 		return fmt.Errorf("engine: no instance with OID %d", oid)
 	}
 	acq := liveAcquirer{locks: db.Locks(), txn: tx.ID, trace: tx.Trace(), done: tx.Done()}
-	if err := db.CC.Delete(&acq, db.rt, uint64(oid), in.Class); err != nil {
+	if err := db.rt.class(in.Class).delete.acquire(&acq, uint64(oid)); err != nil {
 		return err
 	}
 	deleted, err := db.Store.Delete(oid)
@@ -445,7 +447,7 @@ type execCtx struct {
 	ticks int
 	depth int
 
-	// snapshot routes execution to the multiversion read path: CC hooks
+	// snapshot routes execution to the multiversion read path: lock plans
 	// are skipped, field reads resolve as of snapEpoch (live cell, later
 	// records rolled back), and any mutation fails with
 	// txn.ErrSnapshotWrite (through tx.Writable).
@@ -487,7 +489,7 @@ func (ec *execCtx) create(cls *schema.Class, vals []Value) (*storage.Instance, e
 			return nil, err
 		}
 	}
-	if err := ec.db.CC.Create(ec.acq, ec.db.rt, cls); err != nil {
+	if err := ec.db.rt.class(cls).create.acquire(ec.acq, 0); err != nil {
 		return nil, err
 	}
 	in, marker, err := ec.db.Store.NewUncommitted(cls, vals...)
@@ -518,32 +520,27 @@ func (ec *execCtx) topSendName(oid storage.OID, method string, args []Value) (Va
 	return Value{}, fmt.Errorf("engine: class %s has no method %q", in.Class.Name, method)
 }
 
-// topSend wraps the raw send with the per-(class,method) telemetry:
-// when the registry is live, the receiver's class resolves first (one
-// extra directory load) so the finished send lands in its dense metric
-// slot with the measured latency. Recording mode (tx == nil) and
-// stripped databases skip straight through on a nil check.
+// topSend resolves the receiver once and wraps the send with the
+// per-(class,method) telemetry: when the registry is live, the finished
+// send lands in its class's dense metric slot with the measured
+// latency. Recording mode (tx == nil) and stripped databases skip
+// straight through on a nil check.
 func (ec *execCtx) topSend(oid storage.OID, mid schema.MethodID, args []Value) (Value, error) {
-	m := ec.db.metrics
-	if m == nil || ec.tx == nil {
-		return ec.topSendRaw(oid, mid, args)
-	}
-	in, ok := ec.db.Store.Get(oid)
-	if !ok {
-		return ec.topSendRaw(oid, mid, args)
-	}
-	cls := in.Class
-	start := time.Now()
-	v, err := ec.topSendRaw(oid, mid, args)
-	m.noteSend(cls, mid, ec.snapshot, err, time.Since(start))
-	return v, err
-}
-
-func (ec *execCtx) topSendRaw(oid storage.OID, mid schema.MethodID, args []Value) (Value, error) {
 	in, ok := ec.db.Store.Get(oid)
 	if !ok {
 		return Value{}, fmt.Errorf("engine: no instance with OID %d", oid)
 	}
+	m := ec.db.metrics
+	if m == nil || ec.tx == nil {
+		return ec.topSendRaw(in, mid, args)
+	}
+	start := time.Now()
+	v, err := ec.topSendRaw(in, mid, args)
+	m.noteSend(in.Class, mid, ec.snapshot, err, time.Since(start))
+	return v, err
+}
+
+func (ec *execCtx) topSendRaw(in *storage.Instance, mid schema.MethodID, args []Value) (Value, error) {
 	// The Runtime's per-(class,method) program table goes straight from
 	// the interned ID to compiled code — dispatch is one array load.
 	crt := &ec.db.rt.classes[in.Class.ID]
@@ -558,16 +555,16 @@ func (ec *execCtx) topSendRaw(oid storage.OID, mid schema.MethodID, args []Value
 		// vector. Writing methods are rejected here — before any
 		// instruction runs — and remote sends re-enter through this
 		// same gate, so a snapshot transaction can never reach a
-		// mutation with hooks skipped.
+		// mutation without its locks.
 		if int(mid) >= len(crt.snapRead) || !crt.snapRead[mid] {
 			return Value{}, fmt.Errorf("engine: %s.%s writes per its access vector: %w",
 				in.Class.Name, ec.db.rt.MethodName(mid), txn.ErrSnapshotWrite)
 		}
 		if !in.SnapshotVisible(ec.snapEpoch) {
 			// Created after this snapshot began: not there yet.
-			return Value{}, fmt.Errorf("engine: no instance with OID %d", oid)
+			return Value{}, fmt.Errorf("engine: no instance with OID %d", in.OID)
 		}
-	} else if err := ec.db.CC.TopSend(ec.acq, ec.db.rt, uint64(oid), in.Class, mid); err != nil {
+	} else if err := crt.plans[mid].top.acquire(ec.acq, uint64(in.OID)); err != nil {
 		return Value{}, err
 	}
 	ec.db.topSends.Add(1)
@@ -605,29 +602,34 @@ func (ec *execCtx) scanDomain(root *schema.Class, mid schema.MethodID, hier bool
 	if ec.snapshot {
 		return ec.scanDomainSnapshot(root, mid, filter, args)
 	}
-	if err := ec.db.CC.Scan(ec.acq, ec.db.rt, root, mid, hier); err != nil {
+	plans := &ec.db.rt.class(root).plans[mid]
+	plan := plans.scanIntent
+	if hier {
+		plan = plans.scanHier
+	}
+	if err := plan.acquire(ec.acq, 0); err != nil {
 		return 0, err
 	}
 	ec.db.scans.Add(1)
 
 	count := 0
-	ec.snap = ec.db.Store.DomainSnapshotInto(ec.snap[:0], ec.db.rt.class(root).domain)
+	ec.snap = ec.db.Store.DomainSnapshotInto(ec.snap[:0], root.Domain())
 	for _, part := range ec.snap {
 		for _, oid := range part {
 			in, ok := ec.db.Store.Get(oid)
 			if !ok {
 				continue // deleted between snapshot and visit
 			}
+			vcrt := &ec.db.rt.classes[in.Class.ID]
 			if !hier {
 				if filter != nil && !filter(in) {
 					continue
 				}
-				if err := ec.db.CC.ScanInstance(ec.acq, ec.db.rt, uint64(oid), in.Class, mid); err != nil {
+				if err := vcrt.plans[mid].scanInstance.acquire(ec.acq, uint64(oid)); err != nil {
 					ec.escrowMask = nil
 					return count, err
 				}
 			}
-			vcrt := &ec.db.rt.classes[in.Class.ID]
 			if ec.db.latchWriters {
 				// Per-instance bind: the mask is per (class, method), and
 				// a hierarchical scan visits subclasses too.
@@ -645,9 +647,9 @@ func (ec *execCtx) scanDomain(root *schema.Class, mid schema.MethodID, hier bool
 	return count, nil
 }
 
-// scanDomainSnapshot is the lock-free domain scan: no Scan or
-// ScanInstance hooks, no class or instance locks, each visited instance
-// read at the snapshot's begin epoch. Instances whose creation had not
+// scanDomainSnapshot is the lock-free domain scan: no lock plans, no
+// class or instance locks, each visited instance read at the
+// snapshot's begin epoch. Instances whose creation had not
 // committed when the snapshot began still carry a creation marker the
 // snapshot rolls back, and are skipped;
 // instances deleted after it began have left the extent and are simply
@@ -662,7 +664,7 @@ func (ec *execCtx) scanDomainSnapshot(root *schema.Class, mid schema.MethodID,
 	}
 	ec.db.scans.Add(1)
 	count := 0
-	ec.snap = ec.db.Store.DomainSnapshotInto(ec.snap[:0], crt.domain)
+	ec.snap = ec.db.Store.DomainSnapshotInto(ec.snap[:0], root.Domain())
 	for _, part := range ec.snap {
 		for _, oid := range part {
 			in, ok := ec.db.Store.Get(oid)

@@ -53,7 +53,7 @@ func TestGoldenFusedUnfusedIdentical(t *testing.T) {
 }
 
 // The differential must also hold under a strategy that does NOT admit
-// inlining (ConcurrentWriters false ⇒ fusion only): the capability gate
+// inlining (concurrentWriters false ⇒ fusion only): the capability gate
 // itself is part of the semantics.
 func TestGoldenFusedUnfusedIdenticalRW(t *testing.T) {
 	for _, sc := range goldenScenarios() {
@@ -120,7 +120,7 @@ func countOps(p *schema.Program, op schema.Op) int {
 	return n
 }
 
-// White-box: under FineCC (ConcurrentWriters) the wrapper's dispatched
+// White-box: under FineCC (concurrentWriters) the wrapper's dispatched
 // program has its nested sends spliced and its deposit bodies fused,
 // while a strategy without the capability keeps real sends.
 func TestInlinePipelineEngaged(t *testing.T) {
@@ -158,7 +158,7 @@ func TestInlinePipelineEngaged(t *testing.T) {
 // The commuting-deposit storm through the *inlined* path: deposit2 is
 // declared to commute with itself and with deposit, so FineCC runs the
 // wrappers concurrently, and every deposit they perform goes through a
-// spliced OpIncField instead of a NestedSend + frame push. N goroutines
+// spliced OpIncField instead of a nested send + frame push. N goroutines
 // × M wrappers × 2 deposits of 1 must land on exactly 2*N*M — the same
 // lost-update regression TestCommutingDepositsAtomic pins for the
 // unfused path, now covering inlined nested sends under -race.

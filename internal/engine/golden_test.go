@@ -167,21 +167,21 @@ func goldenScenarios() []goldenScenario {
 			name:   "figure1",
 			source: func(*testing.T) string { return paperex.Figure1 },
 			script: func(r *rec) {
-				r.new("c3")                                                        // obj0
-				r.new("c2", storage.IntV(10), storage.BoolV(false), r.ref(0))      // obj1
-				r.new("c2", storage.IntV(-3), storage.BoolV(true), r.ref(0))       // obj2
-				r.new("c1", storage.IntV(7), storage.BoolV(true), r.ref(0))        // obj3
-				r.send(1, "m2", storage.IntV(5))                                   // prefixed c1.m2 + f4
-				r.send(1, "m4", storage.IntV(1), storage.IntV(2))                  // cond branch
-				r.send(2, "m3")                                                    // remote send to c3 (f2 true)
-				r.send(1, "m3")                                                    // f2 false: no remote send
-				r.send(3, "m1", storage.IntV(9))                                   // inherited chain on c1
-				r.send(2, "m1", storage.IntV(4))                                   // late-bound chain on c2
-				r.sendAbort(1, "m2", storage.IntV(11))                             // undo f1/f4
-				r.send(1, "m4", storage.IntV(3), storage.IntV(8))                  //
-				r.scan("c1", "m2", true, storage.IntV(2))                          // hier domain scan
-				r.scan("c2", "m4", false, storage.IntV(1), storage.IntV(1))        // intentional scan
-				r.send(0, "m")                                                     // direct bump of g1
+				r.new("c3")                                                   // obj0
+				r.new("c2", storage.IntV(10), storage.BoolV(false), r.ref(0)) // obj1
+				r.new("c2", storage.IntV(-3), storage.BoolV(true), r.ref(0))  // obj2
+				r.new("c1", storage.IntV(7), storage.BoolV(true), r.ref(0))   // obj3
+				r.send(1, "m2", storage.IntV(5))                              // prefixed c1.m2 + f4
+				r.send(1, "m4", storage.IntV(1), storage.IntV(2))             // cond branch
+				r.send(2, "m3")                                               // remote send to c3 (f2 true)
+				r.send(1, "m3")                                               // f2 false: no remote send
+				r.send(3, "m1", storage.IntV(9))                              // inherited chain on c1
+				r.send(2, "m1", storage.IntV(4))                              // late-bound chain on c2
+				r.sendAbort(1, "m2", storage.IntV(11))                        // undo f1/f4
+				r.send(1, "m4", storage.IntV(3), storage.IntV(8))             //
+				r.scan("c1", "m2", true, storage.IntV(2))                     // hier domain scan
+				r.scan("c2", "m4", false, storage.IntV(1), storage.IntV(1))   // intentional scan
+				r.send(0, "m")                                                // direct bump of g1
 				r.dump()
 			},
 		},

@@ -132,7 +132,7 @@ func lockPlanTranscript(t *testing.T, src string, s Strategy) string {
 	}
 	for i, cls := range sch.Order {
 		fmt.Fprintf(&b, "delete %s:", cls.Name)
-		end(db.CC.Delete(acq, db.rt, uint64(seeded[i].OID), cls))
+		end(db.rt.class(cls).delete.acquire(acq, uint64(seeded[i].OID)))
 	}
 	return b.String()
 }
@@ -153,7 +153,7 @@ func TestLockPlanGolden(t *testing.T) {
 		{"cad", loadSchema(t, "cad")},
 	}
 	var b strings.Builder
-	for _, s := range []Strategy{FineCC{}, RWCC{}, RWImplicitCC{}, RWAnnounceCC{}, FieldCC{}, RelCC{}} {
+	for _, s := range Strategies() {
 		for _, sc := range schemas {
 			fmt.Fprintf(&b, "== %s %s\n", s.Name(), sc.name)
 			b.WriteString(lockPlanTranscript(t, sc.src, s))

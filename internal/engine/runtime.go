@@ -2,53 +2,28 @@ package engine
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/core"
 	"repro/internal/lock"
 	"repro/internal/schema"
 )
 
-// Runtime is the engine's precomputed view of a compiled schema: every
-// lock.ResourceID, boxed lock mode, writer classification and domain
-// closure a strategy can ever need, materialised once at Open into
-// dense arrays keyed by interned class and method IDs. The strategies
-// consult only these tables at run time, so a top-level send costs two
-// array loads and two lock requests — no string hashing, no map
-// lookups, no interface boxing, no Domain() walks and no heap
-// allocation on the warm path.
+// Runtime is the engine's precomputed view of a compiled schema under
+// one strategy: every lock plan, snapshot classification and compiled
+// program the run-time path can ever need, materialised once at Open
+// into dense arrays keyed by interned class and method IDs. A top-level
+// send costs two array loads and a walk of its lock plan — no string
+// hashing, no map lookups, no interface boxing, no Domain() walks and
+// no heap allocation on the warm path.
 type Runtime struct {
 	Compiled *core.Compiled
 	classes  []classRT // indexed by schema.Class.ID
 }
 
-// relLock is one precomputed relation-level lock of the 1NF comparator:
-// the relation resource, the class ID (for tuple resources) and whether
-// the method's transitive effect writes that relation.
-type relLock struct {
-	rel   lock.ResourceID
-	class uint32
-	write bool
-}
-
 // classRT is the per-class slice of the Runtime.
 type classRT struct {
-	cls   *schema.Class
-	comp  *core.CompiledClass
-	table *core.Table
-
-	classRes lock.ResourceID   // the class granule
-	linRes   []lock.ResourceID // class granules of Lin (self first)
-
-	domain []*schema.Class // cached Domain(); domain[0] == cls
-
 	// Dense per-MethodID tables (length = schema.NumMethodNames()).
-	// The method → mode-index mapping itself lives in the table
-	// (core.Table.ModeIndexID), built once at compile time.
-	davWrite []bool      // method's direct classification (writer?)
-	tavWrite []bool      // method's transitive classification
-	snapRead []bool      // method statically read-only per its TAV: eligible for the snapshot path
-	relPlans [][]relLock // relational lock plan, key-write cascade folded in
+	snapRead []bool // method statically read-only per its TAV: eligible for the snapshot path
 
 	// escrowSlots[mid] marks, per storage slot, the integer fields the
 	// method writes under declared (escrow) commutativity: some mode
@@ -63,57 +38,27 @@ type classRT struct {
 	// compiled code with one array load — no resolution, no names.
 	progs []*schema.Program
 
-	// Boxed lock.Mode values per mode index, pre-converted so the hot
-	// path passes interfaces without allocating.
-	methodModes []lock.Mode // MethodMode{table, idx}
-	intModes    []lock.Mode // ClassMode{…, Hier: false}
-	hierModes   []lock.Mode // ClassMode{…, Hier: true}
+	// The strategy compiled to data (cc.go): the lock plans of every
+	// method, by MethodID, and of instance creation and deletion.
+	plans          []methodPlans
+	create, delete lockPlan
 }
 
-// NewRuntime precomputes the run-time tables for a compiled schema,
-// dispatching superinstruction-fused programs (semantics-identical to
-// the compiler's output — see schema.Fuse).
-func NewRuntime(c *core.Compiled) *Runtime {
-	return newRuntimeModes(c, false, true)
-}
-
-// newRuntimeModes builds the tables with the program pipeline chosen by
-// the caller: inline splices statically-bound nested sends per receiver
-// class (schema.InlineSends — only sound for strategies whose
-// NestedSend hook is a no-op, i.e. ConcurrentWriters protocols), fuse
-// runs the superinstruction peephole. (false, false) dispatches the
-// compiler's base programs — the reference semantics the differential
-// golden suite replays.
-func newRuntimeModes(c *core.Compiled, inline, fuse bool) *Runtime {
+// newRuntime precomputes the run-time tables of a compiled schema under
+// protocol p. fuse selects the program pipeline: inlining splices
+// statically-bound nested sends per receiver class (schema.InlineSends —
+// only sound when nested sends lock nothing, i.e. under
+// concurrentWriters protocols), fusion runs the superinstruction
+// peephole; fuse=false dispatches the compiler's base programs — the
+// reference semantics the differential golden suite replays.
+func newRuntime(c *core.Compiled, p protocol, fuse bool) *Runtime {
+	inline := fuse && p.concurrentWriters
 	s := c.Schema
 	nm := s.NumMethodNames()
 	rt := &Runtime{Compiled: c, classes: make([]classRT, s.NumClasses())}
 	for _, cls := range s.Order {
 		crt := &rt.classes[cls.ID]
-		crt.cls = cls
-		crt.comp = c.Class(cls.Name)
-		crt.table = crt.comp.Table
-		crt.classRes = lock.ClassRes(cls.ID)
-		crt.linRes = make([]lock.ResourceID, len(cls.Lin))
-		for i, anc := range cls.Lin {
-			crt.linRes[i] = lock.ClassRes(anc.ID)
-		}
-		crt.domain = cls.Domain()
-
-		n := crt.table.NumModes()
-		crt.methodModes = make([]lock.Mode, n)
-		crt.intModes = make([]lock.Mode, n)
-		crt.hierModes = make([]lock.Mode, n)
-		for i := 0; i < n; i++ {
-			crt.methodModes[i] = lock.MethodMode{Table: crt.table, Idx: i}
-			crt.intModes[i] = lock.ClassMode{Table: crt.table, Idx: i, Hier: false}
-			crt.hierModes[i] = lock.ClassMode{Table: crt.table, Idx: i, Hier: true}
-		}
-
-		crt.davWrite = make([]bool, nm)
-		crt.tavWrite = make([]bool, nm)
 		crt.snapRead = make([]bool, nm)
-		crt.relPlans = make([][]relLock, nm)
 		crt.progs = make([]*schema.Program, nm)
 		// resolveBase maps a MethodID to the base program this class
 		// binds it to: the late-bound dispatch of OpSendSelf made static,
@@ -129,27 +74,21 @@ func newRuntimeModes(c *core.Compiled, inline, fuse bool) *Runtime {
 			if !ok {
 				continue
 			}
-			if dav, ok := c.DAV(cls, name); ok {
-				crt.davWrite[mid] = dav.HasWrite()
-			}
+			// The access-vector payoff the snapshot path rides on: a
+			// write-free TAV proves the method's whole transitive closure
+			// of self-sends never mutates, so a transaction built from
+			// such methods can run lock-free against committed versions.
+			// Decided here, at schema build — the run-time check is one
+			// bool load.
 			tav, tavOK := c.TAV(cls, name)
-			if tavOK {
-				crt.tavWrite[mid] = tav.HasWrite()
-				// The access-vector payoff the snapshot path rides on:
-				// a write-free TAV proves the method's whole transitive
-				// closure of self-sends never mutates, so a transaction
-				// built from such methods can run lock-free against
-				// committed versions. Decided here, at schema build —
-				// the run-time check is one bool load.
-				crt.snapRead[mid] = !tav.HasWrite()
-			}
-			crt.relPlans[mid] = buildRelPlan(c, cls, tav)
+			crt.snapRead[mid] = tavOK && !tav.HasWrite()
 			if m := cls.Resolve(name); m != nil {
 				crt.progs[mid] = buildProg(m.Program, inline && tavOK, fuse, resolveBase, tav)
 			}
 		}
-		crt.escrowSlots = buildEscrowSlots(c, cls, crt.table, nm)
+		crt.escrowSlots = buildEscrowSlots(c, cls, c.Class(cls.Name).Table, nm)
 	}
+	rt.compilePlans(p)
 	return rt
 }
 
@@ -220,9 +159,9 @@ func buildProg(base *schema.Program, inline, fuse bool,
 		// The definition-10 gate: a callee may only be spliced if the
 		// caller's transitive access vector covers every field access the
 		// callee's code performs, at the mode it performs it — the
-		// precise condition under which the skipped NestedSend lock
-		// request was already redundant. TAV extraction guarantees this
-		// for well-formed schemas; the check makes the pass locally safe
+		// precise condition under which the skipped nested lock request
+		// was already redundant. TAV extraction guarantees this for
+		// well-formed schemas; the check makes the pass locally safe
 		// instead of trusting that invariant.
 		allow := func(callee *schema.Program) bool {
 			for _, ins := range callee.Code {
@@ -283,11 +222,6 @@ func (rt *Runtime) MethodName(mid schema.MethodID) string {
 	return rt.Compiled.Schema.MethodName(mid)
 }
 
-// errNoMode is the shared missing-access-mode error of the strategies.
-func (rt *Runtime) errNoMode(cls *schema.Class, mid schema.MethodID) error {
-	return fmt.Errorf("engine: no access mode for %s.%s", cls.Name, rt.MethodName(mid))
-}
-
 // ResourceLabel renders a lock resource with schema names restored —
 // the human-readable form the numeric ResourceID gave up.
 func (rt *Runtime) ResourceLabel(res lock.ResourceID) string {
@@ -307,40 +241,4 @@ func (rt *Runtime) ResourceLabel(res lock.ResourceID) string {
 	default:
 		return res.String()
 	}
-}
-
-// buildRelPlan computes the relation-level lock plan of one method on
-// proper instances of one class under the 1NF decomposition: the
-// per-relation modes implied by the TAV, with the key-write cascade
-// (writing the root key write-locks the associated tuples of every
-// subclass relation) folded in, sorted by class name for deterministic
-// acquisition order.
-func buildRelPlan(c *core.Compiled, cls *schema.Class, tav core.Vector) []relLock {
-	s := c.Schema
-	rels := make(map[uint32]bool)
-	tav.Each(func(f schema.FieldID, m core.Mode) {
-		owner := s.Field(f).Owner.ID
-		if m == core.Write {
-			rels[owner] = true
-		} else if _, seen := rels[owner]; !seen {
-			rels[owner] = false
-		}
-	})
-	root := cls.Lin[len(cls.Lin)-1]
-	keyWrite := len(root.OwnFields) > 0 && tav.Get(root.OwnFields[0].ID) == core.Write
-	if keyWrite {
-		for _, sub := range root.Domain() {
-			if sub != root {
-				rels[sub.ID] = true
-			}
-		}
-	}
-	out := make([]relLock, 0, len(rels))
-	for id, write := range rels {
-		out = append(out, relLock{rel: lock.RelationRes(id), class: id, write: write})
-	}
-	sort.Slice(out, func(i, j int) bool {
-		return s.ClassByID(out[i].class).Name < s.ClassByID(out[j].class).Name
-	})
-	return out
 }

@@ -103,7 +103,7 @@ func TestSerializabilityTransfers(t *testing.T) {
 		workers  = 6
 		rounds   = 40
 	)
-	for _, s := range []Strategy{FineCC{}, RWCC{}, RWAnnounceCC{}, FieldCC{}, RelCC{}} {
+	for _, s := range Strategies() {
 		t.Run(s.Name(), func(t *testing.T) {
 			db, oids := setupLedger(t, s, accounts, initial)
 			var wg sync.WaitGroup
@@ -146,7 +146,7 @@ func TestSerializabilityTransfers(t *testing.T) {
 // Aborted transfers must leave no partial effects even when the abort
 // happens between the debit and the credit.
 func TestAbortLeavesNoPartialTransfer(t *testing.T) {
-	for _, s := range []Strategy{FineCC{}, RWCC{}, FieldCC{}, RelCC{}} {
+	for _, s := range Strategies() {
 		t.Run(s.Name(), func(t *testing.T) {
 			db, oids := setupLedger(t, s, 2, 100)
 			tx := db.Begin()
@@ -173,7 +173,7 @@ func TestScanSeesConsistentTotals(t *testing.T) {
 		accounts = 3
 		initial  = 500
 	)
-	for _, s := range []Strategy{FineCC{}, RWCC{}} {
+	for _, s := range Strategies() {
 		t.Run(s.Name(), func(t *testing.T) {
 			db, oids := setupLedger(t, s, accounts, initial)
 			stop := make(chan struct{})
@@ -241,7 +241,7 @@ func TestSerializabilityWideLedgerStorm(t *testing.T) {
 		workers  = 8
 		rounds   = 60
 	)
-	for _, s := range []Strategy{FineCC{}, RWCC{}} {
+	for _, s := range Strategies() {
 		t.Run(s.Name(), func(t *testing.T) {
 			db, oids := setupLedger(t, s, accounts, initial)
 			db.Locks().ResetStats()

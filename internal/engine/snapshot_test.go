@@ -131,17 +131,12 @@ func readOnlyTranscript(oids []storage.OID,
 	return b.String()
 }
 
-// allStrategies mirrors the strategy set of the cross-protocol suites.
-func allStrategies() []Strategy {
-	return []Strategy{FineCC{}, RWCC{}, RWImplicitCC{}, RWAnnounceCC{}, FieldCC{}, RelCC{}}
-}
-
 // TestSnapshotGoldenDifferential is the equivalence proof: on quiescent
 // data, the same read-only script replayed through the locking path and
 // through the snapshot path yields byte-for-byte identical transcripts,
 // under every strategy.
 func TestSnapshotGoldenDifferential(t *testing.T) {
-	for _, s := range allStrategies() {
+	for _, s := range Strategies() {
 		t.Run(s.Name(), func(t *testing.T) {
 			db := newSnapLedgerDB(t, s)
 			oids := seedSnapLedger(t, db)

@@ -6,8 +6,8 @@ package engine
 // pooled value stack (parameter/local slots at the bottom, operand
 // stack above), every name was resolved to an integer at build time,
 // and the engine never touches an mdl node during execution. Semantics
-// — evaluation order, error messages, concurrency-control hooks, undo
-// logging, counters — mirror the tree-walker; the differential golden
+// — evaluation order, error messages, lock requests, undo logging,
+// counters — mirror the tree-walker; the differential golden
 // suite (golden_test.go) holds the VM to transcripts recorded from it.
 // The one deliberate divergence is name scoping: locals bind in
 // program order and are zero-valued until assigned (see
@@ -18,6 +18,7 @@ import (
 	"fmt"
 	"runtime"
 
+	"repro/internal/lock"
 	"repro/internal/schema"
 	"repro/internal/storage"
 )
@@ -96,6 +97,38 @@ func (ec *execCtx) storeField(self *storage.Instance, slot int, v Value) {
 	ec.tx.Write(self, slot, v, m != nil && slot < len(m) && m[slot])
 }
 
+// lockNested walks the nested-send plan of mid on the receiver's class.
+// It is empty under every protocol that folds self-sends into the top
+// method's mode, so those sends take nothing. mid is always in
+// METHODS(self.Class): plain self-sends checked their program, and
+// extraction admits prefixed calls to ancestors' methods only.
+func (ec *execCtx) lockNested(self *storage.Instance, mid schema.MethodID) error {
+	plan := ec.db.rt.classes[self.Class.ID].plans[mid].nested
+	if len(plan) == 0 || ec.snapshot {
+		return nil
+	}
+	return plan.acquire(ec.acq, uint64(self.OID))
+}
+
+// lockField is the field-access event: one (instance, field) lock, S to
+// read and X to write, under run-time field locking; nothing under every
+// other protocol, whose plans already cover the field. Small enough to
+// inline, so the common case is one load and a branch.
+func (ec *execCtx) lockField(self *storage.Instance, fld *schema.Field, write bool) error {
+	if !ec.db.fieldLocks {
+		return nil
+	}
+	return ec.acquireField(self, fld, write)
+}
+
+func (ec *execCtx) acquireField(self *storage.Instance, fld *schema.Field, write bool) error {
+	mode := lock.S
+	if write {
+		mode = lock.X
+	}
+	return ec.acq.Acquire(lock.FieldRes(uint64(self.OID), int32(fld.ID)), mode)
+}
+
 // exec is the dispatch loop of one activation. The frame lives at
 // ec.stack[base : base+p.FrameSize()]; all accesses go through absolute
 // indexes so that nested activations growing the shared stack (which
@@ -172,7 +205,7 @@ func (ec *execCtx) exec(base int, self *storage.Instance, p *schema.Program, arg
 				sp++
 				continue
 			}
-			if err := db.CC.FieldAccess(ec.acq, db.rt, uint64(self.OID), self.Class, fld, false); err != nil {
+			if err := ec.lockField(self, fld, false); err != nil {
 				return Value{}, err
 			}
 			db.fieldReads.Add(1)
@@ -193,7 +226,7 @@ func (ec *execCtx) exec(base int, self *storage.Instance, p *schema.Program, arg
 			if err := checkAssignable(fld, v); err != nil {
 				return Value{}, fmt.Errorf("engine: %s: %w", p.PosAt(pc-1), err)
 			}
-			if err := db.CC.FieldAccess(ec.acq, db.rt, uint64(self.OID), self.Class, fld, true); err != nil {
+			if err := ec.lockField(self, fld, true); err != nil {
 				return Value{}, err
 			}
 			ec.storeField(self, self.Class.Slot(fld.ID), v)
@@ -302,10 +335,8 @@ func (ec *execCtx) exec(base int, self *storage.Instance, p *schema.Program, arg
 			if callee == nil {
 				return Value{}, fmt.Errorf("engine: %s: no method %q", p.PosAt(pc-1), db.rt.MethodName(mid))
 			}
-			if !ec.snapshot {
-				if err := db.CC.NestedSend(ec.acq, db.rt, uint64(self.OID), self.Class, mid); err != nil {
-					return Value{}, err
-				}
+			if err := ec.lockNested(self, mid); err != nil {
+				return Value{}, err
 			}
 			db.nestedSends.Add(1)
 			ec.steps, ec.ticks = steps, ticks
@@ -322,10 +353,8 @@ func (ec *execCtx) exec(base int, self *storage.Instance, p *schema.Program, arg
 		case schema.OpSendSuper:
 			argc := int(ins.B)
 			sc := &p.Supers[ins.A]
-			if !ec.snapshot {
-				if err := db.CC.NestedSend(ec.acq, db.rt, uint64(self.OID), self.Class, sc.MID); err != nil {
-					return Value{}, err
-				}
+			if err := ec.lockNested(self, sc.MID); err != nil {
+				return Value{}, err
 			}
 			db.nestedSends.Add(1)
 			callee := sc.Method.Program
@@ -356,7 +385,7 @@ func (ec *execCtx) exec(base int, self *storage.Instance, p *schema.Program, arg
 			}
 			db.remoteSends.Add(1)
 			ec.steps, ec.ticks = steps, ticks
-			held := ec.unlatch() // the remote TopSend acquires locks
+			held := ec.unlatch() // the remote top send acquires locks
 			v, err := ec.topSend(tv.R, schema.MethodID(ins.A), st[sp-argc:sp])
 			ec.relatch(held)
 			if err != nil {
@@ -384,7 +413,7 @@ func (ec *execCtx) exec(base int, self *storage.Instance, p *schema.Program, arg
 			}
 			db.remoteSends.Add(1)
 			ec.steps, ec.ticks = steps, ticks
-			held := ec.unlatch() // the remote TopSend acquires locks
+			held := ec.unlatch() // the remote top send acquires locks
 			v, err := ec.topSendName(tv.R, name, st[sp-argc:sp])
 			ec.relatch(held)
 			if err != nil {
@@ -406,10 +435,10 @@ func (ec *execCtx) exec(base int, self *storage.Instance, p *schema.Program, arg
 
 		// Superinstructions (see schema.Fuse). Each case replays the
 		// effects of the base sequence it replaces in the exact order —
-		// hooks, counters, undo logging and error sites included — and
-		// charges the sequence's full step count, so execution is
-		// indistinguishable from the unfused program apart from dispatch
-		// cost. Operand kinds: FuseConst (C is the value), FuseSlot (C is
+		// lock requests, counters, undo logging and error sites
+		// included — and charges the sequence's full step count, so
+		// execution is indistinguishable from the unfused program apart
+		// from dispatch cost. Operand kinds: FuseConst (C is the value), FuseSlot (C is
 		// a frame slot), FuseField (C is a Fields index), FuseStr (C is a
 		// Strs index — string-literal concat and compare tails).
 
@@ -430,7 +459,7 @@ func (ec *execCtx) exec(base int, self *storage.Instance, p *schema.Program, arg
 				}
 				db.fieldReads.Add(1)
 			} else {
-				if err := db.CC.FieldAccess(ec.acq, db.rt, uint64(self.OID), self.Class, fld, false); err != nil {
+				if err := ec.lockField(self, fld, false); err != nil {
 					return Value{}, err
 				}
 				db.fieldReads.Add(1)
@@ -459,7 +488,7 @@ func (ec *execCtx) exec(base int, self *storage.Instance, p *schema.Program, arg
 			if err := checkAssignable(fld, v); err != nil {
 				return Value{}, fmt.Errorf("engine: %s: %w", p.PosAt(pc-1), err)
 			}
-			if err := db.CC.FieldAccess(ec.acq, db.rt, uint64(self.OID), self.Class, fld, true); err != nil {
+			if err := ec.lockField(self, fld, true); err != nil {
 				return Value{}, err
 			}
 			ec.storeField(self, slot, v)
@@ -494,7 +523,7 @@ func (ec *execCtx) exec(base int, self *storage.Instance, p *schema.Program, arg
 				}
 				db.fieldReads.Add(1)
 			} else {
-				if err := db.CC.FieldAccess(ec.acq, db.rt, uint64(self.OID), self.Class, fld, false); err != nil {
+				if err := ec.lockField(self, fld, false); err != nil {
 					return Value{}, err
 				}
 				db.fieldReads.Add(1)
@@ -527,7 +556,7 @@ func (ec *execCtx) exec(base int, self *storage.Instance, p *schema.Program, arg
 				r = storage.StrV(p.Strs[ins.C])
 			case schema.FuseSlot:
 				r = st[base+int(ins.C)]
-			default: // FuseField: the operand is a hooked field read
+			default: // FuseField: the operand is a locked field read
 				fld := p.Fields[ins.C]
 				if ec.snapshot {
 					var err error
@@ -537,7 +566,7 @@ func (ec *execCtx) exec(base int, self *storage.Instance, p *schema.Program, arg
 					db.fieldReads.Add(1)
 					break
 				}
-				if err := db.CC.FieldAccess(ec.acq, db.rt, uint64(self.OID), self.Class, fld, false); err != nil {
+				if err := ec.lockField(self, fld, false); err != nil {
 					return Value{}, err
 				}
 				db.fieldReads.Add(1)
@@ -562,7 +591,7 @@ func (ec *execCtx) exec(base int, self *storage.Instance, p *schema.Program, arg
 				ec.steps, ec.ticks = steps, ticks
 				return v, nil
 			}
-			if err := db.CC.FieldAccess(ec.acq, db.rt, uint64(self.OID), self.Class, fld, false); err != nil {
+			if err := ec.lockField(self, fld, false); err != nil {
 				return Value{}, err
 			}
 			db.fieldReads.Add(1)
@@ -575,7 +604,7 @@ func (ec *execCtx) exec(base int, self *storage.Instance, p *schema.Program, arg
 			return st[base+int(ins.A)], nil
 
 		// Inlining support (see schema.InlineSends): an inlined nested
-		// self-send skips the NestedSend hook (a no-op under every
+		// self-send skips the nested plan (empty under every
 		// protocol that allows inlining) and the frame push, but still
 		// counts as a nested send in the engine's statistics.
 
@@ -592,7 +621,7 @@ func (ec *execCtx) exec(base int, self *storage.Instance, p *schema.Program, arg
 }
 
 // snapshotRead resolves one field read as of the snapshot's begin epoch
-// — no CC hook, no lock: the live cell with every later commit's (and
+// — no lock plan, no lock: the live cell with every later commit's (and
 // every uncommitted) record of the slot rolled back, inside one seqlock
 // section of the receiver. Invisible is unreachable for a receiver that
 // passed the topSend visibility gate, but a torn invariant must surface,

@@ -10,11 +10,11 @@ package schema
 // The license to do this is the paper's definition 10: a method's
 // transitive access vector already carries the effects of every nested
 // self-send, so the locks acquired for the *top-level* send cover the
-// callee's accesses too, and the NestedSend lock request adds nothing.
-// Protocols that exploit this (the fine mode tables) implement
-// NestedSend as a no-op — which is exactly the engine-side capability
-// gate: the runtime only builds inlined dispatch tables for strategies
-// whose ConcurrentWriters capability says nested self-sends are free,
+// callee's accesses too, and a nested-send lock request adds nothing.
+// Protocols that exploit this (the fine mode tables) compile empty
+// nested-send lock plans — which is exactly the engine-side capability
+// gate: the runtime only builds inlined dispatch tables for protocols
+// that declare concurrentWriters, whose nested self-sends are free,
 // and the caller passes an `allow` predicate that re-checks definition
 // 10 against the caller's TAV (every field the callee touches must be
 // covered at the mode the callee needs).

@@ -226,10 +226,10 @@ func (p *Program) PosAt(pc int) string {
 // still reported, never panicked.
 func CompileBody(s *Schema, m *Method) (*Program, error) {
 	bc := &bodyCompiler{
-		s:   s,
-		m:   m,
-		cls: m.Definer,
-		p:   &Program{Method: m, NumParams: len(m.Params)},
+		s:     s,
+		m:     m,
+		cls:   m.Definer,
+		p:     &Program{Method: m, NumParams: len(m.Params)},
 		slots: make(map[string]int, len(m.Params)+4),
 	}
 	for i, name := range m.Params {

@@ -115,7 +115,7 @@ func TestRecoveryPipelinedCrashWindow(t *testing.T) {
 			var values []int64
 			for i := 1; i <= commitsEach; i++ {
 				in.Set(0, storage.IntV(int64(i)))
-				c := l.BeginCommit(uint64(100 + w*1000 + i), 0)
+				c := l.BeginCommit(uint64(100+w*1000+i), 0)
 				c.Write(uint64(in.OID), 0, in.Get(0))
 				fut, err := c.CommitPipelined()
 				if err != nil {
@@ -306,7 +306,7 @@ func TestRecoveryPipelinedFuturesResolveOnClose(t *testing.T) {
 	futures := make([]*Future, 0, commits)
 	for i := 1; i <= commits; i++ {
 		in.Set(0, storage.IntV(int64(i)))
-		c := l.BeginCommit(uint64(1 + i), 0)
+		c := l.BeginCommit(uint64(1+i), 0)
 		c.Write(uint64(in.OID), 0, in.Get(0))
 		fut, err := c.CommitPipelined()
 		if err != nil {

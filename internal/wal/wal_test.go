@@ -437,7 +437,7 @@ func TestRecoveryGroupCommitConcurrent(t *testing.T) {
 			in := insts[w]
 			for i := 1; i <= commitsEach; i++ {
 				in.Set(0, storage.IntV(int64(i)))
-				c := l.BeginCommit(uint64(100 + w*1000 + i), 0)
+				c := l.BeginCommit(uint64(100+w*1000+i), 0)
 				c.Write(uint64(in.OID), 0, in.Get(0))
 				if err := c.Commit(); err != nil {
 					errs <- fmt.Errorf("worker %d commit %d: %w", w, i, err)

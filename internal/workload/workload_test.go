@@ -160,9 +160,7 @@ func TestMixEmptyPopulation(t *testing.T) {
 // Concurrent mixed workload runs to completion under every strategy.
 func TestMixUnderAllStrategies(t *testing.T) {
 	src := GenSchema(DefaultSchemaParams())
-	for _, s := range []engine.Strategy{
-		engine.FineCC{}, engine.RWCC{}, engine.RWAnnounceCC{}, engine.FieldCC{}, engine.RelCC{},
-	} {
+	for _, s := range engine.Strategies() {
 		t.Run(s.Name(), func(t *testing.T) {
 			c, err := core.CompileSource(src)
 			if err != nil {

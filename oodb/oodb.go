@@ -80,19 +80,10 @@ func Strategies() []Strategy {
 }
 
 func (s Strategy) impl() (engine.Strategy, error) {
-	switch s {
-	case Fine:
-		return engine.FineCC{}, nil
-	case ReadWrite:
-		return engine.RWCC{}, nil
-	case ReadWriteImplicit:
-		return engine.RWImplicitCC{}, nil
-	case ReadWriteAnnounce:
-		return engine.RWAnnounceCC{}, nil
-	case FieldLocking:
-		return engine.FieldCC{}, nil
-	case Relational:
-		return engine.RelCC{}, nil
+	for _, impl := range engine.Strategies() {
+		if impl.Name() == string(s) {
+			return impl, nil
+		}
 	}
 	return nil, fmt.Errorf("oodb: unknown strategy %q", s)
 }
