@@ -618,6 +618,38 @@ func BenchmarkLockAcquireRelease(b *testing.B) {
 	}
 }
 
+// Lock-manager hot path under parallel load, in the shape of every top
+// send of the paper's protocol on one hot class: an intentional class
+// lock shared by all workers plus X on the worker's own instance, then
+// ReleaseAll. The class lock is what the workers have in common; its
+// partitions (lock.classPartitions) keep it from serializing them on
+// one shard mutex. Must report 0 allocs/op.
+func BenchmarkHotClassLockParallel(b *testing.B) {
+	c := compileFig1(b)
+	tbl := c.Class("c2").Table
+	intent := lock.Mode(lock.ClassMode{Table: tbl, Idx: tbl.ModeIndex("m4")})
+	class := lock.ClassRes(c.Schema.Class("c2").ID)
+	m := lock.NewManager()
+	var nextTxn, nextWorker atomic.Uint64
+	b.ReportAllocs()
+	b.ResetTimer()
+	b.RunParallel(func(pb *testing.PB) {
+		own := lock.InstanceRes(nextWorker.Add(1))
+		for pb.Next() {
+			txn := lock.TxnID(nextTxn.Add(1))
+			if err := m.Acquire(txn, class, intent); err != nil {
+				b.Error(err)
+				return
+			}
+			if err := m.Acquire(txn, own, lock.X); err != nil {
+				b.Error(err)
+				return
+			}
+			m.ReleaseAll(txn)
+		}
+	})
+}
+
 // Interpreter hot path: arithmetic-heavy method execution.
 func BenchmarkInterpreter(b *testing.B) {
 	const src = `

@@ -19,6 +19,7 @@ package engine
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/core"
 	"repro/internal/lock"
@@ -268,5 +269,42 @@ func (rt *Runtime) compilePlans(p protocol) {
 		}
 		crt.create = p.create(cls)
 		crt.delete = p.delete(cls)
+	}
+	rt.checkIntentions()
+}
+
+// checkIntentions panics unless, on every class and relation, the
+// intention modes the compiled plans take there are pairwise compatible.
+// The lock manager stands on that: it puts an intention lock
+// (lock.IsIntention) on one of several partitions of the resource, where
+// two of them need never meet, so a protocol that issued a conflicting
+// pair would lose serializability silently. Like a missing access mode,
+// that fails at Open.
+func (rt *Runtime) checkIntentions() {
+	seen := make(map[lock.ResourceID][]lock.Mode)
+	note := func(p lockPlan) {
+		for _, st := range p {
+			res := st.res
+			if res.Kind != lock.KindClass && res.Kind != lock.KindRelation || !lock.IsIntention(st.mode) ||
+				slices.Contains(seen[res], st.mode) {
+				continue
+			}
+			for _, o := range seen[res] {
+				if !o.Compatible(st.mode) {
+					panic(fmt.Errorf("engine: intention modes %s and %s conflict on %v", o, st.mode, res))
+				}
+			}
+			seen[res] = append(seen[res], st.mode)
+		}
+	}
+	for _, cls := range rt.Compiled.Schema.Order {
+		crt := rt.class(cls)
+		for _, mp := range crt.plans {
+			for _, p := range []lockPlan{mp.top, mp.nested, mp.scanInstance, mp.scanIntent, mp.scanHier} {
+				note(p)
+			}
+		}
+		note(crt.create)
+		note(crt.delete)
 	}
 }

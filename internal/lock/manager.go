@@ -88,13 +88,58 @@ const (
 	txnStripeCount    = 64
 )
 
+// classPartitions is how many lock-table rows one class or relation
+// lock is striped over. Every send of the paper's protocol takes an
+// intentional lock on its receiver's class, and every baseline send
+// takes IS or IX there, so a single class row would see every
+// transaction of the class and its shard mutex would serialize them all.
+// Instead such a lock lives in classPartitions rows, its partitions: the
+// caller's ResourceID with Field — −1 on these kinds — set to the
+// partition number, so the rows hash onto different shards. An intention
+// mode (IsIntention) locks only the requester's own partition, chosen by
+// TxnID; every other mode sweeps all of them (see sweep). That is sound
+// because the intention modes that can meet on one resource are pairwise
+// compatible (section 5.2: "two intentional locks always coexist"), so
+// every conflict involves a non-intention mode, and that mode visits
+// every partition.
+//
+// Nothing above the lock manager sees a partition: an Acquire counts
+// once in Stats, Holds/HeldModes/LocksHeld report the logical lock, and
+// a sweep is granted on every partition at once or on none, so it keeps
+// the logical lock's FIFO place and conversion priority, and its
+// waits-for edges are the logical lock's.
+const classPartitions = 8
+
+// partitioned reports whether res is a class or relation granule,
+// locked through classPartitions rows.
+func partitioned(res ResourceID) bool { return res.Kind == KindClass || res.Kind == KindRelation }
+
+// partition returns row i of the partitioned resource res.
+func partition(res ResourceID, i int) ResourceID {
+	res.Field = int32(i)
+	return res
+}
+
+// ownRow is the row of res that carries txn's lock on it: the resource
+// itself, or for a partitioned one the transaction's own partition,
+// which holds every mode the transaction has on the class — its
+// intention modes there only, the others on every partition.
+func ownRow(txn TxnID, res ResourceID) ResourceID {
+	if partitioned(res) {
+		return partition(res, int(uint64(txn)%classPartitions))
+	}
+	return res
+}
+
 // Manager is the lock table, partitioned into power-of-two shards keyed
 // by a hash of the ResourceID: acquires on distinct resources land on
-// distinct shards and never contend. Per-transaction held-lock tracking
-// lives in txn-owned states (found via a striped registry), so
-// ReleaseAll touches only the shards the transaction actually holds
-// locks in. Deadlock detection runs off the hot path against a
-// dedicated waits-for registry updated only on block/unblock.
+// distinct shards and never contend, and class locks are spread over
+// several rows (classPartitions) so that the one hot class of a
+// workload does not pin every transaction to one shard. Per-transaction
+// held-lock tracking lives in txn-owned states (found via a striped
+// registry), so ReleaseAll touches only the shards the transaction
+// actually holds locks in. Deadlock detection runs off the hot path
+// against a dedicated waits-for registry updated only on block/unblock.
 //
 // The zero value is not usable; construct with NewManager.
 type Manager struct {
@@ -149,9 +194,6 @@ func NewManagerShards(n int) *Manager {
 		m.shards[i].idx = uint32(i)
 		m.shards[i].table.init(8)
 	}
-	for i := range m.stripes {
-		m.stripes[i].m = make(map[TxnID]*txnState)
-	}
 	m.reg.waiting = make(map[TxnID]waitInfo)
 	m.waiterPool.New = func() any { return &waiter{ready: make(chan error, 1)} }
 	m.statePool.New = func() any { return &txnState{} }
@@ -172,25 +214,57 @@ func (m *Manager) shardFor(res ResourceID) (*shard, uint64) {
 // touched under that shard's mutex, so a promote granting on one shard
 // can run concurrently with the transaction acquiring on another.
 type txnState struct {
+	txn    TxnID
 	shards atomic.Uint64
 	held   [maxShardCount][]ResourceID
 }
 
-// txnStripe is one stripe of the txn → state registry. Transactions get
-// sequential IDs, so adjacent transactions land on different stripes.
+// txnStripe is one stripe of the txn → state registry: the states of
+// the live transactions whose IDs fall on it. Transactions get
+// sequential IDs, so a stripe holds one or two at a time and a scan
+// beats a map; and the two transactions that overlap, n and n+1, land on
+// adjacent stripes, which the trailing pad keeps on separate cache lines.
 type txnStripe struct {
-	mu sync.Mutex
-	m  map[TxnID]*txnState
+	mu   sync.Mutex
+	live []*txnState
+	_    [64]byte
+}
+
+// find returns the index of txn's state, or -1. Requires st.mu held.
+func (st *txnStripe) find(txn TxnID) int {
+	for i, s := range st.live {
+		if s.txn == txn {
+			return i
+		}
+	}
+	return -1
+}
+
+// take swap-removes and returns state i. Requires st.mu held.
+func (st *txnStripe) take(i int) *txnState {
+	s := st.live[i]
+	last := len(st.live) - 1
+	st.live[i] = st.live[last]
+	st.live[last] = nil
+	st.live = st.live[:last]
+	return s
+}
+
+func (m *Manager) stripeFor(txn TxnID) *txnStripe {
+	return &m.stripes[uint64(txn)%txnStripeCount]
 }
 
 // stateFor returns the transaction's state, creating it on first use.
 func (m *Manager) stateFor(txn TxnID) *txnState {
-	st := &m.stripes[uint64(txn)%txnStripeCount]
+	st := m.stripeFor(txn)
 	st.mu.Lock()
-	s := st.m[txn]
-	if s == nil {
+	var s *txnState
+	if i := st.find(txn); i >= 0 {
+		s = st.live[i]
+	} else {
 		s = m.statePool.Get().(*txnState)
-		st.m[txn] = s
+		s.txn = txn
+		st.live = append(st.live, s)
 	}
 	st.mu.Unlock()
 	return s
@@ -198,20 +272,23 @@ func (m *Manager) stateFor(txn TxnID) *txnState {
 
 // lookupState returns the transaction's state or nil.
 func (m *Manager) lookupState(txn TxnID) *txnState {
-	st := &m.stripes[uint64(txn)%txnStripeCount]
+	st := m.stripeFor(txn)
 	st.mu.Lock()
-	s := st.m[txn]
+	var s *txnState
+	if i := st.find(txn); i >= 0 {
+		s = st.live[i]
+	}
 	st.mu.Unlock()
 	return s
 }
 
 // takeState removes and returns the transaction's state (nil if none).
 func (m *Manager) takeState(txn TxnID) *txnState {
-	st := &m.stripes[uint64(txn)%txnStripeCount]
+	st := m.stripeFor(txn)
 	st.mu.Lock()
-	s := st.m[txn]
-	if s != nil {
-		delete(st.m, txn)
+	var s *txnState
+	if i := st.find(txn); i >= 0 {
+		s = st.take(i)
 	}
 	st.mu.Unlock()
 	return s
@@ -219,17 +296,17 @@ func (m *Manager) takeState(txn TxnID) *txnState {
 
 // dropStateIfEmpty recycles the state of a transaction that holds no
 // locks (a deadlock victim aborted on its very first request).
-func (m *Manager) dropStateIfEmpty(txn TxnID, s *txnState) {
-	if s.shards.Load() != 0 {
-		return
-	}
-	st := &m.stripes[uint64(txn)%txnStripeCount]
+func (m *Manager) dropStateIfEmpty(txn TxnID) {
+	st := m.stripeFor(txn)
 	st.mu.Lock()
-	if st.m[txn] == s {
-		delete(st.m, txn)
+	var s *txnState
+	if i := st.find(txn); i >= 0 && st.live[i].shards.Load() == 0 {
+		s = st.take(i)
 	}
 	st.mu.Unlock()
-	m.statePool.Put(s)
+	if s != nil {
+		m.statePool.Put(s)
+	}
 }
 
 // Acquire blocks until txn holds mode on res, following strict 2PL:
@@ -264,6 +341,32 @@ func (m *Manager) AcquireWait(txn TxnID, res ResourceID, mode Mode) (time.Durati
 // nil done is exactly AcquireWait.
 func (m *Manager) AcquireWaitDone(txn TxnID, res ResourceID, mode Mode, done <-chan struct{}) (time.Duration, error) {
 	m.stats.requests.Add(1)
+	if partitioned(res) && !IsIntention(mode) {
+		return m.sweep(txn, res, mode, done)
+	}
+	held, upgrade, w := m.request(txn, ownRow(txn, res), mode)
+	if held {
+		m.stats.reentrant.Add(1)
+		return 0, nil
+	}
+	if upgrade {
+		m.stats.upgrades.Add(1)
+	}
+	if w == nil {
+		m.stats.immediateGrants.Add(1)
+		return 0, nil
+	}
+	m.stats.blocks.Add(1)
+	start := time.Now()
+	return m.waited(txn, start, m.block(txn, w, done))
+}
+
+// request asks for mode on one lock-table row and returns without
+// sleeping: held means txn already has it (or a covering mode), a nil w
+// means it was granted, and otherwise w is queued and published to the
+// waits-for registry, for block to wait on. upgrade reports a
+// conversion: txn holds the row already.
+func (m *Manager) request(txn TxnID, res ResourceID, mode Mode) (held, upgrade bool, w *waiter) {
 	sh, h := m.shardFor(res)
 	sh.mu.Lock()
 	e := sh.table.get(res, h)
@@ -271,41 +374,251 @@ func (m *Manager) AcquireWaitDone(txn TxnID, res ResourceID, mode Mode, done <-c
 		e = sh.newEntry()
 		sh.table.put(res, h, e)
 	}
-	gs := e.granted[txn]
-	if gs.redundant(mode) {
-		m.stats.reentrant.Add(1)
+	i := e.find(txn)
+	if i >= 0 && e.holders[i].modes.redundant(mode) {
 		sh.mu.Unlock()
-		return 0, nil
+		return true, false, nil
 	}
-	upgrade := gs.first != nil
-	if upgrade {
-		m.stats.upgrades.Add(1)
-	}
-
+	upgrade = i >= 0
 	state := m.stateFor(txn)
 	if e.compatibleWithOthers(txn, mode) && (len(e.queue) == 0 || upgrade) {
-		sh.grant(e, txn, state, res, mode)
-		m.stats.immediateGrants.Add(1)
+		sh.grant(e, i, txn, state, res, mode)
 		sh.mu.Unlock()
-		return 0, nil
+		return false, upgrade, nil
 	}
 
 	// Must wait. Conversions go to the front of the queue, after any
 	// conversions already waiting; plain requests are FIFO.
-	w := m.waiterPool.Get().(*waiter)
+	w = m.waiterPool.Get().(*waiter)
 	w.txn, w.state, w.res, w.mode, w.upgrade = txn, state, res, mode, upgrade
 	e.enqueue(w)
-	m.stats.blocks.Add(1)
 	m.reg.add(txn, w) // publish the waits-for edge before detecting
 	sh.mu.Unlock()
+	return false, upgrade, w
+}
 
-	start := time.Now()
-	err := m.block(txn, w, sh, res, h, done)
-	waited := time.Since(start)
-	if hist := m.waitHist.Load(); hist != nil {
-		hist.Record(waited)
+// sweep acquires a non-intention mode on a partitioned resource, on
+// every partition at once. It holds the shard mutexes of all the
+// partitions together (partsOf) and is either granted on all of them —
+// each compatible, and each queue empty or the request a conversion —
+// or queued on all of them, to be granted on all of them together later
+// (blockSweep). So it holds nothing while it waits: it keeps the logical
+// lock's place in FIFO order on every partition, a conversion passes it
+// as on a single row, and a failed sweep has nothing to give back. If
+// txn already holds the class the request is a conversion on every
+// partition.
+func (m *Manager) sweep(txn TxnID, res ResourceID, mode Mode, done <-chan struct{}) (time.Duration, error) {
+	p := m.partsOf(res)
+	p.lock()
+	var e [classPartitions]*entry
+	for i := range e {
+		if e[i] = p.sh[i].table.get(p.res[i], p.h[i]); e[i] == nil {
+			e[i] = p.sh[i].newEntry()
+			p.sh[i].table.put(p.res[i], p.h[i], e[i])
+		}
 	}
-	return waited, err
+	// Partitions differ only by intention modes, and those never cover a
+	// non-intention one: held on one partition is held on all of them.
+	if i := e[0].find(txn); i >= 0 && e[0].holders[i].modes.redundant(mode) {
+		p.unlock()
+		m.stats.reentrant.Add(1)
+		return 0, nil
+	}
+	conv := e[uint64(txn)%classPartitions].find(txn) >= 0
+	if conv {
+		m.stats.upgrades.Add(1)
+	}
+	state := m.stateFor(txn)
+	if compatibleAll(e[:], txn, mode) && (conv || queuesEmpty(e[:])) {
+		for i := range e {
+			p.sh[i].grant(e[i], e[i].find(txn), txn, state, p.res[i], mode)
+		}
+		p.unlock()
+		m.stats.immediateGrants.Add(1)
+		return 0, nil
+	}
+
+	// Queue on every partition. Each waiter is a part: promote does not
+	// grant it but tells the sweep, through the first part's ready
+	// channel, that it has reached the head of its queue.
+	var ws [classPartitions]*waiter
+	for i := range ws {
+		w := m.waiterPool.Get().(*waiter)
+		ws[i] = w
+		w.txn, w.state, w.res, w.mode, w.upgrade, w.lead = txn, state, p.res[i], mode, conv, ws[0]
+		e[i].enqueue(w)
+	}
+	published := ws // detection reads this copy, never the live array
+	m.reg.put(txn, waitInfo{res: res, mode: mode, upgrade: conv, parts: &published})
+	p.unlock()
+	m.stats.blocks.Add(1)
+	start := time.Now()
+	return m.waited(txn, start, m.blockSweep(txn, &p, &ws, done))
+}
+
+// parts is the rows of a partitioned resource with their hashes and
+// shards, and those shards once each in ascending order: the order in
+// which a sweep locks them. No other path holds two shard mutexes, so
+// sweeps cannot deadlock on them.
+type parts struct {
+	res   [classPartitions]ResourceID
+	h     [classPartitions]uint64
+	sh    [classPartitions]*shard
+	order [classPartitions]*shard
+	n     int
+}
+
+func (m *Manager) partsOf(res ResourceID) (p parts) {
+	for i := range p.res {
+		p.res[i] = partition(res, i)
+		p.sh[i], p.h[i] = m.shardFor(p.res[i])
+		j := 0
+		for j < p.n && p.order[j].idx < p.sh[i].idx {
+			j++
+		}
+		if j < p.n && p.order[j] == p.sh[i] {
+			continue
+		}
+		copy(p.order[j+1:p.n+1], p.order[j:p.n])
+		p.order[j] = p.sh[i]
+		p.n++
+	}
+	return p
+}
+
+func (p *parts) lock() {
+	for _, sh := range p.order[:p.n] {
+		sh.mu.Lock()
+	}
+}
+
+func (p *parts) unlock() {
+	for _, sh := range p.order[:p.n] {
+		sh.mu.Unlock()
+	}
+}
+
+// entries returns the partitions' rows. Requires p locked and the rows
+// present — as they are while the sweep is queued on them.
+func (p *parts) entries() (e [classPartitions]*entry) {
+	for i := range e {
+		e[i] = p.sh[i].table.get(p.res[i], p.h[i])
+	}
+	return e
+}
+
+// compatibleAll reports whether mode is compatible with every other
+// transaction's modes on every one of the rows e.
+func compatibleAll(e []*entry, txn TxnID, mode Mode) bool {
+	for i := range e {
+		if !e[i].compatibleWithOthers(txn, mode) {
+			return false
+		}
+	}
+	return true
+}
+
+func queuesEmpty(e []*entry) bool {
+	for i := range e {
+		if len(e[i].queue) > 0 {
+			return false
+		}
+	}
+	return true
+}
+
+// grantable reports whether the sweep queued as ws heads every queue of
+// the rows e and is compatible with every holder: what promote would
+// grant, were the rows one.
+func grantable(e []*entry, ws *[classPartitions]*waiter) bool {
+	for i := range e {
+		if e[i].queue[0] != ws[i] {
+			return false
+		}
+	}
+	return compatibleAll(e, ws[0].txn, ws[0].mode)
+}
+
+// blockSweep waits until the sweep queued as ws heads every queue and is
+// compatible everywhere, then grants it on every partition at once and
+// admits whatever queued behind it. Promote rings the first part's
+// ready channel whenever one of the parts comes to head its queue; each
+// ring is a look under all the partitions' mutexes. A timeout or
+// cancellation withdraws the sweep from every queue — unless it is
+// grantable by then, and then the grant wins.
+func (m *Manager) blockSweep(txn TxnID, p *parts, ws *[classPartitions]*waiter, done <-chan struct{}) error {
+	if err := m.detectSweepDeadlock(txn, p, ws); err != nil {
+		return err
+	}
+	timeout := m.deadline()
+	for {
+		var cause error
+		select {
+		case <-ws[0].ready:
+		case <-timeout:
+			cause = ErrTimeout
+		case <-done:
+			cause = ErrCanceled
+		}
+		p.lock()
+		e := p.entries()
+		if w := ws[0]; grantable(e[:], ws) {
+			for i := range e {
+				e[i].queue = e[i].queue[1:]
+				p.sh[i].grant(e[i], e[i].find(txn), txn, w.state, p.res[i], w.mode)
+				p.sh[i].promote(m, e[i])
+			}
+			cause = nil
+		} else if cause == nil {
+			p.unlock()
+			continue
+		} else {
+			m.unqueue(p, e[:], ws)
+			if cause == ErrTimeout {
+				m.stats.timeouts.Add(1)
+			}
+		}
+		m.reg.remove(txn)
+		p.unlock()
+		m.recycleParts(ws)
+		return cause
+	}
+}
+
+// unqueue takes the sweep queued as ws off every partition's queue and
+// admits whatever its place held back. Requires p locked.
+func (m *Manager) unqueue(p *parts, e []*entry, ws *[classPartitions]*waiter) {
+	for i := range e {
+		e[i].removeWaiter(ws[i])
+		p.sh[i].settle(m, e[i], p.res[i], p.h[i])
+	}
+}
+
+// recycleParts recycles a finished sweep's waiters. None of them is in a
+// queue any more, so no ring can follow: clearing the one that may be
+// pending leaves the first part's channel empty for its next user.
+func (m *Manager) recycleParts(ws *[classPartitions]*waiter) {
+	select {
+	case <-ws[0].ready:
+	default:
+	}
+	for _, w := range ws {
+		m.recycleWaiter(w)
+	}
+}
+
+// waited closes a blocking acquire that started queueing at start: the
+// wait goes to the histogram, and a failed request recycles the state of
+// a transaction it left holding nothing.
+func (m *Manager) waited(txn TxnID, start time.Time, err error) (time.Duration, error) {
+	d := time.Since(start)
+	if hist := m.waitHist.Load(); hist != nil {
+		hist.Record(d)
+	}
+	if err != nil {
+		m.dropStateIfEmpty(txn)
+	}
+	return d, err
 }
 
 // grantSpins is how many times a queued request yields the processor
@@ -320,39 +633,49 @@ const grantSpins = 32
 
 // block runs the slow half of an acquire — deadlock detection, then the
 // grant/timeout/cancellation wait — after the waiter has been enqueued.
-func (m *Manager) block(txn TxnID, w *waiter, sh *shard, res ResourceID, h uint64, done <-chan struct{}) error {
+// On failure the waiter is off the queue and recycled.
+func (m *Manager) block(txn TxnID, w *waiter, done <-chan struct{}) error {
+	res := w.res
+	sh, h := m.shardFor(res)
 	if err := m.detectDeadlock(txn, w, sh); err != nil {
 		return err
 	}
+	if cause := m.wait(w, m.deadline(), done); cause != nil {
+		return m.withdraw(txn, w, sh, res, h, cause)
+	}
+	m.recycleWaiter(w)
+	return nil
+}
+
+// deadline returns a channel that fires once WaitTimeout has passed, or
+// nil — which never fires — when no timeout is set.
+func (m *Manager) deadline() <-chan time.Time {
+	if m.WaitTimeout <= 0 {
+		return nil
+	}
+	return time.After(m.WaitTimeout)
+}
+
+// wait waits for the grant of w, polling grantSpins times before it
+// sleeps, until timeout or done fires (a nil channel never does). It
+// returns nil once it has consumed the grant, and otherwise the cause —
+// ErrTimeout or ErrCanceled — with w still to be withdrawn.
+func (m *Manager) wait(w *waiter, timeout <-chan time.Time, done <-chan struct{}) error {
 	for i := 0; i < grantSpins; i++ {
 		select {
-		case err := <-w.ready:
-			m.recycleWaiter(w)
-			return err
+		case <-w.ready:
+			return nil
 		default:
 			runtime.Gosched()
 		}
 	}
-
-	if m.WaitTimeout <= 0 && done == nil {
-		return m.await(w)
-	}
-	// A select on a nil channel blocks forever, so an unset timeout or
-	// an absent done channel simply drops out of the race.
-	var timeout <-chan time.Time
-	if m.WaitTimeout > 0 {
-		timer := time.NewTimer(m.WaitTimeout)
-		defer timer.Stop()
-		timeout = timer.C
-	}
 	select {
-	case err := <-w.ready:
-		m.recycleWaiter(w)
-		return err
+	case <-w.ready:
+		return nil
 	case <-timeout:
-		return m.withdraw(txn, w, sh, res, h, ErrTimeout)
+		return ErrTimeout
 	case <-done:
-		return m.withdraw(txn, w, sh, res, h, ErrCanceled)
+		return ErrCanceled
 	}
 }
 
@@ -366,9 +689,8 @@ func (m *Manager) withdraw(txn TxnID, w *waiter, sh *shard, res ResourceID, h ui
 		if cause == ErrTimeout {
 			m.stats.timeouts.Add(1)
 		}
-		sh.promote(m, e)
+		sh.settle(m, e, res, h)
 		sh.mu.Unlock()
-		m.dropStateIfEmpty(txn, w.state)
 		m.recycleWaiter(w)
 		return cause
 	}
@@ -386,6 +708,7 @@ func (m *Manager) await(w *waiter) error {
 
 func (m *Manager) recycleWaiter(w *waiter) {
 	w.state = nil
+	w.lead = nil
 	w.mode = nil
 	w.res = ResourceID{}
 	m.waiterPool.Put(w)
@@ -393,19 +716,19 @@ func (m *Manager) recycleWaiter(w *waiter) {
 
 // Holds reports whether txn currently holds mode on res.
 func (m *Manager) Holds(txn TxnID, res ResourceID, mode Mode) bool {
+	res = ownRow(txn, res)
 	sh, h := m.shardFor(res)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	e := sh.table.get(res, h)
-	if e == nil {
+	g := sh.modesOf(txn, res, h)
+	if g == nil {
 		return false
 	}
-	gs := e.granted[txn]
-	if gs.first == mode {
+	if g.first == mode {
 		return true
 	}
-	for _, h := range gs.rest {
-		if h == mode {
+	for _, x := range g.rest {
+		if x == mode {
 			return true
 		}
 	}
@@ -414,23 +737,21 @@ func (m *Manager) Holds(txn TxnID, res ResourceID, mode Mode) bool {
 
 // HeldModes returns the modes txn holds on res (nil if none).
 func (m *Manager) HeldModes(txn TxnID, res ResourceID) []Mode {
+	res = ownRow(txn, res)
 	sh, h := m.shardFor(res)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	e := sh.table.get(res, h)
-	if e == nil {
+	g := sh.modesOf(txn, res, h)
+	if g == nil {
 		return nil
 	}
-	gs := e.granted[txn]
-	if gs.first == nil {
-		return nil
-	}
-	out := make([]Mode, 0, 1+len(gs.rest))
-	out = append(out, gs.first)
-	return append(out, gs.rest...)
+	out := make([]Mode, 0, g.len())
+	out = append(out, g.first)
+	return append(out, g.rest...)
 }
 
-// LocksHeld returns the number of (resource, mode) locks txn holds.
+// LocksHeld returns the number of (resource, mode) locks txn holds. A
+// class lock counts once, on the transaction's own partition.
 func (m *Manager) LocksHeld(txn TxnID) int {
 	s := m.lookupState(txn)
 	if s == nil {
@@ -444,10 +765,11 @@ func (m *Manager) LocksHeld(txn TxnID) int {
 		sh := &m.shards[i]
 		sh.mu.Lock()
 		for _, res := range s.held[i] {
-			if e := sh.table.get(res, res.hash()); e != nil {
-				if gs := e.granted[txn]; gs.first != nil {
-					n += 1 + len(gs.rest)
-				}
+			if res != ownRow(txn, res) {
+				continue // a class lock's other partitions repeat its modes
+			}
+			if g := sh.modesOf(txn, res, res.hash()); g != nil {
+				n += g.len()
 			}
 		}
 		sh.mu.Unlock()
@@ -486,13 +808,11 @@ func (m *Manager) ReleaseAll(txn TxnID) {
 			if e == nil {
 				continue
 			}
-			delete(e.granted, txn)
-			if sh.promote(m, e) {
-				woke = true
+			if j := e.find(txn); j >= 0 {
+				e.drop(j)
 			}
-			if len(e.granted) == 0 && len(e.queue) == 0 {
-				sh.table.del(res, h)
-				sh.freeEntry(e)
+			if sh.settle(m, e, res, h) {
+				woke = true
 			}
 		}
 		s.held[i] = s.held[i][:0]

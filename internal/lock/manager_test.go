@@ -220,7 +220,10 @@ func TestReleaseWakesBatch(t *testing.T) {
 
 // A release that admits a waiter hands it the processor: on one
 // processor the new holder has run by the time ReleaseAll returns,
-// instead of waiting for the releaser to block or be preempted.
+// instead of waiting for the releaser to block or be preempted. Under
+// -race the runtime randomizes which goroutine runs next
+// (runtime.randomizeScheduler), so there the hand-off is only likely
+// and is not asserted.
 func TestReleaseHandsOffToWaiter(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	m := NewManager()
@@ -237,7 +240,7 @@ func TestReleaseHandsOffToWaiter(t *testing.T) {
 		runtime.Gosched() // until txn 2 is queued
 	}
 	m.ReleaseAll(1)
-	if !ran.Load() {
+	if !ran.Load() && !raceEnabled {
 		t.Error("the admitted waiter had not run when ReleaseAll returned")
 	}
 	mustGrant(t, <-done)
@@ -561,7 +564,7 @@ func requireClean(t *testing.T, m *Manager) {
 	for i := range m.stripes {
 		st := &m.stripes[i]
 		st.mu.Lock()
-		if n := len(st.m); n != 0 {
+		if n := len(st.live); n != 0 {
 			t.Errorf("stripe %d: %d txn states leaked", i, n)
 		}
 		st.mu.Unlock()

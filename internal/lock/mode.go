@@ -136,3 +136,22 @@ func (ExtendMode) Compatible(other Mode) bool {
 
 // String implements Mode.
 func (ExtendMode) String() string { return "extend" }
+
+// IsIntention reports whether mode is an intention mode: an intentional
+// ClassMode, ExtendMode, IS or IX. It only announces locking below, and
+// within each protocol the intention modes that meet on one class or
+// relation are pairwise compatible — "two intentional locks always
+// coexist — their conflicts are resolved on the instances" (section
+// 5.2). The lock manager relies on that to partition them (see
+// classPartitions).
+func IsIntention(mode Mode) bool {
+	switch m := mode.(type) {
+	case ClassMode:
+		return !m.Hier
+	case ExtendMode:
+		return true
+	case RWMode:
+		return m == IS || m == IX
+	}
+	return false
+}

@@ -135,10 +135,42 @@ func (t *resTable) grow() {
 	}
 }
 
-// entry is one lock-table row: who holds which modes, who waits.
+// entry is one lock-table row: who holds which modes, who waits. A row
+// is rarely held by more than two transactions at once — an instance by
+// its writer, a class partition by a few intention holders — so holders
+// starts out on the inline array and the common grant allocates
+// nothing. Lookup is a linear scan and removal a swap-remove: cheaper
+// than hashing a TxnID at these sizes, and compatibleWithOthers walks
+// every holder anyway.
 type entry struct {
-	granted map[TxnID]grantSet
+	holders []holder
 	queue   []*waiter
+	inline  [2]holder
+}
+
+// holder is one transaction's grants on a row.
+type holder struct {
+	txn   TxnID
+	modes grantSet
+}
+
+// find returns the index of txn's holder, or -1.
+func (e *entry) find(txn TxnID) int {
+	for i := range e.holders {
+		if e.holders[i].txn == txn {
+			return i
+		}
+	}
+	return -1
+}
+
+// drop swap-removes holder i, clearing the vacated slot so the entry
+// keeps no modes alive.
+func (e *entry) drop(i int) {
+	last := len(e.holders) - 1
+	e.holders[i] = e.holders[last]
+	e.holders[last] = holder{}
+	e.holders = e.holders[:last]
 }
 
 // grantSet is the modes one transaction holds on one resource. The
@@ -190,6 +222,14 @@ func (g *grantSet) add(mode Mode) {
 	g.rest = append(g.rest, mode)
 }
 
+// len returns the number of modes in the set.
+func (g *grantSet) len() int {
+	if g.first == nil {
+		return 0
+	}
+	return 1 + len(g.rest)
+}
+
 // waiter is one blocked Acquire. Waiters are pooled: the ready channel
 // is reused, which is safe because every grant sends exactly one value
 // and the waiting goroutine consumes it before recycling.
@@ -200,6 +240,9 @@ type waiter struct {
 	mode    Mode
 	upgrade bool
 	ready   chan error // buffered(1); receives nil on grant
+	// lead, set on each partition's waiter of a queued sweep, is the
+	// sweep's first waiter: its ready channel is where promote rings.
+	lead *waiter
 }
 
 // newEntry takes an entry off the shard free list (or allocates one).
@@ -210,7 +253,9 @@ func (sh *shard) newEntry() *entry {
 		sh.free = sh.free[:n-1]
 		return e
 	}
-	return &entry{granted: make(map[TxnID]grantSet, 2)}
+	e := &entry{}
+	e.holders = e.inline[:0]
+	return e
 }
 
 // freeEntry returns a drained entry to the free list. Requires sh.mu
@@ -220,32 +265,53 @@ func (sh *shard) freeEntry(e *entry) {
 	sh.free = append(sh.free, e)
 }
 
-// grant records mode for txn on res: into the entry and into the
-// transaction's own held set, flagging this shard in its bitmask on the
-// first grant here. Requires sh.mu held.
-func (sh *shard) grant(e *entry, txn TxnID, state *txnState, res ResourceID, mode Mode) {
-	gs := e.granted[txn]
-	firstOnRes := gs.first == nil
-	gs.add(mode)
-	e.granted[txn] = gs
-	if firstOnRes {
-		state.held[sh.idx] = append(state.held[sh.idx], res)
-		bit := uint64(1) << sh.idx
-		if state.shards.Load()&bit == 0 {
-			state.shards.Or(bit)
+// grant records mode for txn on res (i is txn's holder index in e, -1
+// if it holds nothing there). A first grant on res also goes into the
+// transaction's held set, flagging this shard in its bitmask. Requires
+// sh.mu held.
+func (sh *shard) grant(e *entry, i int, txn TxnID, state *txnState, res ResourceID, mode Mode) {
+	if i >= 0 {
+		e.holders[i].modes.add(mode)
+		return
+	}
+	e.holders = append(e.holders, holder{txn: txn, modes: grantSet{first: mode}})
+	state.held[sh.idx] = append(state.held[sh.idx], res)
+	bit := uint64(1) << sh.idx
+	if state.shards.Load()&bit == 0 {
+		state.shards.Or(bit)
+	}
+}
+
+// settle runs after grants or waiters left the row of res: it admits
+// whatever the queue now allows and recycles the entry once nobody holds
+// or waits for it. It reports whether a waiter was granted. Requires
+// sh.mu held.
+func (sh *shard) settle(m *Manager, e *entry, res ResourceID, h uint64) (woke bool) {
+	woke = sh.promote(m, e)
+	if len(e.holders) == 0 && len(e.queue) == 0 {
+		sh.table.del(res, h)
+		sh.freeEntry(e)
+	}
+	return woke
+}
+
+// modesOf returns txn's grant set on the row of res (whose hash is h),
+// or nil if it holds nothing there. Requires sh.mu held.
+func (sh *shard) modesOf(txn TxnID, res ResourceID, h uint64) *grantSet {
+	if e := sh.table.get(res, h); e != nil {
+		if i := e.find(txn); i >= 0 {
+			return &e.holders[i].modes
 		}
 	}
+	return nil
 }
 
 // compatibleWithOthers reports whether mode is compatible with every
 // mode granted to *other* transactions (self-held modes never block a
 // conversion). Requires sh.mu held.
 func (e *entry) compatibleWithOthers(txn TxnID, mode Mode) bool {
-	for other, gs := range e.granted {
-		if other == txn {
-			continue
-		}
-		if gs.conflictsWith(mode) {
+	for i := range e.holders {
+		if h := &e.holders[i]; h.txn != txn && h.modes.conflictsWith(mode) {
 			return false
 		}
 	}
@@ -283,16 +349,25 @@ func (e *entry) removeWaiter(w *waiter) bool {
 // promote grants queued requests in FIFO order, stopping at the first
 // waiter that still conflicts — strict FIFO prevents starvation and
 // makes the waits-for edges exact. Granted waiters leave the waits-for
-// registry before their goroutine wakes. It reports whether anyone was
-// granted. Requires sh.mu held.
+// registry before their goroutine wakes. A sweep's waiter at the head is
+// not granted here: the sweep is told, and grants itself on every
+// partition at once when it heads them all. It reports whether anyone
+// was granted. Requires sh.mu held.
 func (sh *shard) promote(m *Manager, e *entry) (woke bool) {
 	for len(e.queue) > 0 {
 		w := e.queue[0]
 		if !e.compatibleWithOthers(w.txn, w.mode) {
 			break
 		}
+		if w.lead != nil {
+			select {
+			case w.lead.ready <- nil:
+			default: // already rung
+			}
+			break
+		}
 		e.queue = e.queue[1:]
-		sh.grant(e, w.txn, w.state, w.res, w.mode)
+		sh.grant(e, e.find(w.txn), w.txn, w.state, w.res, w.mode)
 		m.reg.remove(w.txn)
 		w.ready <- nil
 		woke = true

@@ -31,37 +31,6 @@ func benchKeys(resident int) (res []ResourceID, churn []ResourceID) {
 	return res, churn
 }
 
-// BenchmarkShardTableMap is the baseline the previous implementation
-// would score: the same traffic against a Go map.
-func BenchmarkShardTableMap(b *testing.B) {
-	for _, resident := range []int{0, 16, 256, 4096} {
-		b.Run(benchSize("resident", resident), func(b *testing.B) {
-			res, churn := benchKeys(resident)
-			m := make(map[ResourceID]*entry, resident+8)
-			e := &entry{granted: make(map[TxnID]grantSet, 2)}
-			for _, k := range res[:resident] {
-				m[k] = e
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				rk := res[i&(len(res)-1)]
-				if resident > 0 && m[rk] == nil {
-					b.Fatal("resident entry lost")
-				}
-				ck := churn[i&(churnSpan-1)]
-				if m[ck] == nil {
-					m[ck] = e
-				}
-				if m[ck] == nil {
-					b.Fatal("churn entry lost")
-				}
-				delete(m, ck)
-			}
-		})
-	}
-}
-
 // BenchmarkShardTableOpenAddr scores the production resTable.
 func BenchmarkShardTableOpenAddr(b *testing.B) {
 	for _, resident := range []int{0, 16, 256, 4096} {
@@ -69,7 +38,7 @@ func BenchmarkShardTableOpenAddr(b *testing.B) {
 			res, churn := benchKeys(resident)
 			var t resTable
 			t.init(resident + 8)
-			e := &entry{granted: make(map[TxnID]grantSet, 2)}
+			e := &entry{}
 			for _, k := range res[:resident] {
 				t.put(k, k.hash(), e)
 			}

@@ -5,12 +5,15 @@ import "sync"
 // waitInfo is the registry's snapshot of one blocked request. Detection
 // reads the copied fields, never the live waiter (which is pooled and
 // may be recycled the moment it leaves the registry); the pointer is
-// kept only for identity checks against queue slots.
+// kept only for identity checks against queue slots. A sweep (see
+// Manager.sweep) is queued on every partition of res at once: parts
+// holds its waiter on each, and w is unused.
 type waitInfo struct {
 	w       *waiter
 	res     ResourceID
 	mode    Mode
 	upgrade bool
+	parts   *[classPartitions]*waiter
 }
 
 // waitRegistry is the dedicated waits-for structure: every blocked
@@ -26,6 +29,12 @@ type waitRegistry struct {
 func (r *waitRegistry) add(txn TxnID, w *waiter) {
 	r.mu.Lock()
 	r.waiting[txn] = waitInfo{w: w, res: w.res, mode: w.mode, upgrade: w.upgrade}
+	r.mu.Unlock()
+}
+
+func (r *waitRegistry) put(txn TxnID, info waitInfo) {
+	r.mu.Lock()
+	r.waiting[txn] = info
 	r.mu.Unlock()
 }
 
@@ -79,25 +88,67 @@ func (m *Manager) detectDeadlock(txn TxnID, w *waiter, sh *shard) error {
 	if esc {
 		m.stats.escalationDeadlocks.Add(1)
 	}
-	sh.promote(m, e)
+	sh.settle(m, e, w.res, w.res.hash())
 	sh.mu.Unlock()
 	m.detMu.Unlock()
-	m.dropStateIfEmpty(txn, w.state)
 	m.recycleWaiter(w)
+	return &DeadlockError{Txn: txn, Cycle: cycle, Escalation: esc}
+}
+
+// detectSweepDeadlock is detectDeadlock for a sweep queued on every
+// partition as ws, and published. Only the sweep itself grants its
+// parts, so they are all still queued: a victim sweep leaves every
+// queue, holding nothing it did not hold before — unless it has become
+// grantable while the DFS ran, in which case the cycle dissolved.
+func (m *Manager) detectSweepDeadlock(txn TxnID, p *parts, ws *[classPartitions]*waiter) error {
+	m.detMu.Lock()
+	defer m.detMu.Unlock()
+	cycle := m.findCycle(txn)
+	if cycle == nil {
+		return nil
+	}
+	esc := ws[0].upgrade || m.cycleHasUpgrade(cycle)
+	p.lock()
+	e := p.entries()
+	if grantable(e[:], ws) {
+		p.unlock() // the ring that made it so is pending
+		return nil
+	}
+	m.unqueue(p, e[:], ws)
+	m.reg.remove(txn)
+	p.unlock()
+	m.recycleParts(ws)
+	m.stats.deadlocks.Add(1)
+	if esc {
+		m.stats.escalationDeadlocks.Add(1)
+	}
 	return &DeadlockError{Txn: txn, Cycle: cycle, Escalation: esc}
 }
 
 // blockersOf returns the transactions the registered request waits for:
 // incompatible holders of the resource plus every waiter queued ahead of
-// it (FIFO admission means they must leave first). It locks only the
-// one shard owning the resource.
+// it (FIFO admission means they must leave first) — for a sweep, on
+// every partition it is queued on.
 func (m *Manager) blockersOf(txn TxnID, info waitInfo) []TxnID {
-	sh, h := m.shardFor(info.res)
+	if info.parts == nil {
+		return m.rowBlockers(txn, info.w, info.res, info.mode, nil)
+	}
+	var out []TxnID
+	for i, w := range info.parts {
+		out = m.rowBlockers(txn, w, partition(info.res, i), info.mode, out)
+	}
+	return out
+}
+
+// rowBlockers appends to out the blockers of txn's waiter w on the row
+// of res. It locks only the one shard owning the row.
+func (m *Manager) rowBlockers(txn TxnID, w *waiter, res ResourceID, mode Mode, out []TxnID) []TxnID {
+	sh, h := m.shardFor(res)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	e := sh.table.get(info.res, h)
+	e := sh.table.get(res, h)
 	if e == nil {
-		return nil
+		return out
 	}
 	// The registry snapshot may be stale: if the waiter was granted (or
 	// removed) since the DFS read it, the wait has dissolved and reporting
@@ -108,21 +159,17 @@ func (m *Manager) blockersOf(txn TxnID, info waitInfo) []TxnID {
 	// another transaction.
 	ahead := -1
 	for i, q := range e.queue {
-		if q == info.w && q.txn == txn {
+		if q == w && q.txn == txn {
 			ahead = i
 			break
 		}
 	}
 	if ahead < 0 {
-		return nil
+		return out
 	}
-	var out []TxnID
-	for other, gs := range e.granted {
-		if other == txn {
-			continue
-		}
-		if gs.conflictsWith(info.mode) {
-			out = append(out, other)
+	for i := range e.holders {
+		if h := &e.holders[i]; h.txn != txn && h.modes.conflictsWith(mode) {
+			out = append(out, h.txn)
 		}
 	}
 	for _, q := range e.queue[:ahead] {
