@@ -217,21 +217,31 @@ func TestThroughputRuns(t *testing.T) {
 	}
 }
 
-// On the hot-disjoint profile the fine protocol must block dramatically
-// less than read/write locking — the paper's parallelism claim.
+// TestThroughputHotShape: on the hot-disjoint mix, fine-grained locking
+// blocks less than read/write locking — about half as often, the
+// paper's parallelism claim. One pair of runs is a schedule, and about
+// one pair in a hundred inverts, so the test sums blocks over
+// hotShapePairs pairs and asks for fine below three quarters of rw: a
+// margin two runs of one strategy do not clear.
 func TestThroughputHotShape(t *testing.T) {
-	fine, err := RunThroughputWorkload(engine.FineCC{}, ProfileHotDisjoint, 6, 30)
-	if err != nil {
-		t.Fatal(err)
+	const hotShapePairs = 5
+	var fine, rw int64
+	for i := 0; i < hotShapePairs; i++ {
+		f, err := RunThroughputWorkload(engine.FineCC{}, ProfileHotDisjoint, 6, 30)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r, err := RunThroughputWorkload(engine.RWCC{}, ProfileHotDisjoint, 6, 30)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fine += f.Blocks
+		rw += r.Blocks
 	}
-	rw, err := RunThroughputWorkload(engine.RWCC{}, ProfileHotDisjoint, 6, 30)
-	if err != nil {
-		t.Fatal(err)
+	if 4*fine >= 3*rw {
+		t.Errorf("fine blocks (%d) must stay below three quarters of rw blocks (%d) over %d pairs", fine, rw, hotShapePairs)
 	}
-	if fine.Blocks >= rw.Blocks {
-		t.Errorf("fine blocks (%d) must be below rw blocks (%d)", fine.Blocks, rw.Blocks)
-	}
-	if rw.Blocks == 0 {
+	if rw == 0 {
 		t.Error("rw must block on the hot mix")
 	}
 }

@@ -11,6 +11,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/codec"
 	"repro/internal/obs"
 	"repro/internal/storage"
 	"repro/oodb"
@@ -278,7 +279,7 @@ func (sess *session) writeLoop() {
 	s := sess.srv
 	defer s.sessWG.Done()
 	bw := bufio.NewWriterSize(sess.conn, 64<<10)
-	var hdr [frameHeaderSize]byte
+	var hdr [codec.HeaderSize]byte
 	for p := range sess.out {
 		if p.hasFut {
 			if err := p.fut.Wait(); err != nil {
@@ -288,7 +289,15 @@ func (sess *session) writeLoop() {
 				p.buf = appendErrResponse(p.buf[:0], p.id, err)
 			}
 		}
-		if err := WriteFrame(bw, &hdr, p.buf); err != nil {
+		err := WriteFrame(bw, &hdr, p.buf)
+		if errors.Is(err, ErrBadFrame) {
+			// The response outgrew what a client reads: answer this one
+			// request with an error instead and keep the connection.
+			s.errorsTotal.Add(1)
+			p.buf = appendErrResponse(p.buf[:0], p.id, err)
+			err = WriteFrame(bw, &hdr, p.buf)
+		}
+		if err != nil {
 			sess.drainPendings()
 			s.connsActive.Add(-1)
 			sess.conn.Close()

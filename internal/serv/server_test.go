@@ -3,6 +3,7 @@ package serv_test
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"math/rand"
 	"net"
@@ -411,6 +412,124 @@ func TestServerSurvivesGarbage(t *testing.T) {
 	c := dial(t, addr)
 	if err := c.Ping(context.Background()); err != nil {
 		t.Fatalf("ping after garbage: %v", err)
+	}
+}
+
+// docSchema stores one string per instance, so a test can grow a
+// request or a response past the frame bound.
+const docSchema = `
+class doc is
+    instance variables are
+        body : string
+    method get is
+        return body
+    end
+    method set(s) is
+        body := s
+    end
+end
+`
+
+// TestOversizedFrameFailsAlone: a request or a response too large to
+// frame fails that one request, not the connection — the requests
+// pipelined beside it succeed and the client stays usable.
+func TestOversizedFrameFailsAlone(t *testing.T) {
+	schema, err := oodb.Compile(docSchema)
+	if err != nil {
+		t.Fatal(err)
+	}
+	db, err := oodb.OpenWith(schema, oodb.Fine, oodb.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	sock := filepath.Join(t.TempDir(), "serv.sock")
+	srv, err := serv.Listen(db, "unix", sock, serv.Config{Logf: t.Logf})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	c, err := client.Dial(sock)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close() // before srv.Close, which drains this connection
+	ctx := context.Background()
+
+	create := client.NewTx()
+	doc := create.New("doc", "")
+	res, err := c.Do(ctx, create)
+	if err != nil {
+		t.Fatal(err)
+	}
+	oid, err := res.OID(doc.Index())
+	if err != nil {
+		t.Fatal(err)
+	}
+	set := func(s string) *client.Tx {
+		tx := client.NewTx()
+		tx.Send(oid, "set", s)
+		return tx
+	}
+	get := func(n int) *client.Tx {
+		tx := client.NewView()
+		for i := 0; i < n; i++ {
+			tx.Send(oid, "get")
+		}
+		return tx
+	}
+	half := strings.Repeat("x", serv.DefaultMaxFrame/2+1)
+
+	// Request side: an argument over the bound fails its own Start and writes
+	// nothing; the requests on either side of it go through.
+	before, err := c.Start(ctx, set(half))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Start(ctx, set(half+half)); !errors.Is(err, serv.ErrBadFrame) {
+		t.Fatalf("oversized request: got %v, want ErrBadFrame", err)
+	}
+	after, err := c.Start(ctx, get(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := before.Wait(); err != nil {
+		t.Fatalf("request before the oversized one: %v", err)
+	}
+	if res, err := after.Wait(); err != nil {
+		t.Fatalf("request after the oversized one: %v", err)
+	} else if v, _ := res.Value(0); v != half {
+		t.Fatalf("read back %d bytes, want %d", len(v.(string)), len(half))
+	}
+
+	// Response side: two halves in one response exceed the bound. That
+	// request is answered with an error; its neighbours are not.
+	p1, err := c.Start(ctx, get(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	p2, err := c.Start(ctx, get(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	p3, err := c.Start(ctx, set("small"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := p1.Wait(); err != nil {
+		t.Fatalf("response before the oversized one: %v", err)
+	}
+	if _, err := p2.Wait(); oodb.ErrorCode(err) != oodb.CodeOther {
+		t.Fatalf("oversized response: got %v, want a CodeOther error", err)
+	}
+	if _, err := p3.Wait(); err != nil {
+		t.Fatalf("response after the oversized one: %v", err)
+	}
+	if err := c.Ping(ctx); err != nil {
+		t.Fatalf("connection unusable after oversized frames: %v", err)
+	}
+	if got := srv.Stats().Errors; got != 1 {
+		t.Errorf("server counted %d errors, want 1", got)
 	}
 }
 

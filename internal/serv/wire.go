@@ -3,17 +3,16 @@
 // per-connection sessions and pipelined requests, plus the shared wire
 // codec the public oodb/client package reuses.
 //
-// # Frame layout
+// # Frames
 //
-// Every message after the handshake travels in one frame, framed
-// exactly like a WAL record (length + CRC-32C over the payload,
-// little-endian):
-//
-//	u32 payloadLen | u32 crc32c(payload) | payload
-//
-// A frame whose length exceeds the negotiated bound or whose checksum
-// mismatches is a protocol error: the connection is closed (the server
-// never resynchronizes inside a byte stream it cannot trust).
+// Every message after the handshake is the payload of one frame of
+// internal/codec — the frame a WAL record travels in. A received frame
+// whose length exceeds the reader's bound or whose checksum mismatches
+// is a protocol error: the connection is closed (the server never
+// resynchronizes inside a byte stream it cannot trust). A writer never
+// sends one: WriteFrame refuses a payload over DefaultMaxFrame, so an
+// oversized request fails alone at the client, and an oversized
+// response is answered with an error response instead.
 //
 // # Handshake
 //
@@ -54,8 +53,8 @@
 //
 //	target: u8 idx — 0xFF followed by uvarint literalOID, or the
 //	        index of an earlier CmdNew whose created OID is the receiver
-//	str:    uvarint len | bytes
-//	value:  u8 kind | int: varint | bool: u8 | string: str | ref: uvarint
+//	str:    uvarint len | bytes (codec.AppendStr)
+//	value:  codec.AppendValue
 //
 // # Responses
 //
@@ -77,9 +76,9 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 
+	"repro/internal/codec"
 	"repro/internal/storage"
 	"repro/oodb"
 )
@@ -94,8 +93,7 @@ const (
 	// that a garbage length prefix cannot make a peer allocate gigabytes.
 	DefaultMaxFrame = 8 << 20
 
-	frameHeaderSize = 8
-	handshakeSize   = 8
+	handshakeSize = 8
 )
 
 // handshakeMagic is the first four bytes of the 8-byte hello.
@@ -134,25 +132,16 @@ const refLiteral = 0xFF
 // refLiteral is reserved).
 const MaxCmds = 254
 
-// Wire value kinds (decoupled from storage's internal iota).
-const (
-	wireInt  = 0
-	wireBool = 1
-	wireStr  = 2
-	wireRef  = 3
-)
-
 var (
 	// ErrBadFrame is a framing-level protocol error (oversized length,
-	// checksum mismatch, truncated payload).
+	// checksum mismatch, truncated payload), or a payload too large to
+	// send.
 	ErrBadFrame = errors.New("serv: bad frame")
 	// ErrBadHandshake is a magic or version mismatch on connect.
 	ErrBadHandshake = errors.New("serv: bad handshake")
 	// ErrBadPayload is a malformed payload inside a valid frame.
 	ErrBadPayload = errors.New("serv: bad payload")
 )
-
-var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
 // Cmd is one decoded command of a transaction batch.
 type Cmd struct {
@@ -215,10 +204,13 @@ func ReadHandshake(r io.Reader) error {
 	return nil
 }
 
-// WriteFrame frames payload (length + CRC) onto w.
-func WriteFrame(w io.Writer, hdr *[frameHeaderSize]byte, payload []byte) error {
-	binary.LittleEndian.PutUint32(hdr[0:], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(hdr[4:], crc32.Checksum(payload, crcTable))
+// WriteFrame frames payload onto w. A payload over DefaultMaxFrame —
+// more than a reader accepts — is refused with ErrBadFrame and nothing
+// is written.
+func WriteFrame(w io.Writer, hdr *[codec.HeaderSize]byte, payload []byte) error {
+	if err := codec.Seal(hdr[:], payload, DefaultMaxFrame); err != nil {
+		return fmt.Errorf("%w: %v", ErrBadFrame, err)
+	}
 	if _, err := w.Write(hdr[:]); err != nil {
 		return err
 	}
@@ -229,54 +221,28 @@ func WriteFrame(w io.Writer, hdr *[frameHeaderSize]byte, payload []byte) error {
 // ReadFrame reads one frame into buf (grown as needed) and returns the
 // validated payload, aliasing buf's storage.
 func ReadFrame(r *bufio.Reader, maxFrame int, buf []byte) ([]byte, error) {
-	var hdr [frameHeaderSize]byte
+	var hdr [codec.HeaderSize]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return nil, err
 	}
-	n := binary.LittleEndian.Uint32(hdr[0:])
-	if int64(n) > int64(maxFrame) {
-		return nil, fmt.Errorf("%w: %d-byte frame exceeds %d-byte bound", ErrBadFrame, n, maxFrame)
+	n, err := codec.Size(hdr[:], maxFrame)
+	if err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrBadFrame, err)
 	}
-	if cap(buf) < int(n) {
+	if cap(buf) < n {
 		buf = make([]byte, n)
 	}
 	buf = buf[:n]
 	if _, err := io.ReadFull(r, buf); err != nil {
 		return nil, fmt.Errorf("%w: truncated payload: %v", ErrBadFrame, err)
 	}
-	if crc32.Checksum(buf, crcTable) != binary.LittleEndian.Uint32(hdr[4:]) {
-		return nil, fmt.Errorf("%w: checksum mismatch", ErrBadFrame)
+	if err := codec.Verify(hdr[:], buf); err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrBadFrame, err)
 	}
 	return buf, nil
 }
 
 // --- payload encoding ---
-
-func appendStr(b []byte, s string) []byte {
-	b = binary.AppendUvarint(b, uint64(len(s)))
-	return append(b, s...)
-}
-
-func appendValue(b []byte, v storage.Value) ([]byte, error) {
-	switch v.Kind {
-	case storage.KInt:
-		b = append(b, wireInt)
-		return binary.AppendVarint(b, v.I), nil
-	case storage.KBool:
-		b = append(b, wireBool)
-		if v.B {
-			return append(b, 1), nil
-		}
-		return append(b, 0), nil
-	case storage.KString:
-		b = append(b, wireStr)
-		return appendStr(b, v.S), nil
-	case storage.KRef:
-		b = append(b, wireRef)
-		return binary.AppendUvarint(b, uint64(v.R)), nil
-	}
-	return nil, fmt.Errorf("serv: unencodable value kind %d", v.Kind)
-}
 
 // AppendRequest appends the encoded request payload to b.
 func AppendRequest(b []byte, req *Request) ([]byte, error) {
@@ -297,35 +263,26 @@ func AppendRequest(b []byte, req *Request) ([]byte, error) {
 		var err error
 		switch c.Kind {
 		case CmdSend:
-			if b, err = appendTarget(b, c); err != nil {
-				return nil, err
-			}
-			b = appendStr(b, c.Method)
-			if b, err = appendArgs(b, c.Args); err != nil {
-				return nil, err
+			if b, err = appendTarget(b, c); err == nil {
+				b, err = appendArgs(codec.AppendStr(b, c.Method), c.Args)
 			}
 		case CmdNew:
-			b = appendStr(b, c.Class)
-			if b, err = appendArgs(b, c.Args); err != nil {
-				return nil, err
-			}
+			b, err = appendArgs(codec.AppendStr(b, c.Class), c.Args)
 		case CmdDelete:
-			if b, err = appendTarget(b, c); err != nil {
-				return nil, err
-			}
+			b, err = appendTarget(b, c)
 		case CmdScan:
-			b = appendStr(b, c.Class)
-			b = appendStr(b, c.Method)
+			b = codec.AppendStr(codec.AppendStr(b, c.Class), c.Method)
 			if c.Hier {
 				b = append(b, 1)
 			} else {
 				b = append(b, 0)
 			}
-			if b, err = appendArgs(b, c.Args); err != nil {
-				return nil, err
-			}
+			b, err = appendArgs(b, c.Args)
 		default:
-			return nil, fmt.Errorf("serv: unknown command kind %d", c.Kind)
+			err = fmt.Errorf("serv: unknown command kind %d", c.Kind)
+		}
+		if err != nil {
+			return nil, err
 		}
 	}
 	return b, nil
@@ -347,11 +304,8 @@ func appendArgs(b []byte, args []storage.Value) ([]byte, error) {
 		return nil, fmt.Errorf("serv: %d arguments exceed the 255-argument bound", len(args))
 	}
 	b = append(b, uint8(len(args)))
-	var err error
 	for _, a := range args {
-		if b, err = appendValue(b, a); err != nil {
-			return nil, err
-		}
+		b = codec.AppendValue(b, a)
 	}
 	return b, nil
 }
@@ -361,21 +315,21 @@ func AppendResponse(b []byte, resp *Response) ([]byte, error) {
 	b = binary.LittleEndian.AppendUint64(b, resp.ID)
 	b = append(b, uint8(resp.Status))
 	if resp.Status != oodb.CodeOK {
-		return appendStr(b, resp.Err), nil
+		return codec.AppendStr(b, resp.Err), nil
 	}
 	if resp.Stats != "" {
-		return appendStr(b, resp.Stats), nil
+		return codec.AppendStr(b, resp.Stats), nil
+	}
+	if len(resp.Results) > MaxCmds {
+		return nil, fmt.Errorf("serv: %d results exceed the %d-command batch bound", len(resp.Results), MaxCmds)
 	}
 	b = append(b, uint8(len(resp.Results)))
-	var err error
 	for i := range resp.Results {
 		r := &resp.Results[i]
 		b = append(b, r.Kind)
 		switch r.Kind {
 		case CmdSend:
-			if b, err = appendValue(b, r.Val); err != nil {
-				return nil, err
-			}
+			b = codec.AppendValue(b, r.Val)
 		case CmdNew:
 			b = binary.AppendUvarint(b, r.OID)
 		case CmdDelete:
@@ -390,259 +344,120 @@ func AppendResponse(b []byte, resp *Response) ([]byte, error) {
 
 // --- payload decoding ---
 
-type reader struct {
-	b   []byte
-	off int
-}
-
-func (r *reader) u8() (uint8, error) {
-	if r.off >= len(r.b) {
-		return 0, ErrBadPayload
-	}
-	v := r.b[r.off]
-	r.off++
-	return v, nil
-}
-
-func (r *reader) u64() (uint64, error) {
-	if r.off+8 > len(r.b) {
-		return 0, ErrBadPayload
-	}
-	v := binary.LittleEndian.Uint64(r.b[r.off:])
-	r.off += 8
-	return v, nil
-}
-
-func (r *reader) uvarint() (uint64, error) {
-	v, n := binary.Uvarint(r.b[r.off:])
-	if n <= 0 {
-		return 0, ErrBadPayload
-	}
-	r.off += n
-	return v, nil
-}
-
-func (r *reader) varint() (int64, error) {
-	v, n := binary.Varint(r.b[r.off:])
-	if n <= 0 {
-		return 0, ErrBadPayload
-	}
-	r.off += n
-	return v, nil
-}
-
-func (r *reader) str() (string, error) {
-	n, err := r.uvarint()
-	if err != nil {
-		return "", err
-	}
-	if uint64(len(r.b)-r.off) < n {
-		return "", ErrBadPayload
-	}
-	s := string(r.b[r.off : r.off+int(n)])
-	r.off += int(n)
-	return s, nil
-}
-
-func (r *reader) value() (storage.Value, error) {
-	k, err := r.u8()
-	if err != nil {
-		return storage.Value{}, err
-	}
-	switch k {
-	case wireInt:
-		i, err := r.varint()
-		return storage.IntV(i), err
-	case wireBool:
-		b, err := r.u8()
-		return storage.BoolV(b != 0), err
-	case wireStr:
-		s, err := r.str()
-		return storage.StrV(s), err
-	case wireRef:
-		o, err := r.uvarint()
-		return storage.RefV(storage.OID(o)), err
-	}
-	return storage.Value{}, fmt.Errorf("%w: value kind %d", ErrBadPayload, k)
-}
-
-func (r *reader) args(into []storage.Value) ([]storage.Value, error) {
-	n, err := r.u8()
-	if err != nil {
-		return nil, err
-	}
-	into = into[:0]
-	for i := 0; i < int(n); i++ {
-		v, err := r.value()
-		if err != nil {
-			return nil, err
-		}
-		into = append(into, v)
-	}
-	return into, nil
-}
-
-func (r *reader) target(c *Cmd, idx int) error {
-	t, err := r.u8()
-	if err != nil {
-		return err
-	}
-	if t == refLiteral {
-		o, err := r.uvarint()
-		if err != nil {
-			return err
-		}
-		c.Ref, c.OID = -1, o
-		return nil
-	}
-	if int(t) >= idx {
-		return fmt.Errorf("%w: command %d references later command %d", ErrBadPayload, idx, t)
-	}
-	c.Ref, c.OID = int(t), 0
-	return nil
-}
-
 // DecodeRequest decodes a request payload into req, reusing req's
 // command and argument storage. Strings are copied out of the payload.
 func DecodeRequest(payload []byte, req *Request) error {
-	r := reader{b: payload}
-	var err error
-	if req.ID, err = r.u64(); err != nil {
-		return err
-	}
-	if req.Op, err = r.u8(); err != nil {
-		return err
-	}
+	d := codec.NewDecoder(payload)
+	req.ID = d.U64()
+	req.Op = d.U8()
 	req.Flags, req.DeadlineMicro = 0, 0
 	req.Cmds = req.Cmds[:0]
-	if req.Op != OpTxn {
-		return nil
-	}
-	if req.Flags, err = r.u8(); err != nil {
-		return err
-	}
-	if req.DeadlineMicro, err = r.uvarint(); err != nil {
-		return err
-	}
-	ncmds, err := r.u8()
-	if err != nil {
-		return err
-	}
-	for i := 0; i < int(ncmds); i++ {
-		if cap(req.Cmds) > i {
-			req.Cmds = req.Cmds[:i+1]
-		} else {
-			req.Cmds = append(req.Cmds, Cmd{})
+	if req.Op == OpTxn {
+		req.Flags = d.U8()
+		req.DeadlineMicro = d.Uvarint()
+		n := int(d.U8())
+		if n > MaxCmds {
+			d.Failf("%d commands exceed the %d-command batch bound", n, MaxCmds)
 		}
-		c := &req.Cmds[i]
-		if c.Kind, err = r.u8(); err != nil {
-			return err
-		}
-		c.Class, c.Method, c.Hier = "", "", false
-		switch c.Kind {
-		case CmdSend:
-			if err = r.target(c, i); err != nil {
-				return err
+		for i := 0; i < n && d.Err() == nil; i++ {
+			if cap(req.Cmds) > i {
+				req.Cmds = req.Cmds[:i+1]
+			} else {
+				req.Cmds = append(req.Cmds, Cmd{})
 			}
-			if c.Method, err = r.str(); err != nil {
-				return err
-			}
-			if c.Args, err = r.args(c.Args); err != nil {
-				return err
-			}
-		case CmdNew:
-			c.Ref = -1
-			if c.Class, err = r.str(); err != nil {
-				return err
-			}
-			if c.Args, err = r.args(c.Args); err != nil {
-				return err
-			}
-		case CmdDelete:
-			if err = r.target(c, i); err != nil {
-				return err
-			}
-			c.Args = c.Args[:0]
-		case CmdScan:
-			c.Ref = -1
-			if c.Class, err = r.str(); err != nil {
-				return err
-			}
-			if c.Method, err = r.str(); err != nil {
-				return err
-			}
-			h, err2 := r.u8()
-			if err2 != nil {
-				return err2
-			}
-			c.Hier = h != 0
-			if c.Args, err = r.args(c.Args); err != nil {
-				return err
-			}
-		default:
-			return fmt.Errorf("%w: command kind %d", ErrBadPayload, c.Kind)
+			decodeCmd(&d, &req.Cmds[i], i)
 		}
 	}
-	if r.off != len(payload) {
-		return fmt.Errorf("%w: %d trailing bytes", ErrBadPayload, len(payload)-r.off)
+	if err := d.Finish(); err != nil {
+		return fmt.Errorf("%w: %v", ErrBadPayload, err)
 	}
 	return nil
+}
+
+// decodeCmd decodes the i-th command of a batch into c.
+func decodeCmd(d *codec.Decoder, c *Cmd, i int) {
+	c.Kind = d.U8()
+	c.Ref, c.OID = -1, 0
+	c.Class, c.Method, c.Hier = "", "", false
+	c.Args = c.Args[:0]
+	switch c.Kind {
+	case CmdSend:
+		decodeTarget(d, c, i)
+		c.Method = d.Str()
+		c.Args = decodeArgs(d, c.Args)
+	case CmdNew:
+		c.Class = d.Str()
+		c.Args = decodeArgs(d, c.Args)
+	case CmdDelete:
+		decodeTarget(d, c, i)
+	case CmdScan:
+		c.Class = d.Str()
+		c.Method = d.Str()
+		c.Hier = d.Bool()
+		c.Args = decodeArgs(d, c.Args)
+	default:
+		d.Failf("command kind %d", c.Kind)
+	}
+}
+
+// decodeTarget decodes the receiver of the i-th command: a literal OID
+// or a reference to an earlier command.
+func decodeTarget(d *codec.Decoder, c *Cmd, i int) {
+	switch t := d.U8(); {
+	case t == refLiteral:
+		c.OID = d.Uvarint()
+	case int(t) < i:
+		c.Ref = int(t)
+	default:
+		d.Failf("command %d references later command %d", i, t)
+	}
+}
+
+func decodeArgs(d *codec.Decoder, into []storage.Value) []storage.Value {
+	n := int(d.U8())
+	for i := 0; i < n && d.Err() == nil; i++ {
+		into = append(into, d.Value())
+	}
+	return into
 }
 
 // DecodeResponse decodes a response payload into resp, reusing resp's
 // result storage. isStats selects the OpStats body shape (the response
 // itself does not carry the op).
 func DecodeResponse(payload []byte, resp *Response, isStats bool) error {
-	r := reader{b: payload}
-	var err error
-	if resp.ID, err = r.u64(); err != nil {
-		return err
-	}
-	st, err := r.u8()
-	if err != nil {
-		return err
-	}
-	resp.Status = oodb.Code(st)
+	d := codec.NewDecoder(payload)
+	resp.ID = d.U64()
+	resp.Status = oodb.Code(d.U8())
 	resp.Err, resp.Stats = "", ""
 	resp.Results = resp.Results[:0]
-	if resp.Status != oodb.CodeOK {
-		resp.Err, err = r.str()
-		return err
-	}
-	if isStats {
-		resp.Stats, err = r.str()
-		return err
-	}
-	if r.off == len(payload) {
-		return nil // ping: empty success body
-	}
-	n, err := r.u8()
-	if err != nil {
-		return err
-	}
-	for i := 0; i < int(n); i++ {
-		var res Result
-		if res.Kind, err = r.u8(); err != nil {
-			return err
+	switch {
+	case resp.Status != oodb.CodeOK:
+		resp.Err = d.Str()
+	case isStats:
+		resp.Stats = d.Str()
+	default:
+		n := int(d.U8())
+		if n > MaxCmds {
+			d.Failf("%d results exceed the %d-command batch bound", n, MaxCmds)
 		}
-		switch res.Kind {
-		case CmdSend:
-			if res.Val, err = r.value(); err != nil {
-				return err
+		for i := 0; i < n && d.Err() == nil; i++ {
+			res := Result{Kind: d.U8()}
+			switch res.Kind {
+			case CmdSend:
+				res.Val = d.Value()
+			case CmdNew:
+				res.OID = d.Uvarint()
+			case CmdDelete:
+			case CmdScan:
+				res.Count = d.Uvarint()
+			default:
+				d.Failf("result kind %d", res.Kind)
 			}
-		case CmdNew:
-			if res.OID, err = r.uvarint(); err != nil {
-				return err
-			}
-		case CmdDelete:
-		case CmdScan:
-			if res.Count, err = r.uvarint(); err != nil {
-				return err
-			}
-		default:
-			return fmt.Errorf("%w: result kind %d", ErrBadPayload, res.Kind)
+			resp.Results = append(resp.Results, res)
 		}
-		resp.Results = append(resp.Results, res)
+	}
+	if err := d.Finish(); err != nil {
+		return fmt.Errorf("%w: %v", ErrBadPayload, err)
 	}
 	return nil
 }

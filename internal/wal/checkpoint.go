@@ -4,10 +4,10 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"os"
 	"path/filepath"
 
+	"repro/internal/codec"
 	"repro/internal/schema"
 	"repro/internal/storage"
 )
@@ -30,8 +30,10 @@ import (
 // Checkpoint file, little-endian:
 //
 //	magic "FAVWCKP2" · u64 baseSeq · u64 nextOID · u64 epoch · u64 count ·
-//	count × (uvarint classID · uvarint OID · uvarint nSlots · values) ·
-//	u32 CRC-32C of everything after the magic
+//	count × image · u32 CRC-32C (codec.Checksum) of everything after
+//	the magic
+//
+// where an image is the body of an OpCreate op (record.go).
 //
 // The file is written to checkpoint.tmp, fsynced, and renamed over
 // checkpoint — after the old checkpoint was demoted to checkpoint.prev —
@@ -80,12 +82,7 @@ func writeCheckpoint(fsys FS, dir string, st *storage.Store, baseSeq, epoch uint
 				continue
 			}
 			vals = in.AppendSlots(vals[:0])
-			body = binary.AppendUvarint(body, uint64(cls.ID))
-			body = binary.AppendUvarint(body, uint64(oid))
-			body = binary.AppendUvarint(body, uint64(len(vals)))
-			for _, v := range vals {
-				body = appendValue(body, v)
-			}
+			body = appendImage(body, cls.ID, uint64(oid), vals)
 			count++
 		}
 	}
@@ -97,7 +94,7 @@ func writeCheckpoint(fsys FS, dir string, st *storage.Store, baseSeq, epoch uint
 		return err
 	}
 	defer fsys.Remove(tmp) //nolint:errcheck // no-op after the rename succeeds
-	crc := crc32.Checksum(body, crcTable)
+	crc := codec.Checksum(body)
 	if _, err := f.Write(checkpointMagic); err != nil {
 		f.Close()
 		return err
@@ -187,51 +184,40 @@ func loadCheckpointFile(fsys FS, path string, st *storage.Store, sch *schema.Sch
 	}
 	body := data[len(checkpointMagic) : len(data)-4]
 	wantCRC := binary.LittleEndian.Uint32(data[len(data)-4:])
-	if crc32.Checksum(body, crcTable) != wantCRC {
+	if codec.Checksum(body) != wantCRC {
 		return 0, 0, fmt.Errorf("%w: %s: CRC mismatch", errCheckpointCorrupt, path)
 	}
-	d := decoder{b: body}
-	baseSeq := d.u64()
-	nextOID := d.u64()
-	epoch := d.u64()
-	count := d.u64()
-	for i := uint64(0); i < count && d.err == nil; i++ {
-		clsID := d.uvarint()
-		oid := d.uvarint()
-		ns := d.uvarint()
-		if d.err != nil {
+	d := codec.NewDecoder(body)
+	baseSeq := d.U64()
+	nextOID := d.U64()
+	epoch := d.U64()
+	count := d.U64()
+	for i := uint64(0); i < count && d.Err() == nil; i++ {
+		var in RecordOp
+		decodeImage(&d, &in, true)
+		if d.Err() != nil {
 			break
 		}
-		cls := sch.ClassByID(uint32(clsID))
+		cls := sch.ClassByID(in.Class)
 		if cls == nil {
-			return 0, 0, fmt.Errorf("wal: checkpoint: unknown class id %d", clsID)
+			return 0, 0, fmt.Errorf("wal: checkpoint: unknown class id %d", in.Class)
 		}
 		// OIDs are allocated below the watermark; an instance above it is
 		// corruption, and installing it would size the dense page
 		// directory to match.
-		if oid == 0 || oid > nextOID {
-			return 0, 0, fmt.Errorf("wal: checkpoint: instance OID %d outside (0, %d]", oid, nextOID)
+		if in.OID == 0 || uint64(in.OID) > nextOID {
+			return 0, 0, fmt.Errorf("wal: checkpoint: instance OID %d outside (0, %d]", in.OID, nextOID)
 		}
-		if ns != uint64(cls.NumSlots()) {
+		if len(in.Slots) != cls.NumSlots() {
 			return 0, 0, fmt.Errorf("wal: checkpoint: %s#%d has %d slots, file says %d",
-				cls.Name, oid, cls.NumSlots(), ns)
+				cls.Name, in.OID, cls.NumSlots(), len(in.Slots))
 		}
-		vals := make([]storage.Value, 0, ns)
-		for j := uint64(0); j < ns && d.err == nil; j++ {
-			vals = append(vals, d.value())
-		}
-		if d.err != nil {
-			break
-		}
-		if _, err := st.Install(cls, storage.OID(oid), vals); err != nil {
+		if _, err := st.Install(cls, in.OID, in.Slots); err != nil {
 			return 0, 0, fmt.Errorf("wal: checkpoint: %w", err)
 		}
 	}
-	if d.err != nil {
-		return 0, 0, fmt.Errorf("wal: checkpoint: %w", d.err)
-	}
-	if d.pos != len(body) {
-		return 0, 0, fmt.Errorf("wal: checkpoint: %d trailing bytes", len(body)-d.pos)
+	if err := d.Finish(); err != nil {
+		return 0, 0, fmt.Errorf("wal: checkpoint: %w", err)
 	}
 	st.EnsureOID(storage.OID(nextOID))
 	return baseSeq, epoch, nil

@@ -1,11 +1,10 @@
 package wal
 
 import (
-	"encoding/binary"
-	"hash/crc32"
 	"os"
 	"testing"
 
+	"repro/internal/codec"
 	"repro/internal/schema"
 	"repro/internal/storage"
 )
@@ -14,8 +13,8 @@ import (
 // CRC), so the fuzzer reaches the record decoder instead of bouncing
 // off the checksum.
 func frameBytes(payload []byte) []byte {
-	out := binary.LittleEndian.AppendUint32(nil, uint32(len(payload)))
-	out = binary.LittleEndian.AppendUint32(out, crc32.Checksum(payload, crcTable))
+	out := make([]byte, codec.HeaderSize, codec.HeaderSize+len(payload))
+	codec.Seal(out, payload, len(payload)) //nolint:errcheck // the bound is the payload itself
 	return append(out, payload...)
 }
 
@@ -64,26 +63,14 @@ func FuzzWALRecord(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	cls := uint64(sch.Class("item").ID)
-	var rec []byte
-	rec = append(rec, recCommit)
-	rec = binary.LittleEndian.AppendUint64(rec, 7) // txnID
-	rec = binary.LittleEndian.AppendUint32(rec, 3) // nOps
-	rec = append(rec, OpCreate)
-	rec = binary.AppendUvarint(rec, cls)
-	rec = binary.AppendUvarint(rec, 1) // OID
-	rec = binary.AppendUvarint(rec, 5) // nSlots
-	rec = appendValue(rec, storage.IntV(42))
-	rec = appendValue(rec, storage.IntV(-1))
-	rec = appendValue(rec, storage.StrV("hello"))
-	rec = appendValue(rec, storage.BoolV(true))
-	rec = appendValue(rec, storage.RefV(1))
-	rec = append(rec, OpWrite)
-	rec = binary.AppendUvarint(rec, 1) // OID
-	rec = binary.AppendUvarint(rec, 0) // slot
-	rec = appendValue(rec, storage.IntV(9))
-	rec = append(rec, OpDelete)
-	rec = binary.AppendUvarint(rec, 1)
+	cls := sch.Class("item").ID
+	rec := AppendRecord(nil, &Record{TxnID: 7, Ops: []RecordOp{
+		{Kind: OpCreate, Class: cls, OID: 1, Slots: []storage.Value{
+			storage.IntV(42), storage.IntV(-1), storage.StrV("hello"), storage.BoolV(true), storage.RefV(1),
+		}},
+		{Kind: OpWrite, OID: 1, Slot: 0, Val: storage.IntV(9)},
+		{Kind: OpDelete, OID: 1},
+	}})
 
 	f.Add(rec)
 	f.Add(frameBytes(rec))

@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -12,6 +11,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/codec"
 	"repro/internal/obs"
 	"repro/internal/schema"
 	"repro/internal/storage"
@@ -608,13 +608,8 @@ func (l *Log) maybeAutoCheckpoint() {
 // or Discard.
 func (l *Log) BeginCommit(txnID, epoch uint64) *commit {
 	c := l.commits.Get().(*commit)
-	b := c.buf[:0]
-	b = append(b, make([]byte, frameHeaderSize)...) // patched at submit
-	b = append(b, recCommit)
-	b = binary.LittleEndian.AppendUint64(b, txnID)
-	b = binary.LittleEndian.AppendUint64(b, epoch)
-	b = append(b, 0, 0, 0, 0) // nOps, patched at submit
-	c.buf = b
+	b := append(c.buf[:0], make([]byte, codec.HeaderSize)...) // sealed at submit
+	c.buf = appendHeader(b, txnID, epoch, 0)                  // nOps patched at submit
 	c.ops = 0
 	c.barrier = false
 	return c
@@ -622,10 +617,7 @@ func (l *Log) BeginCommit(txnID, epoch uint64) *commit {
 
 // Write appends one TAV-projected field after-image.
 func (c *commit) Write(oid uint64, slot int, v storage.Value) {
-	c.buf = append(c.buf, OpWrite)
-	c.buf = binary.AppendUvarint(c.buf, oid)
-	c.buf = binary.AppendUvarint(c.buf, uint64(slot))
-	c.buf = appendValue(c.buf, v)
+	c.buf = appendOp(c.buf, &RecordOp{Kind: OpWrite, OID: storage.OID(oid), Slot: slot, Val: v})
 	c.ops++
 }
 
@@ -635,10 +627,7 @@ func (c *commit) Write(oid uint64, slot int, v storage.Value) {
 // becomes durable through this record and an aborted writer leaves no
 // durable trace.
 func (c *commit) WriteDelta(oid uint64, slot int, delta int64) {
-	c.buf = append(c.buf, OpDeltaI)
-	c.buf = binary.AppendUvarint(c.buf, oid)
-	c.buf = binary.AppendUvarint(c.buf, uint64(slot))
-	c.buf = binary.AppendVarint(c.buf, delta)
+	c.buf = appendOp(c.buf, &RecordOp{Kind: OpDeltaI, OID: storage.OID(oid), Slot: slot, Delta: delta})
 	c.ops++
 }
 
@@ -647,20 +636,13 @@ func (c *commit) WriteDelta(oid uint64, slot int, delta int64) {
 // transaction's own final state).
 func (c *commit) Create(classID uint32, oid uint64, in *storage.Instance) {
 	c.valBuf = in.AppendSlots(c.valBuf[:0])
-	c.buf = append(c.buf, OpCreate)
-	c.buf = binary.AppendUvarint(c.buf, uint64(classID))
-	c.buf = binary.AppendUvarint(c.buf, oid)
-	c.buf = binary.AppendUvarint(c.buf, uint64(len(c.valBuf)))
-	for _, v := range c.valBuf {
-		c.buf = appendValue(c.buf, v)
-	}
+	c.buf = appendOp(c.buf, &RecordOp{Kind: OpCreate, Class: classID, OID: storage.OID(oid), Slots: c.valBuf})
 	c.ops++
 }
 
 // Delete appends a deletion record.
 func (c *commit) Delete(oid uint64) {
-	c.buf = append(c.buf, OpDelete)
-	c.buf = binary.AppendUvarint(c.buf, oid)
+	c.buf = appendOp(c.buf, &RecordOp{Kind: OpDelete, OID: storage.OID(oid)})
 	c.ops++
 }
 
@@ -681,21 +663,18 @@ func (c *commit) Discard() {
 // discarded.
 func (c *commit) submit() error {
 	l := c.l
-	payload := c.buf[frameHeaderSize:]
-	if len(payload) > maxRecordSize {
-		// Recovery rejects frames beyond this bound as garbage; writing
-		// one would acknowledge a commit recovery must then discard.
-		n := len(payload)
+	payload := c.buf[codec.HeaderSize:]
+	binary.LittleEndian.PutUint32(payload[offNumOps:], c.ops)
+	// Recovery rejects frames beyond maxRecordSize as garbage; writing
+	// one would acknowledge a commit recovery must then discard.
+	if err := codec.Seal(c.buf, payload, maxRecordSize); err != nil {
 		c.Discard()
-		return fmt.Errorf("wal: commit record of %d bytes exceeds the %d-byte record bound", n, maxRecordSize)
+		return fmt.Errorf("wal: commit record: %w", err)
 	}
 	if err := l.failure(); err != nil {
 		c.Discard()
 		return err
 	}
-	binary.LittleEndian.PutUint32(payload[offNumOps:], c.ops)
-	binary.LittleEndian.PutUint32(c.buf[0:], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(c.buf[4:], crc32.Checksum(payload, crcTable))
 	return c.enqueue()
 }
 

@@ -14,21 +14,15 @@
 // al., "High-Performance Concurrency Control Mechanisms for Main-Memory
 // Databases": log logical/projected deltas, batch the fsyncs).
 //
-// On-disk framing, little-endian:
-//
-//	┌─────────────┬─────────────┬───────────────────────────────┐
-//	│ u32 payload │ u32 CRC-32C │ payload                       │
-//	│     length  │ of payload  │                               │
-//	└─────────────┴─────────────┴───────────────────────────────┘
+// A commit record is the payload of one frame of internal/codec (length
+// and CRC-32C header; values encoded by codec.AppendValue):
 //
 //	payload: u8 type (=commit) · u64 txnID · u64 epoch · u32 nOps · ops
 //	op:      u8 OpWrite  · uvarint OID · uvarint slot · value
 //	         u8 OpDeltaI · uvarint OID · uvarint slot · varint delta
-//	         u8 OpCreate · uvarint classID · uvarint OID ·
-//	                       uvarint nSlots · values
+//	         u8 OpCreate · image
 //	         u8 OpDelete · uvarint OID
-//	value:   u8 kind · varint int | u8 bool | uvarint len + bytes |
-//	         uvarint ref OID
+//	image:   uvarint classID · uvarint OID · uvarint nSlots · values
 //
 // OpDeltaI carries a slot write made under declared (escrow)
 // commutativity as the transaction's net integer delta rather than an
@@ -46,17 +40,15 @@ package wal
 import (
 	"encoding/binary"
 	"fmt"
-	"hash/crc32"
+	"math"
 
+	"repro/internal/codec"
 	"repro/internal/schema"
 	"repro/internal/storage"
 )
 
-// Frame geometry.
-const (
-	frameHeaderSize = 8           // u32 length + u32 crc
-	recCommit       = uint8(0x01) // the only record type: one committed txn
-)
+// recCommit is the only record type: one committed txn.
+const recCommit = uint8(0x01)
 
 // maxRecordSize bounds one record's payload, enforced identically on
 // the write path (Commit rejects, the transaction aborts) and the read
@@ -73,148 +65,56 @@ const (
 	OpDeltaI = uint8(0x04) // escrow integer delta (replay adds it)
 )
 
-// Payload offsets of the fixed commit-record header. The epoch is the
-// transaction's multiversion commit epoch (0 when the transaction
-// linked no version records): recovery takes the maximum over all
-// replayed records to re-seed the epoch counter, so post-recovery
-// commit epochs continue above everything the log ever stamped.
+// Payload offset of the op count and size of the fixed commit-record
+// header (type + txnID + epoch + nOps). The epoch is the transaction's
+// multiversion commit epoch (0 when the transaction linked no version
+// records): recovery takes the maximum over all replayed records to
+// re-seed the epoch counter, so post-recovery commit epochs continue
+// above everything the log ever stamped.
 const (
-	offType    = 0
-	offTxnID   = 1
-	offEpoch   = 9
 	offNumOps  = 17
-	hdrPayload = 21 // type + txnID + epoch + nOps
+	hdrPayload = 21
 )
 
-var crcTable = crc32.MakeTable(crc32.Castagnoli)
+// appendHeader appends the fixed commit-record header.
+func appendHeader(b []byte, txnID, epoch uint64, nOps uint32) []byte {
+	b = append(b, recCommit)
+	b = binary.LittleEndian.AppendUint64(b, txnID)
+	b = binary.LittleEndian.AppendUint64(b, epoch)
+	return binary.LittleEndian.AppendUint32(b, nOps)
+}
 
-// appendValue encodes one field value.
-func appendValue(b []byte, v storage.Value) []byte {
-	b = append(b, byte(v.Kind))
-	switch v.Kind {
-	case storage.KInt:
-		b = binary.AppendVarint(b, v.I)
-	case storage.KBool:
-		if v.B {
-			b = append(b, 1)
-		} else {
-			b = append(b, 0)
-		}
-	case storage.KString:
-		b = binary.AppendUvarint(b, uint64(len(v.S)))
-		b = append(b, v.S...)
-	case storage.KRef:
-		b = binary.AppendUvarint(b, uint64(v.R))
+// appendImage appends an instance image: the body of an OpCreate op and
+// of a checkpoint entry.
+func appendImage(b []byte, classID uint32, oid uint64, vals []storage.Value) []byte {
+	b = binary.AppendUvarint(b, uint64(classID))
+	b = binary.AppendUvarint(b, oid)
+	b = binary.AppendUvarint(b, uint64(len(vals)))
+	for _, v := range vals {
+		b = codec.AppendValue(b, v)
 	}
 	return b
 }
 
-// decoder is a bounds-checked cursor over one payload (or checkpoint
-// body). Methods set err instead of panicking, so a corrupt or torn
-// record surfaces as a recoverable condition.
-type decoder struct {
-	b   []byte
-	pos int
-	err error
-}
-
-func (d *decoder) fail(format string, args ...any) {
-	if d.err == nil {
-		d.err = fmt.Errorf(format, args...)
+// appendOp appends one op: the only op encoder, under the commit
+// builder and AppendRecord alike.
+func appendOp(b []byte, op *RecordOp) []byte {
+	b = append(b, op.Kind)
+	switch op.Kind {
+	case OpWrite:
+		b = binary.AppendUvarint(b, uint64(op.OID))
+		b = binary.AppendUvarint(b, uint64(op.Slot))
+		b = codec.AppendValue(b, op.Val)
+	case OpDeltaI:
+		b = binary.AppendUvarint(b, uint64(op.OID))
+		b = binary.AppendUvarint(b, uint64(op.Slot))
+		b = binary.AppendVarint(b, op.Delta)
+	case OpCreate:
+		b = appendImage(b, op.Class, uint64(op.OID), op.Slots)
+	case OpDelete:
+		b = binary.AppendUvarint(b, uint64(op.OID))
 	}
-}
-
-func (d *decoder) u8() uint8 {
-	if d.err != nil {
-		return 0
-	}
-	if d.pos >= len(d.b) {
-		d.fail("wal: truncated byte at offset %d", d.pos)
-		return 0
-	}
-	v := d.b[d.pos]
-	d.pos++
-	return v
-}
-
-func (d *decoder) u32() uint32 {
-	if d.err != nil {
-		return 0
-	}
-	if d.pos+4 > len(d.b) {
-		d.fail("wal: truncated u32 at offset %d", d.pos)
-		return 0
-	}
-	v := binary.LittleEndian.Uint32(d.b[d.pos:])
-	d.pos += 4
-	return v
-}
-
-func (d *decoder) u64() uint64 {
-	if d.err != nil {
-		return 0
-	}
-	if d.pos+8 > len(d.b) {
-		d.fail("wal: truncated u64 at offset %d", d.pos)
-		return 0
-	}
-	v := binary.LittleEndian.Uint64(d.b[d.pos:])
-	d.pos += 8
-	return v
-}
-
-func (d *decoder) uvarint() uint64 {
-	if d.err != nil {
-		return 0
-	}
-	v, n := binary.Uvarint(d.b[d.pos:])
-	if n <= 0 {
-		d.fail("wal: bad uvarint at offset %d", d.pos)
-		return 0
-	}
-	d.pos += n
-	return v
-}
-
-func (d *decoder) varint() int64 {
-	if d.err != nil {
-		return 0
-	}
-	v, n := binary.Varint(d.b[d.pos:])
-	if n <= 0 {
-		d.fail("wal: bad varint at offset %d", d.pos)
-		return 0
-	}
-	d.pos += n
-	return v
-}
-
-func (d *decoder) value() storage.Value {
-	kind := storage.ValueKind(d.u8())
-	switch kind {
-	case storage.KInt:
-		return storage.IntV(d.varint())
-	case storage.KBool:
-		return storage.BoolV(d.u8() != 0)
-	case storage.KString:
-		n := d.uvarint()
-		if d.err != nil {
-			return storage.Value{}
-		}
-		// Compare in uint64 space: a near-2^64 length converted to int
-		// would wrap negative and slip past a signed bounds check.
-		if n > uint64(len(d.b)-d.pos) {
-			d.fail("wal: truncated string of %d bytes at offset %d", n, d.pos)
-			return storage.Value{}
-		}
-		s := string(d.b[d.pos : d.pos+int(n)])
-		d.pos += int(n)
-		return storage.StrV(s)
-	case storage.KRef:
-		return storage.RefV(storage.OID(d.uvarint()))
-	}
-	d.fail("wal: unknown value kind %d at offset %d", kind, d.pos-1)
-	return storage.Value{}
+	return b
 }
 
 // Record is one decoded commit record, materialised for tests and
@@ -240,11 +140,22 @@ type RecordOp struct {
 // header) into a Record.
 func DecodeRecord(payload []byte) (Record, error) {
 	var rec Record
-	err := walkRecord(payload, &rec.TxnID, &rec.Epoch, func(op RecordOp) error {
+	var err error
+	rec.TxnID, rec.Epoch, err = walkRecord(payload, true, func(op RecordOp, _, _ int) error {
 		rec.Ops = append(rec.Ops, op)
 		return nil
 	})
 	return rec, err
+}
+
+// AppendRecord appends the payload of rec: the inverse of DecodeRecord.
+// A commit builds the same bytes op by op.
+func AppendRecord(b []byte, rec *Record) []byte {
+	b = appendHeader(b, rec.TxnID, rec.Epoch, uint32(len(rec.Ops)))
+	for i := range rec.Ops {
+		b = appendOp(b, &rec.Ops[i])
+	}
+	return b
 }
 
 // maxSlotIndex bounds a decoded slot number: anything past it is
@@ -252,159 +163,94 @@ func DecodeRecord(payload []byte) (Record, error) {
 // negative on conversion to int.
 const maxSlotIndex = 1 << 24
 
-// decodeOp parses one op at the decoder's position. Shared by
-// walkRecord (sequential replay, DecodeRecord) and the parallel replay
-// workers, so both paths apply byte-identical semantics.
-func decodeOp(d *decoder) RecordOp {
-	var op RecordOp
-	op.Kind = d.u8()
-	switch op.Kind {
-	case OpWrite:
-		op.OID = storage.OID(d.uvarint())
-		slot := d.uvarint()
-		if slot > maxSlotIndex {
-			d.fail("wal: write slot %d out of range", slot)
-			break
-		}
-		op.Slot = int(slot)
-		op.Val = d.value()
-	case OpDeltaI:
-		op.OID = storage.OID(d.uvarint())
-		slot := d.uvarint()
-		if slot > maxSlotIndex {
-			d.fail("wal: delta slot %d out of range", slot)
-			break
-		}
-		op.Slot = int(slot)
-		op.Delta = d.varint()
-	case OpCreate:
-		op.Class = uint32(d.uvarint())
-		op.OID = storage.OID(d.uvarint())
-		ns := d.uvarint()
-		if d.err != nil {
-			break
-		}
-		if ns > uint64(len(d.b)-d.pos) {
-			d.fail("wal: create claims %d slots with %d bytes left", ns, len(d.b)-d.pos)
-			break
-		}
+// decodeImage parses what appendImage wrote into op. Without
+// materialize the values are only skipped.
+func decodeImage(d *codec.Decoder, op *RecordOp, materialize bool) {
+	class := d.Uvarint()
+	if class > math.MaxUint32 {
+		d.Failf("wal: class id %d out of range", class)
+	}
+	op.Class = uint32(class)
+	op.OID = storage.OID(d.Uvarint())
+	ns := d.Uvarint()
+	if ns > uint64(d.Len()) {
+		d.Failf("wal: image claims %d slots with %d bytes left", ns, d.Len())
+		return
+	}
+	if materialize {
 		op.Slots = make([]storage.Value, 0, ns)
-		for j := uint64(0); j < ns && d.err == nil; j++ {
-			op.Slots = append(op.Slots, d.value())
+	}
+	for j := uint64(0); j < ns && d.Err() == nil; j++ {
+		if materialize {
+			op.Slots = append(op.Slots, d.Value())
+		} else {
+			d.SkipValue()
 		}
+	}
+}
+
+// decodeOp parses one op at the decoder's position. Without materialize
+// it only routes: Kind and OID are set and the values are skipped, so
+// the partition pass of parallel replay allocates no strings. Sequential
+// replay, DecodeRecord and the parallel workers all decode through it.
+func decodeOp(d *codec.Decoder, materialize bool) RecordOp {
+	var op RecordOp
+	op.Kind = d.U8()
+	switch op.Kind {
+	case OpWrite, OpDeltaI:
+		op.OID = storage.OID(d.Uvarint())
+		slot := d.Uvarint()
+		if slot > maxSlotIndex {
+			d.Failf("wal: slot %d out of range", slot)
+			break
+		}
+		op.Slot = int(slot)
+		switch {
+		case op.Kind == OpDeltaI:
+			op.Delta = d.Varint()
+		case materialize:
+			op.Val = d.Value()
+		default:
+			d.SkipValue()
+		}
+	case OpCreate:
+		decodeImage(d, &op, materialize)
 	case OpDelete:
-		op.OID = storage.OID(d.uvarint())
+		op.OID = storage.OID(d.Uvarint())
 	default:
-		d.fail("wal: unknown op kind %d", op.Kind)
+		d.Failf("wal: unknown op kind %d", op.Kind)
 	}
 	return op
 }
 
-// skipValue advances past one encoded value without materializing it
-// (no string allocation) — the partitioning scan of parallel replay.
-func (d *decoder) skipValue() {
-	kind := storage.ValueKind(d.u8())
-	switch kind {
-	case storage.KInt:
-		d.varint()
-	case storage.KBool:
-		d.u8()
-	case storage.KString:
-		n := d.uvarint()
-		if d.err != nil {
-			return
-		}
-		if n > uint64(len(d.b)-d.pos) {
-			d.fail("wal: truncated string of %d bytes at offset %d", n, d.pos)
-			return
-		}
-		d.pos += int(n)
-	case storage.KRef:
-		d.uvarint()
-	default:
-		d.fail("wal: unknown value kind %d at offset %d", kind, d.pos-1)
+// walkRecord parses one commit payload and streams its ops, with each
+// op's byte range within the payload, through fn; materialize is
+// decodeOp's.
+func walkRecord(payload []byte, materialize bool, fn func(op RecordOp, off, end int) error) (txnID, epoch uint64, err error) {
+	d := codec.NewDecoder(payload)
+	if typ := d.U8(); d.Err() == nil && typ != recCommit {
+		return 0, 0, fmt.Errorf("wal: unknown record type %d", typ)
 	}
-}
-
-// skipOp advances past one op, returning only its routing key (kind and
-// OID). The byte range it covered is [start, d.pos).
-func (d *decoder) skipOp() (kind uint8, oid uint64) {
-	kind = d.u8()
-	switch kind {
-	case OpWrite:
-		oid = d.uvarint()
-		if slot := d.uvarint(); slot > maxSlotIndex {
-			d.fail("wal: write slot %d out of range", slot)
-			return
-		}
-		d.skipValue()
-	case OpDeltaI:
-		oid = d.uvarint()
-		if slot := d.uvarint(); slot > maxSlotIndex {
-			d.fail("wal: delta slot %d out of range", slot)
-			return
-		}
-		d.varint()
-	case OpCreate:
-		d.uvarint() // class
-		oid = d.uvarint()
-		ns := d.uvarint()
-		if d.err != nil {
-			return
-		}
-		if ns > uint64(len(d.b)-d.pos) {
-			d.fail("wal: create claims %d slots with %d bytes left", ns, len(d.b)-d.pos)
-			return
-		}
-		for j := uint64(0); j < ns && d.err == nil; j++ {
-			d.skipValue()
-		}
-	case OpDelete:
-		oid = d.uvarint()
-	default:
-		d.fail("wal: unknown op kind %d", kind)
-	}
-	return kind, oid
-}
-
-// walkRecord streams the ops of one commit payload through fn.
-func walkRecord(payload []byte, txnID, epoch *uint64, fn func(RecordOp) error) error {
-	d := decoder{b: payload}
-	if typ := d.u8(); d.err == nil && typ != recCommit {
-		return fmt.Errorf("wal: unknown record type %d", typ)
-	}
-	id := d.u64()
-	if txnID != nil {
-		*txnID = id
-	}
-	e := d.u64()
-	if epoch != nil {
-		*epoch = e
-	}
-	n := d.u32()
+	txnID, epoch = d.U64(), d.U64()
+	n := d.U32()
 	// Every op costs at least two bytes, so an op count beyond the
 	// payload size is garbage. Rejecting it up front (rather than at the
 	// first truncated op) also keeps the claimed count a trustworthy
 	// upper bound for the replay OID budget below.
 	if uint64(n) > uint64(len(payload)) {
-		return fmt.Errorf("wal: record claims %d ops in %d bytes", n, len(payload))
+		return txnID, epoch, fmt.Errorf("wal: record claims %d ops in %d bytes", n, len(payload))
 	}
-	for i := uint32(0); i < n && d.err == nil; i++ {
-		op := decodeOp(&d)
-		if d.err != nil {
+	for i := uint32(0); i < n && d.Err() == nil; i++ {
+		start := d.Pos()
+		op := decodeOp(&d, materialize)
+		if d.Err() != nil {
 			break
 		}
-		if err := fn(op); err != nil {
-			return err
+		if err := fn(op, start, d.Pos()); err != nil {
+			return txnID, epoch, err
 		}
 	}
-	if d.err != nil {
-		return d.err
-	}
-	if d.pos != len(d.b) {
-		return fmt.Errorf("wal: %d trailing bytes after record", len(d.b)-d.pos)
-	}
-	return nil
+	return txnID, epoch, d.Finish()
 }
 
 // kindMatches reports whether a decoded value kind fits a field type —
@@ -493,7 +339,7 @@ func applyOp(st *storage.Store, sch *schema.Schema, op RecordOp, maxOID uint64) 
 // applyRecord replays one commit payload into the store, sequentially,
 // returning the op count and the record's commit epoch.
 func applyRecord(st *storage.Store, sch *schema.Schema, payload []byte, maxOID uint64) (ops int, epoch uint64, err error) {
-	err = walkRecord(payload, nil, &epoch, func(op RecordOp) error {
+	_, epoch, err = walkRecord(payload, true, func(op RecordOp, _, _ int) error {
 		if err := applyOp(st, sch, op, maxOID); err != nil {
 			return err
 		}

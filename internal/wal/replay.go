@@ -22,11 +22,11 @@ package wal
 import (
 	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 	"runtime"
 	"sync"
 	"sync/atomic"
 
+	"repro/internal/codec"
 	"repro/internal/schema"
 	"repro/internal/storage"
 )
@@ -85,16 +85,15 @@ func scanFrames(data []byte) (payloads []opRef, ops int64, tornAt int64) {
 		if len(rest) == 0 {
 			return payloads, ops, -1
 		}
-		if len(rest) < frameHeaderSize {
+		if len(rest) < codec.HeaderSize {
 			return payloads, ops, pos // torn frame header
 		}
-		size := binary.LittleEndian.Uint32(rest[0:])
-		wantCRC := binary.LittleEndian.Uint32(rest[4:])
-		if int64(size) > int64(maxRecordSize) || int64(size) > int64(len(rest)-frameHeaderSize) {
+		size, err := codec.Size(rest, maxRecordSize)
+		if err != nil || size > len(rest)-codec.HeaderSize {
 			return payloads, ops, pos // torn or garbage length
 		}
-		payload := rest[frameHeaderSize : frameHeaderSize+int(size)]
-		if crc32.Checksum(payload, crcTable) != wantCRC {
+		payload := rest[codec.HeaderSize : codec.HeaderSize+size]
+		if codec.Verify(rest, payload) != nil {
 			return payloads, ops, pos // torn payload
 		}
 		if len(payload) >= hdrPayload {
@@ -107,45 +106,10 @@ func scanFrames(data []byte) (payloads []opRef, ops int64, tornAt int64) {
 			}
 			ops += claimed
 		}
-		start := pos + frameHeaderSize
+		start := pos + codec.HeaderSize
 		payloads = append(payloads, opRef{off: start, end: start + int64(size)})
-		pos += frameHeaderSize + int64(size)
+		pos += codec.HeaderSize + int64(size)
 	}
-}
-
-// scanRecordOps validates one payload's record header and walks its ops
-// without materializing values, emitting each op's routing OID and byte
-// range (relative to the payload). The record's commit epoch is written
-// through epoch when non-nil.
-func scanRecordOps(payload []byte, epoch *uint64, emit func(oid uint64, off, end int64)) error {
-	d := decoder{b: payload}
-	if typ := d.u8(); d.err == nil && typ != recCommit {
-		return fmt.Errorf("wal: unknown record type %d", typ)
-	}
-	d.u64() // txnID
-	e := d.u64()
-	if epoch != nil {
-		*epoch = e
-	}
-	n := d.u32()
-	if uint64(n) > uint64(len(payload)) {
-		return fmt.Errorf("wal: record claims %d ops in %d bytes", n, len(payload))
-	}
-	for i := uint32(0); i < n && d.err == nil; i++ {
-		start := d.pos
-		_, oid := d.skipOp()
-		if d.err != nil {
-			break
-		}
-		emit(oid, int64(start), int64(d.pos))
-	}
-	if d.err != nil {
-		return d.err
-	}
-	if d.pos != len(d.b) {
-		return fmt.Errorf("wal: %d trailing bytes after record", len(d.b)-d.pos)
-	}
-	return nil
 }
 
 // segment replays one segment's bytes into the store. It returns the
@@ -163,7 +127,7 @@ func (r *replayer) segment(data []byte) (records int, tornAt int64, err error) {
 		for _, p := range payloads {
 			_, epoch, err := applyRecord(r.st, r.sch, data[p.off:p.end], r.maxOID)
 			if err != nil {
-				return records, tornAt, fmt.Errorf("at offset %d: %w", p.off-frameHeaderSize, err)
+				return records, tornAt, fmt.Errorf("at offset %d: %w", p.off-codec.HeaderSize, err)
 			}
 			if epoch > r.maxEpoch {
 				r.maxEpoch = epoch
@@ -182,13 +146,13 @@ func (r *replayer) segment(data []byte) (records int, tornAt int64, err error) {
 		r.buckets[i] = r.buckets[i][:0]
 	}
 	for _, p := range payloads {
-		var epoch uint64
-		err := scanRecordOps(data[p.off:p.end], &epoch, func(oid uint64, off, end int64) {
-			w := oidHash(oid) % uint64(r.workers)
-			r.buckets[w] = append(r.buckets[w], opRef{off: p.off + off, end: p.off + end})
+		_, epoch, err := walkRecord(data[p.off:p.end], false, func(op RecordOp, off, end int) error {
+			w := oidHash(uint64(op.OID)) % uint64(r.workers)
+			r.buckets[w] = append(r.buckets[w], opRef{off: p.off + int64(off), end: p.off + int64(end)})
+			return nil
 		})
 		if err != nil {
-			return records, tornAt, fmt.Errorf("at offset %d: %w", p.off-frameHeaderSize, err)
+			return records, tornAt, fmt.Errorf("at offset %d: %w", p.off-codec.HeaderSize, err)
 		}
 		if epoch > r.maxEpoch {
 			r.maxEpoch = epoch
@@ -213,13 +177,13 @@ func (r *replayer) segment(data []byte) (records int, tornAt int64, err error) {
 				if failed.Load() {
 					return
 				}
-				d := decoder{b: data[o.off:o.end]}
-				op := decodeOp(&d)
-				if d.err != nil {
+				d := codec.NewDecoder(data[o.off:o.end])
+				op := decodeOp(&d, true)
+				if err := d.Err(); err != nil {
 					// Unreachable after a clean scan, but a worker must
 					// never trust that.
 					if failed.CompareAndSwap(false, true) {
-						firstErr.Store(d.err)
+						firstErr.Store(err)
 					}
 					return
 				}

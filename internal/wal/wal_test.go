@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/codec"
 	"repro/internal/schema"
 	"repro/internal/storage"
 )
@@ -148,11 +149,11 @@ func boundaries(t *testing.T, data []byte) []int64 {
 	out := []int64{0}
 	pos := int64(0)
 	for pos < int64(len(data)) {
-		if int64(len(data))-pos < frameHeaderSize {
+		if int64(len(data))-pos < codec.HeaderSize {
 			t.Fatalf("trailing garbage at %d", pos)
 		}
 		size := binary.LittleEndian.Uint32(data[pos:])
-		pos += frameHeaderSize + int64(size)
+		pos += codec.HeaderSize + int64(size)
 		out = append(out, pos)
 	}
 	return out
@@ -598,20 +599,20 @@ func TestValueRoundtrip(t *testing.T) {
 	}
 	var b []byte
 	for _, v := range vals {
-		b = appendValue(b, v)
+		b = codec.AppendValue(b, v)
 	}
-	d := decoder{b: b}
+	d := codec.NewDecoder(b)
 	for i, want := range vals {
-		got := d.value()
-		if d.err != nil {
-			t.Fatalf("value %d: %v", i, d.err)
+		got := d.Value()
+		if err := d.Err(); err != nil {
+			t.Fatalf("value %d: %v", i, err)
 		}
 		if got != want {
 			t.Fatalf("value %d: got %v, want %v", i, got, want)
 		}
 	}
-	if d.pos != len(b) {
-		t.Fatalf("trailing bytes: %d of %d", d.pos, len(b))
+	if err := d.Finish(); err != nil {
+		t.Fatal(err)
 	}
 }
 

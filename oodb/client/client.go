@@ -28,6 +28,7 @@ package client
 import (
 	"bufio"
 	"context"
+	"encoding/binary"
 	"fmt"
 	"net"
 	"strings"
@@ -153,8 +154,7 @@ func respID(payload []byte) uint64 {
 	if len(payload) < 8 {
 		return 0
 	}
-	return uint64(payload[0]) | uint64(payload[1])<<8 | uint64(payload[2])<<16 | uint64(payload[3])<<24 |
-		uint64(payload[4])<<32 | uint64(payload[5])<<40 | uint64(payload[6])<<48 | uint64(payload[7])<<56
+	return binary.LittleEndian.Uint64(payload)
 }
 
 // fail latches a connection error and resolves every in-flight Pending
@@ -436,10 +436,11 @@ func (c *Client) ServerStats(ctx context.Context) (string, error) {
 }
 
 // send assigns an ID, registers the Pending and writes the frame into
-// the write buffer. The buffer is NOT flushed here: a pipelining caller
-// issuing a burst of Starts coalesces them into one write syscall, and
-// the first Wait that actually blocks (or a full buffer) pushes the
-// bytes out.
+// the write buffer. A request too large to frame fails here, alone:
+// nothing is written and the connection stays usable. The buffer is
+// NOT flushed here: a pipelining caller issuing a burst of Starts
+// coalesces them into one write syscall, and the first Wait that
+// actually blocks (or a full buffer) pushes the bytes out.
 func (c *Client) send(req *serv.Request) (*Pending, error) {
 	p := &Pending{c: c, ch: make(chan struct{}), isStats: req.Op == serv.OpStats}
 	c.wmu.Lock()
