@@ -692,18 +692,7 @@ func binOp(p *schema.Program, pc int, op schema.Op, l, r Value) (Value, error) {
 }
 
 func checkAssignable(fld *schema.Field, v Value) error {
-	ok := false
-	switch fld.Type {
-	case schema.TInt:
-		ok = v.Kind == storage.KInt
-	case schema.TBool:
-		ok = v.Kind == storage.KBool
-	case schema.TString:
-		ok = v.Kind == storage.KString
-	case schema.TRef:
-		ok = v.Kind == storage.KRef
-	}
-	if !ok {
+	if v.Kind != storage.KindOf(fld.Type) {
 		return fmt.Errorf("cannot assign %s to field %s of type %s", v, fld.Name, fld.Type)
 	}
 	return nil

@@ -118,8 +118,10 @@ func FromFile(f *mdl.File) (*Schema, error) {
 		// FIELDS(C) in global declaration order (ancestors' fields first in
 		// single-inheritance chains), matching the paper's (f1 … f6) layout.
 		sort.Slice(c.Fields, func(i, j int) bool { return c.Fields[i].ID < c.Fields[j].ID })
+		c.slotTypes = make([]FieldType, len(c.Fields))
 		for slot, fld := range c.Fields {
 			c.slotIdx[fld.ID] = int32(slot)
+			c.slotTypes[slot] = fld.Type
 		}
 	}
 

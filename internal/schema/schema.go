@@ -111,9 +111,10 @@ type Class struct {
 	Subclasses []*Class           // direct subclasses, declaration order
 
 	ownByName   map[string]*Method
-	slotIdx     []int32   // FieldID → storage slot, dense; -1 where absent
-	methodsByID []*Method // METHODS(C) indexed by MethodID; nil where absent
-	domain      []*Class  // cached Domain(), computed at build time
+	slotIdx     []int32     // FieldID → storage slot, dense; -1 where absent
+	slotTypes   []FieldType // storage slot → field type, dense
+	methodsByID []*Method   // METHODS(C) indexed by MethodID; nil where absent
+	domain      []*Class    // cached Domain(), computed at build time
 }
 
 // Ancestors returns ANCESTORS(C) of definition 1: every class C inherits
@@ -167,6 +168,11 @@ func (c *Class) Slot(id FieldID) int {
 
 // NumSlots returns the number of storage slots of an instance of c.
 func (c *Class) NumSlots() int { return len(c.Fields) }
+
+// SlotType returns the type of storage slot i of an instance of c: one
+// load from a table built with the class, so the store reads a cell's
+// kind from here instead of keeping it in every cell.
+func (c *Class) SlotType(i int) FieldType { return c.slotTypes[i] }
 
 // Domain returns the set of classes rooted at c — c itself plus every
 // transitive subclass — in deterministic (declaration) order. This is the

@@ -12,6 +12,15 @@
 // latch of the touched class, so churn on different classes never
 // contends; the page directory itself grows copy-on-write under a
 // dedicated mutex.
+//
+// Cells: the schema fixes every slot's type when the class is built
+// (schema.Class.SlotType), so a stored cell holds only its value words
+// and its kind is read from the class. What keeps a cell coherent is
+// that nothing ever stores a value of another kind into it: creation
+// and Install return an error for one, and every in-place writer (Set,
+// AddInt, SetSlots, Store.Write) panics on one before it takes the
+// writer latch. The engine and recovery check kinds before they get
+// here, so the panic is unreachable from them.
 package storage
 
 import (
@@ -33,13 +42,26 @@ type OID uint64
 // ValueKind tags a Value.
 type ValueKind uint8
 
-// Value kinds: the base types of section 2.1 plus references.
+// Value kinds: the base types of section 2.1 plus references, in the
+// order of schema.FieldType, so KindOf is a conversion.
 const (
 	KInt ValueKind = iota
 	KBool
 	KString
 	KRef
 )
+
+// The orders agree: any drift fails to compile.
+func _() {
+	var x [1]struct{}
+	_ = x[schema.TInt-schema.FieldType(KInt)]
+	_ = x[schema.TBool-schema.FieldType(KBool)]
+	_ = x[schema.TString-schema.FieldType(KString)]
+	_ = x[schema.TRef-schema.FieldType(KRef)]
+}
+
+// KindOf returns the value kind a field of type t holds.
+func KindOf(t schema.FieldType) ValueKind { return ValueKind(t) }
 
 // Value is a field value: integer, boolean, string, or a reference to
 // another instance (OID 0 is the nil reference).
@@ -64,18 +86,7 @@ func StrV(s string) Value { return Value{Kind: KString, S: s} }
 func RefV(oid OID) Value { return Value{Kind: KRef, R: oid} }
 
 // Zero returns the zero value for a field type.
-func Zero(t schema.FieldType) Value {
-	switch t {
-	case schema.TInt:
-		return IntV(0)
-	case schema.TBool:
-		return BoolV(false)
-	case schema.TString:
-		return StrV("")
-	default:
-		return RefV(0)
-	}
-}
+func Zero(t schema.FieldType) Value { return Value{Kind: KindOf(t)} }
 
 // String renders the value for diagnostics.
 func (v Value) String() string {
@@ -95,11 +106,14 @@ func (v Value) String() string {
 	return "value(?)"
 }
 
-// aslot is the stored form of one slot: the fields of a Value split
-// into atomic cells so readers never observe a torn word and the race
-// detector sees every access as synchronized. The kind tag gates which
-// cell is meaningful, so a writer only needs to publish the cells its
-// kind reads back — stale bytes in the other cells are unreachable.
+// aslot is the stored form of one slot: the words of a Value split into
+// atomic cells so readers never observe a torn word and the race
+// detector sees every access as synchronized. The cell carries no kind:
+// the slot's kind is its class's (schema.Class.SlotType), and a version
+// record's is that of the slot it covers. sp is nil in every cell that
+// is not a non-empty string's, because no writer stores a value of
+// another kind into a slot (see the package comment), so copying both
+// words never carries a stale pointer into an integer cell.
 //
 // Strings are two words (pointer, length); the pair is stored as a raw
 // *byte plus a length and only rejoined with unsafe.String after the
@@ -107,13 +121,13 @@ func (v Value) String() string {
 // the same committed write. The atomic.Pointer keeps the backing bytes
 // reachable for the GC.
 type aslot struct {
-	kind atomic.Uint32
-	num  atomic.Int64         // KInt: I · KBool: 0/1 · KRef: OID · KString: byte length
-	sp   atomic.Pointer[byte] // KString: data pointer (nil when empty)
+	num atomic.Int64         // KInt: I · KBool: 0/1 · KRef: OID · KString: byte length
+	sp  atomic.Pointer[byte] // KString: data pointer (nil when empty)
 }
 
-// store publishes v into the slot. Callers serialize writers (Instance
-// writes hold in.mu) and bracket the store with seq bumps.
+// store publishes v into the slot, whose kind must be v's. Callers
+// serialize writers (Instance writes hold in.mu) and bracket the store
+// with seq bumps.
 func (sl *aslot) store(v Value) {
 	switch v.Kind {
 	case KInt:
@@ -134,34 +148,31 @@ func (sl *aslot) store(v Value) {
 	default:
 		sl.num.Store(int64(v.R))
 	}
-	sl.kind.Store(uint32(v.Kind))
 }
 
-// load reads the raw cells. The caller must re-validate the sequence
-// counter before materializing the result (see mkValue) — until then
-// the triple may mix words from two different writes.
-func (sl *aslot) load() (k ValueKind, num int64, sp *byte) {
-	k = ValueKind(sl.kind.Load())
+// load reads the raw cells of a slot of kind k. The caller must
+// re-validate the sequence counter before materializing the result (see
+// mkValue) — until then the pair may mix words from two different
+// writes.
+func (sl *aslot) load(k ValueKind) (num int64, sp *byte) {
 	num = sl.num.Load()
 	if k == KString {
 		sp = sl.sp.Load()
 	}
-	return k, num, sp
+	return num, sp
 }
 
 // copyFrom makes sl a copy of src's cells, string pointer included (nil
-// for other kinds, so a recycled record pins no dead string). Callers
-// hold the writer latch of the instance both belong to.
+// unless src holds a non-empty string). Callers hold the writer latch of
+// the instance both belong to.
 func (sl *aslot) copyFrom(src *aslot) {
-	k, num, sp := src.load()
-	sl.num.Store(num)
-	sl.sp.Store(sp)
-	sl.kind.Store(uint32(k))
+	sl.num.Store(src.num.Load())
+	sl.sp.Store(src.sp.Load())
 }
 
-// mkValue rejoins raw cells into a Value. Only call it on a triple that
-// a sequence-counter check has proven coherent: for strings it trusts
-// that sp and num describe the same backing array.
+// mkValue rejoins raw cells into a Value of kind k. Only call it on
+// cells that a sequence-counter check has proven coherent: for strings
+// it trusts that sp and num describe the same backing array.
 func mkValue(k ValueKind, num int64, sp *byte) Value {
 	switch k {
 	case KInt:
@@ -190,12 +201,21 @@ const seqSpins = 128
 // readers retry until they observe a stable even count around the whole
 // read. Writes still serialize on mu (physical consistency only —
 // transactional isolation comes from the lock manager).
+//
+// The header is 80 bytes, an allocation size class of its own;
+// TestStoreLayout pins it.
 type Instance struct {
 	OID   OID
 	Class *schema.Class
 
-	mu    sync.Mutex // serializes writers
-	seq   atomic.Uint32
+	mu  sync.Mutex // serializes writers
+	seq atomic.Uint32
+
+	// extentPos is the instance's index in its class extent, kept
+	// current by swap-removal. Guarded by the extent latch; int32 so it
+	// packs beside seq (extents are capped at maxExtent).
+	extentPos int32
+
 	slots []aslot
 
 	// execMu serializes writing method activations on this instance
@@ -203,10 +223,6 @@ type Instance struct {
 	// of a frame's field accesses, during which mu is taken and
 	// released per slot access.
 	execMu sync.Mutex
-
-	// extentPos is the instance's index in its class extent, kept
-	// current by swap-removal. Guarded by the extent latch.
-	extentPos int
 
 	// verHead is the newest record of the version chain (see
 	// version.go): the before-images of writes some snapshot reader may
@@ -230,15 +246,44 @@ func (in *Instance) LockExec() { in.execMu.Lock() }
 // UnlockExec releases the execution latch.
 func (in *Instance) UnlockExec() { in.execMu.Unlock() }
 
+// kind returns the kind of slot i, fixed by the class.
+func (in *Instance) kind(i int) ValueKind { return KindOf(in.Class.SlotType(i)) }
+
+// mustKind returns the kind of slot i and panics unless it is want: a
+// cell keeps no kind of its own, so a mismatched store would leave, in a
+// string slot, a length beside a stale pointer. Writers call it before
+// they take the latch, so the panic leaves the instance usable.
+func (in *Instance) mustKind(i int, want ValueKind) ValueKind {
+	k := in.kind(i)
+	if want != k {
+		panic(kindError{in, i, want})
+	}
+	return k
+}
+
+// kindError is mustKind's panic value.
+type kindError struct {
+	in   *Instance
+	slot int
+	want ValueKind
+}
+
+func (e kindError) Error() string {
+	cls := e.in.Class
+	return fmt.Sprintf("storage: %s#%d: %s field %s cannot hold a %s", cls.Name, e.in.OID,
+		cls.SlotType(e.slot), cls.Fields[e.slot].QualifiedName(), schema.FieldType(e.want))
+}
+
 // Get returns the value in slot i without taking any lock: it reads the
 // slot's atomic cells under a seqlock and retries if a concurrent Set
 // overlapped the read (the sequence counter moved or was odd).
 func (in *Instance) Get(i int) Value {
+	k := in.kind(i)
 	sl := &in.slots[i]
 	for spins := 0; ; spins++ {
 		s1 := in.seq.Load()
 		if s1&1 == 0 {
-			k, num, sp := sl.load()
+			num, sp := sl.load(k)
 			if in.seq.Load() == s1 {
 				return mkValue(k, num, sp)
 			}
@@ -251,11 +296,13 @@ func (in *Instance) Get(i int) Value {
 
 // Set stores v into slot i and returns the previous value. Writers
 // serialize on mu and bump the sequence counter to odd for the span of
-// the mutation so concurrent readers discard anything they saw.
+// the mutation so concurrent readers discard anything they saw. It
+// panics if v is not of the slot's kind.
 func (in *Instance) Set(i int, v Value) Value {
+	k := in.mustKind(i, v.Kind)
 	in.mu.Lock()
 	sl := &in.slots[i]
-	k, num, sp := sl.load() // coherent: mu excludes other writers
+	num, sp := sl.load(k) // coherent: mu excludes other writers
 	old := mkValue(k, num, sp)
 	in.seq.Add(1)
 	sl.store(v)
@@ -269,19 +316,14 @@ func (in *Instance) Set(i int, v Value) Value {
 // the delta-undo primitive for declared-commuting slots: an aborting
 // transaction subtracts exactly its own contribution, so a concurrent
 // commuting writer's interleaved update survives the abort (a plain
-// pre-image restore would erase it). Non-integer slots are returned
-// unchanged — the caller only records deltas for integer writes.
+// pre-image restore would erase it). It panics on a slot that is not an
+// integer.
 func (in *Instance) AddInt(i int, delta int64) Value {
+	in.mustKind(i, KInt)
 	in.mu.Lock()
 	sl := &in.slots[i]
-	k, num, sp := sl.load() // coherent: mu excludes other writers
-	if k != KInt {
-		in.mu.Unlock()
-		return mkValue(k, num, sp)
-	}
-	v := Value{Kind: KInt, I: num + delta}
 	in.seq.Add(1)
-	sl.store(v)
+	v := Value{Kind: KInt, I: sl.num.Add(delta)}
 	in.seq.Add(1)
 	in.mu.Unlock()
 	return v
@@ -316,7 +358,8 @@ func (in *Instance) AppendSlots(buf []Value) []Value {
 			for i := range in.slots {
 				// Validate before materializing: mkValue must only see
 				// cells proven to come from one committed write.
-				k, num, sp := in.slots[i].load()
+				k := in.kind(i)
+				num, sp := in.slots[i].load(k)
 				if in.seq.Load() != s1 {
 					ok = false
 					break
@@ -333,17 +376,20 @@ func (in *Instance) AppendSlots(buf []Value) []Value {
 	}
 }
 
-// SetSlots overwrites every slot from vals under one writer latch and
-// one sequence-counter window — the idempotent-replay path of recovery
-// (re-applying a create record to an instance that already exists).
+// SetSlots overwrites the leading slots from vals under one writer latch
+// and one sequence-counter window — the idempotent-replay path of
+// recovery (re-applying a create record to an instance that already
+// exists). It panics, before writing any slot, if a value is not of its
+// slot's kind.
 func (in *Instance) SetSlots(vals []Value) {
+	vals = vals[:min(len(vals), len(in.slots))]
+	for i, v := range vals {
+		in.mustKind(i, v.Kind)
+	}
 	in.mu.Lock()
 	in.seq.Add(1)
-	for i := range in.slots {
-		if i >= len(vals) {
-			break
-		}
-		in.slots[i].store(vals[i])
+	for i, v := range vals {
+		in.slots[i].store(v)
 	}
 	in.seq.Add(1)
 	in.mu.Unlock()
@@ -371,6 +417,21 @@ type extent struct {
 	// version keeps a consistent snapshot of a past state.
 	snap atomic.Pointer[[]OID]
 	_    [64]byte // keep neighbouring class latches off one cache line
+}
+
+// maxExtent caps a class extent so an instance's extentPos fits in an
+// int32. A variable only so tests can reach the cap.
+var maxExtent = math.MaxInt32
+
+// full reports whether the extent is at maxExtent. Requires e.mu held.
+func (e *extent) full() bool { return len(e.oids) >= maxExtent }
+
+// add appends in, recording its position. Requires e.mu held and the
+// extent not full.
+func (e *extent) add(in *Instance) {
+	in.extentPos = int32(len(e.oids))
+	e.oids = append(e.oids, in.OID)
+	e.invalidate()
 }
 
 // invalidate drops the cached snapshot. Requires e.mu held.
@@ -463,7 +524,7 @@ func (s *Store) grow(oid OID) *atomic.Pointer[Instance] {
 
 // NewInstance allocates an instance of cls, filling slots positionally
 // from vals and zero-filling the rest. The value kinds must match the
-// field types.
+// field types, and the class extent must have room (maxExtent).
 func (s *Store) NewInstance(cls *schema.Class, vals ...Value) (*Instance, error) {
 	in, _, err := s.newInstance(cls, vals, false)
 	return in, err
@@ -481,19 +542,25 @@ func (s *Store) newInstance(cls *schema.Class, vals []Value, marked bool) (*Inst
 		return nil, nil, fmt.Errorf("storage: class %s has %d fields, got %d values",
 			cls.Name, cls.NumSlots(), len(vals))
 	}
-	slots := make([]aslot, cls.NumSlots())
-	for i, f := range cls.Fields {
-		if i < len(vals) {
-			if err := checkKind(f, vals[i]); err != nil {
-				return nil, nil, err
-			}
-			slots[i].store(vals[i])
-		} else {
-			slots[i].store(Zero(f.Type))
+	slots := make([]aslot, cls.NumSlots()) // zero cells: every kind's zero value
+	for i, v := range vals {
+		if err := checkKind(cls.Fields[i], v); err != nil {
+			return nil, nil, err
 		}
+		slots[i].store(v)
 	}
 	oid := OID(s.nextOID.Add(1))
 	in := &Instance{OID: oid, Class: cls, slots: slots}
+	sl := s.slot(oid)
+	if sl == nil {
+		sl = s.grow(oid)
+	}
+	ext := &s.extents[cls.ID]
+	ext.mu.Lock()
+	if ext.full() {
+		ext.mu.Unlock()
+		return nil, nil, errExtentFull(cls)
+	}
 	var marker *Version
 	if marked {
 		// Linked before the directory publishes the instance: no reader
@@ -504,37 +571,22 @@ func (s *Store) newInstance(cls *schema.Class, vals []Value, marked bool) (*Inst
 		in.verHead.Store(marker)
 		s.versionsPublished.Add(1)
 	}
-	sl := s.slot(oid)
-	if sl == nil {
-		sl = s.grow(oid)
-	}
-	ext := &s.extents[cls.ID]
-	ext.mu.Lock()
 	sl.Store(in)
-	in.extentPos = len(ext.oids)
-	ext.oids = append(ext.oids, oid)
-	ext.invalidate()
+	ext.add(in)
 	ext.mu.Unlock()
 	s.count.Add(1)
 	return in, marker, nil
 }
 
 func checkKind(f *schema.Field, v Value) error {
-	ok := false
-	switch f.Type {
-	case schema.TInt:
-		ok = v.Kind == KInt
-	case schema.TBool:
-		ok = v.Kind == KBool
-	case schema.TString:
-		ok = v.Kind == KString
-	case schema.TRef:
-		ok = v.Kind == KRef
-	}
-	if !ok {
+	if v.Kind != KindOf(f.Type) {
 		return fmt.Errorf("storage: field %s expects %s, got %s", f.QualifiedName(), f.Type, v)
 	}
 	return nil
+}
+
+func errExtentFull(cls *schema.Class) error {
+	return fmt.Errorf("storage: class %s already has %d instances", cls.Name, maxExtent)
 }
 
 // Schema returns the schema the store was built for.
@@ -597,12 +649,13 @@ func (s *Store) Install(cls *schema.Class, oid OID, vals []Value) (*Instance, er
 	ext := &s.extents[cls.ID]
 	ext.mu.Lock()
 	defer ext.mu.Unlock()
+	if ext.full() {
+		return nil, errExtentFull(cls)
+	}
 	if !sl.CompareAndSwap(nil, in) {
 		return nil, fmt.Errorf("storage: install %s#%d: concurrent install", cls.Name, oid)
 	}
-	in.extentPos = len(ext.oids)
-	ext.oids = append(ext.oids, oid)
-	ext.invalidate()
+	ext.add(in)
 	s.count.Add(1)
 	return in, nil
 }
@@ -635,11 +688,11 @@ func (s *Store) Delete(oid OID) (*Instance, error) {
 		return nil, fmt.Errorf("storage: no instance with OID %d", oid)
 	}
 	last := len(ext.oids) - 1
-	if p := in.extentPos; p != last {
+	if p := int(in.extentPos); p != last {
 		moved := ext.oids[last]
 		ext.oids[p] = moved
 		if mi, ok := s.Get(moved); ok {
-			mi.extentPos = p
+			mi.extentPos = int32(p)
 		}
 	}
 	ext.oids = ext.oids[:last]
@@ -662,9 +715,12 @@ func (s *Store) Restore(in *Instance) {
 	if !sl.CompareAndSwap(nil, in) {
 		return // already live
 	}
-	in.extentPos = len(ext.oids)
-	ext.oids = append(ext.oids, in.OID)
-	ext.invalidate()
+	if ext.full() {
+		// Creations refilled the room the delete made: only reachable
+		// with maxExtent live instances of one class.
+		panic(errExtentFull(in.Class))
+	}
+	ext.add(in)
 	s.count.Add(1)
 }
 
@@ -740,7 +796,7 @@ func (s *Store) SortExtents() {
 		sort.Slice(e.oids, func(a, b int) bool { return e.oids[a] < e.oids[b] })
 		for p, oid := range e.oids {
 			if in, ok := s.Get(oid); ok {
-				in.extentPos = p
+				in.extentPos = int32(p)
 			}
 		}
 		e.invalidate()

@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -223,4 +224,122 @@ func TestConcurrentCreation(t *testing.T) {
 	if len(seen) != 4*n || st.Count() != 4*n {
 		t.Errorf("created %d, store has %d", len(seen), st.Count())
 	}
+}
+
+// mustPanicKind runs f and fails unless it panics with a cell-kind error.
+func mustPanicKind(t *testing.T, what string, f func()) {
+	t.Helper()
+	defer func() {
+		t.Helper()
+		r := recover()
+		if r == nil {
+			t.Errorf("%s: no panic", what)
+		} else if _, ok := r.(kindError); !ok {
+			t.Errorf("%s: panic %v, want a kind error", what, r)
+		}
+	}()
+	f()
+}
+
+// TestCellKindInvariant: a cell keeps no kind of its own, so every
+// writer refuses a value of another kind than its slot's — creation and
+// Install with an error, the in-place writers with a panic taken before
+// the writer latch, which leaves the instance readable and writable.
+func TestCellKindInvariant(t *testing.T) {
+	s := fig1(t)
+	st := NewStore(s)
+	c2 := s.Class("c2")
+	in := newC2(t, st, s)
+	want := in.Snapshot()
+	for _, w := range []struct {
+		name string
+		slot int
+		v    Value
+	}{
+		{"string into int", slotF1, StrV("not an int")},
+		{"int into string", slotF6, IntV(7)},
+		{"ref into bool", slotF2, RefV(3)},
+		{"bool into escrow int", slotF4, BoolV(true)},
+	} {
+		mustPanicKind(t, w.name+": Set", func() { in.Set(w.slot, w.v) })
+		mustPanicKind(t, w.name+": Write", func() { st.Write(in, w.slot, w.v, nil, false) })
+		mustPanicKind(t, w.name+": escrow Write", func() { st.Write(in, w.slot, w.v, nil, true) })
+		img := in.Snapshot()
+		img[w.slot] = w.v
+		mustPanicKind(t, w.name+": SetSlots", func() { in.SetSlots(img) })
+		if _, err := st.Install(c2, in.OID, img); err == nil {
+			t.Errorf("%s: Install over a live instance accepted it", w.name)
+		}
+		if _, err := st.Install(c2, 99, img); err == nil {
+			t.Errorf("%s: Install of a new instance accepted it", w.name)
+		}
+		if _, err := st.NewInstance(c2, img[:w.slot+1]...); err == nil {
+			t.Errorf("%s: NewInstance accepted it", w.name)
+		}
+		if _, _, err := st.NewUncommitted(c2, img[:w.slot+1]...); err == nil {
+			t.Errorf("%s: NewUncommitted accepted it", w.name)
+		}
+	}
+	mustPanicKind(t, "AddInt on a string slot", func() { in.AddInt(slotF6, 1) })
+	mustPanicKind(t, "AddInt on a bool slot", func() { in.AddInt(slotF2, 1) })
+
+	if got := in.Snapshot(); !slices.Equal(got, want) {
+		t.Errorf("refused writes changed the instance: %v, want %v", got, want)
+	}
+	if st.Count() != 1 || in.VersionCount() != 0 {
+		t.Errorf("refused writes left %d instances and %d records", st.Count(), in.VersionCount())
+	}
+	// Not wedged: the latch is free and seq even.
+	if old := in.Set(slotF6, StrV("after")); old != StrV("v0") || in.Get(slotF6) != StrV("after") {
+		t.Errorf("write after refusals: old %v, now %v", old, in.Get(slotF6))
+	}
+	if got := in.AddInt(slotF4, 5); got != IntV(5) {
+		t.Errorf("AddInt after refusals = %v", got)
+	}
+}
+
+// TestExtentCap: extentPos is an int32, so an extent is capped and the
+// insert paths refuse past it; a delete makes room again.
+func TestExtentCap(t *testing.T) {
+	defer func(n int) { maxExtent = n }(maxExtent)
+	maxExtent = 2
+	s := fig1(t)
+	st := NewStore(s)
+	c1 := s.Class("c1")
+	a, _ := st.NewInstance(c1)
+	st.NewInstance(c1)
+	if _, err := st.NewInstance(c1); err == nil {
+		t.Error("NewInstance past the cap")
+	}
+	published := st.VersionsPublished()
+	if _, _, err := st.NewUncommitted(c1); err == nil {
+		t.Error("NewUncommitted past the cap")
+	}
+	if st.VersionsPublished() != published {
+		t.Error("a refused creation linked a marker")
+	}
+	if _, err := st.Install(c1, 99, []Value{IntV(0), BoolV(false), RefV(0)}); err == nil {
+		t.Error("Install past the cap")
+	}
+	if _, ok := st.Get(99); ok {
+		t.Error("a refused Install is live")
+	}
+	if _, err := st.NewInstance(s.Class("c2")); err != nil {
+		t.Errorf("another class's extent: %v", err)
+	}
+	if st.Count() != 3 || len(st.Extent("c1")) != 2 {
+		t.Errorf("count %d, c1 extent %v", st.Count(), st.Extent("c1"))
+	}
+	if _, err := st.Delete(a.OID); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := st.NewInstance(c1); err != nil {
+		t.Errorf("after a delete: %v", err)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("Restore into a refilled extent did not panic")
+		}
+	}()
+	st.Restore(a)
 }

@@ -10,16 +10,20 @@
 // (statically read-only method sets, see engine.Runtime); this file
 // only provides the mechanism:
 //
-//   - A record (Version) is a slot number, the slot's old cell — or, for
-//     a slot written under declared commutativity, the writer's net
-//     integer delta — and a commit epoch that reads pending until the
-//     writer commits. It is pushed at the chain head inside the same
-//     in.mu + seq window as the store it describes, so a reader never
-//     sees the new cell without the record or the reverse. A creation
-//     links a marker record (slot −1): a reader that has to roll the
-//     marker back treats the instance as not yet existing. Abort
-//     restores the cell and unlinks the record in one window; commit
-//     only stamps the record's epoch.
+//   - A record (Version) is a slot number, the slot's old cell, and a
+//     commit epoch that reads pending until the writer commits. For a
+//     slot written under declared commutativity the cell's number word
+//     holds the writer's net integer delta instead, and the record's
+//     delta flag says so. Like a live cell, the record's cell carries no
+//     kind: it has the kind of the slot it covers. A pruned or
+//     rolled-back record goes on the instance's free list as a plain
+//     record with an empty cell. A record is pushed at the chain head
+//     inside the same in.mu + seq window as the store it describes, so
+//     a reader never sees the new cell without the record or the
+//     reverse. A creation links a marker record (slot −1): a reader
+//     that has to roll the marker back treats the instance as not yet
+//     existing. Abort restores the cell and unlinks the record in one
+//     window; commit only stamps the record's epoch.
 //   - Two counters: epochNext hands out commit epochs, epochStable is
 //     the highest epoch whose commit (and every earlier one) has stamped
 //     its records. Epochs retire in order (FinishEpoch), so a reader
@@ -36,9 +40,10 @@
 //     unlinking and pruning all happen with seq odd, so a reader that
 //     overlapped any of them retries (and after seqSpins retries takes
 //     the writer latch, so a hot writer cannot starve it); that is also
-//     what makes recycling a pruned record immediately safe. Chains are not epoch-sorted (a
-//     protocol may grant two uncommitted writers of one instance, who
-//     commit in either order), so the reader walks the whole chain. Per
+//     what makes recycling a pruned record immediately safe. Chains are
+//     not epoch-sorted (a protocol may grant two uncommitted writers of
+//     one instance, who commit in either order), so the reader walks the
+//     whole chain. Per
 //     slot, non-commuting writers are serialized by 2PL, so push order
 //     is commit order and walking newest-to-oldest leaves the oldest
 //     rolled-back before-image as the value; deltas commute.
@@ -69,9 +74,6 @@ const (
 	pendingEpoch = math.MaxUint64
 	// slotCreate is the slot of a creation marker.
 	slotCreate = -1
-	// kindDelta tags a record whose old.num is the writer's net delta
-	// rather than a before-image (outside the ValueKind range).
-	kindDelta = math.MaxUint32
 )
 
 // Version is one undo/version record: the before-image (or delta) of one
@@ -79,11 +81,14 @@ const (
 // The writer's undo log points at it — it is the only copy, for rollback
 // and for readers alike. Every field is atomic for the reason aslot's
 // are: snapshot readers race with linking and recycling by design and
-// discard what they read when seq moved.
+// discard what they read when seq moved. delta marks a record whose
+// old.num is the writer's net delta rather than a before-image; it sits
+// in what would be slot's padding, so a record is 40 bytes.
 type Version struct {
 	epoch atomic.Uint64
 	next  atomic.Pointer[Version]
 	slot  atomic.Int32
+	delta atomic.Bool
 	old   aslot
 }
 
@@ -93,7 +98,7 @@ func (v *Version) Slot() int { return int(v.slot.Load()) }
 // Delta returns the writer's net integer contribution and true when the
 // record is in delta form, 0 and false for a before-image.
 func (v *Version) Delta() (int64, bool) {
-	if v.old.kind.Load() != kindDelta {
+	if !v.delta.Load() {
 		return 0, false
 	}
 	return v.old.num.Load(), true
@@ -291,29 +296,31 @@ func (s *Store) ActiveSnapshots() int {
 // its own contribution). A plain write landing on a delta record turns
 // it into the before-image of the pre-transaction value and moves it to
 // the chain head — it now postdates every concurrent delta, which the
-// non-commuting lock behind the plain write has waited out.
+// non-commuting lock behind the plain write has waited out. Write panics
+// if v is not of the slot's kind.
 func (s *Store) Write(in *Instance, i int, v Value, rec *Version, escrow bool) *Version {
+	escrow = in.mustKind(i, v.Kind) == KInt && escrow
 	in.mu.Lock()
 	sl := &in.slots[i]
 	in.seq.Add(1)
-	escrow = escrow && v.Kind == KInt && ValueKind(sl.kind.Load()) == KInt
 	switch {
 	case rec == nil:
 		rec = s.link(in, int32(i))
 		if escrow {
 			rec.old.num.Store(v.I - sl.num.Load())
-			rec.old.kind.Store(kindDelta)
+			rec.delta.Store(true)
 		} else {
 			rec.old.copyFrom(sl)
 		}
-	case rec.old.kind.Load() != kindDelta:
+	case !rec.delta.Load():
 		// The before-image already covers every later write.
 	case escrow:
 		rec.old.num.Add(v.I - sl.num.Load())
 	default:
 		pre := sl.num.Load() - rec.old.num.Load()
 		in.unlink(rec)
-		rec.old.store(IntV(pre))
+		rec.old.num.Store(pre)
+		rec.delta.Store(false)
 		rec.next.Store(in.verHead.Load())
 		in.verHead.Store(rec)
 	}
@@ -332,7 +339,7 @@ func (in *Instance) Rollback(rec *Version) {
 	in.mu.Lock()
 	sl := &in.slots[rec.slot.Load()]
 	in.seq.Add(1)
-	if rec.old.kind.Load() == kindDelta {
+	if rec.delta.Load() {
 		sl.num.Add(-rec.old.num.Load())
 	} else {
 		sl.copyFrom(&rec.old)
@@ -394,15 +401,19 @@ func (in *Instance) unlink(rec *Version) {
 	}
 }
 
-// recycle puts an unlinked record on the instance's free list. Reuse
-// may be immediate: a reader still standing on the record fails its seq
-// re-check. Requires in.mu held.
+// recycle puts an unlinked record on the instance's free list as a
+// plain record with an empty cell, so a free record pins no superseded
+// string. Reuse may be immediate: a reader still standing on the record
+// fails its seq re-check. Requires in.mu held and seq odd.
 func (in *Instance) recycle(v *Version) {
+	v.delta.Store(false)
+	v.old.sp.Store(nil)
 	v.next.Store(in.verFree)
 	in.verFree = v
 }
 
-// readAt reconstructs slot i (no slot when i < 0) as of begin epoch b:
+// readAt reconstructs slot i, of kind k (no slot when i < 0), as of
+// begin epoch b:
 // the live cell with every record of the slot that b does not cover
 // rolled back, all inside one seqlock section. visible is false when a
 // creation marker is among the rolled-back records. The per-hop seq
@@ -410,7 +421,7 @@ func (in *Instance) recycle(v *Version) {
 // chain. A reader that writers keep overlapping for seqSpins attempts (a
 // long chain under a hot writer) takes the writer latch for the next
 // one: under it seq is even and cannot move, so that attempt succeeds.
-func (in *Instance) readAt(i int, b uint64) (k ValueKind, num int64, sp *byte, visible bool) {
+func (in *Instance) readAt(i int, k ValueKind, b uint64) (num int64, sp *byte, visible bool) {
 	for spins := 0; ; spins++ {
 		latched := spins >= seqSpins
 		if latched {
@@ -419,7 +430,7 @@ func (in *Instance) readAt(i int, b uint64) (k ValueKind, num int64, sp *byte, v
 		s1 := in.seq.Load()
 		if s1&1 == 0 {
 			if i >= 0 {
-				k, num, sp = in.slots[i].load()
+				num, sp = in.slots[i].load(k)
 			}
 			visible = true
 			for v := in.verHead.Load(); v != nil && in.seq.Load() == s1; v = v.next.Load() {
@@ -429,10 +440,10 @@ func (in *Instance) readAt(i int, b uint64) (k ValueKind, num int64, sp *byte, v
 				switch s := int(v.slot.Load()); {
 				case s == slotCreate:
 					visible = false
-				case s == i && v.old.kind.Load() == kindDelta:
+				case s == i && v.delta.Load():
 					num -= v.old.num.Load()
 				case s == i:
-					k, num, sp = v.old.load()
+					num, sp = v.old.load(k)
 				}
 			}
 		}
@@ -441,7 +452,7 @@ func (in *Instance) readAt(i int, b uint64) (k ValueKind, num int64, sp *byte, v
 			in.mu.Unlock()
 		}
 		if ok {
-			return k, num, sp, visible
+			return num, sp, visible
 		}
 	}
 }
@@ -449,7 +460,8 @@ func (in *Instance) readAt(i int, b uint64) (k ValueKind, num int64, sp *byte, v
 // SnapshotGet returns the value of slot i as of begin epoch b. ok is
 // false when the instance is not visible at b.
 func (in *Instance) SnapshotGet(i int, b uint64) (Value, bool) {
-	k, num, sp, visible := in.readAt(i, b)
+	k := in.kind(i)
+	num, sp, visible := in.readAt(i, k, b)
 	if !visible {
 		return Value{}, false
 	}
@@ -459,7 +471,7 @@ func (in *Instance) SnapshotGet(i int, b uint64) (Value, bool) {
 // SnapshotVisible reports whether the instance exists at begin epoch b:
 // false only while its creation has not committed at or below b.
 func (in *Instance) SnapshotVisible(b uint64) bool {
-	_, _, _, visible := in.readAt(-1, b)
+	_, _, visible := in.readAt(-1, KInt, b)
 	return visible
 }
 

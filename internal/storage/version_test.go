@@ -2,9 +2,12 @@ package storage
 
 import (
 	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"unsafe"
+	"weak"
 
 	"repro/internal/schema"
 )
@@ -51,8 +54,9 @@ func wantAt(t *testing.T, in *Instance, slot int, b uint64, want Value) {
 
 // TestSnapshotValueAtEpoch: the value at b across several committed
 // overwrites is the one the newest commit ≤ b wrote — reconstructed from
-// the live cell and the before-images, for integers and strings alike —
-// and an uncommitted write is invisible at every epoch.
+// the live cell and the records, integer and string before-images and
+// integer deltas mixed on one chain — and an uncommitted write is
+// invisible at every epoch.
 func TestSnapshotValueAtEpoch(t *testing.T) {
 	s := fig1(t)
 	st := NewStore(s)
@@ -69,17 +73,20 @@ func TestSnapshotValueAtEpoch(t *testing.T) {
 	for i := 1; i <= 5; i++ {
 		r1 := st.Write(in, slotF1, IntV(int64(i*10)), nil, false)
 		r6 := st.Write(in, slotF6, StrV("v"+string(rune('0'+i))), nil, false)
-		st.Write(in, slotF1, IntV(int64(i*10+1)), r1, false) // second write: same record
-		epochs = append(epochs, commit(st, r1, r6))
+		r4 := st.Write(in, slotF4, IntV(in.Get(slotF4).I+int64(i)), nil, true) // escrow: +i
+		st.Write(in, slotF1, IntV(int64(i*10+1)), r1, false)                   // second write: same record
+		epochs = append(epochs, commit(st, r1, r6, r4))
 	}
-	if got := in.VersionCount(); got != 10 {
-		t.Errorf("chain holds %d records, want one per (transaction, slot) = 10", got)
+	if got := in.VersionCount(); got != 15 {
+		t.Errorf("chain holds %d records, want one per (transaction, slot) = 15", got)
 	}
 	wantAt(t, in, slotF1, epochs[0]-1, IntV(0))
 	wantAt(t, in, slotF6, epochs[0]-1, StrV("v0"))
+	wantAt(t, in, slotF4, epochs[0]-1, IntV(0))
 	for i, e := range epochs {
 		wantAt(t, in, slotF1, e, IntV(int64((i+1)*10+1)))
 		wantAt(t, in, slotF6, e, StrV("v"+string(rune('1'+i))))
+		wantAt(t, in, slotF4, e, IntV(int64((i+1)*(i+2)/2)))
 	}
 
 	pending := st.Write(in, slotF1, IntV(-1), nil, false)
@@ -90,8 +97,8 @@ func TestSnapshotValueAtEpoch(t *testing.T) {
 		t.Errorf("live cell after rollback = %v, want 51", got)
 	}
 	wantAt(t, in, slotF1, st.StableEpoch(), IntV(51))
-	if got := in.VersionCount(); got != 10 {
-		t.Errorf("rollback left %d records on the chain, want 10", got)
+	if got := in.VersionCount(); got != 15 {
+		t.Errorf("rollback left %d records on the chain, want 15", got)
 	}
 }
 
@@ -155,7 +162,8 @@ func TestSnapshotUnsortedChain(t *testing.T) {
 // TestSnapshotOverwriteAfterDelta: a plain overwrite by a transaction
 // that so far only added to the slot turns its delta record into the
 // before-image of the pre-transaction value, ordered after a concurrent
-// adder that committed in between.
+// adder that committed in between. The overwriting transaction's string
+// write sits on the same chain, under and over the delta records.
 func TestSnapshotOverwriteAfterDelta(t *testing.T) {
 	s := fig1(t)
 	st := NewStore(s)
@@ -164,7 +172,9 @@ func TestSnapshotOverwriteAfterDelta(t *testing.T) {
 	st.BeginSnapshot(&pin)
 	defer st.EndSnapshot(&pin)
 
-	mine := st.Write(in, slotF4, IntV(5), nil, true)   // +5, pending
+	es := overwrite(st, in, slotF6, StrV("s1"))      // a committed string before-image
+	mine := st.Write(in, slotF4, IntV(5), nil, true) // +5, pending
+	ms := st.Write(in, slotF6, StrV("mine"), nil, false)
 	other := st.Write(in, slotF4, IntV(12), nil, true) // +7 by a concurrent adder
 	eo := commit(st, other)                            // which commits: 7 is committed
 	mine = st.Write(in, slotF4, IntV(99), mine, false) // now the overwrite
@@ -173,9 +183,13 @@ func TestSnapshotOverwriteAfterDelta(t *testing.T) {
 	}
 	wantAt(t, in, slotF4, eo-1, IntV(0))
 	wantAt(t, in, slotF4, eo, IntV(7))
-	em := commit(st, mine)
+	wantAt(t, in, slotF6, es-1, StrV("v0"))
+	wantAt(t, in, slotF6, eo, StrV("s1"))
+	em := commit(st, mine, ms)
 	wantAt(t, in, slotF4, eo, IntV(7))
 	wantAt(t, in, slotF4, em, IntV(99))
+	wantAt(t, in, slotF6, eo, StrV("s1"))
+	wantAt(t, in, slotF6, em, StrV("mine"))
 
 	// And rolled back instead: the pre-transaction value, not the stale
 	// pre-image of the first write.
@@ -185,6 +199,67 @@ func TestSnapshotOverwriteAfterDelta(t *testing.T) {
 	if got := in.Get(slotF4); got != IntV(99) {
 		t.Errorf("after delta-then-overwrite rollback = %v, want 99", got)
 	}
+}
+
+// TestRecycledDeltaRecordIsPlain: a delta record pruned onto the free
+// list comes back, for a plain write, as a before-image: rollback and
+// snapshot reads restore the old value instead of subtracting it.
+func TestRecycledDeltaRecordIsPlain(t *testing.T) {
+	s := fig1(t)
+	st := NewStore(s)
+	in := newC2(t, st, s)
+	overwrite(st, in, slotF1, IntV(40))
+	d := st.Write(in, slotF4, IntV(5), nil, true)
+	commit(st, d)
+	r := st.Write(in, slotF1, IntV(9), nil, false) // no reader: prunes d, reuses it
+	if r != d {
+		t.Fatal("the pruned delta record was not reused")
+	}
+	if _, ok := r.Delta(); ok {
+		t.Fatal("recycled delta record still in delta form")
+	}
+	wantAt(t, in, slotF1, st.StableEpoch(), IntV(40))
+	in.Rollback(r)
+	if in.Get(slotF1) != IntV(40) || in.Get(slotF4) != IntV(5) {
+		t.Errorf("after rollback f1=%v f4=%v, want 40 and 5", in.Get(slotF1), in.Get(slotF4))
+	}
+}
+
+// bigOverwrites writes a 64 KiB string into f6, overwrites it twice,
+// committing each, and returns a weak pointer to the string's bytes.
+// Out of line so no frame of the test keeps the string alive.
+//
+//go:noinline
+func bigOverwrites(st *Store, in *Instance) weak.Pointer[byte] {
+	big := strings.Repeat("x", 64<<10)
+	wp := weak.Make(unsafe.StringData(big))
+	overwrite(st, in, slotF6, StrV(big))
+	overwrite(st, in, slotF6, StrV("a"))
+	overwrite(st, in, slotF6, StrV("b"))
+	return wp
+}
+
+// TestRecycledRecordPinsNoString: once a reader that kept a chain long
+// has gone and the next write prunes it, no superseded string stays
+// reachable from a record waiting on the free list.
+func TestRecycledRecordPinsNoString(t *testing.T) {
+	s := fig1(t)
+	st := NewStore(s)
+	in := newC2(t, st, s)
+	var pin SnapshotReader
+	st.BeginSnapshot(&pin)
+	wp := bigOverwrites(st, in) // chain: "b"←"a"←big←"v0" before-images
+	st.EndSnapshot(&pin)
+	overwrite(st, in, slotF6, StrV("c")) // prunes three, reuses one
+	if got := in.VersionCount(); got != 1 {
+		t.Fatalf("chain holds %d records, want 1", got)
+	}
+	runtime.GC()
+	runtime.GC()
+	if wp.Value() != nil {
+		t.Error("a recycled record still pins a superseded 64 KiB string")
+	}
+	runtime.KeepAlive(in) // the instance, and so its free list, is live throughout
 }
 
 // TestSnapshotCreationMarker: an instance created by a transaction is

@@ -192,8 +192,10 @@ func loadCheckpointFile(fsys FS, path string, st *storage.Store, sch *schema.Sch
 	nextOID := d.U64()
 	epoch := d.U64()
 	count := d.U64()
+	// One slot buffer for every image: Install copies the cells out, and
+	// the decoder copies strings out of data.
+	var in RecordOp
 	for i := uint64(0); i < count && d.Err() == nil; i++ {
-		var in RecordOp
 		decodeImage(&d, &in, true)
 		if d.Err() != nil {
 			break

@@ -41,6 +41,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/codec"
 	"repro/internal/schema"
@@ -164,7 +165,9 @@ func AppendRecord(b []byte, rec *Record) []byte {
 const maxSlotIndex = 1 << 24
 
 // decodeImage parses what appendImage wrote into op. Without
-// materialize the values are only skipped.
+// materialize the values are only skipped; with it they are decoded
+// into op.Slots' backing array, so a caller that keeps op across images
+// decodes them all into one buffer.
 func decodeImage(d *codec.Decoder, op *RecordOp, materialize bool) {
 	class := d.Uvarint()
 	if class > math.MaxUint32 {
@@ -178,7 +181,7 @@ func decodeImage(d *codec.Decoder, op *RecordOp, materialize bool) {
 		return
 	}
 	if materialize {
-		op.Slots = make([]storage.Value, 0, ns)
+		op.Slots = slices.Grow(op.Slots[:0], int(ns))
 	}
 	for j := uint64(0); j < ns && d.Err() == nil; j++ {
 		if materialize {
@@ -253,24 +256,6 @@ func walkRecord(payload []byte, materialize bool, fn func(op RecordOp, off, end 
 	return txnID, epoch, d.Finish()
 }
 
-// kindMatches reports whether a decoded value kind fits a field type —
-// the replay-side counterpart of the store's create-time kind check,
-// catching type drift a schema edit could smuggle past the
-// fingerprint-compatible paths.
-func kindMatches(t schema.FieldType, k storage.ValueKind) bool {
-	switch t {
-	case schema.TInt:
-		return k == storage.KInt
-	case schema.TBool:
-		return k == storage.KBool
-	case schema.TString:
-		return k == storage.KString
-	case schema.TRef:
-		return k == storage.KRef
-	}
-	return false
-}
-
 // applyOp replays one decoded op into the store. Creates overwrite an
 // already-live instance with the same image, writes to a missing
 // instance (possible only when a later delete already ran, i.e. during
@@ -302,7 +287,10 @@ func applyOp(st *storage.Store, sch *schema.Schema, op RecordOp, maxOID uint64) 
 				return fmt.Errorf("wal: write to slot %d of %s#%d (has %d)",
 					op.Slot, in.Class.Name, op.OID, in.Class.NumSlots())
 			}
-			if f := in.Class.Fields[op.Slot]; !kindMatches(f.Type, op.Val.Kind) {
+			// The store's create-time kind check, replay side: catches
+			// type drift a schema edit could smuggle past the
+			// fingerprint-compatible paths (Set would panic on it).
+			if f := in.Class.Fields[op.Slot]; storage.KindOf(f.Type) != op.Val.Kind {
 				return fmt.Errorf("wal: write of %s into %s field %s of %s#%d",
 					op.Val, f.Type, f.Name, in.Class.Name, op.OID)
 			}

@@ -696,3 +696,44 @@ func TestRecoveryEpochRoundTrip(t *testing.T) {
 	}
 	st3.FinishEpoch(commits + 1)
 }
+
+// TestCheckpointLoadAllocsFlat: a checkpoint load decodes every image
+// into one slot buffer, so loading an int-only checkpoint over the
+// instances it holds (Install then overwrites them in place) allocates
+// as much for 5000 instances as for 100.
+func TestCheckpointLoadAllocsFlat(t *testing.T) {
+	sch, err := schema.FromSource(`
+class counter is
+    instance variables are
+        a : integer
+        b : integer
+        c : integer
+    method noop is
+    end
+end
+`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	allocs := func(n int) float64 {
+		st := storage.NewStore(sch)
+		for i := 0; i < n; i++ {
+			if _, err := st.NewInstance(sch.Class("counter"), storage.IntV(int64(i))); err != nil {
+				t.Fatal(err)
+			}
+		}
+		dir := t.TempDir()
+		if err := writeCheckpoint(osFS{}, dir, st, 1, 0, false); err != nil {
+			t.Fatal(err)
+		}
+		path := filepath.Join(dir, checkpointName)
+		return testing.AllocsPerRun(5, func() {
+			if _, _, err := loadCheckpointFile(osFS{}, path, st, sch); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if small, large := allocs(100), allocs(5000); large > small {
+		t.Errorf("loading 5000 instances allocates %.0f times, 100 instances %.0f", large, small)
+	}
+}
