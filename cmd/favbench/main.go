@@ -1,31 +1,15 @@
 // Command favbench regenerates the paper's tables, figures and
-// quantified claims, and maintains the repository's benchmark
-// trajectory. Each experiment prints what the paper states and the
-// values this reproduction measures.
+// quantified claims. Each experiment prints what the paper states and
+// the values this reproduction measures; table1 and table2 fail on any
+// cell that deviates from the paper.
 //
 // Usage:
 //
 //	favbench -list                      # list experiment IDs
 //	favbench -run all                   # run everything (default)
 //	favbench -run scenario52            # run one experiment
-//	favbench -run snapshotreads -duration 2s -warmup 500ms
-//	                                    # duration-based scenario runs
-//	favbench -run enginescenarios -metrics metrics.prom
-//	                                    # dump each scenario's final
-//	                                    # registry snapshot (Prometheus
-//	                                    # text) next to the results
 //
-//	go test -bench ... | favbench -parse > BENCH.json
-//	favbench -gate BENCH_PR5.json -in BENCH.json
-//	favbench -gate . -in BENCH.json     # newest committed BENCH_PR<n>.json
-//
-// -parse turns `go test -bench` output into the machine-readable
-// trajectory JSON CI uploads; -gate compares a fresh trajectory against
-// the committed baseline and exits non-zero when allocs/op regressed
-// anywhere, or when ns/op regressed on the curated hot-path set. When
-// -gate names a directory, the baseline is the highest-numbered
-// BENCH_PR<n>.json inside it — CI stays pinned to "newest committed"
-// without editing the workflow every PR.
+// Performance is measured by the benchmark/ harness, not here.
 package main
 
 import (
@@ -33,48 +17,17 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"path/filepath"
-	"regexp"
-	"strconv"
 
 	"repro/internal/bench"
 )
 
 func main() {
 	var (
-		runID    = flag.String("run", "all", "experiment ID to run, or 'all'")
-		list     = flag.Bool("list", false, "list experiments and exit")
-		parse    = flag.Bool("parse", false, "parse `go test -bench` output from stdin into trajectory JSON on stdout")
-		gate     = flag.String("gate", "", "baseline trajectory JSON: gate the -in trajectory's allocs/op against it")
-		in       = flag.String("in", "", "current trajectory JSON for -gate (default stdin)")
-		duration = flag.Duration("duration", 0, "run each scenario experiment for this wall-clock duration instead of a fixed op budget")
-		warmup   = flag.Duration("warmup", 0, "uncounted warmup before each duration-based scenario run")
-		metrics  = flag.String("metrics", "", "append each engine scenario's final metrics-registry snapshot (Prometheus text) to this file")
-		addr     = flag.String("addr", "", "favserv address (unix socket path or host:port): wire experiments drive this server instead of an in-process one")
+		runID = flag.String("run", "all", "experiment ID to run, or 'all'")
+		list  = flag.Bool("list", false, "list experiments and exit")
 	)
 	flag.Parse()
-	bench.SetDurations(*duration, *warmup)
-	bench.SetWireAddr(*addr)
-	if *metrics != "" {
-		mf, err := os.Create(*metrics)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "favbench:", err)
-			os.Exit(1)
-		}
-		defer mf.Close()
-		bench.SetMetricsSink(mf)
-	}
-
-	var err error
-	switch {
-	case *parse:
-		err = parseBench(os.Stdin, os.Stdout)
-	case *gate != "":
-		err = gateBench(os.Stdout, *gate, *in)
-	default:
-		err = run(os.Stdout, *runID, *list)
-	}
-	if err != nil {
+	if err := run(os.Stdout, *runID, *list); err != nil {
 		fmt.Fprintln(os.Stderr, "favbench:", err)
 		os.Exit(1)
 	}
@@ -93,82 +46,4 @@ func run(w io.Writer, runID string, list bool) error {
 		return bench.RunAll(w)
 	}
 	return bench.RunByID(w, runID)
-}
-
-// parseBench converts raw benchmark output into trajectory JSON.
-func parseBench(r io.Reader, w io.Writer) error {
-	tr, err := bench.ParseGoBench(r)
-	if err != nil {
-		return err
-	}
-	if len(tr.Benchmarks) == 0 {
-		return fmt.Errorf("no benchmark lines found on stdin")
-	}
-	return tr.WriteJSON(w)
-}
-
-var benchPRRE = regexp.MustCompile(`^BENCH_PR(\d+)\.json$`)
-
-// resolveBaseline maps a -gate argument to a baseline file: a file path
-// is used as is; a directory resolves to its highest-numbered
-// BENCH_PR<n>.json.
-func resolveBaseline(path string) (string, error) {
-	fi, err := os.Stat(path)
-	if err != nil {
-		return "", err
-	}
-	if !fi.IsDir() {
-		return path, nil
-	}
-	entries, err := os.ReadDir(path)
-	if err != nil {
-		return "", err
-	}
-	best, bestN := "", -1
-	for _, e := range entries {
-		m := benchPRRE.FindStringSubmatch(e.Name())
-		if m == nil {
-			continue
-		}
-		if n, err := strconv.Atoi(m[1]); err == nil && n > bestN {
-			best, bestN = e.Name(), n
-		}
-	}
-	if best == "" {
-		return "", fmt.Errorf("no BENCH_PR<n>.json baseline in %s", path)
-	}
-	return filepath.Join(path, best), nil
-}
-
-// gateBench compares the current trajectory (inPath, or stdin when
-// empty) against the committed baseline.
-func gateBench(w io.Writer, basePath, inPath string) error {
-	basePath, err := resolveBaseline(basePath)
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(w, "baseline: %s\n", basePath)
-	bf, err := os.Open(basePath)
-	if err != nil {
-		return err
-	}
-	defer bf.Close()
-	base, err := bench.ReadTrajectory(bf)
-	if err != nil {
-		return fmt.Errorf("baseline %s: %w", basePath, err)
-	}
-	var cr io.Reader = os.Stdin
-	if inPath != "" {
-		cf, err := os.Open(inPath)
-		if err != nil {
-			return err
-		}
-		defer cf.Close()
-		cr = cf
-	}
-	cur, err := bench.ReadTrajectory(cr)
-	if err != nil {
-		return fmt.Errorf("current trajectory: %w", err)
-	}
-	return bench.Gate(w, base, cur)
 }

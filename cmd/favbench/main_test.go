@@ -2,8 +2,6 @@ package main
 
 import (
 	"bytes"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -34,85 +32,5 @@ func TestRunUnknown(t *testing.T) {
 	var buf bytes.Buffer
 	if err := run(&buf, "nosuch", false); err == nil {
 		t.Fatal("unknown experiment must fail")
-	}
-}
-
-const benchSample = `goos: linux
-BenchmarkHotSend-4 	 1000000	 517 ns/op	 0 B/op	 0 allocs/op
-BenchmarkDurableCommit/volatile-4 	 1000000	 882 ns/op	 0 B/op	 0 allocs/op
-PASS
-`
-
-func TestParseAndGateRoundtrip(t *testing.T) {
-	dir := t.TempDir()
-	var js bytes.Buffer
-	if err := parseBench(strings.NewReader(benchSample), &js); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(js.String(), `"BenchmarkHotSend"`) {
-		t.Fatalf("parse output missing benchmark: %s", js.String())
-	}
-	basePath := filepath.Join(dir, "base.json")
-	curPath := filepath.Join(dir, "cur.json")
-	if err := os.WriteFile(basePath, js.Bytes(), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(curPath, js.Bytes(), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	var report bytes.Buffer
-	if err := gateBench(&report, basePath, curPath); err != nil {
-		t.Fatalf("identical trajectories failed the gate: %v\n%s", err, report.String())
-	}
-
-	// A regression on the 0-alloc hot path fails the gate.
-	regressed := strings.Replace(benchSample,
-		"BenchmarkHotSend-4 	 1000000	 517 ns/op	 0 B/op	 0 allocs/op",
-		"BenchmarkHotSend-4 	 1000000	 617 ns/op	 128 B/op	 5 allocs/op", 1)
-	var js2 bytes.Buffer
-	if err := parseBench(strings.NewReader(regressed), &js2); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(curPath, js2.Bytes(), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	report.Reset()
-	if err := gateBench(&report, basePath, curPath); err == nil {
-		t.Fatalf("gate passed a 0→5 allocs/op regression:\n%s", report.String())
-	}
-}
-
-func TestParseRejectsEmptyInput(t *testing.T) {
-	var out bytes.Buffer
-	if err := parseBench(strings.NewReader("no benchmarks here\n"), &out); err == nil {
-		t.Fatal("parse accepted input with no benchmark lines")
-	}
-}
-
-func TestResolveBaseline(t *testing.T) {
-	dir := t.TempDir()
-	for _, name := range []string{"BENCH_PR5.json", "BENCH_PR7.json", "BENCH_PR12.json", "BENCH_CI.json", "notes.md"} {
-		if err := os.WriteFile(filepath.Join(dir, name), []byte("{}"), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	got, err := resolveBaseline(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if filepath.Base(got) != "BENCH_PR12.json" {
-		t.Errorf("resolved %s, want the highest-numbered BENCH_PR12.json", got)
-	}
-
-	// A file path passes through untouched.
-	direct := filepath.Join(dir, "BENCH_PR5.json")
-	if got, err := resolveBaseline(direct); err != nil || got != direct {
-		t.Errorf("resolveBaseline(%s) = %s, %v", direct, got, err)
-	}
-
-	// A directory with no baselines is an error, not a silent pass.
-	empty := t.TempDir()
-	if _, err := resolveBaseline(empty); err == nil {
-		t.Error("empty directory must fail to resolve")
 	}
 }

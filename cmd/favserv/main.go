@@ -12,7 +12,7 @@
 //	                                    # start, self-check, exit 0
 //
 // The flags map 1:1 onto oodb.Options; -schema takes a schema source
-// file, or one of the builtin benchmark schemas ("banking", "cad").
+// file, or one of the builtin application schemas ("banking", "cad").
 // On SIGTERM/SIGINT the server drains gracefully: it stops accepting,
 // answers everything already read from every connection, then closes
 // the database.
@@ -29,8 +29,8 @@ import (
 	"syscall"
 	"time"
 
-	"repro/internal/bench"
 	"repro/internal/serv"
+	"repro/internal/workload"
 	"repro/oodb"
 	"repro/oodb/client"
 )
@@ -88,7 +88,7 @@ func serve(addr, sock, schemaF, strategy, dir string,
 	source := ""
 	switch schemaF {
 	case "banking", "cad":
-		src, comm, err := bench.EngineSchemaSource(bench.EngineSchemaName(schemaF))
+		src, comm, err := workload.AppSchema(schemaF)
 		if err != nil {
 			return err
 		}
@@ -141,9 +141,10 @@ func serve(addr, sock, schemaF, strategy, dir string,
 	if sock != "" {
 		network, laddr = "unix", sock
 		// A stale socket file from an unclean shutdown blocks the bind;
-		// remove it if nothing is listening.
+		// remove it if nothing is listening. The probe names the network:
+		// Dial reads a bare name without a "/" as host:port.
 		if _, err := os.Stat(sock); err == nil {
-			if c, err := client.Dial(sock); err == nil {
+			if c, err := client.Dial("unix:" + sock); err == nil {
 				c.Close()
 				db.Close()
 				return fmt.Errorf("socket %s already has a live server", sock)

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"reflect"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"testing"
 
@@ -252,8 +251,6 @@ func TestRegistryComplete(t *testing.T) {
 		"table2": true, "scenario52": true, "overhead": true,
 		"escalation": true, "pseudo": true, "compile": true,
 		"runtime": true, "throughput": true, "conservative": true,
-		"locktable": true, "enginescenarios": true, "durability": true,
-		"snapshotreads": true, "obsoverhead": true, "networktax": true,
 	}
 	got := Experiments()
 	if len(got) != len(want) {
@@ -290,46 +287,6 @@ func TestStaticExperimentsRun(t *testing.T) {
 	}
 }
 
-// The lock-table scenario family runs and counts what it claims to.
-func TestLockScenarioRuns(t *testing.T) {
-	for _, sc := range LockScenarioFamily(4) {
-		sc.OpsPerWorker = 50
-		res, err := RunLockScenario(sc)
-		if err != nil {
-			t.Fatalf("%s: %v", sc.Name(), err)
-		}
-		if res.Ops != int64(sc.Workers)*int64(sc.OpsPerWorker) {
-			t.Errorf("%s: ops = %d, want %d", sc.Name(), res.Ops, sc.Workers*sc.OpsPerWorker)
-		}
-		if res.Reads+res.Writes != res.Ops*int64(sc.LocksPerTxn) {
-			t.Errorf("%s: reads+writes = %d, want %d locks",
-				sc.Name(), res.Reads+res.Writes, res.Ops*int64(sc.LocksPerTxn))
-		}
-		switch sc.Workload {
-		case LockReadHeavy:
-			if res.Reads <= res.Writes {
-				t.Errorf("%s: reads (%d) must dominate writes (%d)", sc.Name(), res.Reads, res.Writes)
-			}
-		case LockWriteHeavy:
-			if res.Writes <= res.Reads {
-				t.Errorf("%s: writes (%d) must dominate reads (%d)", sc.Name(), res.Writes, res.Reads)
-			}
-		}
-	}
-	if _, err := RunLockScenario(LockScenario{Workload: "zz", Dist: DistUniform, Workers: 1, Resources: 1, LocksPerTxn: 1, OpsPerWorker: 1}); err == nil {
-		t.Error("unknown workload must fail")
-	}
-	if _, err := RunLockScenario(LockScenario{Workload: LockBalanced, Dist: "zz", Workers: 1, Resources: 1, LocksPerTxn: 1, OpsPerWorker: 1}); err == nil {
-		t.Error("unknown distribution must fail")
-	}
-	if _, err := RunLockScenario(LockScenario{Workload: LockBalanced, Dist: DistUniform, Workers: 1, Resources: 2, LocksPerTxn: 4, OpsPerWorker: 1}); err == nil {
-		t.Error("locks per txn beyond the resource universe must fail, not hang")
-	}
-	if _, err := RunLockScenario(LockScenario{Workload: LockBalanced, Dist: DistUniform, Workers: 1, Resources: 0, LocksPerTxn: 1, OpsPerWorker: 1}); err == nil {
-		t.Error("zero resources must fail")
-	}
-}
-
 func TestTableRendering(t *testing.T) {
 	var buf bytes.Buffer
 	tbl := NewTable("a", "bb")
@@ -356,9 +313,7 @@ func TestTableRendering(t *testing.T) {
 //	BenchmarkScenario52          — §5.2 scenario analysis
 //	BenchmarkEscalation/*        — §3 System R escalation shape
 //	BenchmarkPseudo/*            — §3 pseudo-conflict shape
-//	BenchmarkThroughput/*        — §§1/7 parallelism claim, including the
-//	                               lock-table scenario family at 1 and 8+
-//	                               workers (sharding before/after numbers)
+//	BenchmarkThroughput/*        — §§1/7 parallelism claim
 //	BenchmarkLockAcquireRelease  — lock-manager single-threaded latency
 
 func compileFig1(b *testing.B) *core.Compiled {
@@ -539,61 +494,9 @@ func BenchmarkPseudo(b *testing.B) {
 	}
 }
 
-// benchLockScenario drives b.N lock transactions through the scenario's
-// worker pool against one fresh manager: ns/op is wall time per
-// committed transaction across all workers, i.e. inverse throughput.
-func benchLockScenario(b *testing.B, sc LockScenario) {
-	workers := make([]*lockWorker, sc.Workers)
-	for i := range workers {
-		w, err := newLockWorker(sc, i)
-		if err != nil {
-			b.Fatal(err)
-		}
-		workers[i] = w
-	}
-	m := lock.NewManager()
-	var (
-		remaining atomic.Int64
-		nextTxn   atomic.Uint64
-		wg        sync.WaitGroup
-	)
-	remaining.Store(int64(b.N))
-	b.ResetTimer()
-	for _, w := range workers {
-		wg.Add(1)
-		go func(w *lockWorker) {
-			defer wg.Done()
-			var r, wr int64
-			for remaining.Add(-1) >= 0 {
-				for {
-					again, err := w.runTxn(m, lock.TxnID(nextTxn.Add(1)), &r, &wr)
-					if err != nil {
-						b.Error(err)
-						return
-					}
-					if !again {
-						break
-					}
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-}
-
-// §§1/7: committed-transaction throughput. The lock-table family
-// measures the table itself (uniform = low skew, where distinct
-// resources must scale with workers; zipf = high skew, where real
-// conflicts dominate); the engine profiles measure the full stack on
-// the profile where the fine modes pay off and on a random mix.
+// §§1/7: committed-transaction throughput of the full stack, on the
+// profile where the fine modes pay off and on a random mix.
 func BenchmarkThroughput(b *testing.B) {
-	for _, nworkers := range []int{1, 8, 16} {
-		for _, sc := range LockScenarioFamily(nworkers) {
-			b.Run("lock-table/"+sc.Name(), func(b *testing.B) {
-				benchLockScenario(b, sc)
-			})
-		}
-	}
 	for _, profile := range []ThroughputProfile{ProfileHotDisjoint, ProfileRandom} {
 		for _, s := range engine.Strategies() {
 			for _, nworkers := range []int{1, 8} {

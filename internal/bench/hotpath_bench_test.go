@@ -1,12 +1,14 @@
 package bench
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/storage"
 	"repro/internal/txn"
+	"repro/internal/workload"
 )
 
 // Hot-path microbenchmarks: the per-operation cost of the engine layers
@@ -97,11 +99,14 @@ func BenchmarkHotSendID(b *testing.B) {
 	}
 }
 
-// A method-body-heavy warm send: cad part.inspect runs a 32-iteration
-// arithmetic loop over a field, so the measured cost is dominated by
-// method-body execution, not dispatch or locking.
-func BenchmarkHotSendBody(b *testing.B) {
-	compiled, err := core.CompileSource(cadSchema)
+// cadPartDB opens the cad application schema with one seeded part.
+func cadPartDB(b *testing.B) (*engine.DB, storage.OID) {
+	b.Helper()
+	src, _, err := workload.AppSchema("cad")
+	if err != nil {
+		b.Fatal(err)
+	}
+	compiled, err := core.CompileSource(src)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -116,6 +121,14 @@ func BenchmarkHotSendBody(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	return db, oid
+}
+
+// A method-body-heavy warm send: cad part.inspect runs a 32-iteration
+// arithmetic loop over a field, so the measured cost is dominated by
+// method-body execution, not dispatch or locking.
+func BenchmarkHotSendBody(b *testing.B) {
+	db, oid := cadPartDB(b)
 	tx := db.Begin()
 	defer tx.Commit()
 	args := []engine.Value{storage.IntV(32)}
@@ -131,21 +144,7 @@ func BenchmarkHotSendBody(b *testing.B) {
 // A nested-send-heavy warm send: cad part.session self-sends inspect and
 // revise, exercising invoke recursion plus field writes with undo.
 func BenchmarkHotSendNested(b *testing.B) {
-	compiled, err := core.CompileSource(cadSchema)
-	if err != nil {
-		b.Fatal(err)
-	}
-	db := engine.Open(compiled, engine.FineCC{})
-	var oid storage.OID
-	err = db.RunWithRetry(func(tx *txn.Txn) error {
-		in, err := db.NewInstance(tx, "part",
-			storage.IntV(1), storage.IntV(7))
-		oid = in.OID
-		return err
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
+	db, oid := cadPartDB(b)
 	tx := db.Begin()
 	defer tx.Commit()
 	args := []engine.Value{storage.IntV(8)}
@@ -234,7 +233,7 @@ func BenchmarkHotStoreGet(b *testing.B) {
 // slab store, O(1) swap-remove after).
 func BenchmarkHotCreateDelete(b *testing.B) {
 	for _, extent := range []int{1000, 32000} {
-		b.Run(benchName("extent", extent), func(b *testing.B) {
+		b.Run(fmt.Sprintf("extent-%d", extent), func(b *testing.B) {
 			db, _ := hotDB(b, engine.FineCC{})
 			err := db.RunWithRetry(func(tx *txn.Txn) error {
 				for i := 0; i < extent; i++ {
@@ -262,49 +261,4 @@ func BenchmarkHotCreateDelete(b *testing.B) {
 			}
 		})
 	}
-}
-
-// End-to-end engine throughput: b.N transactions distributed over the
-// scenario's worker pool; ns/op is inverse committed-txn throughput.
-func BenchmarkEngineThroughput(b *testing.B) {
-	for _, workers := range []int{1, 8} {
-		for _, sc := range EngineScenarioFamily(workers) {
-			b.Run(sc.Name(), func(b *testing.B) {
-				st, err := setupEngineScenario(sc)
-				if err != nil {
-					b.Fatal(err)
-				}
-				b.ResetTimer()
-				if _, _, _, err := st.runEngineWorkers(int64(b.N)); err != nil {
-					b.Fatal(err)
-				}
-				b.StopTimer()
-				// Per-txn latency quantiles as custom metrics: they ride
-				// the benchmark line into the parsed trajectory JSON.
-				if st.hist.Count() > 0 {
-					b.ReportMetric(float64(st.hist.Quantile(0.50)), "p50-ns")
-					b.ReportMetric(float64(st.hist.Quantile(0.95)), "p95-ns")
-					b.ReportMetric(float64(st.hist.Quantile(0.99)), "p99-ns")
-				}
-			})
-		}
-	}
-}
-
-func benchName(prefix string, n int) string {
-	return prefix + "-" + itoa(n)
-}
-
-func itoa(n int) string {
-	if n == 0 {
-		return "0"
-	}
-	var buf [20]byte
-	i := len(buf)
-	for n > 0 {
-		i--
-		buf[i] = byte('0' + n%10)
-		n /= 10
-	}
-	return string(buf[i:])
 }

@@ -64,6 +64,11 @@ func TestTopSendDispatchZeroAllocs(t *testing.T) {
 
 func TestWarmSendZeroAllocs(t *testing.T) {
 	db := newFigure1DB(t, FineCC{})
+	// The default Open is the instrumented one, so this bound covers the
+	// per-send metrics recording, not a stripped path.
+	if db.Metrics() == nil {
+		t.Fatal("default Open must enable the metrics registry")
+	}
 	oid, _ := seedC2(t, db, false)
 
 	tx := db.Begin()

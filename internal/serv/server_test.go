@@ -15,13 +15,13 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/bench"
 	"repro/internal/serv"
+	"repro/internal/workload"
 	"repro/oodb"
 	"repro/oodb/client"
 )
 
-// startServer opens a database over one of the builtin benchmark
+// startServer opens a database over one of the builtin application
 // schemas and serves it on a fresh unix socket.
 func startServer(t *testing.T, schemaName string, o oodb.Options) (string, *oodb.Database, *serv.Server) {
 	t.Helper()
@@ -36,7 +36,7 @@ func startServer(t *testing.T, schemaName string, o oodb.Options) (string, *oodb
 
 func openDB(t *testing.T, schemaName string, o oodb.Options) *oodb.Database {
 	t.Helper()
-	src, comm, err := bench.EngineSchemaSource(bench.EngineSchemaName(schemaName))
+	src, comm, err := workload.AppSchema(schemaName)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -64,8 +64,7 @@ type Client struct {
 
 // Dial connects to addr and performs the protocol handshake. An addr
 // containing a path separator (or prefixed "unix:") is a unix socket;
-// anything else is host:port TCP — the same convention favbench -addr
-// uses.
+// anything else is host:port TCP.
 func Dial(addr string) (*Client, error) {
 	return DialContext(context.Background(), addr)
 }
