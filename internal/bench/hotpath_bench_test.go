@@ -229,6 +229,32 @@ func BenchmarkHotStoreGet(b *testing.B) {
 	}
 }
 
+// TestInstrumentedSendPassesGate runs the warm-send and store-get
+// benchmarks on the default, instrumented open (metrics registry live,
+// every dispatch recorded into its per-(class,method) histogram) and
+// holds both to zero allocations per operation.
+func TestInstrumentedSendPassesGate(t *testing.T) {
+	// The default open must be the instrumented one, or this proof
+	// would measure the stripped path.
+	c, err := compiledFigure1()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if engine.Open(c, engine.FineCC{}).Metrics() == nil {
+		t.Fatal("default engine.Open must enable the metrics registry")
+	}
+	sendRes := testing.Benchmark(BenchmarkHotSend)
+	getRes := testing.Benchmark(BenchmarkHotStoreGet)
+	if a := sendRes.AllocsPerOp(); a != 0 {
+		t.Errorf("warm instrumented send: %d allocs/op, want 0", a)
+	}
+	if a := getRes.AllocsPerOp(); a != 0 {
+		t.Errorf("warm store get: %d allocs/op, want 0", a)
+	}
+	t.Logf("instrumented HotSend: %d ns/op, HotStoreGet: %d ns/op",
+		sendRes.NsPerOp(), getRes.NsPerOp())
+}
+
 // Create+delete churn: extent maintenance cost (O(n) removal before the
 // slab store, O(1) swap-remove after).
 func BenchmarkHotCreateDelete(b *testing.B) {
