@@ -88,7 +88,7 @@ func designers(strategy oodb.Strategy, workers, sessions int) (oodb.Stats, error
 	if err != nil {
 		return oodb.Stats{}, err
 	}
-	db.ResetStats()
+	before := db.Stats()
 
 	var wg sync.WaitGroup
 	errs := make(chan error, workers)
@@ -113,7 +113,14 @@ func designers(strategy oodb.Strategy, workers, sessions int) (oodb.Stats, error
 	for err := range errs {
 		return oodb.Stats{}, err
 	}
-	return db.Stats(), nil
+	// Counters are cumulative: report the sessions' share.
+	after := db.Stats()
+	return oodb.Stats{
+		Committed:           after.Committed - before.Committed,
+		Deadlocks:           after.Deadlocks - before.Deadlocks,
+		EscalationDeadlocks: after.EscalationDeadlocks - before.EscalationDeadlocks,
+		Retries:             after.Retries - before.Retries,
+	}, nil
 }
 
 func main() {

@@ -68,8 +68,7 @@ func RunConservativeWorkload(strategy engine.Strategy, rounds int) (Conservative
 	if err != nil {
 		return ConservativeRow{}, err
 	}
-	db.Locks().ResetStats()
-	db.Txns.ResetStats()
+	ls0, ts0 := db.Locks().Snapshot(), db.Txns.Snapshot()
 
 	const opsPerTxn = 10
 	var wg sync.WaitGroup
@@ -110,13 +109,11 @@ func RunConservativeWorkload(strategy engine.Strategy, rounds int) (Conservative
 
 	tav, _ := c.TAV(c.Schema.Class("doc"), "reader")
 	audit := c.Schema.Class("doc").FieldByName("audit")
-	ls := db.Locks().Snapshot()
-	ts := db.Txns.Snapshot()
 	return ConservativeRow{
 		Strategy:       strategy.Name(),
 		ReaderIsWriter: tav.Get(audit.ID) == core.Write,
-		Blocks:         ls.Blocks,
-		Committed:      ts.Committed,
+		Blocks:         db.Locks().Snapshot().Blocks - ls0.Blocks,
+		Committed:      db.Txns.Snapshot().Committed - ts0.Committed,
 	}, nil
 }
 

@@ -262,7 +262,7 @@ func runOverhead(w io.Writer) error {
 			if err != nil {
 				return err
 			}
-			db.Locks().ResetStats()
+			before := db.Locks().Snapshot().Requests
 			args := make([]engine.Value, snd.args)
 			for i := range args {
 				args[i] = storage.IntV(int64(i + 1))
@@ -273,7 +273,7 @@ func runOverhead(w io.Writer) error {
 			}); err != nil {
 				return err
 			}
-			row = append(row, fmt.Sprint(db.Locks().Snapshot().Requests))
+			row = append(row, fmt.Sprint(db.Locks().Snapshot().Requests-before))
 		}
 		t.Add(row...)
 	}
@@ -340,8 +340,7 @@ func RunEscalationWorkload(strategy engine.Strategy, workers, rounds, busy int) 
 	if err != nil {
 		return EscalationRow{}, err
 	}
-	db.Locks().ResetStats()
-	db.Txns.ResetStats()
+	ls0, ts0 := db.Locks().Snapshot(), db.Txns.Snapshot()
 
 	var wg sync.WaitGroup
 	errs := make(chan error, workers)
@@ -367,14 +366,13 @@ func RunEscalationWorkload(strategy engine.Strategy, workers, rounds, busy int) 
 	for err := range errs {
 		return EscalationRow{}, err
 	}
-	ls := db.Locks().Snapshot()
-	ts := db.Txns.Snapshot()
+	ls, ts := db.Locks().Snapshot(), db.Txns.Snapshot()
 	return EscalationRow{
 		Strategy:            strategy.Name(),
-		Committed:           ts.Committed,
-		Deadlocks:           ls.Deadlocks,
-		EscalationDeadlocks: ls.EscalationDeadlocks,
-		Upgrades:            ls.Upgrades,
+		Committed:           ts.Committed - ts0.Committed,
+		Deadlocks:           ls.Deadlocks - ls0.Deadlocks,
+		EscalationDeadlocks: ls.EscalationDeadlocks - ls0.EscalationDeadlocks,
+		Upgrades:            ls.Upgrades - ls0.Upgrades,
 	}, nil
 }
 
@@ -432,8 +430,7 @@ func RunPseudoWorkload(strategy engine.Strategy, workers, rounds int) (PseudoRow
 	if err != nil {
 		return PseudoRow{}, err
 	}
-	db.Locks().ResetStats()
-	db.Txns.ResetStats()
+	ls0, ts0 := db.Locks().Snapshot(), db.Txns.Snapshot()
 
 	const opsPerTxn = 10
 	start := time.Now()
@@ -473,8 +470,8 @@ func RunPseudoWorkload(strategy engine.Strategy, workers, rounds int) (PseudoRow
 	}
 	return PseudoRow{
 		Strategy:  strategy.Name(),
-		Committed: db.Txns.Snapshot().Committed,
-		Blocks:    db.Locks().Snapshot().Blocks,
+		Committed: db.Txns.Snapshot().Committed - ts0.Committed,
+		Blocks:    db.Locks().Snapshot().Blocks - ls0.Blocks,
 		Waited:    time.Since(start),
 	}, nil
 }
@@ -661,8 +658,7 @@ func runThroughputRandom(strategy engine.Strategy, workers, txnsPerWorker int) (
 	if err != nil {
 		return ThroughputRow{}, err
 	}
-	db.Txns.ResetStats()
-	db.Locks().ResetStats()
+	ts0, ls0 := db.Txns.Snapshot(), db.Locks().Snapshot()
 	start := time.Now()
 	var wg sync.WaitGroup
 	errs := make(chan error, workers)
@@ -690,7 +686,7 @@ func runThroughputRandom(strategy engine.Strategy, workers, txnsPerWorker int) (
 	for err := range errs {
 		return ThroughputRow{}, err
 	}
-	return throughputRow(db, strategy, workers, time.Since(start)), nil
+	return throughputRow(db, strategy, workers, ts0, ls0, time.Since(start)), nil
 }
 
 // runThroughputHot drives the Figure 1 m2/m3/m4 mix at two shared c2
@@ -717,8 +713,7 @@ func runThroughputHot(strategy engine.Strategy, workers, txnsPerWorker int) (Thr
 	if err != nil {
 		return ThroughputRow{}, err
 	}
-	db.Txns.ResetStats()
-	db.Locks().ResetStats()
+	ts0, ls0 := db.Txns.Snapshot(), db.Locks().Snapshot()
 
 	const opsPerTxn = 4
 	start := time.Now()
@@ -760,20 +755,23 @@ func runThroughputHot(strategy engine.Strategy, workers, txnsPerWorker int) (Thr
 	for err := range errs {
 		return ThroughputRow{}, err
 	}
-	return throughputRow(db, strategy, workers, time.Since(start)), nil
+	return throughputRow(db, strategy, workers, ts0, ls0, time.Since(start)), nil
 }
 
-func throughputRow(db *engine.DB, strategy engine.Strategy, workers int, wall time.Duration) ThroughputRow {
-	ts := db.Txns.Snapshot()
-	ls := db.Locks().Snapshot()
+// throughputRow reports the counts of a measured phase: the readings
+// now minus ts0 and ls0, taken when the phase began.
+func throughputRow(db *engine.DB, strategy engine.Strategy, workers int,
+	ts0 txn.Stats, ls0 lock.Stats, wall time.Duration) ThroughputRow {
+	ts, ls := db.Txns.Snapshot(), db.Locks().Snapshot()
+	committed := ts.Committed - ts0.Committed
 	return ThroughputRow{
 		Strategy:  strategy.Name(),
 		Workers:   workers,
-		Committed: ts.Committed,
-		Retries:   ts.Retries,
-		Blocks:    ls.Blocks,
+		Committed: committed,
+		Retries:   ts.Retries - ts0.Retries,
+		Blocks:    ls.Blocks - ls0.Blocks,
 		Wall:      wall,
-		PerSec:    float64(ts.Committed) / wall.Seconds(),
+		PerSec:    float64(committed) / wall.Seconds(),
 	}
 }
 

@@ -17,7 +17,7 @@ import (
 func TestFineLockingOverhead(t *testing.T) {
 	db := newFigure1DB(t, FineCC{})
 	oid, _ := seedC2(t, db, false)
-	db.Locks().ResetStats()
+	ls0 := db.Locks().Snapshot()
 
 	err := db.RunWithRetry(func(tx *txn.Txn) error {
 		_, err := db.Send(tx, oid, "m1", storage.IntV(1))
@@ -26,9 +26,8 @@ func TestFineLockingOverhead(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st := db.Locks().Snapshot()
-	if st.Requests != 2 {
-		t.Errorf("fine CC issued %d lock requests for m1, want 2", st.Requests)
+	if n := db.Locks().Snapshot().Requests - ls0.Requests; n != 2 {
+		t.Errorf("fine CC issued %d lock requests for m1, want 2", n)
 	}
 	es := db.Snapshot()
 	if es.NestedSends != 3 { // m2, c1.m2 (prefixed), m3
@@ -41,7 +40,7 @@ func TestFineLockingOverhead(t *testing.T) {
 func TestRWBaselineOverheadAndEscalation(t *testing.T) {
 	db := newFigure1DB(t, RWCC{})
 	oid, _ := seedC2(t, db, false)
-	db.Locks().ResetStats()
+	ls0 := db.Locks().Snapshot()
 
 	err := db.RunWithRetry(func(tx *txn.Txn) error {
 		_, err := db.Send(tx, oid, "m1", storage.IntV(1))
@@ -51,10 +50,10 @@ func TestRWBaselineOverheadAndEscalation(t *testing.T) {
 		t.Fatal(err)
 	}
 	st := db.Locks().Snapshot()
-	if st.Requests < 5 {
-		t.Errorf("rw baseline issued %d lock requests, want ≥ 5", st.Requests)
+	if n := st.Requests - ls0.Requests; n < 5 {
+		t.Errorf("rw baseline issued %d lock requests, want ≥ 5", n)
 	}
-	if st.Upgrades == 0 {
+	if st.Upgrades == ls0.Upgrades {
 		t.Error("rw baseline must escalate S→X when the nested m2 runs")
 	}
 }
@@ -63,7 +62,7 @@ func TestRWBaselineOverheadAndEscalation(t *testing.T) {
 func TestRWAnnounceNoEscalation(t *testing.T) {
 	db := newFigure1DB(t, RWAnnounceCC{})
 	oid, _ := seedC2(t, db, false)
-	db.Locks().ResetStats()
+	ls0 := db.Locks().Snapshot()
 
 	err := db.RunWithRetry(func(tx *txn.Txn) error {
 		_, err := db.Send(tx, oid, "m1", storage.IntV(1))
@@ -73,11 +72,11 @@ func TestRWAnnounceNoEscalation(t *testing.T) {
 		t.Fatal(err)
 	}
 	st := db.Locks().Snapshot()
-	if st.Upgrades != 0 {
-		t.Errorf("announce variant escalated %d times, want 0", st.Upgrades)
+	if n := st.Upgrades - ls0.Upgrades; n != 0 {
+		t.Errorf("announce variant escalated %d times, want 0", n)
 	}
-	if st.Requests < 3 {
-		t.Errorf("announce variant still controls per message; got %d requests", st.Requests)
+	if n := st.Requests - ls0.Requests; n < 3 {
+		t.Errorf("announce variant still controls per message; got %d requests", n)
 	}
 }
 
@@ -88,7 +87,7 @@ func TestPseudoConflictEliminated(t *testing.T) {
 	run := func(s Strategy) (blocks int64) {
 		db := newFigure1DB(t, s)
 		oid, _ := seedC2(t, db, false)
-		db.Locks().ResetStats()
+		blocks0 := db.Locks().Snapshot().Blocks
 
 		tx1 := db.Begin()
 		if _, err := db.Send(tx1, oid, "m2", storage.IntV(1)); err != nil {
@@ -121,7 +120,7 @@ func TestPseudoConflictEliminated(t *testing.T) {
 			}
 		}
 		tx2.Commit()
-		return db.Locks().Snapshot().Blocks
+		return db.Locks().Snapshot().Blocks - blocks0
 	}
 
 	if b := run(FineCC{}); b != 0 {
@@ -209,7 +208,7 @@ func TestEscalationDeadlockShape(t *testing.T) {
 func TestFieldCCGranularity(t *testing.T) {
 	db := newFigure1DB(t, FieldCC{})
 	oid, _ := seedC2(t, db, false)
-	db.Locks().ResetStats()
+	ls0 := db.Locks().Snapshot()
 
 	err := db.RunWithRetry(func(tx *txn.Txn) error {
 		_, err := db.Send(tx, oid, "m2", storage.IntV(1))
@@ -220,12 +219,12 @@ func TestFieldCCGranularity(t *testing.T) {
 	}
 	st := db.Locks().Snapshot()
 	// m2 on c2: class intention + field locks for f1 (r+w), f2, f4 (w), f5.
-	if st.Requests < 5 {
-		t.Errorf("field CC issued only %d requests", st.Requests)
+	if n := st.Requests - ls0.Requests; n < 5 {
+		t.Errorf("field CC issued only %d requests", n)
 	}
 	// f1 := expr(f1, …) reads then writes f1: an upgrade at the field
 	// granule — the escalation problem survives field locking.
-	if st.Upgrades == 0 {
+	if st.Upgrades == ls0.Upgrades {
 		t.Error("field CC must upgrade S→X on f1")
 	}
 }

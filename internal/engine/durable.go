@@ -112,7 +112,7 @@ func OpenWithOptions(c *core.Compiled, o Options) (*DB, error) {
 	}
 	db.Txns.SetWAL(log)
 	if db.metrics != nil {
-		db.metrics.registerWAL(log)
+		log.RegisterMetrics(db.metrics.reg)
 	}
 	db.recovery = info
 	return db, nil

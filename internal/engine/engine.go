@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/core"
@@ -70,14 +69,15 @@ type DB struct {
 	// Options.Unfused, the differential suite's reference mode).
 	useFused bool
 
-	topSends         atomic.Int64
-	nestedSends      atomic.Int64
-	remoteSends      atomic.Int64
-	fieldReads       atomic.Int64
-	fieldWrites      atomic.Int64
-	scans            atomic.Int64
-	instancesVisited atomic.Int64
-	instancesCreated atomic.Int64
+	// The Stats cells, exported as series by newDBMetrics.
+	topSends         obs.Counter
+	nestedSends      obs.Counter
+	remoteSends      obs.Counter
+	fieldReads       obs.Counter
+	fieldWrites      obs.Counter
+	scans            obs.Counter
+	instancesVisited obs.Counter
+	instancesCreated obs.Counter
 }
 
 // Open is shorthand for OpenWithOptions(c, Options{Strategy: strategy}):

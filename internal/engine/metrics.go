@@ -7,7 +7,6 @@ import (
 	"repro/internal/lock"
 	"repro/internal/obs"
 	"repro/internal/schema"
-	"repro/internal/wal"
 )
 
 // classMetrics is one class's per-method telemetry, indexed by interned
@@ -30,15 +29,13 @@ type classMetrics struct {
 type dbMetrics struct {
 	reg     *obs.Registry
 	classes []classMetrics // by schema.Class.ID
-
-	lockWait *obs.Hist
 }
 
-// newDBMetrics builds the registry and wires every layer that exists at
-// volatile open: per-method send series from the runtime dispatch
-// tables, engine/txn/lock counters, the lock-manager wait histogram,
-// and the storage/MVCC gauges. WAL series attach later (registerWAL)
-// when the database opens durable.
+// newDBMetrics builds the registry: per-method send series from the
+// runtime dispatch tables, the engine's own counters, the storage/MVCC
+// gauges, and — registered by the layers that own them — the txn and
+// lock series. The WAL registers its own when the database opens
+// durable.
 func newDBMetrics(db *DB) *dbMetrics {
 	s := db.Compiled.Schema
 	nm := s.NumMethodNames()
@@ -74,44 +71,18 @@ func newDBMetrics(db *DB) *dbMetrics {
 		}
 	}
 
-	// Engine execution counters (the Stats() atomics, re-exported).
-	reg.CounterFunc("favcc_top_sends_total", "Top-level message sends.", "",
-		db.topSends.Load)
-	reg.CounterFunc("favcc_nested_sends_total", "Nested self-directed sends.", "",
-		db.nestedSends.Load)
-	reg.CounterFunc("favcc_scans_total", "Domain scans.", "", db.scans.Load)
-	reg.CounterFunc("favcc_instances_created_total", "Instances created.", "",
-		db.instancesCreated.Load)
+	// Engine execution counters: the Stats cells.
+	reg.RegisterCounter("favcc_top_sends_total", "Top-level message sends.", "", &db.topSends)
+	reg.RegisterCounter("favcc_nested_sends_total", "Nested self-directed sends.", "", &db.nestedSends)
+	reg.RegisterCounter("favcc_scans_total", "Domain scans.", "", &db.scans)
+	reg.RegisterCounter("favcc_instances_created_total", "Instances created.", "", &db.instancesCreated)
+	reg.RegisterCounter("favcc_remote_sends_total", "Nested sends to another object.", "", &db.remoteSends)
+	reg.RegisterCounter("favcc_field_reads_total", "Instance-variable reads.", "", &db.fieldReads)
+	reg.RegisterCounter("favcc_field_writes_total", "Instance-variable writes.", "", &db.fieldWrites)
+	reg.RegisterCounter("favcc_instances_visited_total", "Instances visited by domain scans.", "", &db.instancesVisited)
 
-	// Transaction outcomes.
-	tm := db.Txns
-	reg.CounterFunc("favcc_txns_total", "Transactions begun.", `outcome="begun"`,
-		func() int64 { return tm.Snapshot().Begun })
-	reg.CounterFunc("favcc_txns_total", "Transactions begun.", `outcome="committed"`,
-		func() int64 { return tm.Snapshot().Committed })
-	reg.CounterFunc("favcc_txns_total", "Transactions begun.", `outcome="aborted"`,
-		func() int64 { return tm.Snapshot().Aborted })
-	reg.CounterFunc("favcc_txn_retries_total", "Deadlock/timeout retry loops taken.", "",
-		func() int64 { return tm.Snapshot().Retries })
-	reg.CounterFunc("favcc_snapshot_txns_total", "Transactions run on the snapshot path.", "",
-		func() int64 { return tm.Snapshot().Snapshots })
-
-	// Lock manager: the counter set plus the wait-time histogram the
-	// counters alone cannot express (Blocks says how often, not how long).
-	lm := db.Locks()
-	m.lockWait = reg.Histogram("favcc_lock_wait_seconds",
-		"Lock-manager queue wait per blocking acquire.", "", true)
-	lm.SetWaitHist(m.lockWait)
-	reg.CounterFunc("favcc_lock_requests_total", "Lock acquire calls.", "",
-		func() int64 { return lm.Snapshot().Requests })
-	reg.CounterFunc("favcc_lock_blocks_total", "Acquires that queued.", "",
-		func() int64 { return lm.Snapshot().Blocks })
-	reg.CounterFunc("favcc_lock_deadlocks_total", "Deadlock victims.", "",
-		func() int64 { return lm.Snapshot().Deadlocks })
-	reg.CounterFunc("favcc_lock_timeouts_total", "Lock-wait timeouts.", "",
-		func() int64 { return lm.Snapshot().Timeouts })
-	reg.CounterFunc("favcc_lock_upgrades_total", "Lock conversion requests.", "",
-		func() int64 { return lm.Snapshot().Upgrades })
+	db.Txns.RegisterMetrics(reg)
+	db.Locks().RegisterMetrics(reg)
 
 	// Storage / MVCC: version churn, reclamation watermark lag, reader
 	// population, slab occupancy.
@@ -132,31 +103,6 @@ func newDBMetrics(db *DB) *dbMetrics {
 		func() int64 { return int64(st.Count()) })
 
 	return m
-}
-
-// registerWAL attaches the group-commit telemetry once a redo log
-// exists: fsync-latency and batch-size histograms recorded by the
-// writer goroutine, the submit-queue depth gauge, and the cumulative
-// log counters.
-func (m *dbMetrics) registerWAL(log *wal.Log) {
-	reg := m.reg
-	fsync := reg.Histogram("favcc_wal_fsync_seconds",
-		"Group-commit fsync wall time.", "", true)
-	batch := reg.Histogram("favcc_wal_batch_records",
-		"Commit records per group-commit batch.", "", false)
-	log.SetMetrics(fsync, batch)
-	reg.GaugeFunc("favcc_wal_queue_depth", "Commits waiting in the writer queue.", "",
-		func() int64 { return int64(log.QueueDepth()) })
-	reg.CounterFunc("favcc_wal_records_total", "Commit records appended.", "",
-		func() int64 { return log.Stats().Records })
-	reg.CounterFunc("favcc_wal_batches_total", "Group-commit batches written.", "",
-		func() int64 { return log.Stats().Batches })
-	reg.CounterFunc("favcc_wal_fsyncs_total", "Segment fsyncs issued.", "",
-		func() int64 { return log.Stats().Fsyncs })
-	reg.CounterFunc("favcc_wal_bytes_total", "Bytes appended to the log.", "",
-		func() int64 { return log.Stats().Bytes })
-	reg.CounterFunc("favcc_wal_checkpoints_total", "Checkpoints taken.", "",
-		func() int64 { return log.Stats().Checkpoints })
 }
 
 // noteSend records one finished top-level send into the dense arrays.
@@ -207,20 +153,6 @@ func (db *DB) SetSlowTxnThreshold(d time.Duration) { db.flight.SetThreshold(d) }
 // SlowTxns returns the flight recorder's captured transactions, newest
 // first (empty until the recorder is armed and a slow txn completes).
 func (db *DB) SlowTxns() []obs.SlowTxn { return db.flight.SlowTxns() }
-
-// ResetStats zeroes the engine's execution counters (between experiment
-// phases). Lock and transaction counters have their own ResetStats on
-// their managers; oodb.Database.ResetStats resets all three.
-func (db *DB) ResetStats() {
-	db.topSends.Store(0)
-	db.nestedSends.Store(0)
-	db.remoteSends.Store(0)
-	db.fieldReads.Store(0)
-	db.fieldWrites.Store(0)
-	db.scans.Store(0)
-	db.instancesVisited.Store(0)
-	db.instancesCreated.Store(0)
-}
 
 // WriteMetrics renders the registry as Prometheus text exposition (see
 // obs.Registry.WritePrometheus). A no-op when metrics are stripped.

@@ -66,17 +66,18 @@ type Stats struct {
 }
 
 // statsCounters is Stats with atomic cells, so the hot path never takes
-// a lock to count and Snapshot never takes a table lock to read.
+// a lock to count and Snapshot never takes a table lock to read. The
+// same cells are the registry's series (RegisterMetrics).
 type statsCounters struct {
-	requests            atomic.Int64
-	reentrant           atomic.Int64
-	immediateGrants     atomic.Int64
-	blocks              atomic.Int64
-	upgrades            atomic.Int64
-	deadlocks           atomic.Int64
-	escalationDeadlocks atomic.Int64
-	timeouts            atomic.Int64
-	releases            atomic.Int64
+	requests            obs.Counter
+	reentrant           obs.Counter
+	immediateGrants     obs.Counter
+	blocks              obs.Counter
+	upgrades            obs.Counter
+	deadlocks           obs.Counter
+	escalationDeadlocks obs.Counter
+	timeouts            obs.Counter
+	releases            obs.Counter
 }
 
 // Sharding parameters. The shard bitmap of a transaction is a single
@@ -153,10 +154,10 @@ type Manager struct {
 
 	stats statsCounters
 
-	// waitHist, when set, receives the wall time of every blocking
-	// acquire (queue wait through grant, deadlock abort, or timeout).
-	// Atomic so it can be attached after construction without racing
-	// in-flight acquires; nil (the default) costs one predictable
+	// waitHist, when set (RegisterMetrics), receives the wall time of
+	// every blocking acquire (queue wait through grant, deadlock abort, or
+	// timeout). Atomic so it can be attached after construction without
+	// racing in-flight acquires; nil (the default) costs one predictable
 	// branch on the block path and nothing on the grant fast path.
 	waitHist atomic.Pointer[obs.Hist]
 
@@ -320,10 +321,6 @@ func (m *Manager) Acquire(txn TxnID, res ResourceID, mode Mode) error {
 	_, err := m.AcquireWait(txn, res, mode)
 	return err
 }
-
-// SetWaitHist attaches a histogram that receives the wall time of every
-// blocking acquire. Safe to call concurrently with acquires; nil detaches.
-func (m *Manager) SetWaitHist(h *obs.Hist) { m.waitHist.Store(h) }
 
 // AcquireWait is Acquire, additionally reporting how long the request
 // waited in the queue (0 for reentrant and immediately granted
@@ -841,17 +838,21 @@ func (m *Manager) Snapshot() Stats {
 	}
 }
 
-// ResetStats zeroes the counters (between experiment phases).
-func (m *Manager) ResetStats() {
-	m.stats.requests.Store(0)
-	m.stats.reentrant.Store(0)
-	m.stats.immediateGrants.Store(0)
-	m.stats.blocks.Store(0)
-	m.stats.upgrades.Store(0)
-	m.stats.deadlocks.Store(0)
-	m.stats.escalationDeadlocks.Store(0)
-	m.stats.timeouts.Store(0)
-	m.stats.releases.Store(0)
+// RegisterMetrics exports every Stats counter as a series of reg and
+// attaches the wait-time histogram the counters alone cannot express
+// (Blocks says how often, not how long). Call once per registry.
+func (m *Manager) RegisterMetrics(reg *obs.Registry) {
+	m.waitHist.Store(reg.Histogram("favcc_lock_wait_seconds",
+		"Lock-manager queue wait per blocking acquire.", "", true))
+	reg.RegisterCounter("favcc_lock_requests_total", "Lock acquire calls.", "", &m.stats.requests)
+	reg.RegisterCounter("favcc_lock_blocks_total", "Acquires that queued.", "", &m.stats.blocks)
+	reg.RegisterCounter("favcc_lock_deadlocks_total", "Deadlock victims.", "", &m.stats.deadlocks)
+	reg.RegisterCounter("favcc_lock_timeouts_total", "Lock-wait timeouts.", "", &m.stats.timeouts)
+	reg.RegisterCounter("favcc_lock_upgrades_total", "Lock conversion requests.", "", &m.stats.upgrades)
+	reg.RegisterCounter("favcc_lock_reentrant_total", "Acquires of a mode already held.", "", &m.stats.reentrant)
+	reg.RegisterCounter("favcc_lock_immediate_grants_total", "Acquires granted without queueing.", "", &m.stats.immediateGrants)
+	reg.RegisterCounter("favcc_lock_escalation_deadlocks_total", "Deadlock victims whose cycle includes a lock conversion.", "", &m.stats.escalationDeadlocks)
+	reg.RegisterCounter("favcc_lock_releases_total", "ReleaseAll calls.", "", &m.stats.releases)
 }
 
 // Coverer is an optional Mode extension: h.Covers(req) reports that

@@ -552,15 +552,6 @@ func TestResourceStrings(t *testing.T) {
 	}
 }
 
-func TestResetStats(t *testing.T) {
-	m := NewManager()
-	mustGrant(t, m.Acquire(1, InstanceRes(1), S))
-	m.ResetStats()
-	if st := m.Snapshot(); st.Requests != 0 {
-		t.Errorf("stats not reset: %+v", st)
-	}
-}
-
 // --- Sharded-manager tests --------------------------------------------
 
 // requireClean asserts the table is empty: no entries in any shard, no

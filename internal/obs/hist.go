@@ -83,16 +83,6 @@ func (h *Hist) Count() int64 { return h.count.Load() }
 // Sum returns the sum of all observed values (nanoseconds for Record).
 func (h *Hist) Sum() int64 { return h.sum.Load() }
 
-// Reset zeroes the histogram. Only call while no observation is in
-// flight (between a warmup and a measured phase).
-func (h *Hist) Reset() {
-	for i := range h.buckets {
-		h.buckets[i].Store(0)
-	}
-	h.count.Store(0)
-	h.sum.Store(0)
-}
-
 // Quantile returns the q-th (0 < q ≤ 1) value quantile, or 0 when the
 // histogram is empty. Resolution is the bucket width (~±6%).
 func (h *Hist) Quantile(q float64) uint64 {
@@ -120,7 +110,8 @@ func (h *Hist) QuantileDuration(q float64) time.Duration {
 }
 
 // Counter is a monotonically increasing atomic counter. The zero value
-// is ready to use; Add is one atomic add.
+// is ready to use; Add is one atomic add. Nothing resets a counter: a
+// reader measures a phase by subtracting a reading taken before it.
 type Counter struct {
 	v atomic.Int64
 }
@@ -133,6 +124,3 @@ func (c *Counter) Inc() { c.v.Add(1) }
 
 // Load returns the current value.
 func (c *Counter) Load() int64 { return c.v.Load() }
-
-// Reset zeroes the counter (between experiment phases).
-func (c *Counter) Reset() { c.v.Store(0) }

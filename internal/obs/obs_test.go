@@ -54,10 +54,6 @@ func TestHistQuantiles(t *testing.T) {
 			t.Errorf("q%g = %g, want ~%g", tc.q, got, tc.want)
 		}
 	}
-	h.Reset()
-	if h.Count() != 0 || h.Sum() != 0 || h.Quantile(0.5) != 0 {
-		t.Fatal("reset did not clear histogram")
-	}
 }
 
 func TestHistRecordClampsNegative(t *testing.T) {
@@ -240,6 +236,31 @@ func TestPrometheusRoundTrip(t *testing.T) {
 	if !strings.Contains(text, "# HELP favcc_commits_total Committed transactions.") {
 		t.Error("missing HELP line")
 	}
+}
+
+// TestRegistryRejectsDuplicateSeries: a series registered twice would be
+// exported twice — a scrape Prometheus rejects, and a JSON object with a
+// duplicate key — so registration panics, naming it. So does a family
+// registered under a second kind.
+func TestRegistryRejectsDuplicateSeries(t *testing.T) {
+	mustPanic := func(what, want string, register func()) {
+		t.Helper()
+		defer func() {
+			r := recover()
+			if msg, _ := r.(string); !strings.Contains(msg, want) {
+				t.Errorf("%s: panic %v, want one naming %s", what, r, want)
+			}
+		}()
+		register()
+	}
+	reg := NewRegistry()
+	reg.Counter("a_total", "A.", `k="1"`)
+	reg.Counter("a_total", "A.", `k="2"`) // another series of the family
+	mustPanic("same series", `a_total{k="1"}`, func() { reg.Counter("a_total", "A.", `k="1"`) })
+	mustPanic("same series, func", `a_total{k="2"}`, func() { reg.CounterFunc("a_total", "A.", `k="2"`, nil) })
+	mustPanic("another kind", `a_total{k="3"}`, func() { reg.GaugeFunc("a_total", "A.", `k="3"`, nil) })
+	reg.Histogram("d_seconds", "D.", "", true)
+	mustPanic("another unit", `d_seconds{k="1"}`, func() { reg.Histogram("d_seconds", "D.", `k="1"`, false) })
 }
 
 func TestWriteJSONValid(t *testing.T) {

@@ -45,21 +45,35 @@ type Registry struct {
 	mu       sync.Mutex
 	families []*family
 	byName   map[string]*family
+	series   map[string]bool // "name{labels}" of every registered series
 }
 
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry {
-	return &Registry{byName: make(map[string]*family)}
+	return &Registry{byName: make(map[string]*family), series: make(map[string]bool)}
 }
 
-func (r *Registry) familyFor(name, help string, kind Kind, seconds bool) *family {
+// add appends series m to family name, creating the family on first
+// use. Registering a series twice, or a family under a second kind, is a
+// programming error that would export duplicate or mistyped samples, so
+// it panics, naming the series.
+func (r *Registry) add(name, help string, kind Kind, seconds bool, m metric) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	key := name + wrapLabels(m.labels)
+	if r.series[key] {
+		panic(fmt.Sprintf("obs: series %s registered twice", key))
+	}
 	f := r.byName[name]
 	if f == nil {
 		f = &family{name: name, help: help, kind: kind, seconds: seconds}
 		r.byName[name] = f
 		r.families = append(r.families, f)
+	} else if f.kind != kind || f.seconds != seconds {
+		panic(fmt.Sprintf("obs: series %s registered as another kind than family %s", key, name))
 	}
-	return f
+	r.series[key] = true
+	f.metrics = append(f.metrics, m)
 }
 
 // Labels renders a label set in registration order, e.g.
@@ -96,30 +110,21 @@ func (r *Registry) Counter(name, help, labels string) *Counter {
 	return c
 }
 
-// RegisterCounter attaches an existing Counter (e.g. one embedded in a
-// dense per-method array) as a series of family name.
+// RegisterCounter attaches an existing Counter — a cell the owning layer
+// increments and reads for its own Stats — as a series of family name.
 func (r *Registry) RegisterCounter(name, help, labels string, c *Counter) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	f := r.familyFor(name, help, KindCounter, false)
-	f.metrics = append(f.metrics, metric{labels: labels, c: c})
+	r.add(name, help, KindCounter, false, metric{labels: labels, c: c})
 }
 
 // CounterFunc registers a counter series whose value is read through fn
 // at export time (for counters that already live as atomics elsewhere).
 func (r *Registry) CounterFunc(name, help, labels string, fn func() int64) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	f := r.familyFor(name, help, KindCounter, false)
-	f.metrics = append(f.metrics, metric{labels: labels, fn: fn})
+	r.add(name, help, KindCounter, false, metric{labels: labels, fn: fn})
 }
 
 // GaugeFunc registers a gauge series read through fn at export time.
 func (r *Registry) GaugeFunc(name, help, labels string, fn func() int64) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	f := r.familyFor(name, help, KindGauge, false)
-	f.metrics = append(f.metrics, metric{labels: labels, fn: fn})
+	r.add(name, help, KindGauge, false, metric{labels: labels, fn: fn})
 }
 
 // Histogram registers and returns a new histogram series. seconds marks
@@ -133,10 +138,7 @@ func (r *Registry) Histogram(name, help, labels string, seconds bool) *Hist {
 
 // RegisterHistogram attaches an existing Hist as a series of family name.
 func (r *Registry) RegisterHistogram(name, help, labels string, seconds bool, h *Hist) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	f := r.familyFor(name, help, KindHistogram, seconds)
-	f.metrics = append(f.metrics, metric{labels: labels, h: h})
+	r.add(name, help, KindHistogram, seconds, metric{labels: labels, h: h})
 }
 
 // exportQuantiles are the summary quantiles rendered per histogram.

@@ -26,7 +26,10 @@ type Config struct {
 	Logf func(format string, args ...any)
 }
 
-// Stats is a snapshot of the server's cumulative counters.
+// Stats is a snapshot of the server's counters: typed reads of the
+// cells the database's registry exports as favserv_* series under this
+// server's listener label. The counters are cumulative; ConnsActive and
+// Inflight are gauges.
 type Stats struct {
 	SessionsTotal int64 // connections accepted over the server's lifetime
 	ConnsActive   int64 // sessions currently open
@@ -51,13 +54,13 @@ type Server struct {
 	acceptWG sync.WaitGroup
 	sessWG   sync.WaitGroup
 
-	sessionsTotal atomic.Int64
+	sessionsTotal obs.Counter
 	connsActive   atomic.Int64
 	inflight      atomic.Int64
-	requests      atomic.Int64
-	txns          atomic.Int64
-	views         atomic.Int64
-	errorsTotal   atomic.Int64
+	requests      obs.Counter
+	txns          obs.Counter
+	views         obs.Counter
+	errorsTotal   obs.Counter
 
 	// Request-latency histograms per command type, registered on the
 	// database's obs registry (nil under NoMetrics). For pipelined
@@ -90,7 +93,10 @@ func Listen(db *oodb.Database, network, addr string, cfg Config) (*Server, error
 	return Serve(db, ln, cfg), nil
 }
 
-// Serve starts serving db on an already-bound listener.
+// Serve starts serving db on an already-bound listener. The server's
+// series join db's metrics registry under the listener's address, so a
+// database takes one server per address for its lifetime: serving it
+// on an address it was served on before panics.
 func Serve(db *oodb.Database, ln net.Listener, cfg Config) *Server {
 	if cfg.MaxFrame <= 0 {
 		cfg.MaxFrame = DefaultMaxFrame
@@ -103,22 +109,27 @@ func Serve(db *oodb.Database, ln net.Listener, cfg Config) *Server {
 }
 
 // registerMetrics surfaces the serving layer through the database's
-// observability registry: conn/session/inflight gauges and per-command
-// latency histograms, alongside the engine's own series.
+// observability registry: conn/session/inflight gauges, the Stats
+// counters and per-command latency histograms, alongside the engine's
+// own series. Every series carries a listener label, so two servers on
+// one database export two sets.
 func (s *Server) registerMetrics() {
 	reg := s.db.Metrics()
 	if reg == nil {
 		return
 	}
-	reg.GaugeFunc("favserv_conns_active", "open client sessions", "", s.connsActive.Load)
-	reg.GaugeFunc("favserv_inflight_requests", "requests read but not yet responded to", "", s.inflight.Load)
-	reg.CounterFunc("favserv_sessions_total", "client sessions accepted", "", s.sessionsTotal.Load)
-	reg.CounterFunc("favserv_requests_total", "requests executed", "", s.requests.Load)
-	reg.CounterFunc("favserv_request_errors_total", "requests answered non-OK", "", s.errorsTotal.Load)
+	ln := obs.Labels("listener", s.ln.Addr().String())
+	reg.GaugeFunc("favserv_conns_active", "open client sessions", ln, s.connsActive.Load)
+	reg.GaugeFunc("favserv_inflight_requests", "requests read but not yet responded to", ln, s.inflight.Load)
+	reg.RegisterCounter("favserv_sessions_total", "client sessions accepted", ln, &s.sessionsTotal)
+	reg.RegisterCounter("favserv_requests_total", "requests executed", ln, &s.requests)
+	reg.RegisterCounter("favserv_request_errors_total", "requests answered non-OK", ln, &s.errorsTotal)
+	reg.RegisterCounter("favserv_txns_total", "update transactions executed (pipelined and blocking)", ln, &s.txns)
+	reg.RegisterCounter("favserv_views_total", "read-only views executed", ln, &s.views)
 	help := "server-side request latency (txn: through commit sequencing)"
-	s.histTxn.h = reg.Histogram("favserv_request_seconds", help, obs.Labels("op", "txn"), true)
-	s.histView.h = reg.Histogram("favserv_request_seconds", help, obs.Labels("op", "view"), true)
-	s.histPing.h = reg.Histogram("favserv_request_seconds", help, obs.Labels("op", "ping"), true)
+	s.histTxn.h = reg.Histogram("favserv_request_seconds", help, ln+`,op="txn"`, true)
+	s.histView.h = reg.Histogram("favserv_request_seconds", help, ln+`,op="view"`, true)
+	s.histPing.h = reg.Histogram("favserv_request_seconds", help, ln+`,op="ping"`, true)
 }
 
 // Addr returns the bound listener address.

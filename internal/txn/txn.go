@@ -683,11 +683,11 @@ type Manager struct {
 	flight *obs.FlightRecorder
 
 	next      atomic.Uint64
-	begun     atomic.Int64
-	committed atomic.Int64
-	aborted   atomic.Int64
-	retries   atomic.Int64
-	snapshots atomic.Int64
+	begun     obs.Counter
+	committed obs.Counter
+	aborted   obs.Counter
+	retries   obs.Counter
+	snapshots obs.Counter
 
 	// MaxRetries bounds RunWithRetry (default 100).
 	MaxRetries int
@@ -845,14 +845,15 @@ func (m *Manager) Snapshot() Stats {
 	}
 }
 
-// ResetStats zeroes the outcome counters (between experiment phases;
-// transaction IDs keep increasing).
-func (m *Manager) ResetStats() {
-	m.begun.Store(0)
-	m.committed.Store(0)
-	m.aborted.Store(0)
-	m.retries.Store(0)
-	m.snapshots.Store(0)
+// RegisterMetrics exports the outcome counters as series of reg. Call
+// once per registry.
+func (m *Manager) RegisterMetrics(reg *obs.Registry) {
+	const outcomes = "Transactions by outcome (begun counts every Begin)."
+	reg.RegisterCounter("favcc_txns_total", outcomes, `outcome="begun"`, &m.begun)
+	reg.RegisterCounter("favcc_txns_total", outcomes, `outcome="committed"`, &m.committed)
+	reg.RegisterCounter("favcc_txns_total", outcomes, `outcome="aborted"`, &m.aborted)
+	reg.RegisterCounter("favcc_txn_retries_total", "Deadlock/timeout retry loops taken.", "", &m.retries)
+	reg.RegisterCounter("favcc_snapshot_txns_total", "Transactions run on the snapshot path.", "", &m.snapshots)
 }
 
 // retryable reports whether a transaction failure is transient lock

@@ -272,15 +272,15 @@ type Log struct {
 	commits sync.Pool
 	futures sync.Pool
 
-	records     atomic.Int64
-	batches     atomic.Int64
-	fsyncs      atomic.Int64
-	bytes       atomic.Int64
-	checkpoints atomic.Int64
+	records     obs.Counter
+	batches     obs.Counter
+	fsyncs      obs.Counter
+	bytes       obs.Counter
+	checkpoints obs.Counter
 
-	// Group-commit telemetry, attached by the engine's metrics registry
-	// (SetMetrics). Atomic pointers: attachment happens after the writer
-	// goroutine is already serving commits. Nil = not attached.
+	// Group-commit telemetry, attached by RegisterMetrics. Atomic
+	// pointers: attachment happens after the writer goroutine is already
+	// serving commits. Nil = not attached.
 	fsyncHist atomic.Pointer[obs.Hist] // fsync wall time (ns)
 	batchHist atomic.Pointer[obs.Hist] // records per group-commit batch
 }
@@ -773,17 +773,23 @@ func (l *Log) Stats() Stats {
 	}
 }
 
-// SetMetrics attaches group-commit histograms: fsync receives the wall
-// time of every group-commit fsync, batch the record count of every
-// non-empty batch. Either may be nil; safe concurrently with commits.
-func (l *Log) SetMetrics(fsync, batch *obs.Hist) {
-	l.fsyncHist.Store(fsync)
-	l.batchHist.Store(batch)
+// RegisterMetrics exports the log's counters and submit-queue depth as
+// series of reg, and attaches the group-commit histograms: the wall time
+// of every fsync and the record count of every non-empty batch. Safe
+// concurrently with commits; call once per registry.
+func (l *Log) RegisterMetrics(reg *obs.Registry) {
+	l.fsyncHist.Store(reg.Histogram("favcc_wal_fsync_seconds",
+		"Group-commit fsync wall time.", "", true))
+	l.batchHist.Store(reg.Histogram("favcc_wal_batch_records",
+		"Commit records per group-commit batch.", "", false))
+	reg.GaugeFunc("favcc_wal_queue_depth", "Commits waiting in the writer queue.", "",
+		func() int64 { return int64(len(l.submitCh)) })
+	reg.RegisterCounter("favcc_wal_records_total", "Commit records appended.", "", &l.records)
+	reg.RegisterCounter("favcc_wal_batches_total", "Group-commit batches written.", "", &l.batches)
+	reg.RegisterCounter("favcc_wal_fsyncs_total", "Segment fsyncs issued.", "", &l.fsyncs)
+	reg.RegisterCounter("favcc_wal_bytes_total", "Bytes appended to the log.", "", &l.bytes)
+	reg.RegisterCounter("favcc_wal_checkpoints_total", "Checkpoints taken.", "", &l.checkpoints)
 }
-
-// QueueDepth returns the number of commits waiting in the writer's
-// submit queue — the group-commit backpressure gauge.
-func (l *Log) QueueDepth() int { return len(l.submitCh) }
 
 // Dir returns the log directory.
 func (l *Log) Dir() string { return l.dir }

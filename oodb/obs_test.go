@@ -9,9 +9,9 @@ import (
 	"time"
 )
 
-// The public observability surface: Stats facade completeness, the
-// ResetStats fix, Prometheus/JSON rendering, the slow-transaction
-// recorder, and the debug handler CI smokes.
+// The public observability surface: Stats facade completeness,
+// Prometheus/JSON rendering, the slow-transaction recorder, and the
+// debug handler CI smokes.
 
 // obsDB opens a durable Fine database and commits enough traffic to
 // move every layer's counters: sends, a snapshot read, a checkpoint.
@@ -47,26 +47,6 @@ func obsDB(t *testing.T) *Database {
 		t.Fatal(err)
 	}
 	return db
-}
-
-// TestResetStatsResetsEngineCounters pins the satellite-1 fix: before
-// it, ResetStats zeroed lock and txn counters but left the engine's
-// TopSends/NestedSends climbing across experiment phases.
-func TestResetStatsResetsEngineCounters(t *testing.T) {
-	db := obsDB(t)
-	st := db.Stats()
-	if st.TopSends == 0 || st.NestedSends == 0 {
-		t.Fatalf("warmup produced no sends: %+v", st)
-	}
-	db.ResetStats()
-	st = db.Stats()
-	if st.TopSends != 0 || st.NestedSends != 0 {
-		t.Errorf("engine counters survived ResetStats: TopSends=%d NestedSends=%d",
-			st.TopSends, st.NestedSends)
-	}
-	if st.LockRequests != 0 || st.Committed != 0 {
-		t.Errorf("lock/txn counters survived ResetStats: %+v", st)
-	}
 }
 
 // TestStatsFacadeFields pins the satellite-2 additions: the lock-manager

@@ -456,6 +456,11 @@ func (t *Txn) ScanSend(class, method string, hierarchical bool, args ...any) (in
 }
 
 // Stats aggregates lock-manager, transaction, engine and WAL counters.
+// Each field reads the same cell the metrics registry exports as a
+// favcc_*_total series (see README "Observability"): Stats and a scrape
+// read one set of counters. Counters are cumulative from Open and nothing
+// resets them: to measure a phase, take a Stats before it and subtract
+// it from one taken after.
 type Stats struct {
 	LockRequests        int64
 	Blocks              int64
@@ -512,14 +517,6 @@ func (d *Database) Stats() Stats {
 		s.WALCheckpoints = ws.Checkpoints
 	}
 	return s
-}
-
-// ResetStats zeroes the lock, transaction and engine counters (the WAL
-// counters are cumulative log totals and are not reset).
-func (d *Database) ResetStats() {
-	d.db.Locks().ResetStats()
-	d.db.Txns.ResetStats()
-	d.db.ResetStats()
 }
 
 // Metrics returns the database's metrics registry — per-method latency

@@ -2,6 +2,7 @@ package oodb
 
 import (
 	"bytes"
+	"errors"
 	"strings"
 	"sync"
 	"testing"
@@ -220,7 +221,7 @@ func TestScanSend(t *testing.T) {
 	}
 }
 
-func TestStatsAndReset(t *testing.T) {
+func TestStatsCumulative(t *testing.T) {
 	s := compileFig1(t)
 	db, _ := Open(s, Fine)
 	err := db.Update(func(tx *Txn) error {
@@ -238,9 +239,16 @@ func TestStatsAndReset(t *testing.T) {
 	if st.Committed != 1 || st.TopSends != 1 || st.NestedSends != 3 || st.LockRequests == 0 {
 		t.Errorf("stats = %+v", st)
 	}
-	db.ResetStats()
-	if st := db.Stats(); st.LockRequests != 0 || st.Committed != 0 {
-		t.Errorf("reset failed: %+v", st)
+	// Counters only grow: a failed update adds to the totals, and a
+	// phase is measured by subtracting the reading taken before it.
+	if err := db.Update(func(tx *Txn) error {
+		return errors.New("roll back")
+	}); err == nil {
+		t.Fatal("failing update committed")
+	}
+	after := db.Stats()
+	if after.Committed != st.Committed || after.Aborted-st.Aborted != 1 || after.LockRequests < st.LockRequests {
+		t.Errorf("counters not cumulative: before %+v, after %+v", st, after)
 	}
 }
 
