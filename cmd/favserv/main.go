@@ -57,7 +57,6 @@ func main() {
 		schemaF  = flag.String("schema", "", "schema source file, or builtin: banking, cad")
 		strategy = flag.String("strategy", "fine", "concurrency-control strategy: fine, rw, rw-implicit, rw-announce, field, relational")
 		dir      = flag.String("dir", "", "data directory; empty serves a volatile database")
-		groupWin = flag.Duration("group-commit", 0, "group-commit window (how long a batch waits for company)")
 		ckptEach = flag.Int64("checkpoint-bytes", 0, "auto-checkpoint when the log exceeds this size (0: manual only)")
 		syncMode = flag.String("sync", "always", "durability policy: always, never, or an fsync interval like 2ms")
 		slowTxn  = flag.Duration("slow-txn", 0, "arm the transaction flight recorder at this threshold")
@@ -67,15 +66,14 @@ func main() {
 	)
 	flag.Var(&commuting, "commuting", "ad hoc commutativity declaration class:method:method (repeatable)")
 	flag.Parse()
-	if err := serve(*addr, *sock, *schemaF, *strategy, *dir, *groupWin, *ckptEach,
+	if err := serve(*addr, *sock, *schemaF, *strategy, *dir, *ckptEach,
 		*syncMode, *slowTxn, *noMetric, *debug, *smoke, commuting); err != nil {
 		fmt.Fprintln(os.Stderr, "favserv:", err)
 		os.Exit(1)
 	}
 }
 
-func serve(addr, sock, schemaF, strategy, dir string,
-	groupWin time.Duration, ckptEach int64, syncMode string,
+func serve(addr, sock, schemaF, strategy, dir string, ckptEach int64, syncMode string,
 	slowTxn time.Duration, noMetric, debug, smoke bool, commuting commutingFlags) error {
 	if (addr == "") == (sock == "") {
 		return fmt.Errorf("exactly one of -addr or -sock is required")
@@ -111,27 +109,20 @@ func serve(addr, sock, schemaF, strategy, dir string,
 	}
 
 	// Open options, straight from the flags.
-	o := oodb.DefaultOptions()
-	o.Dir = dir
-	o.GroupCommitWindow = groupWin
-	o.CheckpointEveryBytes = ckptEach
-	o.NoMetrics = noMetric
-	o.SlowTxnThreshold = slowTxn
-	switch syncMode {
-	case "always":
-	case "never":
-		o.SyncNever = true
-	default:
-		d, err := time.ParseDuration(syncMode)
-		if err != nil || d <= 0 {
-			return fmt.Errorf("-sync wants always, never or a positive duration, got %q", syncMode)
-		}
-		o.SyncEvery = d
-	}
-	db, err := oodb.OpenWith(schema, oodb.Strategy(strategy), o)
+	sync, err := parseSync(syncMode)
 	if err != nil {
 		return err
 	}
+	db, err := oodb.OpenWith(schema, oodb.Strategy(strategy), oodb.Options{
+		Dir:                  dir,
+		CheckpointEveryBytes: ckptEach,
+		Sync:                 sync,
+		NoMetrics:            noMetric,
+	})
+	if err != nil {
+		return err
+	}
+	db.SetSlowTxnThreshold(slowTxn)
 
 	cfg := serv.Config{}
 	if debug {
@@ -191,6 +182,22 @@ func serve(addr, sock, schemaF, strategy, dir string,
 	log.Printf("favserv: drained clean: %d sessions, %d requests, %d txns, %d errors",
 		st.SessionsTotal, st.Requests, st.Txns, st.Errors)
 	return nil
+}
+
+// parseSync maps -sync onto the durability policy: always, never, or a
+// positive fsync interval.
+func parseSync(s string) (oodb.SyncPolicy, error) {
+	switch s {
+	case "always":
+		return oodb.SyncAlways, nil
+	case "never":
+		return oodb.SyncNever, nil
+	}
+	d, err := time.ParseDuration(s)
+	if err != nil || d <= 0 {
+		return oodb.SyncAlways, fmt.Errorf("-sync wants always, never or a positive duration, got %q", s)
+	}
+	return oodb.SyncEvery(d), nil
 }
 
 // smokeCheck proves the wire works end to end: dial, ping, and where

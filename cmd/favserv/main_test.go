@@ -4,6 +4,7 @@ import (
 	"os"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/serv"
 	"repro/oodb"
@@ -36,11 +37,38 @@ end`)
 	}
 	defer live.Close()
 
-	err = serve("", sock, "banking", "fine", "", 0, 0, "always", 0, false, false, true, nil)
+	err = serve("", sock, "banking", "fine", "", 0, "always", 0, false, false, true, nil)
 	if err == nil || !strings.Contains(err.Error(), "already has a live server") {
 		t.Fatalf("second serve on a live socket: err = %v, want the live-server refusal", err)
 	}
 	if _, err := os.Stat(sock); err != nil {
 		t.Fatalf("live server's socket file is gone: %v", err)
+	}
+}
+
+// -sync maps onto oodb.SyncPolicy directly: the two names, or a
+// positive fsync interval; anything else is refused.
+func TestParseSync(t *testing.T) {
+	for _, tc := range []struct {
+		flag string
+		want oodb.SyncPolicy
+	}{
+		{"always", oodb.SyncAlways},
+		{"never", oodb.SyncNever},
+		{"2ms", oodb.SyncEvery(2 * time.Millisecond)},
+	} {
+		got, err := parseSync(tc.flag)
+		if err != nil {
+			t.Errorf("-sync %s: %v", tc.flag, err)
+			continue
+		}
+		if got.String() != tc.want.String() {
+			t.Errorf("-sync %s = %s, want %s", tc.flag, got, tc.want)
+		}
+	}
+	for _, bad := range []string{"0s", "-1ms", "sometimes"} {
+		if got, err := parseSync(bad); err == nil {
+			t.Errorf("-sync %s accepted as %s", bad, got)
+		}
 	}
 }

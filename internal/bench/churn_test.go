@@ -4,7 +4,6 @@ import (
 	"math/rand"
 	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/engine"
@@ -159,7 +158,7 @@ func TestEngineChurnPreservesPopulation(t *testing.T) {
 // the shared population with the full balance.
 func TestRecoveryEngineScenarioDurable(t *testing.T) {
 	for _, churn := range []bool{false, true} {
-		o := engine.Options{Durable: true, Dir: t.TempDir(), GroupCommitWindow: 50 * time.Microsecond}
+		o := engine.Options{Durable: true, Dir: t.TempDir()}
 		db := openBankingDB(t, o)
 		shared := newAccounts(t, db, churnShared)
 		deposits := runBanking(t, db, shared, 40, churn)

@@ -1,8 +1,6 @@
 package engine
 
 import (
-	"time"
-
 	"repro/internal/core"
 	"repro/internal/lock"
 	"repro/internal/storage"
@@ -21,10 +19,6 @@ type Options struct {
 	Durable bool
 	// Dir is the log directory (Durable only).
 	Dir string
-	// GroupCommitWindow is how long the log's writer goroutine waits to
-	// batch concurrent commits into one fsync (0 = batch only what is
-	// already queued).
-	GroupCommitWindow time.Duration
 	// CheckpointBytes auto-checkpoints when the live log segment
 	// exceeds this size (0 = manual Checkpoint only).
 	CheckpointBytes int64
@@ -33,9 +27,6 @@ type Options struct {
 	// bounded by d), or wal.SyncNever (relaxed: survives process
 	// crashes, not power loss).
 	Sync wal.SyncPolicy
-	// RecoveryWorkers bounds replay parallelism on Open and Checkpoint
-	// (0 = GOMAXPROCS, 1 = single-threaded).
-	RecoveryWorkers int
 	// FS overrides the filesystem under the redo log (nil: the real
 	// OS). Fault-injection tests stand a wal.FaultFS here to torture
 	// the durable path and exercise degraded read-only mode.
@@ -51,11 +42,6 @@ type Options struct {
 	// returns nil. The instrumented paths reduce to one nil check; the
 	// overhead experiments open both ways and diff the throughput.
 	NoMetrics bool
-	// SlowTxnThreshold arms the transaction flight recorder from the
-	// start: transactions slower than this capture their event traces
-	// for SlowTxns. Zero leaves the recorder disarmed (it can still be
-	// armed later via SetSlowTxnThreshold).
-	SlowTxnThreshold time.Duration
 }
 
 // OpenWithOptions builds a database around a compiled schema with fresh
@@ -94,18 +80,13 @@ func OpenWithOptions(c *core.Compiled, o Options) (*DB, error) {
 		db.metrics = newDBMetrics(db)
 	}
 	db.ecPool.New = func() any { return &execCtx{} }
-	if o.SlowTxnThreshold > 0 {
-		db.flight.SetThreshold(o.SlowTxnThreshold)
-	}
 	if !o.Durable {
 		return db, nil
 	}
 	log, info, err := wal.Open(o.Dir, db.Store, wal.Options{
-		GroupCommitWindow: o.GroupCommitWindow,
-		CheckpointBytes:   o.CheckpointBytes,
-		Sync:              o.Sync,
-		RecoveryWorkers:   o.RecoveryWorkers,
-		FS:                o.FS,
+		CheckpointBytes: o.CheckpointBytes,
+		Sync:            o.Sync,
+		FS:              o.FS,
 	})
 	if err != nil {
 		return nil, err

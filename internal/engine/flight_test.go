@@ -126,15 +126,15 @@ func TestFlightRecorderCapturesCommitAndFsync(t *testing.T) {
 				t.Fatal(err)
 			}
 			db, err := OpenWithOptions(c, Options{
-				Strategy:         FineCC{},
-				Durable:          true,
-				Dir:              t.TempDir(),
-				SlowTxnThreshold: time.Nanosecond,
+				Strategy: FineCC{},
+				Durable:  true,
+				Dir:      t.TempDir(),
 			})
 			if err != nil {
 				t.Fatal(err)
 			}
 			defer db.Close()
+			db.SetSlowTxnThreshold(time.Nanosecond)
 			oid := seedOne(t, db)
 			if err := db.RunWithRetryCtx(tc.ctx, func(tx *txn.Txn) error {
 				_, err := db.Send(tx, oid, "m1", storage.IntV(1))

@@ -19,8 +19,6 @@ import (
 
 // Config tunes a Server beyond its listener.
 type Config struct {
-	// MaxFrame bounds request payloads (0: DefaultMaxFrame).
-	MaxFrame int
 	// Logf, when non-nil, receives connection-level diagnostics
 	// (handshake failures, protocol errors). The data path never logs.
 	Logf func(format string, args ...any)
@@ -98,9 +96,6 @@ func Listen(db *oodb.Database, network, addr string, cfg Config) (*Server, error
 // database takes one server per address for its lifetime: serving it
 // on an address it was served on before panics.
 func Serve(db *oodb.Database, ln net.Listener, cfg Config) *Server {
-	if cfg.MaxFrame <= 0 {
-		cfg.MaxFrame = DefaultMaxFrame
-	}
 	s := &Server{db: db, ln: ln, cfg: cfg, sessions: make(map[*session]struct{})}
 	s.registerMetrics()
 	s.acceptWG.Add(1)
@@ -268,7 +263,7 @@ func (sess *session) readLoop() {
 		oids []oodb.OID // per-batch CmdNew results for target references
 	)
 	for {
-		buf, err = ReadFrame(br, s.cfg.MaxFrame, buf)
+		buf, err = ReadFrame(br, DefaultMaxFrame, buf)
 		if err != nil {
 			if !s.closing.Load() && !isConnClosed(err) {
 				s.logf("serv: read: %v", err)
@@ -308,20 +303,14 @@ func (sess *session) writeLoop() {
 			p.buf = appendErrResponse(p.buf[:0], p.id, err)
 			err = WriteFrame(bw, &hdr, p.buf)
 		}
+		// Answered or not, this request is no longer in flight.
+		s.inflight.Add(-1)
+		if err == nil && len(sess.out) == 0 {
+			err = bw.Flush()
+		}
 		if err != nil {
 			sess.drainPendings()
-			s.connsActive.Add(-1)
-			sess.conn.Close()
-			return
-		}
-		s.inflight.Add(-1)
-		if len(sess.out) == 0 {
-			if err := bw.Flush(); err != nil {
-				sess.drainPendings()
-				s.connsActive.Add(-1)
-				sess.conn.Close()
-				return
-			}
+			break
 		}
 	}
 	bw.Flush()

@@ -66,7 +66,7 @@ func dial(t *testing.T, addr string) *client.Client {
 }
 
 func TestServerEndToEnd(t *testing.T) {
-	addr, db, srv := startServer(t, "banking", oodb.DefaultOptions())
+	addr, db, srv := startServer(t, "banking", oodb.Options{})
 	defer db.Close()
 	defer srv.Close()
 	c := dial(t, addr)
@@ -158,7 +158,7 @@ func TestServerEndToEnd(t *testing.T) {
 }
 
 func TestServerErrorTaxonomy(t *testing.T) {
-	addr, db, srv := startServer(t, "banking", oodb.DefaultOptions())
+	addr, db, srv := startServer(t, "banking", oodb.Options{})
 	defer db.Close()
 	defer srv.Close()
 	c := dial(t, addr)
@@ -234,7 +234,7 @@ func TestServerErrorTaxonomy(t *testing.T) {
 }
 
 func TestServerPipelined(t *testing.T) {
-	addr, db, srv := startServer(t, "banking", oodb.DefaultOptions())
+	addr, db, srv := startServer(t, "banking", oodb.Options{})
 	defer db.Close()
 	defer srv.Close()
 	c := dial(t, addr)
@@ -309,7 +309,7 @@ func TestServerPipelined(t *testing.T) {
 }
 
 func TestServerGracefulDrain(t *testing.T) {
-	addr, db, srv := startServer(t, "banking", oodb.DefaultOptions())
+	addr, db, srv := startServer(t, "banking", oodb.Options{})
 	defer db.Close()
 	c := dial(t, addr)
 	ctx := context.Background()
@@ -377,7 +377,7 @@ func TestServerGracefulDrain(t *testing.T) {
 }
 
 func TestServerSurvivesGarbage(t *testing.T) {
-	addr, db, srv := startServer(t, "banking", oodb.DefaultOptions())
+	addr, db, srv := startServer(t, "banking", oodb.Options{})
 	defer db.Close()
 	defer srv.Close()
 
@@ -533,6 +533,67 @@ func TestOversizedFrameFailsAlone(t *testing.T) {
 	}
 }
 
+// A peer that leaves while its response is being written takes that
+// request out of the in-flight count with it. The response (1 MiB) is
+// larger than the session's write buffer and the socket's, so the write
+// itself fails rather than a later flush.
+func TestServerInflightAfterPeerLeaves(t *testing.T) {
+	schema, err := oodb.Compile(docSchema)
+	if err != nil {
+		t.Fatal(err)
+	}
+	db, err := oodb.Open(schema, oodb.Fine)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	var oid oodb.OID
+	if err := db.Update(func(tx *oodb.Txn) error {
+		oid, err = tx.New("doc", strings.Repeat("x", 1<<20))
+		return err
+	}); err != nil {
+		t.Fatal(err)
+	}
+	sock := filepath.Join(t.TempDir(), "serv.sock")
+	srv, err := serv.Listen(db, "unix", sock, serv.Config{Logf: t.Logf})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+
+	raw, err := net.Dial("unix", sock)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := serv.WriteHandshake(raw); err != nil {
+		t.Fatal(err)
+	}
+	if err := serv.ReadHandshake(raw); err != nil {
+		t.Fatal(err)
+	}
+	payload, err := serv.AppendRequest(nil, &serv.Request{ID: 1, Op: serv.OpTxn, Flags: serv.FlagView,
+		Cmds: []serv.Cmd{{Kind: serv.CmdSend, Ref: -1, OID: uint64(oid), Method: "get"}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var hdr [8]byte
+	if err := serv.WriteFrame(raw, &hdr, payload); err != nil {
+		t.Fatal(err)
+	}
+	raw.Close()
+
+	deadline := time.Now().Add(5 * time.Second)
+	for srv.Stats().ConnsActive != 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("the session outlived its peer")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if st := srv.Stats(); st.Inflight != 0 || st.Requests != 1 {
+		t.Fatalf("after the peer left: %d in flight of %d requests, want 0 of 1", st.Inflight, st.Requests)
+	}
+}
+
 // goldenOps builds a deterministic workload over the named schema.
 type goldenOp struct {
 	objIdx int
@@ -597,7 +658,7 @@ func TestServerGoldenDifferential(t *testing.T) {
 			ops := goldenWorkload(schemaName, nObjs, nOps)
 
 			// Embedded leg.
-			edb := openDB(t, schemaName, oodb.DefaultOptions())
+			edb := openDB(t, schemaName, oodb.Options{})
 			defer edb.Close()
 			var eOIDs []oodb.OID
 			if err := edb.Update(func(tx *oodb.Txn) error {
@@ -627,7 +688,7 @@ func TestServerGoldenDifferential(t *testing.T) {
 			}
 
 			// Wire leg: same ops, one client batch per transaction.
-			addr, wdb, srv := startServer(t, schemaName, oodb.DefaultOptions())
+			addr, wdb, srv := startServer(t, schemaName, oodb.Options{})
 			defer wdb.Close()
 			defer srv.Close()
 			c := dial(t, addr)

@@ -182,7 +182,7 @@ func TestStatsAreRegistryViews(t *testing.T) {
 // scrape with duplicate samples, and the JSON page would keep only one
 // of two equal keys).
 func TestServersOnOneDatabaseExportDistinctSeries(t *testing.T) {
-	sock1, db, srv1 := startServer(t, "banking", oodb.DefaultOptions())
+	sock1, db, srv1 := startServer(t, "banking", oodb.Options{})
 	defer db.Close()
 	defer srv1.Close()
 	sock2 := filepath.Join(t.TempDir(), "second.sock")

@@ -3,27 +3,28 @@ package txn
 import (
 	"context"
 	"testing"
-	"time"
 
 	"repro/internal/lock"
 	"repro/internal/wal"
 )
 
 // A pipelined commit releases its locks once the record is sequenced,
-// not when it is hardened: with a group-commit window parked far in the
-// future, a conflicting transaction acquires the released lock
-// immediately while the durability future is still unresolved; closing
-// the log then hardens the batch and resolves the future cleanly. No
-// timing assertions — if the locks were not released, the second
-// acquire would block until the test times out.
+// not when it is hardened: with the batch's fsync parked on a gate, a
+// conflicting transaction acquires the released lock immediately while
+// the durability future is still unresolved; opening the gate and
+// closing the log then hardens the batch and resolves the future
+// cleanly. No timing assertions — if the locks were not released, the
+// second acquire would block until the test times out.
 func TestCommitPipelinedReleasesLocksBeforeHarden(t *testing.T) {
 	m, st, s := setup(t)
 	dir := t.TempDir()
-	w, _, err := wal.Open(dir, st, wal.Options{GroupCommitWindow: 10 * time.Second})
+	fs := newGateFS()
+	w, _, err := wal.Open(dir, st, wal.Options{FS: fs})
 	if err != nil {
 		t.Fatal(err)
 	}
 	m.SetWAL(w)
+	fs.armed.Store(true)
 
 	cls := s.Order[0]
 	tx := m.Begin()
@@ -44,7 +45,8 @@ func TestCommitPipelinedReleasesLocksBeforeHarden(t *testing.T) {
 		t.Fatalf("state %v after pipelined commit", tx.State())
 	}
 
-	// The lock is free although the fsync is still parked on the window.
+	// The lock is free although the fsync is still parked on the gate.
+	<-fs.parked
 	tx2 := m.Begin()
 	if err := m.Locks().Acquire(tx2.ID, res, lock.X); err != nil {
 		t.Fatalf("lock not released at sequencing: %v", err)
@@ -52,6 +54,7 @@ func TestCommitPipelinedReleasesLocksBeforeHarden(t *testing.T) {
 	tx2.Abort()
 
 	// Close drains the batch; the future resolves durable.
+	close(fs.gate)
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}

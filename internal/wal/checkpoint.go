@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 
 	"repro/internal/codec"
 	"repro/internal/schema"
@@ -256,7 +257,7 @@ func (l *Log) Checkpoint() error {
 	if err != nil {
 		return err
 	}
-	r := newReplayer(scratch, l.sch, l.opts.RecoveryWorkers)
+	r := newReplayer(scratch, l.sch, runtime.GOMAXPROCS(0))
 	r.maxEpoch = ckptEpoch
 	for seq := base + 1; seq <= sealed; seq++ {
 		path := segmentPath(l.dir, seq)

@@ -81,28 +81,14 @@ func (p SyncPolicy) String() string {
 	return "sync(?)"
 }
 
-// Options tunes the log.
+// Options configures the log.
 type Options struct {
-	// GroupCommitWindow is how long the writer goroutine waits for more
-	// concurrent commits to join a batch after the first one arrives.
-	// Zero still batches everything already queued (natural group
-	// commit) but never waits; larger windows trade commit latency for
-	// fewer fsyncs under load.
-	GroupCommitWindow time.Duration
 	// CheckpointBytes auto-triggers a checkpoint when the live segment
 	// exceeds this size. Zero disables auto-checkpointing (Checkpoint
 	// can still be called manually).
 	CheckpointBytes int64
-	// MaxBatch bounds the number of commits fused into one write+fsync
-	// (default 1024).
-	MaxBatch int
 	// Sync is the hardening policy (default SyncAlways). See SyncPolicy.
 	Sync SyncPolicy
-	// RecoveryWorkers bounds the replay parallelism of Open and
-	// Checkpoint: records touching different OIDs commute, so replay
-	// partitions ops by instance and applies them on this many
-	// goroutines. 0 means GOMAXPROCS; 1 forces single-threaded replay.
-	RecoveryWorkers int
 	// FS is the filesystem under the log (nil: the real OS). Every
 	// durable byte moves through it, so tests inject a FaultFS here to
 	// torture each I/O point the log issues. The default adapter adds
@@ -110,11 +96,11 @@ type Options struct {
 	FS FS
 }
 
+// maxBatch bounds the number of commits fused into one write+fsync.
+const maxBatch = 1024
+
 // normalize fills in defaults.
 func (o *Options) normalize() {
-	if o.MaxBatch <= 0 {
-		o.MaxBatch = 1024
-	}
 	if o.FS == nil {
 		o.FS = osFS{}
 	}
@@ -143,7 +129,6 @@ type RecoveryInfo struct {
 	Segments           int    // log segments replayed
 	Records            int64  // commit records applied
 	TornTailBytes      int64  // bytes truncated off the final segment
-	Workers            int    // replay goroutines used
 	Epoch              uint64 // highest commit epoch recovered; the store's clock restarts past it
 }
 
@@ -259,12 +244,11 @@ type Log struct {
 	// Writer-goroutine-owned state.
 	seq       uint64 // current segment sequence
 	f         File
-	size      int64     // bytes in the live segment (== file size)
-	unsynced  int64     // bytes written since the last fsync
-	lastSync  time.Time // when the last fsync completed
-	scratch   []byte    // batch concatenation buffer
-	batch     []*commit // reused batch slice
-	timer     *time.Timer
+	size      int64       // bytes in the live segment (== file size)
+	unsynced  int64       // bytes written since the last fsync
+	lastSync  time.Time   // when the last fsync completed
+	scratch   []byte      // batch concatenation buffer
+	batch     []*commit   // reused batch slice
 	syncTimer *time.Timer // SyncEvery idle-hardening timer
 
 	baseSeq atomic.Uint64 // highest checkpointed (dead) segment
@@ -305,7 +289,6 @@ func (l *Log) start() {
 	l.submitCh = make(chan *commit, 4096)
 	l.rotateCh = make(chan *rotateReq)
 	l.done = make(chan struct{})
-	l.timer = newStoppedTimer()
 	l.syncTimer = newStoppedTimer()
 	l.lastSync = time.Now()
 	l.commits.New = func() any {
@@ -399,16 +382,15 @@ func (l *Log) run() {
 const collectYields = 3
 
 // collect gathers one group-commit batch: everything already queued,
-// then everything a few processor yields shake loose, then — if a
-// window is configured — whatever else arrives before the window
-// closes or the batch fills.
+// then everything a few processor yields shake loose, until the batch
+// fills or a round of yields brings nothing new. It never waits on a
+// clock.
 func (l *Log) collect(batch []*commit, first *commit) []*commit {
 	batch = append(batch, first)
-	deadline := time.Now().Add(l.opts.GroupCommitWindow)
 	yields := 0
 	for {
 		grew := false
-		for len(batch) < l.opts.MaxBatch {
+		for len(batch) < maxBatch {
 			select {
 			case c, ok := <-l.submitCh:
 				if !ok {
@@ -421,38 +403,17 @@ func (l *Log) collect(batch []*commit, first *commit) []*commit {
 			}
 			break
 		}
-		if len(batch) >= l.opts.MaxBatch {
+		if len(batch) >= maxBatch {
 			return batch
 		}
 		if grew {
 			yields = 0 // arrivals reset the yield budget: keep shaking
 		}
-		if yields < collectYields {
-			yields++
-			runtime.Gosched()
-			continue
-		}
-		if l.opts.GroupCommitWindow <= 0 {
+		if yields >= collectYields {
 			return batch
 		}
-		rem := time.Until(deadline)
-		if rem <= 0 {
-			return batch
-		}
-		l.timer.Reset(rem)
-		select {
-		case c, ok := <-l.submitCh:
-			if !l.timer.Stop() {
-				<-l.timer.C
-			}
-			if !ok {
-				return batch
-			}
-			batch = append(batch, c)
-			yields = 0
-		case <-l.timer.C:
-			return batch
-		}
+		yields++
+		runtime.Gosched()
 	}
 }
 

@@ -413,9 +413,46 @@ func bigWorkload(t *testing.T, dir string, n int) {
 	}
 }
 
+// replayWith replays the only segment in dir into a fresh store on the
+// given number of workers, as Open does, without opening a log: the
+// segment is left as it is. It returns the store, the records applied
+// and the torn-tail offset (-1: none).
+func replayWith(t *testing.T, dir string, workers int) (*storage.Store, int, int64) {
+	t.Helper()
+	data, err := os.ReadFile(segmentPath(dir, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := newTestStore(t)
+	records, tornAt, err := newReplayer(st, st.Schema(), workers).segment(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st.SortExtents()
+	return st, records, tornAt
+}
+
+// sameStore fails the test unless two replays produced the same
+// instances, slots, extent order (both normalized to ascending OIDs)
+// and OID watermark.
+func sameStore(t *testing.T, what string, got, want *storage.Store) {
+	t.Helper()
+	if !reflect.DeepEqual(storeImage(got), storeImage(want)) {
+		t.Fatalf("%s: replay diverged from sequential", what)
+	}
+	if got.MaxOID() != want.MaxOID() {
+		t.Fatalf("%s: MaxOID %d vs %d", what, got.MaxOID(), want.MaxOID())
+	}
+	// Extent order is part of the contract (deterministic merge).
+	for _, cls := range want.Schema().Order {
+		if !reflect.DeepEqual(got.ExtentOf(cls), want.ExtentOf(cls)) {
+			t.Fatalf("%s: extent order of %s diverged", what, cls.Name)
+		}
+	}
+}
+
 // Parallel replay must produce byte-identical state to single-threaded
-// replay — same instances, same slots, same extent order (both are
-// normalized to ascending OIDs), same OID watermark.
+// replay, and so must Open, which replays on GOMAXPROCS workers.
 func TestRecoveryParallelMatchesSequential(t *testing.T) {
 	dir := t.TempDir()
 	oldMin := minParallelReplayOps
@@ -423,39 +460,26 @@ func TestRecoveryParallelMatchesSequential(t *testing.T) {
 	defer func() { minParallelReplayOps = oldMin }()
 	bigWorkload(t, dir, 3000)
 
-	recover := func(workers int) (*storage.Store, RecoveryInfo) {
-		st := newTestStore(t)
-		l, info, err := Open(dir, st, Options{RecoveryWorkers: workers})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := l.Close(); err != nil {
-			t.Fatal(err)
-		}
-		return st, info
-	}
-	stSeq, infoSeq := recover(1)
+	stSeq, recSeq, _ := replayWith(t, dir, 1)
 	for _, workers := range []int{2, 4, 8} {
-		stPar, infoPar := recover(workers)
-		if infoPar.Records != infoSeq.Records {
-			t.Fatalf("workers=%d replayed %d records, sequential %d", workers, infoPar.Records, infoSeq.Records)
+		stPar, recPar, _ := replayWith(t, dir, workers)
+		if recPar != recSeq {
+			t.Fatalf("workers=%d replayed %d records, sequential %d", workers, recPar, recSeq)
 		}
-		if infoPar.Workers != workers {
-			t.Fatalf("RecoveryInfo.Workers = %d, want %d", infoPar.Workers, workers)
-		}
-		if got, want := storeImage(stPar), storeImage(stSeq); !reflect.DeepEqual(got, want) {
-			t.Fatalf("workers=%d: parallel replay diverged from sequential", workers)
-		}
-		if stPar.MaxOID() != stSeq.MaxOID() {
-			t.Fatalf("workers=%d: MaxOID %d vs %d", workers, stPar.MaxOID(), stSeq.MaxOID())
-		}
-		// Extent order is part of the contract (deterministic merge).
-		for _, cls := range stSeq.Schema().Order {
-			if !reflect.DeepEqual(stPar.ExtentOf(cls), stSeq.ExtentOf(cls)) {
-				t.Fatalf("workers=%d: extent order of %s diverged", workers, cls.Name)
-			}
-		}
+		sameStore(t, fmt.Sprintf("workers=%d", workers), stPar, stSeq)
 	}
+	st := newTestStore(t)
+	l, info, err := Open(dir, st, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if info.Records != int64(recSeq) {
+		t.Fatalf("Open replayed %d records, sequential %d", info.Records, recSeq)
+	}
+	sameStore(t, "Open", st, stSeq)
 }
 
 // The parallel path honors torn tails exactly like the sequential one.
@@ -474,30 +498,24 @@ func TestRecoveryParallelTornTail(t *testing.T) {
 	if err := os.WriteFile(segmentPath(crashDir, 1), data[:cut], 0o644); err != nil {
 		t.Fatal(err)
 	}
+	stPar, recPar, tornPar := replayWith(t, crashDir, 4)
+	stSeq, recSeq, tornSeq := replayWith(t, crashDir, 1)
+	if tornPar < 0 {
+		t.Fatal("parallel replay missed the torn tail")
+	}
+	if recPar != recSeq || tornPar != tornSeq {
+		t.Fatalf("parallel %d records torn at %d, sequential %d torn at %d", recPar, tornPar, recSeq, tornSeq)
+	}
+	sameStore(t, "torn tail, workers=4", stPar, stSeq)
+
 	st := newTestStore(t)
-	l, info, err := Open(crashDir, st, Options{RecoveryWorkers: 4})
+	l, info, err := Open(crashDir, st, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer l.Close()
-	if info.TornTailBytes == 0 {
-		t.Fatal("parallel recovery missed the torn tail")
+	if info.Records != int64(recSeq) || info.TornTailBytes != cut-tornSeq {
+		t.Fatalf("Open: %+v, sequential %d records torn at %d of %d bytes", info, recSeq, tornSeq, cut)
 	}
-	// Reference: sequential recovery of the same bytes.
-	seqDir := t.TempDir()
-	if err := os.WriteFile(segmentPath(seqDir, 1), data[:cut], 0o644); err != nil {
-		t.Fatal(err)
-	}
-	st2 := newTestStore(t)
-	l2, info2, err := Open(seqDir, st2, Options{RecoveryWorkers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l2.Close()
-	if info.Records != info2.Records || info.TornTailBytes != info2.TornTailBytes {
-		t.Fatalf("parallel %+v vs sequential %+v", info, info2)
-	}
-	if !reflect.DeepEqual(storeImage(st), storeImage(st2)) {
-		t.Fatal("parallel torn-tail recovery diverged from sequential")
-	}
+	sameStore(t, "torn tail, Open", st, stSeq)
 }

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sort"
 	"strings"
 
@@ -83,7 +84,7 @@ func checkFingerprint(fsys FS, dir string, sch *schema.Schema) error {
 // the newest intact checkpoint (falling back to checkpoint.prev when the
 // primary is corrupt or half-renamed), replays every later segment in
 // sequence order with idempotent apply — partitioned by instance across
-// o.RecoveryWorkers goroutines when a segment is large enough, since
+// GOMAXPROCS goroutines when a segment is large enough, since
 // records touching different OIDs commute — truncates a torn tail off
 // the final segment (a crash mid-batch leaves at most one incomplete
 // record suffix, since every batch is written before any commit in it
@@ -119,8 +120,7 @@ func Open(dir string, st *storage.Store, o Options) (*Log, RecoveryInfo, error) 
 	if err != nil {
 		return nil, RecoveryInfo{}, err
 	}
-	r := newReplayer(st, sch, o.RecoveryWorkers)
-	info.Workers = r.workers
+	r := newReplayer(st, sch, runtime.GOMAXPROCS(0))
 	last := base // highest segment seen; the log appends to (or after) it
 	for i, seq := range seqs {
 		if seq <= base {

@@ -8,7 +8,7 @@ package wal
 // So the replayer scans each segment sequentially (frame validation,
 // CRC, torn-tail detection — the cheap part), partitions the ops of its
 // valid records by a hash of their OID, and applies the partitions on
-// RecoveryWorkers goroutines. Every partition preserves log order for
+// GOMAXPROCS goroutines. Every partition preserves log order for
 // the OIDs it owns, which keeps the idempotent-apply rules (skip writes
 // to missing instances, overwrite re-created images) byte-identical to
 // sequential replay.
@@ -22,7 +22,6 @@ package wal
 import (
 	"encoding/binary"
 	"fmt"
-	"runtime"
 	"sync"
 	"sync/atomic"
 
@@ -53,10 +52,9 @@ type replayer struct {
 	buckets  [][]opRef // per-worker op lists, reused across segments
 }
 
+// newReplayer returns a replayer applying on the given number of
+// goroutines; Open and Checkpoint use GOMAXPROCS.
 func newReplayer(st *storage.Store, sch *schema.Schema, workers int) *replayer {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
 	return &replayer{st: st, sch: sch, workers: workers, maxOID: uint64(st.MaxOID())}
 }
 

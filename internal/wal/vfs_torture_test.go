@@ -129,7 +129,7 @@ func rebuildLive(st *storage.Store) []*storage.Instance {
 func runTorture(t *testing.T, dir string, fsys FS, enospc, flip bool) []image {
 	t.Helper()
 	ts := &tortureState{t: t, enospc: enospc, flip: flip, model: image{}, acked: []image{{}}}
-	opts := Options{FS: fsys, RecoveryWorkers: 1}
+	opts := Options{FS: fsys}
 
 	st := newTestStore(t)
 	l, _, err := Open(dir, st, opts)
@@ -178,7 +178,7 @@ func runTorture(t *testing.T, dir string, fsys FS, enospc, flip bool) []image {
 func verifyTorture(t *testing.T, dir string, acked []image, flip bool) {
 	t.Helper()
 	st := newTestStore(t)
-	l, _, err := Open(dir, st, Options{RecoveryWorkers: 1})
+	l, _, err := Open(dir, st, Options{})
 	if err != nil {
 		if flip {
 			return // detected silent corruption; a clean refusal is valid
@@ -337,7 +337,7 @@ func TestTortureCheckpointCorruptPrimaryFallsBack(t *testing.T) {
 				t.Fatal(err)
 			}
 			st := newTestStore(t)
-			l, info, err := Open(dir, st, Options{RecoveryWorkers: 1})
+			l, info, err := Open(dir, st, Options{})
 			if err != nil {
 				t.Fatalf("fallback open failed: %v", err)
 			}
@@ -360,7 +360,7 @@ func TestTortureFirstCheckpointCorruptFullReplay(t *testing.T) {
 	dir := t.TempDir()
 	ts := &tortureState{t: t, model: image{}, acked: []image{{}}}
 	st := newTestStore(t)
-	l, _, err := Open(dir, st, Options{RecoveryWorkers: 1})
+	l, _, err := Open(dir, st, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -389,7 +389,7 @@ func TestTortureFirstCheckpointCorruptFullReplay(t *testing.T) {
 		t.Fatal(err)
 	}
 	st2 := newTestStore(t)
-	l2, info, err := Open(dir, st2, Options{RecoveryWorkers: 1})
+	l2, info, err := Open(dir, st2, Options{})
 	if err != nil {
 		t.Fatalf("full-replay fallback failed: %v", err)
 	}
@@ -420,7 +420,7 @@ func TestTortureBothCheckpointsCorrupt(t *testing.T) {
 		}
 	}
 	st := newTestStore(t)
-	_, _, err := Open(dir, st, Options{RecoveryWorkers: 1})
+	_, _, err := Open(dir, st, Options{})
 	if err == nil {
 		t.Fatal("open succeeded over two corrupt checkpoints")
 	}

@@ -8,7 +8,6 @@ import (
 	"reflect"
 	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/codec"
 	"repro/internal/schema"
@@ -404,12 +403,12 @@ func TestRecoveryIgnoresCheckpointTmp(t *testing.T) {
 	}
 }
 
-// Concurrent committers share fsyncs through the group-commit window,
-// and everything each of them was acknowledged for survives recovery.
+// Concurrent committers share fsyncs through group commit, and
+// everything each of them was acknowledged for survives recovery.
 func TestRecoveryGroupCommitConcurrent(t *testing.T) {
 	dir := t.TempDir()
 	st := newTestStore(t)
-	l, _, err := Open(dir, st, Options{GroupCommitWindow: 200 * time.Microsecond})
+	l, _, err := Open(dir, st, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -359,6 +359,18 @@ func (p *Pending) Wait() (*Results, error) {
 	return &p.res, nil
 }
 
+// waitCtx is Wait bounded by ctx. A response that arrives after the
+// wait gave up is still consumed by the reader, and dropped.
+func (p *Pending) waitCtx(ctx context.Context) error {
+	p.c.flush()
+	select {
+	case <-p.ch:
+		return p.err
+	case <-ctx.Done():
+		return fmt.Errorf("client: waiting for the response: %w", ctx.Err())
+	}
+}
+
 // Done reports without blocking whether the response has arrived. Like
 // Wait, it flushes any buffered requests first, so polling Done makes
 // progress.
@@ -379,9 +391,10 @@ func (p *Pending) Done() bool {
 // Requests are buffered and put on the wire by the first Wait (or
 // Done) that needs them, so a burst of Starts costs one write syscall;
 // a Start never followed by any Wait on the connection may sit in the
-// buffer. ctx bounds the enqueue and travels to the server as the
-// transaction's deadline; cancelling ctx after Start does not chase
-// the request.
+// buffer. ctx's deadline travels to the server as the transaction's
+// deadline (one already past fails here); that is all ctx does:
+// neither Start nor Wait watches it, and cancelling it after Start
+// does not chase the request.
 func (c *Client) Start(ctx context.Context, t *Tx) (*Pending, error) {
 	if t.err != nil {
 		return nil, t.err
@@ -413,25 +426,28 @@ func (c *Client) Do(ctx context.Context, t *Tx) (*Results, error) {
 	return p.Wait()
 }
 
-// Ping round-trips an empty request.
+// Ping round-trips an empty request. ctx bounds the wait for the
+// answer: on expiry Ping returns an error wrapping ctx.Err().
 func (c *Client) Ping(ctx context.Context) error {
 	p, err := c.send(&serv.Request{Op: serv.OpPing})
 	if err != nil {
 		return err
 	}
-	_, err = p.Wait()
-	return err
+	return p.waitCtx(ctx)
 }
 
-// ServerStats returns the server's counter snapshot as JSON.
+// ServerStats returns the server's counter snapshot as JSON. ctx bounds
+// the wait as in Ping.
 func (c *Client) ServerStats(ctx context.Context) (string, error) {
 	req := serv.Request{Op: serv.OpStats}
 	p, err := c.send(&req) // send marks the Pending as a stats reply
 	if err != nil {
 		return "", err
 	}
-	_, err = p.Wait()
-	return p.stats, err
+	if err := p.waitCtx(ctx); err != nil {
+		return "", err
+	}
+	return p.stats, nil
 }
 
 // send assigns an ID, registers the Pending and writes the frame into

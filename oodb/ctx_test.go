@@ -3,8 +3,12 @@ package oodb
 import (
 	"context"
 	"errors"
+	"os"
+	"sync/atomic"
 	"testing"
 	"time"
+
+	"repro/internal/wal"
 )
 
 const ctxAccountSchema = `
@@ -101,8 +105,40 @@ func TestUpdateCtxCanceledInLockWait(t *testing.T) {
 	}
 }
 
+// gateFS is a slow disk: once armed, every file Sync parks until the
+// gate opens (is closed).
+type gateFS struct {
+	wal.FS
+	armed atomic.Bool
+	gate  chan struct{}
+}
+
+func newGateFS() *gateFS {
+	return &gateFS{FS: wal.NewFaultFS(nil, wal.FaultPlan{FailAt: -1}), gate: make(chan struct{})}
+}
+
+func (g *gateFS) OpenFile(name string, flag int, perm os.FileMode) (wal.File, error) {
+	f, err := g.FS.OpenFile(name, flag, perm)
+	if err != nil {
+		return nil, err
+	}
+	return &gateFile{File: f, g: g}, nil
+}
+
+type gateFile struct {
+	wal.File
+	g *gateFS
+}
+
+func (f *gateFile) Sync() error {
+	if f.g.armed.Load() {
+		<-f.g.gate
+	}
+	return f.File.Sync()
+}
+
 // Future.WaitCtx: an acknowledged commit resolves nil under a live
-// context; a cancellation while the group commit is still parked
+// context; a cancellation while the group commit's fsync is parked
 // abandons only the wait — the commit is applied, reported as unacked,
 // and durable once the log drains.
 func TestFutureWaitCtxCancelVsAck(t *testing.T) {
@@ -123,22 +159,12 @@ func TestFutureWaitCtxCancelVsAck(t *testing.T) {
 		}
 	})
 	t.Run("cancel", func(t *testing.T) {
+		// The lone commit below stays sequenced but unhardened while its
+		// fsync is parked on the gate.
 		dir := t.TempDir()
-		db, acct := ctxAccountDB(t, Options{Dir: dir})
-		if err := db.Close(); err != nil {
-			t.Fatal(err)
-		}
-		// Reopen with the group-commit window parked far in the future:
-		// the lone commit below stays sequenced-but-unhardened until
-		// Close drains the batch.
-		s, err := Compile(ctxAccountSchema)
-		if err != nil {
-			t.Fatal(err)
-		}
-		db, err = OpenWith(s, Fine, Options{Dir: dir, GroupCommitWindow: time.Hour})
-		if err != nil {
-			t.Fatal(err)
-		}
+		fs := newGateFS()
+		db, acct := ctxAccountDB(t, Options{Dir: dir, fs: fs})
+		fs.armed.Store(true)
 		fut, err := db.UpdateAsync(func(tx *Txn) error {
 			_, err := tx.Send(acct, "deposit", int64(5))
 			return err
@@ -165,7 +191,12 @@ func TestFutureWaitCtxCancelVsAck(t *testing.T) {
 		if got := balance(db); got != int64(105) {
 			t.Errorf("balance = %v after the abandoned wait, want 105 (commit applied)", got)
 		}
+		close(fs.gate)
 		if err := db.Close(); err != nil {
+			t.Fatal(err)
+		}
+		s, err := Compile(ctxAccountSchema)
+		if err != nil {
 			t.Fatal(err)
 		}
 		re, err := OpenWith(s, Fine, Options{Dir: dir})

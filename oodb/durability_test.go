@@ -220,7 +220,7 @@ func TestRecoveryGoldenCAD(t *testing.T) {
 		t.Fatal(err)
 	}
 	dir := t.TempDir()
-	durable, err := OpenWith(schema, Fine, Options{Dir: dir, GroupCommitWindow: 50 * time.Microsecond})
+	durable, err := OpenWith(schema, Fine, Options{Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -424,7 +424,7 @@ func TestRecoveryConcurrentCommitsSurvive(t *testing.T) {
 		t.Fatal(err)
 	}
 	dir := t.TempDir()
-	db, err := OpenWith(schema, Fine, Options{Dir: dir, GroupCommitWindow: 100 * time.Microsecond})
+	db, err := OpenWith(schema, Fine, Options{Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -567,7 +567,7 @@ func TestRecoverySyncEveryPolicy(t *testing.T) {
 		t.Fatal(err)
 	}
 	dir := t.TempDir()
-	db, err := OpenWith(schema, Fine, Options{Dir: dir, SyncEvery: 100 * time.Millisecond})
+	db, err := OpenWith(schema, Fine, Options{Dir: dir, Sync: SyncEvery(100 * time.Millisecond)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -590,7 +590,7 @@ func TestRecoverySyncEveryPolicy(t *testing.T) {
 	if err := db.Close(); err != nil {
 		t.Fatal(err)
 	}
-	recovered, err := OpenWith(schema, Fine, Options{Dir: dir, SyncEvery: 100 * time.Millisecond})
+	recovered, err := OpenWith(schema, Fine, Options{Dir: dir, Sync: SyncEvery(100 * time.Millisecond)})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"testing"
-	"time"
 
 	"repro/internal/lock"
 	"repro/internal/txn"
@@ -110,19 +109,6 @@ func TestErrorMessage(t *testing.T) {
 	}
 }
 
-func TestOptionsSyncConflict(t *testing.T) {
-	schema, err := Compile("class c is instance variables are x : integer end")
-	if err != nil {
-		t.Fatal(err)
-	}
-	o := DefaultOptions()
-	o.SyncEvery = time.Millisecond
-	o.SyncNever = true
-	if _, err := OpenWith(schema, Fine, o); err == nil {
-		t.Fatal("SyncEvery+SyncNever accepted")
-	}
-}
-
 // OpenWith takes the whole configuration as one struct; a directory
 // written under one Options value recovers under a literal one.
 func TestOptionsOpenWith(t *testing.T) {
@@ -130,11 +116,9 @@ func TestOptionsOpenWith(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	o := DefaultOptions()
+	var o Options
 	o.Dir = t.TempDir()
-	o.GroupCommitWindow = 100 * time.Microsecond
-	o.SyncNever = true
-	o.SlowTxnThreshold = time.Second
+	o.Sync = SyncNever
 	db, err := OpenWith(schema, Fine, o)
 	if err != nil {
 		t.Fatal(err)
@@ -150,7 +134,7 @@ func TestOptionsOpenWith(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Reopen with a struct literal: same directory recovers.
-	db2, err := OpenWith(schema, Fine, Options{Dir: o.Dir, SyncNever: true})
+	db2, err := OpenWith(schema, Fine, Options{Dir: o.Dir, Sync: SyncNever})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -185,10 +185,11 @@ func TestMetricsJSON(t *testing.T) {
 // TestSlowTxns exercises the recorder end to end through the facade.
 func TestSlowTxns(t *testing.T) {
 	s := compileFig1(t)
-	db, err := OpenWith(s, Fine, Options{SlowTxnThreshold: time.Nanosecond})
+	db, err := Open(s, Fine)
 	if err != nil {
 		t.Fatal(err)
 	}
+	db.SetSlowTxnThreshold(time.Nanosecond)
 	var oid OID
 	if err := db.Update(func(tx *Txn) error {
 		var err error

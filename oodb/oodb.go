@@ -545,7 +545,9 @@ func (d *Database) MetricsJSON(w io.Writer) error {
 type SlowTxn = obs.SlowTxn
 
 // SetSlowTxnThreshold arms (or re-tunes) the transaction flight
-// recorder at run time; zero disarms it. While armed, every transaction
+// recorder, which a database opens with disarmed; zero disarms it. Call
+// it right after OpenWith to trace from the first transaction: recovery
+// runs none. While armed, every transaction
 // traces its events into a fixed in-transaction buffer (no allocation),
 // and completions at or above the threshold are captured.
 func (d *Database) SetSlowTxnThreshold(threshold time.Duration) {
