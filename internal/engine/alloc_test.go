@@ -327,7 +327,7 @@ func TestWarmUpdateBesideSnapshotZeroAllocs(t *testing.T) {
 	run()
 
 	const pinned = 600
-	reader := db.BeginSnapshot()
+	reader := db.Txns.BeginSnapshot()
 	beside := testing.AllocsPerRun(pinned, run)
 	if got := in.VersionCount(); got < 2*pinned {
 		t.Errorf("chain holds %d records beside a pinned reader, want at least %d", got, 2*pinned)
@@ -335,7 +335,7 @@ func TestWarmUpdateBesideSnapshotZeroAllocs(t *testing.T) {
 	if beside >= 0.1 {
 		t.Errorf("warm update beside a snapshot allocates %.2f objects/op, want arena blocks only (< 0.1)", beside)
 	}
-	reader.Close()
+	endSnapshot(db, reader)
 
 	run() // prunes everything the reader pinned
 	if got := in.VersionCount(); got > 4 {

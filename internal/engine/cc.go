@@ -27,9 +27,11 @@ import (
 	"repro/internal/schema"
 )
 
-// Acquirer abstracts lock acquisition so a plan can either lock for
-// real (live transaction) or record the lock set it would take (the
-// section 5.2 scenario analysis in internal/bench).
+// Acquirer is where an execution context's lock plans acquire. Every
+// context runs inside a transaction; its acquirer either locks for real
+// (the liveAcquirer getEC binds) or records the lock set it would take
+// (a RecordingSession's Recorder: the section 5.2 scenario analysis in
+// internal/bench).
 type Acquirer interface {
 	Acquire(res lock.ResourceID, mode lock.Mode) error
 }

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"sync"
 	"testing"
 	"time"
@@ -276,6 +277,52 @@ func TestRecordedLockSets(t *testing.T) {
 		if !rw[want] {
 			t.Errorf("rw T1 lock set missing %q: %v", want, rw)
 		}
+	}
+}
+
+// TestRecordingSessionCommitsItsCreations: each recording call is one
+// committed transaction whose lock plans acquire into the Recorder, so
+// an instance the session creates is visible to a later snapshot, the
+// lock manager never sees a request, and nothing is left held.
+func TestRecordingSessionCommitsItsCreations(t *testing.T) {
+	db := newFigure1DB(t, FineCC{})
+	before := db.Locks().Snapshot()
+	rec := NewRecorder()
+	rs := db.NewRecordingSession(rec)
+	in, err := rs.NewInstance("c1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := rs.Send(in.OID, "m1", storage.IntV(7)); err != nil {
+		t.Fatal(err)
+	}
+	if len(rec.Requests) == 0 {
+		t.Error("the recorder captured no lock")
+	}
+	after := db.Locks().Snapshot()
+	if after.Requests != before.Requests {
+		t.Errorf("recording issued %d lock-manager requests, want 0", after.Requests-before.Requests)
+	}
+
+	// m3 is read-only, so a snapshot send reaches the recorded creation.
+	if err := db.RunReadOnly(func(tx *txn.Txn) error {
+		_, err := db.Send(tx, in.OID, "m3")
+		return err
+	}); err != nil {
+		t.Fatalf("snapshot send to the recorded creation: %v", err)
+	}
+
+	// A delete conflicts with every access to the instance: it is
+	// granted without queueing only if the session left nothing held.
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	if err := db.RunWithRetryCtx(ctx, func(tx *txn.Txn) error {
+		return db.DeleteInstance(tx, in.OID)
+	}); err != nil {
+		t.Fatalf("delete after the session: %v", err)
+	}
+	if blocks := db.Locks().Snapshot().Blocks - after.Blocks; blocks != 0 {
+		t.Errorf("delete after the session queued %d times, want 0", blocks)
 	}
 }
 

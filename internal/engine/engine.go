@@ -158,78 +158,6 @@ func (db *DB) SnapshotSafe(classID uint32, mid schema.MethodID) bool {
 	return int(mid) < len(crt.snapRead) && crt.snapRead[mid]
 }
 
-// Snap is a snapshot read session: one snapshot transaction bound to a
-// dedicated execution context. It exists for hot read loops — the
-// context is owned, not pooled, so a warm Send or scan performs zero
-// heap allocations deterministically (sync.Pool may drop recycled
-// contexts, e.g. under the race detector). A Snap is single-goroutine,
-// like a Txn; concurrent readers each open their own.
-type Snap struct {
-	db *DB
-	tx *txn.Txn
-	ec execCtx
-}
-
-// BeginSnapshot opens a snapshot read session at the current stable
-// epoch. The caller must Close it — the session pins every version
-// record above its epoch against reclamation while open.
-func (db *DB) BeginSnapshot() *Snap {
-	s := &Snap{db: db, tx: db.Txns.BeginSnapshot()}
-	s.ec.db = db
-	s.ec.tx = s.tx
-	s.ec.snapshot = true
-	s.ec.snapEpoch = s.tx.SnapshotEpoch()
-	return s
-}
-
-// Epoch returns the frozen begin epoch all reads of this session see.
-func (s *Snap) Epoch() uint64 { return s.tx.SnapshotEpoch() }
-
-// Txn exposes the underlying snapshot transaction.
-func (s *Snap) Txn() *txn.Txn { return s.tx }
-
-// Send delivers a read-only message at the snapshot's epoch.
-func (s *Snap) Send(oid storage.OID, method string, args ...Value) (Value, error) {
-	s.ec.steps = s.db.MaxSteps
-	return s.ec.topSendName(oid, method, args)
-}
-
-// SendID is Send with a pre-interned method ID.
-func (s *Snap) SendID(oid storage.OID, mid schema.MethodID, args ...Value) (Value, error) {
-	s.ec.steps = s.db.MaxSteps
-	return s.ec.topSend(oid, mid, args)
-}
-
-// DomainScanID runs a lock-free snapshot scan over the domain rooted at
-// classID. The hier flag of the locking scan does not apply — there are
-// no locks to choose a granularity for. filter, when non-nil, sees the
-// live instance (not the versioned image): use it for class dispatch,
-// not value predicates.
-func (s *Snap) DomainScanID(classID uint32, mid schema.MethodID,
-	filter func(*storage.Instance) bool, args ...Value) (int, error) {
-	root := s.db.Compiled.Schema.ClassByID(classID)
-	if root == nil {
-		return 0, fmt.Errorf("engine: unknown class id %d", classID)
-	}
-	if root.ResolveID(mid) == nil {
-		return 0, fmt.Errorf("engine: class %s has no method %q", root.Name, s.db.rt.MethodName(mid))
-	}
-	s.ec.steps = s.db.MaxSteps
-	return s.ec.scanDomainSnapshot(root, mid, filter, args)
-}
-
-// Close ends the session, releasing its epoch pin so reclamation can
-// advance past it. Idempotent.
-func (s *Snap) Close() {
-	if s.tx == nil {
-		return
-	}
-	s.tx.Commit() //nolint:errcheck // snapshot commit cannot fail
-	s.db.Txns.Release(s.tx)
-	s.tx = nil
-	s.ec = execCtx{}
-}
-
 // Snapshot returns the engine counters.
 func (db *DB) Snapshot() Stats {
 	return Stats{
@@ -259,23 +187,20 @@ func (db *DB) ClassID(name string) (uint32, bool) {
 	return c.ID, true
 }
 
-// getEC takes a pooled execution context bound to tx (nil in recording
-// mode, in which case acq must be set by the caller).
+// getEC takes a pooled execution context bound to tx. A snapshot
+// transaction walks no lock plan and reads versions at its begin epoch;
+// any other acquires through the lock manager on tx's behalf (a
+// RecordingSession then points acq at its Recorder).
 func (db *DB) getEC(tx *txn.Txn) *execCtx {
 	ec := db.ecPool.Get().(*execCtx)
 	ec.db = db
 	ec.tx = tx
-	if tx != nil {
-		if tx.IsSnapshot() {
-			// Snapshot mode: no lock plan is walked, so no acquirer
-			// is bound — the context reads committed versions at the
-			// transaction's frozen begin epoch.
-			ec.snapshot = true
-			ec.snapEpoch = tx.SnapshotEpoch()
-		} else {
-			ec.live = liveAcquirer{locks: db.Txns.Locks(), txn: tx.ID, trace: tx.Trace(), done: tx.Done()}
-			ec.acq = &ec.live
-		}
+	if tx.IsSnapshot() {
+		ec.snapshot = true
+		ec.snapEpoch = tx.SnapshotEpoch()
+	} else {
+		ec.live = liveAcquirer{locks: db.Txns.Locks(), txn: tx.ID, trace: tx.Trace(), done: tx.Done()}
+		ec.acq = &ec.live
 	}
 	ec.steps = db.MaxSteps
 	return ec
@@ -336,8 +261,9 @@ func (db *DB) DeleteInstance(tx *txn.Txn, oid storage.OID) error {
 	if !ok {
 		return fmt.Errorf("engine: no instance with OID %d", oid)
 	}
-	acq := liveAcquirer{locks: db.Locks(), txn: tx.ID, trace: tx.Trace(), done: tx.Done()}
-	if err := db.rt.class(in.Class).delete.acquire(&acq, uint64(oid)); err != nil {
+	ec := db.getEC(tx)
+	defer db.putEC(ec)
+	if err := db.rt.class(in.Class).delete.acquire(ec.acq, uint64(oid)); err != nil {
 		return err
 	}
 	deleted, err := db.Store.Delete(oid)
@@ -383,7 +309,8 @@ func (db *DB) DomainScanID(tx *txn.Txn, classID uint32, mid schema.MethodID, hie
 
 // RecordingSession executes transactions against a Recorder instead of
 // the lock manager: every lock the strategy would request is captured
-// and nothing ever blocks. Store mutations do happen — use a scratch
+// and nothing ever blocks. Each call is one committed transaction, so
+// its store mutations, creations included, are real — use a scratch
 // database. This powers the section 5.2 scenario analysis.
 type RecordingSession struct {
 	db  *DB
@@ -395,20 +322,36 @@ func (db *DB) NewRecordingSession(rec *Recorder) *RecordingSession {
 	return &RecordingSession{db: db, rec: rec}
 }
 
-// recordingEC builds an unpooled context aimed at the recorder.
-func (rs *RecordingSession) recordingEC() *execCtx {
-	return &execCtx{db: rs.db, acq: rs.rec, steps: rs.db.MaxSteps}
+// run executes fn in one transaction, on a pooled context whose lock
+// plans acquire into the session's Recorder.
+func (rs *RecordingSession) run(fn func(*execCtx) error) error {
+	return rs.db.RunWithRetry(func(tx *txn.Txn) error {
+		ec := rs.db.getEC(tx)
+		defer rs.db.putEC(ec)
+		ec.acq = rs.rec
+		return fn(ec)
+	})
 }
 
 // Send mirrors DB.Send.
 func (rs *RecordingSession) Send(oid storage.OID, method string, args ...Value) (Value, error) {
-	return rs.recordingEC().topSendName(oid, method, args)
+	var v Value
+	err := rs.run(func(ec *execCtx) (err error) {
+		v, err = ec.topSendName(oid, method, args)
+		return err
+	})
+	return v, err
 }
 
 // DomainScan mirrors DB.DomainScan.
 func (rs *RecordingSession) DomainScan(class, method string, hier bool,
 	filter func(*storage.Instance) bool, args ...Value) (int, error) {
-	return rs.recordingEC().domainScan(class, method, hier, filter, args)
+	var n int
+	err := rs.run(func(ec *execCtx) (err error) {
+		n, err = ec.domainScan(class, method, hier, filter, args)
+		return err
+	})
+	return n, err
 }
 
 // NewInstance mirrors DB.NewInstance.
@@ -417,15 +360,20 @@ func (rs *RecordingSession) NewInstance(class string, vals ...Value) (*storage.I
 	if cls == nil {
 		return nil, fmt.Errorf("engine: unknown class %q", class)
 	}
-	return rs.recordingEC().create(cls, vals)
+	var in *storage.Instance
+	err := rs.run(func(ec *execCtx) (err error) {
+		in, err = ec.create(cls, vals)
+		return err
+	})
+	return in, err
 }
 
 // --- execution context ---
 
 type execCtx struct {
 	db   *DB
-	tx   *txn.Txn // nil in recording mode
-	acq  Acquirer
+	tx   *txn.Txn     // never nil: every context runs inside a transaction
+	acq  Acquirer     // nil under a snapshot transaction
 	live liveAcquirer // backing storage for acq in live mode (no boxing)
 
 	// stack is the shared VM value stack: the activation frames of
@@ -484,10 +432,8 @@ func (ec *execCtx) relatch(held *storage.Instance) {
 }
 
 func (ec *execCtx) create(cls *schema.Class, vals []Value) (*storage.Instance, error) {
-	if ec.tx != nil {
-		if err := ec.tx.Writable(); err != nil {
-			return nil, err
-		}
+	if err := ec.tx.Writable(); err != nil {
+		return nil, err
 	}
 	if err := ec.db.rt.class(cls).create.acquire(ec.acq, 0); err != nil {
 		return nil, err
@@ -497,13 +443,9 @@ func (ec *execCtx) create(cls *schema.Class, vals []Value) (*storage.Instance, e
 		return nil, err
 	}
 	ec.db.instancesCreated.Add(1)
-	if ec.tx != nil {
-		// An aborting creator removes its instance again; a committing
-		// one stamps the marker and logs the creation with its full
-		// image. (Recording mode commits nothing: its creations stay
-		// invisible to snapshots of the scratch database.)
-		ec.tx.LogCreate(ec.db.Store, in, marker)
-	}
+	// An aborting creator removes its instance again; a committing one
+	// stamps the marker and logs the creation with its full image.
+	ec.tx.LogCreate(ec.db.Store, in, marker)
 	return in, nil
 }
 
@@ -523,15 +465,14 @@ func (ec *execCtx) topSendName(oid storage.OID, method string, args []Value) (Va
 // topSend resolves the receiver once and wraps the send with the
 // per-(class,method) telemetry: when the registry is live, the finished
 // send lands in its class's dense metric slot with the measured
-// latency. Recording mode (tx == nil) and stripped databases skip
-// straight through on a nil check.
+// latency. Stripped databases skip straight through on a nil check.
 func (ec *execCtx) topSend(oid storage.OID, mid schema.MethodID, args []Value) (Value, error) {
 	in, ok := ec.db.Store.Get(oid)
 	if !ok {
 		return Value{}, fmt.Errorf("engine: no instance with OID %d", oid)
 	}
 	m := ec.db.metrics
-	if m == nil || ec.tx == nil {
+	if m == nil {
 		return ec.topSendRaw(in, mid, args)
 	}
 	start := time.Now()
@@ -654,7 +595,9 @@ func (ec *execCtx) scanDomain(root *schema.Class, mid schema.MethodID, hier bool
 // snapshot rolls back, and are skipped;
 // instances deleted after it began have left the extent and are simply
 // missed — the documented staleness of the snapshot contract (there are
-// no tombstones).
+// no tombstones). The hier flag does not apply: there are no locks to
+// choose a granularity for. filter sees the live instance, not the
+// versioned image: use it for class dispatch, not value predicates.
 func (ec *execCtx) scanDomainSnapshot(root *schema.Class, mid schema.MethodID,
 	filter func(*storage.Instance) bool, args []Value) (int, error) {
 	crt := ec.db.rt.class(root)

@@ -95,7 +95,11 @@ func driveLockEvents(t *testing.T, src string, s Strategy, b *strings.Builder, a
 	}
 
 	a := acq(db.Runtime())
-	ec := &execCtx{db: db, acq: a}
+	tx := db.Begin()
+	defer tx.Commit()
+	ec := db.getEC(tx)
+	defer db.putEC(ec)
+	ec.acq = a
 	args := func(cls *schema.Class, name string) []Value {
 		m := cls.Resolve(name)
 		out := make([]Value, len(m.Params))

@@ -79,8 +79,46 @@ func (ec *execCtx) invokeProg(in *storage.Instance, p *schema.Program, args []Va
 	return v, err
 }
 
-// storeField performs one field store. Inside a transaction the store
-// and its undo/version record are one step (txn.Write). Slots under
+// readField is the field-read event. The common case, a live read
+// without field locks, is a counter and the live cell; snapshot and
+// field-locking reads take readFieldSlow, which keeps this frame small.
+func (ec *execCtx) readField(self *storage.Instance, fld *schema.Field, p *schema.Program, pc int) (Value, error) {
+	if ec.snapshot || ec.db.fieldLocks {
+		return ec.readFieldSlow(self, fld, p, pc)
+	}
+	ec.db.fieldReads.Add(1)
+	return self.Get(self.Class.Slot(fld.ID)), nil
+}
+
+// readFieldSlow is a field read under a snapshot — the slot as of the
+// begin epoch, no lock: the live cell with every later commit's (and
+// every uncommitted) record rolled back, inside one seqlock section of
+// the receiver — or under run-time field locking, where it takes the
+// field's S lock before the live cell. Invisible is unreachable for a
+// receiver that passed the topSend visibility gate, but a torn
+// invariant must surface, not misread.
+func (ec *execCtx) readFieldSlow(self *storage.Instance, fld *schema.Field, p *schema.Program, pc int) (Value, error) {
+	slot := self.Class.Slot(fld.ID)
+	if ec.snapshot {
+		v, ok := self.SnapshotGet(slot, ec.snapEpoch)
+		if !ok {
+			return Value{}, fmt.Errorf("engine: %s: instance %d invisible at snapshot epoch %d",
+				p.PosAt(pc), self.OID, ec.snapEpoch)
+		}
+		ec.db.fieldReads.Add(1)
+		return v, nil
+	}
+	if err := ec.acquireField(self, fld, false); err != nil {
+		return Value{}, err
+	}
+	ec.db.fieldReads.Add(1)
+	return self.Get(slot), nil
+}
+
+// writeField is the field-write event: the degraded-mode check (refuse
+// the mutation before it happens, not at commit with locks and undo
+// already built), the type check, the field lock, then the store, whose
+// undo/version record is the same step (txn.Write). Slots under
 // declared (escrow) commutativity — the bound escrowMask, built from
 // the class's commute table — record the write as an integer delta:
 // another writer of the slot is not excluded by 2PL, so a before-image
@@ -88,13 +126,34 @@ func (ec *execCtx) invokeProg(in *storage.Instance, p *schema.Program, args []Va
 // an after-image) for the same reason. The delta is exact because the
 // enclosing writing frame holds the receiver's execution latch.
 // Everything else records the before-image.
-func (ec *execCtx) storeField(self *storage.Instance, slot int, v Value) {
-	if ec.tx == nil {
-		self.Set(slot, v) // recording mode: nothing to undo
-		return
+func (ec *execCtx) writeField(self *storage.Instance, fld *schema.Field, v Value, p *schema.Program, pc int) error {
+	if err := ec.tx.Writable(); err != nil {
+		return err
 	}
+	if err := checkAssignable(fld, v); err != nil {
+		return fmt.Errorf("engine: %s: %w", p.PosAt(pc), err)
+	}
+	if err := ec.lockField(self, fld, true); err != nil {
+		return err
+	}
+	slot := self.Class.Slot(fld.ID)
 	m := ec.escrowMask
 	ec.tx.Write(self, slot, v, m != nil && slot < len(m) && m[slot])
+	ec.db.fieldWrites.Add(1)
+	return nil
+}
+
+// fusedOperand decodes the right operand of a superinstruction other
+// than a FuseField one: FuseConst (C is the value), FuseStr (C is a
+// Strs index) or FuseSlot (C is a frame slot).
+func fusedOperand(ins schema.Instr, p *schema.Program, st []Value, base int) Value {
+	switch ins.FusedKind() {
+	case schema.FuseConst:
+		return storage.IntV(int64(ins.C))
+	case schema.FuseStr:
+		return storage.StrV(p.Strs[ins.C])
+	}
+	return st[base+int(ins.C)]
 }
 
 // lockNested walks the nested-send plan of mid on the receiver's class.
@@ -194,43 +253,18 @@ func (ec *execCtx) exec(base int, self *storage.Instance, p *schema.Program, arg
 			st[base+int(ins.A)] = st[sp]
 
 		case schema.OpLoadField:
-			fld := p.Fields[ins.A]
-			if ec.snapshot {
-				v, err := ec.snapshotRead(self, fld, p, pc-1)
-				if err != nil {
-					return Value{}, err
-				}
-				db.fieldReads.Add(1)
-				st[sp] = v
-				sp++
-				continue
-			}
-			if err := ec.lockField(self, fld, false); err != nil {
+			v, err := ec.readField(self, p.Fields[ins.A], p, pc-1)
+			if err != nil {
 				return Value{}, err
 			}
-			db.fieldReads.Add(1)
-			st[sp] = self.Get(self.Class.Slot(fld.ID))
+			st[sp] = v
 			sp++
 
 		case schema.OpStoreField:
 			sp--
-			v := st[sp]
-			fld := p.Fields[ins.A]
-			if ec.tx != nil {
-				// Degraded read-only mode: refuse the mutation before it
-				// happens, not at commit with locks and undo already built.
-				if err := ec.tx.Writable(); err != nil {
-					return Value{}, err
-				}
-			}
-			if err := checkAssignable(fld, v); err != nil {
-				return Value{}, fmt.Errorf("engine: %s: %w", p.PosAt(pc-1), err)
-			}
-			if err := ec.lockField(self, fld, true); err != nil {
+			if err := ec.writeField(self, p.Fields[ins.A], st[sp], p, pc-1); err != nil {
 				return Value{}, err
 			}
-			ec.storeField(self, self.Class.Slot(fld.ID), v)
-			db.fieldWrites.Add(1)
 
 		case schema.OpJump:
 			pc = int(ins.A)
@@ -438,75 +472,34 @@ func (ec *execCtx) exec(base int, self *storage.Instance, p *schema.Program, arg
 		// lock requests, counters, undo logging and error sites
 		// included — and charges the sequence's full step count, so
 		// execution is indistinguishable from the unfused program apart
-		// from dispatch cost. Operand kinds: FuseConst (C is the value), FuseSlot (C is
-		// a frame slot), FuseField (C is a Fields index), FuseStr (C is a
-		// Strs index — string-literal concat and compare tails).
+		// from dispatch cost. The right operand decodes through
+		// fusedOperand, except FuseField (C is a Fields index), which
+		// reads a field.
 
 		case schema.OpIncField:
 			steps -= 3 // 4-instruction sequence, one dispatch
 			fld := p.Fields[ins.A]
-			var l Value
-			slot := self.Class.Slot(fld.ID)
-			if ec.snapshot {
-				// Unreachable from a method the snapshot gate admitted
-				// (IncField implies a field store, hence a writing TAV),
-				// but the branch keeps fused/unfused error order
-				// identical: read succeeds, then the store fails
-				// Writable below — exactly like the unfused sequence.
-				var err error
-				if l, err = ec.snapshotRead(self, fld, p, pc-1); err != nil {
-					return Value{}, err
-				}
-				db.fieldReads.Add(1)
-			} else {
-				if err := ec.lockField(self, fld, false); err != nil {
-					return Value{}, err
-				}
-				db.fieldReads.Add(1)
-				l = self.Get(slot)
-			}
-			var r Value
-			switch ins.FusedKind() {
-			case schema.FuseConst:
-				r = storage.IntV(int64(ins.C))
-			case schema.FuseStr:
-				r = storage.StrV(p.Strs[ins.C])
-			default: // FuseSlot (FuseField is excluded by match)
-				r = st[base+int(ins.C)]
-			}
-			v, err := binOp(p, pc-1, ins.FusedOp(), l, r)
+			// Under a snapshot the read is unreachable from a method the
+			// gate admitted (IncField implies a field store, hence a
+			// writing TAV), but fused and unfused fail in the same order:
+			// the read succeeds, then the store fails Writable.
+			l, err := ec.readField(self, fld, p, pc-1)
 			if err != nil {
 				return Value{}, err
 			}
-			if ec.tx != nil {
-				if err := ec.tx.Writable(); err != nil {
-					return Value{}, err
-				}
-			}
-			// Unreachable for the arithmetic operators Fuse folds (the
-			// result kind equals the field's stored kind), kept as a guard.
-			if err := checkAssignable(fld, v); err != nil {
-				return Value{}, fmt.Errorf("engine: %s: %w", p.PosAt(pc-1), err)
-			}
-			if err := ec.lockField(self, fld, true); err != nil {
+			v, err := binOp(p, pc-1, ins.FusedOp(), l, fusedOperand(ins, p, st, base))
+			if err != nil {
 				return Value{}, err
 			}
-			ec.storeField(self, slot, v)
-			db.fieldWrites.Add(1)
+			// checkAssignable cannot fail for the arithmetic operators Fuse
+			// folds (the result kind equals the field's stored kind).
+			if err := ec.writeField(self, fld, v, p, pc-1); err != nil {
+				return Value{}, err
+			}
 
 		case schema.OpIncSlot:
 			steps -= 3
-			l := st[base+int(ins.A)]
-			var r Value
-			switch ins.FusedKind() {
-			case schema.FuseConst:
-				r = storage.IntV(int64(ins.C))
-			case schema.FuseStr:
-				r = storage.StrV(p.Strs[ins.C])
-			default: // FuseSlot (FuseField is excluded by match)
-				r = st[base+int(ins.C)]
-			}
-			v, err := binOp(p, pc-1, ins.FusedOp(), l, r)
+			v, err := binOp(p, pc-1, ins.FusedOp(), st[base+int(ins.A)], fusedOperand(ins, p, st, base))
 			if err != nil {
 				return Value{}, err
 			}
@@ -514,31 +507,11 @@ func (ec *execCtx) exec(base int, self *storage.Instance, p *schema.Program, arg
 
 		case schema.OpLoadFieldOp:
 			steps -= 2
-			fld := p.Fields[ins.A]
-			var l Value
-			if ec.snapshot {
-				var err error
-				if l, err = ec.snapshotRead(self, fld, p, pc-1); err != nil {
-					return Value{}, err
-				}
-				db.fieldReads.Add(1)
-			} else {
-				if err := ec.lockField(self, fld, false); err != nil {
-					return Value{}, err
-				}
-				db.fieldReads.Add(1)
-				l = self.Get(self.Class.Slot(fld.ID))
+			l, err := ec.readField(self, p.Fields[ins.A], p, pc-1)
+			if err != nil {
+				return Value{}, err
 			}
-			var r Value
-			switch ins.FusedKind() {
-			case schema.FuseConst:
-				r = storage.IntV(int64(ins.C))
-			case schema.FuseStr:
-				r = storage.StrV(p.Strs[ins.C])
-			default: // FuseSlot (FuseField is excluded by match)
-				r = st[base+int(ins.C)]
-			}
-			v, err := binOp(p, pc-1, ins.FusedOp(), l, r)
+			v, err := binOp(p, pc-1, ins.FusedOp(), l, fusedOperand(ins, p, st, base))
 			if err != nil {
 				return Value{}, err
 			}
@@ -547,32 +520,16 @@ func (ec *execCtx) exec(base int, self *storage.Instance, p *schema.Program, arg
 
 		case schema.OpLoadSlotOp:
 			steps -= 2
-			l := st[base+int(ins.A)]
 			var r Value
-			switch ins.FusedKind() {
-			case schema.FuseConst:
-				r = storage.IntV(int64(ins.C))
-			case schema.FuseStr:
-				r = storage.StrV(p.Strs[ins.C])
-			case schema.FuseSlot:
-				r = st[base+int(ins.C)]
-			default: // FuseField: the operand is a locked field read
-				fld := p.Fields[ins.C]
-				if ec.snapshot {
-					var err error
-					if r, err = ec.snapshotRead(self, fld, p, pc-1); err != nil {
-						return Value{}, err
-					}
-					db.fieldReads.Add(1)
-					break
-				}
-				if err := ec.lockField(self, fld, false); err != nil {
+			if ins.FusedKind() == schema.FuseField {
+				var err error
+				if r, err = ec.readField(self, p.Fields[ins.C], p, pc-1); err != nil {
 					return Value{}, err
 				}
-				db.fieldReads.Add(1)
-				r = self.Get(self.Class.Slot(fld.ID))
+			} else {
+				r = fusedOperand(ins, p, st, base)
 			}
-			v, err := binOp(p, pc-1, ins.FusedOp(), l, r)
+			v, err := binOp(p, pc-1, ins.FusedOp(), st[base+int(ins.A)], r)
 			if err != nil {
 				return Value{}, err
 			}
@@ -581,22 +538,12 @@ func (ec *execCtx) exec(base int, self *storage.Instance, p *schema.Program, arg
 
 		case schema.OpReturnField:
 			steps--
-			fld := p.Fields[ins.A]
-			if ec.snapshot {
-				v, err := ec.snapshotRead(self, fld, p, pc-1)
-				if err != nil {
-					return Value{}, err
-				}
-				db.fieldReads.Add(1)
-				ec.steps, ec.ticks = steps, ticks
-				return v, nil
-			}
-			if err := ec.lockField(self, fld, false); err != nil {
+			v, err := ec.readField(self, p.Fields[ins.A], p, pc-1)
+			if err != nil {
 				return Value{}, err
 			}
-			db.fieldReads.Add(1)
 			ec.steps, ec.ticks = steps, ticks
-			return self.Get(self.Class.Slot(fld.ID)), nil
+			return v, nil
 
 		case schema.OpReturnSlot:
 			steps--
@@ -618,21 +565,6 @@ func (ec *execCtx) exec(base int, self *storage.Instance, p *schema.Program, arg
 			return Value{}, fmt.Errorf("engine: %s: unknown opcode %d", p.PosAt(pc-1), ins.Op)
 		}
 	}
-}
-
-// snapshotRead resolves one field read as of the snapshot's begin epoch
-// — no lock plan, no lock: the live cell with every later commit's (and
-// every uncommitted) record of the slot rolled back, inside one seqlock
-// section of the receiver. Invisible is unreachable for a receiver that
-// passed the topSend visibility gate, but a torn invariant must surface,
-// not misread.
-func (ec *execCtx) snapshotRead(self *storage.Instance, fld *schema.Field, p *schema.Program, pc int) (Value, error) {
-	v, ok := self.SnapshotGet(self.Class.Slot(fld.ID), ec.snapEpoch)
-	if !ok {
-		return Value{}, fmt.Errorf("engine: %s: instance %d invisible at snapshot epoch %d",
-			p.PosAt(pc), self.OID, ec.snapEpoch)
-	}
-	return v, nil
 }
 
 func typeMismatch(p *schema.Program, pc int, op schema.Op, l, r Value) error {

@@ -92,9 +92,6 @@ func (t *TxnTrace) Add(kind EventKind, dur time.Duration, arg uint64) {
 // Elapsed returns time since the trace was armed.
 func (t *TxnTrace) Elapsed() time.Duration { return time.Since(t.start) }
 
-// StartTime returns when the trace was armed.
-func (t *TxnTrace) StartTime() time.Time { return t.start }
-
 // SlowTxn is a completed transaction captured by the flight recorder.
 type SlowTxn struct {
 	TxnID   uint64

@@ -104,11 +104,6 @@ func (h *Hist) Quantile(q float64) uint64 {
 	return histBucketMid(histBuckets - 1)
 }
 
-// QuantileDuration is Quantile for duration-valued histograms.
-func (h *Hist) QuantileDuration(q float64) time.Duration {
-	return time.Duration(h.Quantile(q))
-}
-
 // Counter is a monotonically increasing atomic counter. The zero value
 // is ready to use; Add is one atomic add. Nothing resets a counter: a
 // reader measures a phase by subtracting a reading taken before it.

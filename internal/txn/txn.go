@@ -87,7 +87,6 @@ const (
 	entryWrite  entryKind = iota // slot write: rec is its before-image or delta
 	entryCreate                  // instance created (undo: delete it); rec is its marker
 	entryDelete                  // instance deleted (undo: restore it)
-	entryAction                  // opaque compensation, not durable
 )
 
 // undoEntry is one rollback step. Entries run in reverse chronological
@@ -96,11 +95,10 @@ const (
 // instance's chain — the one copy of the before-image (or escrow delta),
 // read by rollback, by the redo projection and by snapshot readers.
 type undoEntry struct {
-	kind   entryKind
-	inst   *storage.Instance
-	store  *storage.Store   // create/delete entries
-	rec    *storage.Version // write/create entries
-	action func()           // entryAction only
+	kind  entryKind
+	inst  *storage.Instance
+	store *storage.Store   // create/delete entries
+	rec   *storage.Version // write/create entries
 }
 
 type undoKey struct {
@@ -258,15 +256,6 @@ func (t *Txn) LogDelete(st *storage.Store, in *storage.Instance) {
 	t.undo = append(t.undo, undoEntry{kind: entryDelete, inst: in, store: st})
 }
 
-// LogCompensation records an opaque action run on Abort, in reverse
-// order with the other entries. Compensation-only entries are invisible
-// to the redo log — engine code uses the typed LogCreate/LogDelete.
-func (t *Txn) LogCompensation(action func()) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.undo = append(t.undo, undoEntry{kind: entryAction, action: action})
-}
-
 // UndoDepth returns the number of captured undo entries.
 func (t *Txn) UndoDepth() int {
 	t.mu.Lock()
@@ -383,8 +372,6 @@ func (t *Txn) submitRecord(w *wal.Log, epoch uint64) (*wal.Future, error) {
 			c.Create(e.inst.Class.ID, uint64(e.inst.OID), e.inst)
 		case entryDelete:
 			c.Delete(uint64(e.inst.OID))
-		case entryAction:
-			// In-memory compensation only; nothing to redo.
 		}
 	}
 	if c.Ops() == 0 {
@@ -602,8 +589,6 @@ func (t *Txn) rollback() {
 			e.store.Delete(e.inst.OID) //nolint:errcheck // already gone is fine
 		case entryDelete:
 			e.store.Restore(e.inst)
-		case entryAction:
-			e.action()
 		}
 	}
 	t.mu.Unlock()

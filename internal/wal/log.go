@@ -65,10 +65,6 @@ func SyncEvery(d time.Duration) SyncPolicy {
 	return SyncPolicy{mode: syncEveryMode, every: d}
 }
 
-// Interval returns the fsync interval of a SyncEvery policy (0 for
-// SyncAlways and SyncNever).
-func (p SyncPolicy) Interval() time.Duration { return p.every }
-
 func (p SyncPolicy) String() string {
 	switch p.mode {
 	case syncAlwaysMode:
