@@ -112,6 +112,9 @@ func Compile(s *schema.Schema, opts ...Option) (*Compiled, error) {
 			byName[name] = tavs[vi]
 		}
 		tbl := NewTable(cls, byName, o.overrides)
+		if err := checkCoWrites(tbl, byName); err != nil {
+			return nil, err
+		}
 		tbl.BuildIDIndex(s)
 		c.Classes[cls.Name] = &CompiledClass{
 			Class: cls,
@@ -121,6 +124,31 @@ func Compile(s *schema.Schema, opts ...Option) (*Compiled, error) {
 		}
 	}
 	return c, nil
+}
+
+// checkCoWrites rejects a table under which two commuting methods both
+// write a non-integer field. Commuting writers of one field run as
+// concurrent uncommitted writers, and only an integer has a delta form
+// for their undo and redo; for any other type the second writer's
+// before-image would be the first writer's uncommitted value. Derived
+// commutativity never admits two writers of a field, so only an ad hoc
+// declaration can fail this.
+func checkCoWrites(t *Table, tav map[string]Vector) error {
+	for i, mi := range t.Methods {
+		for j := i; j < len(t.Methods); j++ {
+			if !t.CommutesIdx(i, j) {
+				continue
+			}
+			mj := t.Methods[j]
+			for _, f := range t.Class.Fields {
+				if f.Type != schema.TInt && tav[mi].Get(f.ID) == Write && tav[mj].Get(f.ID) == Write {
+					return fmt.Errorf("core: class %s: %s and %s are declared commuting, but both write %s field %s, which has no delta form",
+						t.Class.Name, mi, mj, f.Type, f.Name)
+				}
+			}
+		}
+	}
+	return nil
 }
 
 // CompileSource is a convenience: parse, build and compile mdl source.

@@ -161,13 +161,13 @@ type methodPlans struct {
 // create and delete builders once per class — and stores the results in
 // the classRT tables the executor walks.
 type protocol struct {
-	// concurrentWriters: the protocol can grant two transactions
-	// writing one instance at once. True only for the fine method-mode
-	// tables, where declared (escrow-style) commutativity admits
-	// concurrent writers of one slot, so writing activations must also
-	// serialize on the instance's execution latch. Such a protocol's
-	// nested plans must be empty — they run while the latch is held —
-	// which is also what licenses inlining self-sends.
+	// concurrentWriters: the protocol grants commuting method modes, so
+	// declared (escrow-style) commutativity can admit concurrent writers
+	// of one slot. True only for the fine method-mode tables; the
+	// runtime builds escrow-slot masks for it alone, and activations
+	// writing a masked slot serialize on the instance's execution latch.
+	// Such a protocol's nested plans must be empty — they run while the
+	// latch is held — which is also what licenses inlining self-sends.
 	concurrentWriters bool
 	// fieldLocks: every field access takes its own (instance, field)
 	// lock at run time — the field-locking comparator, and only it.

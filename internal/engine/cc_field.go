@@ -26,7 +26,8 @@ import (
 // Writers of different fields coexist, but a field lock is exclusive per
 // slot, so the slot-level read-modify-write race cannot arise and no
 // execution latch is needed (field locks are taken mid-frame, so holding
-// one would deadlock).
+// one would deadlock). FineCC's writers of disjoint fields rely on the
+// same argument.
 type FieldCC struct{}
 
 // Name implements Strategy.

@@ -23,10 +23,11 @@ import (
 //     removal commutes with nothing touching the instance.
 //
 // Method modes derived from commutativity tables can grant two writers
-// of one instance at once — declared escrow pairs even share a slot — so
-// writing activations serialize on the instance's execution latch; the
-// empty nested plans are what make holding it across a frame
-// deadlock-free.
+// of one instance at once. Writers of disjoint fields need nothing more,
+// as under FieldCC. Declared escrow pairs share a slot, so activations
+// of a method that writes such a slot (the compile-time escrow mask)
+// serialize on the instance's execution latch; the empty nested plans
+// are what make holding it across a frame deadlock-free.
 type FineCC struct{}
 
 // Name implements Strategy.

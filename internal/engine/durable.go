@@ -57,17 +57,15 @@ func OpenWithOptions(c *core.Compiled, o Options) (*DB, error) {
 	fused := !o.Unfused
 	p := o.Strategy.protocol()
 	db := &DB{
-		Compiled:     c,
-		Store:        storage.NewStore(c.Schema),
-		Txns:         txn.NewManager(lock.NewManager()),
-		rt:           newRuntime(c, p, fused),
-		MaxSteps:     1_000_000,
-		MaxDepth:     256,
-		useFused:     fused,
-		latchWriters: p.concurrentWriters,
-		fieldLocks:   p.fieldLocks,
+		Compiled:   c,
+		Store:      storage.NewStore(c.Schema),
+		Txns:       txn.NewManager(lock.NewManager()),
+		rt:         newRuntime(c, p, fused),
+		MaxSteps:   1_000_000,
+		MaxDepth:   256,
+		useFused:   fused,
+		fieldLocks: p.fieldLocks,
 	}
-	db.Txns.LatchWrites = db.latchWriters
 	// Wire the store into the transaction manager: writes link version
 	// records through it and commits stamp them with an epoch drawn from
 	// it, which is what the snapshot read path consumes.

@@ -57,12 +57,9 @@ type DB struct {
 
 	recovery wal.RecoveryInfo
 
-	// The strategy's protocol-level properties (cc.go). latchWriters:
-	// the protocol grants commuting writers concurrently, so
-	// field-storing activations hold the receiver's execution latch (see
-	// vm.go). fieldLocks: every field access locks its own granule.
-	latchWriters bool
-	fieldLocks   bool
+	// fieldLocks is the strategy's one run-time property (cc.go): every
+	// field access locks its own granule.
+	fieldLocks bool
 
 	// useFused routes statically-bound super-send fallbacks through the
 	// fused twin of the target program (false only under
@@ -404,10 +401,12 @@ type execCtx struct {
 
 	// escrowMask is the current top-level method's escrow-slot mask on
 	// the receiver's class (runtime buildEscrowSlots), bound by topSend
-	// and the scan loop only under latchWriters protocols. A store to a
-	// masked slot is undone — and redo-logged — as an integer delta
-	// rather than a before/after image, because a commuting writer is
-	// not excluded by 2PL. nil everywhere else.
+	// and the scan loop. A store to a masked slot is undone — and
+	// redo-logged — as an integer delta rather than a before/after image,
+	// because a commuting writer is not excluded by 2PL, and a writing
+	// frame latches its receiver only while a mask is bound. nil for
+	// every method without escrow slots, and under every protocol that
+	// never grants two writers of one slot.
 	escrowMask []bool
 }
 
@@ -509,17 +508,14 @@ func (ec *execCtx) topSendRaw(in *storage.Instance, mid schema.MethodID, args []
 		return Value{}, err
 	}
 	ec.db.topSends.Add(1)
-	if ec.db.latchWriters {
-		// Bind the method's escrow-slot mask for the activation, saving
-		// the caller's: a nested remote send re-enters here, and its
-		// receiver's mask must not leak back into the outer frame.
-		prev := ec.escrowMask
-		ec.escrowMask = crt.escrowMaskAt(mid)
-		v, err := ec.invokeProg(in, prog, args)
-		ec.escrowMask = prev
-		return v, err
-	}
-	return ec.invokeProg(in, prog, args)
+	// Bind the method's escrow-slot mask for the activation, saving the
+	// caller's: a nested remote send re-enters here, and its receiver's
+	// mask must not leak back into the outer frame.
+	prev := ec.escrowMask
+	ec.escrowMask = crt.escrowMaskAt(mid)
+	v, err := ec.invokeProg(in, prog, args)
+	ec.escrowMask = prev
+	return v, err
 }
 
 func (ec *execCtx) domainScan(class, method string, hier bool,
@@ -571,11 +567,9 @@ func (ec *execCtx) scanDomain(root *schema.Class, mid schema.MethodID, hier bool
 					return count, err
 				}
 			}
-			if ec.db.latchWriters {
-				// Per-instance bind: the mask is per (class, method), and
-				// a hierarchical scan visits subclasses too.
-				ec.escrowMask = vcrt.escrowMaskAt(mid)
-			}
+			// Per-instance bind: the mask is per (class, method), and a
+			// hierarchical scan visits subclasses too.
+			ec.escrowMask = vcrt.escrowMaskAt(mid)
 			if _, err := ec.invokeProg(in, vcrt.progAt(mid), args); err != nil {
 				ec.escrowMask = nil
 				return count, err

@@ -86,7 +86,9 @@ func newRuntime(c *core.Compiled, p protocol, fuse bool) *Runtime {
 				crt.progs[mid] = buildProg(m.Program, inline && tavOK, fuse, resolveBase, tav)
 			}
 		}
-		crt.escrowSlots = buildEscrowSlots(c, cls, c.Class(cls.Name).Table, nm)
+		if p.concurrentWriters {
+			crt.escrowSlots = buildEscrowSlots(c, cls, c.Class(cls.Name).Table, nm)
+		}
 	}
 	rt.compilePlans(p)
 	return rt
@@ -94,13 +96,14 @@ func newRuntime(c *core.Compiled, p protocol, fuse bool) *Runtime {
 
 // buildEscrowSlots classifies, per method, the slots whose writes run
 // under declared (escrow) commutativity: slot s is escrow for method m
-// iff m's transitive vector writes s's field, some mode that commutes
-// with m's also writes it, and the field is an integer (the only type
-// with a delta form — declarations over other types fall back to
-// before-image undo, which is sound there because nothing admits a
-// second writer without a declaration). Decided here, at schema build,
-// like the snapshot classification: the run-time check is one mask
-// load per field store.
+// iff m's transitive vector writes s's field and some mode that commutes
+// with m's also writes it. Such a field is an integer, the only type
+// with a delta form: core.Compile rejects a declaration under which two
+// commuting methods write any other field. Decided here, at schema
+// build, like the snapshot classification, and only for protocols that
+// grant commuting modes to concurrent writers (FineCC): the mask is the
+// engine's one latch decision, and the run-time check is one mask load
+// per frame and per field store.
 func buildEscrowSlots(c *core.Compiled, cls *schema.Class, table *core.Table, nm int) [][]bool {
 	n := table.NumModes()
 	if n == 0 {
@@ -123,7 +126,7 @@ func buildEscrowSlots(c *core.Compiled, cls *schema.Class, table *core.Table, nm
 		}
 		var mask []bool
 		for slot, f := range cls.Fields {
-			if f.Type != schema.TInt || tavs[i].Get(f.ID) != core.Write {
+			if tavs[i].Get(f.ID) != core.Write {
 				continue
 			}
 			for j := 0; j < n; j++ {

@@ -55,15 +55,16 @@ func (ec *execCtx) invokeProg(in *storage.Instance, p *schema.Program, args []Va
 		return Value{}, fmt.Errorf("engine: %s: send nesting exceeds %d",
 			p.Method.QualifiedName(), ec.db.MaxDepth)
 	}
-	// Writing activations serialize on the receiver's execution latch
-	// when the protocol grants commuting writers concurrently (declared
-	// escrow commutativity under the fine mode tables): the logical
-	// locks then no longer make `balance := balance + n` atomic. Nested
+	// Writing activations of a method with escrow slots (a bound mask)
+	// serialize on the receiver's execution latch: the logical locks
+	// admit a commuting writer of the same slot, so they no longer make
+	// `balance := balance + n` atomic. Every other writer of a slot is
+	// excluded by its locks, as under FieldCC, and takes no latch. Nested
 	// self/super sends on the same receiver run under the outer frame's
 	// latch; remote sends and creates release it first (unlatch), so it
 	// is never held across a lock-manager acquisition.
 	locked := false
-	if p.StoresFields && ec.db.latchWriters && ec.execHeld != in {
+	if p.StoresFields && ec.escrowMask != nil && ec.execHeld != in {
 		in.LockExec()
 		ec.execHeld = in
 		locked = true

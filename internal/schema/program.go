@@ -190,12 +190,12 @@ type Program struct {
 	MaxStack  int // operand stack high-water mark
 
 	// StoresFields reports whether the body contains a direct field
-	// assignment. The engine uses it to decide which activations must
-	// hold the receiver's execution latch: under a protocol that can
-	// grant two writers of one instance simultaneously (the fine mode
-	// tables with declared escrow commutativity), a read-modify-write
-	// like `balance := balance + n` is only atomic if the frame
-	// serializes physically with other writing frames on the instance.
+	// assignment. The engine uses it, with the method's escrow-slot
+	// mask, to decide which activations must hold the receiver's
+	// execution latch: where declared escrow commutativity grants two
+	// writers of one slot simultaneously, a read-modify-write like
+	// `balance := balance + n` is only atomic if the frame serializes
+	// physically with the other writing frames on the instance.
 	StoresFields bool
 
 	// Fused is the superinstruction twin of this program — identical

@@ -218,8 +218,9 @@ type Instance struct {
 
 	slots []aslot
 
-	// execMu serializes writing method activations on this instance
-	// (LockExec/UnlockExec). Separate from mu — it is held for the span
+	// execMu serializes escrow-writing method activations on this
+	// instance and the rollback of their deltas (LockExec/UnlockExec).
+	// Separate from mu — it is held for the span
 	// of a frame's field accesses, during which mu is taken and
 	// released per slot access.
 	execMu sync.Mutex
@@ -233,14 +234,13 @@ type Instance struct {
 	verFree *Version
 }
 
-// LockExec acquires the instance's execution latch. The engine holds it
-// for the span of a writing method activation under protocols that
-// grant commuting writers concurrently (the paper's escrow case):
-// logical locks then no longer exclude two writers of one slot, so the
-// read-modify-write inside a method body needs physical serialization,
-// and the commit path holds the same latch across its after-image reads
-// and log submit so the log order matches the value order. Never hold
-// it across anything that can block on the lock manager.
+// LockExec acquires the instance's execution latch. Two holders exist:
+// a writing method activation whose method writes a slot under declared
+// (escrow) commutativity — logical locks then do not exclude two writers
+// of the slot, so the read-modify-write inside the method body needs
+// physical serialization — and the rollback of such a write, which
+// subtracts its delta from the same cell. Never hold it across anything
+// that can block on the lock manager.
 func (in *Instance) LockExec() { in.execMu.Lock() }
 
 // UnlockExec releases the execution latch.

@@ -157,11 +157,10 @@ func (a *verArena) get() *Version {
 
 // AllocEpoch draws the next commit epoch. Every allocated epoch MUST be
 // retired with FinishEpoch, even if the commit fails after allocation —
-// later commits retire in epoch order. Callers that block on other
-// commits' resources (execution latches, lock-manager queues) must
-// acquire those resources BEFORE allocating: a holder of epoch e must be
-// able to reach FinishEpoch(e) without waiting on the holder of any
-// later epoch, or the turnstile deadlocks.
+// later commits retire in epoch order. Between the two a holder of
+// epoch e must not wait on another transaction: the holder of a later
+// epoch may be spinning in FinishEpoch, and the turnstile would
+// deadlock.
 func (s *Store) AllocEpoch() uint64 { return s.epochNext.Add(1) }
 
 // FinishEpoch retires epoch e: every record of its commit is stamped.

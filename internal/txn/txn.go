@@ -20,6 +20,12 @@
 // sitting in the live cell and must not become durable through someone
 // else's record. Abort never touches the log: undo is entirely
 // in-memory, so only committed transactions pay any I/O.
+//
+// The compiler decides where latches go. An instance's execution latch
+// is taken by the engine's frames that write escrow slots, and here only
+// by the rollback of a delta, one instance at a time. Commit takes no
+// latch: every slot another uncommitted writer may share is logged as
+// a delta, and every other slot is excluded by 2PL.
 package txn
 
 import (
@@ -119,10 +125,6 @@ type Txn struct {
 	undo    []undoEntry
 	undoSet map[undoKey]int // index into undo of the slot's entry
 	created []storage.OID   // OIDs created by this txn (redo skips their slot writes)
-
-	// execSet is the reused buffer of instances whose execution latches
-	// commit holds across the after-image reads and the log submit.
-	execSet []*storage.Instance
 
 	// Snapshot-transaction state: a snapshot txn registers in the
 	// store's reader watermark at begin, reads every instance as of
@@ -273,65 +275,12 @@ func (t *Txn) createdHere(oid storage.OID) bool {
 	return false
 }
 
-// lockExecSet collects the distinct instances this transaction wrote
-// (slot undo entries) and acquires their execution latches in ascending
-// OID order. Held across the after-image reads and the log submit:
-// under declared (escrow) commutativity, another writer of the same
-// slot is not excluded by 2PL, so without the latch it could overwrite
-// the slot after our read and still sequence its record before ours —
-// replay would then resurrect our stale value. The latch makes
-// [read after-images → enqueue] atomic against such writers (their
-// writing frames take the same latch), pinning log order to value
-// order. Sorted acquisition keeps concurrent committers deadlock-free,
-// and writing frames hold at most one latch and never block on the
-// lock manager underneath it.
-func (t *Txn) lockExecSet() {
-	es := t.execSet[:0]
-	for i := range t.undo {
-		e := &t.undo[i]
-		if e.kind != entryWrite {
-			continue
-		}
-		dup := false
-		for _, in := range es {
-			if in == e.inst {
-				dup = true
-				break
-			}
-		}
-		if !dup {
-			es = append(es, e.inst)
-		}
-	}
-	// Insertion sort by OID: the set is almost always tiny, and this
-	// keeps the warm commit path allocation-free (sort.Slice boxes).
-	for i := 1; i < len(es); i++ {
-		for j := i; j > 0 && es[j].OID < es[j-1].OID; j-- {
-			es[j], es[j-1] = es[j-1], es[j]
-		}
-	}
-	for _, in := range es {
-		in.LockExec()
-	}
-	t.execSet = es
-}
-
-// unlockExecSet releases the latches of lockExecSet and clears the
-// buffer (dropping instance references for the GC).
-func (t *Txn) unlockExecSet() {
-	for i, in := range t.execSet {
-		in.UnlockExec()
-		t.execSet[i] = nil
-	}
-	t.execSet = t.execSet[:0]
-}
-
 // submitRecord projects the undo log forward into one redo record and
 // sequences it on the log's queue, returning the record's durability
 // ticket (nil when the undo log holds nothing durable). The transaction
 // still holds every lock, so the after-images it reads are its own final
-// values — except slots under declared commutativity, which the
-// execution latches commit holds pin for the duration.
+// values: a slot another uncommitted writer may share is one under
+// declared commutativity, and that slot is logged as a delta.
 func (t *Txn) submitRecord(w *wal.Log, epoch uint64) (*wal.Future, error) {
 	c := w.BeginCommit(uint64(t.ID), epoch)
 	// The created-OID check runs once per slot entry; beyond a handful
@@ -387,12 +336,13 @@ func (t *Txn) submitRecord(w *wal.Log, epoch uint64) (*wal.Future, error) {
 	return c.Future(), nil
 }
 
-// commit is the one commit sequence: latch → allocate the epoch →
-// build and sequence the redo record (only when a log is attached and
-// the undo log has durable effects) → stamp the version records and
-// retire the epoch → unlatch → release locks → finish the trace. What
-// varies is only where the durability wait sits relative to the lock
-// release:
+// commit is the one commit sequence: allocate the epoch → build and
+// sequence the redo record (only when a log is attached and the undo log
+// has durable effects) → stamp the version records and retire the epoch
+// → release locks → finish the trace. No step between allocating and
+// retiring the epoch waits on another transaction, so the turnstile
+// always drains. What varies is only where the durability wait sits
+// relative to the lock release:
 //
 //   - hold (blocking, uncancellable): the wait comes BEFORE the release,
 //     so conflicting transactions appear in the log in conflict order
@@ -412,16 +362,6 @@ func (t *Txn) submitRecord(w *wal.Log, epoch uint64) (*wal.Future, error) {
 //     then wait bounded by done. Sequencing cannot be undone, so a wait
 //     that could be abandoned must not be one that could roll back; a
 //     cancellation returns wal.ErrWaitCanceled with the commit applied.
-//
-// Ordering is load-bearing: the latches are acquired BEFORE the epoch
-// is allocated. Retiring an epoch waits on every earlier epoch, so a
-// transaction that blocks on a latch while holding an epoch would
-// deadlock against a latch holder spinning on a later epoch — under
-// escrow, FineCC grants two committers of one instance concurrently,
-// making exactly that interleaving reachable. Latch-first means an
-// epoch holder never blocks on another transaction's latch: it builds
-// its record, sequences it, stamps and retires, so the turnstile always
-// drains, and it never waits on an fsync.
 func (t *Txn) commit(pipelined bool) (Future, error) {
 	if t.state != Active {
 		return Future{}, ErrNotActive
@@ -431,11 +371,6 @@ func (t *Txn) commit(pipelined bool) (Future, error) {
 		return Future{}, nil
 	}
 	hold := !pipelined && t.done == nil
-	if t.mgr.LatchWrites {
-		t.lockExecSet()
-	}
-	// unlockExecSet below is a no-op when lockExecSet did not run (the
-	// set stays empty).
 	epoch := t.allocEpoch()
 	var fut Future
 	var err error
@@ -444,7 +379,6 @@ func (t *Txn) commit(pipelined bool) (Future, error) {
 	}
 	limbo := hold && fut.w != nil // a ticket exists only when err == nil
 	t.finishEpoch(epoch, err == nil && !limbo)
-	t.unlockExecSet()
 	if limbo {
 		if err = t.awaitTicket(fut); err == nil {
 			t.finishEpoch(t.allocEpoch(), true)
@@ -576,13 +510,22 @@ func (t *Txn) finishEpoch(epoch uint64, stamp bool) {
 
 // rollback plays the undo log backwards and clears it. Each slot write
 // is restored and its record unlinked in one store window, so no
-// snapshot ever reads the undone value.
+// snapshot ever reads the undone value. Subtracting a delta is a
+// read-modify-write of a cell that commuting writers' frames also
+// read-modify-write under the instance's execution latch, so it takes
+// that latch, one instance at a time; nothing else does.
 func (t *Txn) rollback() {
 	t.mu.Lock()
 	for i := len(t.undo) - 1; i >= 0; i-- {
 		e := &t.undo[i]
 		switch e.kind {
 		case entryWrite:
+			if _, delta := e.rec.Delta(); delta {
+				e.inst.LockExec()
+				e.inst.Rollback(e.rec)
+				e.inst.UnlockExec()
+				continue
+			}
 			e.inst.Rollback(e.rec)
 		case entryCreate:
 			// The marker stays pending on the dead instance.
@@ -623,14 +566,7 @@ func (t *Txn) Abort() {
 		t.endSnapshot(false)
 		return
 	}
-	// Subtracting a delta is a read-modify-write of a cell that commuting
-	// writers' frames also read-modify-write, under the execution latch:
-	// roll back under the same latches.
-	if t.mgr.LatchWrites {
-		t.lockExecSet()
-	}
 	t.rollback()
-	t.unlockExecSet()
 	t.mgr.locks.ReleaseAll(t.ID)
 	t.mgr.noteDone(false)
 	t.finishTrace()
@@ -679,15 +615,6 @@ type Manager struct {
 	// RetryBackoff is the base backoff between deadlock retries
 	// (default 100µs, with ±50% jitter, doubling per attempt up to 64×).
 	RetryBackoff time.Duration
-	// LatchWrites makes commit hold the written instances' execution
-	// latches across the after-image reads and the log submit. The
-	// engine sets it when the concurrency-control strategy can grant
-	// two writers of one instance simultaneously (declared escrow
-	// commutativity under the fine mode tables) — the only case where
-	// 2PL does not already pin log order to value order. Leave false
-	// for exclusive-writer protocols and the latches are skipped
-	// entirely.
-	LatchWrites bool
 
 	// rngState drives the backoff jitter: a seeded splitmix64 stepped
 	// with one atomic add, so concurrent retry loops never contend on a

@@ -448,7 +448,6 @@ func TestWritableAfterLogFailStop(t *testing.T) {
 // out concurrent deposits that landed after it was captured.
 func TestDeltaUndoEscrowAbort(t *testing.T) {
 	m, st, s := setup(t)
-	m.LatchWrites = true // as the engine sets it under escrow
 	in, err := st.NewInstance(s.Class("c1"), storage.IntV(0), storage.BoolV(false))
 	if err != nil {
 		t.Fatal(err)
@@ -567,20 +566,16 @@ func TestSnapshotExcludesConcurrentUncommittedSlot(t *testing.T) {
 	}
 }
 
-// TestEscrowCommitTurnstileNoDeadlock: commits must acquire the
-// execution latches BEFORE allocating their commit epoch. Allocating
-// first deadlocks under escrow: T1 draws epoch e and blocks on the
-// shared instance's latch, which T2 (epoch e+1) holds while spinning in
-// the turnstile for e to retire. With a redo log attached and
-// LatchWrites set, concurrent commuting committers and aborters on one
-// instance reach exactly that interleaving (verified by inserting a
-// Gosched between allocation and latching in the inverted ordering:
-// the test then deadlocks within one round). The bare inverted window
-// is a few instructions wide, so this is a stress test of the path,
-// not a deterministic regression trap.
+// TestEscrowCommitTurnstileNoDeadlock: no holder of a commit epoch may
+// wait on another transaction. A commit that blocked on an instance's
+// execution latch while holding epoch e would deadlock against a latch
+// holder spinning in the turnstile for e to retire. With a redo log
+// attached, concurrent commuting committers and aborters on one
+// instance, their escrow writes latched as the engine's frames latch
+// them, drive every commit and rollback path past that turnstile. It is
+// a stress test of the path, not a deterministic regression trap.
 func TestEscrowCommitTurnstileNoDeadlock(t *testing.T) {
 	m, st, s := setup(t)
-	m.LatchWrites = true
 	l, _, err := wal.Open(t.TempDir(), st, wal.Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -588,11 +583,10 @@ func TestEscrowCommitTurnstileNoDeadlock(t *testing.T) {
 	defer l.Close() //nolint:errcheck
 	m.SetWAL(l)
 
-	// Each worker also writes a private instance with a lower OID than
-	// the shared one, so sorted latch acquisition takes the private
-	// latch first and multi-latch commits are exercised. Every fourth
-	// round aborts instead of committing, rolling its deltas back under
-	// the same latches beside the committers.
+	// Each worker also writes a private instance, so commits and
+	// rollbacks span two instances. Every fourth round aborts instead of
+	// committing, rolling its deltas back, one latch at a time, beside
+	// the committers.
 	const (
 		workers = 8
 		rounds  = 200

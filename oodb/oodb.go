@@ -102,7 +102,9 @@ type options struct {
 // (section 3: predefined classes such as escrow counters may be
 // delivered with commutativity beyond what their access vectors allow).
 // It applies to the class and to subclasses that do not override either
-// method.
+// method. Commuting writers of one field run concurrently and are undone
+// and logged as integer deltas, so Compile rejects a declaration under
+// which both methods write a field that is not an integer.
 func WithCommuting(class, method1, method2 string) Option {
 	return func(o *options) {
 		if o.overrides == nil {
