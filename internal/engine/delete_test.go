@@ -1,10 +1,12 @@
 package engine
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/storage"
 	"repro/internal/txn"
 )
@@ -149,5 +151,84 @@ func TestDeleteUnknownOID(t *testing.T) {
 	})
 	if err == nil {
 		t.Error("deleting a missing OID must fail")
+	}
+}
+
+// TestUncommittedCreationInvisible: an instance whose creation has not
+// committed does not exist for any other transaction, under every
+// strategy. A send, an intentional scan and a delete by another
+// transaction find nothing, so nothing of theirs can vanish with an
+// aborting creator or ride into a committing creator's create image.
+// The creator sees its instance, and once the creation commits so does
+// everyone else.
+func TestUncommittedCreationInvisible(t *testing.T) {
+	c, err := core.CompileSource(escrowAccountSrc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	noInstance := func(what string, err error) error {
+		if err == nil || !strings.Contains(err.Error(), "no instance") {
+			return fmt.Errorf("%s: err = %v, want no instance", what, err)
+		}
+		return nil
+	}
+	for _, s := range Strategies() {
+		for _, commit := range []bool{false, true} {
+			t.Run(fmt.Sprintf("%s/commit=%t", s.Name(), commit), func(t *testing.T) {
+				db := Open(c, s)
+				cid, _ := db.ClassID("account")
+				deposit, _ := db.MethodID("deposit")
+				t1 := db.Begin()
+				in, err := db.NewInstance(t1, "account", storage.IntV(100))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if _, err := db.Send(t1, in.OID, "deposit", storage.IntV(1)); err != nil {
+					t.Fatalf("the creator's own send: %v", err)
+				}
+
+				other := make(chan error, 1)
+				go func() {
+					other <- db.RunWithRetry(func(tx *txn.Txn) error {
+						_, err := db.Send(tx, in.OID, "deposit", storage.IntV(1000))
+						if err := noInstance("send", err); err != nil {
+							return err
+						}
+						if n, err := db.DomainScanID(tx, cid, deposit, false, nil, storage.IntV(1000)); err != nil || n != 0 {
+							return fmt.Errorf("scan visited %d (err %v), want 0", n, err)
+						}
+						return noInstance("delete", db.DeleteInstance(tx, in.OID))
+					})
+				}()
+				select {
+				case err := <-other:
+					if err != nil {
+						t.Error(err)
+					}
+				case <-time.After(5 * time.Second):
+					t.Fatal("another transaction blocked on an uncommitted creation")
+				}
+
+				if commit {
+					if err := t1.Commit(); err != nil {
+						t.Fatal(err)
+					}
+				} else {
+					t1.Abort()
+				}
+				if err := db.RunWithRetry(func(tx *txn.Txn) error {
+					v, err := db.Send(tx, in.OID, "getbalance")
+					if !commit {
+						return noInstance("send after the creator aborted", err)
+					}
+					if err != nil || v.I != 101 {
+						return fmt.Errorf("balance after the creator committed = %v (err %v), want 101", v, err)
+					}
+					return nil
+				}); err != nil {
+					t.Error(err)
+				}
+			})
+		}
 	}
 }

@@ -3,6 +3,7 @@ package engine
 import (
 	"context"
 	"fmt"
+	"math"
 	"sync"
 	"time"
 
@@ -192,9 +193,10 @@ func (db *DB) getEC(tx *txn.Txn) *execCtx {
 	ec := db.ecPool.Get().(*execCtx)
 	ec.db = db
 	ec.tx = tx
+	ec.epoch = liveEpoch
 	if tx.IsSnapshot() {
 		ec.snapshot = true
-		ec.snapEpoch = tx.SnapshotEpoch()
+		ec.epoch = tx.SnapshotEpoch()
 	} else {
 		ec.live = liveAcquirer{locks: db.Txns.Locks(), txn: tx.ID, trace: tx.Trace(), done: tx.Done()}
 		ec.acq = &ec.live
@@ -214,7 +216,7 @@ func (db *DB) putEC(ec *execCtx) {
 	ec.ticks = 0
 	ec.depth = 0
 	ec.snapshot = false
-	ec.snapEpoch = 0
+	ec.epoch = 0
 	ec.escrowMask = nil
 	db.ecPool.Put(ec)
 }
@@ -254,12 +256,12 @@ func (db *DB) DeleteInstance(tx *txn.Txn, oid storage.OID) error {
 	if err := tx.Writable(); err != nil {
 		return err
 	}
-	in, ok := db.Store.Get(oid)
-	if !ok {
-		return fmt.Errorf("engine: no instance with OID %d", oid)
-	}
 	ec := db.getEC(tx)
 	defer db.putEC(ec)
+	in, ok := db.Store.Get(oid)
+	if !ok || !ec.visible(in) {
+		return fmt.Errorf("engine: no instance with OID %d", oid)
+	}
 	if err := db.rt.class(in.Class).delete.acquire(ec.acq, uint64(oid)); err != nil {
 		return err
 	}
@@ -393,11 +395,12 @@ type execCtx struct {
 	depth int
 
 	// snapshot routes execution to the multiversion read path: lock plans
-	// are skipped, field reads resolve as of snapEpoch (live cell, later
+	// are skipped, field reads resolve as of epoch (live cell, later
 	// records rolled back), and any mutation fails with
-	// txn.ErrSnapshotWrite (through tx.Writable).
-	snapshot  bool
-	snapEpoch uint64
+	// txn.ErrSnapshotWrite (through tx.Writable). epoch is the snapshot's
+	// begin epoch, or liveEpoch under a locking transaction.
+	snapshot bool
+	epoch    uint64
 
 	// escrowMask is the current top-level method's escrow-slot mask on
 	// the receiver's class (runtime buildEscrowSlots), bound by topSend
@@ -430,6 +433,21 @@ func (ec *execCtx) relatch(held *storage.Instance) {
 	}
 }
 
+// liveEpoch is the epoch a locking transaction checks an instance's
+// existence at: above every commit epoch and below a pending record's.
+const liveEpoch = math.MaxUint64 - 1
+
+// visible reports whether in exists for the context's transaction: false
+// while its creation is uncommitted at the context's epoch, unless the
+// transaction is the creator. Under a locking transaction only another
+// transaction's pending creation hides an instance, as a snapshot's
+// begin epoch does: a send to it, a write to it or its deletion would
+// otherwise leak into, or vanish with, a creator that may still abort.
+// No lock is involved, so creation costs no lock request.
+func (ec *execCtx) visible(in *storage.Instance) bool {
+	return in.SnapshotVisible(ec.epoch, uint64(ec.tx.ID))
+}
+
 func (ec *execCtx) create(cls *schema.Class, vals []Value) (*storage.Instance, error) {
 	if err := ec.tx.Writable(); err != nil {
 		return nil, err
@@ -437,7 +455,7 @@ func (ec *execCtx) create(cls *schema.Class, vals []Value) (*storage.Instance, e
 	if err := ec.db.rt.class(cls).create.acquire(ec.acq, 0); err != nil {
 		return nil, err
 	}
-	in, marker, err := ec.db.Store.NewUncommitted(cls, vals...)
+	in, marker, err := ec.db.Store.NewUncommitted(uint64(ec.tx.ID), cls, vals...)
 	if err != nil {
 		return nil, err
 	}
@@ -500,12 +518,17 @@ func (ec *execCtx) topSendRaw(in *storage.Instance, mid schema.MethodID, args []
 			return Value{}, fmt.Errorf("engine: %s.%s writes per its access vector: %w",
 				in.Class.Name, ec.db.rt.MethodName(mid), txn.ErrSnapshotWrite)
 		}
-		if !in.SnapshotVisible(ec.snapEpoch) {
+		if !ec.visible(in) {
 			// Created after this snapshot began: not there yet.
 			return Value{}, fmt.Errorf("engine: no instance with OID %d", in.OID)
 		}
-	} else if err := crt.plans[mid].top.acquire(ec.acq, uint64(in.OID)); err != nil {
-		return Value{}, err
+	} else {
+		if !ec.visible(in) {
+			return Value{}, fmt.Errorf("engine: no instance with OID %d", in.OID)
+		}
+		if err := crt.plans[mid].top.acquire(ec.acq, uint64(in.OID)); err != nil {
+			return Value{}, err
+		}
 	}
 	ec.db.topSends.Add(1)
 	// Bind the method's escrow-slot mask for the activation, saving the
@@ -554,8 +577,8 @@ func (ec *execCtx) scanDomain(root *schema.Class, mid schema.MethodID, hier bool
 	for _, part := range ec.snap {
 		for _, oid := range part {
 			in, ok := ec.db.Store.Get(oid)
-			if !ok {
-				continue // deleted between snapshot and visit
+			if !ok || !ec.visible(in) {
+				continue // deleted between snapshot and visit, or not yet created
 			}
 			vcrt := &ec.db.rt.classes[in.Class.ID]
 			if !hier {
@@ -605,7 +628,7 @@ func (ec *execCtx) scanDomainSnapshot(root *schema.Class, mid schema.MethodID,
 	for _, part := range ec.snap {
 		for _, oid := range part {
 			in, ok := ec.db.Store.Get(oid)
-			if !ok || !in.SnapshotVisible(ec.snapEpoch) {
+			if !ok || !ec.visible(in) {
 				continue
 			}
 			if filter != nil && !filter(in) {

@@ -101,10 +101,10 @@ func (ec *execCtx) readField(self *storage.Instance, fld *schema.Field, p *schem
 func (ec *execCtx) readFieldSlow(self *storage.Instance, fld *schema.Field, p *schema.Program, pc int) (Value, error) {
 	slot := self.Class.Slot(fld.ID)
 	if ec.snapshot {
-		v, ok := self.SnapshotGet(slot, ec.snapEpoch)
+		v, ok := self.SnapshotGet(slot, ec.epoch)
 		if !ok {
 			return Value{}, fmt.Errorf("engine: %s: instance %d invisible at snapshot epoch %d",
-				p.PosAt(pc), self.OID, ec.snapEpoch)
+				p.PosAt(pc), self.OID, ec.epoch)
 		}
 		ec.db.fieldReads.Add(1)
 		return v, nil

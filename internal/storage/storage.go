@@ -526,18 +526,21 @@ func (s *Store) grow(oid OID) *atomic.Pointer[Instance] {
 // from vals and zero-filling the rest. The value kinds must match the
 // field types, and the class extent must have room (maxExtent).
 func (s *Store) NewInstance(cls *schema.Class, vals ...Value) (*Instance, error) {
-	in, _, err := s.newInstance(cls, vals, false)
+	in, _, err := s.newInstance(cls, vals, 0)
 	return in, err
 }
 
-// NewUncommitted is NewInstance for a transaction's creation: the
-// instance enters the store already carrying a pending creation marker,
-// so no snapshot sees it until its creator stamps the marker at commit.
-func (s *Store) NewUncommitted(cls *schema.Class, vals ...Value) (*Instance, *Version, error) {
-	return s.newInstance(cls, vals, true)
+// NewUncommitted is NewInstance for transaction txn's creation: the
+// instance enters the store already carrying a pending creation marker
+// naming txn, so neither a snapshot nor another transaction sees it (see
+// SnapshotVisible) until txn stamps the marker at commit.
+func (s *Store) NewUncommitted(txn uint64, cls *schema.Class, vals ...Value) (*Instance, *Version, error) {
+	return s.newInstance(cls, vals, txn)
 }
 
-func (s *Store) newInstance(cls *schema.Class, vals []Value, marked bool) (*Instance, *Version, error) {
+// newInstance creates an instance, carrying a creation marker naming txn
+// unless txn is 0 (transaction IDs start at 1).
+func (s *Store) newInstance(cls *schema.Class, vals []Value, txn uint64) (*Instance, *Version, error) {
 	if len(vals) > cls.NumSlots() {
 		return nil, nil, fmt.Errorf("storage: class %s has %d fields, got %d values",
 			cls.Name, cls.NumSlots(), len(vals))
@@ -562,12 +565,13 @@ func (s *Store) newInstance(cls *schema.Class, vals []Value, marked bool) (*Inst
 		return nil, nil, errExtentFull(cls)
 	}
 	var marker *Version
-	if marked {
+	if txn != 0 {
 		// Linked before the directory publishes the instance: no reader
 		// can reach it yet, so no writer window is needed.
 		marker = s.versions.get()
 		marker.epoch.Store(pendingEpoch)
 		marker.slot.Store(slotCreate)
+		marker.old.num.Store(int64(txn))
 		in.verHead.Store(marker)
 		s.versionsPublished.Add(1)
 	}

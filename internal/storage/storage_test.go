@@ -276,7 +276,7 @@ func TestCellKindInvariant(t *testing.T) {
 		if _, err := st.NewInstance(c2, img[:w.slot+1]...); err == nil {
 			t.Errorf("%s: NewInstance accepted it", w.name)
 		}
-		if _, _, err := st.NewUncommitted(c2, img[:w.slot+1]...); err == nil {
+		if _, _, err := st.NewUncommitted(1, c2, img[:w.slot+1]...); err == nil {
 			t.Errorf("%s: NewUncommitted accepted it", w.name)
 		}
 	}
@@ -312,7 +312,7 @@ func TestExtentCap(t *testing.T) {
 		t.Error("NewInstance past the cap")
 	}
 	published := st.VersionsPublished()
-	if _, _, err := st.NewUncommitted(c1); err == nil {
+	if _, _, err := st.NewUncommitted(1, c1); err == nil {
 		t.Error("NewUncommitted past the cap")
 	}
 	if st.VersionsPublished() != published {

@@ -20,10 +20,11 @@
 //     record with an empty cell. A record is pushed at the chain head
 //     inside the same in.mu + seq window as the store it describes, so
 //     a reader never sees the new cell without the record or the
-//     reverse. A creation links a marker record (slot −1): a reader
-//     that has to roll the marker back treats the instance as not yet
-//     existing. Abort restores the cell and unlinks the record in one
-//     window; commit only stamps the record's epoch.
+//     reverse. A creation links a marker record (slot −1) whose cell
+//     holds the creator's transaction ID: a reader other than the
+//     creator that has to roll the marker back treats the instance as
+//     not yet existing. Abort restores the cell and unlinks the record
+//     in one window; commit only stamps the record's epoch.
 //   - Two counters: epochNext hands out commit epochs, epochStable is
 //     the highest epoch whose commit (and every earlier one) has stamped
 //     its records. Epochs retire in order (FinishEpoch), so a reader
@@ -412,15 +413,16 @@ func (in *Instance) recycle(v *Version) {
 }
 
 // readAt reconstructs slot i, of kind k (no slot when i < 0), as of
-// begin epoch b:
-// the live cell with every record of the slot that b does not cover
-// rolled back, all inside one seqlock section. visible is false when a
-// creation marker is among the rolled-back records. The per-hop seq
-// check bounds the walk — an unchanged seq means an unchanged, finite
-// chain. A reader that writers keep overlapping for seqSpins attempts (a
-// long chain under a hot writer) takes the writer latch for the next
-// one: under it seq is even and cannot move, so that attempt succeeds.
-func (in *Instance) readAt(i int, k ValueKind, b uint64) (num int64, sp *byte, visible bool) {
+// begin epoch b: the live cell with every record of the slot that b does
+// not cover rolled back, all inside one seqlock section. visible is
+// false when a creation marker is among the rolled-back records and txn
+// is not its creator (SnapshotGet passes txn 0, which creates nothing).
+// The per-hop seq check bounds the walk — an unchanged seq means an
+// unchanged, finite chain. A reader that writers keep overlapping for
+// seqSpins attempts (a long chain under a hot writer) takes the writer
+// latch for the next one: under it seq is even and cannot move, so that
+// attempt succeeds.
+func (in *Instance) readAt(i int, k ValueKind, b, txn uint64) (num int64, sp *byte, visible bool) {
 	for spins := 0; ; spins++ {
 		latched := spins >= seqSpins
 		if latched {
@@ -438,7 +440,7 @@ func (in *Instance) readAt(i int, k ValueKind, b uint64) (num int64, sp *byte, v
 				}
 				switch s := int(v.slot.Load()); {
 				case s == slotCreate:
-					visible = false
+					visible = uint64(v.old.num.Load()) == txn
 				case s == i && v.delta.Load():
 					num -= v.old.num.Load()
 				case s == i:
@@ -460,17 +462,21 @@ func (in *Instance) readAt(i int, k ValueKind, b uint64) (num int64, sp *byte, v
 // false when the instance is not visible at b.
 func (in *Instance) SnapshotGet(i int, b uint64) (Value, bool) {
 	k := in.kind(i)
-	num, sp, visible := in.readAt(i, k, b)
+	num, sp, visible := in.readAt(i, k, b, 0)
 	if !visible {
 		return Value{}, false
 	}
 	return mkValue(k, num, sp), true
 }
 
-// SnapshotVisible reports whether the instance exists at begin epoch b:
-// false only while its creation has not committed at or below b.
-func (in *Instance) SnapshotVisible(b uint64) bool {
-	_, _, visible := in.readAt(-1, KInt, b)
+// SnapshotVisible reports whether the instance exists for transaction
+// txn reading as of epoch b: false while its creation has not committed
+// at or below b, unless txn is the creator. A snapshot transaction reads
+// at its begin epoch. A locking transaction reads the live state at
+// math.MaxUint64 - 1, above every commit epoch and below pendingEpoch,
+// where only another transaction's pending creation hides the instance.
+func (in *Instance) SnapshotVisible(b, txn uint64) bool {
+	_, _, visible := in.readAt(-1, KInt, b, txn)
 	return visible
 }
 

@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"math"
 	"runtime"
 	"strings"
 	"sync"
@@ -264,7 +265,8 @@ func TestRecycledRecordPinsNoString(t *testing.T) {
 
 // TestSnapshotCreationMarker: an instance created by a transaction is
 // invisible until the creation commits, visible from that epoch on, and
-// still invisible to a snapshot that began earlier.
+// still invisible to a snapshot that began earlier. At the live epoch
+// the creator alone sees it while the creation is pending.
 func TestSnapshotCreationMarker(t *testing.T) {
 	s := fig1(t)
 	st := NewStore(s)
@@ -273,16 +275,23 @@ func TestSnapshotCreationMarker(t *testing.T) {
 	var pin SnapshotReader
 	st.BeginSnapshot(&pin)
 	defer st.EndSnapshot(&pin)
-	in, marker, err := st.NewUncommitted(s.Class("c1"), IntV(42), BoolV(true))
+	in, marker, err := st.NewUncommitted(1, s.Class("c1"), IntV(42), BoolV(true))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if in.SnapshotVisible(st.StableEpoch()) {
+	if in.SnapshotVisible(st.StableEpoch(), 0) {
 		t.Error("uncommitted creation visible to a snapshot")
+	}
+	const live = math.MaxUint64 - 1
+	if !in.SnapshotVisible(live, 1) || in.SnapshotVisible(live, 2) {
+		t.Error("a pending creation must be visible to its creator (txn 1) alone")
 	}
 	w := st.Write(in, slotF1, IntV(43), nil, false) // the creator writes its own instance
 	e := commit(st, marker, w)
-	if in.SnapshotVisible(before) {
+	if !in.SnapshotVisible(live, 2) {
+		t.Error("a committed creation invisible at the live epoch")
+	}
+	if in.SnapshotVisible(before, 0) {
 		t.Error("creation visible to a snapshot begun before it committed")
 	}
 	if _, ok := in.SnapshotGet(slotF1, before); ok {
@@ -414,8 +423,8 @@ func TestSnapshotRecoveredStoreFullyVisible(t *testing.T) {
 	var rd SnapshotReader
 	b := st.BeginSnapshot(&rd)
 	defer st.EndSnapshot(&rd)
-	if b != 9 || !in.SnapshotVisible(b) {
-		t.Fatalf("recovered instance: begin epoch %d, visible %t", b, in.SnapshotVisible(b))
+	if b != 9 || !in.SnapshotVisible(b, 0) {
+		t.Fatalf("recovered instance: begin epoch %d, visible %t", b, in.SnapshotVisible(b, 0))
 	}
 	wantAt(t, in, slotF1, b, IntV(42))
 	e := overwrite(st, in, slotF1, IntV(43))

@@ -207,7 +207,7 @@ func TestRunCancelDuringDurabilityWait(t *testing.T) {
 	var oid storage.OID
 	var id lock.TxnID
 	err = m.RunWithRetry(ctx, func(tx *Txn) error {
-		in, marker, err := st.NewUncommitted(s.Class("c1"), storage.IntV(42))
+		in, marker, err := st.NewUncommitted(uint64(tx.ID), s.Class("c1"), storage.IntV(42))
 		if err != nil {
 			return err
 		}
@@ -264,7 +264,7 @@ func TestRunBlockingCommitHoldsLocksAcrossFsync(t *testing.T) {
 	done := make(chan error, 1)
 	go func() {
 		done <- m.RunWithRetry(context.Background(), func(tx *Txn) error {
-			in, marker, err := st.NewUncommitted(s.Class("c1"), storage.IntV(1))
+			in, marker, err := st.NewUncommitted(uint64(tx.ID), s.Class("c1"), storage.IntV(1))
 			if err != nil {
 				return err
 			}

@@ -28,7 +28,7 @@ func TestCommitPipelinedReleasesLocksBeforeHarden(t *testing.T) {
 
 	cls := s.Order[0]
 	tx := m.Begin()
-	in, marker, err := st.NewUncommitted(cls)
+	in, marker, err := st.NewUncommitted(uint64(tx.ID), cls)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +118,7 @@ func TestCommitPipelinedClosedLogRollsBack(t *testing.T) {
 	}
 	cls := s.Order[0]
 	tx := m.Begin()
-	in, marker, err := st.NewUncommitted(cls)
+	in, marker, err := st.NewUncommitted(uint64(tx.ID), cls)
 	if err != nil {
 		t.Fatal(err)
 	}

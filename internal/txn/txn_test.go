@@ -250,7 +250,7 @@ func TestAbortTypedCreateDelete(t *testing.T) {
 	old, _ := st.NewInstance(c1, storage.IntV(7))
 
 	tx := m.Begin()
-	created, marker, err := st.NewUncommitted(c1, storage.IntV(1))
+	created, marker, err := st.NewUncommitted(uint64(tx.ID), c1, storage.IntV(1))
 	if err != nil {
 		t.Fatal(err)
 	}
