@@ -165,6 +165,48 @@ end`
 	}
 }
 
+// TestCommutingNonIntegerCoWriteRejected: commuting writers of one field
+// run as concurrent uncommitted writers, undone and logged as integer
+// deltas. A declaration that makes two writers of a string field commute
+// has no such form, so Compile rejects it; one whose commuting writers
+// share only an integer field compiles.
+func TestCommutingNonIntegerCoWriteRejected(t *testing.T) {
+	const src = `
+class tally is
+    instance variables are
+        count : integer
+        label : string
+    method add(n) is
+        count := count + n
+    end
+    method tag(n, s) is
+        count := count + n
+        label := s
+    end
+end`
+	for _, tc := range []struct {
+		a, b    string
+		wantErr bool
+	}{
+		{"add", "add", false},
+		{"add", "tag", false}, // they share count, an integer
+		{"tag", "tag", true},  // they share label, a string
+	} {
+		ov := NewOverrides()
+		ov.Declare("tally", tc.a, tc.b)
+		_, err := CompileSource(src, WithOverrides(ov))
+		if !tc.wantErr {
+			if err != nil {
+				t.Errorf("%s/%s: %v", tc.a, tc.b, err)
+			}
+			continue
+		}
+		if err == nil || !strings.Contains(err.Error(), "label") {
+			t.Errorf("%s/%s: err = %v, want a rejection naming label", tc.a, tc.b, err)
+		}
+	}
+}
+
 // Overrides can only add parallelism, never remove it.
 func TestOverridesOnlyAdd(t *testing.T) {
 	ov := NewOverrides()

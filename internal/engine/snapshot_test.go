@@ -599,10 +599,11 @@ func TestTortureSnapshotConsistency(t *testing.T) {
 	}
 
 	// Two protocols grant concurrent uncommitted writers of ONE instance:
-	// FieldCC to writers of disjoint fields, FineCC to declared-commuting
-	// writers of one field. Their records interleave on one chain and
-	// commit (or abort) in any order; a snapshot must read none of it
-	// early, nothing of an aborted writer ever, and the same value twice.
+	// FieldCC and FineCC to writers of disjoint fields (neither latches
+	// them), FineCC also to declared-commuting writers of one field. Their
+	// records interleave on one chain and commit (or abort) in any order;
+	// a snapshot must read none of it early, nothing of an aborted writer
+	// ever, and the same value twice.
 	ov := core.NewOverrides()
 	ov.Declare("pair", "bump", "bump")
 	escrow, err := core.CompileSource(pairSchema, core.WithOverrides(ov))
@@ -617,6 +618,7 @@ func TestTortureSnapshotConsistency(t *testing.T) {
 		reads   []string // what the readers watch
 	}{
 		{"FieldCC-disjoint-fields", c, FieldCC{}, []string{"seta", "setb"}, []string{"geta", "getb"}},
+		{"FineCC-disjoint-fields", c, FineCC{}, []string{"seta", "setb"}, []string{"geta", "getb"}},
 		{"FineCC-escrow-aborts", escrow, FineCC{}, []string{"bump", "bump", "bump"}, []string{"getc"}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

@@ -634,3 +634,51 @@ func TestEscrowCommitTurnstileNoDeadlock(t *testing.T) {
 		t.Errorf("snapshot balance = %v ok=%t, want %d", v, ok, want)
 	}
 }
+
+// TestCommitTakesNoExecLatch: an instance's execution latch belongs to
+// the engine's escrow frames and to the rollback of a delta, nothing
+// else. While a frame holds it, a transaction that wrote a delta there
+// commits at once, and one that aborts a delta there waits: its
+// subtraction would race the frame's read-modify-write of the cell.
+func TestCommitTakesNoExecLatch(t *testing.T) {
+	m, st, s := setup(t)
+	l, _, err := wal.Open(t.TempDir(), st, wal.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close() //nolint:errcheck
+	m.SetWAL(l)
+	in, err := st.NewInstance(s.Class("c1"), storage.IntV(10), storage.BoolV(false))
+	if err != nil {
+		t.Fatal(err)
+	}
+	committer, aborter := m.Begin(), m.Begin()
+	add(committer, in, 0, 5)
+	add(aborter, in, 0, 7)
+
+	in.LockExec() // a running escrow frame on in
+	committed := make(chan error, 1)
+	go func() { committed <- committer.Commit() }()
+	select {
+	case err := <-committed:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(5 * time.Second):
+		in.UnlockExec()
+		t.Fatal("commit waited on the execution latch")
+	}
+	aborted := make(chan struct{})
+	go func() { aborter.Abort(); close(aborted) }()
+	select {
+	case <-aborted:
+		in.UnlockExec()
+		t.Fatal("abort subtracted its delta without the execution latch")
+	case <-time.After(50 * time.Millisecond):
+	}
+	in.UnlockExec()
+	<-aborted
+	if got := in.Get(0).I; got != 15 {
+		t.Errorf("balance = %d, want 15 (the committed delta only)", got)
+	}
+}
