@@ -430,7 +430,7 @@ func TestWarmPipelinedTxnRoundtripZeroAllocs(t *testing.T) {
 }
 
 // The PR 10 acceptance: the context plumbing adds no heap traffic to
-// the warm path. context.Background().Done() is nil, so RunWithRetryCtx
+// the warm path. context.Background().Done() is nil, so Txns.RunWithRetry
 // delegates to the context-free loop; a live cancelable context binds
 // its done channel into the transaction, but on an uncontended send the
 // channel is only ever selected on, never allocated against. Both
@@ -460,11 +460,11 @@ func TestWarmCtxTxnRoundtripZeroAllocs(t *testing.T) {
 		{"cancelable", cancelable},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			if err := db.RunWithRetryCtx(tc.ctx, fn); err != nil {
+			if err := db.Txns.RunWithRetry(tc.ctx, fn); err != nil {
 				t.Fatal(err)
 			}
 			allocs := minAllocsPerRun(200, func() {
-				if err := db.RunWithRetryCtx(tc.ctx, fn); err != nil {
+				if err := db.Txns.RunWithRetry(tc.ctx, fn); err != nil {
 					t.Fatal(err)
 				}
 			})

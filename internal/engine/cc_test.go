@@ -316,7 +316,7 @@ func TestRecordingSessionCommitsItsCreations(t *testing.T) {
 	// granted without queueing only if the session left nothing held.
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
-	if err := db.RunWithRetryCtx(ctx, func(tx *txn.Txn) error {
+	if err := db.Txns.RunWithRetry(ctx, func(tx *txn.Txn) error {
 		return db.DeleteInstance(tx, in.OID)
 	}); err != nil {
 		t.Fatalf("delete after the session: %v", err)

@@ -95,32 +95,19 @@ func (db *DB) Locks() *lock.Manager { return db.Txns.Locks() }
 func (db *DB) Begin() *txn.Txn { return db.Txns.Begin() }
 
 // RunWithRetry executes fn transactionally, retrying deadlock victims.
+// db.Txns.RunWithRetry is the same honoring a context.
 func (db *DB) RunWithRetry(fn func(*txn.Txn) error) error {
-	return db.RunWithRetryCtx(context.Background(), fn)
-}
-
-// RunWithRetryCtx is RunWithRetry honoring ctx at every blocking point:
-// lock waits, the retry backoff, and the commit's durability wait (see
-// txn.Manager.RunWithRetry for the unacked-commit caveat).
-func (db *DB) RunWithRetryCtx(ctx context.Context, fn func(*txn.Txn) error) error {
-	return db.Txns.RunWithRetry(ctx, fn)
+	return db.Txns.RunWithRetry(context.Background(), fn)
 }
 
 // RunWithRetryPipelined executes fn transactionally like RunWithRetry
 // but commits pipelined: it returns as soon as the commit record is
 // sequenced in the log, with a durability future that resolves when the
 // record is hardened. The session can start its next transaction while
-// the group commit's fsync is in flight.
+// the group commit's fsync is in flight. db.Txns.RunWithRetryPipelined
+// is the same honoring a context.
 func (db *DB) RunWithRetryPipelined(fn func(*txn.Txn) error) (txn.Future, error) {
-	return db.RunWithRetryPipelinedCtx(context.Background(), fn)
-}
-
-// RunWithRetryPipelinedCtx is RunWithRetryPipelined honoring ctx before
-// each attempt, during lock waits and across the retry backoff. The
-// returned future is not bound to ctx; bound the wait with
-// Future.WaitDone(ctx.Done()) if needed.
-func (db *DB) RunWithRetryPipelinedCtx(ctx context.Context, fn func(*txn.Txn) error) (txn.Future, error) {
-	return db.Txns.RunWithRetryPipelined(ctx, fn)
+	return db.Txns.RunWithRetryPipelined(context.Background(), fn)
 }
 
 // RunReadOnly executes fn as a snapshot transaction: zero lock-manager
@@ -132,15 +119,10 @@ func (db *DB) RunWithRetryPipelinedCtx(ctx context.Context, fn func(*txn.Txn) er
 // committing after this one began disappears from its view (lookups
 // fail, scans skip it) instead of staying visible at the begin epoch.
 // Only methods whose transitive access vectors are write-free may be
-// sent (others fail with txn.ErrSnapshotWrite).
+// sent (others fail with txn.ErrSnapshotWrite). db.Txns.RunReadOnly is
+// the same honoring a context.
 func (db *DB) RunReadOnly(fn func(*txn.Txn) error) error {
-	return db.RunReadOnlyCtx(context.Background(), fn)
-}
-
-// RunReadOnlyCtx is RunReadOnly honoring ctx. Snapshot reads never
-// block, so the only cancellation point is the check before begin.
-func (db *DB) RunReadOnlyCtx(ctx context.Context, fn func(*txn.Txn) error) error {
-	return db.Txns.RunReadOnly(ctx, fn)
+	return db.Txns.RunReadOnly(context.Background(), fn)
 }
 
 // SnapshotSafe reports whether a method is statically read-only per its

@@ -136,7 +136,7 @@ func TestFlightRecorderCapturesCommitAndFsync(t *testing.T) {
 			defer db.Close()
 			db.SetSlowTxnThreshold(time.Nanosecond)
 			oid := seedOne(t, db)
-			if err := db.RunWithRetryCtx(tc.ctx, func(tx *txn.Txn) error {
+			if err := db.Txns.RunWithRetry(tc.ctx, func(tx *txn.Txn) error {
 				_, err := db.Send(tx, oid, "m1", storage.IntV(1))
 				return err
 			}); err != nil {

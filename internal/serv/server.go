@@ -11,9 +11,12 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/bridge"
 	"repro/internal/codec"
+	"repro/internal/engine"
 	"repro/internal/obs"
 	"repro/internal/storage"
+	"repro/internal/txn"
 	"repro/oodb"
 )
 
@@ -32,17 +35,18 @@ type Stats struct {
 	SessionsTotal int64 // connections accepted over the server's lifetime
 	ConnsActive   int64 // sessions currently open
 	Inflight      int64 // requests read but not yet responded to
-	Requests      int64 // requests executed, by op
+	Requests      int64 // requests executed, all ops in one count
 	Txns          int64 // OpTxn updates (pipelined + blocking)
 	Views         int64 // OpTxn views
 	Errors        int64 // requests answered with a non-OK status
 }
 
 // Server owns a listener and its sessions. One Server serves one
-// Database; sessions share the engine directly, so a group-commit
-// fsync amortizes across every connection with a commit in flight.
+// Database; sessions run their batches on its engine directly, so a
+// group-commit fsync amortizes across every connection with a commit in
+// flight.
 type Server struct {
-	db  *oodb.Database
+	db  *engine.DB
 	ln  net.Listener
 	cfg Config
 
@@ -96,7 +100,7 @@ func Listen(db *oodb.Database, network, addr string, cfg Config) (*Server, error
 // database takes one server per address for its lifetime: serving it
 // on an address it was served on before panics.
 func Serve(db *oodb.Database, ln net.Listener, cfg Config) *Server {
-	s := &Server{db: db, ln: ln, cfg: cfg, sessions: make(map[*session]struct{})}
+	s := &Server{db: bridge.Engine(db), ln: ln, cfg: cfg, sessions: make(map[*session]struct{})}
 	s.registerMetrics()
 	s.acceptWG.Add(1)
 	go s.acceptLoop()
@@ -203,6 +207,7 @@ func (s *Server) acceptLoop() {
 			conn: conn,
 			out:  make(chan *pending, pipelineDepth),
 		}
+		sess.run = sess.runBatch
 		s.mu.Lock()
 		s.sessions[sess] = struct{}{}
 		s.mu.Unlock()
@@ -224,10 +229,9 @@ const pipelineDepth = 256
 // durability future the writer must resolve before the bytes may be
 // acked to the client.
 type pending struct {
-	buf    []byte
-	id     uint64
-	fut    oodb.Future
-	hasFut bool
+	buf []byte
+	id  uint64
+	fut txn.Future // zero (resolved) unless a pipelined commit
 }
 
 // session is one client connection: a reader goroutine that decodes and
@@ -237,6 +241,14 @@ type session struct {
 	srv  *Server
 	conn net.Conn
 	out  chan *pending
+
+	// The reader's batch state: the request being executed, its
+	// results and the OIDs its CmdNews created (for target references).
+	// run is runBatch bound once, so executing a batch builds no closure.
+	req     Request
+	results []Result
+	oids    []storage.OID
+	run     func(*txn.Txn) error
 }
 
 func (sess *session) readLoop() {
@@ -257,10 +269,8 @@ func (sess *session) readLoop() {
 	}
 	br := bufio.NewReaderSize(sess.conn, 64<<10)
 	var (
-		req  Request
-		buf  []byte
-		err  error
-		oids []oodb.OID // per-batch CmdNew results for target references
+		buf []byte
+		err error
 	)
 	for {
 		buf, err = ReadFrame(br, DefaultMaxFrame, buf)
@@ -270,13 +280,13 @@ func (sess *session) readLoop() {
 			}
 			return
 		}
-		if err := DecodeRequest(buf, &req); err != nil {
+		if err := DecodeRequest(buf, &sess.req); err != nil {
 			s.logf("serv: %v", err)
 			return
 		}
 		s.inflight.Add(1)
-		p := &pending{id: req.ID}
-		oids = sess.execute(&req, p, oids)
+		p := &pending{id: sess.req.ID}
+		sess.execute(p)
 		sess.out <- p
 	}
 }
@@ -287,13 +297,12 @@ func (sess *session) writeLoop() {
 	bw := bufio.NewWriterSize(sess.conn, 64<<10)
 	var hdr [codec.HeaderSize]byte
 	for p := range sess.out {
-		if p.hasFut {
-			if err := p.fut.Wait(); err != nil {
-				// The commit was acked by the engine but the log went
-				// fail-stop before hardening it: the client must not
-				// take the response as durable.
-				p.buf = appendErrResponse(p.buf[:0], p.id, err)
-			}
+		if err := p.fut.Wait(); err != nil {
+			// The commit was acked by the engine but the log went
+			// fail-stop before hardening it: the client must not take
+			// the response as durable.
+			s.errorsTotal.Add(1)
+			p.buf = appendErrResponse(p.buf[:0], p.id, err)
 		}
 		err := WriteFrame(bw, &hdr, p.buf)
 		if errors.Is(err, ErrBadFrame) {
@@ -322,9 +331,7 @@ func (sess *session) writeLoop() {
 // failure, resolving futures so pooled commit tickets recycle.
 func (sess *session) drainPendings() {
 	for p := range sess.out {
-		if p.hasFut {
-			p.fut.Wait()
-		}
+		p.fut.Wait()
 		sess.srv.inflight.Add(-1)
 	}
 }
@@ -345,32 +352,31 @@ func appendErrResponse(b []byte, id uint64, err error) []byte {
 	return b
 }
 
-// execute runs one decoded request and leaves the encoded response (or
-// the pipelined future plus pre-encoded success response) on p. It
-// returns the oids scratch for reuse.
-func (sess *session) execute(req *Request, p *pending, oids []oodb.OID) []oodb.OID {
-	s := sess.srv
+// execute runs the decoded sess.req and leaves the encoded response
+// (or the pipelined future plus pre-encoded success response) on p.
+func (sess *session) execute(p *pending) {
+	s, req := sess.srv, &sess.req
 	start := time.Now()
 	s.requests.Add(1)
 	switch req.Op {
 	case OpPing:
 		p.buf, _ = AppendResponse(p.buf[:0], &Response{ID: req.ID})
 		s.histPing.record(time.Since(start))
-		return oids
+		return
 	case OpStats:
 		js, err := json.Marshal(s.Stats())
 		if err != nil {
 			p.buf = appendErrResponse(p.buf[:0], req.ID, err)
 			s.errorsTotal.Add(1)
-			return oids
+			return
 		}
 		p.buf, _ = AppendResponse(p.buf[:0], &Response{ID: req.ID, Stats: string(js)})
-		return oids
+		return
 	case OpTxn:
 	default:
 		s.errorsTotal.Add(1)
 		p.buf = appendErrResponse(p.buf[:0], req.ID, fmt.Errorf("serv: unknown op %d", req.Op))
-		return oids
+		return
 	}
 
 	ctx := context.Background()
@@ -380,107 +386,79 @@ func (sess *session) execute(req *Request, p *pending, oids []oodb.OID) []oodb.O
 		defer cancel()
 	}
 
-	results := make([]Result, 0, len(req.Cmds))
-	run := func(tx *oodb.Txn) error {
-		// The batch may rerun after a deadlock abort: results and the
-		// created-OID scratch reset per attempt.
-		results = results[:0]
-		oids = oids[:0]
-		for i := range req.Cmds {
-			c := &req.Cmds[i]
-			oids = append(oids, 0)
-			res := Result{Kind: c.Kind}
-			switch c.Kind {
-			case CmdSend:
-				oid, err := resolveTarget(c, oids)
-				if err != nil {
-					return err
-				}
-				out, err := tx.Send(oid, c.Method, valuesToGo(c.Args)...)
-				if err != nil {
-					return err
-				}
-				v, err := GoToValue(out)
-				if err != nil {
-					return err
-				}
-				res.Val = v
-			case CmdNew:
-				oid, err := tx.New(c.Class, valuesToGo(c.Args)...)
-				if err != nil {
-					return err
-				}
-				oids[i] = oid
-				res.OID = uint64(oid)
-			case CmdDelete:
-				oid, err := resolveTarget(c, oids)
-				if err != nil {
-					return err
-				}
-				if err := tx.Delete(oid); err != nil {
-					return err
-				}
-			case CmdScan:
-				n, err := tx.ScanSend(c.Class, c.Method, c.Hier, valuesToGo(c.Args)...)
-				if err != nil {
-					return err
-				}
-				res.Count = uint64(n)
-			}
-			results = append(results, res)
-		}
-		return nil
-	}
-
 	var err error
 	hist := s.histTxn
 	switch {
 	case req.Flags&FlagView != 0:
 		s.views.Add(1)
 		hist = s.histView
-		err = s.db.ViewCtx(ctx, run)
+		err = s.db.Txns.RunReadOnly(ctx, sess.run)
 	case req.Flags&FlagBlocking != 0:
 		s.txns.Add(1)
-		err = s.db.UpdateCtx(ctx, run)
+		err = s.db.Txns.RunWithRetry(ctx, sess.run)
 	default:
 		s.txns.Add(1)
-		var fut oodb.Future
-		fut, err = s.db.UpdateAsyncCtx(ctx, run)
-		if err == nil {
-			p.fut, p.hasFut = fut, true
-		}
+		p.fut, err = s.db.Txns.RunWithRetryPipelined(ctx, sess.run)
 	}
 	hist.record(time.Since(start))
-	if err != nil {
-		s.errorsTotal.Add(1)
-		p.buf = appendErrResponse(p.buf[:0], req.ID, err)
-		return oids
+	if err == nil {
+		p.buf, err = AppendResponse(p.buf[:0], &Response{ID: req.ID, Results: sess.results})
 	}
-	p.buf, err = AppendResponse(p.buf[:0], &Response{ID: req.ID, Results: results})
 	if err != nil {
 		s.errorsTotal.Add(1)
 		p.buf = appendErrResponse(p.buf[:0], req.ID, err)
 	}
-	return oids
 }
 
-func resolveTarget(c *Cmd, oids []oodb.OID) (oodb.OID, error) {
-	if c.Ref < 0 {
-		return oodb.OID(c.OID), nil
+// runBatch executes sess.req's commands in tx on the engine's Value
+// API. The batch may rerun after a deadlock abort: results and the
+// created OIDs reset per attempt.
+func (sess *session) runBatch(tx *txn.Txn) error {
+	db := sess.srv.db
+	sess.results, sess.oids = sess.results[:0], sess.oids[:0]
+	for i := range sess.req.Cmds {
+		c := &sess.req.Cmds[i]
+		sess.oids = append(sess.oids, 0)
+		res := Result{Kind: c.Kind}
+		var err error
+		switch c.Kind {
+		case CmdSend:
+			var oid storage.OID
+			if oid, err = sess.target(c); err == nil {
+				res.Val, err = db.Send(tx, oid, c.Method, c.Args...)
+			}
+		case CmdNew:
+			var in *storage.Instance
+			if in, err = db.NewInstance(tx, c.Class, c.Args...); err == nil {
+				sess.oids[i] = in.OID
+				res.OID = uint64(in.OID)
+			}
+		case CmdDelete:
+			var oid storage.OID
+			if oid, err = sess.target(c); err == nil {
+				err = db.DeleteInstance(tx, oid)
+			}
+		case CmdScan:
+			var n int
+			n, err = db.DomainScan(tx, c.Class, c.Method, c.Hier, nil, c.Args...)
+			res.Count = uint64(n)
+		}
+		if err != nil {
+			return err
+		}
+		sess.results = append(sess.results, res)
 	}
-	if c.Ref >= len(oids) || oids[c.Ref] == 0 {
+	return nil
+}
+
+// target resolves a command's receiver: a literal OID or the creation
+// of an earlier command in the batch.
+func (sess *session) target(c *Cmd) (storage.OID, error) {
+	if c.Ref < 0 {
+		return storage.OID(c.OID), nil
+	}
+	if c.Ref >= len(sess.oids) || sess.oids[c.Ref] == 0 {
 		return 0, fmt.Errorf("serv: command references command %d, which created nothing", c.Ref)
 	}
-	return oids[c.Ref], nil
-}
-
-func valuesToGo(vals []storage.Value) []any {
-	if len(vals) == 0 {
-		return nil
-	}
-	out := make([]any, len(vals))
-	for i, v := range vals {
-		out[i] = ValueToGo(v)
-	}
-	return out
+	return sess.oids[c.Ref], nil
 }

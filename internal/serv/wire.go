@@ -461,37 +461,3 @@ func DecodeResponse(payload []byte, resp *Response, isStats bool) error {
 	}
 	return nil
 }
-
-// GoToValue converts a Go argument (int, int64, bool, string, oodb.OID)
-// into a wire value, mirroring the oodb facade's accepted kinds.
-func GoToValue(a any) (storage.Value, error) {
-	switch v := a.(type) {
-	case int:
-		return storage.IntV(int64(v)), nil
-	case int64:
-		return storage.IntV(v), nil
-	case bool:
-		return storage.BoolV(v), nil
-	case string:
-		return storage.StrV(v), nil
-	case oodb.OID:
-		return storage.RefV(v), nil
-	}
-	return storage.Value{}, fmt.Errorf("serv: unsupported argument type %T", a)
-}
-
-// ValueToGo converts a wire value into the Go value the oodb facade
-// would return (int64, bool, string or oodb.OID).
-func ValueToGo(v storage.Value) any {
-	switch v.Kind {
-	case storage.KInt:
-		return v.I
-	case storage.KBool:
-		return v.B
-	case storage.KString:
-		return v.S
-	case storage.KRef:
-		return v.R
-	}
-	return nil
-}

@@ -236,32 +236,3 @@ func TestDecodeRequestRejectsGarbage(t *testing.T) {
 		_ = DecodeRequest(b, &req) //nolint:errcheck // must-not-panic fuzz
 	}
 }
-
-func TestValueConversions(t *testing.T) {
-	cases := []struct {
-		in   any
-		want storage.Value
-	}{
-		{int(3), storage.IntV(3)},
-		{int64(-9), storage.IntV(-9)},
-		{true, storage.BoolV(true)},
-		{"s", storage.StrV("s")},
-		{storage.OID(17), storage.RefV(17)},
-	}
-	for _, c := range cases {
-		v, err := GoToValue(c.in)
-		if err != nil {
-			t.Fatalf("GoToValue(%v): %v", c.in, err)
-		}
-		if v != c.want {
-			t.Errorf("GoToValue(%v) = %+v, want %+v", c.in, v, c.want)
-		}
-		back := ValueToGo(v)
-		if v2, err := GoToValue(back); err != nil || v2 != c.want {
-			t.Errorf("ValueToGo(%+v) = %v does not convert back (err %v)", v, back, err)
-		}
-	}
-	if _, err := GoToValue(3.14); err == nil {
-		t.Error("GoToValue(float64) accepted")
-	}
-}

@@ -85,6 +85,55 @@ func StrV(s string) Value { return Value{Kind: KString, S: s} }
 // RefV returns a reference value.
 func RefV(oid OID) Value { return Value{Kind: KRef, R: oid} }
 
+// GoToValue converts a Go value (int, int64, bool, string or OID) into
+// a Value. It and ValueToGo are the one mapping between the Go values
+// of the public APIs (oodb, oodb/client) and the engine's Values.
+func GoToValue(a any) (Value, error) {
+	switch v := a.(type) {
+	case int:
+		return IntV(int64(v)), nil
+	case int64:
+		return IntV(v), nil
+	case bool:
+		return BoolV(v), nil
+	case string:
+		return StrV(v), nil
+	case OID:
+		return RefV(v), nil
+	}
+	return Value{}, fmt.Errorf("storage: unsupported argument type %T", a)
+}
+
+// GoToValues converts Go values with GoToValue (nil for none).
+func GoToValues(args []any) ([]Value, error) {
+	if len(args) == 0 {
+		return nil, nil
+	}
+	out := make([]Value, len(args))
+	for i, a := range args {
+		v, err := GoToValue(a)
+		if err != nil {
+			return nil, err
+		}
+		out[i] = v
+	}
+	return out, nil
+}
+
+// ValueToGo converts a Value into its Go value: int64, bool, string or
+// OID.
+func ValueToGo(v Value) any {
+	switch v.Kind {
+	case KInt:
+		return v.I
+	case KBool:
+		return v.B
+	case KString:
+		return v.S
+	}
+	return v.R
+}
+
 // Zero returns the zero value for a field type.
 func Zero(t schema.FieldType) Value { return Value{Kind: KindOf(t)} }
 

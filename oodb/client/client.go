@@ -123,7 +123,10 @@ func (c *Client) Close() error {
 func (c *Client) readLoop() {
 	defer close(c.readerDone)
 	br := bufio.NewReaderSize(c.conn, 64<<10)
-	var buf []byte
+	var (
+		buf  []byte
+		resp serv.Response // reused: resolve copies the results out
+	)
 	for {
 		payload, err := serv.ReadFrame(br, serv.DefaultMaxFrame, buf)
 		if err != nil {
@@ -131,7 +134,6 @@ func (c *Client) readLoop() {
 			return
 		}
 		buf = payload
-		var resp serv.Response
 		c.mu.Lock()
 		p := c.pending[respID(payload)]
 		delete(c.pending, respID(payload))
@@ -230,18 +232,11 @@ func (t *Tx) push(c serv.Cmd) int {
 }
 
 func (t *Tx) convArgs(args []any) []storage.Value {
-	if len(args) == 0 {
-		return nil
+	vals, err := storage.GoToValues(args)
+	if err != nil && t.err == nil {
+		t.err = err
 	}
-	out := make([]storage.Value, len(args))
-	for i, a := range args {
-		v, err := serv.GoToValue(a)
-		if err != nil && t.err == nil {
-			t.err = err
-		}
-		out[i] = v
-	}
-	return out
+	return vals
 }
 
 // New appends an object creation (class, positional field values) and
@@ -293,7 +288,7 @@ func (r *Results) Value(i int) (any, error) {
 	if i < 0 || i >= len(r.res) || r.res[i].Kind != serv.CmdSend {
 		return nil, fmt.Errorf("client: result %d is not a send result", i)
 	}
-	return serv.ValueToGo(r.res[i].Val), nil
+	return storage.ValueToGo(r.res[i].Val), nil
 }
 
 // Int returns a Send result as int64 (0 if it was not an integer).

@@ -39,6 +39,7 @@ import (
 	"net/http"
 	"time"
 
+	"repro/internal/bridge"
 	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/obs"
@@ -225,6 +226,10 @@ type Database struct {
 	db *engine.DB
 }
 
+func init() {
+	bridge.Engine = func(d any) *engine.DB { return d.(*Database).db }
+}
+
 // Close flushes and closes the redo log (no-op for a volatile
 // database). In-flight commits complete durably first.
 func (d *Database) Close() error { return d.db.Close() }
@@ -319,7 +324,7 @@ func (d *Database) Update(fn func(*Txn) error) error {
 // IsUnackedCommit error — the transaction IS committed and its effects
 // visible; only the caller stopped waiting for the disk's confirmation.
 func (d *Database) UpdateCtx(ctx context.Context, fn func(*Txn) error) error {
-	return d.db.RunWithRetryCtx(ctx, func(tx *txn.Txn) error {
+	return d.db.Txns.RunWithRetry(ctx, func(tx *txn.Txn) error {
 		return fn(&Txn{db: d, tx: tx})
 	})
 }
@@ -341,7 +346,7 @@ func (d *Database) View(fn func(*Txn) error) error {
 // ViewCtx is View honoring ctx. The transaction never blocks, so the
 // one cancellation point is the check before begin.
 func (d *Database) ViewCtx(ctx context.Context, fn func(*Txn) error) error {
-	return d.db.RunReadOnlyCtx(ctx, func(tx *txn.Txn) error {
+	return d.db.Txns.RunReadOnly(ctx, func(tx *txn.Txn) error {
 		return fn(&Txn{db: d, tx: tx})
 	})
 }
@@ -389,11 +394,10 @@ func (d *Database) UpdateAsync(fn func(*Txn) error) (Future, error) {
 // during lock waits and across the retry backoff. The returned Future
 // is not bound to ctx — the commit is already sequenced when
 // UpdateAsyncCtx returns, so only the wait itself can still be bounded:
-// use Future.WaitCtx. This is the serving layer's workhorse: one
-// group-commit fsync amortizes across every session with a future in
-// flight.
+// use Future.WaitCtx. One group-commit fsync amortizes across every
+// session with a future in flight.
 func (d *Database) UpdateAsyncCtx(ctx context.Context, fn func(*Txn) error) (Future, error) {
-	fut, err := d.db.RunWithRetryPipelinedCtx(ctx, func(tx *txn.Txn) error {
+	fut, err := d.db.Txns.RunWithRetryPipelined(ctx, func(tx *txn.Txn) error {
 		return fn(&Txn{db: d, tx: tx})
 	})
 	return Future{f: fut}, err
@@ -414,7 +418,7 @@ func (t *Txn) Abort() { t.tx.Abort() }
 // New creates an instance of class, with fields initialised positionally
 // from Go values (int/int64, bool, string, OID).
 func (t *Txn) New(class string, fieldValues ...any) (OID, error) {
-	vals, err := toValues(fieldValues)
+	vals, err := storage.GoToValues(fieldValues)
 	if err != nil {
 		return 0, err
 	}
@@ -434,7 +438,7 @@ func (t *Txn) Delete(oid OID) error {
 // Send delivers a message to an object and returns the method's result
 // (int64, bool, string or OID; int64(0) for value-less returns).
 func (t *Txn) Send(oid OID, method string, args ...any) (any, error) {
-	vals, err := toValues(args)
+	vals, err := storage.GoToValues(args)
 	if err != nil {
 		return nil, err
 	}
@@ -442,7 +446,7 @@ func (t *Txn) Send(oid OID, method string, args ...any) (any, error) {
 	if err != nil {
 		return nil, err
 	}
-	return fromValue(out), nil
+	return storage.ValueToGo(out), nil
 }
 
 // ScanSend delivers a message to the instances of the domain rooted at
@@ -450,7 +454,7 @@ func (t *Txn) Send(oid OID, method string, args ...any) (any, error) {
 // classes are locked as wholes and no instance locks are taken. It
 // returns the number of instances visited.
 func (t *Txn) ScanSend(class, method string, hierarchical bool, args ...any) (int, error) {
-	vals, err := toValues(args)
+	vals, err := storage.GoToValues(args)
 	if err != nil {
 		return 0, err
 	}
@@ -590,40 +594,5 @@ func (d *Database) DumpObject(w io.Writer, oid OID) error {
 		fmt.Fprintf(w, "%s: %s", f.Name, in.Get(i))
 	}
 	fmt.Fprintln(w, "}")
-	return nil
-}
-
-func toValues(args []any) ([]storage.Value, error) {
-	out := make([]storage.Value, len(args))
-	for i, a := range args {
-		switch v := a.(type) {
-		case int:
-			out[i] = storage.IntV(int64(v))
-		case int64:
-			out[i] = storage.IntV(v)
-		case bool:
-			out[i] = storage.BoolV(v)
-		case string:
-			out[i] = storage.StrV(v)
-		case OID:
-			out[i] = storage.RefV(v)
-		default:
-			return nil, fmt.Errorf("oodb: unsupported argument type %T", a)
-		}
-	}
-	return out, nil
-}
-
-func fromValue(v storage.Value) any {
-	switch v.Kind {
-	case storage.KInt:
-		return v.I
-	case storage.KBool:
-		return v.B
-	case storage.KString:
-		return v.S
-	case storage.KRef:
-		return v.R
-	}
 	return nil
 }
