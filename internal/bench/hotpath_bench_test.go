@@ -281,7 +281,7 @@ func BenchmarkHotCreateDelete(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				if _, err := db.Store.Delete(in.OID); err != nil {
+				if err := db.Store.Delete(in.OID); err != nil {
 					b.Fatal(err)
 				}
 			}

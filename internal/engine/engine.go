@@ -115,12 +115,13 @@ func (db *DB) RunWithRetryPipelined(fn func(*txn.Txn) error) (txn.Future, error)
 // newest committed slot values at or below the transaction's begin
 // epoch. Sound under every strategy — writers link a version record
 // with every first write of a slot, independently of how they lock.
-// Deletions are not versioned: an instance deleted by a transaction
-// committing after this one began disappears from its view (lookups
-// fail, scans skip it) instead of staying visible at the begin epoch.
-// Only methods whose transitive access vectors are write-free may be
-// sent (others fail with txn.ErrSnapshotWrite). db.Txns.RunReadOnly is
-// the same honoring a context.
+// A pending delete is such a record too, so fn reads its instance. A
+// committed delete removes the instance from the store, so one that
+// commits after this transaction began takes it out of its view
+// (lookups fail, scans skip it) instead of leaving it visible at the
+// begin epoch. Only methods whose transitive access vectors are
+// write-free may be sent (others fail with txn.ErrSnapshotWrite).
+// db.Txns.RunReadOnly is the same honoring a context.
 func (db *DB) RunReadOnly(fn func(*txn.Txn) error) error {
 	return db.Txns.RunReadOnly(context.Background(), fn)
 }
@@ -231,9 +232,11 @@ func (db *DB) SendID(tx *txn.Txn, oid storage.OID, mid schema.MethodID, args ...
 	return ec.topSend(oid, mid, args)
 }
 
-// DeleteInstance removes an object inside tx. Deletion conflicts with
-// every concurrent access to the instance and with whole-extent scans;
-// an abort re-inserts the object with its slots intact.
+// DeleteInstance deletes an object inside tx by linking a deletion
+// marker on its chain. Its locks conflict with every access to the
+// instance and with whole-extent scans. The instance is gone for tx at
+// once and for everyone else when tx commits, which removes it from the
+// store; an abort unlinks the marker.
 func (db *DB) DeleteInstance(tx *txn.Txn, oid storage.OID) error {
 	if err := tx.Writable(); err != nil {
 		return err
@@ -247,11 +250,10 @@ func (db *DB) DeleteInstance(tx *txn.Txn, oid storage.OID) error {
 	if err := db.rt.class(in.Class).delete.acquire(ec.acq, uint64(oid)); err != nil {
 		return err
 	}
-	deleted, err := db.Store.Delete(oid)
-	if err != nil {
-		return err
+	if !ec.visible(in) { // deleted by the transaction this queued behind
+		return fmt.Errorf("engine: no instance with OID %d", oid)
 	}
-	tx.LogDelete(db.Store, deleted)
+	tx.LogDelete(in, db.Store.MarkDeleted(in, uint64(tx.ID)))
 	return nil
 }
 
@@ -419,13 +421,13 @@ func (ec *execCtx) relatch(held *storage.Instance) {
 // existence at: above every commit epoch and below a pending record's.
 const liveEpoch = math.MaxUint64 - 1
 
-// visible reports whether in exists for the context's transaction: false
-// while its creation is uncommitted at the context's epoch, unless the
-// transaction is the creator. Under a locking transaction only another
-// transaction's pending creation hides an instance, as a snapshot's
-// begin epoch does: a send to it, a write to it or its deletion would
-// otherwise leak into, or vanish with, a creator that may still abort.
-// No lock is involved, so creation costs no lock request.
+// visible reports whether in exists for the context's transaction at
+// the context's epoch (storage.Instance.SnapshotVisible). Another
+// transaction's pending creation hides an instance, with no lock
+// involved: a send to it, a write to it or its deletion would otherwise
+// leak into, or vanish with, a creator that may still abort. A pending
+// deletion hides it only from the deleter, whose locks exclude everyone
+// else, so a locking context checks again once its lock is granted.
 func (ec *execCtx) visible(in *storage.Instance) bool {
 	return in.SnapshotVisible(ec.epoch, uint64(ec.tx.ID))
 }
@@ -444,7 +446,7 @@ func (ec *execCtx) create(cls *schema.Class, vals []Value) (*storage.Instance, e
 	ec.db.instancesCreated.Add(1)
 	// An aborting creator removes its instance again; a committing one
 	// stamps the marker and logs the creation with its full image.
-	ec.tx.LogCreate(ec.db.Store, in, marker)
+	ec.tx.LogCreate(in, marker)
 	return in, nil
 }
 
@@ -489,6 +491,9 @@ func (ec *execCtx) topSendRaw(in *storage.Instance, mid schema.MethodID, args []
 		return Value{}, fmt.Errorf("engine: class %s has no method %q",
 			in.Class.Name, ec.db.rt.MethodName(mid))
 	}
+	if !ec.visible(in) {
+		return Value{}, fmt.Errorf("engine: no instance with OID %d", in.OID)
+	}
 	if ec.snapshot {
 		// No locks: eligibility is one bool load from the table the
 		// schema build filled from the method's transitive access
@@ -500,16 +505,12 @@ func (ec *execCtx) topSendRaw(in *storage.Instance, mid schema.MethodID, args []
 			return Value{}, fmt.Errorf("engine: %s.%s writes per its access vector: %w",
 				in.Class.Name, ec.db.rt.MethodName(mid), txn.ErrSnapshotWrite)
 		}
-		if !ec.visible(in) {
-			// Created after this snapshot began: not there yet.
-			return Value{}, fmt.Errorf("engine: no instance with OID %d", in.OID)
-		}
 	} else {
-		if !ec.visible(in) {
-			return Value{}, fmt.Errorf("engine: no instance with OID %d", in.OID)
-		}
 		if err := crt.plans[mid].top.acquire(ec.acq, uint64(in.OID)); err != nil {
 			return Value{}, err
+		}
+		if !ec.visible(in) { // deleted by the transaction this send queued behind
+			return Value{}, fmt.Errorf("engine: no instance with OID %d", in.OID)
 		}
 	}
 	ec.db.topSends.Add(1)
@@ -571,6 +572,9 @@ func (ec *execCtx) scanDomain(root *schema.Class, mid schema.MethodID, hier bool
 					ec.escrowMask = nil
 					return count, err
 				}
+				if !ec.visible(in) {
+					continue // deleted by the transaction this visit queued behind
+				}
 			}
 			// Per-instance bind: the mask is per (class, method), and a
 			// hierarchical scan visits subclasses too.
@@ -589,14 +593,15 @@ func (ec *execCtx) scanDomain(root *schema.Class, mid schema.MethodID, hier bool
 
 // scanDomainSnapshot is the lock-free domain scan: no lock plans, no
 // class or instance locks, each visited instance read at the
-// snapshot's begin epoch. Instances whose creation had not
-// committed when the snapshot began still carry a creation marker the
-// snapshot rolls back, and are skipped;
-// instances deleted after it began have left the extent and are simply
-// missed — the documented staleness of the snapshot contract (there are
-// no tombstones). The hier flag does not apply: there are no locks to
-// choose a granularity for. filter sees the live instance, not the
-// versioned image: use it for class dispatch, not value predicates.
+// snapshot's begin epoch. Instances whose creation had not committed
+// when the snapshot began still carry a creation marker the snapshot
+// rolls back, and are skipped. An instance whose delete has not
+// committed still carries a pending deletion marker and is visited; one
+// whose delete committed after the snapshot began has left the extent
+// and is missed — the documented staleness of the snapshot contract.
+// The hier flag does not apply: there are no locks to choose a
+// granularity for. filter sees the live instance, not the versioned
+// image: use it for class dispatch, not value predicates.
 func (ec *execCtx) scanDomainSnapshot(root *schema.Class, mid schema.MethodID,
 	filter func(*storage.Instance) bool, args []Value) (int, error) {
 	crt := ec.db.rt.class(root)

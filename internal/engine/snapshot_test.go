@@ -478,7 +478,9 @@ end
 // continuously assert the invariant through total — a reader that ever
 // observes a half-applied or cross-version mix of a and b fails. This
 // is the snapshot-vs-locking differential under live concurrency:
-// locking readers run alongside as the control group.
+// locking readers run alongside as the control group. One more writer
+// shifts, deletes the pair and aborts, over and over: no reader of
+// either kind may ever miss the instance.
 func TestTortureSnapshotConsistency(t *testing.T) {
 	const sum = 1000
 	c, err := core.CompileSource(pairSchema)
@@ -519,6 +521,26 @@ func TestTortureSnapshotConsistency(t *testing.T) {
 					}
 				}(w)
 			}
+			errAbort := errors.New("abort this attempt")
+			wg.Add(1)
+			go func() { // the aborting deleter
+				defer wg.Done()
+				for i := 0; i < rounds; i++ {
+					err := db.RunWithRetry(func(tx *txn.Txn) error {
+						if _, err := db.SendID(tx, oid, shift, storage.IntV(7)); err != nil {
+							return err
+						}
+						if err := db.DeleteInstance(tx, oid); err != nil {
+							return err
+						}
+						return errAbort
+					})
+					if !errors.Is(err, errAbort) {
+						t.Error(err)
+						return
+					}
+				}
+			}()
 			for r := 0; r < readers; r++ {
 				stop.Add(2)
 				go func() { // snapshot readers

@@ -181,12 +181,21 @@ func (ec *execCtx) lockField(self *storage.Instance, fld *schema.Field, write bo
 	return ec.acquireField(self, fld, write)
 }
 
+// acquireField takes the field lock, then checks the receiver again:
+// under field locking an activation meets a concurrent delete here, and
+// fails once the deleter it queued behind has committed.
 func (ec *execCtx) acquireField(self *storage.Instance, fld *schema.Field, write bool) error {
 	mode := lock.S
 	if write {
 		mode = lock.X
 	}
-	return ec.acq.Acquire(lock.FieldRes(uint64(self.OID), int32(fld.ID)), mode)
+	if err := ec.acq.Acquire(lock.FieldRes(uint64(self.OID), int32(fld.ID)), mode); err != nil {
+		return err
+	}
+	if !ec.visible(self) {
+		return fmt.Errorf("engine: no instance with OID %d", self.OID)
+	}
+	return nil
 }
 
 // exec is the dispatch loop of one activation. The frame lives at

@@ -8,7 +8,7 @@
 // Layout: OIDs are allocated sequentially, so the OID → instance map is
 // a page directory of fixed-size slabs whose slots are atomic pointers.
 // Get is two array indexes and one atomic load — no lock, no hashing.
-// Mutations (create/delete/restore) take only the per-class extent
+// Mutations (create/delete) take only the per-class extent
 // latch of the touched class, so churn on different classes never
 // contends; the page directory itself grows copy-on-write under a
 // dedicated mutex.
@@ -617,12 +617,8 @@ func (s *Store) newInstance(cls *schema.Class, vals []Value, txn uint64) (*Insta
 	if txn != 0 {
 		// Linked before the directory publishes the instance: no reader
 		// can reach it yet, so no writer window is needed.
-		marker = s.versions.get()
-		marker.epoch.Store(pendingEpoch)
-		marker.slot.Store(slotCreate)
+		marker = s.link(in, SlotCreate)
 		marker.old.num.Store(int64(txn))
-		in.verHead.Store(marker)
-		s.versionsPublished.Add(1)
 	}
 	sl.Store(in)
 	ext.add(in)
@@ -725,12 +721,14 @@ func (s *Store) Get(oid OID) (*Instance, bool) {
 }
 
 // Delete removes the instance from the store and its class extent in
-// O(1) (swap-removal against the tracked extent position) and returns
-// it (so an aborting transaction can Restore it).
-func (s *Store) Delete(oid OID) (*Instance, error) {
+// O(1) (swap-removal against the tracked extent position). It is the
+// physical removal, never a transaction's delete: that links a marker
+// (MarkDeleted), and Delete runs when the deleter commits, when a
+// creator aborts, and on replay.
+func (s *Store) Delete(oid OID) error {
 	in, ok := s.Get(oid)
 	if !ok {
-		return nil, fmt.Errorf("storage: no instance with OID %d", oid)
+		return fmt.Errorf("storage: no instance with OID %d", oid)
 	}
 	ext := &s.extents[in.Class.ID]
 	ext.mu.Lock()
@@ -738,7 +736,7 @@ func (s *Store) Delete(oid OID) (*Instance, error) {
 	if sl == nil || !sl.CompareAndSwap(in, nil) {
 		// Lost a race with a concurrent Delete of the same OID.
 		ext.mu.Unlock()
-		return nil, fmt.Errorf("storage: no instance with OID %d", oid)
+		return fmt.Errorf("storage: no instance with OID %d", oid)
 	}
 	last := len(ext.oids) - 1
 	if p := int(in.extentPos); p != last {
@@ -752,29 +750,7 @@ func (s *Store) Delete(oid OID) (*Instance, error) {
 	ext.invalidate()
 	ext.mu.Unlock()
 	s.count.Add(-1)
-	return in, nil
-}
-
-// Restore re-inserts a previously deleted instance (transaction abort
-// compensation). Restoring a live OID is a no-op.
-func (s *Store) Restore(in *Instance) {
-	sl := s.slot(in.OID)
-	if sl == nil {
-		sl = s.grow(in.OID)
-	}
-	ext := &s.extents[in.Class.ID]
-	ext.mu.Lock()
-	defer ext.mu.Unlock()
-	if !sl.CompareAndSwap(nil, in) {
-		return // already live
-	}
-	if ext.full() {
-		// Creations refilled the room the delete made: only reachable
-		// with maxExtent live instances of one class.
-		panic(errExtentFull(in.Class))
-	}
-	ext.add(in)
-	s.count.Add(1)
+	return nil
 }
 
 // Extent returns the OIDs of the *proper* instances of one class

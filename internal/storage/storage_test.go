@@ -139,12 +139,8 @@ func TestDeleteAndRestore(t *testing.T) {
 	a, _ := st.NewInstance(c1, IntV(1))
 	b, _ := st.NewInstance(c1, IntV(2))
 
-	del, err := st.Delete(a.OID)
-	if err != nil {
+	if err := st.Delete(a.OID); err != nil {
 		t.Fatal(err)
-	}
-	if del != a {
-		t.Error("Delete must return the removed instance")
 	}
 	if _, ok := st.Get(a.OID); ok {
 		t.Error("deleted instance still present")
@@ -152,20 +148,8 @@ func TestDeleteAndRestore(t *testing.T) {
 	if got := st.Extent("c1"); len(got) != 1 || got[0] != b.OID {
 		t.Errorf("extent = %v", got)
 	}
-	if _, err := st.Delete(a.OID); err == nil {
+	if err := st.Delete(a.OID); err == nil {
 		t.Error("double delete must fail")
-	}
-
-	st.Restore(del)
-	if in, ok := st.Get(a.OID); !ok || in.Get(0) != IntV(1) {
-		t.Error("restore must bring the instance back intact")
-	}
-	if len(st.Extent("c1")) != 2 {
-		t.Error("extent not restored")
-	}
-	st.Restore(del) // idempotent
-	if len(st.Extent("c1")) != 2 {
-		t.Error("double restore must be a no-op")
 	}
 }
 
@@ -330,18 +314,12 @@ func TestExtentCap(t *testing.T) {
 	if st.Count() != 3 || len(st.Extent("c1")) != 2 {
 		t.Errorf("count %d, c1 extent %v", st.Count(), st.Extent("c1"))
 	}
-	if _, err := st.Delete(a.OID); err != nil {
+	if err := st.Delete(a.OID); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := st.NewInstance(c1); err != nil {
 		t.Errorf("after a delete: %v", err)
 	}
-	defer func() {
-		if recover() == nil {
-			t.Error("Restore into a refilled extent did not panic")
-		}
-	}()
-	st.Restore(a)
 }
 
 func TestValueConversions(t *testing.T) {

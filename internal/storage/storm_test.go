@@ -10,8 +10,7 @@ import (
 	"repro/internal/schema"
 )
 
-// The slab-store storm: concurrent creators, deleters/restorers,
-// readers and scanners across every class of the Figure 1 schema.
+// The slab-store storm: concurrent creators, deleters, readers and scanners across every class of the Figure 1 schema.
 // Run with -race in CI; the assertions afterwards check the structural
 // invariants (unique OIDs per extent, extents matching the live set,
 // count matching both).
@@ -52,7 +51,7 @@ func TestStoreStorm(t *testing.T) {
 		}(int64(g))
 	}
 
-	// Churners: create a private instance, delete it, sometimes restore.
+	// Churners: create a private instance, sometimes delete it.
 	for g := 0; g < churners; g++ {
 		wg.Add(1)
 		go func(seed int64) {
@@ -66,16 +65,14 @@ func TestStoreStorm(t *testing.T) {
 					return
 				}
 				created.Add(1)
-				del, err := st.Delete(in.OID)
-				if err != nil {
+				if rng.Intn(2) == 0 {
+					continue
+				}
+				if err := st.Delete(in.OID); err != nil {
 					t.Error(err)
 					return
 				}
-				if rng.Intn(2) == 0 {
-					st.Restore(del)
-				} else {
-					deleted.Add(1)
-				}
+				deleted.Add(1)
 			}
 		}(int64(g))
 	}
@@ -168,7 +165,7 @@ func TestExtentSnapshotVersioning(t *testing.T) {
 		t.Error("quiescent snapshots must share storage (copy-free)")
 	}
 
-	if _, err := st.Delete(oids[3]); err != nil {
+	if err := st.Delete(oids[3]); err != nil {
 		t.Fatal(err)
 	}
 	// The old version is untouched by the mutation.

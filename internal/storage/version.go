@@ -23,8 +23,12 @@
 //     reverse. A creation links a marker record (slot −1) whose cell
 //     holds the creator's transaction ID: a reader other than the
 //     creator that has to roll the marker back treats the instance as
-//     not yet existing. Abort restores the cell and unlinks the record
-//     in one window; commit only stamps the record's epoch.
+//     not yet existing. A delete links a marker the same way (slot −2,
+//     naming the deleter): the deleter, and a reader whose epoch covers
+//     the stamped marker, treat the instance as gone, and everyone else
+//     reads it as it stands. Abort restores the cell and unlinks the
+//     record in one window; commit only stamps the record's epoch, and
+//     a committed delete then removes the instance from the store.
 //   - Two counters: epochNext hands out commit epochs, epochStable is
 //     the highest epoch whose commit (and every earlier one) has stamped
 //     its records. Epochs retire in order (FinishEpoch), so a reader
@@ -33,9 +37,9 @@
 //     the snapshot is a consistent prefix of the commit order over
 //     surviving instances. Stamping therefore needs no seq bump: the
 //     two values a racing reader can see mean the same thing to it.
-//     (Deletions are not versioned: an instance deleted after B
-//     disappears from a snapshot begun at B. See the contract notes on
-//     engine scanDomainSnapshot and oodb.View.)
+//     (A committed delete removes the instance at once, so one that
+//     commits after B takes it out of a snapshot begun at B. See the
+//     contract notes on engine scanDomainSnapshot and oodb.View.)
 //   - The reader's whole reconstruction — live cell, chain head, every
 //     hop — sits inside one seqlock section of the instance. Linking,
 //     unlinking and pruning all happen with seq odd, so a reader that
@@ -73,8 +77,10 @@ const (
 	// pendingEpoch is the epoch of a record whose writer has not
 	// committed: above every begin epoch and every watermark.
 	pendingEpoch = math.MaxUint64
-	// slotCreate is the slot of a creation marker.
-	slotCreate = -1
+	// SlotCreate and SlotDelete are the slots of a creation and of a
+	// deletion marker; every other record covers a field slot (≥ 0).
+	SlotCreate = -1
+	SlotDelete = -2
 )
 
 // Version is one undo/version record: the before-image (or delta) of one
@@ -136,10 +142,10 @@ type snapReg struct {
 const arenaRecs = 256
 
 // verArena is the store-wide slab allocator behind records linked while
-// an instance's free list is empty. Blocks are never reclaimed: every
-// record handed out lives for the store's lifetime on some instance's
-// chain or free list, and record count is bounded by live instances ×
-// chain depth.
+// an instance's free list is empty (deletion markers aside, see link). A
+// block lives as long as any of its records, which stays on its
+// instance's chain or free list while the instance lives, so record
+// count is bounded by live instances × chain depth.
 type verArena struct {
 	mu   sync.Mutex
 	recs []Version
@@ -332,22 +338,37 @@ func (s *Store) Write(in *Instance, i int, v Value, rec *Version, escrow bool) *
 
 // Rollback undoes the write rec records — restores the before-image, or
 // subtracts the delta so a concurrent commuting writer's contribution
-// survives — and unlinks rec, in one writer window: a snapshot reader
-// sees the written cell with the record or the restored cell without.
-// rec must still be pending (a stamped record may already be recycled).
+// survives; a deletion marker has nothing to restore — and unlinks rec,
+// in one writer window: a snapshot reader sees the written cell with the
+// record or the restored cell without. rec must still be pending (a
+// stamped record may already be recycled).
 func (in *Instance) Rollback(rec *Version) {
 	in.mu.Lock()
-	sl := &in.slots[rec.slot.Load()]
 	in.seq.Add(1)
-	if rec.delta.Load() {
-		sl.num.Add(-rec.old.num.Load())
-	} else {
-		sl.copyFrom(&rec.old)
+	switch s := rec.slot.Load(); {
+	case s < 0: // a marker covers no cell
+	case rec.delta.Load():
+		in.slots[s].num.Add(-rec.old.num.Load())
+	default:
+		in.slots[s].copyFrom(&rec.old)
 	}
 	in.unlink(rec)
 	in.recycle(rec)
 	in.seq.Add(1)
 	in.mu.Unlock()
+}
+
+// MarkDeleted links a pending deletion marker naming transaction txn on
+// in's chain and returns it. in stays in the store until txn commits,
+// stamps the marker and removes it (Delete); an abort unlinks it.
+func (s *Store) MarkDeleted(in *Instance, txn uint64) *Version {
+	in.mu.Lock()
+	in.seq.Add(1)
+	rec := s.link(in, SlotDelete)
+	rec.old.num.Store(int64(txn))
+	in.seq.Add(1)
+	in.mu.Unlock()
+	return rec
 }
 
 // link prunes the chain against the watermark and pushes a pending
@@ -359,9 +380,14 @@ func (s *Store) link(in *Instance, slot int32) *Version {
 		}
 	}
 	v := in.verFree
-	if v != nil {
+	switch {
+	case v != nil:
 		in.verFree = v.next.Load()
-	} else {
+	case slot == SlotDelete:
+		// A deletion marker mostly dies with its instance; taken from
+		// the arena, it would pin a block that live records share.
+		v = new(Version)
+	default:
 		v = s.versions.get()
 	}
 	v.epoch.Store(pendingEpoch)
@@ -416,7 +442,8 @@ func (in *Instance) recycle(v *Version) {
 // begin epoch b: the live cell with every record of the slot that b does
 // not cover rolled back, all inside one seqlock section. visible is
 // false when a creation marker is among the rolled-back records and txn
-// is not its creator (SnapshotGet passes txn 0, which creates nothing).
+// is not its creator, or when a deletion marker is covered by b or names
+// txn (SnapshotGet passes txn 0, which creates and deletes nothing).
 // The per-hop seq check bounds the walk — an unchanged seq means an
 // unchanged, finite chain. A reader that writers keep overlapping for
 // seqSpins attempts (a long chain under a hot writer) takes the writer
@@ -435,12 +462,16 @@ func (in *Instance) readAt(i int, k ValueKind, b, txn uint64) (num int64, sp *by
 			}
 			visible = true
 			for v := in.verHead.Load(); v != nil && in.seq.Load() == s1; v = v.next.Load() {
+				s := int(v.slot.Load())
 				if v.epoch.Load() <= b {
+					visible = visible && s != SlotDelete
 					continue
 				}
-				switch s := int(v.slot.Load()); {
-				case s == slotCreate:
-					visible = uint64(v.old.num.Load()) == txn
+				switch {
+				case s == SlotDelete:
+					visible = visible && uint64(v.old.num.Load()) != txn
+				case s == SlotCreate:
+					visible = visible && uint64(v.old.num.Load()) == txn
 				case s == i && v.delta.Load():
 					num -= v.old.num.Load()
 				case s == i:
@@ -470,11 +501,11 @@ func (in *Instance) SnapshotGet(i int, b uint64) (Value, bool) {
 }
 
 // SnapshotVisible reports whether the instance exists for transaction
-// txn reading as of epoch b: false while its creation has not committed
-// at or below b, unless txn is the creator. A snapshot transaction reads
-// at its begin epoch. A locking transaction reads the live state at
-// math.MaxUint64 - 1, above every commit epoch and below pendingEpoch,
-// where only another transaction's pending creation hides the instance.
+// txn reading as of epoch b: not while its creation has not committed
+// at or below b, unless txn is the creator, nor once its deletion has,
+// or txn is the deleter. A snapshot transaction reads at its begin
+// epoch; a locking one at math.MaxUint64 - 1, above every commit epoch
+// and below pendingEpoch.
 func (in *Instance) SnapshotVisible(b, txn uint64) bool {
 	_, _, visible := in.readAt(-1, KInt, b, txn)
 	return visible

@@ -300,6 +300,47 @@ func TestSnapshotCreationMarker(t *testing.T) {
 	wantAt(t, in, slotF1, e, IntV(43))
 }
 
+// TestSnapshotDeletionMarker: a pending deletion hides the instance
+// from its deleter alone; once stamped it hides it at every epoch at or
+// above the delete's, and not below. A rolled-back marker leaves no
+// record behind.
+func TestSnapshotDeletionMarker(t *testing.T) {
+	s := fig1(t)
+	st := NewStore(s)
+	in := newC2(t, st, s)
+	before := overwrite(st, in, slotF1, IntV(1))
+	const live = math.MaxUint64 - 1
+
+	marker := st.MarkDeleted(in, 1)
+	if in.SnapshotVisible(live, 1) || !in.SnapshotVisible(live, 2) || !in.SnapshotVisible(before, 0) {
+		t.Error("a pending deletion must hide the instance from its deleter (txn 1) alone")
+	}
+	wantAt(t, in, slotF1, before, IntV(1))
+	in.Rollback(marker)
+	if !in.SnapshotVisible(live, 1) || in.VersionCount() != 0 {
+		t.Errorf("rolled-back deletion: visible to the deleter %t, chain %d records, want true and 0",
+			in.SnapshotVisible(live, 1), in.VersionCount())
+	}
+
+	e := commit(st, st.MarkDeleted(in, 2))
+	if in.SnapshotVisible(live, 3) || in.SnapshotVisible(e, 0) {
+		t.Error("a committed deletion visible at or above its epoch")
+	}
+	if _, ok := in.SnapshotGet(slotF1, e); ok {
+		t.Error("SnapshotGet on a deleted instance reports visible")
+	}
+	wantAt(t, in, slotF1, before, IntV(1))
+
+	// Without a free record the marker is an allocation of its own: an
+	// arena block would outlive the deleted instance.
+	fresh := newC2(t, st, s)
+	left := len(st.versions.recs)
+	st.MarkDeleted(fresh, 3)
+	if len(st.versions.recs) != left {
+		t.Error("a deletion marker came from the record arena")
+	}
+}
+
 // TestSnapshotPruneMidChain: the next writer recycles exactly the
 // records at or below the watermark, wherever they sit, and a reader
 // pinned at the watermark still reads its epoch afterwards.

@@ -212,7 +212,7 @@ func TestRunCancelDuringDurabilityWait(t *testing.T) {
 			return err
 		}
 		oid, id = in.OID, tx.ID
-		tx.LogCreate(st, in, marker)
+		tx.LogCreate(in, marker)
 		return m.Locks().Acquire(tx.ID, lock.InstanceRes(uint64(oid)), lock.X)
 	})
 	if !errors.Is(err, ErrUnackedCommit) || !errors.Is(err, context.Canceled) {
@@ -269,7 +269,7 @@ func TestRunBlockingCommitHoldsLocksAcrossFsync(t *testing.T) {
 				return err
 			}
 			id = tx.ID
-			tx.LogCreate(st, in, marker)
+			tx.LogCreate(in, marker)
 			return m.Locks().Acquire(tx.ID, lock.InstanceRes(uint64(in.OID)), lock.X)
 		})
 	}()

@@ -32,7 +32,7 @@ func TestCommitPipelinedReleasesLocksBeforeHarden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tx.LogCreate(st, in, marker)
+	tx.LogCreate(in, marker)
 	res := lock.InstanceRes(uint64(in.OID))
 	if err := m.Locks().Acquire(tx.ID, res, lock.X); err != nil {
 		t.Fatal(err)
@@ -122,7 +122,7 @@ func TestCommitPipelinedClosedLogRollsBack(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tx.LogCreate(st, in, marker)
+	tx.LogCreate(in, marker)
 	if _, err := tx.CommitPipelined(); err == nil {
 		t.Fatal("pipelined commit succeeded on a closed log")
 	}

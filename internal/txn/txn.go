@@ -84,27 +84,16 @@ var ErrReadOnly = errors.New("txn: database is read-only: durable log failed")
 // backstop for that static classification.
 var ErrSnapshotWrite = errors.New("txn: snapshot transaction is read-only")
 
-// entryKind classifies one undo-log entry. Typed entries (rather than
-// opaque closures) are what let Commit re-project the log into redo
-// records without allocating.
-type entryKind uint8
-
-const (
-	entryWrite  entryKind = iota // slot write: rec is its before-image or delta
-	entryCreate                  // instance created (undo: delete it); rec is its marker
-	entryDelete                  // instance deleted (undo: restore it)
-)
-
 // undoEntry is one rollback step. Entries run in reverse chronological
 // order on Abort; on Commit the same entries, read forward, are the
 // TAV-projected redo record. rec is the version record linked on the
 // instance's chain — the one copy of the before-image (or escrow delta),
-// read by rollback, by the redo projection and by snapshot readers.
+// read by rollback, by the redo projection and by snapshot readers — or
+// a creation or deletion marker; its slot says which
+// (storage.SlotCreate, storage.SlotDelete).
 type undoEntry struct {
-	kind  entryKind
-	inst  *storage.Instance
-	store *storage.Store   // create/delete entries
-	rec   *storage.Version // write/create entries
+	inst *storage.Instance
+	rec  *storage.Version
 }
 
 type undoKey struct {
@@ -235,7 +224,7 @@ func (t *Txn) Write(in *storage.Instance, slot int, v storage.Value, escrow bool
 	}
 	t.undoSet[k] = len(t.undo)
 	rec := t.mgr.store.Write(in, slot, v, nil, escrow)
-	t.undo = append(t.undo, undoEntry{kind: entryWrite, inst: in, rec: rec})
+	t.undo = append(t.undo, undoEntry{inst: in, rec: rec})
 }
 
 // LogCreate records that this transaction created in, which entered the
@@ -243,19 +232,20 @@ func (t *Txn) Write(in *storage.Instance, slot int, v storage.Value, escrow bool
 // from the store again, Commit stamps the marker and emits a create
 // record carrying the full image (so its individual slot writes are not
 // logged twice).
-func (t *Txn) LogCreate(st *storage.Store, in *storage.Instance, marker *storage.Version) {
+func (t *Txn) LogCreate(in *storage.Instance, marker *storage.Version) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	t.undo = append(t.undo, undoEntry{kind: entryCreate, inst: in, store: st, rec: marker})
+	t.undo = append(t.undo, undoEntry{inst: in, rec: marker})
 	t.created = append(t.created, in.OID)
 }
 
-// LogDelete records that this transaction deleted in: Abort re-inserts
-// it with its slots intact, Commit emits a delete record.
-func (t *Txn) LogDelete(st *storage.Store, in *storage.Instance) {
+// LogDelete records that this transaction deleted in by linking marker
+// (storage.Store.MarkDeleted): Abort unlinks the marker, Commit stamps
+// it, removes the instance from the store and emits a delete record.
+func (t *Txn) LogDelete(in *storage.Instance, marker *storage.Version) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	t.undo = append(t.undo, undoEntry{kind: entryDelete, inst: in, store: st})
+	t.undo = append(t.undo, undoEntry{inst: in, rec: marker})
 }
 
 // UndoDepth returns the number of captured undo entries.
@@ -295,8 +285,12 @@ func (t *Txn) submitRecord(w *wal.Log, epoch uint64) (*wal.Future, error) {
 	}
 	for i := range t.undo {
 		e := &t.undo[i]
-		switch e.kind {
-		case entryWrite:
+		switch slot := e.rec.Slot(); slot {
+		case storage.SlotCreate:
+			c.Create(e.inst.Class.ID, uint64(e.inst.OID), e.inst)
+		case storage.SlotDelete:
+			c.Delete(uint64(e.inst.OID))
+		default:
 			if createdSet != nil {
 				if createdSet[e.inst.OID] {
 					continue // the create record carries the final image
@@ -304,7 +298,6 @@ func (t *Txn) submitRecord(w *wal.Log, epoch uint64) (*wal.Future, error) {
 			} else if t.createdHere(e.inst.OID) {
 				continue // the create record carries the final image
 			}
-			slot := e.rec.Slot()
 			if delta, ok := e.rec.Delta(); ok {
 				// Commuting slot: log the transaction's net delta, not
 				// an after-image. The live value may include a
@@ -317,10 +310,6 @@ func (t *Txn) submitRecord(w *wal.Log, epoch uint64) (*wal.Future, error) {
 			} else {
 				c.Write(uint64(e.inst.OID), slot, e.inst.Get(slot))
 			}
-		case entryCreate:
-			c.Create(e.inst.Class.ID, uint64(e.inst.OID), e.inst)
-		case entryDelete:
-			c.Delete(uint64(e.inst.OID))
 		}
 	}
 	if c.Ops() == 0 {
@@ -480,27 +469,28 @@ func (t *Txn) CommitPipelined() (Future, error) { return t.commit(true) }
 func (t *Txn) allocEpoch() uint64 {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	for i := range t.undo {
-		if t.undo[i].rec != nil {
-			return t.mgr.store.AllocEpoch()
-		}
+	if len(t.undo) == 0 {
+		return 0
 	}
-	return 0
+	return t.mgr.store.AllocEpoch()
 }
 
 // finishEpoch stamps the transaction's version records with the epoch
-// (when stamp is set: the commit stands) and retires it in order. A
-// snapshot that begins at or above the epoch from here on reads the
-// transaction's writes. No-op for epoch 0.
+// (when stamp is set: the commit stands), removes the instances it
+// deleted from the store, and retires the epoch in order. A snapshot
+// that begins at or above the epoch from here on reads the transaction's
+// writes, and a transaction waiting on its locks resumes to its stamped
+// deletion markers. No-op for epoch 0.
 func (t *Txn) finishEpoch(epoch uint64, stamp bool) {
 	if epoch == 0 {
 		return
 	}
 	if stamp {
 		t.mu.Lock()
-		for i := range t.undo {
-			if rec := t.undo[i].rec; rec != nil {
-				rec.Stamp(epoch)
+		for _, e := range t.undo {
+			e.rec.Stamp(epoch)
+			if e.rec.Slot() == storage.SlotDelete {
+				t.mgr.store.Delete(e.inst.OID) //nolint:errcheck // the marker keeps it live until here
 			}
 		}
 		t.mu.Unlock()
@@ -510,28 +500,25 @@ func (t *Txn) finishEpoch(epoch uint64, stamp bool) {
 
 // rollback plays the undo log backwards and clears it. Each slot write
 // is restored and its record unlinked in one store window, so no
-// snapshot ever reads the undone value. Subtracting a delta is a
-// read-modify-write of a cell that commuting writers' frames also
-// read-modify-write under the instance's execution latch, so it takes
-// that latch, one instance at a time; nothing else does.
+// snapshot ever reads the undone value; a deletion marker is unlinked
+// the same way, and a created instance leaves the store. Subtracting a
+// delta is a read-modify-write of a cell that commuting writers' frames
+// also read-modify-write under the instance's execution latch, so it
+// takes that latch, one instance at a time; nothing else does.
 func (t *Txn) rollback() {
 	t.mu.Lock()
 	for i := len(t.undo) - 1; i >= 0; i-- {
 		e := &t.undo[i]
-		switch e.kind {
-		case entryWrite:
-			if _, delta := e.rec.Delta(); delta {
-				e.inst.LockExec()
-				e.inst.Rollback(e.rec)
-				e.inst.UnlockExec()
-				continue
-			}
-			e.inst.Rollback(e.rec)
-		case entryCreate:
+		switch _, delta := e.rec.Delta(); {
+		case e.rec.Slot() == storage.SlotCreate:
 			// The marker stays pending on the dead instance.
-			e.store.Delete(e.inst.OID) //nolint:errcheck // already gone is fine
-		case entryDelete:
-			e.store.Restore(e.inst)
+			t.mgr.store.Delete(e.inst.OID) //nolint:errcheck // already gone is fine
+		case delta:
+			e.inst.LockExec()
+			e.inst.Rollback(e.rec)
+			e.inst.UnlockExec()
+		default:
+			e.inst.Rollback(e.rec)
 		}
 	}
 	t.mu.Unlock()

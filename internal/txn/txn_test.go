@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"strings"
 	"sync"
 	"testing"
@@ -241,9 +242,9 @@ func TestStateStrings(t *testing.T) {
 	}
 }
 
-// Typed create/delete undo entries: Abort removes a created instance
-// and restores a deleted one, interleaved in reverse order with slot
-// restores.
+// Create and delete markers in the undo log: Abort removes a created
+// instance and unlinks a deletion marker, interleaved in reverse order
+// with slot restores.
 func TestAbortTypedCreateDelete(t *testing.T) {
 	m, st, s := setup(t)
 	c1 := s.Class("c1")
@@ -254,20 +255,50 @@ func TestAbortTypedCreateDelete(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tx.LogCreate(st, created, marker)
+	tx.LogCreate(created, marker)
 	tx.Write(created, 0, storage.IntV(2), false)
-	deleted, err := st.Delete(old.OID)
-	if err != nil {
-		t.Fatal(err)
+	tx.Write(old, 0, storage.IntV(8), false)
+	tx.LogDelete(old, st.MarkDeleted(old, uint64(tx.ID)))
+	if old.SnapshotVisible(math.MaxUint64-1, uint64(tx.ID)) {
+		t.Error("a deleted instance is visible to its deleter")
 	}
-	tx.LogDelete(st, deleted)
 	tx.Abort()
 
 	if _, ok := st.Get(created.OID); ok {
 		t.Error("created instance survived abort")
 	}
-	if in, ok := st.Get(old.OID); !ok || in.Get(0) != storage.IntV(7) {
-		t.Error("deleted instance not restored intact by abort")
+	in, ok := st.Get(old.OID)
+	if !ok || in.Get(0) != storage.IntV(7) || !in.SnapshotVisible(math.MaxUint64-1, uint64(tx.ID)) {
+		t.Error("deleted instance not intact and visible after abort")
+	}
+	if n := in.VersionCount(); n != 0 {
+		t.Errorf("abort left %d records on the deleted instance's chain", n)
+	}
+}
+
+// A committed delete stamps its marker and removes the instance from
+// the store before the commit returns; a delete-only commit draws an
+// epoch like any other commit that links a record.
+func TestCommitDeleteRemoves(t *testing.T) {
+	m, st, s := setup(t)
+	in, _ := st.NewInstance(s.Class("c1"), storage.IntV(7))
+	before := st.StableEpoch()
+	tx := m.Begin()
+	tx.LogDelete(in, st.MarkDeleted(in, uint64(tx.ID)))
+	if _, ok := st.Get(in.OID); !ok || len(st.Extent("c1")) != 1 {
+		t.Fatal("an uncommitted delete removed the instance")
+	}
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := st.Get(in.OID); ok || len(st.Extent("c1")) != 0 {
+		t.Error("a committed delete left the instance in the store")
+	}
+	if got := st.StableEpoch(); got != before+1 {
+		t.Errorf("stable epoch %d after a delete-only commit, want %d", got, before+1)
+	}
+	if in.SnapshotVisible(math.MaxUint64-1, 0) {
+		t.Error("a committed delete is visible at the live epoch")
 	}
 }
 

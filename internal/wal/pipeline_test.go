@@ -370,7 +370,7 @@ func bigWorkload(t *testing.T, dir string, n int) {
 		case i%7 == 3 && len(oids) > 4: // delete an earlier instance
 			victim := oids[i%len(oids)]
 			if victim != 0 {
-				if _, err := st.Delete(victim); err == nil {
+				if err := st.Delete(victim); err == nil {
 					c := l.BeginCommit(uint64(i), 0)
 					c.Delete(uint64(victim))
 					if err := c.Commit(); err != nil {

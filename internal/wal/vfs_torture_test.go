@@ -81,7 +81,7 @@ func (ts *tortureState) commitOnce(l *Log, st *storage.Store) {
 	if g%3 == 0 && len(ts.live) > 2 {
 		victim := ts.live[0]
 		ts.live = ts.live[1:]
-		if _, err := st.Delete(victim.OID); err != nil {
+		if err := st.Delete(victim.OID); err != nil {
 			ts.t.Fatal(err)
 		}
 		c.Delete(uint64(victim.OID))

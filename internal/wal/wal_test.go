@@ -120,7 +120,7 @@ func workload(t *testing.T, dir string) (snaps []image, data []byte) {
 		model[in3.OID] = in3.Snapshot()
 	})
 	commitRec(func(c *commit) {
-		if _, err := st.Delete(in2.OID); err != nil {
+		if err := st.Delete(in2.OID); err != nil {
 			t.Fatal(err)
 		}
 		c.Delete(uint64(in2.OID))

@@ -331,11 +331,12 @@ func (d *Database) UpdateCtx(ctx context.Context, fn func(*Txn) error) error {
 
 // View runs fn in a read-only transaction on the lock-free multiversion
 // read path: it takes no locks, never blocks or aborts a writer, and
-// observes the committed slot values as of its begin epoch. Deletions
-// are the one exception to snapshot isolation: deletes are not
-// versioned, so an instance deleted by a transaction that commits after
-// the View began disappears from the View mid-flight (a lookup fails; a
-// scan skips it) rather than remaining visible at the begin epoch.
+// observes the committed slot values as of its begin epoch. An object
+// whose delete has not committed is still there for it. Committed
+// deletes are the one exception to snapshot isolation: a delete that
+// commits after the View began removes the object from the View
+// mid-flight (a lookup fails; a scan skips it) rather than leaving it
+// visible at the begin epoch.
 // Sends that could write — per the method's transitive access vector,
 // decided at compile time — fail with an error matching
 // IsSnapshotWrite, as do New and Delete.
@@ -429,8 +430,10 @@ func (t *Txn) New(class string, fieldValues ...any) (OID, error) {
 	return in.OID, nil
 }
 
-// Delete removes an object. The deletion conflicts with any concurrent
-// access to the object; aborting the transaction restores it.
+// Delete removes an object. The object is gone for this transaction at
+// once and for everyone else when it commits; until then the deletion
+// conflicts with any concurrent access to the object, and a View still
+// reads it. Aborting the transaction leaves the object as it was.
 func (t *Txn) Delete(oid OID) error {
 	return t.db.db.DeleteInstance(t.tx, oid)
 }
