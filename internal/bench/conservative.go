@@ -3,7 +3,9 @@ package bench
 import (
 	"fmt"
 	"io"
+	"runtime"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/core"
 	"repro/internal/engine"
@@ -52,7 +54,11 @@ type ConservativeRow struct {
 }
 
 // RunConservativeWorkload runs never-taken-branch readers against audit
-// writers on one shared instance.
+// writers on one shared instance. The writer starts once the reader's
+// first transaction holds its locks, and that transaction keeps them
+// until the writer has queued behind it or finished its own first
+// transaction, so the two overlap however the goroutines are scheduled:
+// a protocol that makes them conflict blocks at least once.
 func RunConservativeWorkload(strategy engine.Strategy, rounds int) (ConservativeRow, error) {
 	c, err := core.CompileSource(conservativeSchema)
 	if err != nil {
@@ -71,12 +77,24 @@ func RunConservativeWorkload(strategy engine.Strategy, rounds int) (Conservative
 	ls0, ts0 := db.Locks().Snapshot(), db.Txns.Snapshot()
 
 	const opsPerTxn = 10
+	readerHolds := make(chan struct{})
+	var readerHoldsOnce sync.Once
+	startWriter := func() { readerHoldsOnce.Do(func() { close(readerHolds) }) }
+	var writerFirstDone atomic.Bool
+	overlapWriter := func() {
+		for db.Locks().Snapshot().Blocks == ls0.Blocks && !writerFirstDone.Load() {
+			runtime.Gosched()
+		}
+	}
 	var wg sync.WaitGroup
 	errs := make(chan error, 2)
 	for g := 0; g < 2; g++ {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
+			if g == 1 {
+				<-readerHolds
+			}
 			for r := 0; r < rounds; r++ {
 				err := db.RunWithRetry(func(tx *txn.Txn) error {
 					for k := 0; k < opsPerTxn; k++ {
@@ -90,10 +108,22 @@ func RunConservativeWorkload(strategy engine.Strategy, rounds int) (Conservative
 						if err != nil {
 							return err
 						}
+						if g == 0 && r == 0 {
+							startWriter()
+						}
 						messageBoundary()
+					}
+					if g == 0 && r == 0 {
+						overlapWriter()
 					}
 					return nil
 				})
+				if g == 0 && r == 0 {
+					startWriter() // also when the first transaction failed
+				}
+				if g == 1 && r == 0 {
+					writerFirstDone.Store(true)
+				}
 				if err != nil {
 					errs <- err
 					return

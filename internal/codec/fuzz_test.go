@@ -53,7 +53,7 @@ func FuzzCodec(f *testing.F) {
 	for _, e := range readGolden(f) {
 		payload := e.data[codec.HeaderSize:]
 		if e.name == "checkpoint" {
-			payload = e.data[len("FAVWCKP2") : len(e.data)-4]
+			payload = e.data[len("FAVWCKP3") : len(e.data)-4]
 		}
 		f.Add(payload)
 		f.Add(e.data)

@@ -107,9 +107,9 @@ func TestFlightRecorderCapturesLockWait(t *testing.T) {
 
 // TestFlightRecorderCapturesCommitAndFsync runs a durable transaction
 // under a tiny threshold and checks the trace carries the commit epoch
-// and the group-commit fsync wait — for an uncancellable caller (which
-// waits holding its locks) and for a cancellable one (which waits after
-// releasing them) alike.
+// its writes were stamped with and the group-commit fsync wait — for an
+// uncancellable caller (which waits holding its locks) and for a
+// cancellable one (which waits after releasing them) alike.
 func TestFlightRecorderCapturesCommitAndFsync(t *testing.T) {
 	cancelable, cancel := context.WithCancel(context.Background())
 	defer cancel()
@@ -155,6 +155,17 @@ func TestFlightRecorderCapturesCommitAndFsync(t *testing.T) {
 			}
 			if commits[0].Arg == 0 {
 				t.Error("commit event carries epoch 0")
+			}
+			// The traced epoch is the one the writes carry: a snapshot
+			// at it reads the live values.
+			in, ok := db.Store.Get(oid)
+			if !ok {
+				t.Fatal("updated instance missing")
+			}
+			for i := 0; i < in.Class.NumSlots(); i++ {
+				if v, ok := in.SnapshotGet(i, commits[0].Arg); !ok || v != in.Get(i) {
+					t.Errorf("slot %d at the traced epoch %d reads %v ok=%t, live %v", i, commits[0].Arg, v, ok, in.Get(i))
+				}
 			}
 			if len(ks[obs.EvFsyncWait]) != 1 {
 				t.Errorf("fsync-wait events = %v", slow[0].Events)

@@ -14,7 +14,7 @@ const (
 	EvBegin               // transaction began (At = 0 by definition)
 	EvLockWait            // blocked in the lock manager; Dur = wait, Arg = resource OID
 	EvAbort               // aborted; Arg = abort reason code
-	EvCommit              // commit record sequenced; Arg = commit epoch
+	EvCommit              // writes published, volatile or durable; Arg = their commit epoch
 	EvFsyncWait           // waited on the WAL group commit; Dur = wait
 )
 

@@ -62,8 +62,13 @@
 //     fixes its begin epoch, so a pruner that missed the announcement
 //     loaded its stable epoch before the reader loaded its own: the
 //     reader began at or above the pruner's watermark.
-//   - An instance with an empty chain is visible, as it stands, to every
-//     snapshot: recovery, checkpoint load and Install link nothing.
+//   - Epochs are process-local. The redo log and the checkpoint carry
+//     none, and a commit draws its epoch only after its record is
+//     sequenced (and hardened, when it waits for that), so no epoch
+//     exists that the log would have to agree with. Recovery,
+//     checkpoint load and Install link nothing, and an instance with an
+//     empty chain is visible, as it stands, to every snapshot: a
+//     recovered store starts at epoch 0 with all of it visible.
 package storage
 
 import (
@@ -162,19 +167,19 @@ func (a *verArena) get() *Version {
 	return v
 }
 
-// AllocEpoch draws the next commit epoch. Every allocated epoch MUST be
-// retired with FinishEpoch, even if the commit fails after allocation —
-// later commits retire in epoch order. Between the two a holder of
-// epoch e must not wait on another transaction: the holder of a later
-// epoch may be spinning in FinishEpoch, and the turnstile would
-// deadlock.
+// AllocEpoch draws the next commit epoch. A commit draws it once it
+// stands — its redo record sequenced, and hardened when it waits for
+// that — and then only stamps its records and retires it with
+// FinishEpoch. Every allocated epoch MUST be retired: later commits
+// retire in epoch order, so between the two a holder of epoch e must
+// not wait on anything, or the turnstile would deadlock.
 func (s *Store) AllocEpoch() uint64 { return s.epochNext.Add(1) }
 
 // FinishEpoch retires epoch e: every record of its commit is stamped.
 // Commits retire in epoch order, so the caller spins until every earlier
 // epoch has retired; a predecessor's section between AllocEpoch and here
-// is a log enqueue and a few stores. The Gosched keeps a preempted
-// predecessor schedulable on GOMAXPROCS=1.
+// is a few stores per record. The Gosched keeps a preempted predecessor
+// schedulable on GOMAXPROCS=1.
 func (s *Store) FinishEpoch(e uint64) {
 	for !s.epochStable.CompareAndSwap(e-1, e) {
 		runtime.Gosched()
@@ -183,14 +188,6 @@ func (s *Store) FinishEpoch(e uint64) {
 
 // StableEpoch returns the highest retired commit epoch.
 func (s *Store) StableEpoch() uint64 { return s.epochStable.Load() }
-
-// SetRecoveredEpoch restores the epoch counters after recovery so the
-// first post-recovery commit continues above everything the log ever
-// stamped. Only call on a store that is not yet serving transactions.
-func (s *Store) SetRecoveredEpoch(e uint64) {
-	s.epochNext.Store(e)
-	s.epochStable.Store(e)
-}
 
 // BeginSnapshot registers r as an active snapshot reader and returns
 // its begin epoch. A reader joining others begins at or above their
@@ -356,6 +353,16 @@ func (in *Instance) Rollback(rec *Version) {
 	in.recycle(rec)
 	in.seq.Add(1)
 	in.mu.Unlock()
+}
+
+// CreatedBy reports whether in is transaction txn's pending creation.
+// The creator links no record on its own instance (txn.Txn.Write), and
+// nobody else can reach it, so while the creation is pending its marker
+// is the chain head.
+func (in *Instance) CreatedBy(txn uint64) bool {
+	v := in.verHead.Load()
+	return v != nil && v.slot.Load() == SlotCreate && v.epoch.Load() == pendingEpoch &&
+		uint64(v.old.num.Load()) == txn
 }
 
 // MarkDeleted links a pending deletion marker naming transaction txn on

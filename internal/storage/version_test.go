@@ -430,26 +430,10 @@ func TestSnapshotWatermarkAdmitsNoLateReader(t *testing.T) {
 	wg.Wait()
 }
 
-func TestSetRecoveredEpoch(t *testing.T) {
-	s := fig1(t)
-	st := NewStore(s)
-	st.SetRecoveredEpoch(41)
-	if st.StableEpoch() != 41 {
-		t.Fatalf("stable = %d", st.StableEpoch())
-	}
-	if e := st.AllocEpoch(); e != 42 {
-		t.Fatalf("first post-recovery epoch = %d, want 42", e)
-	}
-	st.FinishEpoch(42)
-	if st.StableEpoch() != 42 {
-		t.Fatalf("stable after finish = %d", st.StableEpoch())
-	}
-}
-
 // TestSnapshotRecoveredStoreFullyVisible: a store filled the way
-// recovery fills it (Install, then the recovered epoch) is visible in
-// full to a snapshot at that epoch with zero records linked, and a
-// later commit supersedes the recovered state only for later snapshots.
+// recovery fills it (Install, the epoch clock left at 0) is visible in
+// full to a snapshot at epoch 0 with zero records linked, and a later
+// commit supersedes the recovered state only for later snapshots.
 func TestSnapshotRecoveredStoreFullyVisible(t *testing.T) {
 	s := fig1(t)
 	st := NewStore(s)
@@ -457,14 +441,13 @@ func TestSnapshotRecoveredStoreFullyVisible(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st.SetRecoveredEpoch(9)
 	if got := st.VersionsPublished(); got != 0 {
 		t.Errorf("recovery linked %d records, want 0", got)
 	}
 	var rd SnapshotReader
 	b := st.BeginSnapshot(&rd)
 	defer st.EndSnapshot(&rd)
-	if b != 9 || !in.SnapshotVisible(b, 0) {
+	if b != 0 || !in.SnapshotVisible(b, 0) {
 		t.Fatalf("recovered instance: begin epoch %d, visible %t", b, in.SnapshotVisible(b, 0))
 	}
 	wantAt(t, in, slotF1, b, IntV(42))

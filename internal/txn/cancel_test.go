@@ -14,10 +14,12 @@ import (
 )
 
 // gateFS is a slow disk: once armed, every file Sync parks until the
-// gate opens, announcing itself on parked first.
+// gate opens, announcing itself on parked first. With fail set, a
+// parked Sync then reports an error instead of syncing.
 type gateFS struct {
 	wal.FS
 	armed  atomic.Bool
+	fail   atomic.Bool
 	parked chan struct{} // cap 1: a token while some Sync is parked
 	gate   chan struct{} // closed to let the parked fsyncs through
 }
@@ -50,6 +52,9 @@ func (f *gateFile) Sync() error {
 		default:
 		}
 		<-f.g.gate
+		if f.g.fail.Load() {
+			return errors.New("gateFS: injected fsync failure")
+		}
 	}
 	return f.File.Sync()
 }

@@ -113,7 +113,7 @@ type Txn struct {
 	mu      sync.Mutex
 	undo    []undoEntry
 	undoSet map[undoKey]int // index into undo of the slot's entry
-	created []storage.OID   // OIDs created by this txn (redo skips their slot writes)
+	creates int             // LogCreate calls: Write looks for its own creation only when non-zero
 
 	// Snapshot-transaction state: a snapshot txn registers in the
 	// store's reader watermark at begin, reads every instance as of
@@ -204,7 +204,10 @@ func (t *Txn) Writable() error {
 // for it in the same store window — later images would overwrite earlier
 // writes of the same transaction and must not be kept — and every write
 // hands that record back to the store, which keeps it current (see
-// storage.Store.Write).
+// storage.Store.Write). A write to an instance this transaction created
+// links nothing and leaves no undo entry: nobody else reaches the
+// instance before the creation commits, abort removes it whole, and the
+// create record carries its final image.
 //
 // escrow marks a slot written under declared commutativity: an integer
 // write is then recorded as the transaction's net delta, not a
@@ -222,6 +225,10 @@ func (t *Txn) Write(in *storage.Instance, slot int, v storage.Value, escrow bool
 		t.mgr.store.Write(in, slot, v, t.undo[i].rec, escrow)
 		return
 	}
+	if t.creates > 0 && in.CreatedBy(uint64(t.ID)) {
+		in.Set(slot, v)
+		return
+	}
 	t.undoSet[k] = len(t.undo)
 	rec := t.mgr.store.Write(in, slot, v, nil, escrow)
 	t.undo = append(t.undo, undoEntry{inst: in, rec: rec})
@@ -230,13 +237,12 @@ func (t *Txn) Write(in *storage.Instance, slot int, v storage.Value, escrow bool
 // LogCreate records that this transaction created in, which entered the
 // store carrying marker (storage.Store.NewUncommitted): Abort removes it
 // from the store again, Commit stamps the marker and emits a create
-// record carrying the full image (so its individual slot writes are not
-// logged twice).
+// record carrying the full image, final values included.
 func (t *Txn) LogCreate(in *storage.Instance, marker *storage.Version) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	t.undo = append(t.undo, undoEntry{inst: in, rec: marker})
-	t.created = append(t.created, in.OID)
+	t.creates++
 }
 
 // LogDelete records that this transaction deleted in by linking marker
@@ -255,34 +261,14 @@ func (t *Txn) UndoDepth() int {
 	return len(t.undo)
 }
 
-// createdHere reports whether this transaction created the OID.
-func (t *Txn) createdHere(oid storage.OID) bool {
-	for _, o := range t.created {
-		if o == oid {
-			return true
-		}
-	}
-	return false
-}
-
-// submitRecord projects the undo log forward into one redo record and
-// sequences it on the log's queue, returning the record's durability
-// ticket (nil when the undo log holds nothing durable). The transaction
-// still holds every lock, so the after-images it reads are its own final
-// values: a slot another uncommitted writer may share is one under
-// declared commutativity, and that slot is logged as a delta.
-func (t *Txn) submitRecord(w *wal.Log, epoch uint64) (*wal.Future, error) {
-	c := w.BeginCommit(uint64(t.ID), epoch)
-	// The created-OID check runs once per slot entry; beyond a handful
-	// of creates the linear scan is replaced by a set so a bulk-load
-	// commit stays O(creates + writes) while it holds every lock.
-	var createdSet map[storage.OID]bool
-	if len(t.created) > 8 {
-		createdSet = make(map[storage.OID]bool, len(t.created))
-		for _, o := range t.created {
-			createdSet[o] = true
-		}
-	}
+// submitRecord projects the undo log forward into one redo record — an
+// op per entry — and sequences it on the log's queue, returning the
+// record's durability ticket. The transaction still holds every lock,
+// so the after-images it reads are its own final values: a slot another
+// uncommitted writer may share is one under declared commutativity, and
+// that slot is logged as a delta.
+func (t *Txn) submitRecord(w *wal.Log) (*wal.Future, error) {
+	c := w.BeginCommit(uint64(t.ID))
 	for i := range t.undo {
 		e := &t.undo[i]
 		switch slot := e.rec.Slot(); slot {
@@ -291,13 +277,6 @@ func (t *Txn) submitRecord(w *wal.Log, epoch uint64) (*wal.Future, error) {
 		case storage.SlotDelete:
 			c.Delete(uint64(e.inst.OID))
 		default:
-			if createdSet != nil {
-				if createdSet[e.inst.OID] {
-					continue // the create record carries the final image
-				}
-			} else if t.createdHere(e.inst.OID) {
-				continue // the create record carries the final image
-			}
 			if delta, ok := e.rec.Delta(); ok {
 				// Commuting slot: log the transaction's net delta, not
 				// an after-image. The live value may include a
@@ -312,45 +291,38 @@ func (t *Txn) submitRecord(w *wal.Log, epoch uint64) (*wal.Future, error) {
 			}
 		}
 	}
-	if c.Ops() == 0 {
-		c.Discard()
-		return nil, nil
-	}
 	if err := c.Submit(); err != nil {
 		return nil, err
-	}
-	if t.traceOn {
-		t.trace.Add(obs.EvCommit, 0, epoch)
 	}
 	return c.Future(), nil
 }
 
-// commit is the one commit sequence: allocate the epoch → build and
-// sequence the redo record (only when a log is attached and the undo log
-// has durable effects) → stamp the version records and retire the epoch
-// → release locks → finish the trace. No step between allocating and
-// retiring the epoch waits on another transaction, so the turnstile
-// always drains. What varies is only where the durability wait sits
-// relative to the lock release:
+// commit is the one commit sequence: sequence the redo record (only when
+// a log is attached and the undo log is not empty) → publish: draw the
+// commit epoch, stamp the version records and retire the epoch →
+// release locks → finish the trace. The epoch is drawn once, after
+// every step that can fail or wait, so every commit mode takes one
+// epoch step and nothing between drawing and retiring it waits on
+// anything. Until then the records stay pending: snapshot readers roll
+// them back, and a pending record is never pruned, so a rollback finds
+// them. What varies is only where the durability wait sits relative to
+// the publication and the lock release:
 //
-//   - hold (blocking, uncancellable): the wait comes BEFORE the release,
-//     so conflicting transactions appear in the log in conflict order
-//     only after this one is durable, and a failed ticket — the log went
-//     fail-stop under the record — rolls the transaction back in memory
-//     while it still excludes every reader of its writes. Snapshot
-//     readers are excluded the same way: the records stay pending across
-//     the wait (a pending record is never pruned, so the rollback finds
-//     them) and are stamped with a second epoch once the ticket
-//     resolves. The first epoch, which the log record carries, retires
-//     empty before the wait.
+//   - hold (blocking, uncancellable): the wait comes BEFORE both, so
+//     conflicting transactions appear in the log in conflict order only
+//     after this one is durable, no snapshot reads a write that is not
+//     yet on disk, and a failed ticket — the log went fail-stop under
+//     the record — rolls the transaction back in memory while it still
+//     excludes every reader of its writes.
 //   - pipelined: no wait; the Future is the caller's. Queue order is log
 //     order, so releasing at sequencing still puts any conflicting later
 //     transaction after this one in the log while the fsync proceeds in
 //     the background.
-//   - blocking but cancellable (a done channel is bound): release first,
-//     then wait bounded by done. Sequencing cannot be undone, so a wait
-//     that could be abandoned must not be one that could roll back; a
-//     cancellation returns wal.ErrWaitCanceled with the commit applied.
+//   - blocking but cancellable (a done channel is bound): publish and
+//     release first, then wait bounded by done. Sequencing cannot be
+//     undone, so a wait that could be abandoned must not be one that
+//     could roll back; a cancellation returns wal.ErrWaitCanceled with
+//     the commit applied.
 func (t *Txn) commit(pipelined bool) (Future, error) {
 	if t.state != Active {
 		return Future{}, ErrNotActive
@@ -360,23 +332,18 @@ func (t *Txn) commit(pipelined bool) (Future, error) {
 		return Future{}, nil
 	}
 	hold := !pipelined && t.done == nil
-	epoch := t.allocEpoch()
 	var fut Future
 	var err error
 	if w := t.mgr.wal; w != nil && len(t.undo) > 0 {
-		fut.w, err = t.submitRecord(w, epoch)
-	}
-	limbo := hold && fut.w != nil // a ticket exists only when err == nil
-	t.finishEpoch(epoch, err == nil && !limbo)
-	if limbo {
-		if err = t.awaitTicket(fut); err == nil {
-			t.finishEpoch(t.allocEpoch(), true)
+		if fut.w, err = t.submitRecord(w); err == nil && hold {
+			err = t.awaitTicket(fut)
 		}
 	}
 	if err != nil {
 		t.Abort()
 		return Future{}, fmt.Errorf("txn: commit log append: %w", err)
 	}
+	t.publish()
 	t.state = Committed
 	t.clearUndo()
 	t.mgr.locks.ReleaseAll(t.ID)
@@ -463,39 +430,30 @@ func (f Future) WaitDone(done <-chan struct{}) error {
 // closed) rolls the transaction back exactly like Commit.
 func (t *Txn) CommitPipelined() (Future, error) { return t.commit(true) }
 
-// allocEpoch draws a commit epoch when the transaction linked version
-// records (0 otherwise — real epochs start at 1). Every non-zero epoch
-// must be retired through finishEpoch.
-func (t *Txn) allocEpoch() uint64 {
+// publish draws the transaction's one commit epoch, stamps its version
+// records with it, removes the instances it deleted from the store, and
+// retires the epoch in order. A snapshot that begins at or above the
+// epoch from here on reads the transaction's writes, and a transaction
+// waiting on its locks resumes to its stamped deletion markers. A
+// transaction that linked no record draws no epoch.
+func (t *Txn) publish() {
 	t.mu.Lock()
-	defer t.mu.Unlock()
 	if len(t.undo) == 0 {
-		return 0
-	}
-	return t.mgr.store.AllocEpoch()
-}
-
-// finishEpoch stamps the transaction's version records with the epoch
-// (when stamp is set: the commit stands), removes the instances it
-// deleted from the store, and retires the epoch in order. A snapshot
-// that begins at or above the epoch from here on reads the transaction's
-// writes, and a transaction waiting on its locks resumes to its stamped
-// deletion markers. No-op for epoch 0.
-func (t *Txn) finishEpoch(epoch uint64, stamp bool) {
-	if epoch == 0 {
+		t.mu.Unlock()
 		return
 	}
-	if stamp {
-		t.mu.Lock()
-		for _, e := range t.undo {
-			e.rec.Stamp(epoch)
-			if e.rec.Slot() == storage.SlotDelete {
-				t.mgr.store.Delete(e.inst.OID) //nolint:errcheck // the marker keeps it live until here
-			}
+	epoch := t.mgr.store.AllocEpoch()
+	for _, e := range t.undo {
+		e.rec.Stamp(epoch)
+		if e.rec.Slot() == storage.SlotDelete {
+			t.mgr.store.Delete(e.inst.OID) //nolint:errcheck // the marker keeps it live until here
 		}
-		t.mu.Unlock()
 	}
+	t.mu.Unlock()
 	t.mgr.store.FinishEpoch(epoch)
+	if t.traceOn {
+		t.trace.Add(obs.EvCommit, 0, epoch)
+	}
 }
 
 // rollback plays the undo log backwards and clears it. Each slot write
@@ -532,7 +490,7 @@ func (t *Txn) clearUndo() {
 	clear(t.undo) // drop *Instance references for the GC
 	t.undo = t.undo[:0]
 	clear(t.undoSet)
-	t.created = t.created[:0]
+	t.creates = 0
 	t.mu.Unlock()
 }
 

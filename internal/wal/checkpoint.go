@@ -1,6 +1,7 @@
 package wal
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -30,11 +31,14 @@ import (
 //
 // Checkpoint file, little-endian:
 //
-//	magic "FAVWCKP2" · u64 baseSeq · u64 nextOID · u64 epoch · u64 count ·
+//	magic "FAVWCKP3" · u64 baseSeq · u64 nextOID · u64 count ·
 //	count × image · u32 CRC-32C (codec.Checksum) of everything after
 //	the magic
 //
-// where an image is the body of an OpCreate op (record.go).
+// where an image is the body of an OpCreate op (record.go). Earlier
+// layouts ("FAVWCKP1", and "FAVWCKP2", which also held a commit epoch)
+// are refused by name: their records cannot be replayed either, so
+// falling back past them could only open a partial state.
 //
 // The file is written to checkpoint.tmp, fsynced, and renamed over
 // checkpoint — after the old checkpoint was demoted to checkpoint.prev —
@@ -51,7 +55,13 @@ const (
 	checkpointSeq0 = uint64(0) // "no checkpoint": replay every segment
 )
 
-var checkpointMagic = []byte("FAVWCKP2")
+// checkpointMagic is the current layout's magic; a file that starts
+// with checkpointFamily and differs in the version byte was written by
+// another layout.
+var (
+	checkpointMagic  = []byte("FAVWCKP3")
+	checkpointFamily = checkpointMagic[:len(checkpointMagic)-1]
+)
 
 // errCheckpointCorrupt classifies damage the CRC trailer (or frame
 // structure around it) detects — the cases recovery can survive by
@@ -62,16 +72,12 @@ var errCheckpointCorrupt = errors.New("wal: corrupt checkpoint")
 // state) with base segment sequence baseSeq. demoteOld preserves the
 // current primary as checkpoint.prev; when the caller found the primary
 // corrupt it passes false so the garbage is dropped instead of
-// clobbering the intact .prev the fallback chain relies on. epoch is
-// the highest commit epoch covered by the checkpoint image, so a
-// recovery that replays no tail still restarts the epoch clock past
-// every commit it contains.
-func writeCheckpoint(fsys FS, dir string, st *storage.Store, baseSeq, epoch uint64, demoteOld bool) error {
+// clobbering the intact .prev the fallback chain relies on.
+func writeCheckpoint(fsys FS, dir string, st *storage.Store, baseSeq uint64, demoteOld bool) error {
 	sch := st.Schema()
 	body := make([]byte, 0, 1<<16)
 	body = binary.LittleEndian.AppendUint64(body, baseSeq)
 	body = binary.LittleEndian.AppendUint64(body, uint64(st.MaxOID()))
-	body = binary.LittleEndian.AppendUint64(body, epoch)
 	count := uint64(0)
 	countAt := len(body)
 	body = binary.LittleEndian.AppendUint64(body, 0) // patched below
@@ -130,68 +136,70 @@ func writeCheckpoint(fsys FS, dir string, st *storage.Store, baseSeq, epoch uint
 }
 
 // loadCheckpoint applies the newest intact checkpoint into st and
-// returns its base segment sequence (checkpointSeq0 when none exists)
-// and the commit epoch its image covers. fellBack reports that the
-// primary was missing or corrupt and recovery used checkpoint.prev —
-// or, before any second checkpoint existed, a full log replay from the
-// first segment.
-func loadCheckpoint(fsys FS, dir string, st *storage.Store, sch *schema.Schema) (base, epoch uint64, fellBack bool, err error) {
-	base, epoch, err = loadCheckpointFile(fsys, filepath.Join(dir, checkpointName), st, sch)
+// returns its base segment sequence (checkpointSeq0 when none exists).
+// fellBack reports that the primary was missing or corrupt and recovery
+// used checkpoint.prev — or, before any second checkpoint existed, a
+// full log replay from the first segment.
+func loadCheckpoint(fsys FS, dir string, st *storage.Store, sch *schema.Schema) (base uint64, fellBack bool, err error) {
+	base, err = loadCheckpointFile(fsys, filepath.Join(dir, checkpointName), st, sch)
 	switch {
 	case err == nil:
-		return base, epoch, false, nil
+		return base, false, nil
 	case errors.Is(err, os.ErrNotExist):
 		// No primary. A .prev without a primary is the crash window of
 		// writeCheckpoint between demote and rename — .prev is intact
 		// and its replay tail is still on disk.
-		base, epoch, err = loadCheckpointFile(fsys, filepath.Join(dir, checkpointPrev), st, sch)
+		base, err = loadCheckpointFile(fsys, filepath.Join(dir, checkpointPrev), st, sch)
 		if errors.Is(err, os.ErrNotExist) {
-			return checkpointSeq0, 0, false, nil // fresh directory
+			return checkpointSeq0, false, nil // fresh directory
 		}
 		if err != nil {
-			return 0, 0, false, err
+			return 0, false, err
 		}
-		return base, epoch, true, nil
+		return base, true, nil
 	case errors.Is(err, errCheckpointCorrupt):
-		base, epoch, err = loadCheckpointFile(fsys, filepath.Join(dir, checkpointPrev), st, sch)
+		base, err = loadCheckpointFile(fsys, filepath.Join(dir, checkpointPrev), st, sch)
 		if errors.Is(err, os.ErrNotExist) {
 			// Corrupt primary, no .prev: only the first checkpoint ever
 			// taken can be in this state, and it deleted no segments —
 			// a full replay from the first segment reproduces it.
-			return checkpointSeq0, 0, true, nil
+			return checkpointSeq0, true, nil
 		}
 		if err != nil {
-			return 0, 0, false, err
+			return 0, false, err
 		}
-		return base, epoch, true, nil
+		return base, true, nil
 	default:
-		return 0, 0, false, err
+		return 0, false, err
 	}
 }
 
 // loadCheckpointFile applies one checkpoint file into st. Corruption
 // the CRC trailer detects is reported as errCheckpointCorrupt — and
 // detected before anything is installed, so the store is untouched and
-// the caller may fall back. Semantic errors past a valid CRC (unknown
-// class, OID watermark, slot arity) stay hard failures: they mean a
-// writer bug or foreign file, not disk damage.
-func loadCheckpointFile(fsys FS, path string, st *storage.Store, sch *schema.Schema) (uint64, uint64, error) {
+// the caller may fall back. Another layout's magic and semantic errors
+// past a valid CRC (unknown class, OID watermark, slot arity) stay hard
+// failures: they mean an older build, a writer bug or a foreign file,
+// not disk damage.
+func loadCheckpointFile(fsys FS, path string, st *storage.Store, sch *schema.Schema) (uint64, error) {
 	data, err := fsys.ReadFile(path)
 	if err != nil {
-		return 0, 0, err
+		return 0, err
 	}
-	if len(data) < len(checkpointMagic)+4 || string(data[:len(checkpointMagic)]) != string(checkpointMagic) {
-		return 0, 0, fmt.Errorf("%w: %s: bad magic", errCheckpointCorrupt, path)
+	if len(data) >= len(checkpointMagic) && bytes.HasPrefix(data, checkpointFamily) && !bytes.HasPrefix(data, checkpointMagic) {
+		return 0, fmt.Errorf("wal: %s: checkpoint format %q, this build reads %q", path, data[:len(checkpointMagic)], checkpointMagic)
+	}
+	if len(data) < len(checkpointMagic)+4 || !bytes.HasPrefix(data, checkpointMagic) {
+		return 0, fmt.Errorf("%w: %s: bad magic", errCheckpointCorrupt, path)
 	}
 	body := data[len(checkpointMagic) : len(data)-4]
 	wantCRC := binary.LittleEndian.Uint32(data[len(data)-4:])
 	if codec.Checksum(body) != wantCRC {
-		return 0, 0, fmt.Errorf("%w: %s: CRC mismatch", errCheckpointCorrupt, path)
+		return 0, fmt.Errorf("%w: %s: CRC mismatch", errCheckpointCorrupt, path)
 	}
 	d := codec.NewDecoder(body)
 	baseSeq := d.U64()
 	nextOID := d.U64()
-	epoch := d.U64()
 	count := d.U64()
 	// One slot buffer for every image: Install copies the cells out, and
 	// the decoder copies strings out of data.
@@ -203,27 +211,27 @@ func loadCheckpointFile(fsys FS, path string, st *storage.Store, sch *schema.Sch
 		}
 		cls := sch.ClassByID(in.Class)
 		if cls == nil {
-			return 0, 0, fmt.Errorf("wal: checkpoint: unknown class id %d", in.Class)
+			return 0, fmt.Errorf("wal: checkpoint: unknown class id %d", in.Class)
 		}
 		// OIDs are allocated below the watermark; an instance above it is
 		// corruption, and installing it would size the dense page
 		// directory to match.
 		if in.OID == 0 || uint64(in.OID) > nextOID {
-			return 0, 0, fmt.Errorf("wal: checkpoint: instance OID %d outside (0, %d]", in.OID, nextOID)
+			return 0, fmt.Errorf("wal: checkpoint: instance OID %d outside (0, %d]", in.OID, nextOID)
 		}
 		if len(in.Slots) != cls.NumSlots() {
-			return 0, 0, fmt.Errorf("wal: checkpoint: %s#%d has %d slots, file says %d",
+			return 0, fmt.Errorf("wal: checkpoint: %s#%d has %d slots, file says %d",
 				cls.Name, in.OID, cls.NumSlots(), len(in.Slots))
 		}
 		if _, err := st.Install(cls, in.OID, in.Slots); err != nil {
-			return 0, 0, fmt.Errorf("wal: checkpoint: %w", err)
+			return 0, fmt.Errorf("wal: checkpoint: %w", err)
 		}
 	}
 	if err := d.Finish(); err != nil {
-		return 0, 0, fmt.Errorf("wal: checkpoint: %w", err)
+		return 0, fmt.Errorf("wal: checkpoint: %w", err)
 	}
 	st.EnsureOID(storage.OID(nextOID))
-	return baseSeq, epoch, nil
+	return baseSeq, nil
 }
 
 // Checkpoint compacts the log: it drains and hardens everything
@@ -253,12 +261,11 @@ func (l *Log) Checkpoint() error {
 	sealed := res.sealed
 
 	scratch := storage.NewStore(l.sch)
-	base, ckptEpoch, fellBack, err := loadCheckpoint(l.fs, l.dir, scratch, l.sch)
+	base, fellBack, err := loadCheckpoint(l.fs, l.dir, scratch, l.sch)
 	if err != nil {
 		return err
 	}
 	r := newReplayer(scratch, l.sch, runtime.GOMAXPROCS(0))
-	r.maxEpoch = ckptEpoch
 	for seq := base + 1; seq <= sealed; seq++ {
 		path := segmentPath(l.dir, seq)
 		data, err := l.fs.ReadFile(path)
@@ -275,7 +282,7 @@ func (l *Log) Checkpoint() error {
 		}
 	}
 	scratch.SortExtents()
-	if err := writeCheckpoint(l.fs, l.dir, scratch, sealed, r.maxEpoch, !fellBack); err != nil {
+	if err := writeCheckpoint(l.fs, l.dir, scratch, sealed, !fellBack); err != nil {
 		return err
 	}
 	l.baseSeq.Store(sealed)

@@ -122,10 +122,9 @@ type RecoveryInfo struct {
 	// checkpoint existed, a full log replay) instead of installing
 	// garbage.
 	CheckpointFallback bool
-	Segments           int    // log segments replayed
-	Records            int64  // commit records applied
-	TornTailBytes      int64  // bytes truncated off the final segment
-	Epoch              uint64 // highest commit epoch recovered; the store's clock restarts past it
+	Segments           int   // log segments replayed
+	Records            int64 // commit records applied
+	TornTailBytes      int64 // bytes truncated off the final segment
 }
 
 // rotateResult is the writer's answer to a rotation request.
@@ -172,7 +171,7 @@ func (f *Future) Wait() error {
 	f.c = nil
 	err := <-c.done
 	l := c.l
-	c.Discard()
+	c.discard()
 	l.futures.Put(f)
 	return err
 }
@@ -201,13 +200,13 @@ func (f *Future) WaitDone(done <-chan struct{}) error {
 	select {
 	case err := <-c.done:
 		l := c.l
-		c.Discard()
+		c.discard()
 		l.futures.Put(f)
 		return err
 	case <-done:
 		go func() {
 			<-c.done
-			c.Discard()
+			c.discard()
 		}()
 		return ErrWaitCanceled
 	}
@@ -557,16 +556,13 @@ func (l *Log) maybeAutoCheckpoint() {
 	}()
 }
 
-// BeginCommit starts encoding one transaction's commit record, stamped
-// with its multiversion commit epoch (0 when the committer linked no
-// version records) — recovery rebuilds the epoch counter from the maximum over
-// all records. The returned commit must finish with Commit or
-// CommitPipelined (which wait for / hand out the group-commit ticket)
-// or Discard.
-func (l *Log) BeginCommit(txnID, epoch uint64) *commit {
+// BeginCommit starts encoding one transaction's commit record. The
+// returned commit must finish with Submit followed, on success, by
+// Future.
+func (l *Log) BeginCommit(txnID uint64) *commit {
 	c := l.commits.Get().(*commit)
-	b := append(c.buf[:0], make([]byte, codec.HeaderSize)...) // sealed at submit
-	c.buf = appendHeader(b, txnID, epoch, 0)                  // nOps patched at submit
+	b := append(c.buf[:0], make([]byte, codec.HeaderSize)...) // sealed at Submit
+	c.buf = appendHeader(b, txnID, 0)                         // nOps patched at Submit
 	c.ops = 0
 	c.barrier = false
 	return c
@@ -603,11 +599,8 @@ func (c *commit) Delete(oid uint64) {
 	c.ops++
 }
 
-// Ops returns the number of ops encoded so far.
-func (c *commit) Ops() int { return int(c.ops) }
-
-// Discard releases an unused commit (e.g. a read-only transaction).
-func (c *commit) Discard() {
+// discard returns a finished or failed commit to the pool.
+func (c *commit) discard() {
 	if cap(c.buf) > 1<<20 {
 		c.buf = nil // don't let one giant record pin memory in the pool
 	}
@@ -615,21 +608,24 @@ func (c *commit) Discard() {
 	c.l.commits.Put(c)
 }
 
-// submit frames the record and hands it to the writer goroutine; the
-// writer's answer arrives on c.done. On error the commit is already
-// discarded.
-func (c *commit) submit() error {
+// Submit frames the record and sequences it on the writer's queue
+// without waiting: once Submit returns, the record's position in the
+// log order is fixed — anything enqueued later (e.g. by a transaction
+// that observes this one's effects) lands after it. Follow a successful
+// Submit with exactly one Future; on error the commit is already
+// released.
+func (c *commit) Submit() error {
 	l := c.l
 	payload := c.buf[codec.HeaderSize:]
 	binary.LittleEndian.PutUint32(payload[offNumOps:], c.ops)
 	// Recovery rejects frames beyond maxRecordSize as garbage; writing
 	// one would acknowledge a commit recovery must then discard.
 	if err := codec.Seal(c.buf, payload, maxRecordSize); err != nil {
-		c.Discard()
+		c.discard()
 		return fmt.Errorf("wal: commit record: %w", err)
 	}
 	if err := l.failure(); err != nil {
-		c.Discard()
+		c.discard()
 		return err
 	}
 	return c.enqueue()
@@ -646,7 +642,7 @@ func (c *commit) enqueue() error {
 	l.sendMu.RLock()
 	if l.closed.Load() {
 		l.sendMu.RUnlock()
-		c.Discard()
+		c.discard()
 		return ErrClosed
 	}
 	l.submitCh <- c
@@ -654,54 +650,15 @@ func (c *commit) enqueue() error {
 	return nil
 }
 
-// Submit frames the record and sequences it on the writer's queue
-// without waiting: once Submit returns, the record's position in the
-// log order is fixed — anything enqueued later (e.g. by a transaction
-// that observes this one's effects) lands after it. Pair with exactly
-// one of Wait or Future; on error the commit is already released.
-func (c *commit) Submit() error { return c.submit() }
-
-// Wait blocks until the submitted record's batch reaches the sync
-// policy's acknowledgment point and releases the commit. Call once,
-// after a successful Submit.
-func (c *commit) Wait() error {
-	err := <-c.done
-	c.Discard()
-	return err
-}
-
 // Future wraps a submitted commit into a pooled durability future (call
-// once, instead of Wait, after a successful Submit). The future's own
-// Wait must then be called exactly once — it recycles the Future.
+// once after a successful Submit). The future's Wait or WaitDone must
+// then be called exactly once — it recycles the Future. The future
+// resolves when the batch carrying the record reaches the sync policy's
+// acknowledgment point (under SyncAlways: fsynced).
 func (c *commit) Future() *Future {
 	f := c.l.futures.Get().(*Future)
 	f.c = c
 	return f
-}
-
-// Commit frames the record, hands it to the writer goroutine and blocks
-// until the batch containing it reaches the sync policy's
-// acknowledgment point (under SyncAlways: fsynced). The transaction
-// must still hold its locks: strict 2PL releases only after the commit
-// is durable.
-func (c *commit) Commit() error {
-	if err := c.submit(); err != nil {
-		return err
-	}
-	return c.Wait()
-}
-
-// CommitPipelined frames the record, hands it to the writer goroutine
-// and returns immediately with a durability Future. Once CommitPipelined
-// returns, the record's position in the log is fixed (sequenced), so the
-// caller may release the transaction's locks: any conflicting
-// transaction can only append after it. The Future resolves when the
-// batch carrying the record is acknowledged per the sync policy.
-func (c *commit) CommitPipelined() (*Future, error) {
-	if err := c.submit(); err != nil {
-		return nil, err
-	}
-	return c.Future(), nil
 }
 
 // Sync is a hardening barrier: it blocks until everything enqueued
@@ -715,7 +672,7 @@ func (l *Log) Sync() error {
 		return err
 	}
 	err := <-c.done
-	c.Discard()
+	c.discard()
 	return err
 }
 

@@ -83,7 +83,7 @@ func TestRecoveryPipelinedCrashWindow(t *testing.T) {
 	const workers = 4
 	const commitsEach = 40
 	insts := make([]*storage.Instance, workers)
-	c := l.BeginCommit(1, 0)
+	c := l.BeginCommit(1)
 	for i := range insts {
 		in, err := st.NewInstance(cls, storage.IntV(0))
 		if err != nil {
@@ -92,7 +92,7 @@ func TestRecoveryPipelinedCrashWindow(t *testing.T) {
 		insts[i] = in
 		c.Create(cls.ID, uint64(in.OID), in)
 	}
-	if err := c.Commit(); err != nil {
+	if err := commitWait(c); err != nil {
 		t.Fatal(err)
 	}
 
@@ -115,9 +115,9 @@ func TestRecoveryPipelinedCrashWindow(t *testing.T) {
 			var values []int64
 			for i := 1; i <= commitsEach; i++ {
 				in.Set(0, storage.IntV(int64(i)))
-				c := l.BeginCommit(uint64(100+w*1000+i), 0)
+				c := l.BeginCommit(uint64(100 + w*1000 + i))
 				c.Write(uint64(in.OID), 0, in.Get(0))
-				fut, err := c.CommitPipelined()
+				fut, err := commitPipelined(c)
 				if err != nil {
 					errs <- fmt.Errorf("worker %d commit %d: %w", w, i, err)
 					return
@@ -210,10 +210,10 @@ func TestRecoverySyncEveryBoundsLossWindow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := l.BeginCommit(1, 0)
+	c := l.BeginCommit(1)
 	c.Create(cls.ID, uint64(in.OID), in)
 	start := time.Now()
-	if err := c.Commit(); err != nil { // acknowledged after the OS write
+	if err := commitWait(c); err != nil { // acknowledged after the OS write
 		t.Fatal(err)
 	}
 	fi, err := os.Stat(segmentPath(dir, 1))
@@ -255,9 +255,9 @@ func TestSyncBarrierHardensRelaxedLog(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := l.BeginCommit(1, 0)
+	c := l.BeginCommit(1)
 	c.Create(cls.ID, uint64(in.OID), in)
-	fut, err := c.CommitPipelined()
+	fut, err := commitPipelined(c)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -297,18 +297,18 @@ func TestRecoveryPipelinedFuturesResolveOnClose(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := l.BeginCommit(1, 0)
+	c := l.BeginCommit(1)
 	c.Create(cls.ID, uint64(in.OID), in)
-	if err := c.Commit(); err != nil {
+	if err := commitWait(c); err != nil {
 		t.Fatal(err)
 	}
 	const commits = 100
 	futures := make([]*Future, 0, commits)
 	for i := 1; i <= commits; i++ {
 		in.Set(0, storage.IntV(int64(i)))
-		c := l.BeginCommit(uint64(1+i), 0)
+		c := l.BeginCommit(uint64(1 + i))
 		c.Write(uint64(in.OID), 0, in.Get(0))
-		fut, err := c.CommitPipelined()
+		fut, err := commitPipelined(c)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -343,9 +343,9 @@ func TestPipelinedCommitAfterCloseFails(t *testing.T) {
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
-	c := l.BeginCommit(1, 0)
+	c := l.BeginCommit(1)
 	c.Delete(42)
-	if _, err := c.CommitPipelined(); err != ErrClosed {
+	if _, err := commitPipelined(c); err != ErrClosed {
 		t.Fatalf("pipelined commit after close = %v, want ErrClosed", err)
 	}
 	if err := l.Sync(); err != ErrClosed {
@@ -371,9 +371,9 @@ func bigWorkload(t *testing.T, dir string, n int) {
 			victim := oids[i%len(oids)]
 			if victim != 0 {
 				if err := st.Delete(victim); err == nil {
-					c := l.BeginCommit(uint64(i), 0)
+					c := l.BeginCommit(uint64(i))
 					c.Delete(uint64(victim))
-					if err := c.Commit(); err != nil {
+					if err := commitWait(c); err != nil {
 						t.Fatal(err)
 					}
 					oids[i%len(oids)] = 0
@@ -386,9 +386,9 @@ func bigWorkload(t *testing.T, dir string, n int) {
 				t.Fatal(err)
 			}
 			oids = append(oids, in.OID)
-			c := l.BeginCommit(uint64(i), 0)
+			c := l.BeginCommit(uint64(i))
 			c.Create(cls.ID, uint64(in.OID), in)
-			if err := c.Commit(); err != nil {
+			if err := commitWait(c); err != nil {
 				t.Fatal(err)
 			}
 		default: // write to a random live instance
@@ -401,9 +401,9 @@ func bigWorkload(t *testing.T, dir string, n int) {
 				continue
 			}
 			in.Set(1, storage.IntV(int64(i)))
-			c := l.BeginCommit(uint64(i), 0)
+			c := l.BeginCommit(uint64(i))
 			c.Write(uint64(target), 1, in.Get(1))
-			if err := c.Commit(); err != nil {
+			if err := commitWait(c); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -17,7 +17,7 @@
 // A commit record is the payload of one frame of internal/codec (length
 // and CRC-32C header; values encoded by codec.AppendValue):
 //
-//	payload: u8 type (=commit) · u64 txnID · u64 epoch · u32 nOps · ops
+//	payload: u8 type (=commit) · u64 txnID · u32 nOps · ops
 //	op:      u8 OpWrite  · uvarint OID · uvarint slot · value
 //	         u8 OpDeltaI · uvarint OID · uvarint slot · varint delta
 //	         u8 OpCreate · image
@@ -31,6 +31,11 @@
 // durable through this record. Replay adds the delta, so the recovered
 // value is exactly the sum of committed contributions regardless of how
 // the writers interleaved.
+//
+// The log knows nothing of multiversion epochs: they order commits in
+// memory only, and replay links no version records. Records written
+// while a commit record still carried its epoch have type 0x01 and are
+// refused by name.
 //
 // A record is valid iff its frame is complete and the CRC matches;
 // recovery stops at the first invalid record of the final segment (a
@@ -48,11 +53,16 @@ import (
 	"repro/internal/storage"
 )
 
-// recCommit is the only record type: one committed txn.
-const recCommit = uint8(0x01)
+// recCommit is the only record type: one committed txn. recCommitV1 is
+// the type of the earlier layout, whose header also held a u64 commit
+// epoch; it is recognised only to be refused.
+const (
+	recCommit   = uint8(0x02)
+	recCommitV1 = uint8(0x01)
+)
 
 // maxRecordSize bounds one record's payload, enforced identically on
-// the write path (Commit rejects, the transaction aborts) and the read
+// the write path (Submit rejects, the transaction aborts) and the read
 // path (recovery classifies larger frames as garbage). A variable only
 // so tests can exercise the bound without allocating 256 MiB.
 var maxRecordSize = 256 << 20
@@ -67,21 +77,16 @@ const (
 )
 
 // Payload offset of the op count and size of the fixed commit-record
-// header (type + txnID + epoch + nOps). The epoch is the transaction's
-// multiversion commit epoch (0 when the transaction linked no version
-// records): recovery takes the maximum over all replayed records to
-// re-seed the epoch counter, so post-recovery commit epochs continue
-// above everything the log ever stamped.
+// header (type + txnID + nOps).
 const (
-	offNumOps  = 17
-	hdrPayload = 21
+	offNumOps  = 9
+	hdrPayload = 13
 )
 
 // appendHeader appends the fixed commit-record header.
-func appendHeader(b []byte, txnID, epoch uint64, nOps uint32) []byte {
+func appendHeader(b []byte, txnID uint64, nOps uint32) []byte {
 	b = append(b, recCommit)
 	b = binary.LittleEndian.AppendUint64(b, txnID)
-	b = binary.LittleEndian.AppendUint64(b, epoch)
 	return binary.LittleEndian.AppendUint32(b, nOps)
 }
 
@@ -122,7 +127,6 @@ func appendOp(b []byte, op *RecordOp) []byte {
 // tooling (replay streams through applyRecord without building it).
 type Record struct {
 	TxnID uint64
-	Epoch uint64
 	Ops   []RecordOp
 }
 
@@ -142,7 +146,7 @@ type RecordOp struct {
 func DecodeRecord(payload []byte) (Record, error) {
 	var rec Record
 	var err error
-	rec.TxnID, rec.Epoch, err = walkRecord(payload, true, func(op RecordOp, _, _ int) error {
+	rec.TxnID, err = walkRecord(payload, true, func(op RecordOp, _, _ int) error {
 		rec.Ops = append(rec.Ops, op)
 		return nil
 	})
@@ -152,7 +156,7 @@ func DecodeRecord(payload []byte) (Record, error) {
 // AppendRecord appends the payload of rec: the inverse of DecodeRecord.
 // A commit builds the same bytes op by op.
 func AppendRecord(b []byte, rec *Record) []byte {
-	b = appendHeader(b, rec.TxnID, rec.Epoch, uint32(len(rec.Ops)))
+	b = appendHeader(b, rec.TxnID, uint32(len(rec.Ops)))
 	for i := range rec.Ops {
 		b = appendOp(b, &rec.Ops[i])
 	}
@@ -229,19 +233,22 @@ func decodeOp(d *codec.Decoder, materialize bool) RecordOp {
 // walkRecord parses one commit payload and streams its ops, with each
 // op's byte range within the payload, through fn; materialize is
 // decodeOp's.
-func walkRecord(payload []byte, materialize bool, fn func(op RecordOp, off, end int) error) (txnID, epoch uint64, err error) {
+func walkRecord(payload []byte, materialize bool, fn func(op RecordOp, off, end int) error) (txnID uint64, err error) {
 	d := codec.NewDecoder(payload)
 	if typ := d.U8(); d.Err() == nil && typ != recCommit {
-		return 0, 0, fmt.Errorf("wal: unknown record type %d", typ)
+		if typ == recCommitV1 {
+			return 0, fmt.Errorf("wal: record type %d is the older commit layout with an epoch; this build reads type %d", typ, recCommit)
+		}
+		return 0, fmt.Errorf("wal: unknown record type %d", typ)
 	}
-	txnID, epoch = d.U64(), d.U64()
+	txnID = d.U64()
 	n := d.U32()
 	// Every op costs at least two bytes, so an op count beyond the
 	// payload size is garbage. Rejecting it up front (rather than at the
 	// first truncated op) also keeps the claimed count a trustworthy
 	// upper bound for the replay OID budget below.
 	if uint64(n) > uint64(len(payload)) {
-		return txnID, epoch, fmt.Errorf("wal: record claims %d ops in %d bytes", n, len(payload))
+		return txnID, fmt.Errorf("wal: record claims %d ops in %d bytes", n, len(payload))
 	}
 	for i := uint32(0); i < n && d.Err() == nil; i++ {
 		start := d.Pos()
@@ -250,10 +257,10 @@ func walkRecord(payload []byte, materialize bool, fn func(op RecordOp, off, end 
 			break
 		}
 		if err := fn(op, start, d.Pos()); err != nil {
-			return txnID, epoch, err
+			return txnID, err
 		}
 	}
-	return txnID, epoch, d.Finish()
+	return txnID, d.Finish()
 }
 
 // applyOp replays one decoded op into the store. Creates overwrite an
@@ -324,15 +331,10 @@ func applyOp(st *storage.Store, sch *schema.Schema, op RecordOp, maxOID uint64) 
 	return nil
 }
 
-// applyRecord replays one commit payload into the store, sequentially,
-// returning the op count and the record's commit epoch.
-func applyRecord(st *storage.Store, sch *schema.Schema, payload []byte, maxOID uint64) (ops int, epoch uint64, err error) {
-	_, epoch, err = walkRecord(payload, true, func(op RecordOp, _, _ int) error {
-		if err := applyOp(st, sch, op, maxOID); err != nil {
-			return err
-		}
-		ops++
-		return nil
+// applyRecord replays one commit payload into the store, sequentially.
+func applyRecord(st *storage.Store, sch *schema.Schema, payload []byte, maxOID uint64) error {
+	_, err := walkRecord(payload, true, func(op RecordOp, _, _ int) error {
+		return applyOp(st, sch, op, maxOID)
 	})
-	return ops, epoch, err
+	return err
 }

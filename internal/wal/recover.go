@@ -108,7 +108,7 @@ func Open(dir string, st *storage.Store, o Options) (*Log, RecoveryInfo, error) 
 	}
 
 	var info RecoveryInfo
-	base, ckptEpoch, fellBack, err := loadCheckpoint(fsys, dir, st, sch)
+	base, fellBack, err := loadCheckpoint(fsys, dir, st, sch)
 	if err != nil {
 		return nil, RecoveryInfo{}, err
 	}
@@ -156,16 +156,6 @@ func Open(dir string, st *storage.Store, o Options) (*Log, RecoveryInfo, error) 
 		last = seq
 	}
 	st.SortExtents()
-	// Restart the epoch clock past every commit recovery saw — from the
-	// checkpoint image or a replayed record. Replay linked no version
-	// records, so the recovered state is what every snapshot reads until
-	// the first post-recovery commit.
-	epoch := ckptEpoch
-	if r.maxEpoch > epoch {
-		epoch = r.maxEpoch
-	}
-	st.SetRecoveredEpoch(epoch)
-	info.Epoch = epoch
 
 	l := &Log{dir: dir, sch: sch, opts: o, fs: fsys}
 	l.baseSeq.Store(base)

@@ -44,12 +44,11 @@ type opRef struct {
 // replayer applies segments into a store, parallelizing across
 // instances when a segment is large enough.
 type replayer struct {
-	st       *storage.Store
-	sch      *schema.Schema
-	workers  int
-	maxOID   uint64    // replay OID budget; grows with each segment's op count
-	maxEpoch uint64    // highest commit epoch seen across all replayed records
-	buckets  [][]opRef // per-worker op lists, reused across segments
+	st      *storage.Store
+	sch     *schema.Schema
+	workers int
+	maxOID  uint64    // replay OID budget; grows with each segment's op count
+	buckets [][]opRef // per-worker op lists, reused across segments
 }
 
 // newReplayer returns a replayer applying on the given number of
@@ -123,12 +122,8 @@ func (r *replayer) segment(data []byte) (records int, tornAt int64, err error) {
 	r.maxOID += uint64(ops)
 	if r.workers <= 1 || ops < int64(minParallelReplayOps) {
 		for _, p := range payloads {
-			_, epoch, err := applyRecord(r.st, r.sch, data[p.off:p.end], r.maxOID)
-			if err != nil {
+			if err := applyRecord(r.st, r.sch, data[p.off:p.end], r.maxOID); err != nil {
 				return records, tornAt, fmt.Errorf("at offset %d: %w", p.off-codec.HeaderSize, err)
-			}
-			if epoch > r.maxEpoch {
-				r.maxEpoch = epoch
 			}
 			records++
 		}
@@ -144,16 +139,13 @@ func (r *replayer) segment(data []byte) (records int, tornAt int64, err error) {
 		r.buckets[i] = r.buckets[i][:0]
 	}
 	for _, p := range payloads {
-		_, epoch, err := walkRecord(data[p.off:p.end], false, func(op RecordOp, off, end int) error {
+		_, err := walkRecord(data[p.off:p.end], false, func(op RecordOp, off, end int) error {
 			w := oidHash(uint64(op.OID)) % uint64(r.workers)
 			r.buckets[w] = append(r.buckets[w], opRef{off: p.off + int64(off), end: p.off + int64(end)})
 			return nil
 		})
 		if err != nil {
 			return records, tornAt, fmt.Errorf("at offset %d: %w", p.off-codec.HeaderSize, err)
-		}
-		if epoch > r.maxEpoch {
-			r.maxEpoch = epoch
 		}
 		records++
 	}

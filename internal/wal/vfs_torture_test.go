@@ -56,7 +56,7 @@ func (ts *tortureState) commitOnce(l *Log, st *storage.Store) {
 	ts.g++
 	g := ts.g
 	cls := st.Schema().Class("item")
-	c := l.BeginCommit(uint64(g), 0)
+	c := l.BeginCommit(uint64(g))
 	var apply []func()
 
 	in, err := st.NewInstance(cls,
@@ -89,7 +89,7 @@ func (ts *tortureState) commitOnce(l *Log, st *storage.Store) {
 		apply = append(apply, func() { delete(ts.model, oid) })
 	}
 
-	if err := c.Commit(); err != nil {
+	if err := commitWait(c); err != nil {
 		if !errors.Is(err, ErrLogFailed) {
 			ts.t.Fatalf("commit %d: failure not typed ErrLogFailed: %v", g, err)
 		}

@@ -2,10 +2,12 @@ package wal
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 
@@ -85,9 +87,9 @@ func workload(t *testing.T, dir string) (snaps []image, data []byte) {
 		return in
 	}
 	commitRec := func(build func(c *commit)) {
-		c := l.BeginCommit(uint64(len(snaps)), 0)
+		c := l.BeginCommit(uint64(len(snaps)))
 		build(c)
-		if err := c.Commit(); err != nil {
+		if err := commitWait(c); err != nil {
 			t.Fatal(err)
 		}
 		snaps = append(snaps, model.clone())
@@ -156,6 +158,22 @@ func boundaries(t *testing.T, data []byte) []int64 {
 		out = append(out, pos)
 	}
 	return out
+}
+
+// commitWait submits c and waits for its durability ticket.
+func commitWait(c *commit) error {
+	if err := c.Submit(); err != nil {
+		return err
+	}
+	return c.Future().Wait()
+}
+
+// commitPipelined submits c and hands out its durability ticket.
+func commitPipelined(c *commit) (*Future, error) {
+	if err := c.Submit(); err != nil {
+		return nil, err
+	}
+	return c.Future(), nil
 }
 
 func openDir(t *testing.T, dir string) (*Log, *storage.Store, RecoveryInfo) {
@@ -255,9 +273,9 @@ func TestRecoveryAppendAfterTorn(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := l.BeginCommit(99, 0)
+	c := l.BeginCommit(99)
 	c.Create(cls.ID, uint64(in.OID), in)
-	if err := c.Commit(); err != nil {
+	if err := commitWait(c); err != nil {
 		t.Fatal(err)
 	}
 	if err := l.Close(); err != nil {
@@ -309,9 +327,9 @@ func TestRecoveryCheckpointCompaction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := l.BeginCommit(1, 0)
+	c := l.BeginCommit(1)
 	c.Create(cls.ID, uint64(in.OID), in)
-	if err := c.Commit(); err != nil {
+	if err := commitWait(c); err != nil {
 		t.Fatal(err)
 	}
 	if err := l.Checkpoint(); err != nil {
@@ -328,9 +346,9 @@ func TestRecoveryCheckpointCompaction(t *testing.T) {
 	}
 	// Post-checkpoint commits land in segment 2.
 	in.Set(0, storage.IntV(5))
-	c = l.BeginCommit(2, 0)
+	c = l.BeginCommit(2)
 	c.Write(uint64(in.OID), 0, in.Get(0))
-	if err := c.Commit(); err != nil {
+	if err := commitWait(c); err != nil {
 		t.Fatal(err)
 	}
 	// A second checkpoint folds them in too, demotes the first
@@ -416,7 +434,7 @@ func TestRecoveryGroupCommitConcurrent(t *testing.T) {
 	const workers = 8
 	const commitsEach = 50
 	insts := make([]*storage.Instance, workers)
-	c := l.BeginCommit(1, 0)
+	c := l.BeginCommit(1)
 	for i := range insts {
 		in, err := st.NewInstance(cls, storage.IntV(0))
 		if err != nil {
@@ -425,7 +443,7 @@ func TestRecoveryGroupCommitConcurrent(t *testing.T) {
 		insts[i] = in
 		c.Create(cls.ID, uint64(in.OID), in)
 	}
-	if err := c.Commit(); err != nil {
+	if err := commitWait(c); err != nil {
 		t.Fatal(err)
 	}
 	var wg sync.WaitGroup
@@ -437,9 +455,9 @@ func TestRecoveryGroupCommitConcurrent(t *testing.T) {
 			in := insts[w]
 			for i := 1; i <= commitsEach; i++ {
 				in.Set(0, storage.IntV(int64(i)))
-				c := l.BeginCommit(uint64(100+w*1000+i), 0)
+				c := l.BeginCommit(uint64(100 + w*1000 + i))
 				c.Write(uint64(in.OID), 0, in.Get(0))
-				if err := c.Commit(); err != nil {
+				if err := commitWait(c); err != nil {
 					errs <- fmt.Errorf("worker %d commit %d: %w", w, i, err)
 					return
 				}
@@ -485,9 +503,9 @@ func TestCommitAfterCloseFails(t *testing.T) {
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
-	c := l.BeginCommit(1, 0)
+	c := l.BeginCommit(1)
 	c.Delete(42)
-	if err := c.Commit(); err != ErrClosed {
+	if err := commitWait(c); err != ErrClosed {
 		t.Fatalf("commit after close = %v, want ErrClosed", err)
 	}
 	if err := l.Checkpoint(); err != ErrClosed {
@@ -549,9 +567,9 @@ func TestFailStopAfterWriteError(t *testing.T) {
 	defer l.Close()
 	wantErr := fmt.Errorf("injected disk failure")
 	l.markBroken(wantErr) //nolint:errcheck
-	c := l.BeginCommit(1, 0)
+	c := l.BeginCommit(1)
 	c.Delete(42)
-	if err := c.Commit(); err == nil {
+	if err := commitWait(c); err == nil {
 		t.Fatal("commit succeeded on a failed log")
 	}
 	if err := l.Checkpoint(); err == nil {
@@ -574,17 +592,17 @@ func TestOversizedCommitRejected(t *testing.T) {
 	}
 	defer l.Close()
 	huge := string(make([]byte, 1<<15))
-	c := l.BeginCommit(1, 0)
+	c := l.BeginCommit(1)
 	for i := 0; i < 5; i++ {
 		c.Write(1, 2, storage.StrV(huge))
 	}
-	if err := c.Commit(); err == nil {
+	if err := commitWait(c); err == nil {
 		t.Fatal("oversized record accepted")
 	}
 	// The log is still healthy for normal commits.
-	c = l.BeginCommit(2, 0)
+	c = l.BeginCommit(2)
 	c.Delete(42)
-	if err := c.Commit(); err != nil {
+	if err := commitWait(c); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -615,12 +633,11 @@ func TestValueRoundtrip(t *testing.T) {
 	}
 }
 
-// TestRecoveryEpochRoundTrip verifies the commit-epoch clock survives a
-// restart through both durability paths: replayed log records carry
-// their epoch, and a checkpoint carries the highest epoch it compacted
-// away. Recovery must restart the store's clock past everything it saw
-// and seed snapshot versions for the recovered instances.
-func TestRecoveryEpochRoundTrip(t *testing.T) {
+// TestRecoveryVisibleToSnapshots: recovery links no version records and
+// leaves the epoch clock at 0, so everything it replays — from log
+// records, then from the checkpoint that absorbs them — is what a
+// snapshot reads until the first post-recovery commit.
+func TestRecoveryVisibleToSnapshots(t *testing.T) {
 	dir := t.TempDir()
 	st := newTestStore(t)
 	l, _, err := Open(dir, st, Options{})
@@ -633,15 +650,15 @@ func TestRecoveryEpochRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	const commits = 7
-	for e := uint64(1); e <= commits; e++ {
-		in.Set(0, storage.IntV(int64(e)))
-		c := l.BeginCommit(e, e)
-		if e == 1 {
+	for i := uint64(1); i <= commits; i++ {
+		in.Set(0, storage.IntV(int64(i)))
+		c := l.BeginCommit(i)
+		if i == 1 {
 			c.Create(cls.ID, uint64(in.OID), in)
 		} else {
 			c.Write(uint64(in.OID), 0, in.Get(0))
 		}
-		if err := c.Commit(); err != nil {
+		if err := commitWait(c); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -649,51 +666,128 @@ func TestRecoveryEpochRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Restart: the replayed records must push the clock to `commits`.
-	st2 := newTestStore(t)
-	l2, info, err := Open(dir, st2, Options{})
-	if err != nil {
-		t.Fatal(err)
+	snapshotReads := func(st *storage.Store) {
+		t.Helper()
+		if got := st.StableEpoch(); got != 0 {
+			t.Errorf("stable epoch after recovery = %d, want 0", got)
+		}
+		rec, ok := st.Get(in.OID)
+		if !ok {
+			t.Fatal("instance lost in recovery")
+		}
+		if n := rec.VersionCount(); n != 0 {
+			t.Errorf("recovery linked %d version records", n)
+		}
+		var rd storage.SnapshotReader
+		b := st.BeginSnapshot(&rd)
+		defer st.EndSnapshot(&rd)
+		if v, ok := rec.SnapshotGet(0, b); !ok || v.I != commits {
+			t.Errorf("snapshot of recovered instance: %v ok=%t, want %d", v, ok, commits)
+		}
 	}
-	if info.Epoch != commits {
-		t.Fatalf("recovered epoch %d, want %d", info.Epoch, commits)
+	l2, st2, info := openDir(t, dir)
+	if info.Records != commits {
+		t.Fatalf("replayed %d records, want %d", info.Records, commits)
 	}
-	if got := st2.StableEpoch(); got != commits {
-		t.Fatalf("stable epoch after recovery = %d, want %d", got, commits)
-	}
-	// Recovered instances are seeded for snapshot readers.
-	in2, ok := st2.Get(in.OID)
-	if !ok {
-		t.Fatal("instance lost in recovery")
-	}
-	if v, ok := in2.SnapshotGet(0, commits); !ok || v.I != commits {
-		t.Fatalf("snapshot of recovered instance: %v ok=%t, want %d", v, ok, commits)
-	}
-
-	// Compact everything into a checkpoint, then commit nothing more:
-	// the epoch must now ride the checkpoint alone.
+	snapshotReads(st2)
 	if err := l2.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
 	if err := l2.Close(); err != nil {
 		t.Fatal(err)
 	}
-	st3 := newTestStore(t)
-	l3, info3, err := Open(dir, st3, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	l3, st3, info3 := openDir(t, dir)
 	defer l3.Close()
 	if info3.Records != 0 {
 		t.Fatalf("checkpoint did not absorb the records: %d replayed", info3.Records)
 	}
-	if info3.Epoch != commits {
-		t.Fatalf("epoch from checkpoint = %d, want %d", info3.Epoch, commits)
+	snapshotReads(st3)
+}
+
+// A directory written while records and checkpoints carried a commit
+// epoch (record type 1, checkpoint magic FAVWCKP2) fails to open with an
+// error naming the format. It does not fall back to checkpoint.prev
+// (here a valid current-format file) and does not open the state the
+// rest of the directory would give.
+func TestOpenRefusesOldFormat(t *testing.T) {
+	// oldRecord is rec in the older layout: type 1, a u64 epoch after
+	// the transaction ID, framed.
+	oldRecord := func(rec *Record, epoch uint64) []byte {
+		p := AppendRecord(nil, rec)
+		old := append([]byte{recCommitV1}, p[1:9]...)
+		old = binary.LittleEndian.AppendUint64(old, epoch)
+		return frameBytes(append(old, p[9:]...))
 	}
-	if e := st3.AllocEpoch(); e != commits+1 {
-		t.Fatalf("first post-recovery epoch = %d, want %d", e, commits+1)
+	// oldCheckpoint rewrites a current checkpoint file in the older
+	// layout: magic FAVWCKP2 and a u64 epoch after nextOID.
+	oldCheckpoint := func(cur []byte, epoch uint64) []byte {
+		body := append([]byte(nil), cur[len(checkpointMagic):len(cur)-4]...)
+		old := binary.LittleEndian.AppendUint64(append([]byte(nil), body[:16]...), epoch)
+		old = append(old, body[16:]...)
+		out := append([]byte("FAVWCKP2"), old...)
+		return binary.LittleEndian.AppendUint32(out, codec.Checksum(old))
 	}
-	st3.FinishEpoch(commits + 1)
+	// current writes a valid current-format checkpoint of one instance.
+	current := func(t *testing.T, dir string) []byte {
+		st := newTestStore(t)
+		if _, err := st.NewInstance(st.Schema().Class("item"), storage.IntV(5)); err != nil {
+			t.Fatal(err)
+		}
+		if err := writeCheckpoint(osFS{}, dir, st, 0, false); err != nil {
+			t.Fatal(err)
+		}
+		data, err := os.ReadFile(filepath.Join(dir, checkpointName))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return data
+	}
+	write := func(t *testing.T, path string, data []byte) {
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cls := newTestStore(t).Schema().Class("item").ID
+	create := &Record{TxnID: 1, Ops: []RecordOp{{Kind: OpCreate, Class: cls, OID: 1,
+		Slots: []storage.Value{storage.IntV(1), storage.IntV(2), storage.StrV("s"), storage.BoolV(true), storage.RefV(0)}}}}
+
+	cases := []struct {
+		name  string
+		setup func(t *testing.T, dir string)
+		want  string
+	}{
+		{"old log record", func(t *testing.T, dir string) {
+			write(t, segmentPath(dir, 1), oldRecord(create, 1))
+		}, "older commit layout"},
+		{"old checkpoint, empty tail", func(t *testing.T, dir string) {
+			write(t, filepath.Join(dir, checkpointName), oldCheckpoint(current(t, dir), 3))
+			write(t, segmentPath(dir, 1), nil)
+		}, `checkpoint format "FAVWCKP2"`},
+		{"old checkpoint over a valid prev", func(t *testing.T, dir string) {
+			cur := current(t, dir)
+			write(t, filepath.Join(dir, checkpointPrev), cur)
+			write(t, filepath.Join(dir, checkpointName), oldCheckpoint(cur, 3))
+		}, `checkpoint format "FAVWCKP2"`},
+		{"old prev, no primary", func(t *testing.T, dir string) {
+			cur := current(t, dir)
+			os.Remove(filepath.Join(dir, checkpointName)) //nolint:errcheck
+			write(t, filepath.Join(dir, checkpointPrev), oldCheckpoint(cur, 3))
+		}, `checkpoint format "FAVWCKP2"`},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			tc.setup(t, dir)
+			l, _, err := Open(dir, newTestStore(t), Options{})
+			if err == nil {
+				l.Close()
+				t.Fatal("opened a directory in the older format")
+			}
+			if errors.Is(err, errCheckpointCorrupt) || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("error %q, want one naming the format (%q)", err, tc.want)
+			}
+		})
+	}
 }
 
 // TestCheckpointLoadAllocsFlat: a checkpoint load decodes every image
@@ -722,12 +816,12 @@ end
 			}
 		}
 		dir := t.TempDir()
-		if err := writeCheckpoint(osFS{}, dir, st, 1, 0, false); err != nil {
+		if err := writeCheckpoint(osFS{}, dir, st, 1, false); err != nil {
 			t.Fatal(err)
 		}
 		path := filepath.Join(dir, checkpointName)
 		return testing.AllocsPerRun(5, func() {
-			if _, _, err := loadCheckpointFile(osFS{}, path, st, sch); err != nil {
+			if _, err := loadCheckpointFile(osFS{}, path, st, sch); err != nil {
 				t.Fatal(err)
 			}
 		})
