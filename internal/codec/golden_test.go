@@ -123,6 +123,8 @@ func wireEntries(t testing.TB) []goldenEntry {
 // walEntries logs two commits through a real log — three creates, then
 // one record with every op kind — and returns the second framed record
 // and the checkpoint file taken over the resulting 3-instance store.
+// Each record's effects are applied to the store first: a checkpoint
+// serializes the store.
 func walEntries(t testing.TB) []goldenEntry {
 	t.Helper()
 	sch, err := schema.FromSource(goldenSchema)
@@ -147,28 +149,36 @@ func walEntries(t testing.TB) []goldenEntry {
 	in1 := mk(storage.IntV(1), storage.IntV(200), storage.StrV("one"), storage.BoolV(false), storage.RefV(0))
 	in2 := mk(storage.IntV(-3), storage.IntV(1<<40), storage.StrV("two"), storage.BoolV(true), storage.RefV(in1.OID))
 	in3 := mk(storage.IntV(0), storage.IntV(0), storage.StrV(""), storage.BoolV(false), storage.RefV(in2.OID))
+	commit := func(c interface {
+		Submit() error
+		Future() *wal.Future
+	}) {
+		t.Helper()
+		if err := c.Submit(); err != nil {
+			t.Fatal(err)
+		}
+		l.EndCommit()
+		if err := c.Future().Wait(); err != nil {
+			t.Fatal(err)
+		}
+	}
 	c := l.BeginCommit(1)
 	for _, in := range []*storage.Instance{in1, in2, in3} {
 		c.Create(cls.ID, uint64(in.OID), in)
 	}
-	if err := c.Submit(); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Future().Wait(); err != nil {
-		t.Fatal(err)
-	}
+	commit(c)
 	in4 := mk(storage.IntV(4), storage.IntV(-4), storage.StrV("four"), storage.BoolV(true), storage.RefV(in3.OID))
+	in1.Set(2, storage.StrV("renamed"))
+	in2.AddInt(1, -5)
+	if err := st.Delete(in3.OID); err != nil {
+		t.Fatal(err)
+	}
 	c = l.BeginCommit(2)
 	c.Write(uint64(in1.OID), 2, storage.StrV("renamed"))
 	c.WriteDelta(uint64(in2.OID), 1, -5)
 	c.Create(cls.ID, uint64(in4.OID), in4)
 	c.Delete(uint64(in3.OID))
-	if err := c.Submit(); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Future().Wait(); err != nil {
-		t.Fatal(err)
-	}
+	commit(c)
 	seg, err := os.ReadFile(filepath.Join(dir, "wal-000001.log"))
 	if err != nil {
 		t.Fatal(err)

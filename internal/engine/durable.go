@@ -125,9 +125,10 @@ func (db *DB) Sync() error {
 	return nil
 }
 
-// Checkpoint compacts the redo log (no-op for a volatile database). It
-// first drains and hardens outstanding pipelined commits, so every
-// future handed out before the call resolves durable.
+// Checkpoint compacts the redo log (no-op for a volatile database) into
+// a checkpoint of the store as of the epoch where it seals the segment.
+// Every future handed out before the call resolves durable; commits
+// pause only for the seal, not the serialization (wal.Log.Checkpoint).
 func (db *DB) Checkpoint() error {
 	if w := db.Txns.WAL(); w != nil {
 		return w.Checkpoint()

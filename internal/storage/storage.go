@@ -426,9 +426,9 @@ func (in *Instance) AppendSlots(buf []Value) []Value {
 }
 
 // SetSlots overwrites the leading slots from vals under one writer latch
-// and one sequence-counter window — the idempotent-replay path of
-// recovery (re-applying a create record to an instance that already
-// exists). It panics, before writing any slot, if a value is not of its
+// and one sequence-counter window — the path of recovery that applies a
+// create record to an instance that already exists (a create
+// overwrites). It panics, before writing any slot, if a value is not of its
 // slot's kind.
 func (in *Instance) SetSlots(vals []Value) {
 	vals = vals[:min(len(vals), len(in.slots))]
@@ -659,7 +659,7 @@ func (s *Store) EnsureOID(oid OID) {
 
 // Install places an instance of cls at a fixed OID — the redo-apply
 // primitive of recovery. If the OID is already live the slots are
-// overwritten in place (replaying a log twice is a no-op); otherwise the
+// overwritten in place (a create overwrites); otherwise the
 // instance is created and inserted into its extent. vals must cover
 // every slot. Install is meant for replay into a store that is not yet
 // serving transactions; concurrent Install calls are safe as long as no
@@ -817,7 +817,7 @@ func (s *Store) Pages() int {
 // parallel replay installs instances of one class from several workers
 // (and sequential replay's delete swap-removal shuffles survivors), so
 // sorting is what makes the recovered extent order — and therefore scan
-// order and checkpoint bytes — deterministic regardless of worker count.
+// order — deterministic regardless of worker count.
 func (s *Store) SortExtents() {
 	for i := range s.extents {
 		e := &s.extents[i]

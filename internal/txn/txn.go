@@ -305,8 +305,9 @@ func (t *Txn) submitRecord(w *wal.Log) (*wal.Future, error) {
 // epoch step and nothing between drawing and retiring it waits on
 // anything. Until then the records stay pending: snapshot readers roll
 // them back, and a pending record is never pruned, so a rollback finds
-// them. What varies is only where the durability wait sits relative to
-// the publication and the lock release:
+// them. From sequencing to publish (or rollback) the commit holds the
+// log's cut (wal.Log.EndCommit). What varies is only where the
+// durability wait sits relative to the publication and the lock release:
 //
 //   - hold (blocking, uncancellable): the wait comes BEFORE both, so
 //     conflicting transactions appear in the log in conflict order only
@@ -334,16 +335,23 @@ func (t *Txn) commit(pipelined bool) (Future, error) {
 	hold := !pipelined && t.done == nil
 	var fut Future
 	var err error
-	if w := t.mgr.wal; w != nil && len(t.undo) > 0 {
+	w := t.mgr.wal
+	if w != nil && len(t.undo) > 0 {
 		if fut.w, err = t.submitRecord(w); err == nil && hold {
 			err = t.awaitTicket(fut)
 		}
 	}
 	if err != nil {
 		t.Abort()
+	} else {
+		t.publish()
+	}
+	if fut.w != nil {
+		w.EndCommit() // Submit succeeded: release its cut
+	}
+	if err != nil {
 		return Future{}, fmt.Errorf("txn: commit log append: %w", err)
 	}
-	t.publish()
 	t.state = Committed
 	t.clearUndo()
 	t.mgr.locks.ReleaseAll(t.ID)

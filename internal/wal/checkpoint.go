@@ -7,27 +7,22 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"runtime"
 
 	"repro/internal/codec"
 	"repro/internal/schema"
 	"repro/internal/storage"
 )
 
-// Checkpointing is log compaction by replay. Transactions write the
-// live store in place and roll back with in-memory undo, so at any
-// instant its cells mix committed and uncommitted slot values. (Since
-// the undo records became the version chains, storage/version.go, the
-// live store can be read consistently at an epoch — a snapshot reader
-// does exactly that — so a checkpoint could be taken from it directly;
-// this file still goes through the log, and changing that is its own
-// piece of work.) The log contains only committed effects — so a
-// transactionally consistent checkpoint is obtained by
-// sealing the current segment (one rotation message to the writer
-// goroutine; commits keep flowing into the next segment), replaying
-// previous checkpoint + sealed segments into a scratch store, and
-// serializing that scratch store through the extent-snapshot machinery.
-// No live transaction is ever paused and no quiescent point is needed.
+// A checkpoint is the live store serialized as of one commit epoch e,
+// read through the version chains (storage/version.go) while writers
+// run on. A commit holds the log's cut (sendMu, read side) from
+// sequencing its record until it has retired its epoch, so once
+// Checkpoint holds the write side, drains the queue and seals the
+// segment, every sealed record is a commit ≤ e and every later one a
+// commit > e: each applies exactly once, as OpDeltaI requires. Commits
+// pause only for the drain and the seal. A delete that commits after e
+// may remove its instance before it is serialized; the delete is in
+// the tail, and replay skips ops on a missing OID (applyOp).
 //
 // Checkpoint file, little-endian:
 //
@@ -68,13 +63,13 @@ var (
 // falling back, as opposed to I/O errors or semantic mismatches.
 var errCheckpointCorrupt = errors.New("wal: corrupt checkpoint")
 
-// writeCheckpoint serializes st (a scratch store holding only committed
-// state) with base segment sequence baseSeq. demoteOld preserves the
-// current primary as checkpoint.prev; when the caller found the primary
-// corrupt it passes false so the garbage is dropped instead of
-// clobbering the intact .prev the fallback chain relies on.
-func writeCheckpoint(fsys FS, dir string, st *storage.Store, baseSeq uint64, demoteOld bool) error {
-	sch := st.Schema()
+// writeCheckpoint serializes every instance of st visible at epoch at
+// (the caller holds a snapshot there) with base segment sequence
+// baseSeq. demoteOld preserves the current primary as checkpoint.prev;
+// when the caller found the primary corrupt it passes false so the
+// garbage is dropped instead of clobbering the intact .prev the
+// fallback chain relies on.
+func writeCheckpoint(fsys FS, dir string, st *storage.Store, at, baseSeq uint64, demoteOld bool) error {
 	body := make([]byte, 0, 1<<16)
 	body = binary.LittleEndian.AppendUint64(body, baseSeq)
 	body = binary.LittleEndian.AppendUint64(body, uint64(st.MaxOID()))
@@ -82,13 +77,18 @@ func writeCheckpoint(fsys FS, dir string, st *storage.Store, baseSeq uint64, dem
 	countAt := len(body)
 	body = binary.LittleEndian.AppendUint64(body, 0) // patched below
 	var vals []storage.Value
-	for _, cls := range sch.Order {
+	for _, cls := range st.Schema().Order {
 		for _, oid := range st.ExtentOf(cls) {
+			// Visibility at a fixed epoch is stable: check it once.
 			in, ok := st.Get(oid)
-			if !ok {
+			if !ok || !in.SnapshotVisible(at, 0) {
 				continue
 			}
-			vals = in.AppendSlots(vals[:0])
+			vals = vals[:0]
+			for i := range cls.NumSlots() {
+				v, _ := in.SnapshotGet(i, at)
+				vals = append(vals, v)
+			}
 			body = appendImage(body, cls.ID, uint64(oid), vals)
 			count++
 		}
@@ -139,7 +139,8 @@ func writeCheckpoint(fsys FS, dir string, st *storage.Store, baseSeq uint64, dem
 // returns its base segment sequence (checkpointSeq0 when none exists).
 // fellBack reports that the primary was missing or corrupt and recovery
 // used checkpoint.prev — or, before any second checkpoint existed, a
-// full log replay from the first segment.
+// full log replay from the first segment. A nil st only verifies: the
+// chosen file's CRC and header are checked and nothing is installed.
 func loadCheckpoint(fsys FS, dir string, st *storage.Store, sch *schema.Schema) (base uint64, fellBack bool, err error) {
 	base, err = loadCheckpointFile(fsys, filepath.Join(dir, checkpointName), st, sch)
 	switch {
@@ -174,13 +175,12 @@ func loadCheckpoint(fsys FS, dir string, st *storage.Store, sch *schema.Schema) 
 	}
 }
 
-// loadCheckpointFile applies one checkpoint file into st. Corruption
-// the CRC trailer detects is reported as errCheckpointCorrupt — and
-// detected before anything is installed, so the store is untouched and
-// the caller may fall back. Another layout's magic and semantic errors
-// past a valid CRC (unknown class, OID watermark, slot arity) stay hard
-// failures: they mean an older build, a writer bug or a foreign file,
-// not disk damage.
+// loadCheckpointFile applies one checkpoint file into st (nil: verify
+// only). Corruption the CRC trailer detects is errCheckpointCorrupt —
+// detected before anything is installed, so the caller may fall back.
+// Another layout's magic and semantic errors past a valid CRC (unknown
+// class, OID watermark, slot arity) stay hard failures: they mean an
+// older build, a writer bug or a foreign file, not disk damage.
 func loadCheckpointFile(fsys FS, path string, st *storage.Store, sch *schema.Schema) (uint64, error) {
 	data, err := fsys.ReadFile(path)
 	if err != nil {
@@ -199,6 +199,9 @@ func loadCheckpointFile(fsys FS, path string, st *storage.Store, sch *schema.Sch
 	}
 	d := codec.NewDecoder(body)
 	baseSeq := d.U64()
+	if st == nil {
+		return baseSeq, d.Err()
+	}
 	nextOID := d.U64()
 	count := d.U64()
 	// One slot buffer for every image: Install copies the cells out, and
@@ -234,58 +237,39 @@ func loadCheckpointFile(fsys FS, path string, st *storage.Store, sch *schema.Sch
 	return baseSeq, nil
 }
 
-// Checkpoint compacts the log: it drains and hardens everything
-// enqueued so far (so outstanding pipelined futures resolve before
-// their segment is sealed), seals the live segment, replays previous
-// checkpoint + all sealed segments into a scratch store — on the same
-// instance-partitioned parallel replayer recovery uses — writes a new
-// checkpoint atomically (demoting the old one to checkpoint.prev) and
-// deletes only the segments no fallback can need: those at or below the
-// demoted checkpoint's own base. Commits proceed concurrently into the
-// new segment throughout.
+// Checkpoint compacts the log. Holding the cut exclusively, it drains
+// and hardens the queue (outstanding futures resolve), seals the live
+// segment and begins a snapshot; then it serializes the store at that
+// epoch while commits run into the new segment. The old primary is
+// demoted to checkpoint.prev if its CRC verifies, dropped otherwise,
+// and only segments at or below the demoted checkpoint's base go.
 func (l *Log) Checkpoint() error {
 	l.ckptMu.Lock()
 	defer l.ckptMu.Unlock()
 	if l.closed.Load() {
 		return ErrClosed
 	}
-	if err := l.Sync(); err != nil {
-		return err
-	}
-	req := &rotateReq{done: make(chan rotateResult, 1)}
-	l.rotateCh <- req
-	res := <-req.done
-	if res.err != nil {
-		return res.err
-	}
-	sealed := res.sealed
-
-	scratch := storage.NewStore(l.sch)
-	base, fellBack, err := loadCheckpoint(l.fs, l.dir, scratch, l.sch)
+	var snap storage.SnapshotReader
+	c := l.barrier(true)
+	l.sendMu.Lock()
+	l.submitCh <- c
+	err := <-c.done
+	sealed := c.sealed
+	c.discard()
+	at := l.st.BeginSnapshot(&snap)
+	l.sendMu.Unlock()
+	defer l.st.EndSnapshot(&snap)
 	if err != nil {
 		return err
 	}
-	r := newReplayer(scratch, l.sch, runtime.GOMAXPROCS(0))
-	for seq := base + 1; seq <= sealed; seq++ {
-		path := segmentPath(l.dir, seq)
-		data, err := l.fs.ReadFile(path)
-		if err != nil {
-			return err
-		}
-		if _, tornAt, err := r.segment(data); err != nil {
-			return fmt.Errorf("wal: %s %w", path, err)
-		} else if tornAt >= 0 {
-			// Sealed segments were written batch by batch before any
-			// acknowledgment; a torn record here means real corruption,
-			// not a crash artifact.
-			return fmt.Errorf("wal: checkpoint: sealed segment %d has a torn record", seq)
-		}
-	}
-	scratch.SortExtents()
-	if err := writeCheckpoint(l.fs, l.dir, scratch, sealed, !fellBack); err != nil {
+
+	base, fellBack, err := loadCheckpoint(l.fs, l.dir, nil, l.st.Schema())
+	if err != nil {
 		return err
 	}
-	l.baseSeq.Store(sealed)
+	if err := writeCheckpoint(l.fs, l.dir, l.st, at, sealed, !fellBack); err != nil {
+		return err
+	}
 	l.checkpoints.Add(1)
 	// The checkpoint just demoted has base `base`: it needs segments
 	// (base, sealed] to replay, so only older ones are dead under every

@@ -53,8 +53,8 @@ func fuzzOpen(t *testing.T, data []byte) {
 
 // FuzzWALRecord feeds arbitrary bytes to recovery, both as raw segment
 // content (exercises framing, CRC, torn-tail truncation) and wrapped in
-// a valid frame (exercises the record decoder and idempotent apply
-// against CRC-clean garbage). The invariant is the WAL contract:
+// a valid frame (exercises the record decoder and apply against
+// CRC-clean garbage). The invariant is the WAL contract:
 // wal.Open never panics — it replays, truncates the torn tail, or
 // fail-stops.
 func FuzzWALRecord(f *testing.F) {

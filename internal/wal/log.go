@@ -13,7 +13,6 @@ import (
 
 	"repro/internal/codec"
 	"repro/internal/obs"
-	"repro/internal/schema"
 	"repro/internal/storage"
 )
 
@@ -127,16 +126,6 @@ type RecoveryInfo struct {
 	TornTailBytes      int64 // bytes truncated off the final segment
 }
 
-// rotateResult is the writer's answer to a rotation request.
-type rotateResult struct {
-	sealed uint64 // sequence of the segment just sealed
-	err    error
-}
-
-type rotateReq struct {
-	done chan rotateResult
-}
-
 // commit is one in-flight commit record: the encode buffer, the op
 // count patched into the header at submit, and the ticket channel the
 // committing transaction waits on. Pooled — a warm commit allocates
@@ -146,6 +135,8 @@ type commit struct {
 	buf     []byte // frame header + payload
 	ops     uint32
 	barrier bool            // Sync barrier: no bytes, forces fsync, acked in order
+	seal    bool            // barrier that also seals the live segment
+	sealed  uint64          // the segment a seal barrier sealed
 	valBuf  []storage.Value // scratch for create images
 	done    chan error      // cap 1, reused across lives
 }
@@ -217,15 +208,14 @@ func (f *Future) WaitDone(done <-chan struct{}) error {
 // concurrent commits into one buffered write + fsync (group commit).
 type Log struct {
 	dir  string
-	sch  *schema.Schema
+	st   *storage.Store // the store Open recovered into; Checkpoint reads it
 	opts Options
 	fs   FS // == opts.FS after normalize
 
 	submitCh chan *commit
-	rotateCh chan *rotateReq
 	done     chan struct{} // writer exited
 	closed   atomic.Bool
-	sendMu   sync.RWMutex // closed-vs-send handshake: Close excludes in-flight submits
+	sendMu   sync.RWMutex // the cut: shared from Submit to EndCommit; Close, Checkpoint exclusive
 	ckptMu   sync.Mutex   // one checkpoint (or close) at a time
 	ckptBusy atomic.Bool  // auto-checkpoint in flight
 
@@ -245,8 +235,6 @@ type Log struct {
 	scratch   []byte      // batch concatenation buffer
 	batch     []*commit   // reused batch slice
 	syncTimer *time.Timer // SyncEvery idle-hardening timer
-
-	baseSeq atomic.Uint64 // highest checkpointed (dead) segment
 
 	commits sync.Pool
 	futures sync.Pool
@@ -282,7 +270,6 @@ func newStoppedTimer() *time.Timer {
 // and normalized the options.
 func (l *Log) start() {
 	l.submitCh = make(chan *commit, 4096)
-	l.rotateCh = make(chan *rotateReq)
 	l.done = make(chan struct{})
 	l.syncTimer = newStoppedTimer()
 	l.lastSync = time.Now()
@@ -356,13 +343,12 @@ func (l *Log) run() {
 			l.batch = l.collect(l.batch[:0], c)
 			err := l.writeBatch(l.batch)
 			for _, c := range l.batch {
+				if c.seal && err == nil {
+					c.sealed, err = l.rotate()
+				}
 				c.done <- err
 			}
 			l.maybeAutoCheckpoint()
-		case r := <-l.rotateCh:
-			l.disarmSync(syncC != nil)
-			sealed, err := l.rotate()
-			r.done <- rotateResult{sealed: sealed, err: err}
 		case <-syncC:
 			l.syncNow() //nolint:errcheck // latched; the next commit reports it
 		}
@@ -604,16 +590,18 @@ func (c *commit) discard() {
 	if cap(c.buf) > 1<<20 {
 		c.buf = nil // don't let one giant record pin memory in the pool
 	}
-	c.barrier = false
+	c.barrier, c.seal = false, false
 	c.l.commits.Put(c)
 }
 
 // Submit frames the record and sequences it on the writer's queue
 // without waiting: once Submit returns, the record's position in the
 // log order is fixed — anything enqueued later (e.g. by a transaction
-// that observes this one's effects) lands after it. Follow a successful
-// Submit with exactly one Future; on error the commit is already
-// released.
+// that observes this one's effects) lands after it. A successful Submit
+// holds the log's cut: follow it with exactly one Future, and with
+// exactly one EndCommit once the transaction has retired its commit
+// epoch or rolled back. On error the commit is already released and
+// nothing is held.
 func (c *commit) Submit() error {
 	l := c.l
 	payload := c.buf[codec.HeaderSize:]
@@ -631,12 +619,13 @@ func (c *commit) Submit() error {
 	return c.enqueue()
 }
 
-// enqueue places the (framed or barrier) commit on the writer's queue.
-// The read-lock pairs with Close's write-lock: a submit observed with
-// closed==false reaches the channel before Close closes it. Channel
-// FIFO order is the log order, so anything enqueued after this call
-// returns — e.g. by a transaction that acquires this transaction's
-// locks once they release — lands later in the log.
+// enqueue places the (framed or barrier) commit on the writer's queue
+// and returns holding the cut (sendMu, read side). The read lock pairs
+// with Close's write lock: a submit observed with closed==false reaches
+// the channel before Close closes it. Channel FIFO order is the log
+// order, so anything enqueued after this call returns — e.g. by a
+// transaction that acquires this transaction's locks once they release
+// — lands later in the log.
 func (c *commit) enqueue() error {
 	l := c.l
 	l.sendMu.RLock()
@@ -646,9 +635,13 @@ func (c *commit) enqueue() error {
 		return ErrClosed
 	}
 	l.submitCh <- c
-	l.sendMu.RUnlock()
 	return nil
 }
+
+// EndCommit releases the cut a successful Submit held, once the
+// transaction has retired its commit epoch or rolled back: until then
+// no checkpoint can seal the segment (checkpoint.go).
+func (l *Log) EndCommit() { l.sendMu.RUnlock() }
 
 // Future wraps a submitted commit into a pooled durability future (call
 // once after a successful Submit). The future's Wait or WaitDone must
@@ -664,16 +657,25 @@ func (c *commit) Future() *Future {
 // Sync is a hardening barrier: it blocks until everything enqueued
 // before it — including pipelined commits whose futures have not been
 // waited on — is written and fsynced, regardless of the sync policy.
+// It holds the cut only while it enqueues.
 func (l *Log) Sync() error {
-	c := l.commits.Get().(*commit)
-	c.buf = c.buf[:0]
-	c.barrier = true
+	c := l.barrier(false)
 	if err := c.enqueue(); err != nil {
 		return err
 	}
+	l.sendMu.RUnlock()
 	err := <-c.done
 	c.discard()
 	return err
+}
+
+// barrier returns a pooled hardening barrier, one that also seals the
+// live segment when seal is set.
+func (l *Log) barrier(seal bool) *commit {
+	c := l.commits.Get().(*commit)
+	c.buf = c.buf[:0]
+	c.barrier, c.seal = true, seal
+	return c
 }
 
 // Stats returns cumulative log counters.

@@ -263,18 +263,17 @@ func walkRecord(payload []byte, materialize bool, fn func(op RecordOp, off, end 
 	return txnID, d.Finish()
 }
 
-// applyOp replays one decoded op into the store. Creates overwrite an
-// already-live instance with the same image, writes to a missing
-// instance (possible only when a later delete already ran, i.e. during
-// a second replay of the same log) are skipped, deletes of missing OIDs
-// are no-ops — so image-carrying ops tolerate re-replay. OpDeltaI does
-// NOT: adding a delta twice double-counts, which is fine because
-// recovery applies each log segment exactly once per pass (segments at
-// or below the checkpoint base are never replayed over the checkpoint
-// image that already contains them — see checkpoint.go). Ops on
-// different OIDs commute, which is what lets recovery partition them
-// across workers; delta ops additionally commute with each other on the
-// same slot, so per-OID log order is more than strong enough.
+// applyOp replays one decoded op into the store. A create overwrites
+// an already-live instance; a write, delta or delete naming a missing
+// OID is skipped — the instance was deleted after the cut of the
+// checkpoint under this tail, which therefore lacks it, and the tail's
+// own delete follows. OpDeltaI adds, so it must apply exactly once:
+// recovery replays each segment once, and never one at or below the
+// checkpoint's base, whose cut already holds every such commit and no
+// later one (see checkpoint.go). Ops on different OIDs commute, which
+// is what lets recovery partition them across workers; delta ops
+// additionally commute with each other on the same slot, so per-OID
+// log order is more than strong enough.
 //
 // maxOID is the replay OID budget: the highest OID a non-corrupt log
 // could legitimately name (checkpoint watermark + every op the

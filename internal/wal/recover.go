@@ -80,16 +80,19 @@ func checkFingerprint(fsys FS, dir string, sch *schema.Schema) error {
 }
 
 // Open recovers the durable state in dir into st (which must be a fresh,
-// empty store) and returns a running log ready to append. Recovery loads
-// the newest intact checkpoint (falling back to checkpoint.prev when the
-// primary is corrupt or half-renamed), replays every later segment in
-// sequence order with idempotent apply — partitioned by instance across
-// GOMAXPROCS goroutines when a segment is large enough, since
-// records touching different OIDs commute — truncates a torn tail off
-// the final segment (a crash mid-batch leaves at most one incomplete
-// record suffix, since every batch is written before any commit in it
-// is acknowledged), and continues appending to that segment. A missing
-// or empty directory is a fresh database.
+// empty store; the log keeps it for its checkpoints) and returns a
+// running log ready to append. Recovery loads the newest intact
+// checkpoint (falling back to checkpoint.prev when the primary is
+// corrupt or half-renamed), replays every later segment in sequence
+// order — partitioned by instance across GOMAXPROCS goroutines when a
+// segment is large enough, since records touching different OIDs
+// commute — and sorts the extents. Replay is not idempotent: ops on a
+// missing OID are skipped, a create overwrites, a delta applies once.
+// It truncates a torn tail off the final segment (a crash mid-batch
+// leaves at most one incomplete record suffix, since every batch is
+// written before any commit in it is acknowledged), and continues
+// appending to that segment. A missing or empty directory is a fresh
+// database.
 func Open(dir string, st *storage.Store, o Options) (*Log, RecoveryInfo, error) {
 	o.normalize()
 	fsys := o.FS
@@ -157,8 +160,7 @@ func Open(dir string, st *storage.Store, o Options) (*Log, RecoveryInfo, error) 
 	}
 	st.SortExtents()
 
-	l := &Log{dir: dir, sch: sch, opts: o, fs: fsys}
-	l.baseSeq.Store(base)
+	l := &Log{dir: dir, st: st, opts: o, fs: fsys}
 	if last == base {
 		// Fresh directory (or checkpoint with no tail): start a segment.
 		l.seq = base + 1

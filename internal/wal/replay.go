@@ -9,8 +9,8 @@ package wal
 // CRC, torn-tail detection — the cheap part), partitions the ops of its
 // valid records by a hash of their OID, and applies the partitions on
 // GOMAXPROCS goroutines. Every partition preserves log order for
-// the OIDs it owns, which keeps the idempotent-apply rules (skip writes
-// to missing instances, overwrite re-created images) byte-identical to
+// the OIDs it owns, which keeps the apply rules (skip ops on missing
+// instances, overwrite re-created images, add deltas) byte-identical to
 // sequential replay.
 //
 // The merge is made deterministic by normalization rather than by
@@ -52,7 +52,7 @@ type replayer struct {
 }
 
 // newReplayer returns a replayer applying on the given number of
-// goroutines; Open and Checkpoint use GOMAXPROCS.
+// goroutines; Open uses GOMAXPROCS.
 func newReplayer(st *storage.Store, sch *schema.Schema, workers int) *replayer {
 	return &replayer{st: st, sch: sch, workers: workers, maxOID: uint64(st.MaxOID())}
 }

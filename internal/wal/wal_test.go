@@ -9,6 +9,7 @@ import (
 	"reflect"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/codec"
@@ -160,11 +161,16 @@ func boundaries(t *testing.T, data []byte) []int64 {
 	return out
 }
 
-// commitWait submits c and waits for its durability ticket.
+// The tests apply a record's effects to the store before they submit
+// it, so a commit is retired as soon as it is sequenced or hardened.
+
+// commitWait submits c and waits for its durability ticket holding the
+// cut, as a blocking commit does.
 func commitWait(c *commit) error {
 	if err := c.Submit(); err != nil {
 		return err
 	}
+	defer c.l.EndCommit()
 	return c.Future().Wait()
 }
 
@@ -173,6 +179,7 @@ func commitPipelined(c *commit) (*Future, error) {
 	if err := c.Submit(); err != nil {
 		return nil, err
 	}
+	c.l.EndCommit()
 	return c.Future(), nil
 }
 
@@ -294,7 +301,8 @@ func TestRecoveryAppendAfterTorn(t *testing.T) {
 }
 
 // Two identical segments: the same records replayed twice must land on
-// the same final state (idempotent apply).
+// the same final state. The workload logs no delta, and image ops
+// tolerate a second replay (a delta would add twice).
 func TestRecoveryDoubleReplayNoop(t *testing.T) {
 	srcDir := t.TempDir()
 	snaps, data := workload(t, srcDir)
@@ -380,6 +388,90 @@ func TestRecoveryCheckpointCompaction(t *testing.T) {
 	}
 	if st2.MaxOID() < in.OID {
 		t.Fatalf("MaxOID %d below checkpointed instance %d", st2.MaxOID(), in.OID)
+	}
+}
+
+// readHookFS runs hook, once armed, before each read of the primary
+// checkpoint — which Checkpoint does after its cut and before it
+// serializes the store.
+type readHookFS struct {
+	FS
+	hook atomic.Pointer[func()]
+}
+
+func (f *readHookFS) ReadFile(name string) ([]byte, error) {
+	if h := f.hook.Swap(nil); h != nil && filepath.Base(name) == checkpointName {
+		(*h)()
+	}
+	return f.FS.ReadFile(name)
+}
+
+// A delete that commits after a checkpoint's cut can take its instance
+// out of the store before the checkpoint serializes it. The checkpoint
+// then lacks the instance, and replaying the tail skips the ops on it —
+// a write, a delta and the delete itself — instead of failing or
+// bringing it back.
+func TestRecoveryCheckpointMissesLateDelete(t *testing.T) {
+	dir := t.TempDir()
+	fs := &readHookFS{FS: osFS{}}
+	st := newTestStore(t)
+	l, _, err := Open(dir, st, Options{FS: fs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cls := st.Schema().Class("item")
+	gone, err := st.NewInstance(cls, storage.IntV(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	kept, err := st.NewInstance(cls, storage.IntV(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := l.BeginCommit(1)
+	c.Create(cls.ID, uint64(gone.OID), gone)
+	c.Create(cls.ID, uint64(kept.OID), kept)
+	if err := commitWait(c); err != nil {
+		t.Fatal(err)
+	}
+	hook := func() {
+		gone.Set(0, storage.IntV(7))
+		gone.AddInt(1, 3)
+		if err := st.Delete(gone.OID); err != nil {
+			t.Error(err)
+		}
+		c := l.BeginCommit(2)
+		c.Write(uint64(gone.OID), 0, storage.IntV(7))
+		c.WriteDelta(uint64(gone.OID), 1, 3)
+		c.Delete(uint64(gone.OID))
+		if err := commitWait(c); err != nil {
+			t.Error(err)
+		}
+	}
+	fs.hook.Store(&hook)
+	if err := l.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if fs.hook.Load() != nil {
+		t.Fatal("the checkpoint read no primary between its cut and its write")
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	inCkpt := newTestStore(t)
+	if _, err := loadCheckpointFile(osFS{}, filepath.Join(dir, checkpointName), inCkpt, inCkpt.Schema()); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := inCkpt.Get(gone.OID); ok {
+		t.Fatal("the checkpoint holds the instance deleted after its cut")
+	}
+	l2, st2, info := openDir(t, dir)
+	defer l2.Close()
+	if !info.Checkpoint || info.Records != 1 {
+		t.Fatalf("recovery %+v, want the checkpoint and the delete's record", info)
+	}
+	if got, want := storeImage(st2), storeImage(st); !reflect.DeepEqual(got, want) {
+		t.Fatalf("recovered\n%v\nwant\n%v", got, want)
 	}
 }
 
@@ -733,7 +825,7 @@ func TestOpenRefusesOldFormat(t *testing.T) {
 		if _, err := st.NewInstance(st.Schema().Class("item"), storage.IntV(5)); err != nil {
 			t.Fatal(err)
 		}
-		if err := writeCheckpoint(osFS{}, dir, st, 0, false); err != nil {
+		if err := writeCheckpoint(osFS{}, dir, st, 0, 0, false); err != nil {
 			t.Fatal(err)
 		}
 		data, err := os.ReadFile(filepath.Join(dir, checkpointName))
@@ -816,7 +908,7 @@ end
 			}
 		}
 		dir := t.TempDir()
-		if err := writeCheckpoint(osFS{}, dir, st, 1, false); err != nil {
+		if err := writeCheckpoint(osFS{}, dir, st, 0, 1, false); err != nil {
 			t.Fatal(err)
 		}
 		path := filepath.Join(dir, checkpointName)

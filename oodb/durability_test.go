@@ -603,3 +603,62 @@ func TestRecoverySyncEveryPolicy(t *testing.T) {
 		t.Fatalf("recovered object %q, want %q", buf.String(), want)
 	}
 }
+
+// TestRecoveryAutoCheckpoint: with a small CheckpointEveryBytes the log
+// checkpoints itself beside the commits, culls the segments no fallback
+// needs any more, and recovers the state it had at close.
+func TestRecoveryAutoCheckpoint(t *testing.T) {
+	schema, err := Compile(bankingSrc, WithCommuting("account", "deposit", "deposit"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	opts := Options{Dir: dir, CheckpointEveryBytes: 512}
+	db, err := OpenWith(schema, Fine, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	maxOID := runGoldenWorkload(t, 11, db)
+	// Auto-checkpoints run in the background. Keep committing until a
+	// third has finished: the second one culled the first one's tail.
+	for deadline := time.Now().Add(10 * time.Second); db.Stats().WALCheckpoints < 3; {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d auto-checkpoints, want 3", db.Stats().WALCheckpoints)
+		}
+		if err := db.Update(func(tx *Txn) error {
+			_, err := tx.Send(maxOID, "deposit", int64(1))
+			return err
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := os.Stat(filepath.Join(dir, "wal-000001.log")); !os.IsNotExist(err) {
+		t.Errorf("segment 1 not culled (stat: %v)", err)
+	}
+	segs, err := filepath.Glob(filepath.Join(dir, "wal-*.log"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var last int
+	if _, err := fmt.Sscanf(filepath.Base(segs[len(segs)-1]), "wal-%d.log", &last); err != nil {
+		t.Fatal(err)
+	}
+	if len(segs) >= last {
+		t.Errorf("%d segments on disk up to segment %d: none culled", len(segs), last)
+	}
+	want := dumpAll(t, db, maxOID)
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	recovered, err := OpenWith(schema, Fine, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer recovered.Close()
+	if !recovered.Recovery().Checkpoint {
+		t.Error("recovery loaded no checkpoint")
+	}
+	if got := dumpAll(t, recovered, maxOID); got != want {
+		t.Fatalf("recovered state differs from live state:\ngot:\n%s\nwant:\n%s", got, want)
+	}
+}

@@ -234,8 +234,8 @@ func init() {
 // database). In-flight commits complete durably first.
 func (d *Database) Close() error { return d.db.Close() }
 
-// Checkpoint compacts the redo log into a fresh checkpoint and
-// truncates the replayed segments (no-op for a volatile database).
+// Checkpoint compacts the redo log into a checkpoint of the store as of
+// the commit epoch where it seals the segment (no-op when volatile).
 func (d *Database) Checkpoint() error { return d.db.Checkpoint() }
 
 // RecoveryStats describes what a durable Open found and replayed.
