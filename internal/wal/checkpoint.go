@@ -64,15 +64,15 @@ var (
 var errCheckpointCorrupt = errors.New("wal: corrupt checkpoint")
 
 // writeCheckpoint serializes every instance of st visible at epoch at
-// (the caller holds a snapshot there) with base segment sequence
-// baseSeq. demoteOld preserves the current primary as checkpoint.prev;
-// when the caller found the primary corrupt it passes false so the
-// garbage is dropped instead of clobbering the intact .prev the
-// fallback chain relies on.
-func writeCheckpoint(fsys FS, dir string, st *storage.Store, at, baseSeq uint64, demoteOld bool) error {
+// (the caller holds a snapshot there), with OID watermark nextOID and
+// base segment sequence baseSeq. demoteOld keeps the current primary as
+// checkpoint.prev; when the caller found the primary corrupt it passes
+// false so the garbage is dropped instead of clobbering the intact
+// .prev the fallback chain relies on.
+func writeCheckpoint(fsys FS, dir string, st *storage.Store, at uint64, nextOID storage.OID, baseSeq uint64, demoteOld bool) error {
 	body := make([]byte, 0, 1<<16)
 	body = binary.LittleEndian.AppendUint64(body, baseSeq)
-	body = binary.LittleEndian.AppendUint64(body, uint64(st.MaxOID()))
+	body = binary.LittleEndian.AppendUint64(body, uint64(nextOID))
 	count := uint64(0)
 	countAt := len(body)
 	body = binary.LittleEndian.AppendUint64(body, 0) // patched below
@@ -256,7 +256,7 @@ func (l *Log) Checkpoint() error {
 	err := <-c.done
 	sealed := c.sealed
 	c.discard()
-	at := l.st.BeginSnapshot(&snap)
+	at, nextOID := l.st.BeginSnapshot(&snap), l.st.MaxOID()
 	l.sendMu.Unlock()
 	defer l.st.EndSnapshot(&snap)
 	if err != nil {
@@ -267,7 +267,7 @@ func (l *Log) Checkpoint() error {
 	if err != nil {
 		return err
 	}
-	if err := writeCheckpoint(l.fs, l.dir, l.st, at, sealed, !fellBack); err != nil {
+	if err := writeCheckpoint(l.fs, l.dir, l.st, at, nextOID, sealed, !fellBack); err != nil {
 		return err
 	}
 	l.checkpoints.Add(1)

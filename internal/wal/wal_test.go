@@ -825,7 +825,7 @@ func TestOpenRefusesOldFormat(t *testing.T) {
 		if _, err := st.NewInstance(st.Schema().Class("item"), storage.IntV(5)); err != nil {
 			t.Fatal(err)
 		}
-		if err := writeCheckpoint(osFS{}, dir, st, 0, 0, false); err != nil {
+		if err := writeCheckpoint(osFS{}, dir, st, 0, st.MaxOID(), 0, false); err != nil {
 			t.Fatal(err)
 		}
 		data, err := os.ReadFile(filepath.Join(dir, checkpointName))
@@ -908,7 +908,7 @@ end
 			}
 		}
 		dir := t.TempDir()
-		if err := writeCheckpoint(osFS{}, dir, st, 0, 1, false); err != nil {
+		if err := writeCheckpoint(osFS{}, dir, st, 0, st.MaxOID(), 1, false); err != nil {
 			t.Fatal(err)
 		}
 		path := filepath.Join(dir, checkpointName)
