@@ -108,6 +108,39 @@ func (ts *tortureState) commitOnce(l *Log, st *storage.Store) {
 	ts.acked = append(ts.acked, ts.model.clone())
 }
 
+// checkLiveSegment reads the live segment, as Checkpoint is about to
+// seal it, and checks that it ends in the latest acknowledged commit
+// with no torn record before it: recovery refuses a sealed segment that
+// carries one. The read is issued on every healthy log, so a fault walk
+// reaches it too; only the assertion is skipped on bit-flip runs, whose
+// lying fsync may have damaged an acknowledged record undetected.
+func (ts *tortureState) checkLiveSegment(l *Log) {
+	ts.t.Helper()
+	if l.Failed() != nil {
+		return
+	}
+	path := segmentPath(l.dir, l.seq)
+	data, err := l.fs.ReadFile(path)
+	if err != nil || ts.flip {
+		return // an injected read failure costs nothing durable
+	}
+	payloads, _, tornAt := scanFrames(data)
+	if tornAt >= 0 {
+		ts.t.Fatalf("%s: torn record at offset %d on a healthy log", path, tornAt)
+	}
+	if len(payloads) == 0 {
+		ts.t.Fatalf("%s: no record; commit %d was acknowledged", path, ts.g)
+	}
+	last := payloads[len(payloads)-1]
+	rec, err := DecodeRecord(data[last.off:last.end])
+	if err != nil {
+		ts.t.Fatalf("%s: last record: %v", path, err)
+	}
+	if rec.TxnID != uint64(ts.g) {
+		ts.t.Fatalf("%s: last record is commit %d, want the acknowledged %d", path, rec.TxnID, ts.g)
+	}
+}
+
 // rebuildLive collects the instances of a freshly recovered store in
 // extent order.
 func rebuildLive(st *storage.Store) []*storage.Instance {
@@ -123,9 +156,10 @@ func rebuildLive(st *storage.Store) []*storage.Instance {
 }
 
 // runTorture drives the canonical workload — open, 5 commits, close,
-// reopen, 4 commits, checkpoint, 3 commits, checkpoint, 2 commits,
-// close — against fsys in dir, tolerating a failure at any point, and
-// returns every state that was ever acknowledged.
+// reopen, 4 commits, live-segment check, checkpoint, 3 commits,
+// live-segment check, checkpoint, 2 commits, close — against fsys in
+// dir, tolerating a failure at any point, and returns every state that
+// was ever acknowledged.
 func runTorture(t *testing.T, dir string, fsys FS, enospc, flip bool) []image {
 	t.Helper()
 	ts := &tortureState{t: t, enospc: enospc, flip: flip, model: image{}, acked: []image{{}}}
@@ -161,10 +195,12 @@ func runTorture(t *testing.T, dir string, fsys FS, enospc, flip bool) []image {
 	for i := 0; i < 4; i++ {
 		ts.commitOnce(l, st)
 	}
+	ts.checkLiveSegment(l)
 	l.Checkpoint() //nolint:errcheck // checkpoint failure must not hurt durability
 	for i := 0; i < 3; i++ {
 		ts.commitOnce(l, st)
 	}
+	ts.checkLiveSegment(l)
 	l.Checkpoint() //nolint:errcheck
 	for i := 0; i < 2; i++ {
 		ts.commitOnce(l, st)
