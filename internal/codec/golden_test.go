@@ -150,15 +150,15 @@ func walEntries(t testing.TB) []goldenEntry {
 	in2 := mk(storage.IntV(-3), storage.IntV(1<<40), storage.StrV("two"), storage.BoolV(true), storage.RefV(in1.OID))
 	in3 := mk(storage.IntV(0), storage.IntV(0), storage.StrV(""), storage.BoolV(false), storage.RefV(in2.OID))
 	commit := func(c interface {
-		Submit() error
-		Future() *wal.Future
+		Submit() (*wal.Future, wal.Cut, error)
 	}) {
 		t.Helper()
-		if err := c.Submit(); err != nil {
+		fut, cut, err := c.Submit()
+		if err != nil {
 			t.Fatal(err)
 		}
-		l.EndCommit()
-		if err := c.Future().Wait(); err != nil {
+		cut.Release()
+		if err := fut.Wait(); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -263,11 +263,11 @@ func (t *Txn) UndoDepth() int {
 
 // submitRecord projects the undo log forward into one redo record — an
 // op per entry — and sequences it on the log's queue, returning the
-// record's durability ticket. The transaction still holds every lock,
-// so the after-images it reads are its own final values: a slot another
-// uncommitted writer may share is one under declared commutativity, and
-// that slot is logged as a delta.
-func (t *Txn) submitRecord(w *wal.Log) (*wal.Future, error) {
+// record's durability ticket and its hold on the log's cut. The
+// transaction still holds every lock, so the after-images it reads are
+// its own final values: a slot another uncommitted writer may share is
+// one under declared commutativity, and that slot is logged as a delta.
+func (t *Txn) submitRecord(w *wal.Log) (*wal.Future, wal.Cut, error) {
 	c := w.BeginCommit(uint64(t.ID))
 	for i := range t.undo {
 		e := &t.undo[i]
@@ -291,10 +291,7 @@ func (t *Txn) submitRecord(w *wal.Log) (*wal.Future, error) {
 			}
 		}
 	}
-	if err := c.Submit(); err != nil {
-		return nil, err
-	}
-	return c.Future(), nil
+	return c.Submit()
 }
 
 // commit is the one commit sequence: sequence the redo record (only when
@@ -306,8 +303,8 @@ func (t *Txn) submitRecord(w *wal.Log) (*wal.Future, error) {
 // anything. Until then the records stay pending: snapshot readers roll
 // them back, and a pending record is never pruned, so a rollback finds
 // them. From sequencing to publish (or rollback) the commit holds the
-// log's cut (wal.Log.EndCommit). What varies is only where the
-// durability wait sits relative to the publication and the lock release:
+// log's cut (wal.Cut). What varies is only where the durability wait
+// sits relative to the publication and the lock release:
 //
 //   - hold (blocking, uncancellable): the wait comes BEFORE both, so
 //     conflicting transactions appear in the log in conflict order only
@@ -334,10 +331,11 @@ func (t *Txn) commit(pipelined bool) (Future, error) {
 	}
 	hold := !pipelined && t.done == nil
 	var fut Future
+	var cut wal.Cut
 	var err error
 	w := t.mgr.wal
 	if w != nil && len(t.undo) > 0 {
-		if fut.w, err = t.submitRecord(w); err == nil && hold {
+		if fut.w, cut, err = t.submitRecord(w); err == nil && hold {
 			err = t.awaitTicket(fut)
 		}
 	}
@@ -346,9 +344,7 @@ func (t *Txn) commit(pipelined bool) (Future, error) {
 	} else {
 		t.publish()
 	}
-	if fut.w != nil {
-		w.EndCommit() // Submit succeeded: release its cut
-	}
+	cut.Release()
 	if err != nil {
 		return Future{}, fmt.Errorf("txn: commit log append: %w", err)
 	}

@@ -21,8 +21,9 @@ import (
 // segment, every sealed record is a commit ≤ e and every later one a
 // commit > e: each applies exactly once, as OpDeltaI requires. Commits
 // pause only for the drain and the seal. A delete that commits after e
-// may remove its instance before it is serialized; the delete is in
-// the tail, and replay skips ops on a missing OID (applyOp).
+// may remove its instance before it is serialized; Checkpoint hardens
+// the tail before it installs the file, so the delete is durably in the
+// tail, and replay skips ops on a missing OID (applyOp).
 //
 // Checkpoint file, little-endian:
 //
@@ -63,13 +64,11 @@ var (
 // falling back, as opposed to I/O errors or semantic mismatches.
 var errCheckpointCorrupt = errors.New("wal: corrupt checkpoint")
 
-// writeCheckpoint serializes every instance of st visible at epoch at
+// checkpointBody serializes every instance of st visible at epoch at
 // (the caller holds a snapshot there), with OID watermark nextOID and
-// base segment sequence baseSeq. demoteOld keeps the current primary as
-// checkpoint.prev; when the caller found the primary corrupt it passes
-// false so the garbage is dropped instead of clobbering the intact
-// .prev the fallback chain relies on.
-func writeCheckpoint(fsys FS, dir string, st *storage.Store, at uint64, nextOID storage.OID, baseSeq uint64, demoteOld bool) error {
+// base segment sequence baseSeq: the checkpoint file between its magic
+// and its CRC.
+func checkpointBody(st *storage.Store, at uint64, nextOID storage.OID, baseSeq uint64) []byte {
 	body := make([]byte, 0, 1<<16)
 	body = binary.LittleEndian.AppendUint64(body, baseSeq)
 	body = binary.LittleEndian.AppendUint64(body, uint64(nextOID))
@@ -94,7 +93,14 @@ func writeCheckpoint(fsys FS, dir string, st *storage.Store, at uint64, nextOID 
 		}
 	}
 	binary.LittleEndian.PutUint64(body[countAt:], count)
+	return body
+}
 
+// writeCheckpoint installs body as the primary checkpoint. demoteOld
+// keeps the current primary as checkpoint.prev; when the caller found
+// the primary corrupt it passes false so the garbage is dropped instead
+// of clobbering the intact .prev the fallback chain relies on.
+func writeCheckpoint(fsys FS, dir string, body []byte, demoteOld bool) error {
 	tmp := filepath.Join(dir, checkpointTmp)
 	f, err := fsys.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
 	if err != nil {
@@ -240,9 +246,10 @@ func loadCheckpointFile(fsys FS, path string, st *storage.Store, sch *schema.Sch
 // Checkpoint compacts the log. Holding the cut exclusively, it drains
 // and hardens the queue (outstanding futures resolve), seals the live
 // segment and begins a snapshot; then it serializes the store at that
-// epoch while commits run into the new segment. The old primary is
-// demoted to checkpoint.prev if its CRC verifies, dropped otherwise,
-// and only segments at or below the demoted checkpoint's base go.
+// epoch while commits run into the new segment, and hardens that
+// segment before it installs the file. The old primary is demoted to
+// checkpoint.prev if its CRC verifies, dropped otherwise, and only
+// segments at or below the demoted checkpoint's base go.
 func (l *Log) Checkpoint() error {
 	l.ckptMu.Lock()
 	defer l.ckptMu.Unlock()
@@ -267,7 +274,14 @@ func (l *Log) Checkpoint() error {
 	if err != nil {
 		return err
 	}
-	if err := writeCheckpoint(l.fs, l.dir, l.st, at, nextOID, sealed, !fellBack); err != nil {
+	body := checkpointBody(l.st, at, nextOID, sealed)
+	// A pipelined delete after the cut may have removed an instance
+	// before its record was fsynced; the record was enqueued first, so
+	// this barrier makes it durable before the file omits the instance.
+	if err := l.Sync(); err != nil {
+		return err
+	}
+	if err := writeCheckpoint(l.fs, l.dir, body, !fellBack); err != nil {
 		return err
 	}
 	l.checkpoints.Add(1)

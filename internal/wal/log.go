@@ -154,18 +154,7 @@ type Future struct {
 // Wait blocks until the commit is acknowledged (under SyncAlways:
 // hardened on disk), returns its outcome and recycles the Future. Call
 // exactly once.
-func (f *Future) Wait() error {
-	c := f.c
-	if c == nil {
-		return nil
-	}
-	f.c = nil
-	err := <-c.done
-	l := c.l
-	c.discard()
-	l.futures.Put(f)
-	return err
-}
+func (f *Future) Wait() error { return f.WaitDone(nil) }
 
 // ErrWaitCanceled reports that a durability wait was abandoned before
 // the acknowledgment arrived. The commit itself is unaffected: it is
@@ -178,14 +167,11 @@ var ErrWaitCanceled = errors.New("wal: durability wait canceled")
 // and hands the ticket to a background drainer that recycles the commit
 // once the writer acknowledges it; the Future itself is dropped to the
 // garbage collector (cancellation is the cold path — pooling discipline
-// matters only on the ack path). A nil done is exactly Wait.
+// matters only on the ack path). A nil done never cancels.
 func (f *Future) WaitDone(done <-chan struct{}) error {
 	c := f.c
 	if c == nil {
 		return nil
-	}
-	if done == nil {
-		return f.Wait()
 	}
 	f.c = nil
 	select {
@@ -215,7 +201,7 @@ type Log struct {
 	submitCh chan *commit
 	done     chan struct{} // writer exited
 	closed   atomic.Bool
-	sendMu   sync.RWMutex // the cut: shared from Submit to EndCommit; Close, Checkpoint exclusive
+	sendMu   sync.RWMutex // the cut: shared from Submit to Cut.Release; Close, Checkpoint exclusive
 	ckptMu   sync.Mutex   // one checkpoint (or close) at a time
 	ckptBusy atomic.Bool  // auto-checkpoint in flight
 
@@ -543,8 +529,7 @@ func (l *Log) maybeAutoCheckpoint() {
 }
 
 // BeginCommit starts encoding one transaction's commit record. The
-// returned commit must finish with Submit followed, on success, by
-// Future.
+// returned commit must finish with Submit.
 func (l *Log) BeginCommit(txnID uint64) *commit {
 	c := l.commits.Get().(*commit)
 	b := append(c.buf[:0], make([]byte, codec.HeaderSize)...) // sealed at Submit
@@ -597,12 +582,11 @@ func (c *commit) discard() {
 // Submit frames the record and sequences it on the writer's queue
 // without waiting: once Submit returns, the record's position in the
 // log order is fixed — anything enqueued later (e.g. by a transaction
-// that observes this one's effects) lands after it. A successful Submit
-// holds the log's cut: follow it with exactly one Future, and with
-// exactly one EndCommit once the transaction has retired its commit
-// epoch or rolled back. On error the commit is already released and
-// nothing is held.
-func (c *commit) Submit() error {
+// that observes this one's effects) lands after it. It returns the
+// record's pooled durability Future (Wait or WaitDone exactly once) and
+// the commit's Cut (Release exactly once). On error the commit is
+// already released and nothing is held.
+func (c *commit) Submit() (*Future, Cut, error) {
 	l := c.l
 	payload := c.buf[codec.HeaderSize:]
 	binary.LittleEndian.PutUint32(payload[offNumOps:], c.ops)
@@ -610,13 +594,18 @@ func (c *commit) Submit() error {
 	// one would acknowledge a commit recovery must then discard.
 	if err := codec.Seal(c.buf, payload, maxRecordSize); err != nil {
 		c.discard()
-		return fmt.Errorf("wal: commit record: %w", err)
+		return nil, Cut{}, fmt.Errorf("wal: commit record: %w", err)
 	}
 	if err := l.failure(); err != nil {
 		c.discard()
-		return err
+		return nil, Cut{}, err
 	}
-	return c.enqueue()
+	if err := c.enqueue(); err != nil {
+		return nil, Cut{}, err
+	}
+	f := l.futures.Get().(*Future)
+	f.c = c
+	return f, Cut{l}, nil
 }
 
 // enqueue places the (framed or barrier) commit on the writer's queue
@@ -638,20 +627,18 @@ func (c *commit) enqueue() error {
 	return nil
 }
 
-// EndCommit releases the cut a successful Submit held, once the
-// transaction has retired its commit epoch or rolled back: until then
-// no checkpoint can seal the segment (checkpoint.go).
-func (l *Log) EndCommit() { l.sendMu.RUnlock() }
+// Cut is a sequenced commit's share of the log's cut (sendMu, read
+// side): until it is released no checkpoint can seal the segment
+// (checkpoint.go), so an unreleased Cut blocks Checkpoint and Close.
+// The zero Cut holds nothing.
+type Cut struct{ l *Log }
 
-// Future wraps a submitted commit into a pooled durability future (call
-// once after a successful Submit). The future's Wait or WaitDone must
-// then be called exactly once — it recycles the Future. The future
-// resolves when the batch carrying the record reaches the sync policy's
-// acknowledgment point (under SyncAlways: fsynced).
-func (c *commit) Future() *Future {
-	f := c.l.futures.Get().(*Future)
-	f.c = c
-	return f
+// Release gives the cut back, once the transaction has retired its
+// commit epoch or rolled back. Call exactly once per Submit.
+func (c Cut) Release() {
+	if c.l != nil {
+		c.l.sendMu.RUnlock()
+	}
 }
 
 // Sync is a hardening barrier: it blocks until everything enqueued

@@ -111,9 +111,12 @@ func (ts *tortureState) commitOnce(l *Log, st *storage.Store) {
 // checkLiveSegment reads the live segment, as Checkpoint is about to
 // seal it, and checks that it ends in the latest acknowledged commit
 // with no torn record before it: recovery refuses a sealed segment that
-// carries one. The read is issued on every healthy log, so a fault walk
-// reaches it too; only the assertion is skipped on bit-flip runs, whose
-// lying fsync may have damaged an acknowledged record undetected.
+// carries one. The read is issued on every healthy log and counts in
+// the fault walks' op trace, so the walk indices that land on it fault
+// this test read, not the log: those subtests only check that a failed
+// read leaves the log and its recovery intact. The assertion is skipped
+// on bit-flip runs, whose lying fsync may have damaged an acknowledged
+// record undetected.
 func (ts *tortureState) checkLiveSegment(l *Log) {
 	ts.t.Helper()
 	if l.Failed() != nil {

@@ -167,20 +167,19 @@ func boundaries(t *testing.T, data []byte) []int64 {
 // commitWait submits c and waits for its durability ticket holding the
 // cut, as a blocking commit does.
 func commitWait(c *commit) error {
-	if err := c.Submit(); err != nil {
+	fut, cut, err := c.Submit()
+	if err != nil {
 		return err
 	}
-	defer c.l.EndCommit()
-	return c.Future().Wait()
+	defer cut.Release()
+	return fut.Wait()
 }
 
 // commitPipelined submits c and hands out its durability ticket.
 func commitPipelined(c *commit) (*Future, error) {
-	if err := c.Submit(); err != nil {
-		return nil, err
-	}
-	c.l.EndCommit()
-	return c.Future(), nil
+	fut, cut, err := c.Submit()
+	cut.Release()
+	return fut, err
 }
 
 func openDir(t *testing.T, dir string) (*Log, *storage.Store, RecoveryInfo) {
@@ -406,72 +405,186 @@ func (f *readHookFS) ReadFile(name string) ([]byte, error) {
 	return f.FS.ReadFile(name)
 }
 
+// crashFS records how much of each segment an fsync hardened, so a
+// test can copy the directory as a crash would leave it; once failSync
+// is set, every segment fsync fails.
+type crashFS struct {
+	osFS
+	mu       sync.Mutex
+	hardened map[string]int64
+	failSync atomic.Bool
+}
+
+func (fs *crashFS) OpenFile(name string, flag int, perm os.FileMode) (File, error) {
+	f, err := fs.osFS.OpenFile(name, flag, perm)
+	if err != nil || !strings.HasPrefix(filepath.Base(name), "wal-") {
+		return f, err
+	}
+	return &crashFile{File: f, fs: fs, name: filepath.Base(name)}, nil
+}
+
+type crashFile struct {
+	File
+	fs   *crashFS
+	name string
+}
+
+func (f *crashFile) Sync() error {
+	if f.fs.failSync.Load() {
+		return errors.New("injected segment fsync failure")
+	}
+	if err := f.File.Sync(); err != nil {
+		return err
+	}
+	fi, err := f.File.Stat()
+	if err != nil {
+		return err
+	}
+	f.fs.mu.Lock()
+	f.fs.hardened[f.name] = fi.Size()
+	f.fs.mu.Unlock()
+	return nil
+}
+
+// crashCopy copies dir into a new directory as a crash now would leave
+// it: every segment cut to its hardened prefix, every other file whole
+// (the log fsyncs a checkpoint before renaming it into place).
+func (fs *crashFS) crashCopy(t *testing.T, dir string) string {
+	t.Helper()
+	fs.mu.Lock()
+	defer fs.mu.Unlock()
+	out := t.TempDir()
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range ents {
+		data, err := os.ReadFile(filepath.Join(dir, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if strings.HasPrefix(e.Name(), "wal-") {
+			data = data[:fs.hardened[e.Name()]]
+		}
+		if err := os.WriteFile(filepath.Join(out, e.Name()), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return out
+}
+
 // A delete that commits after a checkpoint's cut can take its instance
 // out of the store before the checkpoint serializes it. The checkpoint
 // then lacks the instance, and replaying the tail skips the ops on it —
 // a write, a delta and the delete itself — instead of failing or
-// bringing it back.
+// bringing it back. A pipelined delete is out of the store before its
+// record is on disk, so the checkpoint hardens the tail before it
+// installs the file: a crash right after the checkpoint keeps the whole
+// transaction, and a failed fsync installs no checkpoint and loses the
+// whole transaction, never only the instance.
 func TestRecoveryCheckpointMissesLateDelete(t *testing.T) {
-	dir := t.TempDir()
-	fs := &readHookFS{FS: osFS{}}
-	st := newTestStore(t)
-	l, _, err := Open(dir, st, Options{FS: fs})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cls := st.Schema().Class("item")
-	gone, err := st.NewInstance(cls, storage.IntV(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	kept, err := st.NewInstance(cls, storage.IntV(2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	c := l.BeginCommit(1)
-	c.Create(cls.ID, uint64(gone.OID), gone)
-	c.Create(cls.ID, uint64(kept.OID), kept)
-	if err := commitWait(c); err != nil {
-		t.Fatal(err)
-	}
-	hook := func() {
-		gone.Set(0, storage.IntV(7))
-		gone.AddInt(1, 3)
-		if err := st.Delete(gone.OID); err != nil {
-			t.Error(err)
-		}
-		c := l.BeginCommit(2)
-		c.Write(uint64(gone.OID), 0, storage.IntV(7))
-		c.WriteDelta(uint64(gone.OID), 1, 3)
-		c.Delete(uint64(gone.OID))
-		if err := commitWait(c); err != nil {
-			t.Error(err)
-		}
-	}
-	fs.hook.Store(&hook)
-	if err := l.Checkpoint(); err != nil {
-		t.Fatal(err)
-	}
-	if fs.hook.Load() != nil {
-		t.Fatal("the checkpoint read no primary between its cut and its write")
-	}
-	if err := l.Close(); err != nil {
-		t.Fatal(err)
-	}
-	inCkpt := newTestStore(t)
-	if _, err := loadCheckpointFile(osFS{}, filepath.Join(dir, checkpointName), inCkpt, inCkpt.Schema()); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := inCkpt.Get(gone.OID); ok {
-		t.Fatal("the checkpoint holds the instance deleted after its cut")
-	}
-	l2, st2, info := openDir(t, dir)
-	defer l2.Close()
-	if !info.Checkpoint || info.Records != 1 {
-		t.Fatalf("recovery %+v, want the checkpoint and the delete's record", info)
-	}
-	if got, want := storeImage(st2), storeImage(st); !reflect.DeepEqual(got, want) {
-		t.Fatalf("recovered\n%v\nwant\n%v", got, want)
+	for _, tc := range []struct {
+		name      string
+		pipelined bool // the delete commits without waiting, under SyncNever
+		failSync  bool // and every segment fsync after it fails
+	}{
+		{name: "durable"},
+		{name: "pipelined crash", pipelined: true},
+		{name: "pipelined failed fsync", pipelined: true, failSync: true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			cfs := &crashFS{hardened: map[string]int64{}}
+			fs := &readHookFS{FS: cfs}
+			opts := Options{FS: fs}
+			if tc.pipelined {
+				opts.Sync = SyncNever
+			}
+			st := newTestStore(t)
+			l, _, err := Open(dir, st, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cls := st.Schema().Class("item")
+			gone, err := st.NewInstance(cls, storage.IntV(1))
+			if err != nil {
+				t.Fatal(err)
+			}
+			kept, err := st.NewInstance(cls, storage.IntV(2))
+			if err != nil {
+				t.Fatal(err)
+			}
+			c := l.BeginCommit(1)
+			c.Create(cls.ID, uint64(gone.OID), gone)
+			c.Create(cls.ID, uint64(kept.OID), kept)
+			if err := commitWait(c); err != nil {
+				t.Fatal(err)
+			}
+			before := storeImage(st)
+			var fut *Future
+			hook := func() {
+				cfs.failSync.Store(tc.failSync)
+				gone.Set(0, storage.IntV(7))
+				gone.AddInt(1, 3)
+				kept.Set(0, storage.IntV(9))
+				if err := st.Delete(gone.OID); err != nil {
+					t.Error(err)
+				}
+				c := l.BeginCommit(2)
+				c.Write(uint64(gone.OID), 0, storage.IntV(7))
+				c.WriteDelta(uint64(gone.OID), 1, 3)
+				c.Write(uint64(kept.OID), 0, storage.IntV(9))
+				c.Delete(uint64(gone.OID))
+				if tc.pipelined {
+					fut, err = commitPipelined(c)
+				} else {
+					err = commitWait(c)
+				}
+				if err != nil {
+					t.Error(err)
+				}
+			}
+			fs.hook.Store(&hook)
+			ckptErr := l.Checkpoint()
+			if fs.hook.Load() != nil {
+				t.Fatal("the checkpoint read no primary between its cut and its write")
+			}
+			crashed := cfs.crashCopy(t, dir)
+			if fut != nil {
+				fut.Wait() //nolint:errcheck // under SyncNever it resolves at the write
+			}
+			l.Close() //nolint:errcheck // fail-stop after the injected fsync failure
+
+			want := storeImage(st)
+			if tc.failSync {
+				if !errors.Is(ckptErr, ErrLogFailed) {
+					t.Fatalf("checkpoint over a failed fsync: %v, want ErrLogFailed", ckptErr)
+				}
+				if _, err := os.Stat(filepath.Join(dir, checkpointName)); !os.IsNotExist(err) {
+					t.Fatalf("a checkpoint was installed over a failed fsync (stat: %v)", err)
+				}
+				want = before
+			} else {
+				if ckptErr != nil {
+					t.Fatal(ckptErr)
+				}
+				inCkpt := newTestStore(t)
+				if _, err := loadCheckpointFile(osFS{}, filepath.Join(dir, checkpointName), inCkpt, inCkpt.Schema()); err != nil {
+					t.Fatal(err)
+				}
+				if _, ok := inCkpt.Get(gone.OID); ok {
+					t.Fatal("the checkpoint holds the instance deleted after its cut")
+				}
+			}
+			l2, st2, info := openDir(t, crashed)
+			defer l2.Close()
+			if got := storeImage(st2); !reflect.DeepEqual(got, want) {
+				t.Fatalf("recovered after a crash\n%v\nwant\n%v", got, want)
+			}
+			if !tc.failSync && (!info.Checkpoint || info.Records != 1) {
+				t.Fatalf("recovery %+v, want the checkpoint and the delete's record", info)
+			}
+		})
 	}
 }
 
@@ -825,7 +938,7 @@ func TestOpenRefusesOldFormat(t *testing.T) {
 		if _, err := st.NewInstance(st.Schema().Class("item"), storage.IntV(5)); err != nil {
 			t.Fatal(err)
 		}
-		if err := writeCheckpoint(osFS{}, dir, st, 0, st.MaxOID(), 0, false); err != nil {
+		if err := writeCheckpoint(osFS{}, dir, checkpointBody(st, 0, st.MaxOID(), 0), false); err != nil {
 			t.Fatal(err)
 		}
 		data, err := os.ReadFile(filepath.Join(dir, checkpointName))
@@ -908,7 +1021,7 @@ end
 			}
 		}
 		dir := t.TempDir()
-		if err := writeCheckpoint(osFS{}, dir, st, 0, st.MaxOID(), 1, false); err != nil {
+		if err := writeCheckpoint(osFS{}, dir, checkpointBody(st, 0, st.MaxOID(), 1), false); err != nil {
 			t.Fatal(err)
 		}
 		path := filepath.Join(dir, checkpointName)
