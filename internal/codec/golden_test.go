@@ -124,7 +124,10 @@ func wireEntries(t testing.TB) []goldenEntry {
 // one record with every op kind — and returns the second framed record
 // and the checkpoint file taken over the resulting 3-instance store.
 // Each record's effects are applied to the store first: a checkpoint
-// serializes the store.
+// serializes the store. A third commit creates an instance above one
+// that is never logged, as an aborted creation leaves it; the log
+// leases that OID ahead of the record, and the lease frame is the third
+// entry.
 func walEntries(t testing.TB) []goldenEntry {
 	t.Helper()
 	sch, err := schema.FromSource(goldenSchema)
@@ -191,7 +194,17 @@ func walEntries(t testing.TB) []goldenEntry {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return []goldenEntry{{"wal_commit", seg[first:]}, {"checkpoint", ckpt}}
+	mk(storage.IntV(5), storage.IntV(0), storage.StrV("aborted"), storage.BoolV(false), storage.RefV(0))
+	in6 := mk(storage.IntV(6), storage.IntV(0), storage.StrV("six"), storage.BoolV(false), storage.RefV(0))
+	c = l.BeginCommit(3)
+	c.Create(cls.ID, uint64(in6.OID), in6)
+	commit(c)
+	seg2, err := os.ReadFile(filepath.Join(dir, "wal-000002.log"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	lease := 8 + int(binary.LittleEndian.Uint32(seg2))
+	return []goldenEntry{{"wal_commit", seg[first:]}, {"checkpoint", ckpt}, {"wal_lease", seg2[:lease]}}
 }
 
 // goldenEntries is every pinned encoding, in file order.

@@ -31,7 +31,13 @@ import (
 //	count × image · u32 CRC-32C (codec.Checksum) of everything after
 //	the magic
 //
-// where an image is the body of an OpCreate op (record.go). Earlier
+// where an image is the body of an OpCreate op (record.go), and nextOID
+// is the OID watermark the writer takes at the seal (Log.rotate): the
+// lower of the store's allocation watermark and the replay budget the
+// log has covered. Every checkpointed OID lies at or below both, and
+// replay from checkpoint.prev or the first segment reaches at least
+// that budget by the seal, so a fallback never meets a record the
+// primary's budget admits and its own does not. Earlier
 // layouts ("FAVWCKP1", and "FAVWCKP2", which also held a commit epoch)
 // are refused by name: their records cannot be replayed either, so
 // falling back past them could only open a partial state.
@@ -222,9 +228,9 @@ func loadCheckpointFile(fsys FS, path string, st *storage.Store, sch *schema.Sch
 		if cls == nil {
 			return 0, fmt.Errorf("wal: checkpoint: unknown class id %d", in.Class)
 		}
-		// OIDs are allocated below the watermark; an instance above it is
-		// corruption, and installing it would size the dense page
-		// directory to match.
+		// Every checkpointed OID is at or below the watermark; an
+		// instance above it is corruption, and installing it would size
+		// the dense page directory to match.
 		if in.OID == 0 || uint64(in.OID) > nextOID {
 			return 0, fmt.Errorf("wal: checkpoint: instance OID %d outside (0, %d]", in.OID, nextOID)
 		}
@@ -261,9 +267,9 @@ func (l *Log) Checkpoint() error {
 	l.sendMu.Lock()
 	l.submitCh <- c
 	err := <-c.done
-	sealed := c.sealed
+	sealed, nextOID := c.sealed, c.nextOID
 	c.discard()
-	at, nextOID := l.st.BeginSnapshot(&snap), l.st.MaxOID()
+	at := l.st.BeginSnapshot(&snap)
 	l.sendMu.Unlock()
 	defer l.st.EndSnapshot(&snap)
 	if err != nil {

@@ -72,11 +72,20 @@ func FuzzWALRecord(f *testing.F) {
 		{Kind: OpDelete, OID: 1},
 	}})
 
+	lease := appendLease(nil, 2) // covers a create of OID 3 in a 1-op record
+	create3 := AppendRecord(nil, &Record{TxnID: 8, Ops: []RecordOp{
+		{Kind: OpCreate, Class: cls, OID: 3, Slots: []storage.Value{
+			storage.IntV(1), storage.IntV(2), storage.StrV(""), storage.BoolV(false), storage.RefV(0),
+		}},
+	}})
+
 	f.Add(rec)
 	f.Add(frameBytes(rec))
-	f.Add(frameBytes(rec)[:11])  // torn frame
-	f.Add([]byte{})              // empty segment
-	f.Add([]byte{1, 2, 3, 4, 5}) // garbage header
+	f.Add(lease[codec.HeaderSize:])                                   // a lease payload, framed by the second pass
+	f.Add(append(append([]byte{}, lease...), frameBytes(create3)...)) // lease, then the record it covers
+	f.Add(frameBytes(rec)[:11])                                       // torn frame
+	f.Add([]byte{})                                                   // empty segment
+	f.Add([]byte{1, 2, 3, 4, 5})                                      // garbage header
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		fuzzOpen(t, data)             // raw segment bytes

@@ -134,9 +134,11 @@ type commit struct {
 	l       *Log
 	buf     []byte // frame header + payload
 	ops     uint32
+	maxOID  uint64          // highest OID an op of the record names
 	barrier bool            // Sync barrier: no bytes, forces fsync, acked in order
 	seal    bool            // barrier that also seals the live segment
 	sealed  uint64          // the segment a seal barrier sealed
+	nextOID storage.OID     // and the OID watermark its checkpoint records
 	valBuf  []storage.Value // scratch for create images
 	done    chan error      // cap 1, reused across lives
 }
@@ -219,6 +221,7 @@ type Log struct {
 	unsynced  int64       // bytes written since the last fsync
 	lastSync  time.Time   // when the last fsync completed
 	scratch   []byte      // batch concatenation buffer
+	leased    uint64      // replay OID budget the log guarantees so far
 	batch     []*commit   // reused batch slice
 	syncTimer *time.Timer // SyncEvery idle-hardening timer
 
@@ -331,6 +334,7 @@ func (l *Log) run() {
 			for _, c := range l.batch {
 				if c.seal && err == nil {
 					c.sealed, err = l.rotate()
+					c.nextOID = l.sealWatermark()
 				}
 				c.done <- err
 			}
@@ -422,7 +426,20 @@ func (l *Log) writeBatch(batch []*commit) error {
 	if err := l.failure(); err != nil {
 		return err
 	}
-	l.scratch = l.scratch[:0]
+	// Every replay start — the checkpoint, checkpoint.prev, the first
+	// segment — reaches this batch with a budget of at least l.leased,
+	// and every record adds its op count. A record naming an OID beyond
+	// that (its creator's earlier OIDs were aborted, or are still in
+	// flight) needs leases, prepended so that any torn prefix of the
+	// Write that holds a record also holds them.
+	covered, lease := l.leased, uint64(0)
+	for _, c := range batch {
+		if !c.barrier {
+			covered += uint64(c.ops)
+			lease = max(lease, c.maxOID-min(c.maxOID, covered))
+		}
+	}
+	l.scratch = appendLease(l.scratch[:0], lease)
 	records := 0
 	forceSync := false
 	for _, c := range batch {
@@ -454,6 +471,7 @@ func (l *Log) writeBatch(batch []*commit) error {
 		}
 	}
 	l.size += int64(len(l.scratch))
+	l.leased = covered + lease
 	l.records.Add(int64(records))
 	if records > 0 {
 		l.batches.Add(1)
@@ -513,6 +531,16 @@ func (l *Log) rotate() (sealed uint64, err error) {
 	return sealed, nil
 }
 
+// sealWatermark returns the OID watermark of a checkpoint cut at the
+// seal: at or above every OID a sealed record names, and so every OID
+// the checkpoint serializes, and no higher than the budget of any older
+// replay start, which is at least l.leased. Replay from the checkpoint starts there, so it becomes the
+// budget the log covers. Writer goroutine only.
+func (l *Log) sealWatermark() storage.OID {
+	l.leased = min(l.leased, uint64(l.st.MaxOID()))
+	return storage.OID(l.leased)
+}
+
 // maybeAutoCheckpoint triggers a background checkpoint when the live
 // segment outgrew the configured threshold.
 func (l *Log) maybeAutoCheckpoint() {
@@ -534,7 +562,7 @@ func (l *Log) BeginCommit(txnID uint64) *commit {
 	c := l.commits.Get().(*commit)
 	b := append(c.buf[:0], make([]byte, codec.HeaderSize)...) // sealed at Submit
 	c.buf = appendHeader(b, txnID, 0)                         // nOps patched at Submit
-	c.ops = 0
+	c.ops, c.maxOID = 0, 0
 	c.barrier = false
 	return c
 }
@@ -542,7 +570,7 @@ func (l *Log) BeginCommit(txnID uint64) *commit {
 // Write appends one TAV-projected field after-image.
 func (c *commit) Write(oid uint64, slot int, v storage.Value) {
 	c.buf = appendOp(c.buf, &RecordOp{Kind: OpWrite, OID: storage.OID(oid), Slot: slot, Val: v})
-	c.ops++
+	c.named(oid)
 }
 
 // WriteDelta appends one escrow integer delta: the transaction's net
@@ -552,7 +580,7 @@ func (c *commit) Write(oid uint64, slot int, v storage.Value) {
 // durable trace.
 func (c *commit) WriteDelta(oid uint64, slot int, delta int64) {
 	c.buf = appendOp(c.buf, &RecordOp{Kind: OpDeltaI, OID: storage.OID(oid), Slot: slot, Delta: delta})
-	c.ops++
+	c.named(oid)
 }
 
 // Create appends a creation record carrying the instance's full image as
@@ -561,13 +589,19 @@ func (c *commit) WriteDelta(oid uint64, slot int, delta int64) {
 func (c *commit) Create(classID uint32, oid uint64, in *storage.Instance) {
 	c.valBuf = in.AppendSlots(c.valBuf[:0])
 	c.buf = appendOp(c.buf, &RecordOp{Kind: OpCreate, Class: classID, OID: storage.OID(oid), Slots: c.valBuf})
-	c.ops++
+	c.named(oid)
 }
 
 // Delete appends a deletion record.
 func (c *commit) Delete(oid uint64) {
 	c.buf = appendOp(c.buf, &RecordOp{Kind: OpDelete, OID: storage.OID(oid)})
+	c.named(oid)
+}
+
+// named counts one appended op naming oid.
+func (c *commit) named(oid uint64) {
 	c.ops++
+	c.maxOID = max(c.maxOID, oid)
 }
 
 // discard returns a finished or failed commit to the pool.

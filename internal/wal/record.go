@@ -15,9 +15,11 @@
 // Databases": log logical/projected deltas, batch the fsyncs).
 //
 // A commit record is the payload of one frame of internal/codec (length
-// and CRC-32C header; values encoded by codec.AppendValue):
+// and CRC-32C header; values encoded by codec.AppendValue); the only
+// other frame is an OID lease (appendLease):
 //
 //	payload: u8 type (=commit) · u64 txnID · u32 nOps · ops
+//	lease:   u8 type (=lease) · u32 raise
 //	op:      u8 OpWrite  · uvarint OID · uvarint slot · value
 //	         u8 OpDeltaI · uvarint OID · uvarint slot · varint delta
 //	         u8 OpCreate · image
@@ -53,12 +55,23 @@ import (
 	"repro/internal/storage"
 )
 
-// recCommit is the only record type: one committed txn. recCommitV1 is
+// recCommit is the record type of one committed txn. recCommitV1 is
 // the type of the earlier layout, whose header also held a u64 commit
-// epoch; it is recognised only to be refused.
+// epoch; it is recognised only to be refused. recLease is not a record
+// but an OID lease: see appendLease.
 const (
 	recCommit   = uint8(0x02)
 	recCommitV1 = uint8(0x01)
+	recLease    = uint8(0x03)
+)
+
+// A lease payload is u8 type (=lease) · u32 raise, and one lease raises
+// the replay OID budget by at most leasePage: one storage page, so
+// CRC-valid garbage still grows the page directory by at most one page
+// per frame.
+const (
+	leaseSize = 5
+	leasePage = 4096
 )
 
 // maxRecordSize bounds one record's payload, enforced identically on
@@ -88,6 +101,56 @@ func appendHeader(b []byte, txnID uint64, nOps uint32) []byte {
 	b = append(b, recCommit)
 	b = binary.LittleEndian.AppendUint64(b, txnID)
 	return binary.LittleEndian.AppendUint32(b, nOps)
+}
+
+// appendLease appends framed leases raising the replay OID budget by
+// raise, one per leasePage. The writer prepends them to a batch whose
+// records name OIDs above what the log has covered so far: an aborted
+// or retried creation, or one still in flight, allocates an OID without
+// ever logging it, so later creates can outrun the ops the log claims.
+// Leases are not commit records; replay only adds their raises to the
+// budget.
+func appendLease(b []byte, raise uint64) []byte {
+	for raise > 0 {
+		n := min(raise, leasePage)
+		start := len(b)
+		b = append(b, make([]byte, codec.HeaderSize)...)
+		b = append(b, recLease)
+		b = binary.LittleEndian.AppendUint32(b, uint32(n))
+		codec.Seal(b[start:], b[start+codec.HeaderSize:], maxRecordSize) //nolint:errcheck // 5 bytes
+		raise -= n
+	}
+	return b
+}
+
+// isLease reports whether a frame's payload is a lease, with an error
+// when it is one but malformed (a raise of zero or beyond one page, or
+// the wrong length): CRC-clean garbage.
+func isLease(payload []byte) (bool, error) {
+	if len(payload) == 0 || payload[0] != recLease {
+		return false, nil
+	}
+	if len(payload) != leaseSize {
+		return true, fmt.Errorf("wal: %d-byte lease, want %d", len(payload), leaseSize)
+	}
+	if raise := binary.LittleEndian.Uint32(payload[1:]); raise == 0 || raise > leasePage {
+		return true, fmt.Errorf("wal: lease raises the OID budget by %d, outside (0, %d]", raise, leasePage)
+	}
+	return true, nil
+}
+
+// budgetRaise returns how far one valid frame can raise the replay OID
+// budget: a commit record's claimed op count, clamped to its payload
+// size (every op costs ≥ 2 bytes; walkRecord rejects records that claim
+// more), or a lease's raise, clamped to one page.
+func budgetRaise(payload []byte) uint64 {
+	switch {
+	case len(payload) == leaseSize && payload[0] == recLease:
+		return min(uint64(binary.LittleEndian.Uint32(payload[1:])), leasePage)
+	case len(payload) >= hdrPayload:
+		return min(uint64(binary.LittleEndian.Uint32(payload[offNumOps:])), uint64(len(payload)))
+	}
+	return 0
 }
 
 // appendImage appends an instance image: the body of an OpCreate op and
@@ -276,11 +339,12 @@ func walkRecord(payload []byte, materialize bool, fn func(op RecordOp, off, end 
 // log order is more than strong enough.
 //
 // maxOID is the replay OID budget: the highest OID a non-corrupt log
-// could legitimately name (checkpoint watermark + every op the
-// segments claim, since each create allocates one sequential OID).
-// Ops beyond it are rejected — the store's page directory is dense, so
-// letting a corrupt record name OID 2⁵⁰ would allocate the directory
-// to match before any type check could object.
+// could legitimately name — the checkpoint watermark, plus every op the
+// segments claim (each create allocates one sequential OID), plus the
+// raises of the leases the writer logged for OIDs allocated without a
+// record (appendLease). Ops beyond it are rejected — the store's page
+// directory is dense, so letting a corrupt record name OID 2⁵⁰ would
+// allocate the directory to match before any type check could object.
 func applyOp(st *storage.Store, sch *schema.Schema, op RecordOp, maxOID uint64) error {
 	if uint64(op.OID) > maxOID {
 		return fmt.Errorf("wal: op names OID %d beyond the replayable bound %d", op.OID, maxOID)

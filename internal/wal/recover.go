@@ -84,10 +84,14 @@ func checkFingerprint(fsys FS, dir string, sch *schema.Schema) error {
 // running log ready to append. Recovery loads the newest intact
 // checkpoint (falling back to checkpoint.prev when the primary is
 // corrupt or half-renamed), replays every later segment in sequence
-// order — partitioned by instance across GOMAXPROCS goroutines when a
-// segment is large enough, since records touching different OIDs
-// commute — and sorts the extents. Replay is not idempotent: ops on a
-// missing OID are skipped, a create overwrites, a delta applies once.
+// order — partitioned by instance across GOMAXPROCS goroutines, one
+// chunk of ops at a time, when a segment is large enough, since
+// records touching different OIDs commute (replay.go) — and sorts the
+// extents. Replay is not idempotent: ops on a missing OID are skipped,
+// a create overwrites, a delta applies once. Ops may name OIDs up to
+// the checkpoint's watermark plus what the replayed segments claim:
+// their op counts and their leases (appendLease); the log appends
+// under that budget.
 // It truncates a torn tail off the final segment (a crash mid-batch
 // leaves at most one incomplete record suffix, since every batch is
 // written before any commit in it is acknowledged), and continues
@@ -160,7 +164,7 @@ func Open(dir string, st *storage.Store, o Options) (*Log, RecoveryInfo, error) 
 	}
 	st.SortExtents()
 
-	l := &Log{dir: dir, st: st, opts: o, fs: fsys}
+	l := &Log{dir: dir, st: st, opts: o, fs: fsys, leased: r.maxOID}
 	if last == base {
 		// Fresh directory (or checkpoint with no tail): start a segment.
 		l.seq = base + 1

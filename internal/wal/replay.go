@@ -5,13 +5,18 @@ package wal
 // deletes maintain disjoint extent entries under the per-class extent
 // latch, writes land on disjoint instances), while ops on one OID —
 // create, then writes, then perhaps delete — must apply in log order.
-// So the replayer scans each segment sequentially (frame validation,
-// CRC, torn-tail detection — the cheap part), partitions the ops of its
-// valid records by a hash of their OID, and applies the partitions on
-// GOMAXPROCS goroutines. Every partition preserves log order for
-// the OIDs it owns, which keeps the apply rules (skip ops on missing
-// instances, overwrite re-created images, add deltas) byte-identical to
-// sequential replay.
+// So the replayer scans each segment twice. The first pass validates
+// the frames (length, CRC, torn tail — the cheap part) and sums the
+// replay OID budget. The second walks the valid frames again and
+// partitions the ops of each record by a hash of their OID into
+// per-worker buckets; every replayChunkOps ops it hands the buckets to
+// GOMAXPROCS goroutines and waits for them. A chunk is fully applied
+// before the next one is partitioned, and every bucket preserves log
+// order for the OIDs it owns, so the apply rules (skip ops on missing
+// instances, overwrite re-created images, add deltas) stay
+// byte-identical to sequential replay. The buckets are reused, so
+// replay's scratch is O(chunk), not O(segment): the segment bytes and
+// the store it rebuilds are all it holds.
 //
 // The merge is made deterministic by normalization rather than by
 // ordering the workers: after the last segment, every class extent is
@@ -22,6 +27,7 @@ package wal
 import (
 	"encoding/binary"
 	"fmt"
+	"iter"
 	"sync"
 	"sync/atomic"
 
@@ -30,11 +36,16 @@ import (
 	"repro/internal/storage"
 )
 
-// minParallelReplayOps is the per-segment op count below which the
-// partitioning overhead is not worth paying and replay stays
-// sequential. A variable so tests can force the parallel path on small
-// deterministic workloads.
+// minParallelReplayOps is the per-segment budget (claimed ops plus
+// lease raises) below which the partitioning overhead is not worth
+// paying and replay stays sequential. A variable so tests can force the
+// parallel path on small deterministic workloads.
 var minParallelReplayOps = 4096
+
+// replayChunkOps is how many ops parallel replay partitions before it
+// applies them. A variable so tests can force chunk boundaries on small
+// workloads.
+var replayChunkOps = 1 << 16
 
 // opRef is one op's byte range within the segment being replayed.
 type opRef struct {
@@ -47,8 +58,9 @@ type replayer struct {
 	st      *storage.Store
 	sch     *schema.Schema
 	workers int
-	maxOID  uint64    // replay OID budget; grows with each segment's op count
-	buckets [][]opRef // per-worker op lists, reused across segments
+	maxOID  uint64    // replay OID budget; grows with each segment's claims
+	buckets [][]opRef // per-worker op lists of the current chunk, reused
+	queued  int       // ops in the buckets
 }
 
 // newReplayer returns a replayer applying on the given number of
@@ -70,96 +82,125 @@ func oidHash(oid uint64) uint64 {
 	return x
 }
 
-// scanFrames walks the framed records of one segment and returns the
-// valid payload ranges, the total op count their headers claim, and
-// tornAt: -1 when the whole segment is valid, otherwise the byte offset
-// at which the valid prefix ends (an incomplete frame or CRC mismatch —
-// the torn tail of a crash).
-func scanFrames(data []byte) (payloads []opRef, ops int64, tornAt int64) {
-	pos := int64(0)
+// scanFrames walks the framed records of one segment and returns end,
+// the length of its valid prefix (len(data) when the whole segment is
+// valid; otherwise the offset of an incomplete frame or CRC mismatch —
+// the torn tail of a crash), and budget, how far the valid frames raise
+// the replay OID budget (budgetRaise).
+func scanFrames(data []byte) (end int64, budget uint64) {
+	pos := 0
 	for {
 		rest := data[pos:]
-		if len(rest) == 0 {
-			return payloads, ops, -1
-		}
 		if len(rest) < codec.HeaderSize {
-			return payloads, ops, pos // torn frame header
+			return int64(pos), budget // the end, or a torn frame header
 		}
 		size, err := codec.Size(rest, maxRecordSize)
 		if err != nil || size > len(rest)-codec.HeaderSize {
-			return payloads, ops, pos // torn or garbage length
+			return int64(pos), budget // torn or garbage length
 		}
 		payload := rest[codec.HeaderSize : codec.HeaderSize+size]
 		if codec.Verify(rest, payload) != nil {
-			return payloads, ops, pos // torn payload
+			return int64(pos), budget // torn payload
 		}
-		if len(payload) >= hdrPayload {
-			// Clamp the claimed count to the payload size (every op costs
-			// ≥ 2 bytes); walkRecord rejects records that lie higher, and
-			// the clamped sum doubles as the replay OID budget.
-			claimed := int64(binary.LittleEndian.Uint32(payload[offNumOps:]))
-			if claimed > int64(len(payload)) {
-				claimed = int64(len(payload))
+		budget += budgetRaise(payload)
+		pos += codec.HeaderSize + size
+	}
+}
+
+// frames yields the offset and payload of every frame of data, a
+// prefix scanFrames found valid.
+func frames(data []byte) iter.Seq2[int64, []byte] {
+	return func(yield func(int64, []byte) bool) {
+		for pos := 0; pos < len(data); {
+			start := pos + codec.HeaderSize
+			end := start + int(binary.LittleEndian.Uint32(data[pos:]))
+			if !yield(int64(pos), data[start:end]) {
+				return
 			}
-			ops += claimed
+			pos = end
 		}
-		start := pos + codec.HeaderSize
-		payloads = append(payloads, opRef{off: start, end: start + int64(size)})
-		pos += codec.HeaderSize + int64(size)
 	}
 }
 
 // segment replays one segment's bytes into the store. It returns the
-// number of commit records applied and tornAt with the same contract as
-// scanFrames. Parallel and sequential replay of the same bytes produce
-// the same store state (extent order is normalized afterwards by
+// number of commit records applied and tornAt: -1 when the whole
+// segment is valid, otherwise the offset at which its valid prefix
+// ends. Parallel and sequential replay of the same bytes produce the
+// same store state (extent order is normalized afterwards by
 // SortExtents, which the caller runs once after the final segment).
 func (r *replayer) segment(data []byte) (records int, tornAt int64, err error) {
-	payloads, ops, tornAt := scanFrames(data)
-	// Each claimed op could legitimately be one create, each allocating
-	// one sequential OID — so this segment can name OIDs at most that
-	// far above what the store has seen.
-	r.maxOID += uint64(ops)
-	if r.workers <= 1 || ops < int64(minParallelReplayOps) {
-		for _, p := range payloads {
-			if err := applyRecord(r.st, r.sch, data[p.off:p.end], r.maxOID); err != nil {
-				return records, tornAt, fmt.Errorf("at offset %d: %w", p.off-codec.HeaderSize, err)
-			}
-			records++
-		}
-		return records, tornAt, nil
+	end, budget := scanFrames(data)
+	tornAt = -1
+	if end < int64(len(data)) {
+		tornAt = end
 	}
-
-	// Partition: one sequential skip-decode pass routes every op to the
-	// worker owning its OID. Log order is preserved inside each bucket.
-	if r.buckets == nil {
+	// Each claimed op could legitimately be one create, each allocating
+	// one sequential OID, and each lease covers OIDs allocated without
+	// reaching the log — so this segment can name OIDs at most that far
+	// above what the store has seen.
+	r.maxOID += budget
+	parallel := r.workers > 1 && budget >= uint64(minParallelReplayOps)
+	if parallel && r.buckets == nil {
 		r.buckets = make([][]opRef, r.workers)
 	}
-	for i := range r.buckets {
-		r.buckets[i] = r.buckets[i][:0]
-	}
-	for _, p := range payloads {
-		_, err := walkRecord(data[p.off:p.end], false, func(op RecordOp, off, end int) error {
-			w := oidHash(uint64(op.OID)) % uint64(r.workers)
-			r.buckets[w] = append(r.buckets[w], opRef{off: p.off + int64(off), end: p.off + int64(end)})
-			return nil
-		})
+	for off, payload := range frames(data[:end]) {
+		if lease, err := isLease(payload); lease || err != nil {
+			if err != nil {
+				return records, tornAt, fmt.Errorf("at offset %d: %w", off, err)
+			}
+			continue
+		}
+		if parallel {
+			err = r.partition(data, off, payload)
+		} else if err = applyRecord(r.st, r.sch, payload, r.maxOID); err != nil {
+			err = fmt.Errorf("at offset %d: %w", off, err)
+		}
 		if err != nil {
-			return records, tornAt, fmt.Errorf("at offset %d: %w", p.off-codec.HeaderSize, err)
+			return records, tornAt, err
 		}
 		records++
 	}
+	if parallel {
+		if err := r.apply(data); err != nil {
+			return records, tornAt, err
+		}
+	}
+	return records, tornAt, nil
+}
 
+// partition routes the ops of the record framed at off to the bucket
+// of the worker owning their OID, in log order, and applies the
+// buckets whenever they hold a chunk.
+func (r *replayer) partition(data []byte, off int64, payload []byte) error {
+	base := off + codec.HeaderSize
+	var applyErr error
+	_, err := walkRecord(payload, false, func(op RecordOp, start, end int) error {
+		w := oidHash(uint64(op.OID)) % uint64(r.workers)
+		r.buckets[w] = append(r.buckets[w], opRef{off: base + int64(start), end: base + int64(end)})
+		if r.queued++; r.queued >= replayChunkOps {
+			applyErr = r.apply(data)
+		}
+		return applyErr
+	})
+	if err != nil && applyErr == nil {
+		err = fmt.Errorf("at offset %d: %w", off, err) // a decode error, not an apply error
+	}
+	return err
+}
+
+// apply runs the queued chunk on the workers, waits for them and
+// empties the buckets.
+func (r *replayer) apply(data []byte) error {
 	var (
 		wg       sync.WaitGroup
 		failed   atomic.Bool
 		firstErr atomic.Value // error
 	)
-	for w := 0; w < r.workers; w++ {
-		ops := r.buckets[w]
+	for w, ops := range r.buckets {
 		if len(ops) == 0 {
 			continue
 		}
+		r.buckets[w] = ops[:0]
 		wg.Add(1)
 		go func(ops []opRef) {
 			defer wg.Done()
@@ -170,8 +211,8 @@ func (r *replayer) segment(data []byte) (records int, tornAt int64, err error) {
 				d := codec.NewDecoder(data[o.off:o.end])
 				op := decodeOp(&d, true)
 				if err := d.Err(); err != nil {
-					// Unreachable after a clean scan, but a worker must
-					// never trust that.
+					// Unreachable after a clean partition, but a worker
+					// must never trust that.
 					if failed.CompareAndSwap(false, true) {
 						firstErr.Store(err)
 					}
@@ -187,8 +228,9 @@ func (r *replayer) segment(data []byte) (records int, tornAt int64, err error) {
 		}(ops)
 	}
 	wg.Wait()
+	r.queued = 0
 	if failed.Load() {
-		return records, tornAt, firstErr.Load().(error)
+		return firstErr.Load().(error)
 	}
-	return records, tornAt, nil
+	return nil
 }

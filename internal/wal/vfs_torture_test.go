@@ -127,15 +127,17 @@ func (ts *tortureState) checkLiveSegment(l *Log) {
 	if err != nil || ts.flip {
 		return // an injected read failure costs nothing durable
 	}
-	payloads, _, tornAt := scanFrames(data)
-	if tornAt >= 0 {
-		ts.t.Fatalf("%s: torn record at offset %d on a healthy log", path, tornAt)
+	if end, _ := scanFrames(data); end < int64(len(data)) {
+		ts.t.Fatalf("%s: torn record at offset %d on a healthy log", path, end)
 	}
-	if len(payloads) == 0 {
+	var last []byte
+	for _, payload := range frames(data) {
+		last = payload
+	}
+	if last == nil {
 		ts.t.Fatalf("%s: no record; commit %d was acknowledged", path, ts.g)
 	}
-	last := payloads[len(payloads)-1]
-	rec, err := DecodeRecord(data[last.off:last.end])
+	rec, err := DecodeRecord(last)
 	if err != nil {
 		ts.t.Fatalf("%s: last record: %v", path, err)
 	}
