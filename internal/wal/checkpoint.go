@@ -32,7 +32,7 @@ import (
 //	the magic
 //
 // where an image is the body of an OpCreate op (record.go), and nextOID
-// is the OID watermark the writer takes at the seal (Log.rotate): the
+// is the OID watermark the writer takes at the seal (sealWatermark): the
 // lower of the store's allocation watermark and the replay budget the
 // log has covered. Every checkpointed OID lies at or below both, and
 // replay from checkpoint.prev or the first segment reaches at least
