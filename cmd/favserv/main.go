@@ -60,21 +60,20 @@ func main() {
 		ckptEach = flag.Int64("checkpoint-bytes", 0, "auto-checkpoint when the log exceeds this size (0: manual only)")
 		syncMode = flag.String("sync", "always", "durability policy: always, never, or an fsync interval like 2ms")
 		slowTxn  = flag.Duration("slow-txn", 0, "arm the transaction flight recorder at this threshold")
-		noMetric = flag.Bool("no-metrics", false, "strip the observability registry")
 		debug    = flag.Bool("debug", false, "log per-connection protocol errors")
 		smoke    = flag.Bool("smoke", false, "start, self-check over a loopback client, and exit")
 	)
 	flag.Var(&commuting, "commuting", "ad hoc commutativity declaration class:method:method (repeatable)")
 	flag.Parse()
 	if err := serve(*addr, *sock, *schemaF, *strategy, *dir, *ckptEach,
-		*syncMode, *slowTxn, *noMetric, *debug, *smoke, commuting); err != nil {
+		*syncMode, *slowTxn, *debug, *smoke, commuting); err != nil {
 		fmt.Fprintln(os.Stderr, "favserv:", err)
 		os.Exit(1)
 	}
 }
 
 func serve(addr, sock, schemaF, strategy, dir string, ckptEach int64, syncMode string,
-	slowTxn time.Duration, noMetric, debug, smoke bool, commuting commutingFlags) error {
+	slowTxn time.Duration, debug, smoke bool, commuting commutingFlags) error {
 	if (addr == "") == (sock == "") {
 		return fmt.Errorf("exactly one of -addr or -sock is required")
 	}
@@ -117,7 +116,6 @@ func serve(addr, sock, schemaF, strategy, dir string, ckptEach int64, syncMode s
 		Dir:                  dir,
 		CheckpointEveryBytes: ckptEach,
 		Sync:                 sync,
-		NoMetrics:            noMetric,
 	})
 	if err != nil {
 		return err

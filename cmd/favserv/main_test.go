@@ -37,7 +37,7 @@ end`)
 	}
 	defer live.Close()
 
-	err = serve("", sock, "banking", "fine", "", 0, "always", 0, false, false, true, nil)
+	err = serve("", sock, "banking", "fine", "", 0, "always", 0, false, true, nil)
 	if err == nil || !strings.Contains(err.Error(), "already has a live server") {
 		t.Fatalf("second serve on a live socket: err = %v, want the live-server refusal", err)
 	}

@@ -47,38 +47,6 @@ func BenchmarkHotSend(b *testing.B) {
 	}
 }
 
-// The same warm send with the metrics registry stripped: the delta vs
-// BenchmarkHotSend is the entire per-send price of the observability
-// layer (two clock reads plus wait-free histogram/counter adds).
-func BenchmarkHotSendStripped(b *testing.B) {
-	db, err := engine.OpenWithOptions(compileFig1(b), engine.Options{
-		Strategy:  engine.FineCC{},
-		NoMetrics: true,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	var oid storage.OID
-	err = db.RunWithRetry(func(tx *txn.Txn) error {
-		in, err := db.NewInstance(tx, "c2", storage.IntV(1), storage.BoolV(false))
-		oid = in.OID
-		return err
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	tx := db.Begin()
-	defer tx.Commit()
-	args := []engine.Value{storage.IntV(1), storage.IntV(2)}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := db.Send(tx, oid, "m4", args...); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // The same send through the pre-interned fast path: no string touch at
 // all, not even the one map lookup of the API boundary.
 func BenchmarkHotSendID(b *testing.B) {

@@ -40,7 +40,8 @@ type Options struct {
 	// NoMetrics strips the observability registry entirely: no
 	// per-method series, no lock-wait or WAL histograms, Metrics()
 	// returns nil. The instrumented paths reduce to one nil check; the
-	// overhead experiments open both ways and diff the throughput.
+	// benchmark's obs.send_tax_ns probe opens both ways and diffs the
+	// send cost. oodb always opens with metrics.
 	NoMetrics bool
 }
 

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 	"sync"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/lock"
@@ -465,8 +464,9 @@ func (ec *execCtx) topSendName(oid storage.OID, method string, args []Value) (Va
 
 // topSend resolves the receiver once and wraps the send with the
 // per-(class,method) telemetry: when the registry is live, the finished
-// send lands in its class's dense metric slot with the measured
-// latency. Stripped databases skip straight through on a nil check.
+// send lands in its class's dense metric slot. Only a random 1 in
+// obs.SampleEvery sends reads the clock; the rest are counted untimed.
+// Stripped databases skip straight through on a nil check.
 func (ec *execCtx) topSend(oid storage.OID, mid schema.MethodID, args []Value) (Value, error) {
 	in, ok := ec.db.Store.Get(oid)
 	if !ok {
@@ -476,9 +476,9 @@ func (ec *execCtx) topSend(oid storage.OID, mid schema.MethodID, args []Value) (
 	if m == nil {
 		return ec.topSendRaw(in, mid, args)
 	}
-	start := time.Now()
+	start := obs.SampleStart()
 	v, err := ec.topSendRaw(in, mid, args)
-	m.noteSend(in.Class, mid, ec.snapshot, err, time.Since(start))
+	m.noteSend(in.Class, mid, ec.snapshot, err, start)
 	return v, err
 }
 

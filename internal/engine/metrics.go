@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"io"
 	"time"
 
 	"repro/internal/lock"
@@ -105,12 +104,12 @@ func newDBMetrics(db *DB) *dbMetrics {
 	return m
 }
 
-// noteSend records one finished top-level send into the dense arrays.
-// Called on the warm path with metrics enabled: one class-array load,
-// one method-array load, a histogram Record and at most two counter
-// increments — no maps, no allocation.
+// noteSend records one finished top-level send, begun at
+// obs.SampleStart, into the dense arrays: one class-array load, one
+// method-array load, a histogram add and at most two counter increments
+// — no maps, no allocation.
 func (m *dbMetrics) noteSend(cls *schema.Class, mid schema.MethodID,
-	snapshot bool, err error, d time.Duration) {
+	snapshot bool, err error, start time.Time) {
 	cm := &m.classes[cls.ID]
 	if int(mid) >= len(cm.sendLat) {
 		return
@@ -119,7 +118,7 @@ func (m *dbMetrics) noteSend(cls *schema.Class, mid schema.MethodID,
 	if h == nil {
 		return
 	}
-	h.Record(d)
+	h.Done(start)
 	if snapshot {
 		cm.snapSends[mid].Inc()
 	}
@@ -153,12 +152,3 @@ func (db *DB) SetSlowTxnThreshold(d time.Duration) { db.flight.SetThreshold(d) }
 // SlowTxns returns the flight recorder's captured transactions, newest
 // first (empty until the recorder is armed and a slow txn completes).
 func (db *DB) SlowTxns() []obs.SlowTxn { return db.flight.SlowTxns() }
-
-// WriteMetrics renders the registry as Prometheus text exposition (see
-// obs.Registry.WritePrometheus). A no-op when metrics are stripped.
-func (db *DB) WriteMetrics(w io.Writer) error {
-	if db.metrics == nil {
-		return nil
-	}
-	return db.metrics.reg.WritePrometheus(w)
-}

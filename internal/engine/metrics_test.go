@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"reflect"
+	"sync"
 	"testing"
 
 	"repro/internal/paperex"
@@ -103,4 +104,78 @@ func TestLayerStatsAreSeries(t *testing.T) {
 		"Bytes":       "favcc_wal_bytes_total",
 		"Checkpoints": "favcc_wal_checkpoints_total",
 	})
+}
+
+// TestSendLatencySampled: two goroutines each repeat one fixed 4-send
+// transaction shape (m1, m2, m3, m4 on their own c2 instance) 32 Ki
+// times. Every send is counted, so each method's _count is exactly the
+// number of its sends; only sampled sends are timed, and sampling at
+// random (not every SampleEvery-th send of a pooled context, which a
+// 4-send shape would alias with) leaves every method with samples.
+func TestSendLatencySampled(t *testing.T) {
+	db := newFigure1DB(t, FineCC{})
+	const workers, per = 2, 32 << 10
+	shape := []struct {
+		method string
+		args   []Value
+	}{
+		{"m1", []Value{storage.IntV(1)}},
+		{"m2", []Value{storage.IntV(2)}},
+		{"m3", nil},
+		{"m4", []Value{storage.IntV(1), storage.IntV(2)}},
+	}
+	var wg sync.WaitGroup
+	errs := make(chan error, workers)
+	for w := 0; w < workers; w++ {
+		oid, _ := seedC2(t, db, false)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < per; i++ {
+				err := db.RunWithRetry(func(tx *txn.Txn) error {
+					for _, s := range shape {
+						if _, err := db.Send(tx, oid, s.method, s.args...); err != nil {
+							return err
+						}
+					}
+					return nil
+				})
+				if err != nil {
+					errs <- err
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+
+	var buf bytes.Buffer
+	if err := db.Metrics().WriteJSON(&buf); err != nil {
+		t.Fatal(err)
+	}
+	var reg map[string]json.RawMessage
+	if err := json.Unmarshal(buf.Bytes(), &reg); err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range shape {
+		key := `favcc_send_latency_seconds{class="c2",method="` + s.method + `"}`
+		var h struct {
+			Count int64
+			Sum   float64
+			P99   float64
+		}
+		if err := json.Unmarshal(reg[key], &h); err != nil {
+			t.Fatalf("%s: %v", key, err)
+		}
+		if h.Count != workers*per {
+			t.Errorf("%s count = %d, want %d", key, h.Count, workers*per)
+		}
+		if h.Sum <= 0 || h.P99 <= 0 {
+			t.Errorf("%s has no timed sample: sum %g, p99 %g", key, h.Sum, h.P99)
+		}
+	}
 }

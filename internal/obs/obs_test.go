@@ -5,10 +5,12 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
+	"math/rand/v2"
 	"net/http/httptest"
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -54,6 +56,78 @@ func TestHistQuantiles(t *testing.T) {
 			t.Errorf("q%g = %g, want ~%g", tc.q, got, tc.want)
 		}
 	}
+}
+
+// TestHistQuantileNearestRank: the q-quantile of n values is the
+// ⌈q·n⌉-th smallest, not the ⌊q·n⌋-th.
+func TestHistQuantileNearestRank(t *testing.T) {
+	for _, tc := range []struct {
+		vals []uint64
+		q    float64
+		want uint64
+	}{
+		{[]uint64{1, 1000}, 0.99, histBucketMid(histBucketOf(1000))},
+		{[]uint64{1, 1000}, 0.5, 1},
+		{[]uint64{1, 2, 3}, 0.5, 2},
+		{[]uint64{1, 2, 3}, 1, 3},
+		{[]uint64{5}, 0.01, 5},
+	} {
+		var h Hist
+		for _, v := range tc.vals {
+			h.Observe(v)
+		}
+		if got := h.Quantile(tc.q); got != tc.want {
+			t.Errorf("q%g of %v = %d, want %d", tc.q, tc.vals, got, tc.want)
+		}
+	}
+}
+
+// TestHistSampled mixes untimed (Inc) and sampled (RecordSample) events
+// from two goroutines: the count stays exact, each sample weighs
+// SampleEvery in the buckets, and the quantiles and sum of 64 Ki
+// uniform values estimated from their samples land within the bucket
+// tolerance of the true ones.
+func TestHistSampled(t *testing.T) {
+	var h Hist
+	const workers, per, maxV = 2, 32 << 10, 1000
+	var samples atomic.Int64
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < per; i++ {
+				v := 1 + rand.N[time.Duration](maxV)
+				if Sample() {
+					h.RecordSample(v)
+					samples.Add(1)
+				} else {
+					h.Inc()
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if h.Count() != workers*per {
+		t.Fatalf("count = %d, want %d", h.Count(), workers*per)
+	}
+	var mass int64
+	for i := range h.buckets {
+		mass += h.buckets[i].Load()
+	}
+	if n := samples.Load(); n == 0 || mass != SampleEvery*n {
+		t.Fatalf("bucket mass = %d, want %d × %d samples", mass, SampleEvery, n)
+	}
+	near := func(what string, got, want float64) {
+		t.Helper()
+		if math.Abs(got-want)/want > 0.13 {
+			t.Errorf("%s = %g, want ~%g", what, got, want)
+		}
+	}
+	for _, q := range []float64{0.5, 0.95, 0.99} {
+		near(fmt.Sprintf("q%g", q), float64(h.Quantile(q)), q*maxV)
+	}
+	near("sum", float64(h.Sum()), workers*per*(maxV+1)/2)
 }
 
 func TestHistRecordClampsNegative(t *testing.T) {

@@ -65,23 +65,13 @@ type Server struct {
 	errorsTotal   obs.Counter
 
 	// Request-latency histograms per command type, registered on the
-	// database's obs registry (nil under NoMetrics). For pipelined
-	// transactions the txn histogram measures through sequencing (the
-	// client-visible dequeue-to-ack path adds the durability wait).
-	histTxn  histRecorder
-	histView histRecorder
-	histPing histRecorder
-}
-
-// histRecorder is an obs.Hist that may be absent (NoMetrics).
-type histRecorder struct {
-	h interface{ Record(time.Duration) }
-}
-
-func (hr histRecorder) record(d time.Duration) {
-	if hr.h != nil {
-		hr.h.Record(d)
-	}
+	// database's obs registry and sampled 1 in obs.SampleEvery.
+	// For pipelined transactions the txn histogram measures through
+	// sequencing (the client-visible dequeue-to-ack path adds the
+	// durability wait).
+	histTxn  *obs.Hist
+	histView *obs.Hist
+	histPing *obs.Hist
 }
 
 // Listen starts serving db on the given network address ("tcp",
@@ -114,9 +104,6 @@ func Serve(db *oodb.Database, ln net.Listener, cfg Config) *Server {
 // one database export two sets.
 func (s *Server) registerMetrics() {
 	reg := s.db.Metrics()
-	if reg == nil {
-		return
-	}
 	ln := obs.Labels("listener", s.ln.Addr().String())
 	reg.GaugeFunc("favserv_conns_active", "open client sessions", ln, s.connsActive.Load)
 	reg.GaugeFunc("favserv_inflight_requests", "requests read but not yet responded to", ln, s.inflight.Load)
@@ -126,9 +113,9 @@ func (s *Server) registerMetrics() {
 	reg.RegisterCounter("favserv_txns_total", "update transactions executed (pipelined and blocking)", ln, &s.txns)
 	reg.RegisterCounter("favserv_views_total", "read-only views executed", ln, &s.views)
 	help := "server-side request latency (txn: through commit sequencing)"
-	s.histTxn.h = reg.Histogram("favserv_request_seconds", help, ln+`,op="txn"`, true)
-	s.histView.h = reg.Histogram("favserv_request_seconds", help, ln+`,op="view"`, true)
-	s.histPing.h = reg.Histogram("favserv_request_seconds", help, ln+`,op="ping"`, true)
+	s.histTxn = reg.Histogram("favserv_request_seconds", help, ln+`,op="txn"`, true)
+	s.histView = reg.Histogram("favserv_request_seconds", help, ln+`,op="view"`, true)
+	s.histPing = reg.Histogram("favserv_request_seconds", help, ln+`,op="ping"`, true)
 }
 
 // Addr returns the bound listener address.
@@ -356,12 +343,12 @@ func appendErrResponse(b []byte, id uint64, err error) []byte {
 // (or the pipelined future plus pre-encoded success response) on p.
 func (sess *session) execute(p *pending) {
 	s, req := sess.srv, &sess.req
-	start := time.Now()
+	start := obs.SampleStart()
 	s.requests.Add(1)
 	switch req.Op {
 	case OpPing:
 		p.buf, _ = AppendResponse(p.buf[:0], &Response{ID: req.ID})
-		s.histPing.record(time.Since(start))
+		s.histPing.Done(start)
 		return
 	case OpStats:
 		js, err := json.Marshal(s.Stats())
@@ -400,7 +387,7 @@ func (sess *session) execute(p *pending) {
 		s.txns.Add(1)
 		p.fut, err = s.db.Txns.RunWithRetryPipelined(ctx, sess.run)
 	}
-	hist.record(time.Since(start))
+	hist.Done(start)
 	if err == nil {
 		p.buf, err = AppendResponse(p.buf[:0], &Response{ID: req.ID, Results: sess.results})
 	}

@@ -227,33 +227,6 @@ func TestSlowTxns(t *testing.T) {
 	}
 }
 
-// TestNoMetricsOption checks the stripped mode: nil registry, no-op
-// renderers, and a debug handler that serves rather than panics.
-func TestNoMetricsOption(t *testing.T) {
-	db, err := OpenWith(compileFig1(t), Fine, Options{NoMetrics: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if db.Metrics() != nil {
-		t.Error("NoMetrics must leave Metrics() nil")
-	}
-	var buf bytes.Buffer
-	if err := db.WriteMetrics(&buf); err != nil || buf.Len() != 0 {
-		t.Errorf("stripped WriteMetrics: err=%v len=%d", err, buf.Len())
-	}
-	if err := db.Update(func(tx *Txn) error {
-		_, err := tx.New("c2", int64(1), false)
-		return err
-	}); err != nil {
-		t.Fatal(err)
-	}
-	rr := httptest.NewRecorder()
-	db.DebugHandler().ServeHTTP(rr, httptest.NewRequest("GET", "/metrics", nil))
-	if rr.Code != 200 {
-		t.Errorf("stripped /metrics status %d", rr.Code)
-	}
-}
-
 // TestDebugHandler is the CI smoke: every endpoint of the mounted
 // debug surface answers 200 with plausible content.
 func TestDebugHandler(t *testing.T) {

@@ -529,26 +529,19 @@ func (d *Database) Stats() Stats {
 }
 
 // Metrics returns the database's metrics registry — per-method latency
-// histograms, abort/deadlock counters, WAL and MVCC telemetry — or nil
-// when the database was opened with Options.NoMetrics. The registry snapshots
-// without stopping writers; render it with WriteMetrics/MetricsJSON or
-// mount it with DebugHandler.
+// histograms, abort/deadlock counters, WAL and MVCC telemetry. The
+// registry snapshots without stopping writers; render it with
+// WriteMetrics/MetricsJSON or mount it with DebugHandler.
 func (d *Database) Metrics() *obs.Registry { return d.db.Metrics() }
 
 // WriteMetrics renders the full metrics registry in Prometheus text
 // exposition format (histograms as summaries with p50/p95/p99, _sum and
-// _count; durations in seconds). No-op under NoMetrics.
-func (d *Database) WriteMetrics(w io.Writer) error { return d.db.WriteMetrics(w) }
+// _count; durations in seconds).
+func (d *Database) WriteMetrics(w io.Writer) error { return d.db.Metrics().WritePrometheus(w) }
 
 // MetricsJSON renders the registry as one flat expvar-style JSON
-// object. No-op under NoMetrics.
-func (d *Database) MetricsJSON(w io.Writer) error {
-	reg := d.db.Metrics()
-	if reg == nil {
-		return nil
-	}
-	return reg.WriteJSON(w)
-}
+// object.
+func (d *Database) MetricsJSON(w io.Writer) error { return d.db.Metrics().WriteJSON(w) }
 
 // SlowTxn is a captured slow-transaction trace (see SlowTxns).
 type SlowTxn = obs.SlowTxn
@@ -575,11 +568,7 @@ func (d *Database) SlowTxns() []SlowTxn { return d.db.SlowTxns() }
 // /debug/pprof/* — for favcc/favbench's opt-in debug listener. Nothing
 // starts a server unless the caller mounts this.
 func (d *Database) DebugHandler() http.Handler {
-	reg := d.db.Metrics()
-	if reg == nil {
-		reg = obs.NewRegistry() // NoMetrics: serve an empty page, not a panic
-	}
-	return obs.NewDebugHandler(reg, d.db.Flight())
+	return obs.NewDebugHandler(d.db.Metrics(), d.db.Flight())
 }
 
 // DumpObject writes a labelled snapshot of an object's fields, for

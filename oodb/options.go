@@ -10,8 +10,8 @@ import (
 // Options is the whole open-time configuration as one plain struct, so
 // a server configuration (favserv's flags, a config file) maps 1:1 onto
 // it. The zero value is a volatile database with full-sync semantics
-// (moot while volatile) and metrics on. The flight recorder starts
-// disarmed; SetSlowTxnThreshold arms it.
+// (moot while volatile). Metrics are always on; the flight recorder
+// starts disarmed, and SetSlowTxnThreshold arms it.
 type Options struct {
 	// Dir, when non-empty, makes the database persistent under this
 	// directory: OpenWith recovers any existing checkpoint + redo-log
@@ -25,12 +25,6 @@ type Options struct {
 	// Sync decides when a durable commit is acknowledged: SyncAlways
 	// (the zero value), SyncEvery(d) or SyncNever. See SyncPolicy.
 	Sync SyncPolicy
-	// NoMetrics strips the observability registry: Metrics returns nil
-	// and the instrumented hot paths reduce to a nil check. The default
-	// keeps metrics on — the overhead is a clock read and a few atomic
-	// adds per send (measured in EXPERIMENTS.md).
-	NoMetrics bool
-
 	// fs stands a filesystem (typically a wal.FaultFS) under the redo
 	// log. Test-only: the failure-injection suites use it to drive the
 	// public API onto a hostile disk; it is deliberately unexported.
@@ -86,7 +80,6 @@ func OpenWith(s *Schema, strategy Strategy, o Options) (*Database, error) {
 		CheckpointBytes: o.CheckpointEveryBytes,
 		Sync:            o.Sync,
 		FS:              o.fs,
-		NoMetrics:       o.NoMetrics,
 	})
 	if err != nil {
 		return nil, err
