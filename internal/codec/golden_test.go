@@ -153,14 +153,13 @@ func walEntries(t testing.TB) []goldenEntry {
 	in2 := mk(storage.IntV(-3), storage.IntV(1<<40), storage.StrV("two"), storage.BoolV(true), storage.RefV(in1.OID))
 	in3 := mk(storage.IntV(0), storage.IntV(0), storage.StrV(""), storage.BoolV(false), storage.RefV(in2.OID))
 	commit := func(c interface {
-		Submit() (*wal.Future, wal.Cut, error)
+		Submit(func(uint64)) (*wal.Future, error)
 	}) {
 		t.Helper()
-		fut, cut, err := c.Submit()
+		fut, err := c.Submit(st.FinishEpoch)
 		if err != nil {
 			t.Fatal(err)
 		}
-		cut.Release()
 		if err := fut.Wait(); err != nil {
 			t.Fatal(err)
 		}

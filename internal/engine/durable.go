@@ -105,9 +105,9 @@ func (db *DB) Recovery() wal.RecoveryInfo { return db.recovery }
 // Failed reports the redo log's latched fail-stop error: nil while the
 // database is volatile or healthy, otherwise the original I/O failure
 // (matching wal.ErrLogFailed, and wal.ErrDiskFull on out-of-space).
-// Once non-nil the database is in degraded read-only mode — reads keep
-// serving the committed in-memory state, writes fail with
-// txn.ErrReadOnly — and only a reopen can clear it.
+// Once non-nil the database is degraded: the retry loop runs every
+// transaction as a snapshot of the acknowledged prefix, writes fail with
+// txn.ErrReadOnly, and only a reopen can clear it.
 func (db *DB) Failed() error {
 	if w := db.Txns.WAL(); w != nil {
 		return w.Failed()

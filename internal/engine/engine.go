@@ -503,7 +503,7 @@ func (ec *execCtx) topSendRaw(in *storage.Instance, mid schema.MethodID, args []
 		// mutation without its locks.
 		if int(mid) >= len(crt.snapRead) || !crt.snapRead[mid] {
 			return Value{}, fmt.Errorf("engine: %s.%s writes per its access vector: %w",
-				in.Class.Name, ec.db.rt.MethodName(mid), txn.ErrSnapshotWrite)
+				in.Class.Name, ec.db.rt.MethodName(mid), ec.tx.Writable())
 		}
 	} else {
 		if err := crt.plans[mid].top.acquire(ec.acq, uint64(in.OID)); err != nil {
@@ -607,7 +607,7 @@ func (ec *execCtx) scanDomainSnapshot(root *schema.Class, mid schema.MethodID,
 	crt := ec.db.rt.class(root)
 	if int(mid) >= len(crt.snapRead) || !crt.snapRead[mid] {
 		return 0, fmt.Errorf("engine: %s.%s writes per its access vector: %w",
-			root.Name, ec.db.rt.MethodName(mid), txn.ErrSnapshotWrite)
+			root.Name, ec.db.rt.MethodName(mid), ec.tx.Writable())
 	}
 	ec.db.scans.Add(1)
 	count := 0

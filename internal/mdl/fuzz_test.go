@@ -49,6 +49,7 @@ class b inherits a is
 end`)
 	f.Add(`class z is method m is send nope to self end end`)
 	f.Add(`class z is method m is return frobnicate(1, "x", true) end end`)
+	f.Add("class z is method m is return frobnicate(1, \"x\xcc\xfe\x04\x9d\xab,\", true) end end")
 	f.Add("class w is method m is while true do x := 1 end end end")
 	f.Fuzz(func(t *testing.T, src string) {
 		if len(src) > 8<<10 {

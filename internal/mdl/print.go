@@ -86,6 +86,10 @@ func printStmts(sb *strings.Builder, stmts []Stmt, depth int) {
 	}
 }
 
+// strLitEscaper writes a string literal's value with exactly the four
+// escapes the lexer knows; every other byte stands as it is.
+var strLitEscaper = strings.NewReplacer("\n", `\n`, "\t", `\t`, `"`, `\"`, `\`, `\\`)
+
 // ExprString renders an expression in canonical, fully-parenthesised form
 // for nested binaries, so precedence survives the round trip.
 func ExprString(e Expr) string {
@@ -98,7 +102,7 @@ func ExprString(e Expr) string {
 		}
 		return "false"
 	case *StrLit:
-		return fmt.Sprintf("%q", e.Val)
+		return `"` + strLitEscaper.Replace(e.Val) + `"`
 	case *Ident:
 		return e.Name
 	case *SelfExpr:

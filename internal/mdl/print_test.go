@@ -41,6 +41,36 @@ func TestExprStringCoversAllKinds(t *testing.T) {
 	}
 }
 
+// A string literal prints in a form the lexer reads back to the same
+// value: only the four escapes it knows, every other byte as it stands.
+func TestPrintStringLiteralRoundTrip(t *testing.T) {
+	for _, src := range []string{
+		"class z is method m is return frobnicate(1, \"x\xcc\xfe\x04\x9d\xab,\", true) end end",
+		`class z is method m is return f("tab\there \"q\" back\\slash\nline") end end`,
+		"class z is method m is return f(\"cr\r bell\a nul\x00 \u00e9\") end end",
+	} {
+		parse := func(src string) (*File, string) {
+			t.Helper()
+			file, err := ParseFile(src)
+			if err != nil {
+				t.Fatalf("%q: %v", src, err)
+			}
+			for _, arg := range file.Classes[0].Methods[0].Body[0].(*Return).Value.(*Call).Args {
+				if lit, ok := arg.(*StrLit); ok {
+					return file, lit.Val
+				}
+			}
+			t.Fatalf("%q: no string literal argument", src)
+			return nil, ""
+		}
+		file, want := parse(src)
+		printed := Print(file)
+		if _, got := parse(printed); got != want {
+			t.Errorf("%q: printed %q re-parses to %q, want %q", src, printed, got, want)
+		}
+	}
+}
+
 func TestExprStringUnknown(t *testing.T) {
 	if got := ExprString(nil); !strings.Contains(got, "unknown") {
 		t.Errorf("got %s", got)

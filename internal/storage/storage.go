@@ -517,10 +517,11 @@ type Store struct {
 	// Multiversion read state (see version.go): commit-epoch counters,
 	// the active snapshot-reader registry that drives version
 	// reclamation, and the record arena.
-	epochNext   atomic.Uint64
-	epochStable atomic.Uint64
-	snapshots   snapReg
-	versions    verArena
+	epochNext    atomic.Uint64
+	epochStable  atomic.Uint64
+	epochDurable atomic.Uint64
+	snapshots    snapReg
+	versions     verArena
 
 	// MVCC telemetry: lifetime records linked and records reclaimed by
 	// pruning, read by the engine's metrics registry.
@@ -537,6 +538,7 @@ func NewStore(s *schema.Schema) *Store {
 	dir := make([]*page, 1)
 	dir[0] = new(page)
 	st.dir.Store(&dir)
+	st.epochDurable.Store(math.MaxUint64)
 	st.snapshots.minBegin.Store(math.MaxUint64)
 	return st
 }

@@ -29,17 +29,18 @@
 //     reads it as it stands. Abort restores the cell and unlinks the
 //     record in one window; commit only stamps the record's epoch, and
 //     a committed delete then removes the instance from the store.
-//   - Two counters: epochNext hands out commit epochs, epochStable is
-//     the highest epoch whose commit (and every earlier one) has stamped
-//     its records. Epochs retire in order (FinishEpoch), so a reader
-//     that begins at B = epochStable finds every record of a commit ≤ B
-//     stamped, and every other record reads pending or an epoch > B —
-//     the snapshot is a consistent prefix of the commit order over
-//     surviving instances. Stamping therefore needs no seq bump: the
-//     two values a racing reader can see mean the same thing to it.
-//     (A committed delete removes the instance at once, so one that
-//     commits after B takes it out of a snapshot begun at B. See the
-//     contract notes on engine scanDomainSnapshot and oodb.View.)
+//   - Three counters: epochNext hands out commit epochs; epochStable and
+//     epochDurable, both advancing in epoch order, are the highest epoch
+//     whose commit (and every earlier one) has stamped its records, and
+//     the highest the redo log acknowledged (MaxUint64 without a log).
+//     A reader that begins at B = min(stable, durable) finds every record
+//     of a commit ≤ B stamped, and every other record reads pending or
+//     an epoch > B — the snapshot is a consistent prefix of the
+//     acknowledged commit order over surviving instances. Stamping
+//     therefore needs no seq bump: the two values a racing reader can
+//     see mean the same thing to it. (A committed delete removes the
+//     instance at once, so one that commits after B takes it out of a
+//     snapshot begun at B: see engine scanDomainSnapshot and oodb.View.)
 //   - The reader's whole reconstruction — live cell, chain head, every
 //     hop — sits inside one seqlock section of the instance. Linking,
 //     unlinking and pruning all happen with seq odd, so a reader that
@@ -48,27 +49,26 @@
 //     what makes recycling a pruned record immediately safe. Chains are
 //     not epoch-sorted (a protocol may grant two uncommitted writers of
 //     one instance, who commit in either order), so the reader walks the
-//     whole chain. Per
-//     slot, non-commuting writers are serialized by 2PL, so push order
-//     is commit order and walking newest-to-oldest leaves the oldest
-//     rolled-back before-image as the value; deltas commute.
+//     whole chain. Per slot, non-commuting writers are serialized by 2PL,
+//     so push order is commit order and walking newest-to-oldest leaves
+//     the oldest rolled-back before-image as the value; deltas commute.
 //   - Reclamation is watermark-driven and done by the next writer of the
 //     instance, inside the window it already holds: a record whose epoch
-//     is ≤ the minimum begin epoch of all active readers (the stable
-//     epoch when there are none) is rolled back by no present or future
-//     reader, wherever in the chain it sits. The watermark is two atomic
-//     loads, stable epoch first, then the cached minimum begin epoch. A
-//     reader that becomes the only one announces that minimum BEFORE it
-//     fixes its begin epoch, so a pruner that missed the announcement
-//     loaded its stable epoch before the reader loaded its own: the
-//     reader began at or above the pruner's watermark.
+//     is ≤ min(stable, durable, minimum begin epoch of all active
+//     readers) is rolled back by no present or future reader, wherever
+//     in the chain it sits (the durable term keeps an unacknowledged
+//     commit's before-images). The watermark is three atomic loads:
+//     stable, durable, then the cached minimum begin epoch. A reader
+//     that becomes the only one announces that minimum BEFORE it fixes
+//     its begin epoch, so a pruner that missed the announcement loaded
+//     its stable and durable epochs before the reader loaded its own:
+//     the reader began at or above the pruner's watermark.
 //   - Epochs are process-local. The redo log and the checkpoint carry
-//     none, and a commit draws its epoch only after its record is
-//     sequenced (and hardened, when it waits for that), so no epoch
-//     exists that the log would have to agree with. Recovery,
-//     checkpoint load and Install link nothing, and an instance with an
-//     empty chain is visible, as it stands, to every snapshot: a
-//     recovered store starts at epoch 0 with all of it visible.
+//     none; a durable commit draws its epoch as the log sequences its
+//     record, so epoch order is log order. Recovery, checkpoint load and
+//     Install link nothing, and an instance with an empty chain is
+//     visible, as it stands, to every snapshot: a recovered store starts
+//     at epoch 0 (durable too) with all of it visible.
 package storage
 
 import (
@@ -167,13 +167,15 @@ func (a *verArena) get() *Version {
 	return v
 }
 
-// AllocEpoch draws the next commit epoch. A commit draws it once it
-// stands — its redo record sequenced, and hardened when it waits for
-// that — and then only stamps its records and retires it with
-// FinishEpoch. Every allocated epoch MUST be retired: later commits
-// retire in epoch order, so between the two a holder of epoch e must
-// not wait on anything, or the turnstile would deadlock.
+// AllocEpoch draws the next commit epoch: a durable commit's as the log
+// sequences its record, stamped and retired under the log's mutex, any
+// other as it publishes. The holder only stamps its records and retires
+// it with FinishEpoch: later commits retire in epoch order, so in
+// between a holder of epoch e must not wait on anything.
 func (s *Store) AllocEpoch() uint64 { return s.epochNext.Add(1) }
+
+// LastEpoch returns the highest commit epoch drawn so far.
+func (s *Store) LastEpoch() uint64 { return s.epochNext.Load() }
 
 // FinishEpoch retires epoch e: every record of its commit is stamped.
 // Commits retire in epoch order, so the caller spins until every earlier
@@ -189,18 +191,27 @@ func (s *Store) FinishEpoch(e uint64) {
 // StableEpoch returns the highest retired commit epoch.
 func (s *Store) StableEpoch() uint64 { return s.epochStable.Load() }
 
+// DurableEpoch returns the highest epoch the redo log acknowledged.
+func (s *Store) DurableEpoch() uint64 { return s.epochDurable.Load() }
+
+// SetDurableEpoch is the log's: it acknowledged every epoch up to e.
+func (s *Store) SetDurableEpoch(e uint64) { s.epochDurable.Store(e) }
+
+// readEpoch is where a snapshot begins: min(stable, durable).
+func (s *Store) readEpoch() uint64 { return min(s.epochStable.Load(), s.epochDurable.Load()) }
+
 // BeginSnapshot registers r as an active snapshot reader and returns
-// its begin epoch. A reader joining others begins at or above their
-// cached minimum, which therefore already covers it; the first reader
-// announces a minimum and only then loads its begin epoch (see the
-// watermark argument in the file header).
+// its begin epoch (readEpoch). A reader joining others begins at or
+// above their cached minimum, which therefore already covers it; the
+// first reader announces a minimum and only then loads its begin epoch
+// (see the watermark argument in the file header).
 func (s *Store) BeginSnapshot(r *SnapshotReader) uint64 {
 	reg := &s.snapshots
 	reg.mu.Lock()
 	if reg.head == nil {
-		reg.minBegin.Store(s.epochStable.Load())
+		reg.minBegin.Store(s.readEpoch())
 	}
-	r.epoch = s.epochStable.Load()
+	r.epoch = s.readEpoch()
 	r.prev = nil
 	r.next = reg.head
 	if reg.head != nil {
@@ -249,18 +260,17 @@ func (reg *snapReg) oldest() uint64 {
 // registry mutex: no active or future reader rolls back a record whose
 // epoch is at or below it. The load order is load-bearing.
 func (s *Store) watermark() uint64 {
-	stable := s.epochStable.Load()
-	return min(stable, s.snapshots.minBegin.Load())
+	return min(s.readEpoch(), s.snapshots.minBegin.Load())
 }
 
 // SnapshotWatermark returns the minimum begin epoch over all active
-// snapshot readers, or the stable epoch when none are active, read
+// snapshot readers, capped by the stable and durable epochs, read
 // under the registry mutex — the exact figure, for the lag gauge.
 // Pruning uses watermark.
 func (s *Store) SnapshotWatermark() uint64 {
 	reg := &s.snapshots
 	reg.mu.Lock()
-	w := min(s.epochStable.Load(), reg.oldest())
+	w := min(s.readEpoch(), reg.oldest())
 	reg.mu.Unlock()
 	return w
 }

@@ -251,9 +251,12 @@ func TestRunCancelDuringDurabilityWait(t *testing.T) {
 	}
 }
 
-// An uncancellable blocking commit is the other side of the rule: it
-// waits for the disk holding its locks.
-func TestRunBlockingCommitHoldsLocksAcrossFsync(t *testing.T) {
+// An uncancellable blocking commit runs the same sequence: it releases
+// its locks once its record is sequenced and waits for the disk holding
+// nothing. A snapshot begun while the fsync is parked does not see the
+// write, because the durable epoch has not reached it; one begun after
+// the commit returned does.
+func TestSnapshotBlockingCommitReleasesLocksBeforeFsync(t *testing.T) {
 	m, st, s := setup(t)
 	dir := t.TempDir()
 	fs := newGateFS()
@@ -266,6 +269,7 @@ func TestRunBlockingCommitHoldsLocksAcrossFsync(t *testing.T) {
 	fs.armed.Store(true)
 
 	var id lock.TxnID
+	var created *storage.Instance
 	done := make(chan error, 1)
 	go func() {
 		done <- m.RunWithRetry(context.Background(), func(tx *Txn) error {
@@ -273,21 +277,38 @@ func TestRunBlockingCommitHoldsLocksAcrossFsync(t *testing.T) {
 			if err != nil {
 				return err
 			}
-			id = tx.ID
+			id, created = tx.ID, in
 			tx.LogCreate(in, marker)
 			return m.Locks().Acquire(tx.ID, lock.InstanceRes(uint64(in.OID)), lock.X)
 		})
 	}()
 	<-fs.parked
-	if held := m.Locks().LocksHeld(id); held != 1 {
-		t.Errorf("holds %d locks while the fsync is parked, want 1", held)
+	for deadline := time.Now().Add(10 * time.Second); m.Locks().LocksHeld(id) != 0; {
+		if time.Now().After(deadline) {
+			t.Fatalf("holds %d locks while the fsync is parked, want 0", m.Locks().LocksHeld(id))
+		}
+		time.Sleep(50 * time.Microsecond)
+	}
+	visible := func() bool {
+		tx := m.BeginSnapshot()
+		defer m.Release(tx)
+		defer tx.Commit() //nolint:errcheck // a snapshot commit cannot fail
+		return created.SnapshotVisible(tx.SnapshotEpoch(), 0)
+	}
+	if visible() {
+		t.Error("a snapshot begun while the fsync is parked sees the creation")
+	}
+	select {
+	case err := <-done:
+		t.Fatalf("the commit returned (%v) before its fsync", err)
+	default:
 	}
 	close(fs.gate)
 	if err := <-done; err != nil {
 		t.Fatal(err)
 	}
-	if held := m.Locks().LocksHeld(id); held != 0 {
-		t.Errorf("holds %d locks after commit", held)
+	if !visible() {
+		t.Error("a snapshot begun after the commit returned misses the creation")
 	}
 }
 

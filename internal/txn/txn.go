@@ -69,8 +69,8 @@ func (s State) String() string {
 var ErrNotActive = errors.New("txn: transaction is not active")
 
 // ErrReadOnly is returned by write attempts after the durable log has
-// latched fail-stop: the in-memory store still serves reads (it holds
-// exactly the committed prefix recovery would reproduce), but nothing
+// latched fail-stop: the store still serves reads at the durable epoch
+// (the acknowledged prefix recovery would reproduce), but nothing
 // further can be made durable, so mutations are refused up front rather
 // than failing at commit with work already done. It always wraps the
 // log's original failure — errors.Is(err, wal.ErrDiskFull) still tells
@@ -181,20 +181,17 @@ func (t *Txn) finishTrace() {
 func (t *Txn) Locks() *lock.Manager { return t.mgr.locks }
 
 // Writable reports whether this transaction may still mutate state:
-// nil on a volatile or healthy durable database, ErrReadOnly (wrapping
-// the log's fail-stop cause) once the log has latched. The engine calls
-// it before every store/create/delete so a degraded database fails
-// writes at the first mutation instead of at commit.
+// ErrReadOnly (wrapping the log's fail-stop cause) once the log has
+// latched — checked first, since the degraded retry loop runs only
+// snapshots — ErrSnapshotWrite for a snapshot, nil otherwise. The engine
+// calls it before every store/create/delete, so writes fail at the
+// first mutation instead of at commit.
 func (t *Txn) Writable() error {
+	if w := t.mgr.wal; w != nil && w.Failed() != nil {
+		return fmt.Errorf("%w: %w", ErrReadOnly, w.Failed())
+	}
 	if t.snapshot {
 		return ErrSnapshotWrite
-	}
-	w := t.mgr.wal
-	if w == nil {
-		return nil
-	}
-	if cause := w.Failed(); cause != nil {
-		return fmt.Errorf("%w: %w", ErrReadOnly, cause)
 	}
 	return nil
 }
@@ -263,11 +260,11 @@ func (t *Txn) UndoDepth() int {
 
 // submitRecord projects the undo log forward into one redo record — an
 // op per entry — and sequences it on the log's queue, returning the
-// record's durability ticket and its hold on the log's cut. The
+// record's durability ticket; publish runs as the record is sequenced. The
 // transaction still holds every lock, so the after-images it reads are
 // its own final values: a slot another uncommitted writer may share is
 // one under declared commutativity, and that slot is logged as a delta.
-func (t *Txn) submitRecord(w *wal.Log) (*wal.Future, wal.Cut, error) {
+func (t *Txn) submitRecord(w *wal.Log) (*wal.Future, error) {
 	c := w.BeginCommit(uint64(t.ID))
 	for i := range t.undo {
 		e := &t.undo[i]
@@ -291,36 +288,18 @@ func (t *Txn) submitRecord(w *wal.Log) (*wal.Future, wal.Cut, error) {
 			}
 		}
 	}
-	return c.Submit()
+	return c.Submit(t.publish)
 }
 
-// commit is the one commit sequence: sequence the redo record (only when
-// a log is attached and the undo log is not empty) → publish: draw the
-// commit epoch, stamp the version records and retire the epoch →
-// release locks → finish the trace. The epoch is drawn once, after
-// every step that can fail or wait, so every commit mode takes one
-// epoch step and nothing between drawing and retiring it waits on
-// anything. Until then the records stay pending: snapshot readers roll
-// them back, and a pending record is never pruned, so a rollback finds
-// them. From sequencing to publish (or rollback) the commit holds the
-// log's cut (wal.Cut). What varies is only where the durability wait
-// sits relative to the publication and the lock release:
-//
-//   - hold (blocking, uncancellable): the wait comes BEFORE both, so
-//     conflicting transactions appear in the log in conflict order only
-//     after this one is durable, no snapshot reads a write that is not
-//     yet on disk, and a failed ticket — the log went fail-stop under
-//     the record — rolls the transaction back in memory while it still
-//     excludes every reader of its writes.
-//   - pipelined: no wait; the Future is the caller's. Queue order is log
-//     order, so releasing at sequencing still puts any conflicting later
-//     transaction after this one in the log while the fsync proceeds in
-//     the background.
-//   - blocking but cancellable (a done channel is bound): publish and
-//     release first, then wait bounded by done. Sequencing cannot be
-//     undone, so a wait that could be abandoned must not be one that
-//     could roll back; a cancellation returns wal.ErrWaitCanceled with
-//     the commit applied.
+// commit is the one commit sequence: sequence the redo record, and draw
+// the epoch and publish under the log's sequencing mutex (with a log and
+// a non-empty undo log; a failure there draws nothing and rolls back) →
+// release locks → a blocking commit waits for the log, bounded by done,
+// a pipelined one hands its Future out. Queue order is log and epoch
+// order, so conflicting transactions reach the log in conflict order,
+// and a sequenced commit never rolls back: if the log fails under it,
+// the error comes back with the write in memory, kept from every reader
+// by the store's durable epoch.
 func (t *Txn) commit(pipelined bool) (Future, error) {
 	if t.state != Active {
 		return Future{}, ErrNotActive
@@ -329,69 +308,60 @@ func (t *Txn) commit(pipelined bool) (Future, error) {
 		t.endSnapshot(true)
 		return Future{}, nil
 	}
-	hold := !pipelined && t.done == nil
 	var fut Future
-	var cut wal.Cut
-	var err error
-	w := t.mgr.wal
-	if w != nil && len(t.undo) > 0 {
-		if fut.w, cut, err = t.submitRecord(w); err == nil && hold {
-			err = t.awaitTicket(fut)
+	if w := t.mgr.wal; w != nil && len(t.undo) > 0 {
+		var err error
+		if fut.w, err = t.submitRecord(w); err != nil {
+			t.Abort()
+			return Future{}, fmt.Errorf("txn: commit log append: %w", err)
 		}
-	}
-	if err != nil {
-		t.Abort()
 	} else {
-		t.publish()
-	}
-	cut.Release()
-	if err != nil {
-		return Future{}, fmt.Errorf("txn: commit log append: %w", err)
+		t.publish(0)
 	}
 	t.state = Committed
 	t.clearUndo()
 	t.mgr.locks.ReleaseAll(t.ID)
 	t.mgr.noteDone(true)
-	if pipelined {
+	if pipelined && fut.w != nil {
 		t.finishTrace()
-		if fut.w != nil {
-			// The record was just handed to the log's writer goroutine and
-			// this session runs on. Where every processor is busy running
-			// sessions the writer gets one only when a session gives it
-			// up, so give it up here, once a commit, holding nothing —
-			// or batches close a scheduler time slice late.
-			runtime.Gosched()
-		}
+		// The log's writer just got the record. Where sessions keep every
+		// processor busy it runs only when one yields, so yield here,
+		// holding nothing — or batches close a time slice late.
+		runtime.Gosched()
 		return fut, nil
 	}
-	if !hold {
-		err = t.awaitTicket(fut)
-	}
+	err := t.awaitTicket(fut)
 	t.finishTrace()
 	return Future{}, err
 }
 
 // awaitTicket waits for a sequenced record's durability ticket, bounded
 // by the transaction's cancellation channel (nil: unbounded), and
-// records the wait in the trace. Resolved tickets return at once.
+// records the wait in the trace. A durable commit that wrote nothing
+// may have read a write the log has not acknowledged, so while any
+// epoch drawn is unacknowledged it passes a Sync barrier instead.
 func (t *Txn) awaitTicket(f Future) error {
-	if f.w == nil {
+	w := t.mgr.wal
+	if f.w == nil && (w == nil || t.mgr.store.DurableEpoch() >= t.mgr.store.LastEpoch()) {
 		return nil
 	}
-	if !t.traceOn {
-		return f.WaitDone(t.done)
+	var start time.Time
+	if t.traceOn {
+		start = time.Now()
 	}
-	start := time.Now()
 	err := f.WaitDone(t.done)
-	t.trace.Add(obs.EvFsyncWait, time.Since(start), 0)
+	if f.w == nil {
+		err = w.Sync() // no ticket: f resolved at once
+	}
+	if t.traceOn {
+		t.trace.Add(obs.EvFsyncWait, time.Since(start), 0)
+	}
 	return err
 }
 
-// Commit makes the transaction's effects durable — when a redo log is
-// attached it blocks on the group-commit fsync before releasing any
-// lock (the strictness of strict 2PL extends to the log) — and drops
-// the undo log. If the log append fails the transaction rolls back and
-// the error is returned.
+// Commit publishes the transaction's effects, releases its locks and,
+// when a redo log is attached, blocks until the log acknowledges the
+// commit (see commit for what a failure leaves behind).
 func (t *Txn) Commit() error {
 	_, err := t.commit(false)
 	return err
@@ -408,8 +378,7 @@ type Future struct {
 // Wait blocks until the commit is acknowledged per the log's sync
 // policy (under SyncAlways: hardened on disk) and returns the outcome.
 // A non-nil error means the log went fail-stop under the transaction:
-// its in-memory effects are applied and visible but may not be on disk.
-// Call at most once.
+// its effects are in memory, but no reader sees them. Call at most once.
 func (f Future) Wait() error { return f.WaitDone(nil) }
 
 // WaitDone is Wait bounded by a cancellation channel (nil: unbounded);
@@ -430,23 +399,25 @@ func (f Future) WaitDone(done <-chan struct{}) error {
 // in the log, so the durable log prefix is always conflict-consistent —
 // and the returned Future resolves when the record is hardened. The
 // session can run its next transaction while the batch's fsync is in
-// flight. A synchronous error (record too large, log fail-stop or
-// closed) rolls the transaction back exactly like Commit.
+// flight; snapshots read the commit once the Future resolves. A
+// synchronous error (record too large, log fail-stop or closed) rolls
+// the transaction back exactly like Commit.
 func (t *Txn) CommitPipelined() (Future, error) { return t.commit(true) }
 
-// publish draws the transaction's one commit epoch, stamps its version
-// records with it, removes the instances it deleted from the store, and
-// retires the epoch in order. A snapshot that begins at or above the
-// epoch from here on reads the transaction's writes, and a transaction
-// waiting on its locks resumes to its stamped deletion markers. A
-// transaction that linked no record draws no epoch.
-func (t *Txn) publish() {
+// publish stamps the transaction's version records with its commit
+// epoch (0: drawn here), removes the instances it deleted from the
+// store, and retires the epoch in order; a transaction that linked no
+// record has none. Snapshots at or above the epoch read its writes, and
+// its lock waiters resume to its stamped deletion markers.
+func (t *Txn) publish(epoch uint64) {
 	t.mu.Lock()
 	if len(t.undo) == 0 {
 		t.mu.Unlock()
 		return
 	}
-	epoch := t.mgr.store.AllocEpoch()
+	if epoch == 0 {
+		epoch = t.mgr.store.AllocEpoch()
+	}
 	for _, e := range t.undo {
 		e.rec.Stamp(epoch)
 		if e.rec.Slot() == storage.SlotDelete {
@@ -727,11 +698,10 @@ func retryable(err error) bool {
 }
 
 // ErrUnackedCommit reports a commit whose durability acknowledgment was
-// abandoned on cancellation: the transaction committed — its effects
-// are visible and its record is sequenced in the log, so it will harden
-// with its batch — but the caller stopped waiting before the sync
-// policy's confirmation arrived. Callers that must know durability for
-// certain should follow up with a Sync barrier.
+// abandoned on cancellation: the transaction committed — its record is
+// sequenced, so it will harden with its batch and snapshots then read
+// it — but the caller stopped waiting for the sync policy's
+// confirmation. Follow up with a Sync barrier to know for certain.
 var ErrUnackedCommit = errors.New("txn: commit sequenced but durability unconfirmed (wait canceled)")
 
 // RunWithRetry executes fn inside a fresh transaction, committing on
@@ -748,7 +718,9 @@ var ErrUnackedCommit = errors.New("txn: commit sequenced but durability unconfir
 // cancellation during the durability wait cannot un-sequence the
 // record, so it returns ErrUnackedCommit (wrapping ctx's error) with
 // the commit applied. A context that can never be canceled costs
-// nothing, and commits holding its locks across the fsync (see commit).
+// nothing. Once the log has failed, every attempt runs as a snapshot at
+// the frozen durable epoch: reads see the acknowledged prefix, and
+// writes fail with ErrReadOnly.
 func (m *Manager) RunWithRetry(ctx context.Context, fn func(*Txn) error) error {
 	_, err := m.run(ctx, fn, false)
 	return err
@@ -774,7 +746,12 @@ func (m *Manager) run(ctx context.Context, fn func(*Txn) error, pipelined bool) 
 		if done != nil && ctx.Err() != nil {
 			return Future{}, ctx.Err()
 		}
-		t := m.Begin()
+		var t *Txn
+		if w := m.wal; w != nil && w.Failed() != nil {
+			t = m.BeginSnapshot()
+		} else {
+			t = m.Begin()
+		}
 		t.done = done
 		err := fn(t)
 		if err == nil {
@@ -783,7 +760,7 @@ func (m *Manager) run(ctx context.Context, fn func(*Txn) error, pipelined bool) 
 			if errors.Is(err, wal.ErrWaitCanceled) {
 				err = fmt.Errorf("%w: %w", ErrUnackedCommit, ctx.Err())
 			}
-			return fut, err // a log-append failure already rolled back
+			return fut, err // a sequencing failure already rolled back
 		}
 		if t.traceOn {
 			switch {

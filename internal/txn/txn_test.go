@@ -456,9 +456,17 @@ func TestWritableAfterLogFailStop(t *testing.T) {
 	if !errors.Is(err, wal.ErrLogFailed) || !errors.Is(err, wal.ErrDiskFull) {
 		t.Fatalf("commit error lacks taxonomy: %v", err)
 	}
-	if got := in.Get(0); got != storage.IntV(1) {
-		t.Errorf("failed commit not rolled back: slot = %v", got)
+	// The write stays in memory, but no snapshot reads it: the log never
+	// acknowledged it.
+	snap := m.BeginSnapshot()
+	if v, ok := in.SnapshotGet(0, snap.SnapshotEpoch()); !ok || v != storage.IntV(1) {
+		t.Errorf("snapshot after the failed commit reads %v ok=%t, want 1", v, ok)
 	}
+	// The log failure outranks the snapshot flag.
+	if werr := snap.Writable(); !errors.Is(werr, ErrReadOnly) {
+		t.Errorf("snapshot Writable = %v, want ErrReadOnly", werr)
+	}
+	snap.Commit() //nolint:errcheck // a snapshot commit cannot fail
 
 	tx2 := m.Begin()
 	defer tx2.Abort()

@@ -15,15 +15,15 @@ import (
 
 // A checkpoint is the live store serialized as of one commit epoch e,
 // read through the version chains (storage/version.go) while writers
-// run on. A commit holds the log's cut (sendMu, read side) from
-// sequencing its record until it has retired its epoch, so once
-// Checkpoint holds the write side, drains the queue and seals the
-// segment, every sealed record is a commit ≤ e and every later one a
-// commit > e: each applies exactly once, as OpDeltaI requires. Commits
-// pause only for the drain and the seal. A delete that commits after e
-// may remove its instance before it is serialized; Checkpoint hardens
-// the tail before it installs the file, so the delete is durably in the
-// tail, and replay skips ops on a missing OID (applyOp).
+// run on. Commits draw and retire epochs in log order under seqMu;
+// holding it, Checkpoint seals the segment and begins its snapshot at
+// e, the last epoch drawn, before the durable epoch (and so the
+// reclamation watermark) can pass e. Every sealed record is a commit
+// ≤ e and every later one a commit > e: each applies exactly once, as
+// OpDeltaI requires. Commits pause only for the seal. A delete that
+// commits after e may remove its instance before it is serialized;
+// Checkpoint hardens the tail before it installs the file, so the delete
+// is durably in the tail, and replay skips ops on a missing OID (applyOp).
 //
 // Checkpoint file, little-endian:
 //
@@ -249,13 +249,14 @@ func loadCheckpointFile(fsys FS, path string, st *storage.Store, sch *schema.Sch
 	return baseSeq, nil
 }
 
-// Checkpoint compacts the log. Holding the cut exclusively, it drains
+// Checkpoint compacts the log. Holding the sequencing mutex, it drains
 // and hardens the queue (outstanding futures resolve), seals the live
-// segment and begins a snapshot; then it serializes the store at that
-// epoch while commits run into the new segment, and hardens that
-// segment before it installs the file. The old primary is demoted to
-// checkpoint.prev if its CRC verifies, dropped otherwise, and only
-// segments at or below the demoted checkpoint's base go.
+// segment and begins a snapshot at the last epoch drawn; then it
+// serializes the store at that epoch while commits run into the new
+// segment, and hardens that segment before it installs the file. The
+// old primary is demoted to checkpoint.prev if its CRC verifies,
+// dropped otherwise, and only segments at or below the demoted
+// checkpoint's base go.
 func (l *Log) Checkpoint() error {
 	l.ckptMu.Lock()
 	defer l.ckptMu.Unlock()
@@ -264,13 +265,13 @@ func (l *Log) Checkpoint() error {
 	}
 	var snap storage.SnapshotReader
 	c := l.barrier(true)
-	l.sendMu.Lock()
+	l.seqMu.Lock()
 	l.submitCh <- c
 	err := <-c.done
 	sealed, nextOID := c.sealed, c.nextOID
 	c.discard()
-	at := l.st.BeginSnapshot(&snap)
-	l.sendMu.Unlock()
+	at := l.st.BeginSnapshot(&snap) // every epoch drawn is retired under seqMu
+	l.seqMu.Unlock()
 	defer l.st.EndSnapshot(&snap)
 	if err != nil {
 		return err

@@ -135,6 +135,7 @@ type commit struct {
 	buf     []byte // frame header + payload
 	ops     uint32
 	maxOID  uint64          // highest OID an op of the record names
+	epoch   uint64          // the commit epoch drawn at sequencing (0: a barrier)
 	barrier bool            // Sync barrier: no bytes, forces fsync, acked in order
 	seal    bool            // barrier that also seals the live segment
 	sealed  uint64          // the segment a seal barrier sealed
@@ -155,7 +156,7 @@ type Future struct {
 
 // Wait blocks until the commit is acknowledged (under SyncAlways:
 // hardened on disk), returns its outcome and recycles the Future. Call
-// exactly once.
+// exactly once. A snapshot begun after a nil return reads the commit.
 func (f *Future) Wait() error { return f.WaitDone(nil) }
 
 // ErrWaitCanceled reports that a durability wait was abandoned before
@@ -203,9 +204,9 @@ type Log struct {
 	submitCh chan *commit
 	done     chan struct{} // writer exited
 	closed   atomic.Bool
-	sendMu   sync.RWMutex // the cut: shared from Submit to Cut.Release; Close, Checkpoint exclusive
-	ckptMu   sync.Mutex   // one checkpoint (or close) at a time
-	ckptBusy atomic.Bool  // auto-checkpoint in flight
+	seqMu    sync.Mutex  // sequencing: enqueue + epoch + publish; Close; the checkpoint's seal
+	ckptMu   sync.Mutex  // one checkpoint (or close) at a time
+	ckptBusy atomic.Bool // auto-checkpoint in flight
 
 	// broken latches the first write/fsync/rotate failure: the log goes
 	// fail-stop. Accepting commits after a failed write would append
@@ -432,11 +433,12 @@ func (l *Log) writeBatch(batch []*commit) error {
 	// that (its creator's earlier OIDs were aborted, or are still in
 	// flight) needs leases, prepended so that any torn prefix of the
 	// Write that holds a record also holds them.
-	covered, lease := l.leased, uint64(0)
+	covered, lease, epoch := l.leased, uint64(0), uint64(0)
 	for _, c := range batch {
 		if !c.barrier {
 			covered += uint64(c.ops)
 			lease = max(lease, c.maxOID-min(c.maxOID, covered))
+			epoch = c.epoch // records arrive in epoch order
 		}
 	}
 	l.scratch = appendLease(l.scratch[:0], lease)
@@ -472,6 +474,11 @@ func (l *Log) writeBatch(batch []*commit) error {
 	}
 	l.size += int64(len(l.scratch))
 	l.leased = covered + lease
+	if epoch != 0 {
+		// Acknowledged: set before run resolves the futures. A seal ends
+		// its batch (the checkpoint holds seqMu), so its rotation fails none.
+		l.st.SetDurableEpoch(epoch)
+	}
 	l.records.Add(int64(records))
 	if records > 0 {
 		l.batches.Add(1)
@@ -616,11 +623,14 @@ func (c *commit) discard() {
 // Submit frames the record and sequences it on the writer's queue
 // without waiting: once Submit returns, the record's position in the
 // log order is fixed — anything enqueued later (e.g. by a transaction
-// that observes this one's effects) lands after it. It returns the
-// record's pooled durability Future (Wait or WaitDone exactly once) and
-// the commit's Cut (Release exactly once). On error the commit is
-// already released and nothing is held.
-func (c *commit) Submit() (*Future, Cut, error) {
+// that observes this one's effects) lands after it, with a higher
+// commit epoch. publish gets the record's epoch under the sequencing
+// mutex and must stamp and retire it (storage.Store.FinishEpoch), so
+// epochs retire in log order and no committer waits on another's. It
+// returns the record's pooled durability Future (Wait or WaitDone
+// exactly once). On error the commit is already released and no epoch
+// was drawn.
+func (c *commit) Submit(publish func(epoch uint64)) (*Future, error) {
 	l := c.l
 	payload := c.buf[codec.HeaderSize:]
 	binary.LittleEndian.PutUint32(payload[offNumOps:], c.ops)
@@ -628,63 +638,53 @@ func (c *commit) Submit() (*Future, Cut, error) {
 	// one would acknowledge a commit recovery must then discard.
 	if err := codec.Seal(c.buf, payload, maxRecordSize); err != nil {
 		c.discard()
-		return nil, Cut{}, fmt.Errorf("wal: commit record: %w", err)
+		return nil, fmt.Errorf("wal: commit record: %w", err)
 	}
 	if err := l.failure(); err != nil {
 		c.discard()
-		return nil, Cut{}, err
+		return nil, err
 	}
-	if err := c.enqueue(); err != nil {
-		return nil, Cut{}, err
+	if err := c.enqueue(publish); err != nil {
+		return nil, err
 	}
 	f := l.futures.Get().(*Future)
 	f.c = c
-	return f, Cut{l}, nil
+	return f, nil
 }
 
-// enqueue places the (framed or barrier) commit on the writer's queue
-// and returns holding the cut (sendMu, read side). The read lock pairs
-// with Close's write lock: a submit observed with closed==false reaches
-// the channel before Close closes it. Channel FIFO order is the log
-// order, so anything enqueued after this call returns — e.g. by a
-// transaction that acquires this transaction's locks once they release
-// — lands later in the log.
-func (c *commit) enqueue() error {
+// enqueue places the (framed or barrier) commit on the writer's queue.
+// Under seqMu it checks that the log is open, draws a record's epoch,
+// sends and publishes, as one step, so channel FIFO order — the log
+// order — is epoch order too. Anything enqueued after this call returns
+// — e.g. by a transaction that acquires this transaction's locks once
+// they release — lands later in the log.
+func (c *commit) enqueue(publish func(epoch uint64)) error {
 	l := c.l
-	l.sendMu.RLock()
+	l.seqMu.Lock()
 	if l.closed.Load() {
-		l.sendMu.RUnlock()
+		l.seqMu.Unlock()
 		c.discard()
 		return ErrClosed
 	}
-	l.submitCh <- c
-	return nil
-}
-
-// Cut is a sequenced commit's share of the log's cut (sendMu, read
-// side): until it is released no checkpoint can seal the segment
-// (checkpoint.go), so an unreleased Cut blocks Checkpoint and Close.
-// The zero Cut holds nothing.
-type Cut struct{ l *Log }
-
-// Release gives the cut back, once the transaction has retired its
-// commit epoch or rolled back. Call exactly once per Submit.
-func (c Cut) Release() {
-	if c.l != nil {
-		c.l.sendMu.RUnlock()
+	if c.epoch = 0; !c.barrier {
+		c.epoch = l.st.AllocEpoch()
 	}
+	l.submitCh <- c
+	if publish != nil {
+		publish(c.epoch)
+	}
+	l.seqMu.Unlock()
+	return nil
 }
 
 // Sync is a hardening barrier: it blocks until everything enqueued
 // before it — including pipelined commits whose futures have not been
 // waited on — is written and fsynced, regardless of the sync policy.
-// It holds the cut only while it enqueues.
 func (l *Log) Sync() error {
 	c := l.barrier(false)
-	if err := c.enqueue(); err != nil {
+	if err := c.enqueue(nil); err != nil {
 		return err
 	}
-	l.sendMu.RUnlock()
 	err := <-c.done
 	c.discard()
 	return err
@@ -737,12 +737,12 @@ func (l *Log) Dir() string { return l.dir }
 func (l *Log) Close() error {
 	l.ckptMu.Lock()
 	defer l.ckptMu.Unlock()
-	l.sendMu.Lock()
+	l.seqMu.Lock()
 	if !l.closed.CompareAndSwap(false, true) {
-		l.sendMu.Unlock()
+		l.seqMu.Unlock()
 		return ErrClosed
 	}
-	l.sendMu.Unlock()
+	l.seqMu.Unlock()
 	close(l.submitCh)
 	<-l.done
 	if err := l.failure(); err != nil {

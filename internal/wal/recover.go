@@ -96,7 +96,7 @@ func checkFingerprint(fsys FS, dir string, sch *schema.Schema) error {
 // leaves at most one incomplete record suffix, since every batch is
 // written before any commit in it is acknowledged), and continues
 // appending to that segment. A missing or empty directory is a fresh
-// database.
+// database. The log then owns st's durable epoch.
 func Open(dir string, st *storage.Store, o Options) (*Log, RecoveryInfo, error) {
 	o.normalize()
 	fsys := o.FS
@@ -191,6 +191,7 @@ func Open(dir string, st *storage.Store, o Options) (*Log, RecoveryInfo, error) 
 		l.f = f
 		l.size = fi.Size()
 	}
+	st.SetDurableEpoch(st.StableEpoch())
 	l.start()
 	return l, info, nil
 }

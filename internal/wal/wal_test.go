@@ -162,24 +162,22 @@ func boundaries(t *testing.T, data []byte) []int64 {
 }
 
 // The tests apply a record's effects to the store before they submit
-// it, so a commit is retired as soon as it is sequenced or hardened.
+// it, so a commit retires its epoch as soon as it is sequenced.
 
-// commitWait submits c and waits for its durability ticket holding the
-// cut, as a blocking commit does.
+// commitWait submits c, retires its epoch and waits for its durability
+// ticket, as a blocking commit does.
 func commitWait(c *commit) error {
-	fut, cut, err := c.Submit()
+	fut, err := commitPipelined(c)
 	if err != nil {
 		return err
 	}
-	defer cut.Release()
 	return fut.Wait()
 }
 
-// commitPipelined submits c and hands out its durability ticket.
+// commitPipelined submits c, retires its epoch and hands out its
+// durability ticket.
 func commitPipelined(c *commit) (*Future, error) {
-	fut, cut, err := c.Submit()
-	cut.Release()
-	return fut, err
+	return c.Submit(c.l.st.FinishEpoch)
 }
 
 func openDir(t *testing.T, dir string) (*Log, *storage.Store, RecoveryInfo) {
@@ -471,6 +469,72 @@ func (fs *crashFS) crashCopy(t *testing.T, dir string) string {
 		}
 	}
 	return out
+}
+
+// TestRecoveryCheckpointCutKeepsLateBeforeImages: the checkpoint
+// registers its snapshot at the cut epoch before it lets go of the
+// sequencing mutex. Two escrow deltas commit after the cut and before
+// the serialization, and the second prunes its instance's chain as it
+// links, once the first is acknowledged; the first one's record must
+// survive, so the checkpoint holds the counter as of the cut and replay
+// applies each delta exactly once.
+func TestRecoveryCheckpointCutKeepsLateBeforeImages(t *testing.T) {
+	dir := t.TempDir()
+	fs := &readHookFS{FS: osFS{}}
+	st := newTestStore(t)
+	l, _, err := Open(dir, st, Options{FS: fs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cls := st.Schema().Class("item")
+	in, err := st.NewInstance(cls, storage.IntV(10))
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := l.BeginCommit(1)
+	c.Create(cls.ID, uint64(in.OID), in)
+	if err := commitWait(c); err != nil {
+		t.Fatal(err)
+	}
+	deposit := func(id uint64) {
+		rec := st.Write(in, 0, storage.IntV(in.Get(0).I+1), nil, true)
+		c := l.BeginCommit(id)
+		c.WriteDelta(uint64(in.OID), 0, 1)
+		fut, err := c.Submit(func(epoch uint64) {
+			rec.Stamp(epoch)
+			st.FinishEpoch(epoch)
+		})
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		if err := fut.Wait(); err != nil {
+			t.Error(err)
+		}
+	}
+	hook := func() { deposit(2); deposit(3) }
+	fs.hook.Store(&hook)
+	if err := l.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if fs.hook.Load() != nil {
+		t.Fatal("the checkpoint read no primary between its cut and its write")
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	inCkpt := newTestStore(t)
+	if _, err := loadCheckpointFile(osFS{}, filepath.Join(dir, checkpointName), inCkpt, inCkpt.Schema()); err != nil {
+		t.Fatal(err)
+	}
+	if got, ok := inCkpt.Get(in.OID); !ok || got.Get(0).I != 10 {
+		t.Errorf("the checkpoint holds the counter at %v, want 10 as of the cut", got.Get(0))
+	}
+	l2, st2, _ := openDir(t, dir)
+	defer l2.Close()
+	if got, ok := st2.Get(in.OID); !ok || got.Get(0).I != 12 {
+		t.Errorf("recovered counter %v, want 12: each delta once", got.Get(0))
+	}
 }
 
 // A delete that commits after a checkpoint's cut can take its instance

@@ -54,14 +54,15 @@ func goErr(fn func() error) <-chan error {
 	return ch
 }
 
-// TestRecoveryCheckpointCutLiveness: a commit holds the log's cut from
-// sequencing until it has retired its epoch, and nothing deadlocks on
-// that.
+// TestRecoveryCheckpointCutLiveness: a checkpoint cuts the log under
+// the sequencing mutex, and nothing deadlocks on that.
 func TestRecoveryCheckpointCutLiveness(t *testing.T) {
-	// A blocking durable commit parked in its fsync holds the cut, so a
-	// checkpoint waits for it, and a commit begun meanwhile waits for
-	// the checkpoint. Once the disk moves all three finish: the first
-	// commit inside the checkpoint, the second in the tail after it.
+	// A blocking durable commit parked in its fsync holds nothing, but
+	// the checkpoint's seal queues behind it: the checkpoint waits for
+	// the seal holding the sequencing mutex, and a commit begun meanwhile
+	// waits for the checkpoint. Once the disk moves all three finish:
+	// the first commit inside the checkpoint, the second in the tail
+	// after it.
 	t.Run("parked commit", func(t *testing.T) {
 		dir := t.TempDir()
 		fs := newGateFS()
@@ -75,7 +76,7 @@ func TestRecoveryCheckpointCutLiveness(t *testing.T) {
 		})
 		waitParked(t, "chan receive", "oodb.(*gateFile).Sync", "the first commit's fsync to park")
 		ckpt := goErr(db.Checkpoint)
-		waitParked(t, "sync.RWMutex.Lock", "wal.(*Log).Checkpoint", "the checkpoint to wait for the parked commit")
+		waitParked(t, "chan receive", "wal.(*Log).Checkpoint", "the checkpoint to wait for the parked commit")
 		var created OID
 		second := goErr(func() error {
 			return db.Update(func(tx *Txn) error {
@@ -84,7 +85,7 @@ func TestRecoveryCheckpointCutLiveness(t *testing.T) {
 				return err
 			})
 		})
-		waitParked(t, "sync.RWMutex.RLock", "wal.(*commit).Submit", "a commit begun during the cut to wait for it")
+		waitParked(t, "sync.Mutex.Lock", "wal.(*commit).enqueue", "a commit begun during the cut to wait for it")
 		select {
 		case <-first:
 			t.Fatal("the parked commit finished before its fsync")

@@ -140,7 +140,7 @@ func (f *gateFile) Sync() error {
 // Future.WaitCtx: an acknowledged commit resolves nil under a live
 // context; a cancellation while the group commit's fsync is parked
 // abandons only the wait — the commit is applied, reported as unacked,
-// and durable once the log drains.
+// read by a View once the log acknowledges it, and durable.
 func TestFutureWaitCtxCancelVsAck(t *testing.T) {
 	t.Run("ack", func(t *testing.T) {
 		db, acct := ctxAccountDB(t, Options{Dir: t.TempDir()})
@@ -188,10 +188,16 @@ func TestFutureWaitCtxCancelVsAck(t *testing.T) {
 			}
 			return got
 		}
-		if got := balance(db); got != int64(105) {
-			t.Errorf("balance = %v after the abandoned wait, want 105 (commit applied)", got)
+		if got := balance(db); got != int64(100) {
+			t.Errorf("balance = %v while the commit is unacknowledged, want 100", got)
 		}
 		close(fs.gate)
+		if err := db.Sync(); err != nil {
+			t.Fatal(err)
+		}
+		if got := balance(db); got != int64(105) {
+			t.Errorf("balance = %v once the log drained, want 105 (commit applied)", got)
+		}
 		if err := db.Close(); err != nil {
 			t.Fatal(err)
 		}

@@ -1,8 +1,10 @@
 package oodb
 
 import (
+	"context"
 	"fmt"
 	"testing"
+	"time"
 
 	"repro/internal/wal"
 )
@@ -270,73 +272,138 @@ func TestFailStopGoldenCADENOSPC(t *testing.T) {
 	failStopGolden(t, cadSrc, cadFailStop, true)
 }
 
-// TestFailStopViewReadsAcknowledgedPrefix: a blocking commit whose
-// ticket fails is rolled back for snapshot readers too. The goldens
-// above dump the live cells, which the rollback always restored; a View
-// reads through the version chains, where the unacknowledged value used
-// to survive the fail-stop.
+// commitModes are the three ways a caller commits an Update-shaped
+// transaction: blocking, pipelined and then waited on, and blocking
+// under a context that carries a deadline.
+var commitModes = []struct {
+	name   string
+	commit func(db *Database, fn func(*Txn) error) error
+}{
+	{"update", func(db *Database, fn func(*Txn) error) error { return db.Update(fn) }},
+	{"async", func(db *Database, fn func(*Txn) error) error {
+		fut, err := db.UpdateAsync(fn)
+		if err != nil {
+			return err
+		}
+		return fut.Wait()
+	}},
+	{"ctx", func(db *Database, fn func(*Txn) error) error {
+		ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+		defer cancel()
+		return db.UpdateCtx(ctx, fn)
+	}},
+}
+
+// TestFailStopViewReadsAcknowledgedPrefix: after a sync fault, under
+// every commit mode, no reader sees a write the log did not
+// acknowledge. A View reads the acknowledged balance; a locking Update
+// that only reads either reads it too or fails as read-only.
 func TestFailStopViewReadsAcknowledgedPrefix(t *testing.T) {
 	schema, err := Compile(bankingSrc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// deposits runs one account through a series of blocking deposit
-	// commits and returns the balance of the acknowledged ones, stopping
-	// at the first failure.
-	deposits := func(db *Database) (acct OID, acked int64, failed bool) {
-		acked = 1000
-		if err := db.Update(func(tx *Txn) error {
-			var err error
-			acct, err = tx.New("savings", int64(1), "owner", acked)
-			return err
-		}); err != nil {
-			t.Fatalf("setup commit: %v", err)
-		}
-		for op := int64(1); op <= 20; op++ {
-			err := db.Update(func(tx *Txn) error {
-				_, err := tx.Send(acct, "deposit", op)
-				return err
-			})
-			if err != nil {
-				if !IsReadOnly(err) {
-					t.Fatalf("deposit %d: failure not IsReadOnly: %v", op, err)
+	for _, mode := range commitModes {
+		t.Run(mode.name, func(t *testing.T) {
+			// deposits runs one account through a series of deposit
+			// commits and returns the balance of the acknowledged ones,
+			// stopping at the first failure.
+			deposits := func(db *Database) (acct OID, acked int64, failed bool) {
+				acked = 1000
+				if err := db.Update(func(tx *Txn) error {
+					var err error
+					acct, err = tx.New("savings", int64(1), "owner", acked)
+					return err
+				}); err != nil {
+					t.Fatalf("setup commit: %v", err)
 				}
-				return acct, acked, true
+				for op := int64(1); op <= 20; op++ {
+					err := mode.commit(db, func(tx *Txn) error {
+						_, err := tx.Send(acct, "deposit", op)
+						return err
+					})
+					if err != nil {
+						if !IsReadOnly(err) {
+							t.Fatalf("deposit %d: failure not IsReadOnly: %v", op, err)
+						}
+						return acct, acked, true
+					}
+					acked += op
+				}
+				return acct, acked, false
 			}
-			acked += op
-		}
-		return acct, acked, false
-	}
 
-	ref := wal.NewFaultFS(nil, wal.FaultPlan{FailAt: -1})
-	refDB, err := OpenWith(schema, Fine, Options{Dir: t.TempDir(), fs: ref})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, _, failed := deposits(refDB); failed {
-		t.Fatal("reference run saw a failure")
-	}
-	if err := refDB.Close(); err != nil {
-		t.Fatal(err)
-	}
+			ref := wal.NewFaultFS(nil, wal.FaultPlan{FailAt: -1})
+			refDB, err := OpenWith(schema, Fine, Options{Dir: t.TempDir(), fs: ref})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, _, failed := deposits(refDB); failed {
+				t.Fatal("reference run saw a failure")
+			}
+			if err := refDB.Close(); err != nil {
+				t.Fatal(err)
+			}
 
-	plan := wal.FaultPlan{Class: wal.FaultErr, FailAt: pickOp(t, ref.Trace(), wal.KindSync)}
-	db, err := OpenWith(schema, Fine, Options{Dir: t.TempDir(), fs: wal.NewFaultFS(nil, plan)})
-	if err != nil {
-		t.Fatal(err)
+			plan := wal.FaultPlan{Class: wal.FaultErr, FailAt: pickOp(t, ref.Trace(), wal.KindSync)}
+			db, err := OpenWith(schema, Fine, Options{Dir: t.TempDir(), fs: wal.NewFaultFS(nil, plan)})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer db.Close() //nolint:errcheck // a latched log reports its failure here
+			acct, acked, failed := deposits(db)
+			if !failed {
+				t.Fatal("fault never fired")
+			}
+			getbalance := func(tx *Txn) (any, error) { return tx.Send(acct, "getbalance") }
+			if err := db.View(func(tx *Txn) error {
+				got, err := getbalance(tx)
+				if err == nil && got != acked {
+					t.Errorf("View after fail-stop reads balance %v, want the acknowledged %d", got, acked)
+				}
+				return err
+			}); err != nil {
+				t.Fatalf("View after fail-stop: %v", err)
+			}
+			if err := db.Update(func(tx *Txn) error {
+				got, err := getbalance(tx)
+				if err == nil && got != acked {
+					t.Errorf("locking read after fail-stop reads balance %v, want the acknowledged %d", got, acked)
+				}
+				return err
+			}); err != nil && !IsReadOnly(err) {
+				t.Fatalf("locking read after fail-stop: %v, want success or IsReadOnly", err)
+			}
+		})
 	}
-	defer db.Close() //nolint:errcheck // a latched log reports its failure here
-	acct, acked, failed := deposits(db)
-	if !failed {
-		t.Fatal("fault never fired")
-	}
-	if err := db.View(func(tx *Txn) error {
-		got, err := tx.Send(acct, "getbalance")
-		if err == nil && got != acked {
-			t.Errorf("View after fail-stop reads balance %v, want the acknowledged %d", got, acked)
-		}
-		return err
-	}); err != nil {
-		t.Fatalf("View after fail-stop: %v", err)
+}
+
+// TestFailStopUpdateThenViewReadsOwnWrite: on a healthy durable
+// database, a View begun after a commit returned (after Wait, for a
+// pipelined one) reads the commit's write, under every commit mode.
+func TestFailStopUpdateThenViewReadsOwnWrite(t *testing.T) {
+	for _, mode := range commitModes {
+		t.Run(mode.name, func(t *testing.T) {
+			db, acct := ctxAccountDB(t, Options{Dir: t.TempDir()})
+			defer db.Close()
+			for n := int64(1); n <= 20; n++ {
+				if err := mode.commit(db, func(tx *Txn) error {
+					_, err := tx.Send(acct, "deposit", n)
+					return err
+				}); err != nil {
+					t.Fatal(err)
+				}
+				want := 100 + n*(n+1)/2
+				if err := db.View(func(tx *Txn) error {
+					got, err := tx.Send(acct, "getbalance")
+					if err == nil && got != want {
+						t.Errorf("View after deposit %d reads %v, want %d", n, got, want)
+					}
+					return err
+				}); err != nil {
+					t.Fatal(err)
+				}
+			}
+		})
 	}
 }

@@ -260,11 +260,11 @@ func (d *Database) Recovery() RecoveryStats {
 
 // Health describes whether the database can still accept writes. A
 // durable database whose log hits an unrecoverable I/O error latches
-// fail-stop and degrades to read-only: reads keep serving the committed
-// in-memory state (exactly what recovery would reproduce), writes fail
-// with an error matching IsReadOnly. Reopening the directory — after
-// the disk is fixed — recovers the committed prefix and clears the
-// condition.
+// fail-stop and degrades to read-only: every transaction reads a
+// snapshot of the acknowledged prefix (what recovery would reproduce),
+// writes fail with an error matching IsReadOnly. Reopening the
+// directory — after the disk is fixed — recovers that prefix and clears
+// the condition.
 type Health struct {
 	// ReadOnly: the log has failed and writes are refused.
 	ReadOnly bool
@@ -314,15 +314,13 @@ func (d *Database) Update(fn func(*Txn) error) error {
 // error satisfying IsCanceled and wrapping ctx's own error, so
 // errors.Is(err, context.DeadlineExceeded) works too.
 //
-// Where the durability wait sits depends on whether it can be
-// abandoned. An uncancellable ctx (context.Background(), i.e. Update)
-// holds the locks across the fsync, so a log failure rolls the commit
-// back before anyone could read its writes, at zero added cost on the
-// hot path. A cancellable ctx releases the locks once the commit record
-// is sequenced and waits afterwards: a sequenced record cannot be
-// unsequenced, so a cancellation during that wait returns an
-// IsUnackedCommit error — the transaction IS committed and its effects
-// visible; only the caller stopped waiting for the disk's confirmation.
+// Every commit, whatever ctx, releases its locks once its record is
+// sequenced and then waits for the log. A cancellation during that wait
+// returns an IsUnackedCommit error: the transaction IS committed, and
+// Views read it once the log acknowledges it. If the log fails instead,
+// the IsReadOnly error comes back with the write in memory, where no
+// reader sees it. A transaction that only read waits at commit while an
+// earlier commit is unacknowledged, since it may have read its write.
 func (d *Database) UpdateCtx(ctx context.Context, fn func(*Txn) error) error {
 	return d.db.Txns.RunWithRetry(ctx, func(tx *txn.Txn) error {
 		return fn(&Txn{db: d, tx: tx})
@@ -331,7 +329,8 @@ func (d *Database) UpdateCtx(ctx context.Context, fn func(*Txn) error) error {
 
 // View runs fn in a read-only transaction on the lock-free multiversion
 // read path: it takes no locks, never blocks or aborts a writer, and
-// observes the committed slot values as of its begin epoch. An object
+// observes the committed, acknowledged slot values as of its begin
+// epoch (an UpdateAsync commit once its Future resolves). An object
 // whose delete has not committed is still there for it. Committed
 // deletes are the one exception to snapshot isolation: a delete that
 // commits after the View began removes the object from the View
@@ -360,10 +359,10 @@ type Future struct {
 }
 
 // Wait blocks until the commit is hardened per the database's sync
-// policy and returns the outcome. A non-nil error means the log went
-// fail-stop underneath an acknowledged commit: its effects are visible
-// in memory but may not have reached disk. Call at most once — the
-// ticket is pooled and recycled by its first Wait.
+// policy and returns the outcome; Views begun after a nil return read
+// it. A non-nil error means the log went fail-stop under the commit: its
+// effects are in memory, but no reader sees them. Call at most once —
+// the ticket is pooled and recycled by its first Wait.
 func (f Future) Wait() error { return f.f.Wait() }
 
 // WaitCtx is Wait bounded by ctx; call at most once, like Wait. A
@@ -382,10 +381,11 @@ func (f Future) WaitCtx(ctx context.Context) error {
 // the transaction's commit record is sequenced in the log — the session
 // can immediately run its next transaction while the group commit's
 // fsync is in flight — together with a Future that resolves when the
-// commit is durable. Transactions still serialize through strict 2PL,
-// and a conflicting transaction can only commit after this one, so the
-// durable log prefix is always conflict-consistent; what UpdateAsync
-// relaxes is only *when the caller learns* the commit reached disk.
+// commit is durable (and Views read it). Transactions still serialize
+// through strict 2PL, and a conflicting transaction can only commit
+// after this one, so the durable log prefix is always
+// conflict-consistent; what UpdateAsync relaxes is only *when the
+// caller learns* the commit reached disk.
 // Close, Sync and Checkpoint all drain outstanding futures.
 func (d *Database) UpdateAsync(fn func(*Txn) error) (Future, error) {
 	return d.UpdateAsyncCtx(context.Background(), fn)
@@ -571,11 +571,14 @@ func (d *Database) DebugHandler() http.Handler {
 	return obs.NewDebugHandler(d.db.Metrics(), d.db.Flight())
 }
 
-// DumpObject writes a labelled snapshot of an object's fields, for
-// debugging and examples.
+// DumpObject writes a labelled snapshot of an object's fields as a View
+// begun now reads them, for debugging and examples.
 func (d *Database) DumpObject(w io.Writer, oid OID) error {
+	var r storage.SnapshotReader
+	at := d.db.Store.BeginSnapshot(&r)
+	defer d.db.Store.EndSnapshot(&r)
 	in, ok := d.db.Store.Get(oid)
-	if !ok {
+	if !ok || !in.SnapshotVisible(at, 0) {
 		return fmt.Errorf("oodb: no object %d", oid)
 	}
 	fmt.Fprintf(w, "%s#%d {", in.Class.Name, oid)
@@ -583,7 +586,8 @@ func (d *Database) DumpObject(w io.Writer, oid OID) error {
 		if i > 0 {
 			fmt.Fprint(w, ", ")
 		}
-		fmt.Fprintf(w, "%s: %s", f.Name, in.Get(i))
+		v, _ := in.SnapshotGet(i, at)
+		fmt.Fprintf(w, "%s: %s", f.Name, v)
 	}
 	fmt.Fprintln(w, "}")
 	return nil
