@@ -3,7 +3,6 @@ package engine
 import (
 	"context"
 	"fmt"
-	"math"
 	"sync"
 
 	"repro/internal/core"
@@ -175,7 +174,7 @@ func (db *DB) getEC(tx *txn.Txn) *execCtx {
 	ec := db.ecPool.Get().(*execCtx)
 	ec.db = db
 	ec.tx = tx
-	ec.epoch = liveEpoch
+	ec.epoch = storage.LiveEpoch
 	if tx.IsSnapshot() {
 		ec.snapshot = true
 		ec.epoch = tx.SnapshotEpoch()
@@ -381,7 +380,7 @@ type execCtx struct {
 	// are skipped, field reads resolve as of epoch (live cell, later
 	// records rolled back), and any mutation fails with
 	// txn.ErrSnapshotWrite (through tx.Writable). epoch is the snapshot's
-	// begin epoch, or liveEpoch under a locking transaction.
+	// begin epoch, or storage.LiveEpoch under a locking transaction.
 	snapshot bool
 	epoch    uint64
 
@@ -415,10 +414,6 @@ func (ec *execCtx) relatch(held *storage.Instance) {
 		ec.execHeld = held
 	}
 }
-
-// liveEpoch is the epoch a locking transaction checks an instance's
-// existence at: above every commit epoch and below a pending record's.
-const liveEpoch = math.MaxUint64 - 1
 
 // visible reports whether in exists for the context's transaction at
 // the context's epoch (storage.Instance.SnapshotVisible). Another

@@ -82,6 +82,8 @@ const (
 	// pendingEpoch is the epoch of a record whose writer has not
 	// committed: above every begin epoch and every watermark.
 	pendingEpoch = math.MaxUint64
+	// LiveEpoch is a locking reader's: above every commit epoch.
+	LiveEpoch = pendingEpoch - 1
 	// SlotCreate and SlotDelete are the slots of a creation and of a
 	// deletion marker; every other record covers a field slot (≥ 0).
 	SlotCreate = -1
@@ -167,11 +169,10 @@ func (a *verArena) get() *Version {
 	return v
 }
 
-// AllocEpoch draws the next commit epoch: a durable commit's as the log
-// sequences its record, stamped and retired under the log's mutex, any
-// other as it publishes. The holder only stamps its records and retires
-// it with FinishEpoch: later commits retire in epoch order, so in
-// between a holder of epoch e must not wait on anything.
+// AllocEpoch draws the next commit epoch, as the log sequences a
+// durable commit's record (stamped and retired under its mutex) or as
+// any other commit publishes. Epochs retire in order (FinishEpoch), so
+// between the two a holder of epoch e must not wait on anything.
 func (s *Store) AllocEpoch() uint64 { return s.epochNext.Add(1) }
 
 // LastEpoch returns the highest commit epoch drawn so far.
@@ -482,6 +483,9 @@ func (in *Instance) readAt(i int, k ValueKind, b, txn uint64) (num int64, sp *by
 				s := int(v.slot.Load())
 				if v.epoch.Load() <= b {
 					visible = visible && s != SlotDelete
+					if i < 0 && b == LiveEpoch {
+						break // see SnapshotVisible
+					}
 					continue
 				}
 				switch {
@@ -521,8 +525,10 @@ func (in *Instance) SnapshotGet(i int, b uint64) (Value, bool) {
 // txn reading as of epoch b: not while its creation has not committed
 // at or below b, unless txn is the creator, nor once its deletion has,
 // or txn is the deleter. A snapshot transaction reads at its begin
-// epoch; a locking one at math.MaxUint64 - 1, above every commit epoch
-// and below pendingEpoch.
+// epoch, a locking one at LiveEpoch, where the walk stops at the first
+// committed record: none below it can hide the instance, since a
+// pending creation has only its creator's records above it and a
+// deletion's locks keep every later writer out.
 func (in *Instance) SnapshotVisible(b, txn uint64) bool {
 	_, _, visible := in.readAt(-1, KInt, b, txn)
 	return visible
