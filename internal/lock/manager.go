@@ -96,17 +96,17 @@ const (
 // transaction of the class and its shard mutex would serialize them all.
 // Instead such a lock lives in classPartitions rows, its partitions: the
 // caller's ResourceID with Field — −1 on these kinds — set to the
-// partition number, so the rows hash onto different shards. An intention
-// mode (IsIntention) locks only the requester's own partition, chosen by
-// TxnID; every other mode sweeps all of them (see sweep). That is sound
-// because the intention modes that can meet on one resource are pairwise
-// compatible (section 5.2: "two intentional locks always coexist"), so
-// every conflict involves a non-intention mode, and that mode visits
-// every partition.
+// partition number, so the rows hash onto different shards. A request
+// covers a set of rows (rowsOf): an intention mode (IsIntention) only
+// the requester's own partition, chosen by TxnID, and every other mode
+// all of them. That is sound because the intention modes that can meet
+// on one resource are pairwise compatible (section 5.2: "two
+// intentional locks always coexist"), so every conflict involves a
+// non-intention mode, and that mode covers every partition.
 //
 // Nothing above the lock manager sees a partition: an Acquire counts
 // once in Stats, Holds/HeldModes/LocksHeld report the logical lock, and
-// a sweep is granted on every partition at once or on none, so it keeps
+// a request is granted on all its rows at once or on none, so it keeps
 // the logical lock's FIFO place and conversion priority, and its
 // waits-for edges are the logical lock's.
 const classPartitions = 8
@@ -136,11 +136,13 @@ func ownRow(txn TxnID, res ResourceID) ResourceID {
 // by a hash of the ResourceID: acquires on distinct resources land on
 // distinct shards and never contend, and class locks are spread over
 // several rows (classPartitions) so that the one hot class of a
-// workload does not pin every transaction to one shard. Per-transaction
-// held-lock tracking lives in txn-owned states (found via a striped
-// registry), so ReleaseAll touches only the shards the transaction
-// actually holds locks in. Deadlock detection runs off the hot path
-// against a dedicated waits-for registry updated only on block/unblock.
+// workload does not pin every transaction to one shard. Every request
+// is a set of rows, locked, granted and queued together, and a queued
+// request grants itself (wait). Per-transaction held-lock tracking lives
+// in txn-owned states (found via a striped registry), so ReleaseAll
+// touches only the shards the transaction actually holds locks in.
+// Deadlock detection runs off the hot path against a dedicated
+// waits-for registry updated only when a request queues and leaves.
 //
 // The zero value is not usable; construct with NewManager.
 type Manager struct {
@@ -196,7 +198,7 @@ func NewManagerShards(n int) *Manager {
 		m.shards[i].table.init(8)
 	}
 	m.reg.waiting = make(map[TxnID]waitInfo)
-	m.waiterPool.New = func() any { return &waiter{ready: make(chan error, 1)} }
+	m.waiterPool.New = func() any { return &waiter{ready: make(chan struct{}, 1)} }
 	m.statePool.New = func() any { return &txnState{} }
 	return m
 }
@@ -206,17 +208,19 @@ func NewManagerShards(n int) *Manager {
 // hashed exactly once per operation.
 func (m *Manager) shardFor(res ResourceID) (*shard, uint64) {
 	h := res.hash()
-	return &m.shards[h&m.shardMask], h
+	return m.shard(h), h
 }
 
+// shard returns the shard of the resource whose hash is h.
+func (m *Manager) shard(h uint64) *shard { return &m.shards[h&m.shardMask] }
+
 // txnState is the txn-owned lock bookkeeping: which shards the
-// transaction holds locks in (an atomic bitmask, set on first grant per
-// shard) and, per shard, which resources. The per-shard slices are only
-// touched under that shard's mutex, so a promote granting on one shard
-// can run concurrently with the transaction acquiring on another.
+// transaction holds locks in (a bitmask, set on first grant per shard)
+// and, per shard, which resources. Only the transaction's own requests
+// grant it anything, so only the transaction writes its state.
 type txnState struct {
 	txn    TxnID
-	shards atomic.Uint64
+	shards uint64
 	held   [maxShardCount][]ResourceID
 }
 
@@ -301,7 +305,7 @@ func (m *Manager) dropStateIfEmpty(txn TxnID) {
 	st := m.stripeFor(txn)
 	st.mu.Lock()
 	var s *txnState
-	if i := st.find(txn); i >= 0 && st.live[i].shards.Load() == 0 {
+	if i := st.find(txn); i >= 0 && st.live[i].shards == 0 {
 		s = st.take(i)
 	}
 	st.mu.Unlock()
@@ -331,289 +335,150 @@ func (m *Manager) AcquireWait(txn TxnID, res ResourceID, mode Mode) (time.Durati
 }
 
 // AcquireWaitDone is AcquireWait bounded by a cancellation channel: if
-// done fires while the request is queued, the waiter is withdrawn and
+// done fires while the request is queued, the request is withdrawn and
 // ErrCanceled returned. The fast path (reentrant or immediate grant)
 // never consults done — cancellation is only observed at points where
 // the request would sleep, matching context semantics on the facade. A
 // nil done is exactly AcquireWait.
+//
+// The request holds the shard mutexes of all its rows together and is
+// either granted on every one — each compatible, and each queue empty or
+// the request a conversion — or queued on every one (block). If txn
+// already holds the resource the request is a conversion on every row.
 func (m *Manager) AcquireWaitDone(txn TxnID, res ResourceID, mode Mode, done <-chan struct{}) (time.Duration, error) {
 	m.stats.requests.Add(1)
-	if partitioned(res) && !IsIntention(mode) {
-		return m.sweep(txn, res, mode, done)
+	var r rows
+	m.rowsOf(&r, txn, res, mode)
+	m.lock(&r)
+	for i := 0; i < r.n; i++ {
+		sh := m.shard(r.h[i])
+		if r.e[i] = sh.table.get(r.res[i], r.h[i]); r.e[i] == nil {
+			r.e[i] = sh.newEntry()
+			sh.table.put(r.res[i], r.h[i], r.e[i])
+		}
 	}
-	held, upgrade, w := m.request(txn, ownRow(txn, res), mode)
-	if held {
+	// The own row holds every mode txn has on the resource, and the
+	// other rows differ from it only by intention modes, which never
+	// cover a non-intention one.
+	own := r.e[0]
+	j := own.find(txn)
+	if j >= 0 && own.holders[j].modes.redundant(mode) {
+		m.unlock(&r)
 		m.stats.reentrant.Add(1)
 		return 0, nil
 	}
+	upgrade := j >= 0
 	if upgrade {
 		m.stats.upgrades.Add(1)
 	}
-	if w == nil {
+	state := m.stateFor(txn)
+	if r.compatible(txn, mode) && (upgrade || r.queuesEmpty()) {
+		for i := 0; i < r.n; i++ {
+			m.shard(r.h[i]).grant(r.e[i], r.e[i].find(txn), txn, state, r.res[i], mode)
+		}
+		m.unlock(&r)
 		m.stats.immediateGrants.Add(1)
 		return 0, nil
 	}
-	m.stats.blocks.Add(1)
-	start := time.Now()
-	return m.waited(txn, start, m.block(txn, w, done))
+	return m.block(txn, res, mode, upgrade, &r, state, done)
 }
 
-// request asks for mode on one lock-table row and returns without
-// sleeping: held means txn already has it (or a covering mode), a nil w
-// means it was granted, and otherwise w is queued and published to the
-// waits-for registry, for block to wait on. upgrade reports a
-// conversion: txn holds the row already.
-func (m *Manager) request(txn TxnID, res ResourceID, mode Mode) (held, upgrade bool, w *waiter) {
-	sh, h := m.shardFor(res)
-	sh.mu.Lock()
-	e := sh.table.get(res, h)
-	if e == nil {
-		e = sh.newEntry()
-		sh.table.put(res, h, e)
-	}
-	i := e.find(txn)
-	if i >= 0 && e.holders[i].modes.redundant(mode) {
-		sh.mu.Unlock()
-		return true, false, nil
-	}
-	upgrade = i >= 0
-	state := m.stateFor(txn)
-	if e.compatibleWithOthers(txn, mode) && (len(e.queue) == 0 || upgrade) {
-		sh.grant(e, i, txn, state, res, mode)
-		sh.mu.Unlock()
-		return false, upgrade, nil
-	}
-
-	// Must wait. Conversions go to the front of the queue, after any
-	// conversions already waiting; plain requests are FIFO.
-	w = m.waiterPool.Get().(*waiter)
-	w.txn, w.state, w.res, w.mode, w.upgrade = txn, state, res, mode, upgrade
-	e.enqueue(w)
-	m.reg.add(txn, w) // publish the waits-for edge before detecting
-	sh.mu.Unlock()
-	return false, upgrade, w
+// rows is the set of lock-table rows one request covers, with their
+// hashes and entries, and the bitmask of the shards that own them:
+// row 0 is the requester's own row (ownRow), and a non-intention mode on
+// a partitioned resource covers every partition, the requester's own
+// first. The request locks the shards in ascending order (lock); no
+// other path holds two shard mutexes, so requests cannot deadlock on
+// them.
+type rows struct {
+	n      int
+	shards uint64
+	res    [classPartitions]ResourceID
+	h      [classPartitions]uint64
+	e      [classPartitions]*entry
 }
 
-// sweep acquires a non-intention mode on a partitioned resource, on
-// every partition at once. It holds the shard mutexes of all the
-// partitions together (partsOf) and is either granted on all of them —
-// each compatible, and each queue empty or the request a conversion —
-// or queued on all of them, to be granted on all of them together later
-// (blockSweep). So it holds nothing while it waits: it keeps the logical
-// lock's place in FIFO order on every partition, a conversion passes it
-// as on a single row, and a failed sweep has nothing to give back. If
-// txn already holds the class the request is a conversion on every
-// partition.
-func (m *Manager) sweep(txn TxnID, res ResourceID, mode Mode, done <-chan struct{}) (time.Duration, error) {
-	p := m.partsOf(res)
-	p.lock()
-	var e [classPartitions]*entry
-	for i := range e {
-		if e[i] = p.sh[i].table.get(p.res[i], p.h[i]); e[i] == nil {
-			e[i] = p.sh[i].newEntry()
-			p.sh[i].table.put(p.res[i], p.h[i], e[i])
-		}
+// rowsOf fills r, whose shards must be empty, with the rows txn's
+// request for mode on res covers: row i is the row of res that the
+// i-th transaction after txn would own.
+func (m *Manager) rowsOf(r *rows, txn TxnID, res ResourceID, mode Mode) {
+	r.n = 1
+	if partitioned(res) && !IsIntention(mode) {
+		r.n = classPartitions
 	}
-	// Partitions differ only by intention modes, and those never cover a
-	// non-intention one: held on one partition is held on all of them.
-	if i := e[0].find(txn); i >= 0 && e[0].holders[i].modes.redundant(mode) {
-		p.unlock()
-		m.stats.reentrant.Add(1)
-		return 0, nil
+	for i := 0; i < r.n; i++ {
+		r.res[i] = ownRow(txn+TxnID(i), res)
+		r.h[i] = r.res[i].hash()
+		r.shards |= 1 << (r.h[i] & m.shardMask)
 	}
-	conv := e[uint64(txn)%classPartitions].find(txn) >= 0
-	if conv {
-		m.stats.upgrades.Add(1)
-	}
-	state := m.stateFor(txn)
-	if compatibleAll(e[:], txn, mode) && (conv || queuesEmpty(e[:])) {
-		for i := range e {
-			p.sh[i].grant(e[i], e[i].find(txn), txn, state, p.res[i], mode)
-		}
-		p.unlock()
-		m.stats.immediateGrants.Add(1)
-		return 0, nil
-	}
+}
 
-	// Queue on every partition. Each waiter is a part: promote does not
-	// grant it but tells the sweep, through the first part's ready
-	// channel, that it has reached the head of its queue.
+func (m *Manager) lock(r *rows) {
+	for s := r.shards; s != 0; s &= s - 1 {
+		m.shards[bits.TrailingZeros64(s)].mu.Lock()
+	}
+}
+
+func (m *Manager) unlock(r *rows) {
+	for s := r.shards; s != 0; s &= s - 1 {
+		m.shards[bits.TrailingZeros64(s)].mu.Unlock()
+	}
+}
+
+// compatible reports whether mode is compatible with every other
+// transaction's modes on every row. Requires r locked.
+func (r *rows) compatible(txn TxnID, mode Mode) bool {
+	for _, e := range r.e[:r.n] {
+		if !e.compatibleWithOthers(txn, mode) {
+			return false
+		}
+	}
+	return true
+}
+
+func (r *rows) queuesEmpty() bool {
+	for _, e := range r.e[:r.n] {
+		if len(e.queue) > 0 {
+			return false
+		}
+	}
+	return true
+}
+
+// heads reports whether the request queued as ws heads every row's
+// queue. Requires r locked.
+func (r *rows) heads(ws *[classPartitions]*waiter) bool {
+	for i, e := range r.e[:r.n] {
+		if e.queue[0] != ws[i] {
+			return false
+		}
+	}
+	return true
+}
+
+// block queues txn's request on every row of r, which the caller has
+// locked and found busy, publishes it to the waits-for registry and
+// waits for it. Every waiter names the first as its lead: promote rings
+// the lead's ready channel when any of them comes to head its queue.
+func (m *Manager) block(txn TxnID, res ResourceID, mode Mode, upgrade bool, r *rows, state *txnState, done <-chan struct{}) (time.Duration, error) {
 	var ws [classPartitions]*waiter
-	for i := range ws {
+	for i := 0; i < r.n; i++ {
 		w := m.waiterPool.Get().(*waiter)
 		ws[i] = w
-		w.txn, w.state, w.res, w.mode, w.upgrade, w.lead = txn, state, p.res[i], mode, conv, ws[0]
-		e[i].enqueue(w)
+		w.txn, w.mode, w.upgrade, w.lead = txn, mode, upgrade, ws[0]
+		r.e[i].enqueue(w)
 	}
-	published := ws // detection reads this copy, never the live array
-	m.reg.put(txn, waitInfo{res: res, mode: mode, upgrade: conv, parts: &published})
-	p.unlock()
+	m.reg.put(txn, waitInfo{res: res, mode: mode, upgrade: upgrade, ws: ws})
+	m.unlock(r)
 	m.stats.blocks.Add(1)
 	start := time.Now()
-	return m.waited(txn, start, m.blockSweep(txn, &p, &ws, done))
-}
-
-// parts is the rows of a partitioned resource with their hashes and
-// shards, and those shards once each in ascending order: the order in
-// which a sweep locks them. No other path holds two shard mutexes, so
-// sweeps cannot deadlock on them.
-type parts struct {
-	res   [classPartitions]ResourceID
-	h     [classPartitions]uint64
-	sh    [classPartitions]*shard
-	order [classPartitions]*shard
-	n     int
-}
-
-func (m *Manager) partsOf(res ResourceID) (p parts) {
-	for i := range p.res {
-		p.res[i] = partition(res, i)
-		p.sh[i], p.h[i] = m.shardFor(p.res[i])
-		j := 0
-		for j < p.n && p.order[j].idx < p.sh[i].idx {
-			j++
-		}
-		if j < p.n && p.order[j] == p.sh[i] {
-			continue
-		}
-		copy(p.order[j+1:p.n+1], p.order[j:p.n])
-		p.order[j] = p.sh[i]
-		p.n++
-	}
-	return p
-}
-
-func (p *parts) lock() {
-	for _, sh := range p.order[:p.n] {
-		sh.mu.Lock()
-	}
-}
-
-func (p *parts) unlock() {
-	for _, sh := range p.order[:p.n] {
-		sh.mu.Unlock()
-	}
-}
-
-// entries returns the partitions' rows. Requires p locked and the rows
-// present — as they are while the sweep is queued on them.
-func (p *parts) entries() (e [classPartitions]*entry) {
-	for i := range e {
-		e[i] = p.sh[i].table.get(p.res[i], p.h[i])
-	}
-	return e
-}
-
-// compatibleAll reports whether mode is compatible with every other
-// transaction's modes on every one of the rows e.
-func compatibleAll(e []*entry, txn TxnID, mode Mode) bool {
-	for i := range e {
-		if !e[i].compatibleWithOthers(txn, mode) {
-			return false
-		}
-	}
-	return true
-}
-
-func queuesEmpty(e []*entry) bool {
-	for i := range e {
-		if len(e[i].queue) > 0 {
-			return false
-		}
-	}
-	return true
-}
-
-// grantable reports whether the sweep queued as ws heads every queue of
-// the rows e and is compatible with every holder: what promote would
-// grant, were the rows one.
-func grantable(e []*entry, ws *[classPartitions]*waiter) bool {
-	for i := range e {
-		if e[i].queue[0] != ws[i] {
-			return false
-		}
-	}
-	return compatibleAll(e, ws[0].txn, ws[0].mode)
-}
-
-// blockSweep waits until the sweep queued as ws heads every queue and is
-// compatible everywhere, then grants it on every partition at once and
-// admits whatever queued behind it. Promote rings the first part's
-// ready channel whenever one of the parts comes to head its queue; each
-// ring is a look under all the partitions' mutexes. A timeout or
-// cancellation withdraws the sweep from every queue — unless it is
-// grantable by then, and then the grant wins.
-func (m *Manager) blockSweep(txn TxnID, p *parts, ws *[classPartitions]*waiter, done <-chan struct{}) error {
-	if err := m.detectSweepDeadlock(txn, p, ws); err != nil {
-		return err
-	}
-	timeout := m.deadline()
-	for {
-		var cause error
-		select {
-		case <-ws[0].ready:
-		case <-timeout:
-			cause = ErrTimeout
-		case <-done:
-			cause = ErrCanceled
-		}
-		p.lock()
-		e := p.entries()
-		if w := ws[0]; grantable(e[:], ws) {
-			for i := range e {
-				e[i].queue = e[i].queue[1:]
-				p.sh[i].grant(e[i], e[i].find(txn), txn, w.state, p.res[i], w.mode)
-				p.sh[i].promote(m, e[i])
-			}
-			cause = nil
-		} else if cause == nil {
-			p.unlock()
-			continue
-		} else {
-			m.unqueue(p, e[:], ws)
-			if cause == ErrTimeout {
-				m.stats.timeouts.Add(1)
-			}
-		}
-		m.reg.remove(txn)
-		p.unlock()
-		m.recycleParts(ws)
-		return cause
-	}
-}
-
-// unqueue takes the sweep queued as ws off every partition's queue and
-// admits whatever its place held back. Requires p locked.
-func (m *Manager) unqueue(p *parts, e []*entry, ws *[classPartitions]*waiter) {
-	for i := range e {
-		e[i].removeWaiter(ws[i])
-		p.sh[i].settle(m, e[i], p.res[i], p.h[i])
-	}
-}
-
-// recycleParts recycles a finished sweep's waiters. None of them is in a
-// queue any more, so no ring can follow: clearing the one that may be
-// pending leaves the first part's channel empty for its next user.
-func (m *Manager) recycleParts(ws *[classPartitions]*waiter) {
-	select {
-	case <-ws[0].ready:
-	default:
-	}
-	for _, w := range ws {
-		m.recycleWaiter(w)
-	}
-}
-
-// waited closes a blocking acquire that started queueing at start: the
-// wait goes to the histogram, and a failed request recycles the state of
-// a transaction it left holding nothing.
-func (m *Manager) waited(txn TxnID, start time.Time, err error) (time.Duration, error) {
+	err := m.wait(txn, mode, r, &ws, state, done)
 	d := time.Since(start)
 	if hist := m.waitHist.Load(); hist != nil {
 		hist.Record(d)
 	}
 	if err != nil {
-		m.dropStateIfEmpty(txn)
+		m.dropStateIfEmpty(txn) // it may have been the transaction's first request
 	}
 	return d, err
 }
@@ -628,20 +493,91 @@ func (m *Manager) waited(txn TxnID, start time.Time, err error) (time.Duration, 
 // take about 6 µs, a short transaction or two.
 const grantSpins = 32
 
-// block runs the slow half of an acquire — deadlock detection, then the
-// grant/timeout/cancellation wait — after the waiter has been enqueued.
-// On failure the waiter is off the queue and recycled.
-func (m *Manager) block(txn TxnID, w *waiter, done <-chan struct{}) error {
-	res := w.res
-	sh, h := m.shardFor(res)
-	if err := m.detectDeadlock(txn, w, sh); err != nil {
-		return err
+// wait runs the slow half of an acquire after block queued the request
+// as ws on the rows r. First deadlock detection: detections are
+// serialized by detMu, so for any stable cycle the last transaction to
+// publish its edge sees the whole cycle and victimizes itself; earlier
+// publishers see no cycle and wait. Then the wait proper: promote rings
+// ws[0] whenever one of the waiters comes to head its queue compatibly,
+// and each ring is a look under all the rows' mutexes. Once the request
+// heads every queue and is compatible everywhere it is granted on every
+// row at once and admits whatever queued behind it. A deadlock, a
+// timeout or a cancellation instead takes it off every queue, holding
+// nothing it did not hold before, and returns the cause — unless the
+// request is grantable by then, and then the grant wins.
+func (m *Manager) wait(txn TxnID, mode Mode, r *rows, ws *[classPartitions]*waiter, state *txnState, done <-chan struct{}) error {
+	timeout := m.deadline()
+	var cause error
+	m.detMu.Lock()
+	if cycle := m.findCycle(txn); cycle != nil {
+		// The victim keeps detMu until it has left every queue.
+		cause = &DeadlockError{Txn: txn, Cycle: cycle, Escalation: ws[0].upgrade || m.cycleHasUpgrade(cycle)}
+	} else {
+		m.detMu.Unlock()
 	}
-	if cause := m.wait(w, m.deadline(), done); cause != nil {
-		return m.withdraw(txn, w, sh, res, h, cause)
+	victim := cause != nil
+	for spins := 0; ; spins++ {
+		if cause == nil {
+			select {
+			case <-ws[0].ready:
+			default:
+				if spins < grantSpins {
+					runtime.Gosched()
+					continue
+				}
+				select {
+				case <-ws[0].ready:
+				case <-timeout:
+					cause = ErrTimeout
+				case <-done:
+					cause = ErrCanceled
+				}
+			}
+		}
+		m.lock(r)
+		if r.heads(ws) && r.compatible(txn, mode) {
+			for i, e := range r.e[:r.n] {
+				e.queue = e.queue[1:]
+				m.shard(r.h[i]).grant(e, e.find(txn), txn, state, r.res[i], mode)
+				e.promote()
+			}
+			cause = nil
+		} else if cause == nil {
+			m.unlock(r)
+			continue
+		} else {
+			for i, e := range r.e[:r.n] {
+				e.removeWaiter(ws[i])
+				m.shard(r.h[i]).settle(e, r.res[i], r.h[i])
+			}
+			if cause == ErrTimeout {
+				m.stats.timeouts.Add(1)
+			}
+			if d, ok := cause.(*DeadlockError); ok {
+				m.stats.deadlocks.Add(1)
+				if d.Escalation {
+					m.stats.escalationDeadlocks.Add(1)
+				}
+			}
+		}
+		m.reg.remove(txn)
+		m.unlock(r)
+		if victim {
+			m.detMu.Unlock()
+		}
+		// No waiter is queued any more, so no ring can follow: clearing
+		// the one that may be pending leaves the lead's channel empty for
+		// its next user.
+		select {
+		case <-ws[0].ready:
+		default:
+		}
+		for _, w := range ws[:r.n] {
+			w.mode, w.lead = nil, nil
+			m.waiterPool.Put(w)
+		}
+		return cause
 	}
-	m.recycleWaiter(w)
-	return nil
 }
 
 // deadline returns a channel that fires once WaitTimeout has passed, or
@@ -651,64 +587,6 @@ func (m *Manager) deadline() <-chan time.Time {
 		return nil
 	}
 	return time.After(m.WaitTimeout)
-}
-
-// wait waits for the grant of w, polling grantSpins times before it
-// sleeps, until timeout or done fires (a nil channel never does). It
-// returns nil once it has consumed the grant, and otherwise the cause —
-// ErrTimeout or ErrCanceled — with w still to be withdrawn.
-func (m *Manager) wait(w *waiter, timeout <-chan time.Time, done <-chan struct{}) error {
-	for i := 0; i < grantSpins; i++ {
-		select {
-		case <-w.ready:
-			return nil
-		default:
-			runtime.Gosched()
-		}
-	}
-	select {
-	case <-w.ready:
-		return nil
-	case <-timeout:
-		return ErrTimeout
-	case <-done:
-		return ErrCanceled
-	}
-}
-
-// withdraw removes a waiter whose timeout or cancellation fired. If the
-// grant raced ahead of the withdrawal, the grant wins and cause is
-// dropped — the lock is held, the caller proceeds.
-func (m *Manager) withdraw(txn TxnID, w *waiter, sh *shard, res ResourceID, h uint64, cause error) error {
-	sh.mu.Lock()
-	if e := sh.table.get(res, h); e != nil && e.removeWaiter(w) {
-		m.reg.remove(txn)
-		if cause == ErrTimeout {
-			m.stats.timeouts.Add(1)
-		}
-		sh.settle(m, e, res, h)
-		sh.mu.Unlock()
-		m.recycleWaiter(w)
-		return cause
-	}
-	// Granted between the wakeup and the lock: consume the grant.
-	sh.mu.Unlock()
-	return m.await(w)
-}
-
-// await consumes the grant signal and recycles the waiter.
-func (m *Manager) await(w *waiter) error {
-	err := <-w.ready
-	m.recycleWaiter(w)
-	return err
-}
-
-func (m *Manager) recycleWaiter(w *waiter) {
-	w.state = nil
-	w.lead = nil
-	w.mode = nil
-	w.res = ResourceID{}
-	m.waiterPool.Put(w)
 }
 
 // Holds reports whether txn currently holds mode on res.
@@ -755,7 +633,7 @@ func (m *Manager) LocksHeld(txn TxnID) int {
 		return 0
 	}
 	n := 0
-	mask := s.shards.Load()
+	mask := s.shards
 	for mask != 0 {
 		i := bits.TrailingZeros64(mask)
 		mask &^= 1 << i
@@ -793,7 +671,7 @@ func (m *Manager) ReleaseAll(txn TxnID) {
 		return
 	}
 	woke := false
-	mask := s.shards.Load()
+	mask := s.shards
 	for mask != 0 {
 		i := bits.TrailingZeros64(mask)
 		mask &^= 1 << i
@@ -808,14 +686,14 @@ func (m *Manager) ReleaseAll(txn TxnID) {
 			if j := e.find(txn); j >= 0 {
 				e.drop(j)
 			}
-			if sh.settle(m, e, res, h) {
+			if sh.settle(e, res, h) {
 				woke = true
 			}
 		}
 		s.held[i] = s.held[i][:0]
 		sh.mu.Unlock()
 	}
-	s.shards.Store(0)
+	s.shards = 0
 	m.statePool.Put(s)
 	if woke {
 		runtime.Gosched()

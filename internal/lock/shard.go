@@ -230,19 +230,18 @@ func (g *grantSet) len() int {
 	return 1 + len(g.rest)
 }
 
-// waiter is one blocked Acquire. Waiters are pooled: the ready channel
-// is reused, which is safe because every grant sends exactly one value
-// and the waiting goroutine consumes it before recycling.
+// waiter is a queued request's place in one row's queue; a request
+// queued on several rows has a waiter on each. Waiters are pooled: the
+// ready channel is reused, which is safe because the request drains it
+// before it recycles its waiters.
 type waiter struct {
 	txn     TxnID
-	state   *txnState
-	res     ResourceID
 	mode    Mode
 	upgrade bool
-	ready   chan error // buffered(1); receives nil on grant
-	// lead, set on each partition's waiter of a queued sweep, is the
-	// sweep's first waiter: its ready channel is where promote rings.
-	lead *waiter
+	// lead is the request's first waiter (for that one, itself): its
+	// ready channel is where promote rings.
+	lead  *waiter
+	ready chan struct{} // buffered(1)
 }
 
 // newEntry takes an entry off the shard free list (or allocates one).
@@ -276,18 +275,15 @@ func (sh *shard) grant(e *entry, i int, txn TxnID, state *txnState, res Resource
 	}
 	e.holders = append(e.holders, holder{txn: txn, modes: grantSet{first: mode}})
 	state.held[sh.idx] = append(state.held[sh.idx], res)
-	bit := uint64(1) << sh.idx
-	if state.shards.Load()&bit == 0 {
-		state.shards.Or(bit)
-	}
+	state.shards |= 1 << sh.idx
 }
 
-// settle runs after grants or waiters left the row of res: it admits
+// settle runs after holders or waiters left the row of res: it admits
 // whatever the queue now allows and recycles the entry once nobody holds
-// or waits for it. It reports whether a waiter was granted. Requires
-// sh.mu held.
-func (sh *shard) settle(m *Manager, e *entry, res ResourceID, h uint64) (woke bool) {
-	woke = sh.promote(m, e)
+// or waits for it. It reports whether it rang a waiter. Requires sh.mu
+// held.
+func (sh *shard) settle(e *entry, res ResourceID, h uint64) (woke bool) {
+	woke = e.promote()
 	if len(e.holders) == 0 && len(e.queue) == 0 {
 		sh.table.del(res, h)
 		sh.freeEntry(e)
@@ -334,43 +330,33 @@ func (e *entry) enqueue(w *waiter) {
 	e.queue[i] = w
 }
 
-// removeWaiter deletes w from the queue, reporting whether it was still
-// queued (false means it was granted concurrently). Requires sh.mu held.
-func (e *entry) removeWaiter(w *waiter) bool {
+// removeWaiter deletes w from the queue. Requires sh.mu held.
+func (e *entry) removeWaiter(w *waiter) {
 	for i, x := range e.queue {
 		if x == w {
 			e.queue = append(e.queue[:i], e.queue[i+1:]...)
-			return true
+			return
 		}
 	}
-	return false
 }
 
-// promote grants queued requests in FIFO order, stopping at the first
-// waiter that still conflicts — strict FIFO prevents starvation and
-// makes the waits-for edges exact. Granted waiters leave the waits-for
-// registry before their goroutine wakes. A sweep's waiter at the head is
-// not granted here: the sweep is told, and grants itself on every
-// partition at once when it heads them all. It reports whether anyone
-// was granted. Requires sh.mu held.
-func (sh *shard) promote(m *Manager, e *entry) (woke bool) {
-	for len(e.queue) > 0 {
-		w := e.queue[0]
-		if !e.compatibleWithOthers(w.txn, w.mode) {
-			break
-		}
-		if w.lead != nil {
-			select {
-			case w.lead.ready <- nil:
-			default: // already rung
-			}
-			break
-		}
-		e.queue = e.queue[1:]
-		sh.grant(e, e.find(w.txn), w.txn, w.state, w.res, w.mode)
-		m.reg.remove(w.txn)
-		w.ready <- nil
-		woke = true
+// promote tells the request at the head of the queue, if it is
+// compatible with every holder, that it may be grantable: it rings the
+// request's lead, and the request grants itself once it heads every
+// queue it waits in (Manager.wait). Strict FIFO prevents starvation and
+// makes the waits-for edges exact. It grants nothing, and reports
+// whether it rang. Requires sh.mu held.
+func (e *entry) promote() bool {
+	if len(e.queue) == 0 {
+		return false
 	}
-	return woke
+	w := e.queue[0]
+	if !e.compatibleWithOthers(w.txn, w.mode) {
+		return false
+	}
+	select {
+	case w.lead.ready <- struct{}{}:
+	default: // already rung
+	}
+	return true
 }
