@@ -121,7 +121,7 @@ func (db *DB) Failed() error {
 // No-op for a volatile database.
 func (db *DB) Sync() error {
 	if w := db.Txns.WAL(); w != nil {
-		return w.Sync()
+		return w.Sync(nil)
 	}
 	return nil
 }

@@ -532,21 +532,39 @@ func (ec *execCtx) domainScan(class, method string, hier bool,
 	return ec.scanDomain(root, mid, hier, filter, args)
 }
 
-// scanDomain is the shared ID-resolved scan loop. The per-class extent
+// scanDomain is the one ID-resolved scan loop. The per-class extent
 // snapshots land in the context's reusable buffer, so a warm scan
 // allocates nothing.
+//
+// A snapshot transaction scans lock-free: its gate is the method's
+// static read-only flag (snapRead) in place of the lock plans, and each
+// visited instance is read at the snapshot's begin epoch. Instances
+// whose creation had not committed when the snapshot began still carry
+// a creation marker the snapshot rolls back, and are skipped. An
+// instance whose delete has not committed still carries a pending
+// deletion marker and is visited; one whose delete committed after the
+// snapshot began has left the extent and is missed — the documented
+// staleness of the snapshot contract. The hier flag does not apply
+// there (there are no locks to choose a granularity for), so filter
+// always selects; it sees the live instance, not the versioned image:
+// use it for class dispatch, not value predicates.
 func (ec *execCtx) scanDomain(root *schema.Class, mid schema.MethodID, hier bool,
 	filter func(*storage.Instance) bool, args []Value) (int, error) {
+	crt := ec.db.rt.class(root)
 	if ec.snapshot {
-		return ec.scanDomainSnapshot(root, mid, filter, args)
-	}
-	plans := &ec.db.rt.class(root).plans[mid]
-	plan := plans.scanIntent
-	if hier {
-		plan = plans.scanHier
-	}
-	if err := plan.acquire(ec.acq, 0); err != nil {
-		return 0, err
+		if int(mid) >= len(crt.snapRead) || !crt.snapRead[mid] {
+			return 0, fmt.Errorf("engine: %s.%s writes per its access vector: %w",
+				root.Name, ec.db.rt.MethodName(mid), ec.tx.Writable())
+		}
+		hier = false
+	} else {
+		plan := crt.plans[mid].scanIntent
+		if hier {
+			plan = crt.plans[mid].scanHier
+		}
+		if err := plan.acquire(ec.acq, 0); err != nil {
+			return 0, err
+		}
 	}
 	ec.db.scans.Add(1)
 
@@ -563,12 +581,14 @@ func (ec *execCtx) scanDomain(root *schema.Class, mid schema.MethodID, hier bool
 				if filter != nil && !filter(in) {
 					continue
 				}
-				if err := vcrt.plans[mid].scanInstance.acquire(ec.acq, uint64(oid)); err != nil {
-					ec.escrowMask = nil
-					return count, err
-				}
-				if !ec.visible(in) {
-					continue // deleted by the transaction this visit queued behind
+				if !ec.snapshot {
+					if err := vcrt.plans[mid].scanInstance.acquire(ec.acq, uint64(oid)); err != nil {
+						ec.escrowMask = nil
+						return count, err
+					}
+					if !ec.visible(in) {
+						continue // deleted by the transaction this visit queued behind
+					}
 				}
 			}
 			// Per-instance bind: the mask is per (class, method), and a
@@ -583,46 +603,5 @@ func (ec *execCtx) scanDomain(root *schema.Class, mid schema.MethodID, hier bool
 		}
 	}
 	ec.escrowMask = nil
-	return count, nil
-}
-
-// scanDomainSnapshot is the lock-free domain scan: no lock plans, no
-// class or instance locks, each visited instance read at the
-// snapshot's begin epoch. Instances whose creation had not committed
-// when the snapshot began still carry a creation marker the snapshot
-// rolls back, and are skipped. An instance whose delete has not
-// committed still carries a pending deletion marker and is visited; one
-// whose delete committed after the snapshot began has left the extent
-// and is missed — the documented staleness of the snapshot contract.
-// The hier flag does not apply: there are no locks to choose a
-// granularity for. filter sees the live instance, not the versioned
-// image: use it for class dispatch, not value predicates.
-func (ec *execCtx) scanDomainSnapshot(root *schema.Class, mid schema.MethodID,
-	filter func(*storage.Instance) bool, args []Value) (int, error) {
-	crt := ec.db.rt.class(root)
-	if int(mid) >= len(crt.snapRead) || !crt.snapRead[mid] {
-		return 0, fmt.Errorf("engine: %s.%s writes per its access vector: %w",
-			root.Name, ec.db.rt.MethodName(mid), ec.tx.Writable())
-	}
-	ec.db.scans.Add(1)
-	count := 0
-	ec.snap = ec.db.Store.DomainSnapshotInto(ec.snap[:0], root.Domain())
-	for _, part := range ec.snap {
-		for _, oid := range part {
-			in, ok := ec.db.Store.Get(oid)
-			if !ok || !ec.visible(in) {
-				continue
-			}
-			if filter != nil && !filter(in) {
-				continue
-			}
-			prog := ec.db.rt.classes[in.Class.ID].progAt(mid)
-			if _, err := ec.invokeProg(in, prog, args); err != nil {
-				return count, err
-			}
-			ec.db.instancesVisited.Add(1)
-			count++
-		}
-	}
 	return count, nil
 }

@@ -39,25 +39,44 @@ func TestAcquireReentrantZeroAllocs(t *testing.T) {
 	}
 }
 
+// A warm acquire/release cycle allocates nothing, whatever rows the
+// request covers: one instance row, the requester's own class partition
+// (an intentional ClassMode), or every partition (a hierarchical one).
 func TestAcquireReleaseCycleZeroAllocs(t *testing.T) {
-	m := NewManager()
-	res := InstanceRes(7)
-	mode := warmMethodMode(t)
-	// Warm the entry free list, the txn state pool and the held slices.
-	for i := 0; i < 4; i++ {
-		if err := m.Acquire(1, res, mode); err != nil {
-			t.Fatal(err)
-		}
-		m.ReleaseAll(1)
+	c, err := core.CompileSource(paperex.Figure1)
+	if err != nil {
+		t.Fatal(err)
 	}
-	allocs := testing.AllocsPerRun(200, func() {
-		if err := m.Acquire(1, res, mode); err != nil {
-			t.Fatal(err)
-		}
-		m.ReleaseAll(1)
-	})
-	if allocs != 0 {
-		t.Errorf("warm acquire/release cycle allocates %.1f objects/op, want 0", allocs)
+	tbl := c.Class("c2").Table
+	m3 := tbl.ModeIndex("m3")
+	for _, tc := range []struct {
+		name string
+		res  ResourceID
+		mode Mode
+	}{
+		{"instance method mode", InstanceRes(7), MethodMode{Table: tbl, Idx: m3}},
+		{"intentional class mode", ClassRes(1), ClassMode{Table: tbl, Idx: m3}},
+		{"hierarchical class mode", ClassRes(1), ClassMode{Table: tbl, Idx: m3, Hier: true}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			m := NewManager()
+			// Warm the entry free lists, the txn state pool and the held slices.
+			for i := 0; i < 4; i++ {
+				if err := m.Acquire(1, tc.res, tc.mode); err != nil {
+					t.Fatal(err)
+				}
+				m.ReleaseAll(1)
+			}
+			allocs := testing.AllocsPerRun(200, func() {
+				if err := m.Acquire(1, tc.res, tc.mode); err != nil {
+					t.Fatal(err)
+				}
+				m.ReleaseAll(1)
+			})
+			if allocs != 0 {
+				t.Errorf("warm acquire/release cycle allocates %.1f objects/op, want 0", allocs)
+			}
+		})
 	}
 }
 

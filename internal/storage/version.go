@@ -40,7 +40,7 @@
 //     therefore needs no seq bump: the two values a racing reader can
 //     see mean the same thing to it. (A committed delete removes the
 //     instance at once, so one that commits after B takes it out of a
-//     snapshot begun at B: see engine scanDomainSnapshot and oodb.View.)
+//     snapshot begun at B: see engine scanDomain and oodb.View.)
 //   - The reader's whole reconstruction — live cell, chain head, every
 //     hop — sits inside one seqlock section of the instance. Linking,
 //     unlinking and pruning all happen with seq odd, so a reader that

@@ -191,63 +191,94 @@ func TestRunCancellation(t *testing.T) {
 // A cancellation that strikes during the durability wait cannot undo
 // the commit: the record is sequenced, so the effects stay visible, the
 // locks are already released, the error says so, a Sync barrier hardens
-// the record, and recovery replays it.
+// the record, and recovery replays it. A read-only commit behind an
+// unacknowledged pipelined write waits at a Sync barrier instead of a
+// ticket, and the cancellation bounds that wait the same way.
 func TestRunCancelDuringDurabilityWait(t *testing.T) {
-	m, st, s := setup(t)
-	dir := t.TempDir()
-	fs := newGateFS()
-	w, _, err := wal.Open(dir, st, wal.Options{FS: fs})
-	if err != nil {
-		t.Fatal(err)
-	}
-	m.SetWAL(w)
-	fs.armed.Store(true)
+	for _, tc := range []struct {
+		name     string
+		readOnly bool
+	}{
+		{"write", false},
+		{"read-only behind a pipelined write", true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			m, st, s := setup(t)
+			dir := t.TempDir()
+			fs := newGateFS()
+			w, _, err := wal.Open(dir, st, wal.Options{FS: fs})
+			if err != nil {
+				t.Fatal(err)
+			}
+			m.SetWAL(w)
+			fs.armed.Store(true)
 
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	go func() {
-		<-fs.parked
-		cancel()
-	}()
-	var oid storage.OID
-	var id lock.TxnID
-	err = m.RunWithRetry(ctx, func(tx *Txn) error {
-		in, marker, err := st.NewUncommitted(uint64(tx.ID), s.Class("c1"), storage.IntV(42))
-		if err != nil {
-			return err
-		}
-		oid, id = in.OID, tx.ID
-		tx.LogCreate(in, marker)
-		return m.Locks().Acquire(tx.ID, lock.InstanceRes(uint64(oid)), lock.X)
-	})
-	if !errors.Is(err, ErrUnackedCommit) || !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want ErrUnackedCommit wrapping context.Canceled", err)
-	}
-	if _, ok := st.Get(oid); !ok {
-		t.Error("the commit's effects are not visible")
-	}
-	if s := m.Snapshot(); s.Committed != 1 || s.Aborted != 0 {
-		t.Errorf("committed %d aborted %d, want 1 and 0", s.Committed, s.Aborted)
-	}
-	if held := m.Locks().LocksHeld(id); held != 0 {
-		t.Errorf("the unacked commit still holds %d locks", held)
-	}
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			var oid storage.OID
+			var id lock.TxnID
+			create := func(tx *Txn) error {
+				in, marker, err := st.NewUncommitted(uint64(tx.ID), s.Class("c1"), storage.IntV(42))
+				if err != nil {
+					return err
+				}
+				oid, id = in.OID, tx.ID
+				tx.LogCreate(in, marker)
+				return m.Locks().Acquire(tx.ID, lock.InstanceRes(uint64(oid)), lock.X)
+			}
+			var fut Future
+			wantCommitted := int64(1)
+			if tc.readOnly {
+				if fut, err = m.RunWithRetryPipelined(context.Background(), create); err != nil {
+					t.Fatal(err)
+				}
+				<-fs.parked
+				wantCommitted = 2
+				err = m.RunWithRetry(ctx, func(tx *Txn) error {
+					id = tx.ID
+					cancel() // the barrier at commit is the only wait left
+					return m.Locks().Acquire(tx.ID, lock.InstanceRes(uint64(oid)), lock.S)
+				})
+			} else {
+				go func() {
+					<-fs.parked
+					cancel()
+				}()
+				err = m.RunWithRetry(ctx, create)
+			}
+			if !errors.Is(err, ErrUnackedCommit) || !errors.Is(err, context.Canceled) {
+				t.Fatalf("err = %v, want ErrUnackedCommit wrapping context.Canceled", err)
+			}
+			if _, ok := st.Get(oid); !ok {
+				t.Error("the commit's effects are not visible")
+			}
+			if s := m.Snapshot(); s.Committed != wantCommitted || s.Aborted != 0 {
+				t.Errorf("committed %d aborted %d, want %d and 0", s.Committed, s.Aborted, wantCommitted)
+			}
+			if held := m.Locks().LocksHeld(id); held != 0 {
+				t.Errorf("the unacked commit still holds %d locks", held)
+			}
 
-	close(fs.gate)
-	if err := w.Sync(); err != nil {
-		t.Fatalf("Sync after the unacked commit: %v", err)
-	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-	st2 := storage.NewStore(s)
-	w2, info, err := wal.Open(dir, st2, wal.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer w2.Close()
-	if in, ok := st2.Get(oid); !ok || in.Get(0).I != 42 {
-		t.Errorf("recovery did not replay the unacked commit (records applied: %d)", info.Records)
+			close(fs.gate)
+			if err := fut.Wait(); err != nil {
+				t.Fatalf("the pipelined write's ticket: %v", err)
+			}
+			if err := w.Sync(nil); err != nil {
+				t.Fatalf("Sync after the unacked commit: %v", err)
+			}
+			if err := w.Close(); err != nil {
+				t.Fatal(err)
+			}
+			st2 := storage.NewStore(s)
+			w2, info, err := wal.Open(dir, st2, wal.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer w2.Close()
+			if in, ok := st2.Get(oid); !ok || in.Get(0).I != 42 {
+				t.Errorf("recovery did not replay the unacked commit (records applied: %d)", info.Records)
+			}
+		})
 	}
 }
 

@@ -339,7 +339,8 @@ func (t *Txn) commit(pipelined bool) (Future, error) {
 // by the transaction's cancellation channel (nil: unbounded), and
 // records the wait in the trace. A durable commit that wrote nothing
 // may have read a write the log has not acknowledged, so while any
-// epoch drawn is unacknowledged it passes a Sync barrier instead.
+// epoch drawn is unacknowledged it passes a Sync barrier instead, bounded
+// the same way.
 func (t *Txn) awaitTicket(f Future) error {
 	w := t.mgr.wal
 	if f.w == nil && (w == nil || t.mgr.store.DurableEpoch() >= t.mgr.store.LastEpoch()) {
@@ -351,7 +352,7 @@ func (t *Txn) awaitTicket(f Future) error {
 	}
 	err := f.WaitDone(t.done)
 	if f.w == nil {
-		err = w.Sync() // no ticket: f resolved at once
+		err = w.Sync(t.done) // no ticket: f resolved at once
 	}
 	if t.traceOn {
 		t.trace.Add(obs.EvFsyncWait, time.Since(start), 0)

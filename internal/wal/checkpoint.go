@@ -285,7 +285,7 @@ func (l *Log) Checkpoint() error {
 	// A pipelined delete after the cut may have removed an instance
 	// before its record was fsynced; the record was enqueued first, so
 	// this barrier makes it durable before the file omits the instance.
-	if err := l.Sync(); err != nil {
+	if err := l.Sync(nil); err != nil {
 		return err
 	}
 	if err := writeCheckpoint(l.fs, l.dir, body, !fellBack); err != nil {

@@ -177,11 +177,21 @@ func (f *Future) WaitDone(done <-chan struct{}) error {
 		return nil
 	}
 	f.c = nil
+	l := c.l
+	err := c.wait(done)
+	if err != ErrWaitCanceled {
+		l.futures.Put(f)
+	}
+	return err
+}
+
+// wait waits for the writer to acknowledge c, bounded by done, and
+// recycles it. On cancellation it returns ErrWaitCanceled and hands c to
+// a background drainer that recycles it once the writer acknowledges it.
+func (c *commit) wait(done <-chan struct{}) error {
 	select {
 	case err := <-c.done:
-		l := c.l
 		c.discard()
-		l.futures.Put(f)
 		return err
 	case <-done:
 		go func() {
@@ -680,14 +690,15 @@ func (c *commit) enqueue(publish func(epoch uint64)) error {
 // Sync is a hardening barrier: it blocks until everything enqueued
 // before it — including pipelined commits whose futures have not been
 // waited on — is written and fsynced, regardless of the sync policy.
-func (l *Log) Sync() error {
+// Like Future.WaitDone it is bounded by done (nil: unbounded): on
+// cancellation it returns ErrWaitCanceled, and the barrier still passes
+// in the background.
+func (l *Log) Sync(done <-chan struct{}) error {
 	c := l.barrier(false)
 	if err := c.enqueue(nil); err != nil {
 		return err
 	}
-	err := <-c.done
-	c.discard()
-	return err
+	return c.wait(done)
 }
 
 // barrier returns a pooled hardening barrier, one that also seals the

@@ -267,7 +267,7 @@ func TestSyncBarrierHardensRelaxedLog(t *testing.T) {
 	if _, syncs := tracker.state(); syncs != 0 {
 		t.Fatalf("SyncNever fsynced %d times before the barrier", syncs)
 	}
-	if err := l.Sync(); err != nil {
+	if err := l.Sync(nil); err != nil {
 		t.Fatal(err)
 	}
 	fi, err := os.Stat(segmentPath(dir, 1))
@@ -348,7 +348,7 @@ func TestPipelinedCommitAfterCloseFails(t *testing.T) {
 	if _, err := commitPipelined(c); err != ErrClosed {
 		t.Fatalf("pipelined commit after close = %v, want ErrClosed", err)
 	}
-	if err := l.Sync(); err != ErrClosed {
+	if err := l.Sync(nil); err != ErrClosed {
 		t.Fatalf("sync after close = %v, want ErrClosed", err)
 	}
 }
