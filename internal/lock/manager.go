@@ -67,9 +67,10 @@ type Stats struct {
 
 // statsCounters is Stats with atomic cells, so the hot path never takes
 // a lock to count and Snapshot never takes a table lock to read. The
-// same cells are the registry's series (RegisterMetrics).
+// same cells are the registry's series (RegisterMetrics). Requests has
+// no cell: every Acquire is counted once as reentrant, an immediate
+// grant or a block, so Snapshot adds those up.
 type statsCounters struct {
-	requests            obs.Counter
 	reentrant           obs.Counter
 	immediateGrants     obs.Counter
 	blocks              obs.Counter
@@ -346,7 +347,6 @@ func (m *Manager) AcquireWait(txn TxnID, res ResourceID, mode Mode) (time.Durati
 // the request a conversion — or queued on every one (block). If txn
 // already holds the resource the request is a conversion on every row.
 func (m *Manager) AcquireWaitDone(txn TxnID, res ResourceID, mode Mode, done <-chan struct{}) (time.Duration, error) {
-	m.stats.requests.Add(1)
 	var r rows
 	m.rowsOf(&r, txn, res, mode)
 	m.lock(&r)
@@ -703,8 +703,7 @@ func (m *Manager) ReleaseAll(txn TxnID) {
 // Snapshot returns a copy of the counters. It reads atomics only and
 // never blocks behind the lock table.
 func (m *Manager) Snapshot() Stats {
-	return Stats{
-		Requests:            m.stats.requests.Load(),
+	s := Stats{
 		Reentrant:           m.stats.reentrant.Load(),
 		ImmediateGrants:     m.stats.immediateGrants.Load(),
 		Blocks:              m.stats.blocks.Load(),
@@ -714,6 +713,8 @@ func (m *Manager) Snapshot() Stats {
 		Timeouts:            m.stats.timeouts.Load(),
 		Releases:            m.stats.releases.Load(),
 	}
+	s.Requests = s.Reentrant + s.ImmediateGrants + s.Blocks
+	return s
 }
 
 // RegisterMetrics exports every Stats counter as a series of reg and
@@ -722,7 +723,7 @@ func (m *Manager) Snapshot() Stats {
 func (m *Manager) RegisterMetrics(reg *obs.Registry) {
 	m.waitHist.Store(reg.Histogram("favcc_lock_wait_seconds",
 		"Lock-manager queue wait per blocking acquire.", "", true))
-	reg.RegisterCounter("favcc_lock_requests_total", "Lock acquire calls.", "", &m.stats.requests)
+	reg.CounterFunc("favcc_lock_requests_total", "Lock acquire calls.", "", func() int64 { return m.Snapshot().Requests })
 	reg.RegisterCounter("favcc_lock_blocks_total", "Acquires that queued.", "", &m.stats.blocks)
 	reg.RegisterCounter("favcc_lock_deadlocks_total", "Deadlock victims.", "", &m.stats.deadlocks)
 	reg.RegisterCounter("favcc_lock_timeouts_total", "Lock-wait timeouts.", "", &m.stats.timeouts)
