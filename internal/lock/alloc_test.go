@@ -43,6 +43,9 @@ func TestAcquireReentrantZeroAllocs(t *testing.T) {
 // request covers: one instance row, the requester's own class partition
 // (an intentional ClassMode), or every partition (a hierarchical one).
 func TestAcquireReleaseCycleZeroAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops Puts randomly under -race; exact alloc accounting needs an uninstrumented build")
+	}
 	c, err := core.CompileSource(paperex.Figure1)
 	if err != nil {
 		t.Fatal(err)
