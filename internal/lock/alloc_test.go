@@ -43,9 +43,6 @@ func TestAcquireReentrantZeroAllocs(t *testing.T) {
 // request covers: one instance row, the requester's own class partition
 // (an intentional ClassMode), or every partition (a hierarchical one).
 func TestAcquireReleaseCycleZeroAllocs(t *testing.T) {
-	if raceEnabled {
-		t.Skip("sync.Pool drops Puts randomly under -race; exact alloc accounting needs an uninstrumented build")
-	}
 	c, err := core.CompileSource(paperex.Figure1)
 	if err != nil {
 		t.Fatal(err)
@@ -56,12 +53,20 @@ func TestAcquireReleaseCycleZeroAllocs(t *testing.T) {
 		name string
 		res  ResourceID
 		mode Mode
+		// exactOnly skips the row under -race. There sync.Pool drops a
+		// quarter of its Puts, and a fresh txn state regrows its held
+		// slices: one per shard the rows fall on, eight rows here, which
+		// AllocsPerRun's integer average no longer rounds down to 0.
+		exactOnly bool
 	}{
-		{"instance method mode", InstanceRes(7), MethodMode{Table: tbl, Idx: m3}},
-		{"intentional class mode", ClassRes(1), ClassMode{Table: tbl, Idx: m3}},
-		{"hierarchical class mode", ClassRes(1), ClassMode{Table: tbl, Idx: m3, Hier: true}},
+		{"instance method mode", InstanceRes(7), MethodMode{Table: tbl, Idx: m3}, false},
+		{"intentional class mode", ClassRes(1), ClassMode{Table: tbl, Idx: m3}, false},
+		{"hierarchical class mode", ClassRes(1), ClassMode{Table: tbl, Idx: m3, Hier: true}, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
+			if tc.exactOnly && raceEnabled {
+				t.Skip("sync.Pool drops Puts at random under -race")
+			}
 			m := NewManager()
 			// Warm the entry free lists, the txn state pool and the held slices.
 			for i := 0; i < 4; i++ {

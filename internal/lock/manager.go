@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/bits"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -145,6 +146,12 @@ func ownRow(txn TxnID, res ResourceID) ResourceID {
 // Deadlock detection runs off the hot path against a dedicated
 // waits-for registry updated only when a request queues and leaves.
 //
+// A Manager is safe for concurrent use by many transactions, but one
+// TxnID's calls — Acquire and its variants, ReleaseAll, LocksHeld — must
+// not overlap: a transaction issues them one at a time, as a
+// transaction run by one goroutine does. The transaction's lock
+// bookkeeping relies on it (txnState).
+//
 // The zero value is not usable; construct with NewManager.
 type Manager struct {
 	shards    []shard
@@ -218,7 +225,9 @@ func (m *Manager) shard(h uint64) *shard { return &m.shards[h&m.shardMask] }
 // txnState is the txn-owned lock bookkeeping: which shards the
 // transaction holds locks in (a bitmask, set on first grant per shard)
 // and, per shard, which resources. Only the transaction's own requests
-// grant it anything, so only the transaction writes its state.
+// grant it anything, and they do not overlap (Manager), so its state is
+// plain memory: grant writes it under whichever shard mutex it holds,
+// and ReleaseAll and LocksHeld read it without one.
 type txnState struct {
 	txn    TxnID
 	shards uint64
@@ -343,9 +352,12 @@ func (m *Manager) AcquireWait(txn TxnID, res ResourceID, mode Mode) (time.Durati
 // nil done is exactly AcquireWait.
 //
 // The request holds the shard mutexes of all its rows together and is
-// either granted on every one — each compatible, and each queue empty or
-// the request a conversion — or queued on every one (block). If txn
+// either granted on every one — each compatible with the holders and,
+// unless the request is a conversion, each admitting every waiter
+// queued there and the request behind them — or queued on every one
+// (block). If txn
 // already holds the resource the request is a conversion on every row.
+// It must not overlap another call for the same txn (Manager).
 func (m *Manager) AcquireWaitDone(txn TxnID, res ResourceID, mode Mode, done <-chan struct{}) (time.Duration, error) {
 	var r rows
 	m.rowsOf(&r, txn, res, mode)
@@ -372,7 +384,7 @@ func (m *Manager) AcquireWaitDone(txn TxnID, res ResourceID, mode Mode, done <-c
 		m.stats.upgrades.Add(1)
 	}
 	state := m.stateFor(txn)
-	if r.compatible(txn, mode) && (upgrade || r.queuesEmpty()) {
+	if r.grantable(txn, mode, upgrade) {
 		for i := 0; i < r.n; i++ {
 			m.shard(r.h[i]).grant(r.e[i], r.e[i].find(txn), txn, state, r.res[i], mode)
 		}
@@ -425,31 +437,30 @@ func (m *Manager) unlock(r *rows) {
 	}
 }
 
-// compatible reports whether mode is compatible with every other
-// transaction's modes on every row. Requires r locked.
-func (r *rows) compatible(txn TxnID, mode Mode) bool {
+// grantable reports whether txn's new request for mode may be granted on
+// every row at once: each row admits every waiter queued there and the
+// request behind them — or, for a conversion, which bypasses the queue,
+// the request alone. Requires r locked.
+func (r *rows) grantable(txn TxnID, mode Mode, upgrade bool) bool {
 	for _, e := range r.e[:r.n] {
-		if !e.compatibleWithOthers(txn, mode) {
+		k := 0
+		if !upgrade {
+			if k = len(e.queue); e.admitted() < k {
+				return false
+			}
+		}
+		if !e.fits(k, txn, mode) {
 			return false
 		}
 	}
 	return true
 }
 
-func (r *rows) queuesEmpty() bool {
-	for _, e := range r.e[:r.n] {
-		if len(e.queue) > 0 {
-			return false
-		}
-	}
-	return true
-}
-
-// heads reports whether the request queued as ws heads every row's
-// queue. Requires r locked.
-func (r *rows) heads(ws *[classPartitions]*waiter) bool {
+// admits reports whether every row admits the request queued as ws.
+// Requires r locked.
+func (r *rows) admits(ws *[classPartitions]*waiter) bool {
 	for i, e := range r.e[:r.n] {
-		if e.queue[0] != ws[i] {
+		if !slices.Contains(e.queue[:e.admitted()], ws[i]) {
 			return false
 		}
 	}
@@ -459,7 +470,7 @@ func (r *rows) heads(ws *[classPartitions]*waiter) bool {
 // block queues txn's request on every row of r, which the caller has
 // locked and found busy, publishes it to the waits-for registry and
 // waits for it. Every waiter names the first as its lead: promote rings
-// the lead's ready channel when any of them comes to head its queue.
+// the lead's ready channel when a row comes to admit any of them.
 func (m *Manager) block(txn TxnID, res ResourceID, mode Mode, upgrade bool, r *rows, state *txnState, done <-chan struct{}) (time.Duration, error) {
 	var ws [classPartitions]*waiter
 	for i := 0; i < r.n; i++ {
@@ -498,13 +509,13 @@ const grantSpins = 32
 // serialized by detMu, so for any stable cycle the last transaction to
 // publish its edge sees the whole cycle and victimizes itself; earlier
 // publishers see no cycle and wait. Then the wait proper: promote rings
-// ws[0] whenever one of the waiters comes to head its queue compatibly,
-// and each ring is a look under all the rows' mutexes. Once the request
-// heads every queue and is compatible everywhere it is granted on every
-// row at once and admits whatever queued behind it. A deadlock, a
-// timeout or a cancellation instead takes it off every queue, holding
-// nothing it did not hold before, and returns the cause — unless the
-// request is grantable by then, and then the grant wins.
+// ws[0] whenever a row comes to admit one of the waiters, and each ring
+// is a look under all the rows' mutexes. Once every row admits the
+// request it leaves the queues and is granted on every row at once;
+// that changes no row's admitted waiters, so it rings nobody. A
+// deadlock, a timeout or a cancellation instead takes it off every
+// queue, holding nothing it did not hold before, and returns the cause
+// — unless the request is grantable by then, and then the grant wins.
 func (m *Manager) wait(txn TxnID, mode Mode, r *rows, ws *[classPartitions]*waiter, state *txnState, done <-chan struct{}) error {
 	timeout := m.deadline()
 	var cause error
@@ -535,11 +546,10 @@ func (m *Manager) wait(txn TxnID, mode Mode, r *rows, ws *[classPartitions]*wait
 			}
 		}
 		m.lock(r)
-		if r.heads(ws) && r.compatible(txn, mode) {
+		if r.admits(ws) {
 			for i, e := range r.e[:r.n] {
-				e.queue = e.queue[1:]
+				e.removeWaiter(ws[i])
 				m.shard(r.h[i]).grant(e, e.find(txn), txn, state, r.res[i], mode)
-				e.promote()
 			}
 			cause = nil
 		} else if cause == nil {
@@ -656,14 +666,15 @@ func (m *Manager) LocksHeld(txn TxnID) int {
 // strict two-phase locking — and wakes whatever the FIFO discipline now
 // admits. Only the shards the transaction holds locks in are touched.
 //
-// A release that admitted a waiter hands the processor to it. The woken
-// goroutine is next on the releaser's own run queue and already holds
-// the lock; if the releaser ran on — into its next transaction, often
-// for the same hot resource — the new holder would sit there until an
-// idle processor woke up and stole it, a delay set by the operating
-// system, during which everyone else queues behind a lock whose holder
-// is not running. Yielding runs the holder at once and leaves the
-// releaser, which holds nothing, for the other processor.
+// A release that rang a waiter hands the processor to it. The rung
+// goroutine is next on the releaser's own run queue, and it still has
+// to take its rows' shard mutexes and grant itself (wait); if the
+// releaser ran on — into its next transaction, often for the same hot
+// resource — the waiter would sit there until an idle processor woke
+// up and stole it, a delay set by the operating system, during which
+// everyone else queues behind a request that is not running. Yielding
+// lets the waiter grant itself at once and leaves the releaser, which
+// holds nothing, for the other processor.
 func (m *Manager) ReleaseAll(txn TxnID) {
 	m.stats.releases.Add(1)
 	s := m.takeState(txn)

@@ -314,6 +314,37 @@ func (e *entry) compatibleWithOthers(txn TxnID, mode Mode) bool {
 	return true
 }
 
+// fits reports whether a request of txn for mode, behind the first k
+// waiters of the queue, is compatible with every other transaction's
+// holdings and with each of those waiters. Requires sh.mu held.
+func (e *entry) fits(k int, txn TxnID, mode Mode) bool {
+	if !e.compatibleWithOthers(txn, mode) {
+		return false
+	}
+	for _, w := range e.queue[:k] {
+		if w.txn != txn && !mode.Compatible(w.mode) {
+			return false
+		}
+	}
+	return true
+}
+
+// admitted returns how many waiters at the head of the queue the row
+// admits: each fits behind the ones before it, so all of them may hold
+// their modes together with the holders. An admitted waiter is a holder
+// that has not written its grant yet — it waits for nothing on this row
+// — and its request takes the grant as soon as every one of its rows
+// admits it (Manager.wait). Strict FIFO, which prevents starvation,
+// stops at the first waiter that does not fit. Requires sh.mu held.
+func (e *entry) admitted() int {
+	for k, w := range e.queue {
+		if !e.fits(k, w.txn, w.mode) {
+			return k
+		}
+	}
+	return len(e.queue)
+}
+
 // enqueue inserts w into the FIFO queue — conversions ahead of plain
 // requests, behind conversions already waiting. Requires sh.mu held.
 func (e *entry) enqueue(w *waiter) {
@@ -340,23 +371,18 @@ func (e *entry) removeWaiter(w *waiter) {
 	}
 }
 
-// promote tells the request at the head of the queue, if it is
-// compatible with every holder, that it may be grantable: it rings the
-// request's lead, and the request grants itself once it heads every
-// queue it waits in (Manager.wait). Strict FIFO prevents starvation and
-// makes the waits-for edges exact. It grants nothing, and reports
-// whether it rang. Requires sh.mu held.
+// promote tells every waiter the row admits that its request may be
+// grantable: it rings each one's lead, and each request grants itself
+// once all its rows admit it (Manager.wait), without waiting for the
+// others — a batch of compatible waiters is let in together. It grants
+// nothing, and reports whether it rang. Requires sh.mu held.
 func (e *entry) promote() bool {
-	if len(e.queue) == 0 {
-		return false
+	n := e.admitted()
+	for _, w := range e.queue[:n] {
+		select {
+		case w.lead.ready <- struct{}{}:
+		default: // already rung
+		}
 	}
-	w := e.queue[0]
-	if !e.compatibleWithOthers(w.txn, w.mode) {
-		return false
-	}
-	select {
-	case w.lead.ready <- struct{}{}:
-	default: // already rung
-	}
-	return true
+	return n > 0
 }

@@ -45,9 +45,10 @@ func (r *waitRegistry) get(txn TxnID) (waitInfo, bool) {
 	return info, ok
 }
 
-// blockersOf returns the transactions the registered request waits for:
-// incompatible holders of each of its rows plus every waiter queued
-// ahead of it there (FIFO admission means they must leave first).
+// blockersOf returns the transactions the registered request waits for
+// on each row that does not admit it: incompatible holders and admitted
+// waiters, and every other waiter queued ahead of it there (FIFO
+// admission means they must leave first).
 func (m *Manager) blockersOf(txn TxnID, info waitInfo) []TxnID {
 	var r rows
 	m.rowsOf(&r, txn, info.res, info.mode)
@@ -82,7 +83,10 @@ func (m *Manager) rowBlockers(txn TxnID, w *waiter, res ResourceID, h uint64, mo
 			break
 		}
 	}
-	if ahead < 0 {
+	// An admitted waiter waits for nothing on this row, and the admitted
+	// ones ahead of it count as the holders they are about to be.
+	adm := e.admitted()
+	if ahead < adm {
 		return out
 	}
 	for i := range e.holders {
@@ -90,8 +94,8 @@ func (m *Manager) rowBlockers(txn TxnID, w *waiter, res ResourceID, h uint64, mo
 			out = append(out, ho.txn)
 		}
 	}
-	for _, q := range e.queue[:ahead] {
-		if q.txn != txn {
+	for i, q := range e.queue[:ahead] {
+		if q.txn != txn && (i >= adm || !mode.Compatible(q.mode)) {
 			out = append(out, q.txn)
 		}
 	}
