@@ -375,14 +375,15 @@ func (e *entry) removeWaiter(w *waiter) {
 // grantable: it rings each one's lead, and each request grants itself
 // once all its rows admit it (Manager.wait), without waiting for the
 // others — a batch of compatible waiters is let in together. It grants
-// nothing, and reports whether it rang. Requires sh.mu held.
-func (e *entry) promote() bool {
-	n := e.admitted()
-	for _, w := range e.queue[:n] {
+// nothing, and reports whether it rang a request that had not been rung
+// yet. Requires sh.mu held.
+func (e *entry) promote() (rang bool) {
+	for _, w := range e.queue[:e.admitted()] {
 		select {
 		case w.lead.ready <- struct{}{}:
+			rang = true
 		default: // already rung
 		}
 	}
-	return n > 0
+	return rang
 }
