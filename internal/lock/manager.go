@@ -443,13 +443,11 @@ func (m *Manager) unlock(r *rows) {
 // the request alone. Requires r locked.
 func (r *rows) grantable(txn TxnID, mode Mode, upgrade bool) bool {
 	for _, e := range r.e[:r.n] {
-		k := 0
-		if !upgrade {
-			if k = len(e.queue); e.admitted() < k {
+		if len(e.queue) == 0 || upgrade {
+			if !e.compatibleWithOthers(txn, mode) {
 				return false
 			}
-		}
-		if !e.fits(k, txn, mode) {
+		} else if e.admitted() < len(e.queue) || !e.fits(len(e.queue), txn, mode) {
 			return false
 		}
 	}

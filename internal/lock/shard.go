@@ -282,13 +282,15 @@ func (sh *shard) grant(e *entry, i int, txn TxnID, state *txnState, res Resource
 // whatever the queue now allows and recycles the entry once nobody holds
 // or waits for it. It reports whether it rang a waiter. Requires sh.mu
 // held.
-func (sh *shard) settle(e *entry, res ResourceID, h uint64) (woke bool) {
-	woke = e.promote()
-	if len(e.holders) == 0 && len(e.queue) == 0 {
+func (sh *shard) settle(e *entry, res ResourceID, h uint64) bool {
+	if len(e.queue) > 0 {
+		return e.promote()
+	}
+	if len(e.holders) == 0 {
 		sh.table.del(res, h)
 		sh.freeEntry(e)
 	}
-	return woke
+	return false
 }
 
 // modesOf returns txn's grant set on the row of res (whose hash is h),
