@@ -355,9 +355,9 @@ func (m *Manager) AcquireWait(txn TxnID, res ResourceID, mode Mode) (time.Durati
 // either granted on every one — each compatible with the holders and,
 // unless the request is a conversion, each admitting every waiter
 // queued there and the request behind them — or queued on every one
-// (block). If txn
-// already holds the resource the request is a conversion on every row.
-// It must not overlap another call for the same txn (Manager).
+// (block). If txn already holds the resource the request is a
+// conversion on every row. It must not overlap another call for the
+// same txn (Manager).
 func (m *Manager) AcquireWaitDone(txn TxnID, res ResourceID, mode Mode, done <-chan struct{}) (time.Duration, error) {
 	var r rows
 	m.rowsOf(&r, txn, res, mode)
