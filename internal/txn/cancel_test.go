@@ -82,6 +82,20 @@ func cancelWhen(t *testing.T, cancel context.CancelFunc, what string, cond func(
 // runFn is RunWithRetry or RunWithRetryPipelined with the Future dropped.
 type runFn func(*Manager, context.Context, func(*Txn) error) error
 
+// runModes are the retry loop's two entry points.
+var runModes = []struct {
+	name string
+	run  runFn
+}{
+	{"blocking", func(m *Manager, ctx context.Context, fn func(*Txn) error) error {
+		return m.RunWithRetry(ctx, fn)
+	}},
+	{"pipelined", func(m *Manager, ctx context.Context, fn func(*Txn) error) error {
+		_, err := m.RunWithRetryPipelined(ctx, fn)
+		return err
+	}},
+}
+
 // TestRunCancellation drives every cancellation point of the one retry
 // loop, blocking and pipelined: before the first attempt, while queued
 // on a lock, and during the retry backoff.
@@ -152,10 +166,12 @@ func TestRunCancellation(t *testing.T) {
 			next.Abort()
 		}},
 		{"during backoff", func(t *testing.T, run runFn) {
+			// The first retry runs at once; the call parks in the
+			// hour-long backoff before its second.
 			m, _, _ := setup(t)
 			m.RetryBackoff = time.Hour
 			ctx, cancel := context.WithCancel(context.Background())
-			defer cancelWhen(t, cancel, "the first retry", func() bool { return m.Snapshot().Retries == 1 })()
+			defer cancelWhen(t, cancel, "the second retry", func() bool { return m.Snapshot().Retries == 2 })()
 			calls := 0
 			err := run(m, ctx, func(tx *Txn) error {
 				calls++
@@ -164,25 +180,13 @@ func TestRunCancellation(t *testing.T) {
 			if !errors.Is(err, context.Canceled) {
 				t.Errorf("err = %v, want context.Canceled", err)
 			}
-			if calls != 1 {
-				t.Errorf("fn ran %d times, want 1", calls)
+			if calls != 2 {
+				t.Errorf("fn ran %d times, want 2", calls)
 			}
 		}},
 	}
-	modes := []struct {
-		name string
-		run  runFn
-	}{
-		{"blocking", func(m *Manager, ctx context.Context, fn func(*Txn) error) error {
-			return m.RunWithRetry(ctx, fn)
-		}},
-		{"pipelined", func(m *Manager, ctx context.Context, fn func(*Txn) error) error {
-			_, err := m.RunWithRetryPipelined(ctx, fn)
-			return err
-		}},
-	}
 	for _, tc := range cases {
-		for _, mode := range modes {
+		for _, mode := range runModes {
 			t.Run(tc.name+"/"+mode.name, func(t *testing.T) { tc.body(t, mode.run) })
 		}
 	}

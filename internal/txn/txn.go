@@ -533,8 +533,12 @@ type Manager struct {
 
 	// MaxRetries bounds RunWithRetry (default 100).
 	MaxRetries int
-	// RetryBackoff is the base backoff between deadlock retries
+	// RetryBackoff is the base backoff between contention retries
 	// (default 100µs, with ±50% jitter, doubling per attempt up to 64×).
+	// The first retry of a call runs at once; only a second consecutive
+	// failure sleeps, starting from the base. On a processor with
+	// nothing else to run, the runtime rounds a sleep below a
+	// millisecond up to one, so no delay is ever shorter than ≈1 ms.
 	RetryBackoff time.Duration
 
 	// rngState drives the backoff jitter: a seeded splitmix64 stepped
@@ -706,11 +710,12 @@ func retryable(err error) bool {
 var ErrUnackedCommit = errors.New("txn: commit sequenced but durability unconfirmed (wait canceled)")
 
 // RunWithRetry executes fn inside a fresh transaction, committing on
-// success. A deadlock abort or lock-wait timeout rolls back, backs off
-// with jitter, and retries with a new (younger) transaction — the
-// standard user-level reaction to a deadlock victim notice. Any other
-// error aborts and is returned. The *Txn passed to fn is recycled after
-// the call returns and must not be retained.
+// success. A deadlock abort or lock-wait timeout rolls back and retries
+// with a new (younger) transaction — the standard user-level reaction
+// to a deadlock victim notice: at once the first time, then after a
+// jittered backoff (see RetryBackoff). Any other error aborts and is
+// returned. The *Txn passed to fn is recycled after the call returns
+// and must not be retained.
 //
 // ctx is honored at every blocking point: before each attempt, during
 // lock waits (the engine threads the transaction's Done channel into
@@ -741,6 +746,14 @@ func (m *Manager) RunWithRetryPipelined(ctx context.Context, fn func(*Txn) error
 
 // run is the one retry loop. A nil ctx.Done() is the free path: no
 // ctx.Err() poll, no timer, no allocation.
+//
+// The first retry after a deadlock or lock-wait timeout starts at once:
+// the abort has released what the other side waited for, and the new
+// attempt queues FIFO behind it on the first lock they share, so the
+// lock queue is the backoff. A sleep there would idle the processor for
+// the runtime's ≈1 ms timer granularity while the holder is
+// microseconds from its commit. Only a second consecutive failure backs
+// off, which with MaxRetries bounds livelock and starvation.
 func (m *Manager) run(ctx context.Context, fn func(*Txn) error, pipelined bool) (Future, error) {
 	done := ctx.Done()
 	for attempt := 0; ; attempt++ {
@@ -785,12 +798,17 @@ func (m *Manager) run(ctx context.Context, fn func(*Txn) error, pipelined bool) 
 			return Future{}, fmt.Errorf("txn: giving up after %d contention retries: %w", attempt+1, err)
 		}
 		m.retries.Add(1)
-		m.backoff(done, attempt)
+		if attempt > 0 {
+			m.backoff(done, attempt-1)
+		}
 	}
 }
 
-// backoff sleeps the jittered retry delay, returning early when done
-// fires (the loop's next iteration then reports the cancellation).
+// backoff sleeps the jittered delay before a call's second and later
+// retries (attempt 0 is the second), returning early when done fires
+// (the loop's next iteration then reports the cancellation). A delay
+// below a millisecond lasts about one on an idle processor: the
+// runtime's timer wait has millisecond granularity.
 func (m *Manager) backoff(done <-chan struct{}, attempt int) {
 	if m.RetryBackoff <= 0 {
 		return

@@ -235,6 +235,88 @@ func TestRetryResolvesRealDeadlock(t *testing.T) {
 	}
 }
 
+// The first retry after a deadlock runs at once, whatever the backoff:
+// with an hour-long RetryBackoff, a call whose first attempt is a
+// deadlock victim still commits before its deadline, once on a
+// synthetic victim notice and once on a real two-transaction cycle.
+func TestFirstRetryRunsAtOnce(t *testing.T) {
+	for _, mode := range runModes {
+		t.Run("synthetic/"+mode.name, func(t *testing.T) {
+			m, _, _ := setup(t)
+			m.RetryBackoff = time.Hour
+			ctx, cancel := context.WithTimeout(context.Background(), time.Second)
+			defer cancel()
+			calls := 0
+			err := mode.run(m, ctx, func(tx *Txn) error {
+				calls++
+				if calls == 1 {
+					return &lock.DeadlockError{Txn: tx.ID}
+				}
+				return nil
+			})
+			if err != nil {
+				t.Fatalf("err = %v, want nil within a second", err)
+			}
+			if st := m.Snapshot(); calls != 2 || st.Retries != 1 {
+				t.Errorf("calls %d retries %d, want 2 and 1", calls, st.Retries)
+			}
+		})
+		t.Run("real/"+mode.name, func(t *testing.T) {
+			m, st, s := setup(t)
+			m.RetryBackoff = time.Hour
+			c1 := s.Class("c1")
+			a, _ := st.NewInstance(c1, storage.IntV(0))
+			b, _ := st.NewInstance(c1, storage.IntV(0))
+			ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+			defer cancel()
+			// Each side holds its first lock before either asks for its
+			// second, so exactly one cycle forms: on the first attempts
+			// only, since the victim's retry must not wait for a partner.
+			var held sync.WaitGroup
+			held.Add(2)
+			transfer := func(first, second *storage.Instance) func(*Txn) error {
+				attempt := 0
+				return func(tx *Txn) error {
+					attempt++
+					if _, err := m.Locks().AcquireWaitDone(tx.ID, lock.InstanceRes(uint64(first.OID)), lock.X, tx.Done()); err != nil {
+						return err
+					}
+					tx.Write(first, 0, storage.IntV(first.Get(0).I+1), false)
+					if attempt == 1 {
+						held.Done()
+						held.Wait()
+					}
+					if _, err := m.Locks().AcquireWaitDone(tx.ID, lock.InstanceRes(uint64(second.OID)), lock.X, tx.Done()); err != nil {
+						return err
+					}
+					tx.Write(second, 0, storage.IntV(second.Get(0).I+1), false)
+					return nil
+				}
+			}
+			var wg sync.WaitGroup
+			for _, fn := range []func(*Txn) error{transfer(a, b), transfer(b, a)} {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					if err := mode.run(m, ctx, fn); err != nil {
+						t.Errorf("transfer: %v", err)
+					}
+				}()
+			}
+			wg.Wait()
+			if a.Get(0).I != 2 || b.Get(0).I != 2 {
+				t.Errorf("a = %d, b = %d, want 2 and 2", a.Get(0).I, b.Get(0).I)
+			}
+			if got := m.Locks().Snapshot().Deadlocks; got != 1 {
+				t.Errorf("deadlocks = %d, want 1", got)
+			}
+			if st := m.Snapshot(); st.Committed != 2 || st.Retries != 1 {
+				t.Errorf("committed %d retries %d, want 2 and 1", st.Committed, st.Retries)
+			}
+		})
+	}
+}
+
 func TestStateStrings(t *testing.T) {
 	if Active.String() != "active" || Committed.String() != "committed" ||
 		Aborted.String() != "aborted" || State(9).String() != "state(?)" {

@@ -299,7 +299,8 @@ func (d *Database) Begin() *Txn {
 
 // Update runs fn in a transaction, committing on success, rolling back
 // on error, and transparently retrying deadlock victims and lock-wait
-// timeouts with backoff.
+// timeouts: the first retry at once, later ones after a jittered
+// backoff of at least about a millisecond.
 // The *Txn passed to fn is only valid inside the call: it is recycled
 // when Update returns (and fn may run more than once on deadlock), so
 // it must not be retained or used afterwards.
