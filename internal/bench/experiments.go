@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 	"runtime"
+	"strings"
 	"sync"
 	"time"
 
@@ -135,7 +136,7 @@ func runFigure1(w io.Writer) error {
 	}
 	t := NewTable("class", "inherits", "fields", "methods")
 	for _, cd := range f.Classes {
-		t.Add(cd.Name, join(cd.Parents), fmt.Sprint(len(cd.Fields)), fmt.Sprint(len(cd.Methods)))
+		t.Add(cd.Name, strings.Join(cd.Parents, "  "), fmt.Sprint(len(cd.Fields)), fmt.Sprint(len(cd.Methods)))
 	}
 	t.Render(w)
 	fmt.Fprintln(w, "  result: Figure 1 parses, validates, and round-trips through the printer")
@@ -209,7 +210,7 @@ func runScenario52(w io.Writer) error {
 			if err != nil {
 				return err
 			}
-			t.Add(res.Strategy, join(res.MaximalSets))
+			t.Add(res.Strategy, strings.Join(res.MaximalSets, "  "))
 		}
 		t.Render(w)
 	}
@@ -221,7 +222,7 @@ func runScenario52(w io.Writer) error {
 	}
 	fmt.Fprintln(w, "\n  fine-CC lock sets:")
 	for i, names := range TxnNames {
-		fmt.Fprintf(w, "    %s: %s\n", names, join(res.LockSets[i]))
+		fmt.Fprintf(w, "    %s: %s\n", names, strings.Join(res.LockSets[i], "  "))
 	}
 	return nil
 }
@@ -805,38 +806,11 @@ func yesNo(b bool) string {
 	return "no"
 }
 
-func join(xs []string) string {
-	out := ""
-	for i, x := range xs {
-		if i > 0 {
-			out += "  "
-		}
-		out += x
-	}
-	return out
-}
-
+// indent prefixes every line of s; a missing final newline is added.
 func indent(s, prefix string) string {
-	lines := ""
-	for _, l := range splitLines(s) {
-		lines += prefix + l + "\n"
+	var b strings.Builder
+	for l := range strings.Lines(s) {
+		b.WriteString(prefix + strings.TrimSuffix(l, "\n") + "\n")
 	}
-	return lines
-}
-
-func splitLines(s string) []string {
-	var out []string
-	cur := ""
-	for _, r := range s {
-		if r == '\n' {
-			out = append(out, cur)
-			cur = ""
-			continue
-		}
-		cur += string(r)
-	}
-	if cur != "" {
-		out = append(out, cur)
-	}
-	return out
+	return b.String()
 }

@@ -59,3 +59,21 @@ func TestPaperGolden(t *testing.T) {
 		}
 	}
 }
+
+// indent keeps the report layout of its line-splitting predecessor: an
+// empty string stays empty, a final newline is added when missing and
+// never doubled, and inner blank lines are kept (prefixed).
+func TestIndentEdges(t *testing.T) {
+	for _, c := range []struct{ in, want string }{
+		{"", ""},
+		{"a", "  a\n"},
+		{"a\n", "  a\n"},
+		{"a\nb", "  a\n  b\n"},
+		{"a\n\nb\n", "  a\n  \n  b\n"},
+		{"\n", "  \n"},
+	} {
+		if got := indent(c.in, "  "); got != c.want {
+			t.Errorf("indent(%q) = %q, want %q", c.in, got, c.want)
+		}
+	}
+}

@@ -165,6 +165,46 @@ end`)
 	}
 }
 
+// A warm nested self-send pushes a real frame on the context's pooled
+// value stack, so it allocates nothing either: deposit2 sends deposit
+// to self twice.
+func TestWarmNestedSendZeroAllocs(t *testing.T) {
+	c, err := core.CompileSource(wrapperSrc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	db := Open(c, FineCC{})
+	var oid storage.OID
+	if err := db.RunWithRetry(func(tx *txn.Txn) error {
+		in, err := db.NewInstance(tx, "account")
+		oid = in.OID
+		return err
+	}); err != nil {
+		t.Fatal(err)
+	}
+	mid, ok := db.MethodID("deposit2")
+	if !ok {
+		t.Fatal("deposit2 not interned")
+	}
+	tx := db.Begin()
+	defer tx.Commit()
+	args := []Value{storage.IntV(1)}
+	if _, err := db.SendID(tx, oid, mid, args...); err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(200, func() {
+		if _, err := db.SendID(tx, oid, mid, args...); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("warm nested SendID allocates %.1f objects/op, want 0", allocs)
+	}
+	if st := db.Snapshot(); st.NestedSends != 2*202 {
+		t.Errorf("nested-send counter %d, want %d", st.NestedSends, 2*202)
+	}
+}
+
 // Warm DomainScanID — root class and method resolved by ID, snapshot
 // buffer reused — must not allocate, hierarchically or intentionally
 // (ROADMAP leftover from PR 2: the scan used to cost one [][]OID header

@@ -166,8 +166,8 @@ type protocol struct {
 	// of one slot. True only for the fine method-mode tables; the
 	// runtime builds escrow-slot masks for it alone, and activations
 	// writing a masked slot serialize on the instance's execution latch.
-	// Such a protocol's nested plans must be empty — they run while the
-	// latch is held — which is also what licenses inlining self-sends.
+	// Such a protocol's nested plans must be empty: they run while the
+	// latch is held.
 	concurrentWriters bool
 	// fieldLocks: every field access takes its own (instance, field)
 	// lock at run time — the field-locking comparator, and only it.

@@ -31,12 +31,11 @@ type Options struct {
 	// OS). Fault-injection tests stand a wal.FaultFS here to torture
 	// the durable path and exercise degraded read-only mode.
 	FS wal.FS
-	// Unfused dispatches the compiler's base programs instead of the
-	// optimised pipeline (no superinstruction fusion, no nested-send
-	// inlining). It exists for the differential golden suite, which
+	// unfused dispatches the compiler's base programs instead of their
+	// fused twins. It is a test seam for the differential suite, which
 	// replays every transcript through both modes and pins them
-	// byte-for-byte equal; production opens never set it.
-	Unfused bool
+	// byte-for-byte equal.
+	unfused bool
 	// NoMetrics strips the observability registry entirely: no
 	// per-method series, no lock-wait or WAL histograms, Metrics()
 	// returns nil. The instrumented paths reduce to one nil check; the
@@ -48,14 +47,12 @@ type Options struct {
 // OpenWithOptions builds a database around a compiled schema with fresh
 // store, lock and transaction managers, precomputing the run-time
 // tables and compiling the strategy to lock plans. The dispatch tables
-// run the full program pipeline (lower → inline → fuse) unless
-// o.Unfused: superinstruction fusion always, nested-send inlining only
-// when the protocol's nested sends are lock-free (see
-// schema.InlineSends). When o.Durable is set it recovers the durable
-// state under o.Dir and wires the redo log through the transaction
-// manager.
+// bind each method's superinstruction-fused program (schema.Fuse);
+// every nested send pushes its own frame, so MaxDepth and MaxSteps see
+// each one. When o.Durable is set it recovers the durable state under
+// o.Dir and wires the redo log through the transaction manager.
 func OpenWithOptions(c *core.Compiled, o Options) (*DB, error) {
-	fused := !o.Unfused
+	fused := !o.unfused
 	p := o.Strategy.protocol()
 	db := &DB{
 		Compiled:   c,

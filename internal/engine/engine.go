@@ -60,9 +60,10 @@ type DB struct {
 	// field access locks its own granule.
 	fieldLocks bool
 
-	// useFused routes statically-bound super-send fallbacks through the
-	// fused twin of the target program (false only under
-	// Options.Unfused, the differential suite's reference mode).
+	// useFused routes statically-bound super-sends through the fused
+	// twin of the target program, as the dispatch tables route every
+	// other send (false only in the differential suite's reference mode,
+	// Options.unfused).
 	useFused bool
 
 	// The Stats cells, exported as series by newDBMetrics.

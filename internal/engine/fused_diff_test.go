@@ -2,7 +2,6 @@ package engine
 
 import (
 	"runtime"
-	"strings"
 	"sync"
 	"testing"
 
@@ -24,11 +23,10 @@ func runScenario(t *testing.T, sc goldenScenario, db *DB) string {
 // The fused/unfused differential: every golden scenario must produce a
 // byte-for-byte identical transcript — every return value, every error
 // message and position, every counter — whether the engine dispatches
-// the optimised pipeline (superinstruction fusion + nested-send
-// inlining, the default) or the compiler's base programs
-// (Options.Unfused). Together with TestGoldenDifferential (which pins
-// the default mode against the recorded goldens) this proves the whole
-// pipeline is semantics-preserving, not just plausible.
+// the superinstruction-fused programs (the default) or the compiler's
+// base programs (Options.unfused). Together with TestGoldenDifferential
+// (which pins the default mode against the recorded goldens) this
+// proves fusion is semantics-preserving, not just plausible.
 func TestGoldenFusedUnfusedIdentical(t *testing.T) {
 	for _, sc := range goldenScenarios() {
 		t.Run(sc.name, func(t *testing.T) {
@@ -38,7 +36,7 @@ func TestGoldenFusedUnfusedIdentical(t *testing.T) {
 			}
 			fused := runScenario(t, sc, Open(compiled, FineCC{}))
 
-			ref, err := OpenWithOptions(compiled, Options{Strategy: FineCC{}, Unfused: true})
+			ref, err := OpenWithOptions(compiled, Options{Strategy: FineCC{}, unfused: true})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -52,9 +50,8 @@ func TestGoldenFusedUnfusedIdentical(t *testing.T) {
 	}
 }
 
-// The differential must also hold under a strategy that does NOT admit
-// inlining (concurrentWriters false ⇒ fusion only): the capability gate
-// itself is part of the semantics.
+// The differential must also hold under a baseline strategy, whose
+// nested sends take locks of their own.
 func TestGoldenFusedUnfusedIdenticalRW(t *testing.T) {
 	for _, sc := range goldenScenarios() {
 		t.Run(sc.name, func(t *testing.T) {
@@ -63,7 +60,7 @@ func TestGoldenFusedUnfusedIdenticalRW(t *testing.T) {
 				t.Fatal(err)
 			}
 			fused := runScenario(t, sc, Open(compiled, RWCC{}))
-			ref, err := OpenWithOptions(compiled, Options{Strategy: RWCC{}, Unfused: true})
+			ref, err := OpenWithOptions(compiled, Options{Strategy: RWCC{}, unfused: true})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -120,9 +117,8 @@ func countOps(p *schema.Program, op schema.Op) int {
 	return n
 }
 
-// White-box: under FineCC (concurrentWriters) the wrapper's dispatched
-// program has its nested sends spliced and its deposit bodies fused,
-// while a strategy without the capability keeps real sends.
+// White-box: the dispatch tables bind the fused programs — the deposit
+// body is one OpIncField and the getter one OpReturnField.
 func TestInlinePipelineEngaged(t *testing.T) {
 	ov := core.NewOverrides()
 	ov.Declare("account", "deposit", "deposit")
@@ -133,20 +129,9 @@ func TestInlinePipelineEngaged(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	fine := dispatchedProg(t, Open(c, FineCC{}), "account", "deposit2")
-	if countOps(fine, schema.OpSendSelf) != 0 {
-		t.Errorf("FineCC dispatch still sends: %v", fine.Code)
-	}
-	if countOps(fine, schema.OpNestedMark) != 2 {
-		t.Errorf("OpNestedMark count = %d, want 2", countOps(fine, schema.OpNestedMark))
-	}
-	if countOps(fine, schema.OpIncField) != 2 {
-		t.Errorf("spliced deposit bodies not fused: %v", fine.Code)
-	}
-
-	rw := dispatchedProg(t, Open(c, RWCC{}), "account", "deposit2")
-	if countOps(rw, schema.OpSendSelf) != 2 {
-		t.Errorf("RWCC dispatch lost its sends (inlining leaked past the capability gate): %v", rw.Code)
+	deposit := dispatchedProg(t, Open(c, FineCC{}), "account", "deposit")
+	if countOps(deposit, schema.OpIncField) != 1 {
+		t.Errorf("deposit body not fused: %v", deposit.Code)
 	}
 
 	getter := dispatchedProg(t, Open(c, FineCC{}), "account", "getbalance")
@@ -155,14 +140,14 @@ func TestInlinePipelineEngaged(t *testing.T) {
 	}
 }
 
-// The commuting-deposit storm through the *inlined* path: deposit2 is
+// The commuting-deposit storm through nested sends: deposit2 is
 // declared to commute with itself and with deposit, so FineCC runs the
-// wrappers concurrently, and every deposit they perform goes through a
-// spliced OpIncField instead of a nested send + frame push. N goroutines
-// × M wrappers × 2 deposits of 1 must land on exactly 2*N*M — the same
-// lost-update regression TestCommutingDepositsAtomic pins for the
-// unfused path, now covering inlined nested sends under -race.
-func TestCommutingDepositsAtomicInlined(t *testing.T) {
+// wrappers concurrently, and every deposit they perform is a nested
+// self-send whose frame runs under the wrapper's execution latch.
+// N goroutines × M wrappers × 2 deposits of 1 must land on exactly
+// 2*N*M — the lost-update regression TestCommutingDepositsAtomic pins
+// for top-level deposits, here for nested ones under -race.
+func TestCommutingDepositsAtomicNested(t *testing.T) {
 	prev := runtime.GOMAXPROCS(4)
 	defer runtime.GOMAXPROCS(prev)
 	ov := core.NewOverrides()
@@ -174,8 +159,8 @@ func TestCommutingDepositsAtomicInlined(t *testing.T) {
 		t.Fatal(err)
 	}
 	db := Open(c, FineCC{})
-	if p := dispatchedProg(t, db, "account", "deposit2"); countOps(p, schema.OpSendSelf) != 0 {
-		t.Fatalf("precondition: deposit2 not inlined: %v", p.Code)
+	if p := dispatchedProg(t, db, "account", "deposit2"); countOps(p, schema.OpSendSelf) != 2 {
+		t.Fatalf("precondition: deposit2 must dispatch two nested sends: %v", p.Code)
 	}
 	var oid storage.OID
 	if err := db.RunWithRetry(func(tx *txn.Txn) error {
@@ -218,25 +203,11 @@ func TestCommutingDepositsAtomicInlined(t *testing.T) {
 		t.Fatal(err)
 	}
 	if got != storage.IntV(2*workers*wrapsEach) {
-		t.Fatalf("balance %v after %d inlined commuting deposits, want %d",
+		t.Fatalf("balance %v after %d nested commuting deposits, want %d",
 			got, 2*workers*wrapsEach, 2*workers*wrapsEach)
 	}
-	// Counter parity: every wrapper counted its two inlined sends.
+	// Counter parity: every wrapper counted its two nested sends.
 	if st := db.Snapshot(); st.NestedSends != int64(2*workers*wrapsEach) {
-		t.Errorf("nested-send counter %d, want %d (OpNestedMark parity)", st.NestedSends, 2*workers*wrapsEach)
+		t.Errorf("nested-send counter %d, want %d", st.NestedSends, 2*workers*wrapsEach)
 	}
-}
-
-// normalizeBudget folds the one deliberate semantic divergence of the
-// pipeline out of a transcript: inlining re-charges the step budget
-// (spliced instructions instead of send dispatches), so a
-// budget-exceeded error may name a different instruction position.
-func normalizeBudget(s string) string {
-	lines := strings.Split(s, "\n")
-	for i, l := range lines {
-		if idx := strings.Index(l, "ERR engine: "); idx >= 0 && strings.Contains(l, "execution exceeded step budget") {
-			lines[i] = l[:idx] + "ERR engine: <pos>: execution exceeded step budget"
-		}
-	}
-	return strings.Join(lines, "\n")
 }

@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"fmt"
 	"strings"
 	"testing"
 
@@ -12,18 +11,19 @@ import (
 
 // FuzzFuseDifferential is the adversarial twin of the golden
 // differential: arbitrary source that survives the build pipeline is
-// executed through both the optimised dispatch (fusion + inlining) and
-// the unfused reference, and the transcripts must agree. The two
-// documented divergences are normalized away — the step budget is
-// charged per spliced instruction instead of per send dispatch, and
-// inlined sends do not push frames, so budget- and depth-exceeded
-// errors may name different positions or fire at different points —
-// everything else (values, error text, counters, final state) must be
+// executed through both the fused dispatch and the unfused reference,
+// and the transcripts must agree. Every nested send pushes a frame in
+// both modes, so send-nesting errors must match byte for byte. The one
+// documented divergence is normalized away: a fused instruction charges
+// the steps of its whole base sequence at once, so when the budget runs
+// out inside such a sequence the fused program finishes it and fails
+// later (or not at all), where the base program fails mid-sequence.
+// Everything else (values, error text, counters, final state) must be
 // byte-for-byte identical.
 //
 // CI runs this as a short smoke (-fuzz=FuzzFuseDifferential
-// -fuzztime=30s); run it longer when touching fuse.go, inline.go or
-// the VM dispatch loop.
+// -fuzztime=30s); run it longer when touching fuse.go or the VM
+// dispatch loop.
 func FuzzFuseDifferential(f *testing.F) {
 	f.Add(paperex.Figure1)
 	f.Add(`
@@ -94,7 +94,7 @@ end`)
 			return // rejected by the pipeline: FuzzParse's territory
 		}
 		fused := Open(c, FineCC{})
-		ref, err := OpenWithOptions(c, Options{Strategy: FineCC{}, Unfused: true})
+		ref, err := OpenWithOptions(c, Options{Strategy: FineCC{}, unfused: true})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -102,16 +102,16 @@ end`)
 		// the same one, and budget-error divergence is normalized.
 		fused.MaxSteps, ref.MaxSteps = 20_000, 20_000
 
-		got := normalizeLimits(fuzzScript(t, fused))
-		want := normalizeLimits(fuzzScript(t, ref))
+		got := normalizeBudget(fuzzScript(t, fused))
+		want := normalizeBudget(fuzzScript(t, ref))
 		// The step budget is the one place the modes may legitimately
-		// part ways: near exhaustion, a send can complete under one
-		// charging scheme and die under the other, after which state and
-		// counters diverge by design. Everything before the first limit
-		// hit must still match exactly; transcripts with no limit hit
-		// must match in full.
-		gl, gcut := truncateAtLimit(got)
-		wl, wcut := truncateAtLimit(want)
+		// part ways: near exhaustion, a fused sequence can complete where
+		// its base sequence dies midway, after which state and counters
+		// diverge by design. Everything before the first budget hit must
+		// still match exactly; transcripts with no budget hit must match
+		// in full.
+		gl, gcut := truncateAtBudget(got)
+		wl, wcut := truncateAtBudget(want)
 		if !gcut && !wcut && len(gl) != len(wl) {
 			t.Errorf("transcript lengths diverge: fused %d lines, unfused %d", len(gl), len(wl))
 			return
@@ -129,12 +129,12 @@ end`)
 	})
 }
 
-// truncateAtLimit cuts a normalized transcript at the first step-budget
-// or nesting-limit error, reporting whether it cut anything.
-func truncateAtLimit(s string) ([]string, bool) {
+// truncateAtBudget cuts a normalized transcript at the first step-budget
+// error, reporting whether it cut anything.
+func truncateAtBudget(s string) ([]string, bool) {
 	lines := strings.Split(s, "\n")
 	for i, l := range lines {
-		if strings.Contains(l, "ERR engine: <limit>") {
+		if strings.Contains(l, "ERR engine: <budget>") {
 			return lines[:i], true
 		}
 	}
@@ -177,24 +177,15 @@ func fuzzScript(t *testing.T, db *DB) string {
 	return r.buf.String()
 }
 
-// normalizeLimits folds the two documented fused/unfused divergences
-// out of a transcript: step-budget and send-nesting errors keep their
-// kind but lose position/site (see the FuzzFuseDifferential comment).
-func normalizeLimits(s string) string {
+// normalizeBudget folds the one documented fused/unfused divergence out
+// of a transcript: a step-budget error keeps its kind but loses its
+// position (see the FuzzFuseDifferential comment).
+func normalizeBudget(s string) string {
 	lines := strings.Split(s, "\n")
 	for i, l := range lines {
-		idx := strings.Index(l, "-> ERR engine: ")
-		if idx < 0 {
-			continue
-		}
-		switch {
-		case strings.Contains(l, "execution exceeded step budget"):
-			lines[i] = l[:idx] + "-> ERR engine: <limit>"
-		case strings.Contains(l, "send nesting exceeds"):
-			lines[i] = l[:idx] + "-> ERR engine: <limit>"
+		if idx := strings.Index(l, "-> ERR engine: "); idx >= 0 && strings.Contains(l, "execution exceeded step budget") {
+			lines[i] = l[:idx] + "-> ERR engine: <budget>"
 		}
 	}
 	return strings.Join(lines, "\n")
 }
-
-var _ = fmt.Sprintf // keep fmt linked for future debug prints

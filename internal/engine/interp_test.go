@@ -300,6 +300,47 @@ func TestInterpDepthLimit(t *testing.T) {
 	}
 }
 
+// Every nested self-send pushes a frame under every strategy, so a
+// three-deep chain of self-sends (m1 → m2 → m3) exceeds MaxDepth 2 with
+// one error, whatever the strategy's nested lock plans are.
+func TestMaxDepthCountsEveryNestedSend(t *testing.T) {
+	c, err := core.CompileSource(`
+class chain is
+    instance variables are
+        x : integer
+    method m1 is
+        return send m2 to self
+    end
+    method m2 is
+        return send m3 to self
+    end
+    method m3 is
+        return x
+    end
+end`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range Strategies() {
+		t.Run(s.Name(), func(t *testing.T) {
+			db := Open(c, s)
+			db.MaxDepth = 2
+			var oid storage.OID
+			if err := db.RunWithRetry(func(tx *txn.Txn) error {
+				in, err := db.NewInstance(tx, "chain")
+				oid = in.OID
+				return err
+			}); err != nil {
+				t.Fatal(err)
+			}
+			_, err := send1(t, db, oid, "m1")
+			if want := "engine: (chain,m3): send nesting exceeds 2"; err == nil || err.Error() != want {
+				t.Errorf("err = %v, want %q", err, want)
+			}
+		})
+	}
+}
+
 func TestInterpArityMismatch(t *testing.T) {
 	db, oid := newCalcDB(t)
 	_, err := send1(t, db, oid, "add")

@@ -45,14 +45,11 @@ type classRT struct {
 }
 
 // newRuntime precomputes the run-time tables of a compiled schema under
-// protocol p. fuse selects the program pipeline: inlining splices
-// statically-bound nested sends per receiver class (schema.InlineSends —
-// only sound when nested sends lock nothing, i.e. under
-// concurrentWriters protocols), fusion runs the superinstruction
-// peephole; fuse=false dispatches the compiler's base programs — the
-// reference semantics the differential golden suite replays.
+// protocol p. fuse selects the dispatched programs: the fused twins
+// (superinstructions, schema.Fuse) by default, or with fuse=false the
+// compiler's base programs — the reference semantics the differential
+// golden suite replays. Either way every nested send pushes a frame.
 func newRuntime(c *core.Compiled, p protocol, fuse bool) *Runtime {
-	inline := fuse && p.concurrentWriters
 	s := c.Schema
 	nm := s.NumMethodNames()
 	rt := &Runtime{Compiled: c, classes: make([]classRT, s.NumClasses())}
@@ -60,15 +57,6 @@ func newRuntime(c *core.Compiled, p protocol, fuse bool) *Runtime {
 		crt := &rt.classes[cls.ID]
 		crt.snapRead = make([]bool, nm)
 		crt.progs = make([]*schema.Program, nm)
-		// resolveBase maps a MethodID to the base program this class
-		// binds it to: the late-bound dispatch of OpSendSelf made static,
-		// which is what licenses splicing the callee into its caller.
-		resolveBase := func(mid schema.MethodID) *schema.Program {
-			if m := cls.ResolveID(mid); m != nil {
-				return m.Program
-			}
-			return nil
-		}
 		for _, name := range cls.MethodList {
 			mid, ok := s.MethodID(name)
 			if !ok {
@@ -83,7 +71,10 @@ func newRuntime(c *core.Compiled, p protocol, fuse bool) *Runtime {
 			tav, tavOK := c.TAV(cls, name)
 			crt.snapRead[mid] = tavOK && !tav.HasWrite()
 			if m := cls.Resolve(name); m != nil {
-				crt.progs[mid] = buildProg(m.Program, inline && tavOK, fuse, resolveBase, tav)
+				crt.progs[mid] = m.Program
+				if fuse {
+					crt.progs[mid] = m.Program.Fused
+				}
 			}
 		}
 		if p.concurrentWriters {
@@ -150,46 +141,6 @@ func buildEscrowSlots(c *core.Compiled, cls *schema.Class, table *core.Table, nm
 		}
 	}
 	return out
-}
-
-// buildProg runs one method's base program through the configured
-// pipeline stages (inline → fuse), reusing the precomputed fused twin
-// when inlining left the program untouched.
-func buildProg(base *schema.Program, inline, fuse bool,
-	resolve func(schema.MethodID) *schema.Program, callerTAV core.Vector) *schema.Program {
-	prog := base
-	if inline {
-		// The definition-10 gate: a callee may only be spliced if the
-		// caller's transitive access vector covers every field access the
-		// callee's code performs, at the mode it performs it — the
-		// precise condition under which the skipped nested lock request
-		// was already redundant. TAV extraction guarantees this for
-		// well-formed schemas; the check makes the pass locally safe
-		// instead of trusting that invariant.
-		allow := func(callee *schema.Program) bool {
-			for _, ins := range callee.Code {
-				switch ins.Op {
-				case schema.OpLoadField:
-					if callerTAV.Get(callee.Fields[ins.A].ID) == core.Null {
-						return false
-					}
-				case schema.OpStoreField:
-					if callerTAV.Get(callee.Fields[ins.A].ID) != core.Write {
-						return false
-					}
-				}
-			}
-			return true
-		}
-		prog = schema.InlineSends(prog, resolve, allow)
-	}
-	if fuse {
-		if prog == base && base.Fused != nil {
-			return base.Fused
-		}
-		return schema.Fuse(prog)
-	}
-	return prog
 }
 
 // class returns the run-time slice of a class.

@@ -402,7 +402,7 @@ func (ec *execCtx) exec(base int, self *storage.Instance, p *schema.Program, arg
 			}
 			db.nestedSends.Add(1)
 			callee := sc.Method.Program
-			if db.useFused && callee.Fused != nil {
+			if db.useFused {
 				callee = callee.Fused
 			}
 			ec.steps, ec.ticks = steps, ticks
@@ -480,14 +480,16 @@ func (ec *execCtx) exec(base int, self *storage.Instance, p *schema.Program, arg
 		// Superinstructions (see schema.Fuse). Each case replays the
 		// effects of the base sequence it replaces in the exact order —
 		// lock requests, counters, undo logging and error sites
-		// included — and charges the sequence's full step count, so
-		// execution is indistinguishable from the unfused program apart
-		// from dispatch cost. The right operand decodes through
+		// included — and charges the sequence's full step count
+		// (schema.Width; the dispatch above charged one), so execution
+		// is indistinguishable from the unfused program apart from
+		// dispatch cost and from where a step budget that runs out
+		// inside the sequence fails. The right operand decodes through
 		// fusedOperand, except FuseField (C is a Fields index), which
 		// reads a field.
 
 		case schema.OpIncField:
-			steps -= 3 // 4-instruction sequence, one dispatch
+			steps -= schema.Width(schema.OpIncField) - 1
 			fld := p.Fields[ins.A]
 			// Under a snapshot the read is unreachable from a method the
 			// gate admitted (IncField implies a field store, hence a
@@ -508,7 +510,7 @@ func (ec *execCtx) exec(base int, self *storage.Instance, p *schema.Program, arg
 			}
 
 		case schema.OpIncSlot:
-			steps -= 3
+			steps -= schema.Width(schema.OpIncSlot) - 1
 			v, err := binOp(p, pc-1, ins.FusedOp(), st[base+int(ins.A)], fusedOperand(ins, p, st, base))
 			if err != nil {
 				return Value{}, err
@@ -516,7 +518,7 @@ func (ec *execCtx) exec(base int, self *storage.Instance, p *schema.Program, arg
 			st[base+int(ins.A)] = v
 
 		case schema.OpLoadFieldOp:
-			steps -= 2
+			steps -= schema.Width(schema.OpLoadFieldOp) - 1
 			l, err := ec.readField(self, p.Fields[ins.A], p, pc-1)
 			if err != nil {
 				return Value{}, err
@@ -529,7 +531,7 @@ func (ec *execCtx) exec(base int, self *storage.Instance, p *schema.Program, arg
 			sp++
 
 		case schema.OpLoadSlotOp:
-			steps -= 2
+			steps -= schema.Width(schema.OpLoadSlotOp) - 1
 			var r Value
 			if ins.FusedKind() == schema.FuseField {
 				var err error
@@ -547,7 +549,7 @@ func (ec *execCtx) exec(base int, self *storage.Instance, p *schema.Program, arg
 			sp++
 
 		case schema.OpReturnField:
-			steps--
+			steps -= schema.Width(schema.OpReturnField) - 1
 			v, err := ec.readField(self, p.Fields[ins.A], p, pc-1)
 			if err != nil {
 				return Value{}, err
@@ -556,20 +558,9 @@ func (ec *execCtx) exec(base int, self *storage.Instance, p *schema.Program, arg
 			return v, nil
 
 		case schema.OpReturnSlot:
-			steps--
+			steps -= schema.Width(schema.OpReturnSlot) - 1
 			ec.steps, ec.ticks = steps, ticks
 			return st[base+int(ins.A)], nil
-
-		// Inlining support (see schema.InlineSends): an inlined nested
-		// self-send skips the nested plan (empty under every
-		// protocol that allows inlining) and the frame push, but still
-		// counts as a nested send in the engine's statistics.
-
-		case schema.OpNestedMark:
-			db.nestedSends.Add(1)
-
-		case schema.OpZeroSlots:
-			clear(st[base+int(ins.A) : base+int(ins.A)+int(ins.B)])
 
 		default:
 			return Value{}, fmt.Errorf("engine: %s: unknown opcode %d", p.PosAt(pc-1), ins.Op)

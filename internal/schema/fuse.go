@@ -28,7 +28,10 @@ package schema
 //     are remapped to the compacted indexes afterwards.
 //   - The VM charges a fused instruction the step count of the sequence
 //     it replaces (see Width), so the execution step budget is spent
-//     identically with and without fusion.
+//     identically with and without fusion. It charges them all at
+//     once, though: a budget that runs out inside the sequence stops
+//     the base program midway, while the fused one finishes it and
+//     fails at its next dispatch.
 
 import "repro/internal/mdl"
 
@@ -54,7 +57,8 @@ func binOpFused(op Op) bool {
 }
 
 // Width returns how many base instructions a fused opcode replaces (1
-// for everything else). The VM uses it to keep step accounting exact.
+// for everything else). The VM charges it per fused dispatch, so step
+// accounting has this one source.
 func Width(op Op) int {
 	switch op {
 	case OpIncField, OpIncSlot:

@@ -87,11 +87,6 @@ const (
 	OpLoadSlotOp  // push slot A ⊙ operand
 	OpReturnField // return Fields[A]                        (getter tail)
 	OpReturnSlot  // return slot A
-
-	// Inlining support, produced by InlineSends — CompileBody never
-	// emits them either.
-	OpNestedMark // count one inlined nested self-send (transcript parity)
-	OpZeroSlots  // zero slots [A, A+B): re-arm an inlined callee's locals
 )
 
 // Instr is one compact 12-byte instruction.
@@ -173,7 +168,9 @@ type SuperCall struct {
 // tables its instructions index. Instances of every class that inherits
 // the method share the program — field instructions carry global
 // FieldIDs, which each receiver class maps to its own storage slot
-// through its dense slot table (Class.Slot, one array load).
+// through its dense slot table (Class.Slot, one array load). A nested
+// send in the code always runs its callee's program in a frame of its
+// own; no pass splices one program into another.
 type Program struct {
 	Method *Method // the definition this lowers
 
@@ -199,8 +196,8 @@ type Program struct {
 	StoresFields bool
 
 	// Fused is the superinstruction twin of this program — identical
-	// semantics in fewer dispatches — built by Fuse at schema compile.
-	// It is nil on programs that are themselves pass products.
+	// semantics in fewer dispatches — built by Fuse at schema compile;
+	// it is what the engine dispatches. It is nil on the twin itself.
 	Fused *Program
 
 	pos []mdl.Pos // per-instruction source positions, diagnostics only
